@@ -11,6 +11,7 @@
 #include "src/apps/iperf_app.h"
 #include "src/element/byte_sink.h"
 #include "src/element/element_socket.h"
+#include "src/element/interposer.h"
 #include "src/tcpsim/testbed.h"
 #include "src/tools/probe_tools.h"
 #include "src/trace/ground_truth.h"
@@ -39,18 +40,7 @@ int main() {
   ElementSocket em_snd(&bed.loop(), flow.sender, opt);
   ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
 
-  struct EmSink : ByteSink {
-    ElementSocket* em;
-    size_t Write(size_t n) override {
-      RetInfo r = em->Send(n);
-      return r.size > 0 ? static_cast<size_t>(r.size) : 0;
-    }
-    void SetWritableCallback(std::function<void()> cb) override {
-      em->SetReadyToSendCallback(std::move(cb));
-    }
-    TcpSocket* socket() override { return em->socket(); }
-  } sink;
-  sink.em = &em_snd;
+  ElementSink sink(&em_snd);
   IperfApp app(&bed.loop(), &sink);
   SinkApp reader(&em_rcv);
   app.Start();

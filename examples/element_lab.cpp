@@ -68,29 +68,6 @@ PathConfig PathFromFlags(const Flags& flags) {
   return path;
 }
 
-class EmSink : public ByteSink {
- public:
-  explicit EmSink(ElementSocket* em) : em_(em) {}
-  size_t Write(size_t n) override {
-    size_t total = 0;
-    while (total < n) {
-      RetInfo r = em_->Send(n - total);
-      if (r.size <= 0) {
-        break;
-      }
-      total += static_cast<size_t>(r.size);
-    }
-    return total;
-  }
-  void SetWritableCallback(std::function<void()> cb) override {
-    em_->SetReadyToSendCallback(std::move(cb));
-  }
-  TcpSocket* socket() override { return em_->socket(); }
-
- private:
-  ElementSocket* em_;
-};
-
 int CmdMeasure(const Flags& flags) {
   PathConfig path = PathFromFlags(flags);
   double duration = flags.GetDouble("duration", 30.0);
@@ -105,7 +82,7 @@ int CmdMeasure(const Flags& flags) {
   opt.enable_latency_minimization = false;
   ElementSocket em_snd(&bed.loop(), flow.sender, opt);
   ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
-  EmSink sink(&em_snd);
+  ElementSink sink(&em_snd);
   IperfApp app(&bed.loop(), &sink);
   SinkApp reader(&em_rcv);
   app.Start();
@@ -200,7 +177,7 @@ int CmdProbe(const Flags& flags) {
   ElementSocket::Options opt;
   opt.enable_latency_minimization = false;
   ElementSocket em(&bed.loop(), flow.sender, opt);
-  EmSink sink(&em);
+  ElementSink sink(&em);
   IperfApp app(&bed.loop(), &sink);
   SinkApp reader(flow.receiver);
   app.Start();

@@ -11,31 +11,12 @@
 #include "src/apps/iperf_app.h"
 #include "src/element/byte_sink.h"
 #include "src/element/element_socket.h"
+#include "src/element/interposer.h"
 #include "src/tcpsim/testbed.h"
 #include "src/tools/probe_tools.h"
 #include "src/trace/ground_truth.h"
 
 using namespace element;
-
-namespace {
-
-class EmSink : public ByteSink {
- public:
-  explicit EmSink(ElementSocket* em) : em_(em) {}
-  size_t Write(size_t n) override {
-    RetInfo info = em_->Send(n);
-    return info.size > 0 ? static_cast<size_t>(info.size) : 0;
-  }
-  void SetWritableCallback(std::function<void()> cb) override {
-    em_->SetReadyToSendCallback(std::move(cb));
-  }
-  TcpSocket* socket() override { return em_->socket(); }
-
- private:
-  ElementSocket* em_;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   double mbps = argc > 1 ? std::atof(argv[1]) : 10.0;
@@ -59,7 +40,7 @@ int main(int argc, char** argv) {
   ElementSocket::Options opt;
   opt.enable_latency_minimization = false;
   ElementSocket em(&bed.loop(), flow.sender, opt);
-  EmSink sink(&em);
+  ElementSink sink(&em);
   IperfApp iperf(&bed.loop(), &sink);
   SinkApp reader(flow.receiver);
   iperf.Start();

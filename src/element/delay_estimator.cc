@@ -59,11 +59,7 @@ void SenderDelayEstimator::OnTcpInfoSample(const TcpInfoData& info, SimTime t) {
     latest_delay_ = d;
     has_estimate_ = true;
     double ds = d.ToSeconds();
-    if (bounded_) {
-      sketch_.Add(ds);
-    } else {
-      samples_.Add(ds);
-    }
+    samples_.Add(ds);
     series_.Add(t, ds);
     if (telemetry_.recording()) {
       telemetry_.EmitAlways(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, ds, 0.0,
@@ -109,11 +105,7 @@ void ReceiverDelayEstimator::OnAppReceive(uint64_t cumulative_bytes, SimTime t,
     latest_delay_ = d;
     has_estimate_ = true;
     double ds = d.ToSeconds();
-    if (bounded_) {
-      sketch_.Add(ds);
-    } else {
-      samples_.Add(ds);
-    }
+    samples_.Add(ds);
     series_.Add(t, ds);
     if (telemetry_.recording()) {
       telemetry_.EmitAlways(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, 0.0, 0.0,

@@ -18,7 +18,6 @@
 #include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/tcpsim/tcp_info.h"
-#include "src/telemetry/quantile_sketch.h"
 #include "src/telemetry/spine.h"
 
 namespace element {
@@ -90,12 +89,6 @@ class SenderDelayEstimator {
   const TimeSeries& delay_series() const { return series_; }
   size_t pending_records() const { return records_.size(); }
 
-  // Bounded mode: estimates accumulate into a GK sketch instead of the exact
-  // SampleSet (constant memory for long runs; read via delay_sketch()). The
-  // golden-pinned figures keep the exact default.
-  void set_bounded(bool bounded) { bounded_ = bounded; }
-  const telemetry::QuantileSketch& delay_sketch() const { return sketch_; }
-
   // Binds to the run's spine: each estimate is emitted as a kDelaySample
   // record (kFlagEstimate, sender_s component) tagged with `flow_id`.
   void BindTelemetry(telemetry::TelemetrySpine* spine, uint64_t flow_id) {
@@ -115,8 +108,6 @@ class SenderDelayEstimator {
   TimeDelta latest_delay_ = TimeDelta::Zero();
   bool has_estimate_ = false;
   SampleSet samples_;
-  telemetry::QuantileSketch sketch_;
-  bool bounded_ = false;
   TimeSeries series_;
   telemetry::FlowTelemetry telemetry_;
 };
@@ -143,10 +134,8 @@ class ReceiverDelayEstimator {
   const TimeSeries& delay_series() const { return series_; }
   size_t pending_records() const { return records_.size(); }
 
-  // Same bounded/telemetry contract as the sender estimator (receiver_s
-  // component in the emitted kDelaySample records).
-  void set_bounded(bool bounded) { bounded_ = bounded; }
-  const telemetry::QuantileSketch& delay_sketch() const { return sketch_; }
+  // Same telemetry contract as the sender estimator (receiver_s component in
+  // the emitted kDelaySample records).
   void BindTelemetry(telemetry::TelemetrySpine* spine, uint64_t flow_id) {
     telemetry_.Bind(spine, flow_id);
   }
@@ -164,8 +153,6 @@ class ReceiverDelayEstimator {
   TimeDelta latest_delay_ = TimeDelta::Zero();
   bool has_estimate_ = false;
   SampleSet samples_;
-  telemetry::QuantileSketch sketch_;
-  bool bounded_ = false;
   TimeSeries series_;
   telemetry::FlowTelemetry telemetry_;
 };

@@ -4,19 +4,20 @@
 
 namespace element {
 
-InterposedSink::InterposedSink(EventLoop* loop, TcpSocket* socket, bool is_wireless,
-                               const MinimizerParams& params) {
+namespace {
+
+std::unique_ptr<ElementSocket> MakeInterposed(EventLoop* loop, TcpSocket* socket,
+                                              bool is_wireless, const MinimizerParams& params) {
   ElementSocket::Options options;
   options.is_wireless = is_wireless;
   options.enable_latency_minimization = true;
   options.minimizer = params;
-  em_ = std::make_unique<ElementSocket>(loop, socket, options);
+  return std::make_unique<ElementSocket>(loop, socket, options);
 }
 
-size_t InterposedSink::Write(size_t n) {
-  // em_send admits at most one segment per call (packet pacing); loop until
-  // the gate closes or the buffer fills, so legacy apps that issue large
-  // writes still see ordinary short-write semantics.
+}  // namespace
+
+size_t ElementSink::Write(size_t n) {
   size_t total = 0;
   while (total < n) {
     RetInfo info = em_->Send(n - total);
@@ -28,8 +29,15 @@ size_t InterposedSink::Write(size_t n) {
   return total;
 }
 
-void InterposedSink::SetWritableCallback(std::function<void()> cb) {
+void ElementSink::SetWritableCallback(std::function<void()> cb) {
   em_->SetReadyToSendCallback(std::move(cb));
 }
+
+InterposedSink::InterposedSink(EventLoop* loop, TcpSocket* socket, bool is_wireless,
+                               const MinimizerParams& params)
+    : InterposedSink(MakeInterposed(loop, socket, is_wireless, params)) {}
+
+InterposedSink::InterposedSink(std::unique_ptr<ElementSocket> em)
+    : ElementSink(em.get()), owned_(std::move(em)) {}
 
 }  // namespace element

@@ -12,7 +12,6 @@
 
 #include "src/common/stats.h"
 #include "src/netsim/qdisc.h"
-#include "src/telemetry/quantile_sketch.h"
 
 namespace element {
 
@@ -30,11 +29,7 @@ class InstrumentedQdisc : public Qdisc {
     std::optional<Packet> pkt = inner_->Dequeue(now);
     if (pkt.has_value()) {
       double sojourn = (now - pkt->enqueued).ToSeconds();
-      if (bounded_) {
-        sojourn_sketch_.Add(sojourn);
-      } else {
-        sojourn_.Add(sojourn);
-      }
+      sojourn_.Add(sojourn);
       if (keep_series_) {
         sojourn_series_.Add(now, sojourn);
       }
@@ -54,13 +49,8 @@ class InstrumentedQdisc : public Qdisc {
   }
 
   Qdisc& inner() { return *inner_; }
-  // Per-packet queueing delay distribution (seconds). Exact by default;
-  // set_bounded(true) swaps in the GK sketch for long runs (constant memory,
-  // quantiles within the sketch's rank-error bound) — read it via
-  // sojourn_sketch() instead.
+  // Per-packet queueing delay distribution (seconds).
   const SampleSet& sojourn_samples() const { return sojourn_; }
-  const telemetry::QuantileSketch& sojourn_sketch() const { return sojourn_sketch_; }
-  void set_bounded(bool bounded) { bounded_ = bounded; }
   const TimeSeries& sojourn_series() const { return sojourn_series_; }
   void set_keep_series(bool keep) { keep_series_ = keep; }
 
@@ -69,8 +59,6 @@ class InstrumentedQdisc : public Qdisc {
 
   std::unique_ptr<Qdisc> inner_;
   SampleSet sojourn_;
-  telemetry::QuantileSketch sojourn_sketch_;
-  bool bounded_ = false;
   TimeSeries sojourn_series_;
   bool keep_series_ = false;
 };

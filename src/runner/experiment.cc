@@ -3,156 +3,81 @@
 #include <exception>
 #include <memory>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
-#include "src/element/element_socket.h"
-#include "src/element/interposer.h"
 #include "src/topo/contention.h"
 
 namespace element {
 
 std::vector<FlowResult> RunLegacyExperiment(const LegacyExperiment& cfg) {
   Testbed bed(cfg.seed, cfg.path);
-  SimTime warmup = SimTime::FromNanos(static_cast<int64_t>(cfg.warmup_s * 1e9));
+  TcpSocket::Config socket_config;
+  socket_config.congestion_control = cfg.congestion_control;
+  socket_config.ecn = cfg.path.ecn;
+  // No legacy row reads the ground-truth series.
+  MeasuredFlow::Options options;
+  options.wireless = cfg.element_wireless;
+  options.tracer.keep_time_series = false;
+  options.tracer.record_from = SimTime::FromNanos(static_cast<int64_t>(cfg.warmup_s * 1e9));
 
-  struct PerFlow {
-    Testbed::Flow flow;
-    std::unique_ptr<GroundTruthTracer> tracer;
-    std::unique_ptr<ByteSink> sink;
-    std::unique_ptr<IperfApp> app;
-    std::unique_ptr<SinkApp> reader;
-  };
-  std::vector<PerFlow> flows;
+  // Each flow starts as soon as it is created.
+  std::vector<std::unique_ptr<MeasuredFlow>> flows;
   flows.reserve(static_cast<size_t>(cfg.num_flows));
-
   for (int i = 0; i < cfg.num_flows; ++i) {
-    PerFlow pf;
-    TcpSocket::Config socket_config;
-    socket_config.congestion_control = cfg.congestion_control;
-    socket_config.ecn = cfg.path.ecn;
-    pf.flow = bed.CreateFlow(socket_config, cfg.sender_at_client);
-    GroundTruthTracer::Config tcfg;
-    tcfg.record_from = warmup;
-    pf.tracer = std::make_unique<GroundTruthTracer>(tcfg);
-    pf.flow.sender->telemetry().AttachSink(pf.tracer.get());
-    pf.flow.receiver->telemetry().AttachSink(pf.tracer.get());
-    if (i == 0 && cfg.element_on_first) {
-      pf.sink = std::make_unique<InterposedSink>(&bed.loop(), pf.flow.sender,
-                                                 cfg.element_wireless);
-    } else {
-      pf.sink = std::make_unique<RawTcpSink>(pf.flow.sender);
-    }
-    pf.app = std::make_unique<IperfApp>(&bed.loop(), pf.sink.get());
-    pf.reader = std::make_unique<SinkApp>(pf.flow.receiver);
-    pf.app->Start();
-    pf.reader->Start();
-    flows.push_back(std::move(pf));
+    Testbed::Flow flow = bed.CreateFlow(socket_config, cfg.sender_at_client);
+    options.element = i == 0 && cfg.element_on_first ? MeasuredFlow::Element::kInterposed
+                                                     : MeasuredFlow::Element::kOff;
+    flows.push_back(
+        std::make_unique<MeasuredFlow>(&bed.loop(), flow.sender, flow.receiver, options));
+    flows.back()->Start();
   }
 
   bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(cfg.duration_s * 1e9)));
 
+  // "Relative delay": end-to-end delay above the propagation floor of the
+  // direction the data traverses.
+  TimeDelta base = cfg.path.one_way_delay;
+  if (!cfg.sender_at_client && !cfg.path.reverse_one_way_delay.IsZero()) {
+    base = cfg.path.reverse_one_way_delay;
+  }
   std::vector<FlowResult> results;
-  for (int i = 0; i < cfg.num_flows; ++i) {
-    PerFlow& pf = flows[static_cast<size_t>(i)];
-    FlowResult r;
-    r.label = (i == 0 && cfg.element_on_first) ? cfg.congestion_control + "+ELEMENT"
-                                               : cfg.congestion_control;
-    r.goodput_mbps = RateOver(static_cast<int64_t>(pf.flow.receiver->app_bytes_read()),
-                              TimeDelta::FromSeconds(cfg.duration_s))
-                         .ToMbps();
-    GroundTruthTracer::Composition c = pf.tracer->MeanComposition();
-    r.sender_delay_s = c.sender_s;
-    r.network_delay_s = c.network_s;
-    r.receiver_delay_s = c.receiver_s;
-    r.e2e_delay_s = pf.tracer->end_to_end_delay().mean();
-    // "Relative delay": end-to-end delay above the propagation floor of the
-    // direction the data traverses.
-    TimeDelta base = cfg.path.one_way_delay;
-    if (!cfg.sender_at_client && !cfg.path.reverse_one_way_delay.IsZero()) {
-      base = cfg.path.reverse_one_way_delay;
-    }
-    r.relative_delay_s = std::max(0.0, r.e2e_delay_s - base.ToSeconds());
-    r.sender_delay_stdev_s = pf.tracer->sender_delay().Stdev();
-    r.receiver_delay_stdev_s = pf.tracer->receiver_delay().Stdev();
-    r.retransmits = pf.flow.sender->total_retransmits();
-    results.push_back(r);
+  for (const std::unique_ptr<MeasuredFlow>& flow : flows) {
+    results.push_back(flow->Result(cfg.congestion_control, cfg.duration_s, base.ToSeconds()));
   }
   return results;
 }
-
-namespace {
-
-// ByteSink routing through em_send so the sender-side estimator sees writes.
-class EmSink : public ByteSink {
- public:
-  explicit EmSink(ElementSocket* em) : em_(em) {}
-  size_t Write(size_t n) override {
-    RetInfo info = em_->Send(n);
-    return info.size > 0 ? static_cast<size_t>(info.size) : 0;
-  }
-  void SetWritableCallback(std::function<void()> cb) override {
-    em_->SetReadyToSendCallback(std::move(cb));
-  }
-  TcpSocket* socket() override { return em_->socket(); }
-
- private:
-  ElementSocket* em_;
-};
-
-}  // namespace
 
 AccuracyRun RunAccuracyExperiment(uint64_t seed, const PathConfig& path, double duration_s,
                                   TimeDelta tracker_period, int background_flows) {
   Testbed bed(seed, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
+  MeasuredFlow::Options options;
+  options.element = MeasuredFlow::Element::kMeasured;
+  options.tracker_period = tracker_period;
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
 
-  ElementSocket::Options opt;
-  opt.enable_latency_minimization = false;
-  opt.tracker_period = tracker_period;
-  ElementSocket em_snd(&bed.loop(), flow.sender, opt);
-  ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
-
-  EmSink sink(&em_snd);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(&em_rcv);
-  app.Start();
-  reader.Start();
-
-  std::vector<Testbed::Flow> bg_flows;
-  std::vector<std::unique_ptr<RawTcpSink>> bg_sinks;
-  std::vector<std::unique_ptr<IperfApp>> bg_apps;
-  std::vector<std::unique_ptr<SinkApp>> bg_readers;
+  // Staggered background flows (the Figure 8 scenario adds one every 20 s);
+  // nothing reads their ground-truth series.
+  MeasuredFlow::Options unmeasured;
+  unmeasured.tracer.keep_time_series = false;
+  std::vector<std::unique_ptr<MeasuredFlow>> background;
   for (int i = 0; i < background_flows; ++i) {
-    // Staggered background flows (the Figure 8 scenario adds one every 20 s).
     double start_at = 20.0 * (i + 1);
-    bed.loop().ScheduleAt(SimTime::FromNanos(static_cast<int64_t>(start_at * 1e9)), [&bed,
-                                                                                     &bg_flows,
-                                                                                     &bg_sinks,
-                                                                                     &bg_apps,
-                                                                                     &bg_readers] {
-      bg_flows.push_back(bed.CreateFlow(TcpSocket::Config{}));
-      bg_sinks.push_back(std::make_unique<RawTcpSink>(bg_flows.back().sender));
-      bg_apps.push_back(std::make_unique<IperfApp>(&bed.loop(), bg_sinks.back().get()));
-      bg_readers.push_back(std::make_unique<SinkApp>(bg_flows.back().receiver));
-      bg_apps.back()->Start();
-      bg_readers.back()->Start();
-    });
+    bed.loop().ScheduleAt(SimTime::FromNanos(static_cast<int64_t>(start_at * 1e9)),
+                          [&bed, &background, &unmeasured] {
+                            Testbed::Flow bg = bed.CreateFlow(TcpSocket::Config{});
+                            background.push_back(std::make_unique<MeasuredFlow>(
+                                &bed.loop(), bg.sender, bg.receiver, unmeasured));
+                            background.back()->Start();
+                          });
   }
 
   bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(duration_s * 1e9)));
 
   AccuracyRun run;
-  run.sender =
-      ScoreEstimates(em_snd.sender_estimator().delay_series(), tracer.sender_delay_series());
-  run.receiver = ScoreEstimates(em_rcv.receiver_estimator().delay_series(),
-                                tracer.receiver_delay_series());
-  run.composition = tracer.MeanComposition();
-  run.goodput_mbps = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                              TimeDelta::FromSeconds(duration_s))
-                         .ToMbps();
+  run.sender = measured.SenderAccuracy();
+  run.receiver = measured.ReceiverAccuracy();
+  run.composition = measured.tracer().MeanComposition();
+  run.goodput_mbps = measured.GoodputMbps(duration_s);
   return run;
 }
 
@@ -236,25 +161,7 @@ void FillContentionResult(const ScenarioSpec& spec, ScenarioResult* result) {
   cfg.seed = spec.seed;
   ContentionResult run = RunContentionExperiment(cfg);
 
-  // Propagation floor of the data direction, for the "relative delay" metric.
-  double base_s =
-      (cfg.topo.access_delay * 2.0 + cfg.topo.bottleneck_delay * static_cast<double>(cfg.topo.hops))
-          .ToSeconds();
-  for (size_t i = 0; i < run.flows.size(); ++i) {
-    const ContentionFlowResult& f = run.flows[i];
-    FlowResult r;
-    r.label = (i == 0 && cfg.element_on_first) ? spec.cc + "+ELEMENT" : spec.cc;
-    r.goodput_mbps = f.goodput_mbps;
-    r.sender_delay_s = f.sender_delay_s;
-    r.network_delay_s = f.network_delay_s;
-    r.receiver_delay_s = f.receiver_delay_s;
-    r.e2e_delay_s = f.e2e_delay_s;
-    r.relative_delay_s = std::max(0.0, f.e2e_delay_s - base_s);
-    r.sender_delay_stdev_s = f.sender_delay_stdev_s;
-    r.receiver_delay_stdev_s = f.receiver_delay_stdev_s;
-    r.retransmits = f.retransmits;
-    result->flows.push_back(std::move(r));
-  }
+  result->flows = run.flows;
   PublishFlowRows(result->flows, &result->metrics);
 
   if (run.has_accuracy) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/apps/measured_flow.h"
 #include "src/common/stats.h"
 #include "src/element/estimation_error.h"
 #include "src/runner/scenario.h"
@@ -18,20 +19,6 @@
 #include "src/trace/ground_truth.h"
 
 namespace element {
-
-struct FlowResult {
-  std::string label;
-  double goodput_mbps = 0.0;
-  double sender_delay_s = 0.0;
-  double network_delay_s = 0.0;
-  double receiver_delay_s = 0.0;
-  double e2e_delay_s = 0.0;
-  // End-to-end delay above the observed floor — the paper's "relative delay".
-  double relative_delay_s = 0.0;
-  double sender_delay_stdev_s = 0.0;
-  double receiver_delay_stdev_s = 0.0;
-  uint64_t retransmits = 0;
-};
 
 struct LegacyExperiment {
   PathConfig path;

@@ -142,7 +142,7 @@ class TcpSocket : public PacketSink {
   size_t SndBufFree() const;
 
   // Telemetry handle for this endpoint. Attach sinks (e.g. a
-  // GroundTruthTracer via its StackObserver adapter) or bind to a run's
+  // GroundTruthTracer, a telemetry::RecordSink) or bind to a run's
   // spine; the stack emits stack-boundary, ACK, and CC-episode records
   // through it, guarded so an unobserved socket pays two compares per probe.
   telemetry::FlowTelemetry& telemetry() { return telemetry_; }

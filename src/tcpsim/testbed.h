@@ -14,12 +14,12 @@
 #include "src/netsim/instrumented_qdisc.h"
 #include "src/netsim/link_model.h"
 #include "src/netsim/pipe.h"
+#include "src/netsim/qdisc_factory.h"
 #include "src/tcpsim/tcp_socket.h"
 #include "src/telemetry/spine.h"
 
 namespace element {
 
-enum class QdiscType { kPfifoFast, kCoDel, kFqCoDel, kPie, kRed };
 enum class LinkType { kFixed, kStepped, kLan, kCable, kWifi, kLte };
 
 struct PathConfig {
@@ -44,12 +44,6 @@ struct PathConfig {
   TimeDelta reverse_one_way_delay = TimeDelta::Zero();  // Zero => mirror forward
   size_t reverse_queue_limit_packets = 1000;
 };
-
-// Shared qdisc factory used by the Testbed and the topology layer
-// (src/topo/): builds one bottleneck discipline with the repo's standard
-// parameterization (FQ-CoDel gets a roomy per-qdisc limit, RED thresholds at
-// 20%/60% of the limit). Disciplines that need randomness fork `rng`.
-std::unique_ptr<Qdisc> MakeBottleneckQdisc(QdiscType type, size_t limit, bool ecn, Rng* rng);
 
 // Named production-network profiles from the paper (Sections 2.2 and 4.3).
 PathConfig LanProfile();

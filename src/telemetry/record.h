@@ -99,9 +99,9 @@ static_assert(sizeof(TraceRecord) == 48, "TraceRecord must stay 48 bytes");
 static_assert(std::is_trivially_copyable<TraceRecord>::value,
               "TraceRecord must be memcpy-safe");
 
-// Consumes records from the spine. GroundTruthTracer and the StackObserver
-// adapter implement this; attach via FlowTelemetry::AttachSink (per-flow) or
-// TelemetrySpine::AttachSink (every record of the run).
+// Consumes records from the spine. GroundTruthTracer implements this; attach
+// via FlowTelemetry::AttachSink (per-flow) or TelemetrySpine::AttachSink
+// (every record of the run).
 class RecordSink {
  public:
   virtual ~RecordSink() = default;

@@ -1,48 +1,8 @@
 #include "src/topo/contention.h"
 
 #include <memory>
-#include <utility>
-
-#include "src/element/byte_sink.h"
-#include "src/element/element_socket.h"
 
 namespace element {
-
-namespace {
-
-// ByteSink routing through em_send so the sender-side estimator sees writes
-// (the same adapter the single-path accuracy experiment uses).
-class EmSink : public ByteSink {
- public:
-  explicit EmSink(ElementSocket* em) : em_(em) {}
-  size_t Write(size_t n) override {
-    RetInfo info = em_->Send(n);
-    return info.size > 0 ? static_cast<size_t>(info.size) : 0;
-  }
-  // App-facing ByteSink registration interface.
-  void SetWritableCallback(std::function<void()> cb) override {  // lint_sim: allow(std-function)
-    em_->SetReadyToSendCallback(std::move(cb));
-  }
-  TcpSocket* socket() override { return em_->socket(); }
-
- private:
-  ElementSocket* em_;
-};
-
-struct ForegroundFlow {
-  uint64_t flow_id = 0;
-  int pair = -1;
-  std::unique_ptr<TcpSocket> sender;
-  std::unique_ptr<TcpSocket> receiver;
-  std::unique_ptr<GroundTruthTracer> tracer;
-  std::unique_ptr<ElementSocket> em_snd;
-  std::unique_ptr<ElementSocket> em_rcv;
-  std::unique_ptr<ByteSink> sink;
-  std::unique_ptr<IperfApp> app;
-  std::unique_ptr<SinkApp> reader;
-};
-
-}  // namespace
 
 double JainFairnessIndex(const std::vector<double>& values) {
   if (values.size() <= 1) {
@@ -69,96 +29,74 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   // registry carries the end-of-run counter snapshot out in the result.
   telemetry::TelemetrySpine spine;
   net.BindTelemetry(&spine);
-  SimTime warmup = SimTime::FromNanos(static_cast<int64_t>(config.warmup_s * 1e9));
 
   TcpSocket::Config socket_config;
   socket_config.congestion_control = config.congestion_control;
   socket_config.ecn = config.ecn;
+  MeasuredFlow::Options options;
+  options.tracker_period = config.tracker_period;
+  options.tracer.record_from = SimTime::FromNanos(static_cast<int64_t>(config.warmup_s * 1e9));
 
-  std::vector<ForegroundFlow> flows;
+  // Declared before the flows, whose ELEMENT sockets must go first.
+  std::vector<std::unique_ptr<TcpSocket>> sockets;
+  std::vector<std::unique_ptr<MeasuredFlow>> flows;
+  sockets.reserve(2 * static_cast<size_t>(config.flows));
   flows.reserve(static_cast<size_t>(config.flows));
   for (int i = 0; i < config.flows; ++i) {
-    ForegroundFlow flow;
-    flow.pair = i % net.spec().host_pairs;
-    flow.flow_id = net.AllocateFlowId();
-    net.RouteFlow(flow.flow_id, flow.pair);
-    Network::Attachment snd = net.sender(flow.pair);
-    Network::Attachment rcv = net.receiver(flow.pair);
-    flow.sender = std::make_unique<TcpSocket>(&loop, rng.Fork(), socket_config, flow.flow_id,
-                                              snd.tx, snd.rx);
-    flow.receiver = std::make_unique<TcpSocket>(&loop, rng.Fork(), socket_config, flow.flow_id,
-                                                rcv.tx, rcv.rx);
-    flow.sender->BindTelemetry(&spine);
-    flow.receiver->BindTelemetry(&spine);
-    GroundTruthTracer::Config tracer_config;
-    tracer_config.record_from = warmup;
-    // Flow 0's accuracy scoring interpolates the ground-truth time series, so
-    // it keeps the series regardless of warmup.
-    tracer_config.keep_time_series = true;
-    flow.tracer = std::make_unique<GroundTruthTracer>(tracer_config);
-    flow.sender->telemetry().AttachSink(flow.tracer.get());
-    flow.receiver->telemetry().AttachSink(flow.tracer.get());
-    flow.receiver->Listen();
-    flow.sender->Connect();
+    int pair = i % net.spec().host_pairs;
+    uint64_t flow_id = net.AllocateFlowId();
+    net.RouteFlow(flow_id, pair);
+    Network::Attachment snd = net.sender(pair);
+    Network::Attachment rcv = net.receiver(pair);
+    sockets.push_back(std::make_unique<TcpSocket>(&loop, rng.Fork(), socket_config, flow_id,
+                                                  snd.tx, snd.rx));
+    TcpSocket* sender = sockets.back().get();
+    sockets.push_back(std::make_unique<TcpSocket>(&loop, rng.Fork(), socket_config, flow_id,
+                                                  rcv.tx, rcv.rx));
+    TcpSocket* receiver = sockets.back().get();
+    sender->BindTelemetry(&spine);
+    receiver->BindTelemetry(&spine);
+    receiver->Listen();
+    sender->Connect();
 
-    if (i == 0 && config.element_on_first) {
-      ElementSocket::Options options;
-      options.enable_latency_minimization = false;
-      options.tracker_period = config.tracker_period;
-      flow.em_snd = std::make_unique<ElementSocket>(&loop, flow.sender.get(), options);
-      flow.em_rcv = std::make_unique<ElementSocket>(&loop, flow.receiver.get(), options);
-      flow.sink = std::make_unique<EmSink>(flow.em_snd.get());
-      flow.reader = std::make_unique<SinkApp>(flow.em_rcv.get());
-    } else {
-      flow.sink = std::make_unique<RawTcpSink>(flow.sender.get());
-      flow.reader = std::make_unique<SinkApp>(flow.receiver.get());
-    }
-    flow.app = std::make_unique<IperfApp>(&loop, flow.sink.get());
-    flows.push_back(std::move(flow));
+    // Only a scored flow 0 reads its ground-truth series (interpolated
+    // against ELEMENT's estimates, regardless of warmup).
+    bool scored = i == 0 && config.element_on_first;
+    options.element = scored ? MeasuredFlow::Element::kMeasured : MeasuredFlow::Element::kOff;
+    options.tracer.keep_time_series = scored;
+    flows.push_back(std::make_unique<MeasuredFlow>(&loop, sender, receiver, options));
   }
 
   // Cross traffic is created after the foreground flows so both draw their
   // flow ids and Rng forks in a fixed, seed-stable order.
   CrossTraffic cross(&loop, &rng, &net, config.cross);
 
-  for (ForegroundFlow& flow : flows) {
-    flow.app->Start();
-    flow.reader->Start();
+  for (const std::unique_ptr<MeasuredFlow>& flow : flows) {
+    flow->Start();
   }
   cross.Start();
 
   loop.RunUntil(SimTime::FromNanos(static_cast<int64_t>(config.duration_s * 1e9)));
 
+  // Propagation floor of the data direction, for the "relative delay" metric.
+  double base_s = (config.topo.access_delay * 2.0 +
+                   config.topo.bottleneck_delay * static_cast<double>(config.topo.hops))
+                      .ToSeconds();
   ContentionResult result;
   std::vector<double> goodputs;
   goodputs.reserve(flows.size());
-  for (ForegroundFlow& flow : flows) {
-    ContentionFlowResult row;
-    row.goodput_mbps = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                                TimeDelta::FromSeconds(config.duration_s))
-                           .ToMbps();
-    GroundTruthTracer::Composition c = flow.tracer->MeanComposition();
-    row.sender_delay_s = c.sender_s;
-    row.network_delay_s = c.network_s;
-    row.receiver_delay_s = c.receiver_s;
-    row.e2e_delay_s = flow.tracer->end_to_end_delay().mean();
-    row.sender_delay_stdev_s = flow.tracer->sender_delay().Stdev();
-    row.receiver_delay_stdev_s = flow.tracer->receiver_delay().Stdev();
-    row.retransmits = flow.sender->total_retransmits();
-    goodputs.push_back(row.goodput_mbps);
-    result.flows.push_back(row);
+  for (const std::unique_ptr<MeasuredFlow>& flow : flows) {
+    result.flows.push_back(flow->Result(config.congestion_control, config.duration_s, base_s));
+    goodputs.push_back(result.flows.back().goodput_mbps);
   }
   result.jain_fairness = JainFairnessIndex(goodputs);
 
   if (config.element_on_first) {
-    ForegroundFlow& flow0 = flows.front();
+    const MeasuredFlow& flow0 = *flows.front();
     result.has_accuracy = true;
-    result.sender_accuracy = ScoreEstimates(flow0.em_snd->sender_estimator().delay_series(),
-                                            flow0.tracer->sender_delay_series());
-    result.receiver_accuracy =
-        ScoreEstimates(flow0.em_rcv->receiver_estimator().delay_series(),
-                       flow0.tracer->receiver_delay_series());
-    result.flow0_composition = flow0.tracer->MeanComposition();
+    result.sender_accuracy = flow0.SenderAccuracy();
+    result.receiver_accuracy = flow0.ReceiverAccuracy();
+    result.flow0_composition = flow0.tracer().MeanComposition();
   }
 
   result.forwarded_packets = net.TotalForwardedPackets();

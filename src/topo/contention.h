@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/apps/measured_flow.h"
 #include "src/common/time.h"
 #include "src/element/estimation_error.h"
 #include "src/netsim/qdisc.h"
@@ -43,16 +44,9 @@ struct ContentionConfig {
   uint64_t seed = 1;
 };
 
-struct ContentionFlowResult {
-  double goodput_mbps = 0.0;
-  double sender_delay_s = 0.0;
-  double network_delay_s = 0.0;
-  double receiver_delay_s = 0.0;
-  double e2e_delay_s = 0.0;
-  double sender_delay_stdev_s = 0.0;
-  double receiver_delay_stdev_s = 0.0;
-  uint64_t retransmits = 0;
-};
+// Foreground rows carry the same fields as every other driver's; the
+// relative delay is measured above the access + bottleneck propagation floor.
+using ContentionFlowResult = FlowResult;
 
 struct ContentionResult {
   std::vector<ContentionFlowResult> flows;  // foreground, in creation order

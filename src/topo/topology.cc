@@ -48,11 +48,6 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
   for (int h = 0; h < spec_.hops; ++h) {
     std::unique_ptr<Qdisc> qdisc = MakeBottleneckQdisc(spec_.qdisc, spec_.queue_limit_packets,
                                                        spec_.ecn, rng_);
-    if (h == 0 && spec_.instrument_bottleneck) {
-      auto probe = std::make_unique<InstrumentedQdisc>(std::move(qdisc));
-      bottleneck_probe_ = probe.get();
-      qdisc = std::move(probe);
-    }
     auto fwd_link = std::make_unique<FixedLinkModel>(spec_.bottleneck_rate,
                                                      spec_.bottleneck_delay);
     pipes_.push_back(std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(qdisc),

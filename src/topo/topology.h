@@ -31,9 +31,8 @@
 
 #include "src/common/rng.h"
 #include "src/evloop/event_loop.h"
-#include "src/netsim/instrumented_qdisc.h"
 #include "src/netsim/pipe.h"
-#include "src/tcpsim/testbed.h"
+#include "src/netsim/qdisc_factory.h"
 #include "src/topo/router.h"
 
 namespace element {
@@ -69,10 +68,6 @@ struct TopologySpec {
   DataRate access_rate = DataRate::Zero();
   TimeDelta access_delay = TimeDelta::FromMillis(1);
   size_t access_queue_packets = 1000;
-
-  // Wrap hop 0's forward qdisc in an InstrumentedQdisc (per-packet sojourn
-  // probe), as Testbed does for the single-path experiments.
-  bool instrument_bottleneck = false;
 
   // Empty string when well-formed, else the first problem.
   std::string Validate() const;
@@ -123,8 +118,6 @@ class Network {
   // Forward-direction bottleneck of hop `h` (0-based).
   Qdisc& bottleneck_qdisc(int hop);
   Pipe& bottleneck_pipe(int hop) { return *fwd_bottlenecks_[static_cast<size_t>(hop)]; }
-  // Non-null when `instrument_bottleneck` was set (hop 0, forward).
-  InstrumentedQdisc* bottleneck_probe() { return bottleneck_probe_; }
 
   // Propagation-only round trip between the endpoints of `pair`.
   TimeDelta BaseRtt(int pair) const;
@@ -187,7 +180,6 @@ class Network {
   std::vector<Pipe*> rev_bottlenecks_;  // hop h: rev_router[h+1] -> rev_router[h]
   std::vector<std::unique_ptr<Pipe>> pipes_;  // owns every pipe
   std::vector<HostPair> pairs_;
-  InstrumentedQdisc* bottleneck_probe_ = nullptr;
 
   uint64_t next_flow_id_ = 1;
   std::vector<uint64_t> free_flow_ids_;

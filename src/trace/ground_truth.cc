@@ -17,6 +17,27 @@ bool GroundTruthTracer::LookupInRanges(const std::vector<Range>& ranges, uint64_
   return true;
 }
 
+void GroundTruthTracer::OnRecord(const telemetry::TraceRecord& r) {
+  switch (r.kind) {
+    case telemetry::RecordKind::kAppWrite:
+      OnAppWrite(r.u.range.begin, r.u.range.end, r.t);
+      break;
+    case telemetry::RecordKind::kTcpTransmit:
+      OnTcpTransmit(r.u.range.begin, r.u.range.end, r.t,
+                    (r.flags & telemetry::kFlagRetransmit) != 0);
+      break;
+    case telemetry::RecordKind::kTcpRxSegment:
+      OnTcpRxSegment(r.u.range.begin, r.u.range.end, r.t,
+                     (r.flags & telemetry::kFlagOutOfOrder) == 0);
+      break;
+    case telemetry::RecordKind::kAppRead:
+      OnAppRead(r.u.range.begin, r.u.range.end, r.t);
+      break;
+    default:
+      break;
+  }
+}
+
 void GroundTruthTracer::OnAppWrite(uint64_t /*begin*/, uint64_t end, SimTime t) {
   if (writes_.empty() || end > writes_.back().end) {
     writes_.push_back({end, t});

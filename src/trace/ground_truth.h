@@ -15,11 +15,11 @@
 
 #include "src/common/stats.h"
 #include "src/common/time.h"
-#include "src/tcpsim/stack_observer.h"
+#include "src/telemetry/record.h"
 
 namespace element {
 
-class GroundTruthTracer : public StackObserver {
+class GroundTruthTracer : public telemetry::RecordSink {
  public:
   struct Config {
     bool keep_time_series = true;
@@ -31,12 +31,22 @@ class GroundTruthTracer : public StackObserver {
   GroundTruthTracer() : GroundTruthTracer(Config{}) {}
   explicit GroundTruthTracer(const Config& config) : config_(config) {}
 
-  // StackObserver — attach the same tracer to the sender socket and the
-  // receiver socket of one flow.
-  void OnAppWrite(uint64_t begin, uint64_t end, SimTime t) override;
-  void OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t, bool retransmit) override;
-  void OnTcpRxSegment(uint64_t begin, uint64_t end, SimTime t, bool in_order) override;
-  void OnAppRead(uint64_t begin, uint64_t end, SimTime t) override;
+  // Attach the same tracer to the telemetry of the sender socket and the
+  // receiver socket of one flow. The four stack-boundary record kinds go to
+  // the On* probes below; every other kind is ignored, so the tracer can sit
+  // on a sink that also carries qdisc or delay-sample records.
+  void OnRecord(const telemetry::TraceRecord& r) override;
+
+  // The four probes, one per layer boundary. Byte ranges are half-open:
+  // [begin, end).
+  // Sender: bytes accepted into the TCP send buffer by a socket write.
+  void OnAppWrite(uint64_t begin, uint64_t end, SimTime t);
+  // Sender: bytes handed to the lower layers (tcp_transmit_skb).
+  void OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t, bool retransmit);
+  // Receiver: data segment arrived at the TCP layer (tcp_v4_do_rcv).
+  void OnTcpRxSegment(uint64_t begin, uint64_t end, SimTime t, bool in_order);
+  // Receiver: bytes consumed from the receive buffer by a socket read.
+  void OnAppRead(uint64_t begin, uint64_t end, SimTime t);
 
   // Delay sample sets (seconds).
   const SampleSet& sender_delay() const { return sender_delay_; }

@@ -19,23 +19,6 @@ namespace {
 
 SimTime Sec(double s) { return SimTime::FromNanos(static_cast<int64_t>(s * 1e9)); }
 
-// ByteSink that routes through an ElementSocket's measured em_send.
-class EmSink : public ByteSink {
- public:
-  explicit EmSink(ElementSocket* em) : em_(em) {}
-  size_t Write(size_t n) override {
-    RetInfo info = em_->Send(n);
-    return info.size > 0 ? static_cast<size_t>(info.size) : 0;
-  }
-  void SetWritableCallback(std::function<void()> cb) override {
-    em_->SetReadyToSendCallback(std::move(cb));
-  }
-  TcpSocket* socket() override { return em_->socket(); }
-
- private:
-  ElementSocket* em_;
-};
-
 struct MeasuredRun {
   double sender_delay_gt = 0.0;
   double sender_accuracy = 0.0;
@@ -55,7 +38,7 @@ MeasuredRun RunMeasuredFlow(uint64_t seed, const PathConfig& path, double second
   ElementSocket em_snd(&bed.loop(), flow.sender, opt);
   ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
 
-  EmSink sink(&em_snd);
+  ElementSink sink(&em_snd);
   IperfApp app(&bed.loop(), &sink);
   SinkApp reader(&em_rcv);
   app.Start();

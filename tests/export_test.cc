@@ -1,5 +1,5 @@
-// Tests for the trace export helpers (CSV/JSON), the packet log, and the
-// RFC 2861 idle-restart behaviour added to the stack.
+// Tests for the trace export helpers (CSV/JSON) and the RFC 2861 idle-restart
+// behaviour added to the stack.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "src/netsim/pfifo_fast.h"
 #include "src/tcpsim/testbed.h"
 #include "src/trace/export.h"
-#include "src/trace/packet_log.h"
 
 namespace element {
 namespace {
@@ -74,94 +73,6 @@ TEST(ExportTest, FileVariantsWriteAndFail) {
   EXPECT_EQ(line, "t_seconds,v");
   std::remove(path.c_str());
   EXPECT_FALSE(WriteTimeSeriesCsvFile("/nonexistent_dir_xyz/file.csv", ts, "v"));
-}
-
-TEST(PacketLogTest, RecordsAndComputesRates) {
-  EventLoop loop;
-  struct Null : PacketSink {
-    void Deliver(Packet) override {}
-  } null;
-  PacketLog log(&loop, &null, /*capacity=*/4);
-  for (int i = 0; i < 6; ++i) {
-    loop.ScheduleAfter(TimeDelta::FromMillis(1), [] {});
-    loop.Run();
-    Packet p;
-    p.flow_id = (i % 2 == 0) ? 1 : 2;
-    p.size_bytes = 1000;
-    log.Deliver(std::move(p));
-  }
-  EXPECT_EQ(log.total_packets(), 6u);
-  EXPECT_EQ(log.entries().size(), 4u);  // ring bounded
-  EXPECT_EQ(log.total_bytes(), 6000u);
-  // 4 retained entries, 1 ms apart: window rate = 3000 bytes / 3 ms = 8 Mbps.
-  EXPECT_NEAR(log.RateInWindow().ToMbps(), 8.0, 0.1);
-  SampleSet gaps = log.InterArrivalTimes();
-  EXPECT_EQ(gaps.count(), 3u);
-  EXPECT_NEAR(gaps.mean(), 0.001, 1e-6);
-}
-
-TEST(PacketLogTest, InterArrivalTimesSeparateInterleavedFlows) {
-  EventLoop loop;
-  struct Null : PacketSink {
-    void Deliver(Packet) override {}
-  } null;
-  PacketLog log(&loop, &null);
-  // Interleaved arrivals: flow 1 every 2 ms (at 1, 3, 5, 7 ms), flow 2 at
-  // 2 ms then 8 ms. A per-flow query must see only its own gaps, not the
-  // 1 ms spacing of the merged log.
-  auto deliver = [&](uint64_t flow_id) {
-    Packet p;
-    p.flow_id = flow_id;
-    p.size_bytes = 1000;
-    log.Deliver(std::move(p));
-  };
-  const struct {
-    int at_ms;
-    uint64_t flow;
-  } arrivals[] = {{1, 1}, {2, 2}, {3, 1}, {5, 1}, {7, 1}, {8, 2}};
-  TimeDelta elapsed = TimeDelta::Zero();
-  for (const auto& a : arrivals) {
-    loop.ScheduleAfter(TimeDelta::FromMillis(a.at_ms) - elapsed, [] {});
-    loop.Run();
-    elapsed = TimeDelta::FromMillis(a.at_ms);
-    deliver(a.flow);
-  }
-
-  SampleSet flow1 = log.InterArrivalTimes(1);
-  ASSERT_EQ(flow1.count(), 3u);
-  EXPECT_NEAR(flow1.min(), 0.002, 1e-9);
-  EXPECT_NEAR(flow1.max(), 0.002, 1e-9);
-
-  SampleSet flow2 = log.InterArrivalTimes(2);
-  ASSERT_EQ(flow2.count(), 1u);
-  EXPECT_NEAR(flow2.mean(), 0.006, 1e-9);
-
-  // All-flows view (flow_id 0) sees the merged 1-2 ms gaps.
-  SampleSet merged = log.InterArrivalTimes();
-  EXPECT_EQ(merged.count(), 5u);
-  EXPECT_NEAR(merged.min(), 0.001, 1e-9);
-
-  // A flow with no (or one) retained packet yields an empty sample set
-  // rather than a fabricated gap.
-  EXPECT_TRUE(log.InterArrivalTimes(99).empty());
-  deliver(3);
-  EXPECT_TRUE(log.InterArrivalTimes(3).empty());
-}
-
-TEST(PacketLogTest, DumpFormatsLines) {
-  EventLoop loop;
-  struct Null : PacketSink {
-    void Deliver(Packet) override {}
-  } null;
-  PacketLog log(&loop, &null);
-  Packet p;
-  p.flow_id = 7;
-  p.size_bytes = 1500;
-  p.ecn_marked = true;
-  log.Deliver(std::move(p));
-  std::ostringstream os;
-  log.Dump(os);
-  EXPECT_NE(os.str().find("flow=7 len=1500 [CE]"), std::string::npos);
 }
 
 TEST(IdleRestartTest, CwndDecaysAcrossIdlePeriod) {

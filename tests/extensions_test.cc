@@ -11,6 +11,7 @@
 #include "src/element/byte_sink.h"
 #include "src/element/delay_event_monitor.h"
 #include "src/element/element_socket.h"
+#include "src/element/interposer.h"
 #include "src/element/rate_controller.h"
 #include "src/netsim/instrumented_qdisc.h"
 #include "src/netsim/pfifo_fast.h"
@@ -124,18 +125,7 @@ TEST(DelayEventMonitorTest, AttachesToLiveEstimator) {
   DelayEventMonitor monitor(thr, [&](const DelayEventMonitor::Event&) { ++fired; });
   monitor.Attach(&em.sender_estimator());
 
-  struct EmSink : ByteSink {
-    ElementSocket* em;
-    size_t Write(size_t n) override {
-      RetInfo r = em->Send(n);
-      return r.size > 0 ? static_cast<size_t>(r.size) : 0;
-    }
-    void SetWritableCallback(std::function<void()> cb) override {
-      em->SetReadyToSendCallback(std::move(cb));
-    }
-    TcpSocket* socket() override { return em->socket(); }
-  } sink;
-  sink.em = &em;
+  ElementSink sink(&em);
   IperfApp app(&bed.loop(), &sink);
   SinkApp reader(flow.receiver);
   app.Start();
@@ -175,27 +165,7 @@ TEST(CustomControllerTest, ElementSocketUsesFactory) {
   EXPECT_EQ(em.controller()->name(), "fixed_rate");
   EXPECT_EQ(em.minimizer(), nullptr);  // not Algorithm 3
 
-  struct EmSink : ByteSink {
-    ElementSocket* em;
-    size_t Write(size_t n) override {
-      // em_send admits one segment per call under pacing; loop like the
-      // interposer so the legacy pump sees short-write semantics.
-      size_t total = 0;
-      while (total < n) {
-        RetInfo r = em->Send(n - total);
-        if (r.size <= 0) {
-          break;
-        }
-        total += static_cast<size_t>(r.size);
-      }
-      return total;
-    }
-    void SetWritableCallback(std::function<void()> cb) override {
-      em->SetReadyToSendCallback(std::move(cb));
-    }
-    TcpSocket* socket() override { return em->socket(); }
-  } sink;
-  sink.em = &em;
+  ElementSink sink(&em);
   IperfApp app(&bed.loop(), &sink);
   SinkApp reader(flow.receiver);
   app.Start();
@@ -221,25 +191,7 @@ TEST(LatencyBudgetTest, BudgetShiftsEquilibriumDelay) {
     ElementSocket::Options opt;
     ElementSocket em(&bed.loop(), flow.sender, opt);
     em.SetLatencyBudget(budget);
-    struct EmSink : ByteSink {
-      ElementSocket* em;
-      size_t Write(size_t n) override {
-        size_t total = 0;
-        while (total < n) {
-          RetInfo r = em->Send(n - total);
-          if (r.size <= 0) {
-            break;
-          }
-          total += static_cast<size_t>(r.size);
-        }
-        return total;
-      }
-      void SetWritableCallback(std::function<void()> cb) override {
-        em->SetReadyToSendCallback(std::move(cb));
-      }
-      TcpSocket* socket() override { return em->socket(); }
-    } sink;
-    sink.em = &em;
+    ElementSink sink(&em);
     IperfApp app(&bed.loop(), &sink);
     SinkApp reader(flow.receiver);
     app.Start();

@@ -1,4 +1,4 @@
-// Stress, failure-injection, and invariant-checking tests: a stack observer
+// Stress, failure-injection, and invariant-checking tests: a record sink
 // that validates byte-stream invariants during live runs, link outages, lossy
 // radio links, many concurrent flows, and event-loop churn.
 
@@ -10,25 +10,50 @@
 #include "src/apps/iperf_app.h"
 #include "src/element/byte_sink.h"
 #include "src/element/interposer.h"
-#include "src/tcpsim/stack_observer.h"
 #include "src/tcpsim/testbed.h"
+#include "src/telemetry/record.h"
 
 namespace element {
 namespace {
 
 SimTime Sec(double s) { return SimTime::FromNanos(static_cast<int64_t>(s * 1e9)); }
 
-// Checks the byte-stream invariants the stack must uphold, at every event.
-class InvariantObserver : public StackObserver {
+// Checks the byte-stream invariants the stack must uphold, at every
+// stack-boundary record.
+class InvariantObserver : public telemetry::RecordSink {
  public:
-  void OnAppWrite(uint64_t begin, uint64_t end, SimTime t) override {
+  void OnRecord(const telemetry::TraceRecord& r) override {
+    uint64_t begin = r.u.range.begin;
+    uint64_t end = r.u.range.end;
+    switch (r.kind) {
+      case telemetry::RecordKind::kAppWrite:
+        OnAppWrite(begin, end, r.t);
+        break;
+      case telemetry::RecordKind::kTcpTransmit:
+        OnTcpTransmit(begin, end, r.t, (r.flags & telemetry::kFlagRetransmit) != 0);
+        break;
+      case telemetry::RecordKind::kTcpRxSegment:
+        OnTcpRxSegment(begin, end, (r.flags & telemetry::kFlagOutOfOrder) == 0);
+        break;
+      case telemetry::RecordKind::kAppRead:
+        OnAppRead(begin, end);
+        break;
+      default:
+        break;
+    }
+  }
+
+  uint64_t read_cursor() const { return read_cursor_; }
+
+ private:
+  void OnAppWrite(uint64_t begin, uint64_t end, SimTime t) {
     EXPECT_EQ(begin, write_cursor_) << "app writes must be contiguous";
     EXPECT_LT(begin, end);
     EXPECT_GE(t, last_event_);
     write_cursor_ = end;
     last_event_ = t;
   }
-  void OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t, bool retransmit) override {
+  void OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t, bool retransmit) {
     EXPECT_LE(end, write_cursor_) << "cannot transmit bytes the app never wrote";
     EXPECT_LT(begin, end);
     if (!retransmit) {
@@ -39,7 +64,7 @@ class InvariantObserver : public StackObserver {
     EXPECT_GE(t, last_event_);
     last_event_ = t;
   }
-  void OnTcpRxSegment(uint64_t begin, uint64_t end, SimTime /*t*/, bool in_order) override {
+  void OnTcpRxSegment(uint64_t begin, uint64_t end, bool in_order) {
     EXPECT_LE(end, first_tx_cursor_) << "cannot receive bytes never transmitted";
     if (in_order) {
       EXPECT_EQ(begin, rcv_cursor_) << "in-order delivery must be contiguous";
@@ -56,15 +81,12 @@ class InvariantObserver : public StackObserver {
       ooo_ranges_.emplace_back(begin, end);
     }
   }
-  void OnAppRead(uint64_t begin, uint64_t end, SimTime /*t*/) override {
+  void OnAppRead(uint64_t begin, uint64_t end) {
     EXPECT_EQ(begin, read_cursor_) << "app reads must be contiguous";
     EXPECT_LE(end, rcv_cursor_) << "cannot read bytes TCP has not delivered";
     read_cursor_ = end;
   }
 
-  uint64_t read_cursor() const { return read_cursor_; }
-
- private:
   void MergeOooIntoCursor() {
     bool merged = true;
     while (merged) {

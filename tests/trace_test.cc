@@ -138,6 +138,50 @@ TEST(GroundTruthTracerTest, EndToEndConsistencyOnLiveFlow) {
   EXPECT_NEAR(c.total_s, tracer.end_to_end_delay().mean(), c.total_s * 0.25);
 }
 
+// Dropping the time series (what the experiment drivers do for flows whose
+// series nothing reads) must not change a single sample: the same record
+// stream feeds both tracers.
+TEST(GroundTruthTracerTest, DroppingTimeSeriesKeepsSamples) {
+  PathConfig path;
+  path.loss_probability = 0.01;  // retransmissions and out-of-order arrivals
+  Testbed bed(5, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  GroundTruthTracer::Config with_series;
+  with_series.record_from = Sec(2.0);
+  GroundTruthTracer::Config without_series = with_series;
+  without_series.keep_time_series = false;
+  GroundTruthTracer kept(with_series);
+  GroundTruthTracer dropped(without_series);
+  for (GroundTruthTracer* tracer : {&kept, &dropped}) {
+    flow.sender->telemetry().AttachSink(tracer);
+    flow.receiver->telemetry().AttachSink(tracer);
+  }
+  RawTcpSink sink(flow.sender);
+  IperfApp app(&bed.loop(), &sink);
+  SinkApp reader(flow.receiver);
+  app.Start();
+  reader.Start();
+  bed.loop().RunUntil(Sec(10.0));
+
+  ASSERT_GT(kept.end_to_end_delay().count(), 100u);
+  EXPECT_GT(flow.sender->total_retransmits(), 0u);
+  EXPECT_EQ(kept.sender_delay().samples(), dropped.sender_delay().samples());
+  EXPECT_EQ(kept.network_delay().samples(), dropped.network_delay().samples());
+  EXPECT_EQ(kept.receiver_delay().samples(), dropped.receiver_delay().samples());
+  EXPECT_EQ(kept.end_to_end_delay().samples(), dropped.end_to_end_delay().samples());
+  GroundTruthTracer::Composition a = kept.MeanComposition();
+  GroundTruthTracer::Composition b = dropped.MeanComposition();
+  EXPECT_EQ(a.sender_s, b.sender_s);
+  EXPECT_EQ(a.network_s, b.network_s);
+  EXPECT_EQ(a.receiver_s, b.receiver_s);
+  EXPECT_EQ(a.total_s, b.total_s);
+
+  EXPECT_EQ(kept.sender_delay_series().count(), kept.sender_delay().count());
+  EXPECT_EQ(kept.receiver_delay_series().count(), kept.receiver_delay().count());
+  EXPECT_TRUE(dropped.sender_delay_series().empty());
+  EXPECT_TRUE(dropped.receiver_delay_series().empty());
+}
+
 TEST(FlowMeterTest, MeasuresGoodput) {
   PathConfig path;
   path.rate = DataRate::Mbps(10);
