@@ -1,7 +1,7 @@
 // Telemetry-spine microbenchmark: the numbers behind BENCH_telemetry.json and
 // the perf-smoke CI floor for src/telemetry/.
 //
-// Four workloads, each reported as a rate:
+// Three workloads, each reported as a rate:
 //   disabled_guard — the hot-path cost model: a bound FlowTelemetry with no
 //                    consumers anywhere, checked 100M times. This is the
 //                    branch every socket/estimator event pays when telemetry
@@ -11,8 +11,6 @@
 //                    attached run-wide sink (record construction + fan-out).
 //   emit_ring      — 20M records emitted into a per-flow flight recorder in
 //                    steady-state overwrite (arena blocks warm).
-//   sketch_add     — 10M pre-drawn heavy-tailed samples fed to the GK
-//                    quantile sketch (amortized buffer flush + compress).
 //
 // Usage:
 //   micro_telemetry                      print a JSON metrics object
@@ -25,12 +23,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/common/arena.h"
 #include "src/common/json.h"
-#include "src/common/rng.h"
-#include "src/telemetry/quantile_sketch.h"
 #include "src/telemetry/spine.h"
 
 namespace element {
@@ -54,7 +49,6 @@ inline void ClobberMemory() { asm volatile("" : : : "memory"); }
 
 constexpr int kDisabledChecks = 100'000'000;
 constexpr int kEmitRecords = 20'000'000;
-constexpr int kSketchSamples = 10'000'000;
 
 double BenchDisabledGuard() {
   telemetry::TelemetrySpine spine;
@@ -131,38 +125,14 @@ double BenchEmitRing() {
   return kEmitRecords / secs;
 }
 
-double BenchSketchAdd() {
-  // Draw outside the timed region so the rate is Add() alone. Heavy-tailed
-  // input keeps the summary churning instead of settling into one band.
-  Rng rng(7);
-  std::vector<double> samples;
-  samples.reserve(kSketchSamples);
-  for (int i = 0; i < kSketchSamples; ++i) {
-    samples.push_back(rng.Pareto(1e-3, 1.2));
-  }
-  telemetry::QuantileSketch sketch;
-  double secs = Timed([&] {
-    for (double v : samples) {
-      sketch.Add(v);
-    }
-  });
-  if (sketch.count() != static_cast<uint64_t>(kSketchSamples)) {
-    std::fprintf(stderr, "sketch_add lost samples\n");
-    std::exit(1);
-  }
-  return kSketchSamples / secs;
-}
-
 int Run(const std::string& floor_path) {
   json::Value out = json::Value::Object();
   double guard = BenchDisabledGuard();
   double emit_sink = BenchEmitSink();
   double emit_ring = BenchEmitRing();
-  double sketch = BenchSketchAdd();
   out.Set("telemetry_disabled_guard_checks_per_sec", json::Value::Number(guard));
   out.Set("telemetry_emit_sink_records_per_sec", json::Value::Number(emit_sink));
   out.Set("telemetry_emit_ring_records_per_sec", json::Value::Number(emit_ring));
-  out.Set("telemetry_sketch_add_samples_per_sec", json::Value::Number(sketch));
   std::printf("%s\n", out.Dump(2).c_str());
 
   if (floor_path.empty()) {
@@ -196,7 +166,6 @@ int Run(const std::string& floor_path) {
   check("min_telemetry_disabled_guard_checks_per_sec", guard);
   check("min_telemetry_emit_sink_records_per_sec", emit_sink);
   check("min_telemetry_emit_ring_records_per_sec", emit_ring);
-  check("min_telemetry_sketch_add_samples_per_sec", sketch);
   return failures == 0 ? 0 : 1;
 }
 

@@ -66,10 +66,12 @@ int main() {
   double gt_net = tracer.network_delay().mean();
   double gt_rcv = tracer.receiver_delay().mean();
   double gt_rcv_sd = tracer.receiver_delay().Stdev();
-  double em_snd_d = em_snd.sender_estimator().delay_samples().mean();
-  double em_snd_sd = em_snd.sender_estimator().delay_samples().Stdev();
-  double em_rcv_d = em_rcv.receiver_estimator().delay_samples().mean();
-  double em_rcv_sd = em_rcv.receiver_estimator().delay_samples().Stdev();
+  SampleSet em_snd_delay = em_snd.sender_estimator().delay_series().Values();
+  SampleSet em_rcv_delay = em_rcv.receiver_estimator().delay_series().Values();
+  double em_snd_d = em_snd_delay.mean();
+  double em_snd_sd = em_snd_delay.Stdev();
+  double em_rcv_d = em_rcv_delay.mean();
+  double em_rcv_sd = em_rcv_delay.Stdev();
   double em_net = em_snd.socket()->smoothed_rtt().ToSeconds() / 2.0;
 
   auto fmt_sd = [](double v, double sd) {

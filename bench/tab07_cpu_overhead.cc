@@ -96,7 +96,7 @@ void BM_SenderEstimatorMatch(benchmark::State& state) {
     info.tcpi_bytes_acked = seq;
     est.OnTcpInfoSample(info, t);
   }
-  benchmark::DoNotOptimize(est.delay_samples().count());
+  benchmark::DoNotOptimize(est.delay_series().count());
 }
 BENCHMARK(BM_SenderEstimatorMatch);
 
@@ -112,9 +112,9 @@ void BM_ReceiverEstimatorMatch(benchmark::State& state) {
     t += TimeDelta::FromMicros(100);
     info.tcpi_segs_in = segs;
     est.OnTcpInfoSample(info, t);
-    est.OnAppReceive(segs * 1448 - 700, t, info);
+    est.OnAppReceive(segs * 1448 - 700, t);
   }
-  benchmark::DoNotOptimize(est.delay_samples().count());
+  benchmark::DoNotOptimize(est.delay_series().count());
 }
 BENCHMARK(BM_ReceiverEstimatorMatch);
 

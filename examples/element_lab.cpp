@@ -95,9 +95,9 @@ int CmdMeasure(const Flags& flags) {
   std::printf("ground truth : sender %.3f s | network %.3f s | receiver %.3f s\n", c.sender_s,
               c.network_s, c.receiver_s);
   std::printf("ELEMENT      : sender %.3f s | network %.3f s | receiver %.3f s\n",
-              em_snd.sender_estimator().delay_samples().mean(),
+              em_snd.sender_estimator().delay_series().Values().mean(),
               em_snd.path_estimator().one_way_network_delay().ToSeconds(),
-              em_rcv.receiver_estimator().delay_samples().mean());
+              em_rcv.receiver_estimator().delay_series().Values().mean());
   std::printf("sender accuracy %.1f%% (median |err| %.4f s over %zu samples)\n",
               acc.accuracy * 100, acc.median_abs_error_s, acc.compared_samples);
   std::printf("goodput %.2f Mbps\n",
@@ -189,7 +189,7 @@ int CmdProbe(const Flags& flags) {
   std::printf("tcpping RTT               : %.3f s (blind to the above)\n",
               tcpping.rtt_samples().mean());
   std::printf("ELEMENT sender estimate   : %.3f s\n",
-              em.sender_estimator().delay_samples().mean());
+              em.sender_estimator().delay_series().Values().mean());
   return 0;
 }
 

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   std::printf("  echoping (HTTP timer): %.1f ms per transfer — one number, undecomposed\n",
               echoping.transfer_times().mean() * 1000);
   std::printf("  ELEMENT (user level) : sender %.1f ms / receiver %.1f ms — decomposed, no root\n",
-              em.sender_estimator().delay_samples().mean() * 1000,
+              em.sender_estimator().delay_series().Values().mean() * 1000,
               em.recv_buffer_delay_s() * 1000);
   return 0;
 }

@@ -63,9 +63,9 @@ RunResult RunFlow(bool with_element) {
   result.throughput_mbps = meter.MeanGoodput().ToMbps();
   if (with_element) {
     auto* interposed = static_cast<InterposedSink*>(sink.get());
-    result.est_sender_delay_s = interposed->element().sender_estimator().delay_samples().mean();
-    AccuracyResult acc = ScoreEstimates(interposed->element().sender_estimator().delay_series(),
-                                        tracer.sender_delay_series());
+    const TimeSeries& est = interposed->element().sender_estimator().delay_series();
+    result.est_sender_delay_s = est.Values().mean();
+    AccuracyResult acc = ScoreEstimates(est, tracer.sender_delay_series());
     result.est_accuracy = acc.accuracy;
   }
   return result;

@@ -296,6 +296,15 @@ RunningStats TimeSeries::Summary() const {
   return rs;
 }
 
+SampleSet TimeSeries::Values() const {
+  SampleSet values;
+  values.Reserve(points_.size());
+  for (const Point& p : points_) {
+    values.Add(p.v);
+  }
+  return values;
+}
+
 double TimeSeries::MeanAfter(SimTime from) const {
   RunningStats rs;
   for (const Point& p : points_) {

@@ -147,6 +147,8 @@ class TimeSeries {
   bool InterpolateAt(SimTime t, double* out) const;
 
   RunningStats Summary() const;
+  // The values alone, in insertion order (exact mean/stdev/quantiles).
+  SampleSet Values() const;
   // Mean restricted to t >= from (skips e.g. slow-start transients).
   double MeanAfter(SimTime from) const;
 

@@ -59,20 +59,10 @@ void SenderDelayEstimator::OnTcpInfoSample(const TcpInfoData& info, SimTime t) {
     latest_delay_ = d;
     has_estimate_ = true;
     double ds = d.ToSeconds();
-    samples_.Add(ds);
     series_.Add(t, ds);
     if (telemetry_.recording()) {
       telemetry_.EmitAlways(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, ds, 0.0,
                                                           0.0, telemetry::kFlagEstimate));
-    }
-    if (sink_) {
-      DelayReport report;
-      report.t = t;
-      report.delay = d;
-      report.snd_cwnd = info.tcpi_snd_cwnd;
-      report.snd_ssthresh = info.tcpi_snd_ssthresh;
-      report.rtt_us = info.tcpi_rtt_us;
-      sink_(report);
     }
   }
 }
@@ -89,8 +79,7 @@ void ReceiverDelayEstimator::OnTcpInfoSample(const TcpInfoData& info, SimTime t)
   }
 }
 
-void ReceiverDelayEstimator::OnAppReceive(uint64_t cumulative_bytes, SimTime t,
-                                          const TcpInfoData& info) {
+void ReceiverDelayEstimator::OnAppReceive(uint64_t cumulative_bytes, SimTime t) {
   // Algorithm 2: discard records fully consumed by the application; the first
   // record still ahead of the read position timestamps the bytes being read.
   while (!records_.empty()) {
@@ -105,20 +94,10 @@ void ReceiverDelayEstimator::OnAppReceive(uint64_t cumulative_bytes, SimTime t,
     latest_delay_ = d;
     has_estimate_ = true;
     double ds = d.ToSeconds();
-    samples_.Add(ds);
     series_.Add(t, ds);
     if (telemetry_.recording()) {
       telemetry_.EmitAlways(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, 0.0, 0.0,
                                                           ds, telemetry::kFlagEstimate));
-    }
-    if (sink_) {
-      DelayReport report;
-      report.t = t;
-      report.delay = d;
-      report.snd_cwnd = info.tcpi_snd_cwnd;
-      report.snd_ssthresh = info.tcpi_snd_ssthresh;
-      report.rtt_us = info.tcpi_rtt_us;
-      sink_(report);
     }
     break;
   }

@@ -7,13 +7,18 @@
 //     B_est = tcpi_segs_in * tcpi_rcv_mss
 // against application read() records. Both keep the paper's linked-list
 // structure: records are pushed at the front and consumed from the back.
+//
+// Each matched record yields one buffer-delay estimate, which an estimator
+// delivers two ways: appended to delay_series() (the stored history accuracy
+// scoring reads), and emitted as a kDelaySample record (kFlagEstimate) on
+// telemetry(). Live consumers — Algorithm 3's controller, DelayEventMonitor —
+// attach a telemetry::RecordSink there.
 
 #ifndef ELEMENT_SRC_ELEMENT_DELAY_ESTIMATOR_H_
 #define ELEMENT_SRC_ELEMENT_DELAY_ESTIMATOR_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "src/common/stats.h"
 #include "src/common/time.h"
@@ -21,16 +26,6 @@
 #include "src/telemetry/spine.h"
 
 namespace element {
-
-// One row of ELEMENT's diagnosis output (the Print statement in Algorithms
-// 1 and 2): elapsed time, estimated buffer delay, and TCP state.
-struct DelayReport {
-  SimTime t;
-  TimeDelta delay;
-  uint32_t snd_cwnd = 0;
-  uint32_t snd_ssthresh = 0;
-  uint32_t rtt_us = 0;
-};
 
 // Delay-decomposition conservation, the audit behind the paper's Table 1 /
 // Figure 2 claim: the sender, network, and receiver components must
@@ -50,8 +45,6 @@ void AuditDelayDecomposition(double sender_s, double network_s, double receiver_
 
 class SenderDelayEstimator {
  public:
-  using ReportSink = std::function<void(const DelayReport&)>;
-
   // How to estimate the bytes that have left the TCP layer.
   enum class SentBytesFormula {
     // The paper's: bytes_acked + unacked * snd_mss (works on any kernel with
@@ -70,8 +63,8 @@ class SenderDelayEstimator {
   // is the total bytes written so far and `t` the time the write returned.
   void OnAppSend(uint64_t cumulative_bytes, SimTime t);
 
-  // tcp_info-tracking-thread half: one periodic sample. Emits zero or more
-  // DelayReports through the sink.
+  // tcp_info-tracking-thread half: one periodic sample. Yields one estimate
+  // per record that has left the TCP layer.
   void OnTcpInfoSample(const TcpInfoData& info, SimTime t);
 
   // The paper's estimate of bytes that have left the TCP layer.
@@ -80,17 +73,16 @@ class SenderDelayEstimator {
   // variant needs the latest recorded write position).
   uint64_t EstimateSentBytesForMatching(const TcpInfoData& info) const;
 
-  void set_report_sink(ReportSink sink) { sink_ = std::move(sink); }
-
   // Latest estimated send-buffer delay (EWMA-free raw value).
   TimeDelta latest_delay() const { return latest_delay_; }
   bool has_estimate() const { return has_estimate_; }
-  const SampleSet& delay_samples() const { return samples_; }
   const TimeSeries& delay_series() const { return series_; }
   size_t pending_records() const { return records_.size(); }
 
-  // Binds to the run's spine: each estimate is emitted as a kDelaySample
-  // record (kFlagEstimate, sender_s component) tagged with `flow_id`.
+  // Each estimate is emitted here as a kDelaySample record (kFlagEstimate,
+  // the delay in sender_s, 0.0 in the other components) to the attached
+  // per-flow sinks; binding also routes it to the run's spine, tagged with
+  // `flow_id`.
   void BindTelemetry(telemetry::TelemetrySpine* spine, uint64_t flow_id) {
     telemetry_.Bind(spine, flow_id);
   }
@@ -104,33 +96,27 @@ class SenderDelayEstimator {
 
   SentBytesFormula formula_ = SentBytesFormula::kAckedPlusUnacked;
   std::deque<SendRecord> records_;  // back = oldest
-  ReportSink sink_;
   TimeDelta latest_delay_ = TimeDelta::Zero();
   bool has_estimate_ = false;
-  SampleSet samples_;
   TimeSeries series_;
   telemetry::FlowTelemetry telemetry_;
 };
 
 class ReceiverDelayEstimator {
  public:
-  using ReportSink = std::function<void(const DelayReport&)>;
-
   ReceiverDelayEstimator() = default;
 
   // tcp_info-tracking-thread half: record TCP-layer receive progress.
   void OnTcpInfoSample(const TcpInfoData& info, SimTime t);
 
-  // Data-receiving-thread half: the application read data; emits at most one
-  // DelayReport per call (the record covering the read position).
-  void OnAppReceive(uint64_t cumulative_bytes, SimTime t, const TcpInfoData& info);
+  // Data-receiving-thread half: the application read data; yields at most
+  // one estimate per call (from the record covering the read position).
+  void OnAppReceive(uint64_t cumulative_bytes, SimTime t);
 
   static uint64_t EstimateReceivedBytes(const TcpInfoData& info);
 
-  void set_report_sink(ReportSink sink) { sink_ = std::move(sink); }
   TimeDelta latest_delay() const { return latest_delay_; }
   bool has_estimate() const { return has_estimate_; }
-  const SampleSet& delay_samples() const { return samples_; }
   const TimeSeries& delay_series() const { return series_; }
   size_t pending_records() const { return records_.size(); }
 
@@ -149,10 +135,8 @@ class ReceiverDelayEstimator {
 
   std::deque<RecvRecord> records_;  // back = oldest
   uint64_t prev_estimate_ = 0;
-  ReportSink sink_;
   TimeDelta latest_delay_ = TimeDelta::Zero();
   bool has_estimate_ = false;
-  SampleSet samples_;
   TimeSeries series_;
   telemetry::FlowTelemetry telemetry_;
 };

@@ -4,8 +4,8 @@
 
 namespace element {
 
-void DelayEventMonitor::OnReport(const DelayReport& report) {
-  double d = report.delay.ToSeconds();
+void DelayEventMonitor::OnRecord(const telemetry::TraceRecord& record) {
+  double d = receiver_side_ ? record.u.delay.receiver_s : record.u.delay.sender_s;
   if (!have_ewma_) {
     ewma_s_ = d;
     have_ewma_ = true;
@@ -17,8 +17,8 @@ void DelayEventMonitor::OnReport(const DelayReport& report) {
     if (cb_) {
       Event ev;
       ev.kind = kind;
-      ev.at = report.t;
-      ev.delay = report.delay;
+      ev.at = record.t;
+      ev.delay = TimeDelta::FromSeconds(d);
       ev.jitter = TimeDelta::FromSeconds(jitter_s);
       cb_(ev);
     }

@@ -13,10 +13,13 @@
 #include "src/common/time.h"
 #include "src/element/delay_estimator.h"
 #include "src/telemetry/metric_registry.h"
+#include "src/telemetry/record.h"
 
 namespace element {
 
-class DelayEventMonitor {
+// A per-flow sink on one delay estimator's telemetry: it reads the
+// estimator's component of each kDelaySample estimate record.
+class DelayEventMonitor : public telemetry::RecordSink {
  public:
   struct Thresholds {
     // Fire when the estimated buffer delay exceeds this value.
@@ -41,17 +44,20 @@ class DelayEventMonitor {
   DelayEventMonitor(const Thresholds& thresholds, Callback cb)
       : thresholds_(thresholds), cb_(std::move(cb)) {}
 
-  // Attach to an estimator's report stream. Only one monitor per estimator
-  // (it takes over the report sink); chain manually if more are needed.
+  // Adds the monitor to the estimator's per-flow sinks, beside any other
+  // consumer (e.g. ElementSocket's rate controller). The monitor must outlive
+  // the estimator's run; attach it to one estimator only.
   void Attach(SenderDelayEstimator* est) {
-    est->set_report_sink([this](const DelayReport& r) { OnReport(r); });
+    receiver_side_ = false;
+    est->telemetry().AttachSink(this);
   }
   void Attach(ReceiverDelayEstimator* est) {
-    est->set_report_sink([this](const DelayReport& r) { OnReport(r); });
+    receiver_side_ = true;
+    est->telemetry().AttachSink(this);
   }
 
-  // Direct feed, for composing with an existing sink.
-  void OnReport(const DelayReport& report);
+  // Consumes one estimate record; Attach() routes the estimator's records here.
+  void OnRecord(const telemetry::TraceRecord& record) override;
 
   uint64_t delay_events() const { return delay_events_; }
   uint64_t jitter_events() const { return jitter_events_; }
@@ -69,6 +75,7 @@ class DelayEventMonitor {
  private:
   Thresholds thresholds_;
   Callback cb_;
+  bool receiver_side_ = false;  // which component of the records to read
   double ewma_s_ = 0.0;
   bool have_ewma_ = false;
   bool delay_armed_ = true;

@@ -28,8 +28,7 @@ ElementSocket::ElementSocket(EventLoop* loop, TcpSocket* socket, const Options& 
       controller_ = std::make_unique<LatencyMinimizer>(loop, socket, options.minimizer,
                                                        options.is_wireless);
     }
-    sender_est_.set_report_sink(
-        [this](const DelayReport& report) { controller_->OnDelayMeasurement(report.delay); });
+    sender_est_.telemetry().AttachSink(this);
     controller_->Start();
   }
 
@@ -125,8 +124,7 @@ RetInfo ElementSocket::Send(size_t n) {
 RetInfo ElementSocket::Read(size_t max) {
   size_t n = socket_->Read(max);
   if (n > 0) {
-    receiver_est_.OnAppReceive(socket_->app_bytes_read(), loop_->now(),
-                               tracker_->latest_info());
+    receiver_est_.OnAppReceive(socket_->app_bytes_read(), loop_->now());
   }
   return MakeRetInfo(static_cast<long>(n), recv_buffer_delay_s());
 }

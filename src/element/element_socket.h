@@ -15,6 +15,7 @@
 #include "src/element/tcp_info_tracker.h"
 #include "src/evloop/event_loop.h"
 #include "src/tcpsim/tcp_socket.h"
+#include "src/telemetry/record.h"
 
 namespace element {
 
@@ -27,7 +28,9 @@ struct RetInfo {
   int cwnd = 0;  // segments
 };
 
-class ElementSocket {
+// With minimization on, the socket is a per-flow sink on its sender
+// estimator's telemetry and feeds each estimate to the rate controller.
+class ElementSocket : private telemetry::RecordSink {
  public:
   struct Options {
     bool is_wireless = false;                 // init_em's is_wireless flag
@@ -41,7 +44,7 @@ class ElementSocket {
 
   // init_em: attaches ELEMENT to an existing TCP socket.
   ElementSocket(EventLoop* loop, TcpSocket* socket, const Options& options);
-  ~ElementSocket();  // fin_em
+  ~ElementSocket() override;  // fin_em
 
   ElementSocket(const ElementSocket&) = delete;
   ElementSocket& operator=(const ElementSocket&) = delete;
@@ -79,6 +82,9 @@ class ElementSocket {
   double rtt_s() const { return socket_->smoothed_rtt().ToSeconds(); }
 
  private:
+  void OnRecord(const telemetry::TraceRecord& record) override {
+    controller_->OnDelayMeasurement(record.u.delay.sender_s);
+  }
   RetInfo MakeRetInfo(long size, double buf_delay_s) const;
   void ArmGateRetry();
   void OnGateRetry();

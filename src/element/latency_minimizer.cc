@@ -14,13 +14,12 @@ LatencyMinimizer::LatencyMinimizer(EventLoop* loop, TcpSocket* socket,
       check_timer_(loop, TimeDelta::FromMillis(5), [this] { CheckAndAdjust(); }),
       last_adjust_(loop->now()) {}
 
-void LatencyMinimizer::OnDelayMeasurement(TimeDelta measured) {
-  double m = measured.ToSeconds();
+void LatencyMinimizer::OnDelayMeasurement(double measured_s) {
   if (!have_delay_) {
-    avg_delay_s_ = m;
+    avg_delay_s_ = measured_s;
     have_delay_ = true;
   } else {
-    avg_delay_s_ = (1.0 - params_.ewma_weight) * avg_delay_s_ + params_.ewma_weight * m;
+    avg_delay_s_ = (1.0 - params_.ewma_weight) * avg_delay_s_ + params_.ewma_weight * measured_s;
   }
 }
 

@@ -35,7 +35,7 @@ class LatencyMinimizer : public RateController {
   void Stop() override { check_timer_.Stop(); }
 
   // Feed each new send-buffer delay measurement (Algorithm 1's output).
-  void OnDelayMeasurement(TimeDelta measured) override;
+  void OnDelayMeasurement(double measured_s) override;
 
   // True when the application may push more data: the estimated amount
   // buffered-but-unsent in the TCP layer is within S_target, or the sleep

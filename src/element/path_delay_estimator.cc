@@ -2,7 +2,7 @@
 
 namespace element {
 
-void PathDelayEstimator::OnTcpInfoSample(const TcpInfoData& info, SimTime t) {
+void PathDelayEstimator::OnTcpInfoSample(const TcpInfoData& info) {
   if (info.tcpi_rtt_us == 0) {
     return;
   }
@@ -14,8 +14,6 @@ void PathDelayEstimator::OnTcpInfoSample(const TcpInfoData& info, SimTime t) {
     base_rtt_ = floor_candidate;
   }
   has_estimate_ = true;
-  samples_.Add(one_way_network_delay().ToSeconds());
-  queueing_series_.Add(t, queueing().ToSeconds());
 }
 
 }  // namespace element

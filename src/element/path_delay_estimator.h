@@ -6,7 +6,6 @@
 #ifndef ELEMENT_SRC_ELEMENT_PATH_DELAY_ESTIMATOR_H_
 #define ELEMENT_SRC_ELEMENT_PATH_DELAY_ESTIMATOR_H_
 
-#include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/tcpsim/tcp_info.h"
 
@@ -16,7 +15,7 @@ class PathDelayEstimator {
  public:
   PathDelayEstimator() = default;
 
-  void OnTcpInfoSample(const TcpInfoData& info, SimTime t);
+  void OnTcpInfoSample(const TcpInfoData& info);
 
   bool has_estimate() const { return has_estimate_; }
   TimeDelta smoothed_rtt() const { return srtt_; }
@@ -29,15 +28,10 @@ class PathDelayEstimator {
   // The paper's "average network delay" estimate: half the smoothed RTT.
   TimeDelta one_way_network_delay() const { return srtt_ / 2; }
 
-  const SampleSet& network_delay_samples() const { return samples_; }
-  const TimeSeries& queueing_series() const { return queueing_series_; }
-
  private:
   bool has_estimate_ = false;
   TimeDelta srtt_ = TimeDelta::Zero();
   TimeDelta base_rtt_ = TimeDelta::Infinite();
-  SampleSet samples_;
-  TimeSeries queueing_series_;
 };
 
 }  // namespace element

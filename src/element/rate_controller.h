@@ -23,8 +23,9 @@ class RateController {
   virtual void Start() {}
   virtual void Stop() {}
 
-  // Fed with each new socket-buffer delay measurement (Algorithm 1 output).
-  virtual void OnDelayMeasurement(TimeDelta measured) = 0;
+  // Fed with each new socket-buffer delay measurement in seconds (Algorithm
+  // 1's output, as the sender estimator's kDelaySample records carry it).
+  virtual void OnDelayMeasurement(double measured_s) = 0;
   // May the application push more data right now?
   virtual bool MaySendNow() const = 0;
   // When gated: how long until the next attempt (may escalate internally).
@@ -47,7 +48,7 @@ class FixedRateController : public RateController {
       : loop_(loop), rate_(rate), burst_(static_cast<double>(burst_bytes)),
         tokens_(static_cast<double>(burst_bytes)), last_refill_(loop->now()) {}
 
-  void OnDelayMeasurement(TimeDelta /*measured*/) override {}
+  void OnDelayMeasurement(double /*measured_s*/) override {}
 
   bool MaySendNow() const override {
     Refill();

@@ -35,7 +35,7 @@ void TcpInfoTracker::PollNow() {
     receiver_est_->OnTcpInfoSample(latest_, now);
   }
   if (path_est_ != nullptr) {
-    path_est_->OnTcpInfoSample(latest_, now);
+    path_est_->OnTcpInfoSample(latest_);
   }
 }
 

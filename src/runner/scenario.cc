@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace element {
@@ -233,6 +234,53 @@ json::Value ScenarioSpec::ToJson() const {
 
 namespace {
 
+// Typed field readers: a value of the wrong JSON type fails the parse with a
+// message naming the field, instead of silently keeping the default.
+bool Read(const json::Value& v, const std::string& field, std::string* out, std::string* error) {
+  if (!v.is_string()) {
+    *error = "field '" + field + "' must be a string";
+    return false;
+  }
+  *out = v.AsString();
+  return true;
+}
+
+bool Read(const json::Value& v, const std::string& field, double* out, std::string* error) {
+  if (!v.is_number()) {
+    *error = "field '" + field + "' must be a number";
+    return false;
+  }
+  *out = v.AsDouble();
+  return true;
+}
+
+bool Read(const json::Value& v, const std::string& field, bool* out, std::string* error) {
+  if (!v.is_bool()) {
+    *error = "field '" + field + "' must be a bool";
+    return false;
+  }
+  *out = v.AsBool();
+  return true;
+}
+
+// Integers must be integral numbers that fit `Int` exactly, so 2.7 or 1e30
+// is rejected rather than truncated (or cast out of range).
+template <typename Int>
+bool Read(const json::Value& v, const std::string& field, Int* out, std::string* error) {
+  constexpr Int kMin = std::numeric_limits<Int>::min();
+  constexpr Int kMax = std::numeric_limits<Int>::max();
+  double x = v.AsDouble();
+  // kMax + 1 is a power of two, so the exclusive upper bound is exact.
+  if (!v.is_number() || std::floor(x) != x || x < static_cast<double>(kMin) ||
+      x >= static_cast<double>(kMax) + 1.0) {
+    *error = "field '" + field + "' must be an integer in [" + std::to_string(kMin) + ", " +
+             std::to_string(kMax) + "]";
+    return false;
+  }
+  *out = static_cast<Int>(x);
+  return true;
+}
+
 // Applies the scalar spec fields present in `obj` onto `spec`. Axis keys that
 // hold arrays (sweep form) are skipped when `skip_arrays`; any other unknown
 // key is an error so suite typos fail loudly.
@@ -248,88 +296,79 @@ bool ApplySpecFields(const json::Value& obj, ScenarioSpec* spec, bool skip_array
     if (skip_arrays && key == "seed" && v.is_object()) {
       continue;
     }
+    bool ok = false;
     if (key == "name") {
-      spec->name = v.AsString(spec->name);
+      ok = Read(v, key, &spec->name, error);
     } else if (key == "app") {
-      spec->app = v.AsString(spec->app);
+      ok = Read(v, key, &spec->app, error);
     } else if (key == "profile") {
-      spec->profile = v.AsString(spec->profile);
+      ok = Read(v, key, &spec->profile, error);
     } else if (key == "rate_mbps") {
-      spec->rate_mbps = v.AsDouble(spec->rate_mbps);
+      ok = Read(v, key, &spec->rate_mbps, error);
     } else if (key == "rtt_ms") {
-      spec->rtt_ms = v.AsDouble(spec->rtt_ms);
+      ok = Read(v, key, &spec->rtt_ms, error);
     } else if (key == "queue_packets") {
-      spec->queue_packets = static_cast<int>(v.AsInt(spec->queue_packets));
+      ok = Read(v, key, &spec->queue_packets, error);
     } else if (key == "ecn") {
-      spec->ecn = v.AsBool(spec->ecn);
+      ok = Read(v, key, &spec->ecn, error);
     } else if (key == "loss") {
-      spec->loss = v.AsDouble(spec->loss);
+      ok = Read(v, key, &spec->loss, error);
     } else if (key == "qdisc") {
-      spec->qdisc = v.AsString(spec->qdisc);
+      ok = Read(v, key, &spec->qdisc, error);
     } else if (key == "cc") {
-      spec->cc = v.AsString(spec->cc);
+      ok = Read(v, key, &spec->cc, error);
     } else if (key == "num_flows") {
-      spec->num_flows = static_cast<int>(v.AsInt(spec->num_flows));
+      ok = Read(v, key, &spec->num_flows, error);
     } else if (key == "topology") {
-      spec->topology = v.AsString(spec->topology);
+      ok = Read(v, key, &spec->topology, error);
     } else if (key == "hops") {
-      spec->hops = static_cast<int>(v.AsInt(spec->hops));
+      ok = Read(v, key, &spec->hops, error);
     } else if (key == "host_pairs") {
-      spec->host_pairs = static_cast<int>(v.AsInt(spec->host_pairs));
+      ok = Read(v, key, &spec->host_pairs, error);
     } else if (key == "cross_iperf") {
-      spec->cross_iperf = static_cast<int>(v.AsInt(spec->cross_iperf));
+      ok = Read(v, key, &spec->cross_iperf, error);
     } else if (key == "cross_onoff") {
-      spec->cross_onoff = static_cast<int>(v.AsInt(spec->cross_onoff));
+      ok = Read(v, key, &spec->cross_onoff, error);
     } else if (key == "element_mode") {
-      spec->element_mode = v.AsString(spec->element_mode);
+      ok = Read(v, key, &spec->element_mode, error);
     } else if (key == "download") {
-      spec->download = v.AsBool(spec->download);
+      ok = Read(v, key, &spec->download, error);
     } else if (key == "duration_s") {
-      spec->duration_s = v.AsDouble(spec->duration_s);
+      ok = Read(v, key, &spec->duration_s, error);
     } else if (key == "warmup_s") {
-      spec->warmup_s = v.AsDouble(spec->warmup_s);
+      ok = Read(v, key, &spec->warmup_s, error);
     } else if (key == "tracker_period_ms") {
-      spec->tracker_period_ms = v.AsDouble(spec->tracker_period_ms);
+      ok = Read(v, key, &spec->tracker_period_ms, error);
     } else if (key == "background_flows") {
-      spec->background_flows = static_cast<int>(v.AsInt(spec->background_flows));
+      ok = Read(v, key, &spec->background_flows, error);
     } else if (key == "seed") {
-      spec->seed = static_cast<uint64_t>(v.AsInt(static_cast<int64_t>(spec->seed)));
+      ok = Read(v, key, &spec->seed, error);
     } else {
       *error = "unknown scenario field '" + key + "'";
+    }
+    if (!ok) {
       return false;
     }
   }
   return true;
 }
 
-std::vector<std::string> StringAxis(const json::Value& sweep, const std::string& key) {
-  std::vector<std::string> out;
-  if (const json::Value* v = sweep.Find(key); v != nullptr && v->is_array()) {
-    for (const json::Value& item : v->items()) {
-      out.push_back(item.AsString());
-    }
+// Reads a sweep axis (absent or non-array: empty) item by item.
+template <typename T>
+bool ReadAxis(const json::Value& sweep, const std::string& key, std::vector<T>* out,
+              std::string* error) {
+  const json::Value* v = sweep.Find(key);
+  if (v == nullptr || !v->is_array()) {
+    return true;
   }
-  return out;
-}
-
-std::vector<double> NumberAxis(const json::Value& sweep, const std::string& key) {
-  std::vector<double> out;
-  if (const json::Value* v = sweep.Find(key); v != nullptr && v->is_array()) {
-    for (const json::Value& item : v->items()) {
-      out.push_back(item.AsDouble());
+  for (size_t i = 0; i < v->items().size(); ++i) {
+    T item;
+    if (!Read(v->items()[i], key + "[" + std::to_string(i) + "]", &item, error)) {
+      return false;
     }
+    out->push_back(item);
   }
-  return out;
-}
-
-std::vector<int> IntAxis(const json::Value& sweep, const std::string& key) {
-  std::vector<int> out;
-  if (const json::Value* v = sweep.Find(key); v != nullptr && v->is_array()) {
-    for (const json::Value& item : v->items()) {
-      out.push_back(static_cast<int>(item.AsInt()));
-    }
-  }
-  return out;
+  return true;
 }
 
 }  // namespace
@@ -439,8 +478,9 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
     return false;
   }
   ScenarioSuite suite;
-  if (const json::Value* v = doc.Find("suite")) {
-    suite.name = v->AsString(suite.name);
+  const json::Value* suite_name = doc.Find("suite");
+  if (suite_name != nullptr && !Read(*suite_name, "suite", &suite.name, error)) {
+    return false;
   }
   ScenarioSpec defaults;
   if (const json::Value* v = doc.Find("defaults")) {
@@ -479,22 +519,24 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
       if (!ApplySpecFields(entry, &sweep.base, /*skip_arrays=*/true, error)) {
         return false;
       }
-      sweep.qdiscs = StringAxis(entry, "qdisc");
-      sweep.ccs = StringAxis(entry, "cc");
-      sweep.profiles = StringAxis(entry, "profile");
-      sweep.topologies = StringAxis(entry, "topology");
-      sweep.rates_mbps = NumberAxis(entry, "rate_mbps");
-      sweep.rtts_ms = NumberAxis(entry, "rtt_ms");
-      sweep.flow_counts = IntAxis(entry, "num_flows");
-      sweep.cross_iperfs = IntAxis(entry, "cross_iperf");
-      sweep.cross_onoffs = IntAxis(entry, "cross_onoff");
+      if (!ReadAxis(entry, "qdisc", &sweep.qdiscs, error) ||
+          !ReadAxis(entry, "cc", &sweep.ccs, error) ||
+          !ReadAxis(entry, "profile", &sweep.profiles, error) ||
+          !ReadAxis(entry, "topology", &sweep.topologies, error) ||
+          !ReadAxis(entry, "rate_mbps", &sweep.rates_mbps, error) ||
+          !ReadAxis(entry, "rtt_ms", &sweep.rtts_ms, error) ||
+          !ReadAxis(entry, "num_flows", &sweep.flow_counts, error) ||
+          !ReadAxis(entry, "cross_iperf", &sweep.cross_iperfs, error) ||
+          !ReadAxis(entry, "cross_onoff", &sweep.cross_onoffs, error)) {
+        return false;
+      }
       sweep.seed_base = sweep.base.seed;
       if (const json::Value* seed = entry.Find("seed"); seed != nullptr && seed->is_object()) {
-        if (const json::Value* b = seed->Find("base")) {
-          sweep.seed_base = static_cast<uint64_t>(b->AsInt(1));
-        }
-        if (const json::Value* c = seed->Find("count")) {
-          sweep.seed_count = static_cast<int>(c->AsInt(1));
+        const json::Value* b = seed->Find("base");
+        const json::Value* c = seed->Find("count");
+        if ((b != nullptr && !Read(*b, "seed.base", &sweep.seed_base, error)) ||
+            (c != nullptr && !Read(*c, "seed.count", &sweep.seed_count, error))) {
+          return false;
         }
       }
       std::vector<ScenarioSpec> expanded = sweep.Expand();

@@ -20,11 +20,6 @@ const RunningStats* MetricRegistry::FindStats(const std::string& name) const {
   return it == stats_.end() ? nullptr : &it->second;
 }
 
-const QuantileSketch* MetricRegistry::FindSketch(const std::string& name) const {
-  auto it = sketches_.find(name);
-  return it == sketches_.end() ? nullptr : &it->second;
-}
-
 const Histogram& MetricRegistry::HistOrEmpty(const std::string& name) const {
   static const Histogram kEmpty;
   const Histogram* h = FindHist(name);
@@ -49,14 +44,6 @@ void MetricRegistry::Merge(const MetricRegistry& other) {
   }
   for (const auto& [name, s] : other.stats_) {
     stats_[name].Merge(s);
-  }
-  for (const auto& [name, s] : other.sketches_) {
-    auto it = sketches_.find(name);
-    if (it == sketches_.end()) {
-      sketches_.emplace(name, s);
-    } else {
-      it->second.Merge(s);
-    }
   }
 }
 
@@ -89,22 +76,6 @@ json::Value StatsJson(const RunningStats& s) {
   return obj;
 }
 
-json::Value SketchJson(const QuantileSketch& s) {
-  json::Value obj = json::Value::Object();
-  obj.Set("count", json::Value::Int(static_cast<int64_t>(s.count())));
-  if (s.count() == 0) {
-    return obj;
-  }
-  obj.Set("mean", json::Value::Number(s.mean()));
-  obj.Set("min", json::Value::Number(s.min()));
-  obj.Set("max", json::Value::Number(s.max()));
-  obj.Set("p50", json::Value::Number(s.Quantile(0.50)));
-  obj.Set("p90", json::Value::Number(s.Quantile(0.90)));
-  obj.Set("p95", json::Value::Number(s.Quantile(0.95)));
-  obj.Set("p99", json::Value::Number(s.Quantile(0.99)));
-  return obj;
-}
-
 json::Value MetricRegistry::ToJson() const {
   json::Value doc = json::Value::Object();
   if (!counters_.empty()) {
@@ -134,13 +105,6 @@ json::Value MetricRegistry::ToJson() const {
       obj.Set(name, StatsJson(s));
     }
     doc.Set("stats", std::move(obj));
-  }
-  if (!sketches_.empty()) {
-    json::Value obj = json::Value::Object();
-    for (const auto& [name, s] : sketches_) {
-      obj.Set(name, SketchJson(s));
-    }
-    doc.Set("sketches", std::move(obj));
   }
   return doc;
 }

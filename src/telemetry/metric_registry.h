@@ -8,12 +8,11 @@
 // (counters add, distributions merge, gauges take the incoming value under
 // the runner's fixed fold order).
 //
-// Five metric kinds:
+// Four metric kinds:
 //   counter — monotonic uint64 (events, bytes, drops)
 //   gauge   — last-written double (configuration echoes, final cwnd)
 //   hist    — log-scale Histogram (golden-pinned delay decompositions)
 //   stats   — RunningStats (mean/stdev summaries, e.g. goodput)
-//   sketch  — QuantileSketch (bounded-memory distributions on long runs)
 //
 // Handles returned by the accessors are stable for the registry's lifetime
 // (std::map nodes never move), so producers resolve a name once at bind time
@@ -30,7 +29,6 @@
 
 #include "src/common/json.h"
 #include "src/common/stats.h"
-#include "src/telemetry/quantile_sketch.h"
 
 namespace element {
 namespace telemetry {
@@ -42,14 +40,12 @@ class MetricRegistry {
   double* Gauge(const std::string& name) { return &gauges_[name]; }
   Histogram* Hist(const std::string& name) { return &hists_[name]; }
   RunningStats* Stats(const std::string& name) { return &stats_[name]; }
-  QuantileSketch* Sketch(const std::string& name) { return &sketches_[name]; }
 
   // Read-only lookups; null/zero when absent (for tests and export code that
   // must not create metrics as a side effect).
   uint64_t CounterValue(const std::string& name) const;
   const Histogram* FindHist(const std::string& name) const;
   const RunningStats* FindStats(const std::string& name) const;
-  const QuantileSketch* FindSketch(const std::string& name) const;
 
   // Like Find*, but absent metrics read as empty distributions — what
   // exporters want so a scenario that produced no samples still emits
@@ -58,20 +54,19 @@ class MetricRegistry {
   const RunningStats& StatsOrEmpty(const std::string& name) const;
 
   bool empty() const {
-    return counters_.empty() && gauges_.empty() && hists_.empty() && stats_.empty() &&
-           sketches_.empty();
+    return counters_.empty() && gauges_.empty() && hists_.empty() && stats_.empty();
   }
 
-  // Folds `other` in: counters add, hist/stats/sketch Merge() (geometry and
-  // epsilon must match per their own contracts), gauges take other's value.
+  // Folds `other` in: counters add, hist/stats Merge() (hist geometry must
+  // match per Histogram's contract), gauges take other's value.
   // Associative and — except for gauges — commutative; the fleet calls it in
   // a fixed fold order so gauge overwrite is deterministic too.
   void Merge(const MetricRegistry& other);
 
   // Deterministic snapshot, one object per kind that has entries:
   // {"counters": {...}, "gauges": {...}, "hists": {name: {count, mean, ...}},
-  //  "stats": {...}, "sketches": {...}}. Distribution sub-objects carry the
-  //  same key set as the fleet's aggregate emitters.
+  //  "stats": {...}}. Distribution sub-objects carry the same key set as the
+  //  fleet's aggregate emitters.
   json::Value ToJson() const;
 
  private:
@@ -79,7 +74,6 @@ class MetricRegistry {
   std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> hists_;
   std::map<std::string, RunningStats> stats_;
-  std::map<std::string, QuantileSketch> sketches_;
 };
 
 // Shared distribution serializers: the pinned key sets every exporter uses
@@ -87,7 +81,6 @@ class MetricRegistry {
 // one function is what keeps goldens byte-identical across refactors.
 json::Value HistogramJson(const Histogram& h);
 json::Value StatsJson(const RunningStats& s);
-json::Value SketchJson(const QuantileSketch& s);
 
 }  // namespace telemetry
 }  // namespace element

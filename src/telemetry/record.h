@@ -32,7 +32,8 @@ enum class RecordKind : uint8_t {
   kQdiscDrop,  // pre-queue or from-queue (see flags)
   kQdiscMark,  // ECN CE mark instead of drop
   // A delay estimate or ground-truth sample with the paper's 3-way
-  // decomposition (any component may be NaN when not applicable).
+  // decomposition. ELEMENT's estimators fill only their own component
+  // (sender_s or receiver_s) and write 0.0 in the other two.
   kDelaySample,
 };
 

@@ -142,7 +142,7 @@ TEST(EstimatorEdgeTest, RepeatedIdenticalSamplesMatchOnce) {
   est.OnTcpInfoSample(info, Ms(10));
   est.OnTcpInfoSample(info, Ms(20));
   est.OnTcpInfoSample(info, Ms(30));
-  EXPECT_EQ(est.delay_samples().count(), 1u);  // record consumed exactly once
+  EXPECT_EQ(est.delay_series().count(), 1u);  // record consumed exactly once
 }
 
 TEST(EstimatorEdgeTest, ReceiverIgnoresNonMonotoneEstimates) {

@@ -135,7 +135,7 @@ TEST(ElementApiTest, ReadReturnsReceiverDelay) {
   });
   bed.loop().RunUntil(Sec(5.0));
   EXPECT_TRUE(got_read);
-  EXPECT_GT(em_rcv.receiver_estimator().delay_samples().count(), 10u);
+  EXPECT_GT(em_rcv.receiver_estimator().delay_series().count(), 10u);
 }
 
 TEST(ElementMinimizationTest, CutsSenderDelayKeepsThroughput) {
@@ -232,7 +232,7 @@ TEST(InterposerTest, LegacyAppRunsUnmodified) {
   bed.loop().RunUntil(Sec(10.0));
   EXPECT_GT(flow.receiver->app_bytes_read(), 5'000'000u);
   // The interposed ELEMENT instance gathered measurements meanwhile.
-  EXPECT_GT(sink.element().sender_estimator().delay_samples().count(), 50u);
+  EXPECT_GT(sink.element().sender_estimator().delay_series().count(), 50u);
   EXPECT_GT(sink.element().minimizer()->starget_bytes(), 0u);
 }
 

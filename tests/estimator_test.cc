@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "src/element/delay_estimator.h"
 #include "src/element/tcp_info_tracker.h"
 #include "src/tcpsim/testbed.h"
+#include "src/telemetry/spine.h"
 
 namespace element {
 namespace {
@@ -32,6 +34,34 @@ TcpInfoData ReceiverInfo(uint64_t segs_in, uint32_t rcv_mss = 1000) {
   return info;
 }
 
+// Keeps every record a per-flow sink receives.
+struct RecordLog : telemetry::RecordSink {
+  void OnRecord(const telemetry::TraceRecord& record) override { records.push_back(record); }
+  std::vector<telemetry::TraceRecord> records;
+};
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+// The record path mirrors the stored series: one kDelaySample estimate per
+// point, in order, with the same time and the same value bits in the
+// estimator's component, 0.0 in the others, tagged with the bound flow id.
+void ExpectRecordsMirrorSeries(const std::vector<telemetry::TraceRecord>& records,
+                               const TimeSeries& series, bool receiver, uint64_t flow_id) {
+  ASSERT_EQ(records.size(), series.count());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const telemetry::TraceRecord& r = records[i];
+    EXPECT_EQ(r.kind, telemetry::RecordKind::kDelaySample);
+    EXPECT_EQ(r.flags, telemetry::kFlagEstimate);
+    EXPECT_EQ(r.flow_id, flow_id);
+    EXPECT_EQ(r.t, series.points()[i].t);
+    double own = receiver ? r.u.delay.receiver_s : r.u.delay.sender_s;
+    double other = receiver ? r.u.delay.sender_s : r.u.delay.receiver_s;
+    EXPECT_TRUE(SameBits(own, series.points()[i].v)) << "point " << i;
+    EXPECT_EQ(other, 0.0);
+    EXPECT_EQ(r.u.delay.network_s, 0.0);
+  }
+}
+
 TEST(SenderEstimatorTest, EstimateFormulaMatchesPaper) {
   // B_est = bytes_acked + unacked * snd_mss.
   EXPECT_EQ(SenderDelayEstimator::EstimateSentBytes(SenderInfo(5000, 3)), 8000u);
@@ -40,8 +70,9 @@ TEST(SenderEstimatorTest, EstimateFormulaMatchesPaper) {
 
 TEST(SenderEstimatorTest, MatchesRecordsAgainstEstimatedSentBytes) {
   SenderDelayEstimator est;
-  std::vector<DelayReport> reports;
-  est.set_report_sink([&](const DelayReport& r) { reports.push_back(r); });
+  RecordLog log;
+  est.telemetry().AttachSink(&log);
+  const std::vector<telemetry::TraceRecord>& reports = log.records;
 
   est.OnAppSend(1000, Ms(0));
   est.OnAppSend(2000, Ms(10));
@@ -49,14 +80,15 @@ TEST(SenderEstimatorTest, MatchesRecordsAgainstEstimatedSentBytes) {
   // Estimated sent bytes = 2000: the first two records have left TCP.
   est.OnTcpInfoSample(SenderInfo(1000, 1), Ms(50));
   ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[0].delay.ToMillis(), 50);
-  EXPECT_EQ(reports[1].delay.ToMillis(), 40);
+  EXPECT_DOUBLE_EQ(reports[0].u.delay.sender_s, 0.050);
+  EXPECT_DOUBLE_EQ(reports[1].u.delay.sender_s, 0.040);
   EXPECT_EQ(est.pending_records(), 1u);
   EXPECT_EQ(est.latest_delay().ToMillis(), 40);
   // Remaining record matches later.
   est.OnTcpInfoSample(SenderInfo(3000, 0), Ms(70));
   ASSERT_EQ(reports.size(), 3u);
-  EXPECT_EQ(reports[2].delay.ToMillis(), 50);
+  EXPECT_DOUBLE_EQ(reports[2].u.delay.sender_s, 0.050);
+  EXPECT_EQ(reports[2].t, Ms(70));
   EXPECT_EQ(est.pending_records(), 0u);
 }
 
@@ -68,26 +100,36 @@ TEST(SenderEstimatorTest, NoReportWhenNothingLeftTcp) {
   EXPECT_EQ(est.pending_records(), 1u);
 }
 
-TEST(SenderEstimatorTest, ReportCarriesTcpState) {
-  SenderDelayEstimator est;
-  DelayReport last;
-  est.set_report_sink([&](const DelayReport& r) { last = r; });
-  est.OnAppSend(100, Ms(0));
-  TcpInfoData info = SenderInfo(100, 0);
-  est.OnTcpInfoSample(info, Ms(5));
-  EXPECT_EQ(last.snd_cwnd, 10u);
-  EXPECT_EQ(last.snd_ssthresh, 100u);
-  EXPECT_EQ(last.rtt_us, 50000u);
-}
-
 TEST(SenderEstimatorTest, SeriesAndSamplesAccumulate) {
   SenderDelayEstimator est;
+  RecordLog log;
+  est.telemetry().AttachSink(&log);
   for (int i = 0; i < 10; ++i) {
     est.OnAppSend(static_cast<uint64_t>(i + 1) * 100, Ms(i * 10));
   }
   est.OnTcpInfoSample(SenderInfo(1000, 0), Ms(200));
-  EXPECT_EQ(est.delay_samples().count(), 10u);
   EXPECT_EQ(est.delay_series().count(), 10u);
+  EXPECT_EQ(log.records.size(), 10u);
+}
+
+TEST(SenderEstimatorTest, RecordsMirrorSeries) {
+  telemetry::TelemetrySpine spine;
+  SenderDelayEstimator est;
+  est.BindTelemetry(&spine, 7);
+  RecordLog log;
+  est.telemetry().AttachSink(&log);
+  // Irregular writes and partial matches over a few polls, with delays that
+  // are not round in binary.
+  uint64_t written = 0;
+  for (int poll = 1; poll <= 20; ++poll) {
+    for (int w = 0; w < poll % 4 + 1; ++w) {
+      written += 333;
+      est.OnAppSend(written, SimTime::FromNanos(poll * 7'000'001LL + w * 1'234'567LL));
+    }
+    est.OnTcpInfoSample(SenderInfo(written - 700, 0), SimTime::FromNanos(poll * 9'100'003LL));
+  }
+  ASSERT_GT(est.delay_series().count(), 10u);
+  ExpectRecordsMirrorSeries(log.records, est.delay_series(), /*receiver=*/false, 7);
 }
 
 TEST(SenderEstimatorTest, NotsentFormulaIsExactWithPartialSegments) {
@@ -98,6 +140,22 @@ TEST(SenderEstimatorTest, NotsentFormulaIsExactWithPartialSegments) {
   EXPECT_EQ(est.EstimateSentBytesForMatching(info), 1900u);
   // The paper formula on the same snapshot rounds to whole segments.
   EXPECT_EQ(SenderDelayEstimator::EstimateSentBytes(info), 2000u);
+}
+
+TEST(ReceiverEstimatorTest, RecordsMirrorSeries) {
+  telemetry::TelemetrySpine spine;
+  ReceiverDelayEstimator est;
+  est.BindTelemetry(&spine, 9);
+  RecordLog log;
+  est.telemetry().AttachSink(&log);
+  // Each poll lands 2000 bytes at TCP; each read, 3.3 ms later, consumes 1500.
+  for (int i = 1; i <= 30; ++i) {
+    SimTime poll = SimTime::FromNanos(i * 10'000'007LL);
+    est.OnTcpInfoSample(ReceiverInfo(static_cast<uint64_t>(i) * 2), poll);
+    est.OnAppReceive(static_cast<uint64_t>(i) * 1500, poll + TimeDelta::FromNanos(3'333'331));
+  }
+  ASSERT_GT(est.delay_series().count(), 10u);
+  ExpectRecordsMirrorSeries(log.records, est.delay_series(), /*receiver=*/true, 9);
 }
 
 TEST(ReceiverEstimatorTest, EstimateFormulaMatchesPaper) {
@@ -118,12 +176,12 @@ TEST(ReceiverEstimatorTest, ReadMatchesCoveringRecord) {
   est.OnTcpInfoSample(ReceiverInfo(4), Ms(10));  // 4000 bytes at TCP by t=10
   // App reads 1500 bytes at t=30: record "2000@0" covers it (first with
   // bytes > 1500): delay 30 ms.
-  est.OnAppReceive(1500, Ms(30), ReceiverInfo(4));
+  est.OnAppReceive(1500, Ms(30));
   ASSERT_TRUE(est.has_estimate());
   EXPECT_EQ(est.latest_delay().ToMillis(), 30);
   // App reads to 2500 at t=35: the 2000@0 record is consumed; 4000@10 covers:
   // delay 25 ms.
-  est.OnAppReceive(2500, Ms(35), ReceiverInfo(4));
+  est.OnAppReceive(2500, Ms(35));
   EXPECT_EQ(est.latest_delay().ToMillis(), 25);
   EXPECT_EQ(est.pending_records(), 1u);
 }
@@ -131,7 +189,7 @@ TEST(ReceiverEstimatorTest, ReadMatchesCoveringRecord) {
 TEST(ReceiverEstimatorTest, NoEstimateWhenAllRecordsConsumed) {
   ReceiverDelayEstimator est;
   est.OnTcpInfoSample(ReceiverInfo(1), Ms(0));
-  est.OnAppReceive(5000, Ms(10), ReceiverInfo(1));  // read beyond all records
+  est.OnAppReceive(5000, Ms(10));  // read beyond all records
   EXPECT_FALSE(est.has_estimate());
   EXPECT_EQ(est.pending_records(), 0u);
 }
@@ -232,8 +290,7 @@ TEST(TrackerTest, FeedsBothEstimators) {
   flow.receiver->SetReadableCallback([&] {
     while (flow.receiver->Read(1 << 20) > 0) {
     }
-    rcv.OnAppReceive(flow.receiver->app_bytes_read(), bed.loop().now(),
-                     rcv_tracker.latest_info());
+    rcv.OnAppReceive(flow.receiver->app_bytes_read(), bed.loop().now());
   });
   bed.loop().RunUntil(SimTime::FromNanos(10'000'000'000LL));
   EXPECT_TRUE(snd.has_estimate());

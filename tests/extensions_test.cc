@@ -16,6 +16,7 @@
 #include "src/netsim/instrumented_qdisc.h"
 #include "src/netsim/pfifo_fast.h"
 #include "src/tcpsim/testbed.h"
+#include "src/telemetry/record.h"
 #include "src/trace/ground_truth.h"
 
 namespace element {
@@ -24,11 +25,10 @@ namespace {
 SimTime Ms(int64_t ms) { return SimTime::FromNanos(ms * 1'000'000); }
 SimTime Sec(double s) { return SimTime::FromNanos(static_cast<int64_t>(s * 1e9)); }
 
-DelayReport Report(int64_t t_ms, int64_t delay_ms) {
-  DelayReport r;
-  r.t = Ms(t_ms);
-  r.delay = TimeDelta::FromMillis(delay_ms);
-  return r;
+// A sender-side estimate record, as SenderDelayEstimator emits it.
+telemetry::TraceRecord Estimate(int64_t t_ms, int64_t delay_ms) {
+  return telemetry::TraceRecord::Delay(0, Ms(t_ms), TimeDelta::FromMillis(delay_ms).ToSeconds(),
+                                       0.0, 0.0, telemetry::kFlagEstimate);
 }
 
 TEST(DelayEventMonitorTest, FiresOnceAboveThresholdWithHysteresis) {
@@ -37,12 +37,12 @@ TEST(DelayEventMonitorTest, FiresOnceAboveThresholdWithHysteresis) {
   std::vector<DelayEventMonitor::Event> events;
   DelayEventMonitor monitor(thr, [&](const DelayEventMonitor::Event& e) { events.push_back(e); });
 
-  monitor.OnReport(Report(0, 50));
-  monitor.OnReport(Report(10, 150));  // exceeds -> event
-  monitor.OnReport(Report(20, 160));  // still above -> no repeat
-  monitor.OnReport(Report(30, 90));   // between 80 and 100: not re-armed yet
-  monitor.OnReport(Report(40, 70));   // below 0.8*thr -> recovered event
-  monitor.OnReport(Report(50, 150));  // exceeds again -> second event
+  monitor.OnRecord(Estimate(0, 50));
+  monitor.OnRecord(Estimate(10, 150));  // exceeds -> event
+  monitor.OnRecord(Estimate(20, 160));  // still above -> no repeat
+  monitor.OnRecord(Estimate(30, 90));   // between 80 and 100: not re-armed yet
+  monitor.OnRecord(Estimate(40, 70));   // below 0.8*thr -> recovered event
+  monitor.OnRecord(Estimate(50, 150));  // exceeds again -> second event
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, DelayEventMonitor::Event::Kind::kDelayExceeded);
   EXPECT_EQ(events[1].kind, DelayEventMonitor::Event::Kind::kDelayRecovered);
@@ -61,9 +61,9 @@ TEST(DelayEventMonitorTest, SustainedExcursionDoesNotRefire) {
   std::vector<DelayEventMonitor::Event> events;
   DelayEventMonitor monitor(thr, [&](const DelayEventMonitor::Event& e) { events.push_back(e); });
 
-  monitor.OnReport(Report(0, 150));  // exceeds -> the one and only event
+  monitor.OnRecord(Estimate(0, 150));  // exceeds -> the one and only event
   for (int i = 1; i <= 50; ++i) {
-    monitor.OnReport(Report(i * 10, 150 + (i % 7) * 20));  // stays above
+    monitor.OnRecord(Estimate(i * 10, 150 + (i % 7) * 20));  // stays above
   }
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, DelayEventMonitor::Event::Kind::kDelayExceeded);
@@ -71,13 +71,13 @@ TEST(DelayEventMonitorTest, SustainedExcursionDoesNotRefire) {
   // Dead band: below the threshold but above the re-arm point. Neither a
   // repeat excursion nor a recovery may fire here.
   for (int i = 51; i <= 60; ++i) {
-    monitor.OnReport(Report(i * 10, (i % 2 == 0) ? 85 : 99));
+    monitor.OnRecord(Estimate(i * 10, (i % 2 == 0) ? 85 : 99));
   }
   ASSERT_EQ(events.size(), 1u);
 
   // Drop below 0.8*thr: exactly one recovery, repeated low values stay quiet.
   for (int i = 61; i <= 70; ++i) {
-    monitor.OnReport(Report(i * 10, 40));
+    monitor.OnRecord(Estimate(i * 10, 40));
   }
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1].kind, DelayEventMonitor::Event::Kind::kDelayRecovered);
@@ -103,11 +103,11 @@ TEST(DelayEventMonitorTest, JitterExcursionDetected) {
   });
   // Stable around 50 ms...
   for (int i = 0; i < 20; ++i) {
-    monitor.OnReport(Report(i * 10, 50));
+    monitor.OnRecord(Estimate(i * 10, 50));
   }
   EXPECT_EQ(jitter_events, 0);
   // ...then a 100 ms spike: |150 - ~50| > 30.
-  monitor.OnReport(Report(300, 150));
+  monitor.OnRecord(Estimate(300, 150));
   EXPECT_EQ(jitter_events, 1);
 }
 
@@ -134,6 +134,31 @@ TEST(DelayEventMonitorTest, AttachesToLiveEstimator) {
   // An unminimized Cubic flow on this path exceeds 50 ms of send-buffer delay.
   EXPECT_GT(fired, 0);
   EXPECT_GT(monitor.ewma_delay(), TimeDelta::FromMillis(20));
+}
+
+// The monitor and Algorithm 3 are both per-flow sinks on the sender
+// estimator: attaching the monitor must not cut the controller's feed.
+TEST(DelayEventMonitorTest, AttachingKeepsMinimizerFed) {
+  PathConfig path;
+  Testbed bed(11, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  ElementSocket em(&bed.loop(), flow.sender, ElementSocket::Options{});
+  ASSERT_NE(em.minimizer(), nullptr);
+
+  DelayEventMonitor::Thresholds thr;
+  thr.delay_threshold = TimeDelta::FromMillis(20);
+  int fired = 0;
+  DelayEventMonitor monitor(thr, [&](const DelayEventMonitor::Event&) { ++fired; });
+  monitor.Attach(&em.sender_estimator());
+
+  ElementSink sink(&em);
+  IperfApp app(&bed.loop(), &sink);
+  SinkApp reader(flow.receiver);
+  app.Start();
+  reader.Start();
+  bed.loop().RunUntil(Sec(20.0));
+  EXPECT_GT(fired, 0);
+  EXPECT_GT(em.minimizer()->starget_bytes(), 0u);
 }
 
 TEST(FixedRateControllerTest, TokenBucketPacing) {

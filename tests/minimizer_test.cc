@@ -7,6 +7,7 @@
 
 #include "src/element/latency_minimizer.h"
 #include "src/tcpsim/testbed.h"
+#include "src/telemetry/record.h"
 
 namespace element {
 namespace {
@@ -25,9 +26,9 @@ class MinimizerTest : public ::testing::Test {
 
 TEST_F(MinimizerTest, EwmaFollowsPaperWeights) {
   LatencyMinimizer min(&bed_.loop(), flow_.sender, MinimizerParams{}, false);
-  min.OnDelayMeasurement(TimeDelta::FromMillis(80));
+  min.OnDelayMeasurement(0.080);
   EXPECT_NEAR(min.average_delay().ToMillisF(), 80.0, 1e-6);
-  min.OnDelayMeasurement(TimeDelta::FromMillis(0));
+  min.OnDelayMeasurement(0.0);
   // 7/8 * 80 + 1/8 * 0 = 70.
   EXPECT_NEAR(min.average_delay().ToMillisF(), 70.0, 1e-6);
 }
@@ -38,7 +39,7 @@ TEST_F(MinimizerTest, StargetShrinksWhenDelayAboveThreshold) {
   min.Start();
   // Persistently 8x the threshold: ratio = 8^0.25 ~ 1.68 per adjustment.
   for (int i = 0; i < 50; ++i) {
-    min.OnDelayMeasurement(TimeDelta::FromMillis(200));
+    min.OnDelayMeasurement(0.200);
   }
   bed_.loop().RunUntil(Sec(5.0));
   uint64_t first = min.starget_bytes();
@@ -52,7 +53,7 @@ TEST_F(MinimizerTest, StargetCappedByBetaCwnd) {
   min.Start();
   // Delay far below threshold: S_target wants to grow; the cap must bind.
   for (int i = 0; i < 20; ++i) {
-    min.OnDelayMeasurement(TimeDelta::FromMillis(1));
+    min.OnDelayMeasurement(0.001);
     bed_.loop().RunUntil(Sec(0.5 + 0.25 * i));
   }
   TcpInfoData info = flow_.sender->GetTcpInfo();
@@ -76,7 +77,7 @@ TEST_F(MinimizerTest, SleepBudgetExhaustionOpensGate) {
   LatencyMinimizer min(&bed_.loop(), flow_.sender, params, false);
   min.Start();
   for (int i = 0; i < 30; ++i) {
-    min.OnDelayMeasurement(TimeDelta::FromMillis(500));
+    min.OnDelayMeasurement(0.500);
   }
   bed_.loop().RunUntil(Sec(3.0));
   // Fill the pipe so unsent exceeds S_target.
@@ -99,7 +100,7 @@ TEST_F(MinimizerTest, WirelessModePinsSndbuf) {
   LatencyMinimizer min(&bed_.loop(), flow_.sender, params, /*is_wireless=*/true);
   min.Start();
   for (int i = 0; i < 30; ++i) {
-    min.OnDelayMeasurement(TimeDelta::FromMillis(100));
+    min.OnDelayMeasurement(0.100);
   }
   bed_.loop().RunUntil(Sec(5.0));
   // SetSndBuf disables auto-tuning and pins near S_target * gamma.
@@ -115,7 +116,14 @@ TEST_F(MinimizerTest, EquilibriumNearThresholdOnLiveFlow) {
   LatencyMinimizer min(&bed_.loop(), flow_.sender, params, false);
   min.Start();
   SenderDelayEstimator est;
-  est.set_report_sink([&](const DelayReport& r) { min.OnDelayMeasurement(r.delay); });
+  struct Feed : telemetry::RecordSink {
+    explicit Feed(LatencyMinimizer* m) : min(m) {}
+    void OnRecord(const telemetry::TraceRecord& r) override {
+      min->OnDelayMeasurement(r.u.delay.sender_s);
+    }
+    LatencyMinimizer* min;
+  } feed(&min);
+  est.telemetry().AttachSink(&feed);
   PeriodicTimer tracker(&bed_.loop(), TimeDelta::FromMillis(10), [&] {
     est.OnTcpInfoSample(flow_.sender->GetTcpInfo(), bed_.loop().now());
   });
@@ -137,7 +145,7 @@ TEST_F(MinimizerTest, EquilibriumNearThresholdOnLiveFlow) {
   bed_.loop().RunUntil(Sec(30.0));
   // Average delay within a few x of the 25 ms threshold (not hundreds of ms).
   EXPECT_LT(min.average_delay().ToMillisF(), 100.0);
-  EXPECT_GT(est.delay_samples().count(), 100u);
+  EXPECT_GT(est.delay_series().count(), 100u);
 }
 
 }  // namespace

@@ -267,6 +267,44 @@ TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
       ScenarioSuite::ParseJson(R"({"scenarios": [{"duration_s": -1}]})", &suite, &err));
 }
 
+// Wrong-typed fields fail the parse with a message naming the field and the
+// expected type, instead of silently keeping the default or truncating.
+void ExpectRejected(const char* text, const std::string& message) {
+  ScenarioSuite suite;
+  std::string err;
+  EXPECT_FALSE(ScenarioSuite::ParseJson(text, &suite, &err)) << text;
+  EXPECT_NE(err.find(message), std::string::npos) << err;
+}
+
+TEST(ScenarioTest, RejectsStringInteger) {
+  ExpectRejected(R"({"scenarios": [{"num_flows": "4"}]})",
+                 "field 'num_flows' must be an integer in [-2147483648, 2147483647]");
+}
+
+TEST(ScenarioTest, RejectsNonIntegralInteger) {
+  ExpectRejected(R"({"scenarios": [{"num_flows": 2.7}]})",
+                 "field 'num_flows' must be an integer");
+}
+
+TEST(ScenarioTest, RejectsOutOfRangeSeed) {
+  ExpectRejected(R"({"scenarios": [{"seed": 1e30}]})",
+                 "field 'seed' must be an integer in [0, 18446744073709551615]");
+  ExpectRejected(R"({"scenarios": [{"seed": -1}]})", "field 'seed' must be an integer");
+}
+
+TEST(ScenarioTest, RejectsWrongTypedAxisItem) {
+  ExpectRejected(R"({"sweeps": [{"cross_iperf": [0, "1"]}]})",
+                 "field 'cross_iperf[1]' must be an integer");
+  ExpectRejected(R"({"sweeps": [{"rate_mbps": [10, "20"]}]})",
+                 "field 'rate_mbps[1]' must be a number");
+  ExpectRejected(R"({"sweeps": [{"cc": ["cubic", 3]}]})", "field 'cc[1]' must be a string");
+}
+
+TEST(ScenarioTest, RejectsStringSeedCount) {
+  ExpectRejected(R"({"sweeps": [{"seed": {"base": 1, "count": "3"}}]})",
+                 "field 'seed.count' must be an integer");
+}
+
 TEST(ScenarioTest, BuildPathWiredAutoQueueMatchesPaperFormula) {
   ScenarioSpec spec;
   spec.rate_mbps = 30;

@@ -1,206 +1,19 @@
-// Telemetry spine unit tests: GK quantile sketch guarantees (rank-error
-// bound against the exact SampleSet on adversarially-shaped inputs, merge
-// associativity), arena-backed trace rings, the metric registry's merge
-// contract, and spine/FlowTelemetry recording semantics.
+// Telemetry spine unit tests: arena-backed trace rings, the metric
+// registry's merge contract, and spine/FlowTelemetry recording semantics.
 
-#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/arena.h"
-#include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/telemetry/metric_registry.h"
-#include "src/telemetry/quantile_sketch.h"
 #include "src/telemetry/spine.h"
 #include "src/telemetry/trace_ring.h"
 
 namespace element {
 namespace telemetry {
 namespace {
-
-// Exact rank of `v` in `sorted` (count of samples <= v).
-uint64_t RankOf(const std::vector<double>& sorted, double v) {
-  return static_cast<uint64_t>(std::upper_bound(sorted.begin(), sorted.end(), v) -
-                               sorted.begin());
-}
-
-// Checks the sketch's self-reported guarantee against ground truth: for every
-// queried quantile, the exact rank of the sketch's answer must lie within
-// RankErrorBound() ranks of the target rank. This validates the *actual*
-// bound of the summary, not a loose constant.
-void ExpectWithinRankBound(const QuantileSketch& sketch, std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  const double bound = sketch.RankErrorBound();
-  EXPECT_LE(bound, sketch.epsilon() * n + 1.0);
-  for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0}) {
-    const double v = sketch.Quantile(q);
-    const double target = q * (n - 1) + 1;
-    const double rank = static_cast<double>(RankOf(samples, v));
-    // The returned value's rank band must intersect [target - e, target + e];
-    // equal values share ranks, so compare against the closest equal sample.
-    EXPECT_GE(rank + bound + 1, target) << "q=" << q << " v=" << v;
-    const double rank_lo =
-        static_cast<double>(std::lower_bound(samples.begin(), samples.end(), v) -
-                            samples.begin());
-    EXPECT_LE(rank_lo - bound, target) << "q=" << q << " v=" << v;
-  }
-}
-
-std::vector<double> UniformSamples(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(rng.Uniform());
-  }
-  return out;
-}
-
-std::vector<double> ParetoSamples(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    // Heavy tail: most mass near the scale, rare huge values — the shape that
-    // breaks naive uniform-bucket summaries.
-    out.push_back(rng.Pareto(1e-3, 1.2));
-  }
-  return out;
-}
-
-std::vector<double> BimodalSamples(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    // Two tight modes far apart (idle vs bufferbloat delays) with an empty
-    // valley between them.
-    out.push_back(rng.Bernoulli(0.7) ? rng.Normal(0.01, 0.001) : rng.Normal(1.0, 0.05));
-  }
-  return out;
-}
-
-TEST(QuantileSketchTest, EmptyAndSingle) {
-  QuantileSketch s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.count(), 0u);
-  s.Add(42.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(s.Quantile(0.0), 42.0);
-  EXPECT_EQ(s.Quantile(0.5), 42.0);
-  EXPECT_EQ(s.Quantile(1.0), 42.0);
-  EXPECT_EQ(s.min(), 42.0);
-  EXPECT_EQ(s.max(), 42.0);
-}
-
-TEST(QuantileSketchTest, MatchesExactQuantilesOnUniform) {
-  std::vector<double> samples = UniformSamples(20000, 7);
-  QuantileSketch sketch;
-  SampleSet exact;
-  for (double v : samples) {
-    sketch.Add(v);
-    exact.Add(v);
-  }
-  EXPECT_EQ(sketch.count(), exact.count());
-  EXPECT_DOUBLE_EQ(sketch.min(), exact.min());
-  EXPECT_DOUBLE_EQ(sketch.max(), exact.max());
-  EXPECT_NEAR(sketch.mean(), exact.mean(), 1e-12);
-  ExpectWithinRankBound(sketch, samples);
-  // Rank error translates to value error on a smooth CDF: the sketch's
-  // median is within ~epsilon of the exact median for uniform input.
-  EXPECT_NEAR(sketch.Quantile(0.5), exact.Quantile(0.5), 3 * sketch.epsilon());
-}
-
-TEST(QuantileSketchTest, HonorsRankBoundOnParetoTail) {
-  std::vector<double> samples = ParetoSamples(20000, 11);
-  QuantileSketch sketch;
-  for (double v : samples) {
-    sketch.Add(v);
-  }
-  ExpectWithinRankBound(sketch, samples);
-}
-
-TEST(QuantileSketchTest, HonorsRankBoundOnBimodalValley) {
-  std::vector<double> samples = BimodalSamples(20000, 13);
-  QuantileSketch sketch;
-  for (double v : samples) {
-    sketch.Add(v);
-  }
-  ExpectWithinRankBound(sketch, samples);
-}
-
-TEST(QuantileSketchTest, SummaryStaysBounded) {
-  QuantileSketch sketch;
-  std::vector<double> samples = ParetoSamples(100000, 17);
-  for (double v : samples) {
-    sketch.Add(v);
-  }
-  // O((1/eps) * log(eps * n)) tuples; with eps = 0.005 and n = 1e5 the
-  // summary must be orders of magnitude below the stream size.
-  EXPECT_LT(sketch.TupleCount(), 4000u);
-  ExpectWithinRankBound(sketch, samples);
-}
-
-TEST(QuantileSketchTest, MergeIsOrderInsensitiveWithinBound) {
-  // Three shards with very different shapes; merge in two association orders
-  // and check both results honor the bound for the union stream.
-  std::vector<double> a = UniformSamples(6000, 3);
-  std::vector<double> b = ParetoSamples(6000, 5);
-  std::vector<double> c = BimodalSamples(6000, 9);
-  auto build = [](const std::vector<double>& xs) {
-    QuantileSketch s;
-    for (double v : xs) {
-      s.Add(v);
-    }
-    return s;
-  };
-
-  std::vector<double> all;
-  all.insert(all.end(), a.begin(), a.end());
-  all.insert(all.end(), b.begin(), b.end());
-  all.insert(all.end(), c.begin(), c.end());
-
-  // (a + b) + c
-  QuantileSketch left = build(a);
-  {
-    QuantileSketch sb = build(b);
-    left.Merge(sb);
-    QuantileSketch sc = build(c);
-    left.Merge(sc);
-  }
-  // a + (b + c)
-  QuantileSketch right = build(a);
-  {
-    QuantileSketch bc = build(b);
-    QuantileSketch sc = build(c);
-    bc.Merge(sc);
-    right.Merge(bc);
-  }
-
-  EXPECT_EQ(left.count(), all.size());
-  EXPECT_EQ(right.count(), all.size());
-  ExpectWithinRankBound(left, all);
-  ExpectWithinRankBound(right, all);
-  // Exact aggregates must agree bitwise regardless of association.
-  EXPECT_DOUBLE_EQ(left.min(), right.min());
-  EXPECT_DOUBLE_EQ(left.max(), right.max());
-}
-
-TEST(QuantileSketchTest, MergeIntoEmptyEqualsCopy) {
-  QuantileSketch src;
-  for (double v : UniformSamples(5000, 21)) {
-    src.Add(v);
-  }
-  QuantileSketch dst;
-  dst.Merge(src);
-  EXPECT_EQ(dst.count(), src.count());
-  for (double q : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(dst.Quantile(q), src.Quantile(q), 3 * src.epsilon());
-  }
-}
 
 TEST(TraceRingTest, OverwritesOldestAndSnapshotsInOrder) {
   FreeListArena arena;
@@ -248,14 +61,12 @@ TEST(MetricRegistryTest, HandlesAreStableAndMergeFolds) {
   *a.Gauge("cwnd") = 10.0;
   a.Hist("delay_s")->Add(0.5);
   a.Stats("goodput")->Add(8.0);
-  a.Sketch("sojourn_s")->Add(0.001);
 
   MetricRegistry b;
   *b.Counter("qdisc.drops") += 4;
   *b.Gauge("cwnd") = 20.0;
   b.Hist("delay_s")->Add(1.5);
   b.Stats("goodput")->Add(10.0);
-  b.Sketch("sojourn_s")->Add(0.002);
   *b.Counter("only_in_b") += 1;
 
   a.Merge(b);
@@ -265,8 +76,6 @@ TEST(MetricRegistryTest, HandlesAreStableAndMergeFolds) {
   EXPECT_EQ(a.HistOrEmpty("delay_s").count(), 2u);
   EXPECT_EQ(a.StatsOrEmpty("goodput").count(), 2u);
   EXPECT_DOUBLE_EQ(a.StatsOrEmpty("goodput").mean(), 9.0);
-  ASSERT_NE(a.FindSketch("sojourn_s"), nullptr);
-  EXPECT_EQ(a.FindSketch("sojourn_s")->count(), 2u);
   // Reads of absent metrics do not create them.
   EXPECT_EQ(a.CounterValue("never_written"), 0u);
   EXPECT_EQ(a.FindHist("never_written"), nullptr);

@@ -106,14 +106,14 @@ TEST(PathDelayEstimatorTest, DecomposesPropagationAndQueueing) {
   TcpInfoData info;
   info.tcpi_rtt_us = 50000;
   info.tcpi_min_rtt_us = 50000;
-  est.OnTcpInfoSample(info, Sec(1.0));
+  est.OnTcpInfoSample(info);
   EXPECT_TRUE(est.has_estimate());
   EXPECT_EQ(est.base_rtt().ToMillis(), 50);
   EXPECT_EQ(est.queueing().ToMillis(), 0);
   EXPECT_EQ(est.one_way_network_delay().ToMillis(), 25);
   // Queue builds: srtt rises, base stays.
   info.tcpi_rtt_us = 130000;
-  est.OnTcpInfoSample(info, Sec(2.0));
+  est.OnTcpInfoSample(info);
   EXPECT_EQ(est.base_rtt().ToMillis(), 50);
   EXPECT_EQ(est.queueing().ToMillis(), 80);
 }
