@@ -46,25 +46,22 @@ void EventLoop::FreeSlot(uint32_t slot) {
 // ---------------------------------------------------------------------------
 
 void EventLoop::SiftUp(uint32_t index) {
-  uint32_t slot = heap_[index];
-  const Record& r = record(slot);
+  const HeapEntry entry = heap_[index];
   while (index > 0) {
     uint32_t parent = (index - 1) >> 2;
-    uint32_t parent_slot = heap_[parent];
-    if (!Earlier(r, record(parent_slot))) {
+    if (!Earlier(entry, heap_[parent])) {
       break;
     }
-    heap_[index] = parent_slot;
-    record(parent_slot).heap_index = index;
+    heap_[index] = heap_[parent];
+    record(heap_[index].slot).heap_index = index;
     index = parent;
   }
-  heap_[index] = slot;
-  record(slot).heap_index = index;
+  heap_[index] = entry;
+  record(entry.slot).heap_index = index;
 }
 
 void EventLoop::SiftDown(uint32_t index) {
-  uint32_t slot = heap_[index];
-  const Record& r = record(slot);
+  const HeapEntry entry = heap_[index];
   const uint32_t size = static_cast<uint32_t>(heap_.size());
   while (true) {
     uint32_t first_child = (index << 2) + 1;
@@ -74,70 +71,72 @@ void EventLoop::SiftDown(uint32_t index) {
     uint32_t last_child = first_child + 4 <= size ? first_child + 4 : size;
     uint32_t best = first_child;
     for (uint32_t c = first_child + 1; c < last_child; ++c) {
-      if (Earlier(record(heap_[c]), record(heap_[best]))) {
+      if (Earlier(heap_[c], heap_[best])) {
         best = c;
       }
     }
-    uint32_t best_slot = heap_[best];
-    if (!Earlier(record(best_slot), r)) {
+    if (!Earlier(heap_[best], entry)) {
       break;
     }
-    heap_[index] = best_slot;
-    record(best_slot).heap_index = index;
+    heap_[index] = heap_[best];
+    record(heap_[index].slot).heap_index = index;
     index = best;
   }
-  heap_[index] = slot;
-  record(slot).heap_index = index;
+  heap_[index] = entry;
+  record(entry.slot).heap_index = index;
 }
 
 void EventLoop::HeapPush(uint32_t slot) {
-  heap_.push_back(slot);
-  record(slot).heap_index = static_cast<uint32_t>(heap_.size()) - 1;
-  SiftUp(record(slot).heap_index);
+  const Record& r = record(slot);
+  heap_.push_back(HeapEntry{r.at, r.seq, slot});
+  SiftUp(static_cast<uint32_t>(heap_.size()) - 1);
 }
 
 void EventLoop::HeapRemove(uint32_t slot) {
   uint32_t index = record(slot).heap_index;
-  ELEMENT_DCHECK(index != kNotInHeap && index < heap_.size() && heap_[index] == slot)
+  ELEMENT_DCHECK(index != kNotInHeap && index < heap_.size() && heap_[index].slot == slot)
       << "heap back-pointer corrupt for slot " << slot;
   record(slot).heap_index = kNotInHeap;
-  uint32_t last_slot = heap_.back();
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (last_slot == slot) {
+  if (last.slot == slot) {
     return;
   }
-  heap_[index] = last_slot;
-  record(last_slot).heap_index = index;
+  heap_[index] = last;
+  record(last.slot).heap_index = index;
   // The replacement may need to move either way relative to its new parent.
   SiftUp(index);
-  SiftDown(record(last_slot).heap_index);
+  SiftDown(record(last.slot).heap_index);
 }
 
 void EventLoop::HeapPopTop() {
-  uint32_t slot = heap_[0];
-  record(slot).heap_index = kNotInHeap;
-  uint32_t last_slot = heap_.back();
+  record(heap_[0].slot).heap_index = kNotInHeap;
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (last_slot != slot) {
-    heap_[0] = last_slot;
-    record(last_slot).heap_index = 0;
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    record(last.slot).heap_index = 0;
     SiftDown(0);
   }
 }
 
 void EventLoop::AuditHeapInvariant() const {
   for (uint32_t i = 0; i < heap_.size(); ++i) {
-    const Record& r = record(heap_[i]);
+    const HeapEntry& e = heap_[i];
+    const Record& r = record(e.slot);
     ELEMENT_AUDIT(r.heap_index == i)
-        << "heap back-pointer mismatch at index " << i << ": slot " << heap_[i]
+        << "heap back-pointer mismatch at index " << i << ": slot " << e.slot
         << " claims index " << r.heap_index;
     ELEMENT_AUDIT(r.kind != Record::Kind::kFree)
-        << "freed slot " << heap_[i] << " still in heap at index " << i;
+        << "freed slot " << e.slot << " still in heap at index " << i;
+    ELEMENT_AUDIT(e.at == r.at && e.seq == r.seq)
+        << "heap key out of sync at index " << i << ": entry (t=" << e.at.nanos()
+        << " seq=" << e.seq << ") vs record (t=" << r.at.nanos() << " seq=" << r.seq << ")";
     if (i > 0) {
-      const Record& parent = record(heap_[(i - 1) >> 2]);
-      ELEMENT_AUDIT(!Earlier(r, parent))
-          << "heap order violated: child at index " << i << " (t=" << r.at.nanos()
-          << " seq=" << r.seq << ") earlier than parent (t=" << parent.at.nanos()
+      const HeapEntry& parent = heap_[(i - 1) >> 2];
+      ELEMENT_AUDIT(!Earlier(e, parent))
+          << "heap order violated: child at index " << i << " (t=" << e.at.nanos()
+          << " seq=" << e.seq << ") earlier than parent (t=" << parent.at.nanos()
           << " seq=" << parent.seq << ")";
     }
   }
@@ -206,7 +205,11 @@ void EventLoop::ArmTrampoline(EventHandle h, SimTime at) {
   if (r.heap_index == kNotInHeap) {
     HeapPush(h.slot);
   } else {
-    // In-place re-arm: restore heap order from the slot's current position.
+    // In-place re-arm: update the entry's key, then restore heap order from
+    // the slot's current position.
+    HeapEntry& e = heap_[r.heap_index];
+    e.at = r.at;
+    e.seq = r.seq;
     SiftUp(r.heap_index);
     SiftDown(r.heap_index);
   }
@@ -241,10 +244,10 @@ uint32_t EventLoop::PopRunnable(SimTime deadline) {
   if (heap_.empty()) {
     return EventHandle::kInvalidSlot;
   }
-  uint32_t slot = heap_[0];
-  if (record(slot).at > deadline) {
+  if (heap_[0].at > deadline) {
     return EventHandle::kInvalidSlot;
   }
+  uint32_t slot = heap_[0].slot;
   HeapPopTop();
   return slot;
 }

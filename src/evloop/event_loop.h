@@ -5,8 +5,11 @@
 //
 // The core is allocation-free on the steady-state path:
 //   - event records live in a chunked slab (stable addresses, freelist reuse);
-//   - pending events sit in an index-addressable 4-ary min-heap, so Cancel()
-//     removes the record in O(log n) — no tombstones, no hash lookup on fire;
+//   - pending events sit in an index-addressable 4-ary min-heap whose
+//     entries carry their (time, seq) key next to the slot id, so sifting
+//     compares inside the heap array and touches a record only to update its
+//     back-pointer; Cancel() removes the record in O(log n) — no tombstones,
+//     no hash lookup on fire;
 //   - handles are generation-tagged, so a stale cancel is a checked no-op;
 //   - callbacks are stored in small-buffer InlineCallback storage (no heap
 //     allocation for captures up to kInlineBytes, which covers every
@@ -187,7 +190,8 @@ class EventLoop {
   // not outlive the loop.
   FreeListArena& payload_arena() { return payload_arena_; }
 
-  // Heap-invariant audit (parent <= children, back-pointer consistency).
+  // Heap-invariant audit (parent <= children, back-pointer consistency,
+  // each entry's key equal to its record's).
   // O(n); compiled into debug builds via the periodic fire-path audit and
   // callable directly from tests.
   void AuditHeapInvariant() const;
@@ -200,6 +204,7 @@ class EventLoop {
   static constexpr uint32_t kNotInHeap = 0xffffffffu;
 
   struct Record {
+    // The event's key; its heap entry holds a copy while it is pending.
     SimTime at;
     uint64_t seq = 0;  // FIFO tie-break among equal times
     uint32_t generation = 1;
@@ -223,14 +228,22 @@ class EventLoop {
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
 
+  // A pending event: its key, copied from the record, and its slot.
+  struct HeapEntry {
+    SimTime at;
+    uint64_t seq;
+    uint32_t slot;
+  };
+
   // (time, seq) lexicographic order.
-  bool Earlier(const Record& a, const Record& b) const {
+  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.at != b.at) {
       return a.at < b.at;
     }
     return a.seq < b.seq;
   }
 
+  // Copies the slot's key into a new heap entry.
   void HeapPush(uint32_t slot);
   void HeapRemove(uint32_t slot);  // arbitrary position, O(log n)
   void HeapPopTop();
@@ -257,7 +270,7 @@ class EventLoop {
 
   std::vector<std::unique_ptr<Record[]>> chunks_;
   uint32_t free_head_ = EventHandle::kInvalidSlot;
-  std::vector<uint32_t> heap_;  // slot ids, 4-ary min-heap over (at, seq)
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap over (at, seq)
 
   FreeListArena payload_arena_;
 };

@@ -175,12 +175,17 @@ bool TcpSocket::RetransmitOneLost() {
   if (lost_bytes_ == 0) {
     return false;
   }
-  for (auto& [seq, meta] : outstanding_) {
-    if (seq >= highest_sacked_) {
+  for (SegMeta& meta : outstanding_) {
+    if (meta.seq >= highest_sacked_) {
       break;
     }
     if (meta.lost) {
-      SendDataSegment(seq, meta.len, /*retransmit=*/true);
+      meta.retransmitted = true;
+      meta.last_tx = loop_->now();
+      meta.lost = false;  // back in the pipe
+      lost_bytes_ -= meta.len;
+      ++total_retrans_;
+      SendDataSegment(meta.seq, meta.len, /*retransmit=*/true);
       return true;
     }
   }
@@ -243,33 +248,21 @@ void TcpSocket::TrySendData() {
 }
 
 void TcpSocket::SendDataSegment(uint64_t seq, uint32_t len, bool retransmit) {
+  // A retransmission's scoreboard entry was already updated by
+  // RetransmitOneLost; new data always starts at snd_nxt_, past every
+  // outstanding segment.
   if (!retransmit) {
+    ELEMENT_DCHECK(outstanding_.empty() ||
+                   outstanding_.back().seq + outstanding_.back().len <= seq)
+        << "new segment at " << seq << " below the retransmit queue tail, flow=" << flow_id_;
     SegMeta meta;
+    meta.seq = seq;
     meta.len = len;
-    meta.first_tx = loop_->now();
     meta.last_tx = loop_->now();
     meta.delivered_at_send = delivered_bytes_;
     meta.delivered_time_at_send = delivered_time_;
     meta.app_limited = app_limited_now_;
-    outstanding_[seq] = meta;
-  } else {
-    auto it = outstanding_.find(seq);
-    if (it != outstanding_.end()) {
-      SegMeta& meta = it->second;
-      meta.retransmitted = true;
-      meta.last_tx = loop_->now();
-      if (meta.lost) {
-        meta.lost = false;  // back in the pipe
-        lost_bytes_ -= meta.len;
-      }
-      len = meta.len;
-    } else {
-      len = static_cast<uint32_t>(std::min<uint64_t>(config_.mss, snd_nxt_ - seq));
-    }
-    if (len == 0) {
-      return;
-    }
-    ++total_retrans_;
+    outstanding_.push_back(meta);
   }
   if (telemetry_.recording()) {
     telemetry_.EmitAlways(telemetry::TraceRecord::Range(
@@ -361,9 +354,10 @@ void TcpSocket::SendFinSegment() {
 void TcpSocket::ProcessSackBlocks(const std::vector<SackBlock>& blocks,
                                   TimeDelta* rtt_sample) {
   for (const SackBlock& block : blocks) {
-    auto it = outstanding_.lower_bound(block.begin);
-    for (; it != outstanding_.end() && it->first + it->second.len <= block.end; ++it) {
-      SegMeta& meta = it->second;
+    auto it = std::lower_bound(outstanding_.begin(), outstanding_.end(), block.begin,
+                               [](const SegMeta& m, uint64_t seq) { return m.seq < seq; });
+    for (; it != outstanding_.end() && it->seq + it->len <= block.end; ++it) {
+      SegMeta& meta = *it;
       if (meta.sacked) {
         continue;
       }
@@ -390,8 +384,8 @@ void TcpSocket::MarkLosses() {
   bool newly_lost = false;
   uint64_t loss_edge =
       highest_sacked_ > 3ull * config_.mss ? highest_sacked_ - 3ull * config_.mss : 0;
-  for (auto& [seq, meta] : outstanding_) {
-    if (seq + meta.len > loss_edge) {
+  for (SegMeta& meta : outstanding_) {
+    if (meta.seq + meta.len > loss_edge) {
       break;
     }
     if (meta.sacked || meta.lost) {
@@ -442,9 +436,9 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
       r.u.range.aux = ack;  // snd_una after this ACK
       telemetry_.EmitAlways(r);
     }
-    auto it = outstanding_.begin();
-    while (it != outstanding_.end() && it->first + it->second.len <= ack) {
-      SegMeta& meta = it->second;
+    while (!outstanding_.empty() &&
+           outstanding_.front().seq + outstanding_.front().len <= ack) {
+      const SegMeta& meta = outstanding_.front();
       if (meta.sacked) {
         sacked_bytes_ -= meta.len;
       } else {
@@ -463,7 +457,7 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
           }
         }
       }
-      it = outstanding_.erase(it);
+      outstanding_.pop_front();
     }
     snd_una_ = ack;
     if (highest_sacked_ < snd_una_) {
@@ -551,7 +545,7 @@ void TcpSocket::OnRtoFire() {
   // retransmission path resends them under the collapsed window. snd_nxt_ is
   // never rewound, so late cumulative ACKs keep their meaning, and resends
   // are tagged as retransmissions (Karn's rule holds for RTT samples).
-  for (auto& [seq, meta] : outstanding_) {
+  for (SegMeta& meta : outstanding_) {
     if (!meta.sacked && !meta.lost) {
       meta.lost = true;
       lost_bytes_ += meta.len;
@@ -622,17 +616,15 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
           telemetry::RecordKind::kTcpRxSegment, flow_id_, loop_->now(), rcv_nxt_, end));
     }
     rcv_nxt_ = end;
-    bool filled_hole = false;
+    // Absorb every buffered range the new edge reaches, then drop them in
+    // one erase.
     auto it = out_of_order_.begin();
-    while (it != out_of_order_.end() && it->first <= rcv_nxt_) {
-      uint64_t ooo_end = it->first + it->second;
-      if (ooo_end > rcv_nxt_) {
-        rcv_nxt_ = ooo_end;
-      }
-      ooo_bytes_ -= it->second;
-      it = out_of_order_.erase(it);
-      filled_hole = true;
+    for (; it != out_of_order_.end() && it->seq <= rcv_nxt_; ++it) {
+      rcv_nxt_ = std::max(rcv_nxt_, it->seq + it->len);
+      ooo_bytes_ -= it->len;
     }
+    bool filled_hole = it != out_of_order_.begin();
+    out_of_order_.erase(out_of_order_.begin(), it);
     ++segs_since_ack_;
     if (pending_peer_fin_ && peer_fin_seq_ <= rcv_nxt_) {
       peer_fin_received_ = true;
@@ -650,8 +642,10 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
     ScheduleReadableWakeup();
   } else {
     // Out of order: buffer and send an immediate duplicate ACK with SACK.
-    if (out_of_order_.find(seq) == out_of_order_.end()) {
-      out_of_order_[seq] = seg.payload_bytes;
+    auto it = std::lower_bound(out_of_order_.begin(), out_of_order_.end(), seq,
+                               [](const OooRange& r, uint64_t s) { return r.seq < s; });
+    if (it == out_of_order_.end() || it->seq != seq) {
+      out_of_order_.insert(it, OooRange{seq, seg.payload_bytes});
       ooo_bytes_ += seg.payload_bytes;
       sack_hint_ = seq;
       if (telemetry_.recording()) {
@@ -677,12 +671,12 @@ void TcpSocket::SendAck() {
     // Build merged SACK ranges; report the block containing the most recent
     // arrival first (RFC 2018), capped at kMaxSackBlocks.
     std::vector<SackBlock> merged;
-    for (const auto& [b, len] : out_of_order_) {
-      uint64_t e = b + len;
-      if (!merged.empty() && b <= merged.back().end) {
+    for (const OooRange& r : out_of_order_) {
+      uint64_t e = r.seq + r.len;
+      if (!merged.empty() && r.seq <= merged.back().end) {
         merged.back().end = std::max(merged.back().end, e);
       } else {
-        merged.push_back({b, e});
+        merged.push_back({r.seq, e});
       }
     }
     for (size_t i = 0; i < merged.size(); ++i) {
@@ -823,7 +817,13 @@ void TcpSocket::AuditSequenceInvariants() const {
   // -- SACK scoreboard vs. the retransmit queue --
   uint64_t sacked = 0;
   uint64_t lost = 0;
-  for (const auto& [seq, meta] : outstanding_) {
+  uint64_t prev_end = 0;
+  for (const SegMeta& meta : outstanding_) {
+    uint64_t seq = meta.seq;
+    ELEMENT_AUDIT(seq >= prev_end)
+        << "retransmit queue out of order or overlapping at " << seq << " (previous end "
+        << prev_end << ") flow=" << flow_id_;
+    prev_end = seq + meta.len;
     ELEMENT_AUDIT(seq + meta.len <= snd_nxt_)
         << "outstanding segment [" << seq << "," << seq + meta.len << ") past snd_nxt="
         << snd_nxt_ << " flow=" << flow_id_;
@@ -851,11 +851,13 @@ void TcpSocket::AuditSequenceInvariants() const {
       << "app read past rcv_nxt: read_seq=" << read_seq_ << " rcv_nxt=" << rcv_nxt_
       << " flow=" << flow_id_;
   uint64_t ooo = 0;
-  for (const auto& [seq, len] : out_of_order_) {
-    ELEMENT_AUDIT(seq > rcv_nxt_)
-        << "out-of-order range at " << seq << " not beyond rcv_nxt=" << rcv_nxt_
-        << " flow=" << flow_id_;
-    ooo += len;
+  uint64_t prev_seq = rcv_nxt_;
+  for (const OooRange& r : out_of_order_) {
+    ELEMENT_AUDIT(r.seq > prev_seq)
+        << "out-of-order range at " << r.seq << " not beyond rcv_nxt=" << rcv_nxt_
+        << " and its predecessor at " << prev_seq << " flow=" << flow_id_;
+    prev_seq = r.seq;
+    ooo += r.len;
   }
   ELEMENT_AUDIT(ooo == ooo_bytes_)
       << "ooo_bytes out of sync: counter=" << ooo_bytes_ << " queue=" << ooo

@@ -15,10 +15,11 @@
 #define ELEMENT_SRC_TCPSIM_TCP_SOCKET_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/time.h"
@@ -165,17 +166,23 @@ class TcpSocket : public PacketSink {
   void Deliver(Packet pkt) override;
 
  private:
+  // One transmitted, not yet cumulatively acknowledged segment.
   struct SegMeta {
+    uint64_t seq = 0;  // first byte
     uint32_t len = 0;
-    SimTime first_tx;
-    SimTime last_tx;
     bool retransmitted = false;
     bool sacked = false;
     bool lost = false;
+    SimTime last_tx;
     // Delivery-rate sampling state captured at (first) transmit.
     uint64_t delivered_at_send = 0;
     SimTime delivered_time_at_send;
     bool app_limited = false;
+  };
+  // One buffered out-of-order range, keyed by its first byte.
+  struct OooRange {
+    uint64_t seq = 0;
+    uint32_t len = 0;
   };
 
   // -- connection lifecycle --
@@ -247,7 +254,11 @@ class TcpSocket : public PacketSink {
   size_t sndbuf_;
   bool sndbuf_autotune_;
   uint64_t peer_rwnd_ = 1 << 30;
-  std::map<uint64_t, SegMeta> outstanding_;  // keyed by first byte seq
+  // The retransmit queue: sent, not cumulatively acked segments in sequence
+  // order, without gaps or overlap. New data is appended at snd_nxt_ and
+  // cumulative ACKs pop the front, so lookups are binary searches and the
+  // loss/RTO walks run over contiguous blocks.
+  std::deque<SegMeta> outstanding_;
 
   bool in_recovery_ = false;
   uint64_t recovery_end_ = 0;
@@ -301,7 +312,8 @@ class TcpSocket : public PacketSink {
   // ---- Receiver state ----
   uint64_t rcv_nxt_ = 0;   // next expected in-order byte
   uint64_t read_seq_ = 0;  // bytes the app has consumed
-  std::map<uint64_t, uint32_t> out_of_order_;  // seq -> len
+  // Out-of-order ranges beyond rcv_nxt_, sorted by seq, one entry per seq.
+  std::vector<OooRange> out_of_order_;
   uint64_t ooo_bytes_ = 0;
   int segs_since_ack_ = 0;
   uint64_t sack_hint_ = 0;  // most recent out-of-order arrival (RFC 2018 first block)

@@ -17,6 +17,26 @@ bool GroundTruthTracer::LookupInRanges(const std::vector<Range>& ranges, uint64_
   return true;
 }
 
+void GroundTruthTracer::Upsert(SpanTable* table, uint64_t begin, uint64_t end, SimTime t) {
+  if (table->empty() || begin > table->back().begin) {
+    table->push_back({begin, end, t});
+    return;
+  }
+  auto it = std::lower_bound(table->begin(), table->end(), begin,
+                             [](const Span& s, uint64_t b) { return s.begin < b; });
+  if (it->begin == begin) {
+    *it = {begin, end, t};
+  } else {
+    table->insert(it, {begin, end, t});
+  }
+}
+
+GroundTruthTracer::SpanTable::const_iterator GroundTruthTracer::PastFloor(
+    const SpanTable& table, SpanTable::const_iterator first, uint64_t byte) {
+  return std::upper_bound(first, table.end(), byte,
+                          [](uint64_t b, const Span& s) { return b < s.begin; });
+}
+
 void GroundTruthTracer::OnRecord(const telemetry::TraceRecord& r) {
   switch (r.kind) {
     case telemetry::RecordKind::kAppWrite:
@@ -48,7 +68,7 @@ void GroundTruthTracer::OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t,
                                       bool /*retransmit*/) {
   // Every transmission updates the last-tx map (the perf probe fires on each
   // tcp_transmit_skb; network delay pairs an arrival with its transmission).
-  last_tx_[begin] = {end, t};
+  Upsert(&last_tx_, begin, end, t);
 
   // Sender delay uses the *first* transmission of each byte. After a
   // go-back-N rewind the socket may resend old bytes flagged fresh; the
@@ -72,16 +92,16 @@ void GroundTruthTracer::OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t,
 
 void GroundTruthTracer::OnTcpRxSegment(uint64_t begin, uint64_t end, SimTime t,
                                        bool /*in_order*/) {
-  arrivals_[begin] = {end, t};
+  Upsert(&arrivals_, begin, end, t);
   if (t < config_.record_from) {
     return;
   }
   // Pair the arrival with the latest transmission covering its first byte.
-  auto it = last_tx_.upper_bound(begin);
-  if (it != last_tx_.begin()) {
-    --it;
-    if (begin < it->second.end && it->second.t <= t) {
-      network_delay_.Add((t - it->second.t).ToSeconds());
+  auto it = PastFloor(last_tx_, last_tx_.cbegin(), begin);
+  if (it != last_tx_.cbegin()) {
+    const Span& tx = *(it - 1);
+    if (begin < tx.end && tx.t <= t) {
+      network_delay_.Add((t - tx.t).ToSeconds());
     }
   }
 }
@@ -91,17 +111,19 @@ void GroundTruthTracer::OnAppRead(uint64_t begin, uint64_t end, SimTime t) {
     return;
   }
   // A read may span several arrival ranges; sample each range it consumes.
+  // The cursor only moves up, so each search starts past the last floor.
   uint64_t cursor = begin;
+  auto from = arrivals_.cbegin();
   while (cursor < end) {
-    auto it = arrivals_.upper_bound(cursor);
-    if (it == arrivals_.begin()) {
+    auto it = PastFloor(arrivals_, from, cursor);
+    if (it == arrivals_.cbegin()) {
       break;
     }
-    --it;
-    if (cursor >= it->second.end) {
+    const Span& arrival = *(it - 1);
+    if (cursor >= arrival.end) {
       break;
     }
-    double d = (t - it->second.t).ToSeconds();
+    double d = (t - arrival.t).ToSeconds();
     receiver_delay_.Add(d);
     if (config_.keep_time_series) {
       receiver_delay_series_.Add(t, d);
@@ -110,7 +132,8 @@ void GroundTruthTracer::OnAppRead(uint64_t begin, uint64_t end, SimTime t) {
     if (WriteTimeOf(cursor, &wt)) {
       end_to_end_delay_.Add((t - wt).ToSeconds());
     }
-    cursor = it->second.end;
+    cursor = arrival.end;
+    from = it;
   }
 }
 
@@ -123,15 +146,11 @@ bool GroundTruthTracer::FirstTxTimeOf(uint64_t byte, SimTime* out) const {
 }
 
 bool GroundTruthTracer::ArrivalTimeOf(uint64_t byte, SimTime* out) const {
-  auto it = arrivals_.upper_bound(byte);
-  if (it == arrivals_.begin()) {
+  auto it = PastFloor(arrivals_, arrivals_.cbegin(), byte);
+  if (it == arrivals_.cbegin() || byte >= (it - 1)->end) {
     return false;
   }
-  --it;
-  if (byte >= it->second.end) {
-    return false;
-  }
-  *out = it->second.t;
+  *out = (it - 1)->t;
   return true;
 }
 

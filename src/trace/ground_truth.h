@@ -10,7 +10,6 @@
 #define ELEMENT_SRC_TRACE_GROUND_TRUTH_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -80,12 +79,31 @@ class GroundTruthTracer : public telemetry::RecordSink {
   };
   static bool LookupInRanges(const std::vector<Range>& ranges, uint64_t byte, SimTime* out);
 
+  // A byte range [begin, end) stamped at t, in a table sorted by `begin`
+  // with one entry per `begin`.
+  struct Span {
+    uint64_t begin;
+    uint64_t end;
+    SimTime t;
+  };
+  using SpanTable = std::vector<Span>;
+  // Sets the entry for `begin`, inserting it in order. Appends when `begin`
+  // is above the last entry, the common case.
+  static void Upsert(SpanTable* table, uint64_t begin, uint64_t end, SimTime t);
+  // First entry from `first` on whose begin is above `byte`. The entry
+  // before it, if any, is the floor for `byte`: the last with begin <= byte.
+  static SpanTable::const_iterator PastFloor(const SpanTable& table,
+                                             SpanTable::const_iterator first, uint64_t byte);
+
   Config config_;
 
   std::vector<Range> writes_;    // contiguous, increasing `end`
   std::vector<Range> first_tx_;  // contiguous, increasing `end` (first tx only)
-  std::map<uint64_t, Range> last_tx_;   // begin -> (end, t); updated on retransmit
-  std::map<uint64_t, Range> arrivals_;  // begin -> (end, t); may arrive out of order
+  // Every transmission; a retransmission overwrites its range's entry.
+  SpanTable last_tx_;
+  // Every arrival. In-order arrivals append; an out-of-order range or a hole
+  // fill below it inserts, shifting only the entries of about one window.
+  SpanTable arrivals_;
 
   SampleSet sender_delay_;
   SampleSet network_delay_;

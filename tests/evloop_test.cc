@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/evloop/event_loop.h"
 
 namespace element {
@@ -362,6 +367,167 @@ TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
   EXPECT_LE(loop.slab_slots(), 256u);  // a single slab chunk suffices
   loop.AuditHeapInvariant();
   keeper.Cancel();
+}
+
+// ---------------------------------------------------------------------------
+// Property test: a seeded random operation mix against a reference model
+// ---------------------------------------------------------------------------
+
+// The model keeps every pending event as (deadline, arm order, id). Each
+// ScheduleAt and each Timer::Restart takes the next arm number, so the
+// model's order is the loop's documented (time, arm order). Every callback
+// checks that it is the model's earliest entry and removes it; a stale
+// cancel must return false and leave the model untouched.
+class HeapModelHarness {
+ public:
+  static constexpr int kTimers = 16;
+
+  explicit HeapModelHarness(uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < kTimers; ++i) {
+      timers_.push_back(std::make_unique<Timer>(&loop_, [this, i] { OnFire(i); }));
+      timer_state_.push_back(Entry{});
+    }
+  }
+
+  void RunOps(int ops) {
+    for (int op = 1; op <= ops; ++op) {
+      int64_t kind = rng_.UniformInt(0, 99);
+      if (kind < 35) {
+        Schedule(RandomTime());
+      } else if (kind < 50) {
+        CancelRandomHandle();
+      } else if (kind < 72) {
+        RestartTimer(static_cast<int>(rng_.UniformInt(0, kTimers - 1)), RandomTime());
+      } else if (kind < 82) {
+        CancelTimer(static_cast<int>(rng_.UniformInt(0, kTimers - 1)));
+      } else {
+        int64_t deadline = loop_.now().nanos() + rng_.UniformInt(0, 40);
+        loop_.RunUntil(SimTime::FromNanos(deadline));
+        EXPECT_TRUE(model_.empty() || std::get<0>(*model_.begin()) > deadline)
+            << "runnable event left behind at op " << op;
+      }
+      ASSERT_EQ(loop_.pending_events(), model_.size()) << "at op " << op;
+      if (op % 1000 == 0) {
+        loop_.AuditHeapInvariant();
+      }
+    }
+    loop_.Run();
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(loop_.pending_events(), 0u);
+    EXPECT_EQ(mismatches_, 0);
+  }
+
+  uint64_t fired() const { return fired_; }
+  uint64_t stale_cancels() const { return stale_cancels_; }
+
+ private:
+  struct Entry {
+    bool pending = false;
+    int64_t at = 0;
+    uint64_t arm = 0;
+  };
+  using Key = std::tuple<int64_t, uint64_t, int>;  // (deadline, arm order, id)
+
+  // Deadlines cluster around now, so equal times and past times (which
+  // clamp to now) are frequent.
+  int64_t RandomTime() { return loop_.now().nanos() + rng_.UniformInt(-5, 30); }
+  int64_t Clamp(int64_t at) const { return std::max(at, loop_.now().nanos()); }
+
+  void Insert(Entry* e, int id, int64_t at) {
+    e->pending = true;
+    e->at = Clamp(at);
+    e->arm = next_arm_++;
+    model_.insert(Key{e->at, e->arm, id});
+  }
+  void Erase(Entry* e, int id) {
+    model_.erase(Key{e->at, e->arm, id});
+    e->pending = false;
+  }
+
+  void Schedule(int64_t at) {
+    int id = kTimers + static_cast<int>(one_shots_.size());
+    one_shots_.push_back(Entry{});
+    Insert(&one_shots_.back(), id, at);
+    handles_.push_back(loop_.ScheduleAt(SimTime::FromNanos(at), [this, id] { OnFire(id); }));
+  }
+
+  void CancelRandomHandle() {
+    if (handles_.empty()) {
+      return;
+    }
+    size_t i = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(handles_.size()) - 1));
+    Entry& e = one_shots_[i];
+    bool was_pending = e.pending;
+    EXPECT_EQ(loop_.Cancel(handles_[i]), was_pending) << "one-shot " << i;
+    if (was_pending) {
+      Erase(&e, kTimers + static_cast<int>(i));
+    } else {
+      ++stale_cancels_;
+    }
+  }
+
+  void RestartTimer(int t, int64_t at) {
+    Entry& e = timer_state_[static_cast<size_t>(t)];
+    if (e.pending) {
+      Erase(&e, t);
+    }
+    Insert(&e, t, at);
+    timers_[static_cast<size_t>(t)]->Restart(SimTime::FromNanos(at));
+  }
+
+  void CancelTimer(int t) {
+    Entry& e = timer_state_[static_cast<size_t>(t)];
+    EXPECT_EQ(timers_[static_cast<size_t>(t)]->Cancel(), e.pending) << "timer " << t;
+    if (e.pending) {
+      Erase(&e, t);
+    }
+  }
+
+  void OnFire(int id) {
+    ++fired_;
+    Entry& e = id < kTimers ? timer_state_[static_cast<size_t>(id)]
+                            : one_shots_[static_cast<size_t>(id - kTimers)];
+    Key expected = model_.empty() ? Key{-1, 0, -1} : *model_.begin();
+    Key actual{loop_.now().nanos(), e.arm, id};
+    if (!e.pending || expected != actual) {
+      if (mismatches_++ == 0) {
+        ADD_FAILURE() << "event " << id << " fired at t=" << loop_.now().nanos()
+                      << " but the model expected event " << std::get<2>(expected) << " at t="
+                      << std::get<0>(expected);
+      }
+    }
+    if (e.pending) {
+      Erase(&e, id);
+    }
+    // Callbacks re-arm from inside the loop: a timer restarts itself, a
+    // one-shot schedules a follow-up, both often at the current instant.
+    if (rng_.Bernoulli(0.4)) {
+      if (id < kTimers) {
+        RestartTimer(id, loop_.now().nanos() + rng_.UniformInt(0, 10));
+      } else {
+        Schedule(loop_.now().nanos() + rng_.UniformInt(0, 10));
+      }
+    }
+  }
+
+  EventLoop loop_;
+  Rng rng_;
+  std::vector<std::unique_ptr<Timer>> timers_;
+  std::vector<Entry> timer_state_;
+  std::vector<Entry> one_shots_;  // indexed like handles_
+  std::vector<EventHandle> handles_;
+  std::set<Key> model_;
+  uint64_t next_arm_ = 0;
+  uint64_t fired_ = 0;
+  uint64_t stale_cancels_ = 0;
+  int mismatches_ = 0;
+};
+
+TEST(EventLoopTest, RandomOperationMixMatchesReferenceModel) {
+  HeapModelHarness harness(20191);
+  harness.RunOps(120'000);
+  EXPECT_GT(harness.fired(), 50'000u);
+  EXPECT_GT(harness.stale_cancels(), 1'000u);
 }
 
 // ---------------------------------------------------------------------------

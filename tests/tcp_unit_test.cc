@@ -239,6 +239,87 @@ TEST_F(TcpUnitTest, HoleFillFlushesCumulativeAckWithoutSacks) {
   EXPECT_TRUE(ack.sacks.empty());
 }
 
+TEST_F(TcpUnitTest, DescendingOooSegmentsGiveSameSackBlocksAsAscending) {
+  // Segment 0 arrives, then three adjacent out-of-order segments and one
+  // more beyond a second hole; the newest arrival is reported first.
+  Establish();
+  for (uint64_t k : {0, 5, 4, 3, 7}) {
+    InjectData(k * kDefaultMss, kDefaultMss);
+  }
+  TcpSegmentPayload descending = Tcp(capture_.sent.back());
+  socket_.reset();  // release flow id 1 before re-registering it
+  socket_ = std::make_unique<TcpSocket>(&loop_, Rng(1), Config(), 1, &capture_, &demux_);
+  capture_.sent.clear();
+  Establish();
+  for (uint64_t k : {0, 3, 4, 5, 7}) {
+    InjectData(k * kDefaultMss, kDefaultMss);
+  }
+  TcpSegmentPayload ascending = Tcp(capture_.sent.back());
+
+  EXPECT_EQ(descending.ack_seq, kDefaultMss);
+  EXPECT_EQ(ascending.ack_seq, kDefaultMss);
+  ASSERT_EQ(descending.sacks.size(), 2u);
+  ASSERT_EQ(ascending.sacks.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(descending.sacks[i].begin, ascending.sacks[i].begin) << i;
+    EXPECT_EQ(descending.sacks[i].end, ascending.sacks[i].end) << i;
+  }
+  EXPECT_EQ(descending.sacks[0].begin, 7 * kDefaultMss);
+  EXPECT_EQ(descending.sacks[1].begin, 3 * kDefaultMss);
+  EXPECT_EQ(descending.sacks[1].end, 6 * kDefaultMss);
+  EXPECT_EQ(descending.receive_window, ascending.receive_window);
+}
+
+class RxSegmentCounter : public telemetry::RecordSink {
+ public:
+  void OnRecord(const telemetry::TraceRecord& r) override {
+    if (r.kind == telemetry::RecordKind::kTcpRxSegment) {
+      ++count;
+    }
+  }
+  int count = 0;
+};
+
+TEST_F(TcpUnitTest, DuplicateOooSegmentIsNotRecordedTwice) {
+  RxSegmentCounter counter;
+  socket_->telemetry().AttachSink(&counter);
+  Establish();
+  InjectData(2 * kDefaultMss, kDefaultMss);
+  ASSERT_FALSE(capture_.sent.empty());
+  TcpSegmentPayload first = Tcp(capture_.sent.back());
+  EXPECT_EQ(counter.count, 1);
+  InjectData(2 * kDefaultMss, kDefaultMss);  // exact duplicate, still out of order
+  TcpSegmentPayload second = Tcp(capture_.sent.back());
+  EXPECT_EQ(counter.count, 1);
+  EXPECT_EQ(second.receive_window, first.receive_window);
+  EXPECT_EQ(second.ack_seq, 0u);
+  ASSERT_EQ(second.sacks.size(), 1u);
+  EXPECT_EQ(second.sacks[0].begin, 2 * kDefaultMss);
+  EXPECT_EQ(second.sacks[0].end, 3 * kDefaultMss);
+  EXPECT_EQ(socket_->ReadableBytes(), 0u);
+  socket_->telemetry().DetachSink(&counter);
+}
+
+TEST_F(TcpUnitTest, PartialHoleFillLeavesHigherRangeBufferedAndSacked) {
+  Establish();
+  InjectData(0, kDefaultMss);
+  InjectData(2 * kDefaultMss, kDefaultMss);
+  InjectData(4 * kDefaultMss, kDefaultMss);
+  InjectData(kDefaultMss, kDefaultMss);  // fills [mss, 2*mss) only
+  const TcpSegmentPayload& partial = Tcp(capture_.sent.back());
+  EXPECT_EQ(partial.ack_seq, 3 * kDefaultMss);
+  ASSERT_EQ(partial.sacks.size(), 1u);
+  EXPECT_EQ(partial.sacks[0].begin, 4 * kDefaultMss);
+  EXPECT_EQ(partial.sacks[0].end, 5 * kDefaultMss);
+  EXPECT_EQ(socket_->ReadableBytes(), 3 * kDefaultMss);
+
+  InjectData(3 * kDefaultMss, kDefaultMss);  // the last hole
+  const TcpSegmentPayload& full = Tcp(capture_.sent.back());
+  EXPECT_EQ(full.ack_seq, 5 * kDefaultMss);
+  EXPECT_TRUE(full.sacks.empty());
+  EXPECT_EQ(socket_->ReadableBytes(), 5 * kDefaultMss);
+}
+
 TEST_F(TcpUnitTest, SackedSegmentsAreNotRetransmittedHoleIs) {
   Establish();
   socket_->Write(10 * kDefaultMss);

@@ -70,6 +70,142 @@ TEST(GroundTruthTracerTest, OutOfOrderArrivalCoversEachByteOnce) {
   EXPECT_EQ(tracer.network_delay().count(), 3u);
 }
 
+// The in-order hole fill is recorded after the two out-of-order ranges above
+// it, so its arrival sorts below entries already in the table.
+TEST(GroundTruthTracerTest, HoleFillRecordedAfterTwoOutOfOrderArrivals) {
+  GroundTruthTracer tracer;
+  tracer.OnAppWrite(0, 4000, Ms(0));
+  for (uint64_t k = 0; k < 4; ++k) {
+    tracer.OnTcpTransmit(k * 1000, (k + 1) * 1000, Ms(static_cast<int64_t>(k) + 1), false);
+  }
+  tracer.OnTcpRxSegment(0, 1000, Ms(10), true);
+  tracer.OnTcpRxSegment(2000, 3000, Ms(12), false);
+  tracer.OnTcpRxSegment(3000, 4000, Ms(13), false);
+  tracer.OnTcpTransmit(1000, 2000, Ms(50), true);
+  tracer.OnTcpRxSegment(1000, 2000, Ms(70), true);
+
+  SimTime t;
+  ASSERT_TRUE(tracer.ArrivalTimeOf(500, &t));
+  EXPECT_EQ(t, Ms(10));
+  ASSERT_TRUE(tracer.ArrivalTimeOf(1000, &t));
+  EXPECT_EQ(t, Ms(70));
+  ASSERT_TRUE(tracer.ArrivalTimeOf(2999, &t));
+  EXPECT_EQ(t, Ms(12));
+  ASSERT_TRUE(tracer.ArrivalTimeOf(3000, &t));
+  EXPECT_EQ(t, Ms(13));
+  EXPECT_FALSE(tracer.ArrivalTimeOf(4000, &t));
+  // Network delay samples come in arrival order; the hole pairs with its
+  // retransmission.
+  ASSERT_EQ(tracer.network_delay().count(), 4u);
+  EXPECT_NEAR(tracer.network_delay().samples()[0], 0.009, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().samples()[1], 0.009, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().samples()[2], 0.009, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().samples()[3], 0.020, 1e-9);
+
+  tracer.OnAppRead(0, 4000, Ms(80));
+  ASSERT_EQ(tracer.receiver_delay().count(), 4u);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[0], 0.070, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[1], 0.010, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[2], 0.068, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[3], 0.067, 1e-9);
+}
+
+TEST(GroundTruthTracerTest, OutOfOrderArrivalsInDescendingOrder) {
+  GroundTruthTracer tracer;
+  tracer.OnAppWrite(0, 4000, Ms(0));
+  tracer.OnTcpTransmit(0, 4000, Ms(1), false);
+  tracer.OnTcpRxSegment(3000, 4000, Ms(12), false);
+  tracer.OnTcpRxSegment(2000, 3000, Ms(13), false);
+  tracer.OnTcpRxSegment(1000, 2000, Ms(14), false);
+  tracer.OnTcpRxSegment(0, 1000, Ms(15), true);
+
+  SimTime t;
+  for (uint64_t k = 0; k < 4; ++k) {
+    ASSERT_TRUE(tracer.ArrivalTimeOf(k * 1000 + 999, &t)) << k;
+    EXPECT_EQ(t, Ms(15 - static_cast<int64_t>(k))) << k;
+  }
+  // Every arrival pairs with the one transmission covering its first byte.
+  ASSERT_EQ(tracer.network_delay().count(), 4u);
+  EXPECT_NEAR(tracer.network_delay().samples()[0], 0.011, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().samples()[3], 0.014, 1e-9);
+
+  tracer.OnAppRead(0, 4000, Ms(20));
+  ASSERT_EQ(tracer.receiver_delay().count(), 4u);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[0], 0.005, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[1], 0.006, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[2], 0.007, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[3], 0.008, 1e-9);
+}
+
+// A retransmission of a range below the newest transmission overwrites that
+// range's entry; the later arrival pairs with the retransmission.
+TEST(GroundTruthTracerTest, RetransmissionOverwritesExistingBegin) {
+  GroundTruthTracer tracer;
+  tracer.OnAppWrite(0, 3000, Ms(0));
+  tracer.OnTcpTransmit(0, 1000, Ms(5), false);
+  tracer.OnTcpTransmit(1000, 2000, Ms(6), false);
+  tracer.OnTcpTransmit(2000, 3000, Ms(7), false);
+  tracer.OnTcpRxSegment(1000, 2000, Ms(36), false);
+  tracer.OnTcpTransmit(0, 1000, Ms(100), true);
+  tracer.OnTcpRxSegment(0, 1000, Ms(130), true);
+  tracer.OnTcpRxSegment(2000, 3000, Ms(137), true);
+
+  ASSERT_EQ(tracer.network_delay().count(), 3u);
+  EXPECT_NEAR(tracer.network_delay().samples()[0], 0.030, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().samples()[1], 0.030, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().samples()[2], 0.130, 1e-9);
+  // The retransmission is not a first transmission.
+  ASSERT_EQ(tracer.sender_delay().count(), 3u);
+  SimTime t;
+  ASSERT_TRUE(tracer.FirstTxTimeOf(10, &t));
+  EXPECT_EQ(t, Ms(5));
+}
+
+TEST(GroundTruthTracerTest, ReadSpanningThreeArrivalsSamplesInByteOrder) {
+  GroundTruthTracer tracer;
+  tracer.OnAppWrite(0, 3000, Ms(0));
+  tracer.OnTcpTransmit(0, 3000, Ms(1), false);
+  tracer.OnTcpRxSegment(0, 1000, Ms(30), true);
+  tracer.OnTcpRxSegment(2000, 3000, Ms(32), false);
+  tracer.OnTcpRxSegment(1000, 2000, Ms(35), true);
+  tracer.OnAppRead(0, 3000, Ms(40));
+
+  ASSERT_EQ(tracer.receiver_delay().count(), 3u);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[0], 0.010, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[1], 0.005, 1e-9);
+  EXPECT_NEAR(tracer.receiver_delay().samples()[2], 0.008, 1e-9);
+  ASSERT_EQ(tracer.receiver_delay_series().count(), 3u);
+  ASSERT_EQ(tracer.end_to_end_delay().count(), 3u);
+  for (double d : tracer.end_to_end_delay().samples()) {
+    EXPECT_NEAR(d, 0.040, 1e-9);
+  }
+}
+
+TEST(GroundTruthTracerTest, EarlyByteLookupsAfterManyAppendedRanges) {
+  GroundTruthTracer tracer;
+  constexpr uint64_t kRanges = 10'000;
+  for (uint64_t k = 0; k < kRanges; ++k) {
+    int64_t ms = static_cast<int64_t>(k);
+    tracer.OnAppWrite(k * 100, (k + 1) * 100, Ms(ms));
+    tracer.OnTcpTransmit(k * 100, (k + 1) * 100, Ms(ms + 1), false);
+    tracer.OnTcpRxSegment(k * 100, (k + 1) * 100, Ms(ms + 20), true);
+  }
+  SimTime t;
+  ASSERT_TRUE(tracer.ArrivalTimeOf(0, &t));
+  EXPECT_EQ(t, Ms(20));
+  ASSERT_TRUE(tracer.ArrivalTimeOf(150, &t));
+  EXPECT_EQ(t, Ms(21));
+  ASSERT_TRUE(tracer.FirstTxTimeOf(99, &t));
+  EXPECT_EQ(t, Ms(1));
+  ASSERT_TRUE(tracer.FirstTxTimeOf(250, &t));
+  EXPECT_EQ(t, Ms(3));
+  ASSERT_TRUE(tracer.ArrivalTimeOf(kRanges * 100 - 1, &t));
+  EXPECT_EQ(t, Ms(static_cast<int64_t>(kRanges) - 1 + 20));
+  EXPECT_FALSE(tracer.ArrivalTimeOf(kRanges * 100, &t));
+  EXPECT_FALSE(tracer.FirstTxTimeOf(kRanges * 100, &t));
+  EXPECT_EQ(tracer.network_delay().count(), kRanges);
+}
+
 TEST(GroundTruthTracerTest, GoBackNRewindDoesNotDoubleCountSenderDelay) {
   GroundTruthTracer tracer;
   tracer.OnAppWrite(0, 2000, Ms(0));
