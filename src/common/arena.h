@@ -16,7 +16,8 @@
 //     freelist.
 //
 // A debug-build audit (ELEMENT_AUDIT) catches double-frees: returning a block
-// already on the freelist aborts with the offending pointer.
+// already on the freelist aborts with the offending pointer. Free blocks carry
+// a tag word next to their freelist link, so the audit allocates nothing.
 
 #ifndef ELEMENT_SRC_COMMON_ARENA_H_
 #define ELEMENT_SRC_COMMON_ARENA_H_
@@ -25,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/check.h"
@@ -54,9 +54,7 @@ class FreeListArena {
     }
     FreeNode* node = free_head_;
     free_head_ = node->next;
-    if constexpr (kAuditsEnabled) {
-      live_audit_.erase(node);
-    }
+    node->free_tag = 0;
     return node;
   }
 
@@ -65,11 +63,9 @@ class FreeListArena {
       ::operator delete(p);
       return;
     }
-    if constexpr (kAuditsEnabled) {
-      ELEMENT_AUDIT(live_audit_.insert(p).second)
-          << "arena double-free of block " << p;
-    }
     FreeNode* node = static_cast<FreeNode*>(p);
+    ELEMENT_AUDIT(node->free_tag != kFreeTag) << "arena double-free of block " << p;
+    node->free_tag = kFreeTag;
     node->next = free_head_;
     free_head_ = node;
   }
@@ -80,8 +76,11 @@ class FreeListArena {
   uint64_t oversize_allocs() const { return oversize_allocs_; }
 
  private:
+  // Marks a block on the freelist; cleared when the block is handed out.
+  static constexpr uint64_t kFreeTag = 0x6672656562c0c4edull;
   struct FreeNode {
     FreeNode* next;
+    uint64_t free_tag;
   };
   static_assert(sizeof(FreeNode) <= kBlockBytes);
   static_assert(kBlockBytes % alignof(std::max_align_t) == 0);
@@ -91,6 +90,7 @@ class FreeListArena {
     for (size_t i = kBlocksPerChunk; i > 0; --i) {
       FreeNode* node = reinterpret_cast<FreeNode*>(chunk.get() + (i - 1) * kBlockBytes);
       node->next = free_head_;
+      node->free_tag = kFreeTag;
       free_head_ = node;
     }
     chunks_.push_back(std::move(chunk));
@@ -100,8 +100,6 @@ class FreeListArena {
   FreeNode* free_head_ = nullptr;
   uint64_t pool_allocs_ = 0;
   uint64_t oversize_allocs_ = 0;
-  // Debug-only double-free detection: the set of blocks currently free.
-  std::unordered_set<void*> live_audit_;
 };
 
 // Minimal std allocator over a FreeListArena, for std::allocate_shared.

@@ -194,19 +194,27 @@ EventHandle EventLoop::AllocTrampoline(void (*fn)(void*), void* arg) {
 }
 
 void EventLoop::ArmTrampoline(EventHandle h, SimTime at) {
-  Record& r = record(h.slot);
-  ELEMENT_DCHECK(r.generation == h.generation && r.kind == Record::Kind::kTrampoline)
-      << "stale trampoline handle " << h.slot;
   if (at < now_) {
     at = now_;
   }
+  ArmTrampolineKeyed(h, at, next_seq_++);  // a re-arm orders like a fresh schedule
+}
+
+void EventLoop::ArmTrampolineKeyed(EventHandle h, SimTime at, uint64_t seq) {
+  Record& r = record(h.slot);
+  ELEMENT_DCHECK(r.generation == h.generation && r.kind == Record::Kind::kTrampoline)
+      << "stale trampoline handle " << h.slot;
   r.at = at;
-  r.seq = next_seq_++;  // a re-arm orders like a fresh schedule
+  r.seq = seq;
+  if (h.slot == firing_slot_) {
+    firing_slot_ = EventHandle::kInvalidSlot;  // re-armed: the loop must not pop it
+  }
   if (r.heap_index == kNotInHeap) {
     HeapPush(h.slot);
   } else {
     // In-place re-arm: update the entry's key, then restore heap order from
-    // the slot's current position.
+    // the slot's current position (for a firing timer, the root: one sift
+    // down).
     HeapEntry& e = heap_[r.heap_index];
     e.at = r.at;
     e.seq = r.seq;
@@ -222,6 +230,8 @@ bool EventLoop::DisarmTrampoline(EventHandle h) {
   if (r.heap_index == kNotInHeap) {
     return false;
   }
+  // A firing timer is not pending (Timer::Cancel returns before this).
+  ELEMENT_DCHECK(h.slot != firing_slot_) << "disarming the firing timer " << h.slot;
   HeapRemove(h.slot);
   return true;
 }
@@ -230,6 +240,9 @@ void EventLoop::ReleaseTrampoline(EventHandle h) {
   Record& r = record(h.slot);
   ELEMENT_DCHECK(r.generation == h.generation && r.kind == Record::Kind::kTrampoline)
       << "stale trampoline handle " << h.slot;
+  if (h.slot == firing_slot_) {
+    firing_slot_ = EventHandle::kInvalidSlot;
+  }
   if (r.heap_index != kNotInHeap) {
     HeapRemove(h.slot);
   }
@@ -240,22 +253,17 @@ void EventLoop::ReleaseTrampoline(EventHandle h) {
 // Run loop
 // ---------------------------------------------------------------------------
 
-uint32_t EventLoop::PopRunnable(SimTime deadline) {
-  if (heap_.empty()) {
+uint32_t EventLoop::NextRunnable(SimTime deadline) const {
+  if (heap_.empty() || heap_[0].at > deadline) {
     return EventHandle::kInvalidSlot;
   }
-  if (heap_[0].at > deadline) {
-    return EventHandle::kInvalidSlot;
-  }
-  uint32_t slot = heap_[0].slot;
-  HeapPopTop();
-  return slot;
+  return heap_[0].slot;
 }
 
 void EventLoop::RunLoop(SimTime deadline) {
   stopped_ = false;
   uint32_t slot;
-  while (!stopped_ && (slot = PopRunnable(deadline)) != EventHandle::kInvalidSlot) {
+  while (!stopped_ && (slot = NextRunnable(deadline)) != EventHandle::kInvalidSlot) {
     Record& r = record(slot);
     ELEMENT_AUDIT(r.at >= now_) << "event loop time went backwards: now=" << now_.nanos()
                                 << "ns event=" << r.at.nanos() << "ns seq=" << r.seq;
@@ -269,16 +277,27 @@ void EventLoop::RunLoop(SimTime deadline) {
     if (r.kind == Record::Kind::kOneShot) {
       // Move the callable out and free the slot before invoking: the
       // callback may schedule (and thereby reuse) slots, including this one.
+      HeapPopTop();
       Callback cb = std::move(r.cb);
       FreeSlot(slot);
       cb();
     } else {
-      // Timer fire: the slot stays allocated (its Timer owns it) so the
-      // callback can Restart() in place. Copy fn/arg out first — the
-      // callback may destroy the Timer, releasing the slot.
+      // Timer fire, in place: the slot stays at the root while the callback
+      // runs. Its key (now, seq) is the minimum, and everything scheduled or
+      // re-armed meanwhile draws a larger seq at a time >= now, so nothing
+      // sorts before it. A Restart() re-keys the root (one sift down);
+      // otherwise the slot is popped here, still allocated (its Timer owns
+      // it). Copy fn/arg out first — the callback may destroy the Timer,
+      // releasing the slot.
       auto* fn = r.fn;
       void* arg = r.arg;
+      firing_slot_ = slot;
       fn(arg);
+      if (firing_slot_ == slot) {
+        firing_slot_ = EventHandle::kInvalidSlot;
+        ELEMENT_DCHECK(heap_[0].slot == slot) << "firing timer left the heap root";
+        HeapPopTop();
+      }
     }
   }
 }
@@ -323,6 +342,44 @@ bool Timer::Cancel() {
   }
   pending_ = false;
   return loop_->DisarmTrampoline(handle_);
+}
+
+// ---------------------------------------------------------------------------
+// FifoTimer
+// ---------------------------------------------------------------------------
+
+FifoTimer::~FifoTimer() {
+  if (handle_.IsValid()) {
+    loop_->ReleaseTrampoline(handle_);
+  }
+}
+
+void FifoTimer::Push(SimTime at) {
+  if (at < loop_->now()) {
+    at = loop_->now();
+  }
+  ELEMENT_DCHECK(entries_.empty() || entries_.back().at <= at)
+      << "FifoTimer push at " << at.nanos() << "ns before the tail at "
+      << entries_.back().at.nanos() << "ns";
+  // The sequence number is drawn now, as the ScheduleAt this replaces would.
+  uint64_t seq = loop_->next_seq_++;
+  entries_.push_back(Entry{at, seq});
+  if (entries_.size() == 1) {
+    if (!handle_.IsValid()) {
+      handle_ = loop_->AllocTrampoline(&FifoTimer::FireTrampoline, this);
+    }
+    loop_->ArmTrampolineKeyed(handle_, at, seq);
+  }
+}
+
+void FifoTimer::FireTrampoline(void* self) {
+  FifoTimer* timer = static_cast<FifoTimer*>(self);
+  timer->entries_.pop_front();
+  if (!timer->entries_.empty()) {
+    const Entry& next = timer->entries_.front();
+    timer->loop_->ArmTrampolineKeyed(timer->handle_, next.at, next.seq);
+  }
+  timer->cb_();
 }
 
 // ---------------------------------------------------------------------------

@@ -15,12 +15,19 @@
 //     allocation for captures up to kInlineBytes, which covers every
 //     scheduling site in src/);
 //   - Timer re-arms in place (Restart reuses its slab slot), which is what
-//     the TCP RTO/delayed-ACK/pacing re-arm churn rides on;
+//     the TCP RTO/delayed-ACK/pacing re-arm churn rides on. A timer fires in
+//     place: it stays at the heap root while its callback runs, so a
+//     Restart() from the callback is one sift down from the root, and the
+//     loop pops it only if the callback left it un-armed;
+//   - FifoTimer serves a stream of non-decreasing fire times (a link's
+//     in-flight packets) from one heap entry: only the stream's head is in
+//     the heap, and each fire re-keys it in place with the next entry;
 //   - a per-loop FreeListArena recycles Packet payload allocations.
 //
-// Ordering guarantee: events fire in (time, schedule order). Every schedule
-// and every Timer::Restart draws a fresh monotonic sequence number, so
-// equal-time events run in exactly the order they were (re-)armed.
+// Ordering guarantee: events fire in (time, schedule order). Every schedule,
+// every Timer::Restart and every FifoTimer::Push draws a fresh monotonic
+// sequence number, so equal-time events run in exactly the order they were
+// (re-)armed or pushed.
 
 #ifndef ELEMENT_SRC_EVLOOP_EVENT_LOOP_H_
 #define ELEMENT_SRC_EVLOOP_EVENT_LOOP_H_
@@ -34,6 +41,7 @@
 #include <vector>
 
 #include "src/common/arena.h"
+#include "src/common/ring_fifo.h"
 #include "src/common/time.h"
 
 namespace element {
@@ -149,6 +157,7 @@ struct EventHandle {
 };
 
 class Timer;
+class FifoTimer;
 
 class EventLoop {
  public:
@@ -178,7 +187,12 @@ class EventLoop {
   void RunFor(TimeDelta d) { RunUntil(now_ + d); }
   void Stop() { stopped_ = true; }
 
-  size_t pending_events() const { return heap_.size(); }
+  // Events waiting to fire. A timer whose callback is running is not
+  // pending (though it sits at the heap root until the callback returns),
+  // and a FifoTimer counts once however many entries it holds.
+  size_t pending_events() const {
+    return heap_.size() - (firing_slot_ != EventHandle::kInvalidSlot ? 1 : 0);
+  }
   uint64_t processed_events() const { return processed_; }
 
   // Introspection for tests and benchmarks: bounded-growth assertions.
@@ -198,6 +212,7 @@ class EventLoop {
 
  private:
   friend class Timer;
+  friend class FifoTimer;
 
   static constexpr uint32_t kChunkShift = 8;  // 256 records per slab chunk
   static constexpr uint32_t kChunkSize = 1u << kChunkShift;
@@ -251,16 +266,20 @@ class EventLoop {
   void SiftDown(uint32_t index);
 
   // Timer plumbing: a trampoline slot is owned by its Timer for the Timer's
-  // lifetime; arming inserts it into the heap, firing removes it but keeps
-  // the slot allocated so Restart() re-arms in place.
+  // lifetime; arming inserts it into the heap (or re-keys it where it is),
+  // and a fire that leaves it un-armed removes it but keeps the slot
+  // allocated so Restart() re-arms in place.
   EventHandle AllocTrampoline(void (*fn)(void*), void* arg);
+  // Arms at `at` (clamped to now) with a fresh sequence number.
   void ArmTrampoline(EventHandle h, SimTime at);
+  // Arms with a key drawn earlier (a FifoTimer entry's).
+  void ArmTrampolineKeyed(EventHandle h, SimTime at, uint64_t seq);
   bool DisarmTrampoline(EventHandle h);
   void ReleaseTrampoline(EventHandle h);
 
-  // Returns the slot of the next event with time <= deadline, already
-  // removed from the heap, or kInvalidSlot.
-  uint32_t PopRunnable(SimTime deadline);
+  // Returns the slot of the next event with time <= deadline, still at the
+  // heap root, or kInvalidSlot.
+  uint32_t NextRunnable(SimTime deadline) const;
   void RunLoop(SimTime deadline);
 
   SimTime now_ = SimTime::Zero();
@@ -271,6 +290,9 @@ class EventLoop {
   std::vector<std::unique_ptr<Record[]>> chunks_;
   uint32_t free_head_ = EventHandle::kInvalidSlot;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap over (at, seq)
+  // The trampoline slot whose callback is running, at heap_[0]; cleared when
+  // the callback re-arms or releases it.
+  uint32_t firing_slot_ = EventHandle::kInvalidSlot;
 
   FreeListArena payload_arena_;
 };
@@ -313,6 +335,45 @@ class Timer {
   EventHandle handle_;  // trampoline slot, allocated on first Restart
   bool pending_ = false;
   SimTime deadline_;
+};
+
+// A stream of fire times served by one callback and one heap entry: the
+// scheduling shape of a link's in-flight packets, which leave in the order
+// they entered. Push() appends a fire; times must be non-decreasing once
+// clamped to now. Each push draws its sequence number at push time, so every
+// fire runs exactly where a ScheduleAt() made at the push would have run.
+// Only the stream's head is in the heap; on fire the slot is re-keyed in
+// place with the next entry's stored (time, seq), one sift from the root.
+//
+// The callback takes no argument: the owner keeps the entries' payloads in
+// a queue of its own, in step with the pushes. Destroying the FifoTimer
+// cancels every pending fire; from inside its own callback, only as the
+// callback's last action.
+class FifoTimer {
+ public:
+  FifoTimer(EventLoop* loop, EventLoop::Callback cb) : loop_(loop), cb_(std::move(cb)) {}
+  ~FifoTimer();
+
+  FifoTimer(const FifoTimer&) = delete;
+  FifoTimer& operator=(const FifoTimer&) = delete;
+
+  void Push(SimTime at);
+
+  // Pushed fires that have not yet run.
+  size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    SimTime at;
+    uint64_t seq;
+  };
+
+  static void FireTrampoline(void* self);
+
+  EventLoop* loop_;
+  EventLoop::Callback cb_;
+  EventHandle handle_;  // trampoline slot, allocated on first Push
+  RingFifo<Entry> entries_;
 };
 
 // Repeating timer built on Timer; the simulation analogue of the paper's

@@ -5,8 +5,7 @@
 #ifndef ELEMENT_SRC_NETSIM_CODEL_H_
 #define ELEMENT_SRC_NETSIM_CODEL_H_
 
-#include <deque>
-
+#include "src/common/ring_fifo.h"
 #include "src/netsim/qdisc.h"
 
 namespace element {
@@ -57,7 +56,7 @@ class CoDel : public Qdisc {
  private:
   CoDelParams params_;
   CoDelState state_;
-  std::deque<Packet> queue_;
+  RingFifo<Packet> queue_;
   int64_t bytes_ = 0;
 };
 

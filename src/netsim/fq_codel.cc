@@ -15,6 +15,23 @@ size_t FqCoDel::BucketFor(const Packet& pkt) const {
   return static_cast<size_t>(h % params_.num_buckets);
 }
 
+void FqCoDel::PushBack(FlowList* list, uint32_t idx) {
+  buckets_[idx].next = kNoBucket;
+  if (list->empty()) {
+    list->head = idx;
+  } else {
+    buckets_[list->tail].next = idx;
+  }
+  list->tail = idx;
+}
+
+void FqCoDel::PopFront(FlowList* list) {
+  list->head = buckets_[list->head].next;
+  if (list->head == kNoBucket) {
+    list->tail = kNoBucket;
+  }
+}
+
 void FqCoDel::DropFromLongestFlow(SimTime now) {
   size_t victim = 0;
   int64_t worst = -1;
@@ -46,7 +63,7 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
       return false;
     }
   }
-  size_t idx = BucketFor(pkt);
+  uint32_t idx = static_cast<uint32_t>(BucketFor(pkt));
   FlowQueue& fq = buckets_[idx];
   if (!fq.codel) {
     fq.codel = std::make_unique<CoDelState>(params_.codel);
@@ -60,7 +77,7 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
   if (!fq.active) {
     fq.active = true;
     fq.deficit = params_.quantum_bytes;
-    new_flows_.push_back(idx);
+    PushBack(&new_flows_, idx);
   }
   return true;
 }
@@ -90,26 +107,26 @@ std::optional<Packet> FqCoDel::DequeueFromFlow(FlowQueue* fq, SimTime now) {
 std::optional<Packet> FqCoDel::Dequeue(SimTime now) {
   ScopedConservationAudit audit(this);
   for (int guard = 0; guard < 4 * static_cast<int>(params_.num_buckets) + 8; ++guard) {
-    std::list<size_t>* list = !new_flows_.empty() ? &new_flows_ : &old_flows_;
+    FlowList* list = !new_flows_.empty() ? &new_flows_ : &old_flows_;
     if (list->empty()) {
       return std::nullopt;
     }
-    size_t idx = list->front();
+    uint32_t idx = list->head;
     FlowQueue& fq = buckets_[idx];
     if (fq.deficit <= 0) {
       fq.deficit += params_.quantum_bytes;
       // Move to the back of old_flows_.
-      list->pop_front();
-      old_flows_.push_back(idx);
+      PopFront(list);
+      PushBack(&old_flows_, idx);
       continue;
     }
     std::optional<Packet> pkt = DequeueFromFlow(&fq, now);
     if (!pkt.has_value()) {
       // Flow went empty. A flow from new_flows_ gets one more shot on the old
       // list; a flow from old_flows_ becomes inactive.
-      list->pop_front();
+      PopFront(list);
       if (list == &new_flows_) {
-        old_flows_.push_back(idx);
+        PushBack(&old_flows_, idx);
       } else {
         fq.active = false;
       }

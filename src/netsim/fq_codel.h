@@ -4,11 +4,11 @@
 #ifndef ELEMENT_SRC_NETSIM_FQ_CODEL_H_
 #define ELEMENT_SRC_NETSIM_FQ_CODEL_H_
 
-#include <deque>
-#include <list>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/common/ring_fifo.h"
 #include "src/netsim/codel.h"
 #include "src/netsim/qdisc.h"
 
@@ -32,23 +32,36 @@ class FqCoDel : public Qdisc {
   std::string name() const override { return "fq_codel"; }
 
  private:
+  static constexpr uint32_t kNoBucket = 0xffffffffu;
+
   struct FlowQueue {
-    std::deque<Packet> packets;
+    RingFifo<Packet> packets;
     int64_t bytes = 0;
     int64_t deficit = 0;
     std::unique_ptr<CoDelState> codel;
-    bool active = false;  // on new_flows_ or old_flows_
+    bool active = false;       // on new_flows_ or old_flows_
+    uint32_t next = kNoBucket;  // next bucket on that list
+  };
+  // A FIFO of buckets linked through FlowQueue::next: a bucket is on at
+  // most one list, so the links live in the buckets and moving a flow
+  // between lists allocates nothing.
+  struct FlowList {
+    uint32_t head = kNoBucket;
+    uint32_t tail = kNoBucket;
+    bool empty() const { return head == kNoBucket; }
   };
 
   size_t BucketFor(const Packet& pkt) const;
   // Runs CoDel on the head of `fq`; returns a surviving packet if any.
   std::optional<Packet> DequeueFromFlow(FlowQueue* fq, SimTime now);
   void DropFromLongestFlow(SimTime now);
+  void PushBack(FlowList* list, uint32_t idx);
+  void PopFront(FlowList* list);
 
   FqCoDelParams params_;
   std::vector<FlowQueue> buckets_;
-  std::list<size_t> new_flows_;
-  std::list<size_t> old_flows_;
+  FlowList new_flows_;
+  FlowList old_flows_;
   size_t total_packets_ = 0;
   int64_t total_bytes_ = 0;
 };

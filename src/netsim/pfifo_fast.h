@@ -6,8 +6,8 @@
 #define ELEMENT_SRC_NETSIM_PFIFO_FAST_H_
 
 #include <array>
-#include <deque>
 
+#include "src/common/ring_fifo.h"
 #include "src/netsim/qdisc.h"
 
 namespace element {
@@ -30,7 +30,7 @@ class PfifoFast : public Qdisc {
   size_t limit_;
   size_t total_packets_ = 0;
   int64_t total_bytes_ = 0;
-  std::array<std::deque<Packet>, kBands> bands_;
+  std::array<RingFifo<Packet>, kBands> bands_;
 };
 
 }  // namespace element

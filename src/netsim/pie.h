@@ -5,8 +5,7 @@
 #ifndef ELEMENT_SRC_NETSIM_PIE_H_
 #define ELEMENT_SRC_NETSIM_PIE_H_
 
-#include <deque>
-
+#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/netsim/qdisc.h"
 
@@ -40,7 +39,7 @@ class Pie : public Qdisc {
 
   PieParams params_;
   Rng rng_;
-  std::deque<Packet> queue_;
+  RingFifo<Packet> queue_;
   int64_t bytes_ = 0;
 
   double drop_prob_ = 0.0;

@@ -11,7 +11,8 @@ Pipe::Pipe(EventLoop* loop, Rng rng, std::unique_ptr<Qdisc> qdisc,
       qdisc_(std::move(qdisc)),
       link_(std::move(link)),
       out_(out),
-      tx_timer_(loop, [this] { OnTxTimer(); }) {}
+      tx_timer_(loop, [this] { OnTxTimer(); }),
+      delivery_timer_(loop, [this] { DeliverFront(); }) {}
 
 void Pipe::Send(Packet pkt) {
   // Kick the transmitter even when the queue drops this packet: the line may
@@ -79,7 +80,7 @@ void Pipe::OnTransmitComplete() {
     ++stats_.delivered_packets;
     stats_.delivered_bytes += pkt.size_bytes;
     wire_.push_back(std::move(pkt));
-    loop_->ScheduleAt(deliver_at, [this] { DeliverFront(); });
+    delivery_timer_.Push(deliver_at);
   }
   MaybeStartTransmission();
 }

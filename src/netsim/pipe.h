@@ -6,14 +6,13 @@
 #define ELEMENT_SRC_NETSIM_PIPE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/evloop/event_loop.h"
 #include "src/netsim/link_model.h"
@@ -77,11 +76,13 @@ class Pipe : public PacketSink {
   std::optional<Packet> txing_;
   bool parked_ = false;
   Timer tx_timer_;
-  // Transmitted packets awaiting propagation delivery. Delivery times are
-  // clamped monotonic and equal-time events fire in schedule order, so the
-  // scheduled [this] events pop in FIFO order — the callbacks carry no
-  // payload and stay inside the loop's inline callback storage.
-  std::deque<Packet> wire_;
+  // Transmitted packets awaiting propagation delivery, in step with
+  // delivery_timer_'s entries: one push onto each per packet, one pop from
+  // each per delivery. Delivery times are clamped monotonic, so the link's
+  // whole flight is one heap entry and every delivery keeps the key a
+  // per-packet ScheduleAt would have had.
+  RingFifo<Packet> wire_;
+  FifoTimer delivery_timer_;
 };
 
 // Routes delivered packets to per-flow endpoints.

@@ -6,8 +6,7 @@
 #ifndef ELEMENT_SRC_NETSIM_RED_H_
 #define ELEMENT_SRC_NETSIM_RED_H_
 
-#include <deque>
-
+#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/netsim/qdisc.h"
 
@@ -39,7 +38,7 @@ class Red : public Qdisc {
 
   RedParams params_;
   Rng rng_;
-  std::deque<Packet> queue_;
+  RingFifo<Packet> queue_;
   int64_t bytes_ = 0;
 
   double avg_queue_ = 0.0;

@@ -1,6 +1,7 @@
 #include "src/tcpsim/tcp_socket.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "src/common/check.h"
@@ -351,8 +352,7 @@ void TcpSocket::SendFinSegment() {
   fin_retry_timer_.RestartAfter(rto_);
 }
 
-void TcpSocket::ProcessSackBlocks(const std::vector<SackBlock>& blocks,
-                                  TimeDelta* rtt_sample) {
+void TcpSocket::ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample) {
   for (const SackBlock& block : blocks) {
     auto it = std::lower_bound(outstanding_.begin(), outstanding_.end(), block.begin,
                                [](const SegMeta& m, uint64_t seq) { return m.seq < seq; });
@@ -668,27 +668,35 @@ void TcpSocket::SendAck() {
   ack.ece = echo_ece_;
 
   if (!out_of_order_.empty()) {
-    // Build merged SACK ranges; report the block containing the most recent
-    // arrival first (RFC 2018), capped at kMaxSackBlocks.
-    std::vector<SackBlock> merged;
+    // Merge the buffered ranges into SACK blocks and report the block holding
+    // the most recent arrival first (RFC 2018), then the blocks above it,
+    // wrapping around to the lowest, up to kMaxSackBlocks (a full SackList
+    // ignores further blocks). `lowest` keeps the first blocks below the
+    // hint's for the wrap; with no hint block, they are the whole report.
+    constexpr size_t kMax = TcpSegmentPayload::kMaxSackBlocks;
+    std::array<SackBlock, kMax> lowest;
+    size_t below = 0;
+    bool hint_found = false;
+    auto finish_block = [&](const SackBlock& b) {
+      hint_found = hint_found || (b.begin <= sack_hint_ && sack_hint_ < b.end);
+      if (hint_found) {
+        ack.sacks.push_back(b);
+      } else if (below < kMax) {
+        lowest[below++] = b;
+      }
+    };
+    SackBlock open{out_of_order_.front().seq, out_of_order_.front().seq};
     for (const OooRange& r : out_of_order_) {
-      uint64_t e = r.seq + r.len;
-      if (!merged.empty() && r.seq <= merged.back().end) {
-        merged.back().end = std::max(merged.back().end, e);
-      } else {
-        merged.push_back({r.seq, e});
+      if (r.seq > open.end) {
+        finish_block(open);
+        open.begin = r.seq;
       }
+      open.end = std::max(open.end, r.seq + r.len);
     }
-    for (size_t i = 0; i < merged.size(); ++i) {
-      if (merged[i].begin <= sack_hint_ && sack_hint_ < merged[i].end) {
-        std::rotate(merged.begin(), merged.begin() + static_cast<long>(i), merged.end());
-        break;
-      }
+    finish_block(open);
+    for (size_t i = 0; i < below; ++i) {
+      ack.sacks.push_back(lowest[i]);
     }
-    if (merged.size() > TcpSegmentPayload::kMaxSackBlocks) {
-      merged.resize(TcpSegmentPayload::kMaxSackBlocks);
-    }
-    ack.sacks = std::move(merged);
   }
   EmitSegment(ack, 0);
 }

@@ -15,12 +15,12 @@
 #define ELEMENT_SRC_TCPSIM_TCP_SOCKET_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/evloop/event_loop.h"
@@ -194,7 +194,7 @@ class TcpSocket : public PacketSink {
   void OnAckSegment(const TcpSegmentPayload& seg);
   // SACK scoreboard: marks sacked ranges, detects losses (3*MSS FACK rule),
   // and enters recovery once per window. Returns the freshest RTT sample.
-  void ProcessSackBlocks(const std::vector<SackBlock>& blocks, TimeDelta* rtt_sample);
+  void ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample);
   void MarkLosses();
   bool RetransmitOneLost();  // lowest-sequence lost segment, if window allows
   uint64_t CwndBytes() const;
@@ -256,9 +256,11 @@ class TcpSocket : public PacketSink {
   uint64_t peer_rwnd_ = 1 << 30;
   // The retransmit queue: sent, not cumulatively acked segments in sequence
   // order, without gaps or overlap. New data is appended at snd_nxt_ and
-  // cumulative ACKs pop the front, so lookups are binary searches and the
-  // loss/RTO walks run over contiguous blocks.
-  std::deque<SegMeta> outstanding_;
+  // cumulative ACKs pop the front, so lookups are binary searches over the
+  // ring's iterators and the loss/RTO walks run over at most two contiguous
+  // spans. The ring grows to the largest window seen and is then reused:
+  // no allocation per segment, none at construction.
+  RingFifo<SegMeta> outstanding_;
 
   bool in_recovery_ = false;
   uint64_t recovery_end_ = 0;

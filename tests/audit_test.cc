@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/element/delay_estimator.h"
@@ -150,6 +151,13 @@ TEST(TcpAuditDeathTest, SequenceSpaceViolationAborts) {
   bed.loop().RunUntil(Sec(2.0));
   ASSERT_TRUE(flow.sender->established());
   EXPECT_DEATH(flow.sender->TestOnlyCorruptSequenceStateForAudit(), "snd_una");
+}
+
+TEST(ArenaAuditDeathTest, DoubleFreeAborts) {
+  FreeListArena arena;
+  void* block = arena.Allocate(64);
+  arena.Free(block, 64);
+  EXPECT_DEATH(arena.Free(block, 64), "arena double-free");
 }
 
 TEST(DelayDecompositionDeathTest, AuditAbortsOnHole) {

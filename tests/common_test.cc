@@ -1,15 +1,23 @@
-// Unit tests for the common substrate: time types, data rates, RNG, and the
-// statistics containers every experiment relies on.
+// Unit tests for the common substrate: time types, data rates, RNG, the
+// statistics containers every experiment relies on, and the ring FIFO under
+// the per-packet queues.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/common/data_rate.h"
 #include "src/common/flags.h"
+#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/time.h"
+#include "src/netsim/packet.h"
 
 namespace element {
 namespace {
@@ -278,6 +286,131 @@ TEST(FlagsTest, UnusedFlagDetection) {
   auto unused = flags.UnusedFlags();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo-flag");
+}
+
+// ---------------------------------------------------------------------------
+// RingFifo
+// ---------------------------------------------------------------------------
+
+std::vector<int> Contents(const RingFifo<int>& r) {
+  return std::vector<int>(r.begin(), r.end());
+}
+
+TEST(RingFifoTest, EmptyRingHasNoStorage) {
+  RingFifo<Packet> r;
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), 0u);
+  EXPECT_EQ(r.begin(), r.end());
+  RingFifo<Packet> moved(std::move(r));
+  EXPECT_EQ(moved.capacity(), 0u);
+}
+
+TEST(RingFifoTest, WrapsAroundWithoutGrowing) {
+  RingFifo<int> r;
+  int next_in = 0;
+  int next_out = 0;
+  for (int i = 0; i < 5; ++i) {
+    r.push_back(next_in++);
+  }
+  size_t cap = r.capacity();
+  ASSERT_EQ(cap, RingFifo<int>::kInitialCapacity);
+  // Cycle far past the capacity at a steady occupancy: the head wraps many
+  // times and the storage never grows.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(r.front(), next_out++);
+    r.pop_front();
+    r.push_back(next_in++);
+    ASSERT_EQ(r.back(), next_in - 1);
+  }
+  EXPECT_EQ(r.capacity(), cap);
+  EXPECT_EQ(Contents(r), (std::vector<int>{next_out, next_out + 1, next_out + 2, next_out + 3,
+                                           next_out + 4}));
+}
+
+TEST(RingFifoTest, GrowthWhileWrappedKeepsOrder) {
+  RingFifo<int> r;
+  for (int i = 0; i < 8; ++i) {
+    r.push_back(i);
+  }
+  for (int i = 0; i < 5; ++i) {
+    r.pop_front();  // head now mid-buffer
+  }
+  for (int i = 8; i < 13; ++i) {
+    r.push_back(i);  // wraps: the buffer is full again
+  }
+  ASSERT_EQ(r.size(), r.capacity());
+  r.push_back(13);  // grows while wrapped
+  EXPECT_EQ(r.capacity(), 2 * RingFifo<int>::kInitialCapacity);
+  std::vector<int> want;
+  for (int i = 5; i < 14; ++i) {
+    want.push_back(i);
+  }
+  EXPECT_EQ(Contents(r), want);
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(r[i], want[i]);
+  }
+}
+
+TEST(RingFifoTest, PopFrontReleasesTheElementAtOnce) {
+  auto payload = std::make_shared<const Payload>();
+  RingFifo<Packet> r;
+  Packet p;
+  p.payload = payload;
+  r.push_back(p);
+  r.push_back(std::move(p));
+  EXPECT_EQ(payload.use_count(), 3);
+  r.pop_front();
+  EXPECT_EQ(payload.use_count(), 2);
+  r.pop_front();
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(RingFifoTest, DestructionAndClearReleaseElements) {
+  auto payload = std::make_shared<const Payload>();
+  {
+    RingFifo<Packet> r;
+    for (int i = 0; i < 20; ++i) {
+      Packet p;
+      p.payload = payload;
+      r.push_back(std::move(p));
+    }
+    EXPECT_EQ(payload.use_count(), 21);
+    r.clear();
+    EXPECT_EQ(payload.use_count(), 1);
+    EXPECT_GT(r.capacity(), 0u);  // clear keeps the storage
+    Packet p;
+    p.payload = payload;
+    r.push_back(std::move(p));
+  }
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(RingFifoTest, LowerBoundMatchesDeque) {
+  // The same sorted sequence in a wrapped ring and in a std::deque: binary
+  // searches over the ring's iterators land on the same positions.
+  RingFifo<int> ring;
+  std::deque<int> deque;
+  Rng rng(5);
+  int value = 0;
+  for (int round = 0; round < 300; ++round) {
+    if (!ring.empty() && rng.Bernoulli(0.45)) {
+      ring.pop_front();
+      deque.pop_front();
+    } else {
+      value += static_cast<int>(rng.UniformInt(0, 3));  // repeats included
+      ring.push_back(value);
+      deque.push_back(value);
+    }
+    ASSERT_EQ(ring.size(), deque.size());
+    for (int probe = value - 40; probe <= value + 1; ++probe) {
+      auto r = std::lower_bound(ring.begin(), ring.end(), probe);
+      auto d = std::lower_bound(deque.begin(), deque.end(), probe);
+      ASSERT_EQ(r - ring.begin(), d - deque.begin()) << "probe " << probe;
+      auto ru = std::upper_bound(ring.begin(), ring.end(), probe);
+      auto du = std::upper_bound(deque.begin(), deque.end(), probe);
+      ASSERT_EQ(ru - ring.begin(), du - deque.begin()) << "probe " << probe;
+    }
+  }
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -346,6 +348,112 @@ TEST(TimerTest, EqualTimeOrderFollowsArmOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(TimerTest, FiringTimerIsNotPending) {
+  // A timer fires in place, at the heap root, but pending_events() does not
+  // count it while its callback runs; a Restart() makes it pending again.
+  EventLoop loop;
+  std::vector<size_t> seen;
+  Timer t(&loop, [&] {
+    seen.push_back(loop.pending_events());
+    if (seen.size() == 1) {
+      t.RestartAfter(TimeDelta::FromMillis(1));
+      seen.push_back(loop.pending_events());
+    }
+  });
+  loop.ScheduleAfter(TimeDelta::FromMillis(5), [] {});
+  t.RestartAfter(TimeDelta::FromMillis(1));
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.Run();
+  EXPECT_EQ(seen, (std::vector<size_t>{1, 2, 1}));
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(TimerTest, CancelAndDestroyFromOwnCallback) {
+  EventLoop loop;
+  int fires = 0;
+  std::unique_ptr<Timer> owned;
+  owned = std::make_unique<Timer>(&loop, [&] {
+    ++fires;
+    EXPECT_FALSE(owned->Cancel());  // firing, so not pending
+    owned.reset();                  // the callback's last action
+  });
+  owned->RestartAfter(TimeDelta::FromMillis(1));
+  loop.ScheduleAfter(TimeDelta::FromMillis(1), [&] { ++fires; });
+  loop.Run();
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(loop.pending_events(), 0u);
+  loop.AuditHeapInvariant();
+}
+
+TEST(FifoTimerTest, FiresEachEntryInOrderFromOneHeapEntry) {
+  EventLoop loop;
+  std::vector<int64_t> fired;
+  FifoTimer fifo(&loop, [&] { fired.push_back(loop.now().nanos()); });
+  for (int64_t t : {10, 10, 20, 35, 35, 90}) {
+    fifo.Push(SimTime::FromNanos(t));
+  }
+  EXPECT_EQ(fifo.size(), 6u);
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.Run();
+  EXPECT_EQ(fired, (std::vector<int64_t>{10, 10, 20, 35, 35, 90}));
+  EXPECT_EQ(fifo.size(), 0u);
+  EXPECT_EQ(loop.processed_events(), 6u);
+}
+
+TEST(FifoTimerTest, EqualTimeEntriesInterleaveWithSchedulesInDrawOrder) {
+  // Each push draws its sequence number at push time, so equal-time FIFO
+  // entries and one-shots scheduled between the pushes fire in the order
+  // they were drawn.
+  EventLoop loop;
+  std::vector<std::string> order;
+  int next = 0;
+  FifoTimer fifo(&loop, [&] { order.push_back("fifo" + std::to_string(next++)); });
+  const SimTime t = SimTime::FromNanos(100);
+  fifo.Push(t);
+  loop.ScheduleAt(t, [&] { order.push_back("a"); });
+  fifo.Push(t);
+  fifo.Push(t);
+  loop.ScheduleAt(t, [&] { order.push_back("b"); });
+  fifo.Push(t);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"fifo0", "a", "fifo1", "fifo2", "b", "fifo3"}));
+}
+
+TEST(FifoTimerTest, PushFromOwnCallbackAndPastTimesClampToNow) {
+  EventLoop loop;
+  std::vector<int64_t> fired;
+  FifoTimer* self = nullptr;
+  FifoTimer fifo(&loop, [&] {
+    fired.push_back(loop.now().nanos());
+    if (fired.size() < 3) {
+      self->Push(SimTime::Zero());  // in the past: clamps to now, fires after it
+    }
+  });
+  self = &fifo;
+  fifo.Push(SimTime::FromNanos(7));
+  loop.Run();
+  EXPECT_EQ(fired, (std::vector<int64_t>{7, 7, 7}));
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(FifoTimerTest, DestroyingCancelsEveryPendingEntry) {
+  EventLoop loop;
+  int fires = 0;
+  {
+    FifoTimer fifo(&loop, [&] { ++fires; });
+    for (int i = 0; i < 5; ++i) {
+      fifo.Push(SimTime::FromNanos(10 * (i + 1)));
+    }
+    loop.RunUntil(SimTime::FromNanos(25));
+    EXPECT_EQ(fires, 2);
+    EXPECT_EQ(fifo.size(), 3u);
+  }
+  EXPECT_EQ(loop.pending_events(), 0u);
+  loop.Run();
+  EXPECT_EQ(fires, 2);
+  loop.AuditHeapInvariant();
+}
+
 // ---------------------------------------------------------------------------
 // Bounded growth under cancellation churn (no tombstones)
 // ---------------------------------------------------------------------------
@@ -374,39 +482,53 @@ TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
 // ---------------------------------------------------------------------------
 
 // The model keeps every pending event as (deadline, arm order, id). Each
-// ScheduleAt and each Timer::Restart takes the next arm number, so the
-// model's order is the loop's documented (time, arm order). Every callback
-// checks that it is the model's earliest entry and removes it; a stale
-// cancel must return false and leave the model untouched.
+// ScheduleAt, each Timer::Restart and each FifoTimer::Push takes the next arm
+// number, so the model's order is the loop's documented (time, arm order):
+// a FIFO push is modelled as the ScheduleAt it replaces, made at push time.
+// Every callback checks that it is the model's earliest entry and removes
+// it; a stale cancel must return false and leave the model untouched.
+// Timer callbacks also restart, cancel or destroy their own timer while it
+// sits at the heap root, and FIFO callbacks push onto their own stream.
 class HeapModelHarness {
  public:
   static constexpr int kTimers = 16;
+  static constexpr int kFifos = 4;
+  static constexpr int kFirstOneShot = kTimers + kFifos;
 
   explicit HeapModelHarness(uint64_t seed) : rng_(seed) {
     for (int i = 0; i < kTimers; ++i) {
-      timers_.push_back(std::make_unique<Timer>(&loop_, [this, i] { OnFire(i); }));
+      timers_.push_back(MakeTimer(i));
       timer_state_.push_back(Entry{});
+    }
+    for (int f = 0; f < kFifos; ++f) {
+      fifos_.push_back(MakeFifo(f));
+      fifo_state_.emplace_back();
+      fifo_tail_.push_back(0);
     }
   }
 
   void RunOps(int ops) {
     for (int op = 1; op <= ops; ++op) {
       int64_t kind = rng_.UniformInt(0, 99);
-      if (kind < 35) {
+      if (kind < 30) {
         Schedule(RandomTime());
-      } else if (kind < 50) {
+      } else if (kind < 42) {
         CancelRandomHandle();
-      } else if (kind < 72) {
+      } else if (kind < 60) {
         RestartTimer(static_cast<int>(rng_.UniformInt(0, kTimers - 1)), RandomTime());
-      } else if (kind < 82) {
+      } else if (kind < 68) {
         CancelTimer(static_cast<int>(rng_.UniformInt(0, kTimers - 1)));
+      } else if (kind < 80) {
+        PushFifo(static_cast<int>(rng_.UniformInt(0, kFifos - 1)), RandomTime());
+      } else if (kind < 81) {
+        DestroyFifo(static_cast<int>(rng_.UniformInt(0, kFifos - 1)));
       } else {
         int64_t deadline = loop_.now().nanos() + rng_.UniformInt(0, 40);
         loop_.RunUntil(SimTime::FromNanos(deadline));
         EXPECT_TRUE(model_.empty() || std::get<0>(*model_.begin()) > deadline)
             << "runnable event left behind at op " << op;
       }
-      ASSERT_EQ(loop_.pending_events(), model_.size()) << "at op " << op;
+      ASSERT_EQ(loop_.pending_events(), ExpectedPending()) << "at op " << op;
       if (op % 1000 == 0) {
         loop_.AuditHeapInvariant();
       }
@@ -418,7 +540,9 @@ class HeapModelHarness {
   }
 
   uint64_t fired() const { return fired_; }
+  uint64_t fifo_fired() const { return fifo_fired_; }
   uint64_t stale_cancels() const { return stale_cancels_; }
+  uint64_t self_destroyed() const { return self_destroyed_; }
 
  private:
   struct Entry {
@@ -428,10 +552,29 @@ class HeapModelHarness {
   };
   using Key = std::tuple<int64_t, uint64_t, int>;  // (deadline, arm order, id)
 
+  std::unique_ptr<Timer> MakeTimer(int t) {
+    return std::make_unique<Timer>(&loop_, [this, t] { OnTimerFire(t); });
+  }
+  std::unique_ptr<FifoTimer> MakeFifo(int f) {
+    return std::make_unique<FifoTimer>(&loop_, [this, f] { OnFifoFire(f); });
+  }
+
   // Deadlines cluster around now, so equal times and past times (which
   // clamp to now) are frequent.
   int64_t RandomTime() { return loop_.now().nanos() + rng_.UniformInt(-5, 30); }
   int64_t Clamp(int64_t at) const { return std::max(at, loop_.now().nanos()); }
+
+  // A FifoTimer is one pending event however many entries it holds; the
+  // firing event (timer or FIFO head) is not pending.
+  size_t ExpectedPending() const {
+    size_t n = model_.size();
+    for (const std::deque<Entry>& q : fifo_state_) {
+      if (!q.empty()) {
+        n -= q.size() - 1;
+      }
+    }
+    return n;
+  }
 
   void Insert(Entry* e, int id, int64_t at) {
     e->pending = true;
@@ -445,10 +588,10 @@ class HeapModelHarness {
   }
 
   void Schedule(int64_t at) {
-    int id = kTimers + static_cast<int>(one_shots_.size());
+    int id = kFirstOneShot + static_cast<int>(one_shots_.size());
     one_shots_.push_back(Entry{});
     Insert(&one_shots_.back(), id, at);
-    handles_.push_back(loop_.ScheduleAt(SimTime::FromNanos(at), [this, id] { OnFire(id); }));
+    handles_.push_back(loop_.ScheduleAt(SimTime::FromNanos(at), [this, id] { OnOneShotFire(id); }));
   }
 
   void CancelRandomHandle() {
@@ -460,7 +603,7 @@ class HeapModelHarness {
     bool was_pending = e.pending;
     EXPECT_EQ(loop_.Cancel(handles_[i]), was_pending) << "one-shot " << i;
     if (was_pending) {
-      Erase(&e, kTimers + static_cast<int>(i));
+      Erase(&e, kFirstOneShot + static_cast<int>(i));
     } else {
       ++stale_cancels_;
     }
@@ -468,6 +611,9 @@ class HeapModelHarness {
 
   void RestartTimer(int t, int64_t at) {
     Entry& e = timer_state_[static_cast<size_t>(t)];
+    if (timers_[static_cast<size_t>(t)] == nullptr) {
+      timers_[static_cast<size_t>(t)] = MakeTimer(t);  // destroyed by its own callback
+    }
     if (e.pending) {
       Erase(&e, t);
     }
@@ -477,36 +623,93 @@ class HeapModelHarness {
 
   void CancelTimer(int t) {
     Entry& e = timer_state_[static_cast<size_t>(t)];
+    if (timers_[static_cast<size_t>(t)] == nullptr) {
+      return;
+    }
     EXPECT_EQ(timers_[static_cast<size_t>(t)]->Cancel(), e.pending) << "timer " << t;
     if (e.pending) {
       Erase(&e, t);
     }
   }
 
-  void OnFire(int id) {
+  // Times pushed onto one stream must not decrease.
+  void PushFifo(int f, int64_t at) {
+    int64_t& tail = fifo_tail_[static_cast<size_t>(f)];
+    at = std::max(Clamp(at), tail);
+    tail = at;
+    std::deque<Entry>& q = fifo_state_[static_cast<size_t>(f)];
+    q.emplace_back();
+    Insert(&q.back(), kTimers + f, at);
+    fifos_[static_cast<size_t>(f)]->Push(SimTime::FromNanos(at));
+  }
+
+  void DestroyFifo(int f) {
+    for (Entry& e : fifo_state_[static_cast<size_t>(f)]) {
+      Erase(&e, kTimers + f);
+    }
+    fifo_state_[static_cast<size_t>(f)].clear();
+    fifos_[static_cast<size_t>(f)] = MakeFifo(f);  // the old stream's fires are cancelled
+  }
+
+  // Checks that `e` (event `id`) is the model's earliest entry, then
+  // removes it from the model.
+  void CheckFire(Entry* e, int id) {
     ++fired_;
-    Entry& e = id < kTimers ? timer_state_[static_cast<size_t>(id)]
-                            : one_shots_[static_cast<size_t>(id - kTimers)];
     Key expected = model_.empty() ? Key{-1, 0, -1} : *model_.begin();
-    Key actual{loop_.now().nanos(), e.arm, id};
-    if (!e.pending || expected != actual) {
+    Key actual{loop_.now().nanos(), e->arm, id};
+    if (!e->pending || expected != actual) {
       if (mismatches_++ == 0) {
         ADD_FAILURE() << "event " << id << " fired at t=" << loop_.now().nanos()
                       << " but the model expected event " << std::get<2>(expected) << " at t="
                       << std::get<0>(expected);
       }
     }
-    if (e.pending) {
-      Erase(&e, id);
+    if (e->pending) {
+      Erase(e, id);
     }
-    // Callbacks re-arm from inside the loop: a timer restarts itself, a
-    // one-shot schedules a follow-up, both often at the current instant.
+  }
+
+  void OnOneShotFire(int id) {
+    CheckFire(&one_shots_[static_cast<size_t>(id - kFirstOneShot)], id);
+    EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside one-shot " << id;
     if (rng_.Bernoulli(0.4)) {
-      if (id < kTimers) {
-        RestartTimer(id, loop_.now().nanos() + rng_.UniformInt(0, 10));
-      } else {
-        Schedule(loop_.now().nanos() + rng_.UniformInt(0, 10));
+      Schedule(loop_.now().nanos() + rng_.UniformInt(0, 10));
+    }
+  }
+
+  // The timer sits at the heap root while this runs.
+  void OnTimerFire(int t) {
+    CheckFire(&timer_state_[static_cast<size_t>(t)], t);
+    EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside timer " << t;
+    Timer* timer = timers_[static_cast<size_t>(t)].get();
+    int64_t action = rng_.UniformInt(0, 9);
+    if (action < 4) {
+      RestartTimer(t, loop_.now().nanos() + rng_.UniformInt(0, 10));
+    } else if (action == 4) {
+      RestartTimer(t, loop_.now().nanos() + rng_.UniformInt(0, 10));
+      CancelTimer(t);
+    } else if (action == 5) {
+      EXPECT_FALSE(timer->Cancel()) << "a firing timer is not pending";
+    } else if (action == 6) {
+      ++self_destroyed_;
+      timers_[static_cast<size_t>(t)].reset();  // the callback's last action
+    }
+  }
+
+  void OnFifoFire(int f) {
+    ++fifo_fired_;
+    std::deque<Entry>& q = fifo_state_[static_cast<size_t>(f)];
+    if (q.empty()) {
+      if (mismatches_++ == 0) {
+        ADD_FAILURE() << "FIFO " << f << " fired with no entry pending";
       }
+      return;
+    }
+    CheckFire(&q.front(), kTimers + f);
+    q.pop_front();
+    EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside FIFO " << f;
+    if (rng_.Bernoulli(0.3)) {
+      PushFifo(f, loop_.now().nanos() + rng_.UniformInt(0, 10));
     }
   }
 
@@ -514,12 +717,17 @@ class HeapModelHarness {
   Rng rng_;
   std::vector<std::unique_ptr<Timer>> timers_;
   std::vector<Entry> timer_state_;
+  std::vector<std::unique_ptr<FifoTimer>> fifos_;
+  std::vector<std::deque<Entry>> fifo_state_;
+  std::vector<int64_t> fifo_tail_;  // last time pushed onto each stream
   std::vector<Entry> one_shots_;  // indexed like handles_
   std::vector<EventHandle> handles_;
   std::set<Key> model_;
   uint64_t next_arm_ = 0;
   uint64_t fired_ = 0;
+  uint64_t fifo_fired_ = 0;
   uint64_t stale_cancels_ = 0;
+  uint64_t self_destroyed_ = 0;
   int mismatches_ = 0;
 };
 
@@ -527,7 +735,9 @@ TEST(EventLoopTest, RandomOperationMixMatchesReferenceModel) {
   HeapModelHarness harness(20191);
   harness.RunOps(120'000);
   EXPECT_GT(harness.fired(), 50'000u);
+  EXPECT_GT(harness.fifo_fired(), 10'000u);
   EXPECT_GT(harness.stale_cancels(), 1'000u);
+  EXPECT_GT(harness.self_destroyed(), 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/netsim/pipe.h"
 #include "src/tcpsim/tcp_segment.h"
 #include "src/tcpsim/tcp_socket.h"
@@ -87,7 +90,9 @@ class TcpUnitTest : public ::testing::Test {
     seg.ack = true;
     seg.ack_seq = ack_seq;
     seg.receive_window = rwnd;
-    seg.sacks = std::move(sacks);
+    for (const SackBlock& b : sacks) {
+      seg.sacks.push_back(b);
+    }
     Inject(seg, kIpTcpHeaderBytes);
   }
 
@@ -216,6 +221,73 @@ TEST_F(TcpUnitTest, SackBlocksMostRecentFirstCappedAtFour) {
   ASSERT_EQ(ack.sacks.size(), TcpSegmentPayload::kMaxSackBlocks);
   // Most recent arrival (12*mss) reported first.
   EXPECT_EQ(ack.sacks[0].begin, 12 * kDefaultMss);
+}
+
+TEST_F(TcpUnitTest, SackBlocksWrapAroundFromTheNewestArrivalsBlock) {
+  Establish();
+  // Blocks at 2, 4, 6, 8, 10 * mss; the newest arrival (6) is in the
+  // middle, so the report runs 6, 8, 10, then wraps to the lowest.
+  for (uint64_t k : {8, 10, 2, 4, 6}) {
+    InjectData(k * kDefaultMss, kDefaultMss);
+  }
+  const TcpSegmentPayload& ack = Tcp(capture_.sent.back());
+  ASSERT_EQ(ack.sacks.size(), TcpSegmentPayload::kMaxSackBlocks);
+  const uint64_t want[] = {6, 8, 10, 2};
+  for (size_t i = 0; i < ack.sacks.size(); ++i) {
+    EXPECT_EQ(ack.sacks[i].begin, want[i] * kDefaultMss) << i;
+    EXPECT_EQ(ack.sacks[i].end, (want[i] + 1) * kDefaultMss) << i;
+  }
+}
+
+// The SACK report as a merge, rotate and truncate over every buffered range,
+// kept as the reference the socket's inline builder must match.
+std::vector<SackBlock> ReferenceSackReport(const std::map<uint64_t, uint32_t>& ranges,
+                                           uint64_t hint) {
+  std::vector<SackBlock> merged;
+  for (const auto& [seq, len] : ranges) {
+    if (!merged.empty() && seq <= merged.back().end) {
+      merged.back().end = std::max(merged.back().end, seq + len);
+    } else {
+      merged.push_back({seq, seq + len});
+    }
+  }
+  for (size_t i = 0; i < merged.size(); ++i) {
+    if (merged[i].begin <= hint && hint < merged[i].end) {
+      std::rotate(merged.begin(), merged.begin() + static_cast<long>(i), merged.end());
+      break;
+    }
+  }
+  if (merged.size() > TcpSegmentPayload::kMaxSackBlocks) {
+    merged.resize(TcpSegmentPayload::kMaxSackBlocks);
+  }
+  return merged;
+}
+
+TEST_F(TcpUnitTest, SackReportMatchesMergeRotateTruncateReference) {
+  // Random out-of-order arrivals (overlapping, adjacent and repeated starts)
+  // above a hole at [0, mss): every duplicate ACK must carry exactly the
+  // reference's blocks, in its order.
+  Establish();
+  Rng rng(2018);
+  std::map<uint64_t, uint32_t> ranges;
+  uint64_t hint = 0;
+  const uint64_t half = kDefaultMss / 2;
+  for (int i = 0; i < 400; ++i) {
+    uint64_t seq = half * static_cast<uint64_t>(rng.UniformInt(2, 120));
+    uint32_t len = static_cast<uint32_t>(half * static_cast<uint64_t>(rng.UniformInt(1, 3)));
+    if (ranges.emplace(seq, len).second) {
+      hint = seq;  // a repeated start is ignored and leaves the hint alone
+    }
+    InjectData(seq, len);
+    const TcpSegmentPayload& ack = Tcp(capture_.sent.back());
+    ASSERT_EQ(ack.ack_seq, 0u);
+    std::vector<SackBlock> want = ReferenceSackReport(ranges, hint);
+    ASSERT_EQ(ack.sacks.size(), want.size()) << "arrival " << i;
+    for (size_t b = 0; b < want.size(); ++b) {
+      ASSERT_EQ(ack.sacks[b].begin, want[b].begin) << "arrival " << i << " block " << b;
+      ASSERT_EQ(ack.sacks[b].end, want[b].end) << "arrival " << i << " block " << b;
+    }
+  }
 }
 
 TEST_F(TcpUnitTest, AdjacentOooSegmentsMergeIntoOneSackBlock) {

@@ -24,9 +24,16 @@ reproducible; this lint does:
       generators sit on the per-packet forwarding path of every multi-flow
       scenario; src/telemetry/ because FlowTelemetry::Emit is inlined into
       every instrumented event and record sinks must stay virtual-call-only.
+  R8  no std::deque or std::list (node-container) in src/netsim/ or
+      src/evloop/ — their per-packet FIFOs use RingFifo
+      (src/common/ring_fifo.h), which allocates nothing until its first push
+      and nothing at all once grown, where a deque allocates blocks as it
+      cycles and a list allocates one node per element. Waived line-by-line
+      with allow(node-container), as for R7, when a line has a design reason.
 
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
-src/topo/, and src/telemetry/). tests/, bench/, and examples/ are linted with
+src/topo/, and src/telemetry/; R8 only in src/netsim/ and src/evloop/).
+tests/, bench/, and examples/ are linted with
 R2/R3/R4 only
 (benchmark harnesses legitimately read wall clocks; floats never carry sim
 state in src/ but may appear in plotting-oriented code).
@@ -92,6 +99,11 @@ RULES = {
         "belong in Timer/InlineCallback storage (app-facing observer "
         "registration may be waived with lint_sim: allow(std-function))",
     ),
+    "node-container": (
+        re.compile(r"\bstd::(deque|list)\b|#\s*include\s*<(deque|list)>"),
+        "std::deque/std::list in a netsim/evloop per-packet path; use RingFifo "
+        "(src/common/ring_fifo.h) (waive with lint_sim: allow(node-container))",
+    ),
     # (?!::) keeps std::thread::hardware_concurrency() (a query, not a spawn)
     # out of scope.
     "thread": (
@@ -136,6 +148,8 @@ def rules_for(rel: str) -> dict:
         selected = dict(RULES)
         if not rel.startswith(("src/tcpsim/", "src/netsim/", "src/topo/", "src/telemetry/")):
             selected.pop("std-function")
+        if not rel.startswith(("src/netsim/", "src/evloop/")):
+            selected.pop("node-container")
     else:
         selected = {k: RULES[k] for k in ("rng-engine", "random-device", "libc-rand")}
     for rule in EXEMPT.get(rel, ()):  # per-file exemptions
