@@ -11,6 +11,13 @@
 //   tcp_codel      — a full TCP-over-CoDel bulk transfer (Testbed, cubic,
 //                    10 Mbps bottleneck) for 30 simulated seconds; reports
 //                    both events/sec and sim-seconds per wall-second.
+//   sack_recovery  — one cubic flow on a long, lossy path (100 Mbps, 100 ms
+//                    RTT, 0.01% wire loss, a 2000-packet drop-tail queue,
+//                    16 MB send buffer) for 30 simulated seconds: queue
+//                    overflows and wire losses put SACK recovery in windows
+//                    of hundreds to thousands of segments. Reports the ACKs
+//                    the sender processes per wall-second, which falls with
+//                    the window if the scoreboard walks it on every ACK.
 //
 // Usage:
 //   micro_evloop                      print a JSON metrics object
@@ -48,6 +55,7 @@ double Timed(Body&& body) {
 constexpr int kScheduleFireEvents = 1'000'000;
 constexpr int kChurnOps = 2'000'000;
 constexpr double kTcpCodelSimSeconds = 30.0;
+constexpr double kSackRecoverySimSeconds = 30.0;
 
 double BenchScheduleFire() {
   EventLoop loop;
@@ -116,15 +124,42 @@ TcpCodelResult BenchTcpCodel() {
   return r;
 }
 
+double BenchSackRecovery() {
+  PathConfig path;
+  path.rate = DataRate::Mbps(100);
+  path.one_way_delay = TimeDelta::FromMillis(50);
+  path.queue_limit_packets = 2000;
+  path.loss_probability = 0.0001;
+  Testbed bed(/*seed=*/7, path);
+  TcpSocket::Config config;
+  config.sndbuf_max_bytes = 16 << 20;
+  Testbed::Flow flow = bed.CreateFlow(config);
+  auto pump = [&] {
+    while (flow.sender->Write(1 << 20) > 0) {
+    }
+  };
+  flow.sender->SetEstablishedCallback(pump);
+  flow.sender->SetWritableCallback(pump);
+  flow.receiver->SetReadableCallback([&] { flow.receiver->Read(1 << 30); });
+
+  double secs = Timed([&] {
+    bed.loop().RunUntil(
+        SimTime::FromNanos(static_cast<int64_t>(kSackRecoverySimSeconds * 1e9)));
+  });
+  return static_cast<double>(flow.sender->GetTcpInfo().tcpi_segs_in) / secs;
+}
+
 int Run(const std::string& floor_path) {
   json::Value out = json::Value::Object();
   double fire = BenchScheduleFire();
   double churn = BenchChurn();
   TcpCodelResult tcp = BenchTcpCodel();
+  double sack_acks = BenchSackRecovery();
   out.Set("schedule_fire_events_per_sec", json::Value::Number(fire));
   out.Set("churn_ops_per_sec", json::Value::Number(churn));
   out.Set("tcp_codel_events_per_sec", json::Value::Number(tcp.events_per_sec));
   out.Set("tcp_codel_sim_seconds_per_sec", json::Value::Number(tcp.sim_seconds_per_sec));
+  out.Set("sack_recovery_acks_per_sec", json::Value::Number(sack_acks));
   std::printf("%s\n", out.Dump(2).c_str());
 
   if (floor_path.empty()) {
@@ -158,6 +193,7 @@ int Run(const std::string& floor_path) {
   check("min_schedule_fire_events_per_sec", fire);
   check("min_churn_ops_per_sec", churn);
   check("min_tcp_codel_events_per_sec", tcp.events_per_sec);
+  check("min_sack_recovery_acks_per_sec", sack_acks);
   return failures == 0 ? 0 : 1;
 }
 

@@ -1,7 +1,6 @@
 #include "src/tcpsim/tcp_socket.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "src/common/check.h"
@@ -172,23 +171,32 @@ uint64_t TcpSocket::EffectiveInFlight() const {
   return gone >= total ? 0 : total - gone;
 }
 
+RingFifo<TcpSocket::SegMeta>::iterator TcpSocket::SegmentAtOrAfter(uint64_t seq) {
+  return std::lower_bound(outstanding_.begin(), outstanding_.end(), seq,
+                          [](const SegMeta& m, uint64_t s) { return m.seq < s; });
+}
+
 bool TcpSocket::RetransmitOneLost() {
   if (lost_bytes_ == 0) {
     return false;
   }
-  for (SegMeta& meta : outstanding_) {
-    if (meta.seq >= highest_sacked_) {
-      break;
-    }
+  auto it = SegmentAtOrAfter(lost_hint_);
+  for (; it != outstanding_.end() && it->seq < highest_sacked_; ++it) {
+    SegMeta& meta = *it;
     if (meta.lost) {
       meta.retransmitted = true;
       meta.last_tx = loop_->now();
       meta.lost = false;  // back in the pipe
       lost_bytes_ -= meta.len;
+      lost_hint_ = meta.seq + meta.len;
+      retx_fifo_.push_back(RetxEntry{meta.seq, meta.last_tx});
       ++total_retrans_;
       SendDataSegment(meta.seq, meta.len, /*retransmit=*/true);
       return true;
     }
+  }
+  if (it != outstanding_.end()) {
+    lost_hint_ = it->seq;  // nothing lost below the walk's stop
   }
   return false;
 }
@@ -353,28 +361,88 @@ void TcpSocket::SendFinSegment() {
 }
 
 void TcpSocket::ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample) {
+  // A block SACKs the segments lying wholly inside it. Those already SACKed
+  // form runs, so only the gaps between runs are visited, in sequence order.
   for (const SackBlock& block : blocks) {
-    auto it = std::lower_bound(outstanding_.begin(), outstanding_.end(), block.begin,
-                               [](const SegMeta& m, uint64_t seq) { return m.seq < seq; });
-    for (; it != outstanding_.end() && it->seq + it->len <= block.end; ++it) {
-      SegMeta& meta = *it;
-      if (meta.sacked) {
+    uint64_t cursor = block.begin;
+    size_t run = static_cast<size_t>(
+        std::upper_bound(sacked_runs_.begin(), sacked_runs_.end(), cursor,
+                         [](uint64_t seq, const SeqRange& r) { return seq < r.end; }) -
+        sacked_runs_.begin());
+    while (cursor < block.end) {
+      if (run < sacked_runs_.size() && sacked_runs_[run].begin <= cursor) {
+        cursor = sacked_runs_[run++].end;
         continue;
       }
-      meta.sacked = true;
-      sacked_bytes_ += meta.len;
-      if (meta.lost) {
-        meta.lost = false;
-        lost_bytes_ -= meta.len;
+      uint64_t gap_end = block.end;
+      if (run < sacked_runs_.size()) {
+        gap_end = std::min(gap_end, sacked_runs_[run].begin);
       }
-      delivered_bytes_ += meta.len;
-      delivered_time_ = loop_->now();
-      if (!meta.retransmitted) {
-        *rtt_sample = loop_->now() - meta.last_tx;
-      }
+      run = SackGap(cursor, gap_end, run, rtt_sample);
+      cursor = gap_end;
     }
     highest_sacked_ = std::max(highest_sacked_, block.end);
   }
+}
+
+size_t TcpSocket::SackGap(uint64_t begin, uint64_t end, size_t run, TimeDelta* rtt_sample) {
+  auto it = SegmentAtOrAfter(begin);
+  if (it == outstanding_.end() || it->seq + it->len > end) {
+    return run;
+  }
+  uint64_t first = it->seq;
+  uint64_t last = first;
+  for (; it != outstanding_.end() && it->seq + it->len <= end; ++it) {
+    SegMeta& meta = *it;
+    ELEMENT_DCHECK(!meta.sacked) << "SACKed segment at " << meta.seq
+                                 << " outside every SACKed run, flow=" << flow_id_;
+    meta.sacked = true;
+    sacked_bytes_ += meta.len;
+    if (meta.lost) {
+      meta.lost = false;
+      lost_bytes_ -= meta.len;
+    }
+    delivered_bytes_ += meta.len;
+    delivered_time_ = loop_->now();
+    if (!meta.retransmitted) {
+      *rtt_sample = loop_->now() - meta.last_tx;
+    }
+    last = meta.seq + meta.len;
+  }
+  // Record [first, last) as a run, merged with the neighbours it touches.
+  bool joins_left = run > 0 && sacked_runs_[run - 1].end == first;
+  bool joins_right = run < sacked_runs_.size() && sacked_runs_[run].begin == last;
+  if (joins_left && joins_right) {
+    sacked_runs_[run - 1].end = sacked_runs_[run].end;
+    sacked_runs_.erase(sacked_runs_.begin() + static_cast<std::ptrdiff_t>(run));
+    return run - 1;
+  }
+  if (joins_left) {
+    sacked_runs_[run - 1].end = last;
+    return run - 1;
+  }
+  if (joins_right) {
+    sacked_runs_[run].begin = first;
+    return run;
+  }
+  sacked_runs_.insert(sacked_runs_.begin() + static_cast<std::ptrdiff_t>(run),
+                      SeqRange{first, last});
+  return run;
+}
+
+void TcpSocket::MarkLost(SegMeta& meta) {
+  meta.lost = true;
+  lost_bytes_ += meta.len;
+  lost_hint_ = std::min(lost_hint_, meta.seq);
+}
+
+TcpSocket::SegMeta* TcpSocket::LiveRetransmission(const RetxEntry& entry) {
+  auto it = SegmentAtOrAfter(entry.seq);
+  if (it == outstanding_.end() || it->seq != entry.seq || it->sacked || it->lost ||
+      it->last_tx != entry.tx) {
+    return nullptr;
+  }
+  return &*it;
 }
 
 void TcpSocket::MarkLosses() {
@@ -384,23 +452,55 @@ void TcpSocket::MarkLosses() {
   bool newly_lost = false;
   uint64_t loss_edge =
       highest_sacked_ > 3ull * config_.mss ? highest_sacked_ - 3ull * config_.mss : 0;
-  for (SegMeta& meta : outstanding_) {
-    if (meta.seq + meta.len > loss_edge) {
+  // First pass over the segments the loss edge has newly passed: those
+  // neither SACKed, lost nor retransmitted are lost. Retransmissions are
+  // re-checked below.
+  for (auto it = SegmentAtOrAfter(loss_scanned_);
+       it != outstanding_.end() && it->seq + it->len <= loss_edge; ++it) {
+    loss_scanned_ = it->seq + it->len;
+    if (!it->sacked && !it->lost && !it->retransmitted) {
+      MarkLost(*it);
+      newly_lost = true;
+    }
+  }
+  // A retransmission is only re-declared lost once it has had a full RTT
+  // (plus variance headroom) to land and be acknowledged; a tighter guard
+  // produces spurious duplicate retransmissions. Every entry shares this
+  // grace and the FIFO is in send order, so the walk stops at the first live
+  // entry still in grace.
+  TimeDelta retx_grace = srtt_ + std::max(rttvar_ * 4.0, srtt_ * 0.5);
+  while (!retx_fifo_.empty()) {
+    RetxEntry entry = retx_fifo_.front();
+    SegMeta* meta = LiveRetransmission(entry);
+    if (meta != nullptr && loop_->now() - entry.tx < retx_grace) {
       break;
     }
-    if (meta.sacked || meta.lost) {
+    retx_fifo_.pop_front();
+    if (meta == nullptr) {
       continue;
     }
-    // A retransmission is only re-declared lost once it has had a full RTT
-    // (plus variance headroom) to land and be acknowledged; a tighter guard
-    // produces spurious duplicate retransmissions.
-    TimeDelta retx_grace = srtt_ + std::max(rttvar_ * 4.0, srtt_ * 0.5);
-    if (meta.retransmitted && loop_->now() - meta.last_tx < retx_grace) {
+    if (meta->seq + meta->len <= loss_edge) {
+      MarkLost(*meta);
+      newly_lost = true;
+    } else {
+      retx_side_.push_back(entry);
+    }
+  }
+  // The grace is re-checked here too: it grows with srtt and rttvar, so an
+  // entry that expired while above the loss edge may be in grace again.
+  for (size_t i = 0; i < retx_side_.size();) {
+    SegMeta* meta = LiveRetransmission(retx_side_[i]);
+    if (meta != nullptr && (meta->seq + meta->len > loss_edge ||
+                            loop_->now() - retx_side_[i].tx < retx_grace)) {
+      ++i;
       continue;
     }
-    meta.lost = true;
-    lost_bytes_ += meta.len;
-    newly_lost = true;
+    if (meta != nullptr) {
+      MarkLost(*meta);
+      newly_lost = true;
+    }
+    retx_side_[i] = retx_side_.back();
+    retx_side_.pop_back();
   }
   if (newly_lost && !in_recovery_) {
     in_recovery_ = true;
@@ -460,6 +560,15 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
       outstanding_.pop_front();
     }
     snd_una_ = ack;
+    // Trim the SACKed runs to the segments still outstanding.
+    uint64_t front = outstanding_.empty() ? snd_una_ : outstanding_.front().seq;
+    auto trimmed =
+        std::find_if(sacked_runs_.begin(), sacked_runs_.end(),
+                     [front](const SeqRange& r) { return r.end > front; });
+    sacked_runs_.erase(sacked_runs_.begin(), trimmed);
+    if (!sacked_runs_.empty() && sacked_runs_.front().begin < front) {
+      sacked_runs_.front().begin = front;
+    }
     if (highest_sacked_ < snd_una_) {
       highest_sacked_ = snd_una_;
     }
@@ -547,8 +656,7 @@ void TcpSocket::OnRtoFire() {
   // are tagged as retransmissions (Karn's rule holds for RTT samples).
   for (SegMeta& meta : outstanding_) {
     if (!meta.sacked && !meta.lost) {
-      meta.lost = true;
-      lost_bytes_ += meta.len;
+      MarkLost(meta);
     }
   }
   // Allow the lowest lost segment through even if highest_sacked_ is behind.
@@ -619,9 +727,9 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
     // Absorb every buffered range the new edge reaches, then drop them in
     // one erase.
     auto it = out_of_order_.begin();
-    for (; it != out_of_order_.end() && it->seq <= rcv_nxt_; ++it) {
-      rcv_nxt_ = std::max(rcv_nxt_, it->seq + it->len);
-      ooo_bytes_ -= it->len;
+    for (; it != out_of_order_.end() && it->begin <= rcv_nxt_; ++it) {
+      rcv_nxt_ = std::max(rcv_nxt_, it->end);
+      ooo_bytes_ -= it->end - it->begin;
     }
     bool filled_hole = it != out_of_order_.begin();
     out_of_order_.erase(out_of_order_.begin(), it);
@@ -641,12 +749,27 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
     }
     ScheduleReadableWakeup();
   } else {
-    // Out of order: buffer and send an immediate duplicate ACK with SACK.
-    auto it = std::lower_bound(out_of_order_.begin(), out_of_order_.end(), seq,
-                               [](const OooRange& r, uint64_t s) { return r.seq < s; });
-    if (it == out_of_order_.end() || it->seq != seq) {
-      out_of_order_.insert(it, OooRange{seq, seg.payload_bytes});
-      ooo_bytes_ += seg.payload_bytes;
+    // Out of order: buffer the bytes no block holds yet, merging every block
+    // the arrival overlaps or touches into one, and send an immediate
+    // duplicate ACK with SACK. A fully covered arrival is a duplicate.
+    auto first = std::lower_bound(out_of_order_.begin(), out_of_order_.end(), seq,
+                                  [](const SeqRange& b, uint64_t s) { return b.end < s; });
+    auto last = first;
+    uint64_t covered = 0;
+    for (; last != out_of_order_.end() && last->begin <= end; ++last) {
+      covered += std::min(end, last->end) - std::max(seq, last->begin);
+    }
+    if (covered < end - seq) {
+      ooo_bytes_ += (end - seq) - covered;
+      SeqRange merged{seq, end};
+      if (first != last) {
+        merged.begin = std::min(seq, first->begin);
+        merged.end = std::max(end, (last - 1)->end);
+        *first = merged;
+        out_of_order_.erase(first + 1, last);
+      } else {
+        out_of_order_.insert(first, merged);
+      }
       sack_hint_ = seq;
       if (telemetry_.recording()) {
         telemetry_.EmitAlways(telemetry::TraceRecord::Range(
@@ -668,34 +791,22 @@ void TcpSocket::SendAck() {
   ack.ece = echo_ece_;
 
   if (!out_of_order_.empty()) {
-    // Merge the buffered ranges into SACK blocks and report the block holding
-    // the most recent arrival first (RFC 2018), then the blocks above it,
-    // wrapping around to the lowest, up to kMaxSackBlocks (a full SackList
-    // ignores further blocks). `lowest` keeps the first blocks below the
-    // hint's for the wrap; with no hint block, they are the whole report.
-    constexpr size_t kMax = TcpSegmentPayload::kMaxSackBlocks;
-    std::array<SackBlock, kMax> lowest;
-    size_t below = 0;
-    bool hint_found = false;
-    auto finish_block = [&](const SackBlock& b) {
-      hint_found = hint_found || (b.begin <= sack_hint_ && sack_hint_ < b.end);
-      if (hint_found) {
-        ack.sacks.push_back(b);
-      } else if (below < kMax) {
-        lowest[below++] = b;
-      }
-    };
-    SackBlock open{out_of_order_.front().seq, out_of_order_.front().seq};
-    for (const OooRange& r : out_of_order_) {
-      if (r.seq > open.end) {
-        finish_block(open);
-        open.begin = r.seq;
-      }
-      open.end = std::max(open.end, r.seq + r.len);
+    // Report the block holding the most recent arrival first (RFC 2018),
+    // then the blocks above it, wrapping around to the lowest, up to
+    // kMaxSackBlocks. With no block holding the hint, the report starts at
+    // the lowest block.
+    size_t n = out_of_order_.size();
+    size_t start = static_cast<size_t>(
+        std::upper_bound(out_of_order_.begin(), out_of_order_.end(), sack_hint_,
+                         [](uint64_t s, const SeqRange& b) { return s < b.end; }) -
+        out_of_order_.begin());
+    if (start == n || out_of_order_[start].begin > sack_hint_) {
+      start = 0;
     }
-    finish_block(open);
-    for (size_t i = 0; i < below; ++i) {
-      ack.sacks.push_back(lowest[i]);
+    size_t count = std::min(n, TcpSegmentPayload::kMaxSackBlocks);
+    for (size_t i = 0; i < count; ++i) {
+      const SeqRange& b = out_of_order_[(start + i) % n];
+      ack.sacks.push_back(SackBlock{b.begin, b.end});
     }
   }
   EmitSegment(ack, 0);
@@ -823,9 +934,30 @@ void TcpSocket::AuditSequenceInvariants() const {
       << " fin_sent=" << fin_sent_ << " flow=" << flow_id_;
 
   // -- SACK scoreboard vs. the retransmit queue --
+  for (size_t i = 1; i < retx_fifo_.size(); ++i) {
+    ELEMENT_AUDIT(retx_fifo_[i - 1].tx <= retx_fifo_[i].tx)
+        << "retransmission FIFO out of send order at entry " << i << " flow=" << flow_id_;
+  }
+  // The SACKed runs are rebuilt from the queue as it is walked and compared
+  // run by run.
+  size_t runs_seen = 0;
+  SeqRange open_run;
+  auto close_run = [&] {
+    if (open_run.end == open_run.begin) {
+      return;
+    }
+    ELEMENT_AUDIT(runs_seen < sacked_runs_.size() &&
+                  sacked_runs_[runs_seen].begin == open_run.begin &&
+                  sacked_runs_[runs_seen].end == open_run.end)
+        << "SACKed run " << runs_seen << " is not the union of SACKed segments: expected ["
+        << open_run.begin << "," << open_run.end << ") flow=" << flow_id_;
+    ++runs_seen;
+    open_run = SeqRange{};
+  };
   uint64_t sacked = 0;
   uint64_t lost = 0;
   uint64_t prev_end = 0;
+  size_t retransmissions_in_flight = 0;
   for (const SegMeta& meta : outstanding_) {
     uint64_t seq = meta.seq;
     ELEMENT_AUDIT(seq >= prev_end)
@@ -842,11 +974,61 @@ void TcpSocket::AuditSequenceInvariants() const {
         << "segment at " << seq << " both sacked and lost, flow=" << flow_id_;
     if (meta.sacked) {
       sacked += meta.len;
+      if (open_run.end != seq) {
+        close_run();
+        open_run.begin = seq;
+      }
+      open_run.end = seq + meta.len;
+    } else {
+      close_run();
     }
     if (meta.lost) {
       lost += meta.len;
+      ELEMENT_AUDIT(seq >= lost_hint_)
+          << "lost segment at " << seq << " below lost_hint=" << lost_hint_
+          << " flow=" << flow_id_;
+    }
+    ELEMENT_AUDIT(seq + meta.len > loss_scanned_ || meta.sacked || meta.lost ||
+                  meta.retransmitted)
+        << "segment at " << seq << " below loss_scanned=" << loss_scanned_
+        << " neither SACKed, lost nor retransmitted, flow=" << flow_id_;
+    if (meta.retransmitted && !meta.sacked && !meta.lost) {
+      ++retransmissions_in_flight;
     }
   }
+  close_run();
+  // Each retransmission still in flight has exactly one live entry, in the
+  // FIFO or the side list: an entry naming its segment and transmit time.
+  // The queue is contiguous and nearly all segments are one MSS long, so the
+  // lookup tries the index that implies before a binary search; the FIFO can
+  // hold thousands of entries.
+  size_t live_entries = 0;
+  auto count_live = [&](const RetxEntry& e) {
+    if (outstanding_.empty() || e.seq < outstanding_.front().seq) {
+      return;
+    }
+    size_t guess = static_cast<size_t>((e.seq - outstanding_.front().seq) / config_.mss);
+    const SegMeta* meta = nullptr;
+    if (guess < outstanding_.size() && outstanding_[guess].seq == e.seq) {
+      meta = &outstanding_[guess];
+    } else {
+      auto it = std::lower_bound(outstanding_.begin(), outstanding_.end(), e.seq,
+                                 [](const SegMeta& m, uint64_t s) { return m.seq < s; });
+      meta = it != outstanding_.end() && it->seq == e.seq ? &*it : nullptr;
+    }
+    if (meta != nullptr && meta->retransmitted && !meta->sacked && !meta->lost &&
+        meta->last_tx == e.tx) {
+      ++live_entries;
+    }
+  };
+  std::for_each(retx_fifo_.begin(), retx_fifo_.end(), count_live);
+  std::for_each(retx_side_.begin(), retx_side_.end(), count_live);
+  ELEMENT_AUDIT(live_entries == retransmissions_in_flight)
+      << retransmissions_in_flight << " retransmissions in flight, but " << live_entries
+      << " live retransmission entries, flow=" << flow_id_;
+  ELEMENT_AUDIT(runs_seen == sacked_runs_.size())
+      << sacked_runs_.size() << " SACKed runs, but the SACKed segments form " << runs_seen
+      << " flow=" << flow_id_;
   ELEMENT_AUDIT(sacked == sacked_bytes_)
       << "sacked_bytes out of sync: counter=" << sacked_bytes_ << " scoreboard=" << sacked
       << " flow=" << flow_id_;
@@ -859,13 +1041,14 @@ void TcpSocket::AuditSequenceInvariants() const {
       << "app read past rcv_nxt: read_seq=" << read_seq_ << " rcv_nxt=" << rcv_nxt_
       << " flow=" << flow_id_;
   uint64_t ooo = 0;
-  uint64_t prev_seq = rcv_nxt_;
-  for (const OooRange& r : out_of_order_) {
-    ELEMENT_AUDIT(r.seq > prev_seq)
-        << "out-of-order range at " << r.seq << " not beyond rcv_nxt=" << rcv_nxt_
-        << " and its predecessor at " << prev_seq << " flow=" << flow_id_;
-    prev_seq = r.seq;
-    ooo += r.len;
+  uint64_t prev_block_end = rcv_nxt_;
+  for (const SeqRange& b : out_of_order_) {
+    ELEMENT_AUDIT(b.begin > prev_block_end && b.end > b.begin)
+        << "out-of-order block [" << b.begin << "," << b.end << ") empty, or not clear of"
+        << " rcv_nxt=" << rcv_nxt_ << " and the previous block's end " << prev_block_end
+        << " flow=" << flow_id_;
+    prev_block_end = b.end;
+    ooo += b.end - b.begin;
   }
   ELEMENT_AUDIT(ooo == ooo_bytes_)
       << "ooo_bytes out of sync: counter=" << ooo_bytes_ << " queue=" << ooo
@@ -874,6 +1057,11 @@ void TcpSocket::AuditSequenceInvariants() const {
 
 void TcpSocket::TestOnlyCorruptSequenceStateForAudit() {
   snd_una_ = snd_nxt_ + 1;
+  AuditSequenceInvariants();
+}
+
+void TcpSocket::TestOnlyCorruptSackedRunsForAudit() {
+  sacked_runs_.push_back(SeqRange{snd_nxt_, snd_nxt_ + 1});  // no segment backs it
   AuditSequenceInvariants();
 }
 

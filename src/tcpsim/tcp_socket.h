@@ -161,6 +161,13 @@ class TcpSocket : public PacketSink {
   // Test-only: breaks sequence-space ordering and runs the audit so death
   // tests can verify the invariant layer actually fires.
   void TestOnlyCorruptSequenceStateForAudit();
+  // Test-only: records a SACKed run no segment backs and runs the audit.
+  void TestOnlyCorruptSackedRunsForAudit();
+  // Test-only: replaces the congestion controller (before Connect/Listen),
+  // so a test can fix the window and observe the in-flight figures it gets.
+  void TestOnlySetCongestionControl(std::unique_ptr<CongestionControl> cc) {
+    cc_ = std::move(cc);
+  }
 
   // PacketSink (called by the demux).
   void Deliver(Packet pkt) override;
@@ -179,10 +186,16 @@ class TcpSocket : public PacketSink {
     SimTime delivered_time_at_send;
     bool app_limited = false;
   };
-  // One buffered out-of-order range, keyed by its first byte.
-  struct OooRange {
+  // A half-open byte range [begin, end): a buffered out-of-order block on
+  // the receiver, a run of SACKed segments on the sender.
+  struct SeqRange {
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+  // One retransmission, in send order: the segment and its transmit time.
+  struct RetxEntry {
     uint64_t seq = 0;
-    uint32_t len = 0;
+    SimTime tx;
   };
 
   // -- connection lifecycle --
@@ -195,8 +208,18 @@ class TcpSocket : public PacketSink {
   // SACK scoreboard: marks sacked ranges, detects losses (3*MSS FACK rule),
   // and enters recovery once per window. Returns the freshest RTT sample.
   void ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample);
+  // SACKs the segments lying wholly inside the gap [begin, end), none of
+  // which is SACKed yet, and records them as a run; `run` indexes the first
+  // run past `begin`. Returns the index of the run now holding them.
+  size_t SackGap(uint64_t begin, uint64_t end, size_t run, TimeDelta* rtt_sample);
   void MarkLosses();
+  void MarkLost(SegMeta& meta);
+  // The segment a retransmission entry names, if that retransmission is
+  // still in flight: not acked, SACKed, lost or sent again since.
+  SegMeta* LiveRetransmission(const RetxEntry& entry);
   bool RetransmitOneLost();  // lowest-sequence lost segment, if window allows
+  // First outstanding segment starting at or after `seq`.
+  RingFifo<SegMeta>::iterator SegmentAtOrAfter(uint64_t seq);
   uint64_t CwndBytes() const;
   uint64_t EffectiveInFlight() const;
   void MaybeAutotuneSndbuf();
@@ -261,6 +284,28 @@ class TcpSocket : public PacketSink {
   // spans. The ring grows to the largest window seen and is then reused:
   // no allocation per segment, none at construction.
   RingFifo<SegMeta> outstanding_;
+  // The union of SACKed outstanding segments as sorted runs that are
+  // disjoint and do not touch. A SACK block visits only the segments in the
+  // gaps between runs, and cumulative ACKs trim the front. The vector grows
+  // to the most runs seen and is then reused.
+  std::vector<SeqRange> sacked_runs_;
+  // MarkLosses' scan cursor: every segment ending at or below it has been
+  // examined once and is SACKed, lost or retransmitted, so an ACK scans only
+  // the segments the loss edge has newly passed.
+  uint64_t loss_scanned_ = 0;
+  // One entry per retransmission, in send order and so in non-decreasing
+  // transmit time. Every entry shares one grace period, so MarkLosses pops
+  // stale and expired entries and stops at the first one still in grace.
+  // The ring grows to the most retransmissions in flight and is reused.
+  RingFifo<RetxEntry> retx_fifo_;
+  // The rare retransmission whose grace expired while its segment was still
+  // above the loss edge: re-checked by every MarkLosses until it is both
+  // below the edge and out of grace.
+  std::vector<RetxEntry> retx_side_;
+  // No segment starting below it is lost. Every loss mark lowers it and a
+  // retransmission moves it past its segment, so RetransmitOneLost starts
+  // here instead of at the front of outstanding_.
+  uint64_t lost_hint_ = 0;
 
   bool in_recovery_ = false;
   uint64_t recovery_end_ = 0;
@@ -314,11 +359,16 @@ class TcpSocket : public PacketSink {
   // ---- Receiver state ----
   uint64_t rcv_nxt_ = 0;   // next expected in-order byte
   uint64_t read_seq_ = 0;  // bytes the app has consumed
-  // Out-of-order ranges beyond rcv_nxt_, sorted by seq, one entry per seq.
-  std::vector<OooRange> out_of_order_;
-  uint64_t ooo_bytes_ = 0;
+  // Buffered out-of-order bytes beyond rcv_nxt_ as sorted blocks that are
+  // disjoint and do not touch, merged on insert: an arrival adds only the
+  // bytes no block covers yet. The blocks are the SACK report, so SendAck
+  // copies at most kMaxSackBlocks of them instead of merging segments.
+  std::vector<SeqRange> out_of_order_;
+  uint64_t ooo_bytes_ = 0;  // total size of out_of_order_, each byte once
   int segs_since_ack_ = 0;
-  uint64_t sack_hint_ = 0;  // most recent out-of-order arrival (RFC 2018 first block)
+  // Start of the most recent out-of-order arrival that added bytes; its
+  // block is reported first (RFC 2018).
+  uint64_t sack_hint_ = 0;
   // Arrival-rate estimate for DRWA window moderation.
   SimTime rcv_rate_window_start_;
   uint64_t rcv_rate_window_bytes_ = 0;

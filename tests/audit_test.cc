@@ -153,6 +153,16 @@ TEST(TcpAuditDeathTest, SequenceSpaceViolationAborts) {
   EXPECT_DEATH(flow.sender->TestOnlyCorruptSequenceStateForAudit(), "snd_una");
 }
 
+TEST(TcpAuditDeathTest, CorruptSackedRunAborts) {
+  PathConfig path;
+  Testbed bed(11, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  flow.sender->SetEstablishedCallback([&] { flow.sender->Write(50000); });
+  bed.loop().RunUntil(Sec(2.0));
+  ASSERT_TRUE(flow.sender->established());
+  EXPECT_DEATH(flow.sender->TestOnlyCorruptSackedRunsForAudit(), "SACKed run");
+}
+
 TEST(ArenaAuditDeathTest, DoubleFreeAborts) {
   FreeListArena arena;
   void* block = arena.Allocate(64);

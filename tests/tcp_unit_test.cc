@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -263,21 +266,36 @@ std::vector<SackBlock> ReferenceSackReport(const std::map<uint64_t, uint32_t>& r
   return merged;
 }
 
+// True when the union of `ranges` holds every byte of [seq, seq + len).
+bool Covered(const std::map<uint64_t, uint32_t>& ranges, uint64_t seq, uint32_t len) {
+  uint64_t reach = seq;  // [seq, reach) is covered
+  for (const auto& [start, length] : ranges) {
+    if (start > reach) {
+      break;
+    }
+    reach = std::max(reach, start + length);
+  }
+  return reach >= seq + len;
+}
+
 TEST_F(TcpUnitTest, SackReportMatchesMergeRotateTruncateReference) {
   // Random out-of-order arrivals (overlapping, adjacent and repeated starts)
   // above a hole at [0, mss): every duplicate ACK must carry exactly the
-  // reference's blocks, in its order.
+  // reference's blocks, in its order. The receiver buffers the union of the
+  // arrivals' bytes; the hint moves when an arrival adds bytes.
   Establish();
   Rng rng(2018);
-  std::map<uint64_t, uint32_t> ranges;
+  std::map<uint64_t, uint32_t> ranges;  // longest arrival per start
   uint64_t hint = 0;
   const uint64_t half = kDefaultMss / 2;
   for (int i = 0; i < 400; ++i) {
     uint64_t seq = half * static_cast<uint64_t>(rng.UniformInt(2, 120));
     uint32_t len = static_cast<uint32_t>(half * static_cast<uint64_t>(rng.UniformInt(1, 3)));
-    if (ranges.emplace(seq, len).second) {
-      hint = seq;  // a repeated start is ignored and leaves the hint alone
+    if (!Covered(ranges, seq, len)) {
+      hint = seq;  // a fully covered arrival is a duplicate and leaves the hint alone
     }
+    uint32_t& longest = ranges[seq];
+    longest = std::max(longest, len);
     InjectData(seq, len);
     const TcpSegmentPayload& ack = Tcp(capture_.sent.back());
     ASSERT_EQ(ack.ack_seq, 0u);
@@ -288,6 +306,38 @@ TEST_F(TcpUnitTest, SackReportMatchesMergeRotateTruncateReference) {
       ASSERT_EQ(ack.sacks[b].end, want[b].end) << "arrival " << i << " block " << b;
     }
   }
+}
+
+TEST_F(TcpUnitTest, OooSegmentExtendingABufferedStartAddsItsExtraBytes) {
+  // [2, 2.5) then [2, 3) * mss: the second arrival's extra half segment is
+  // buffered, SACKed, and readable once the hole below fills.
+  Establish();
+  const uint32_t half = kDefaultMss / 2;
+  InjectData(2 * kDefaultMss, half);
+  InjectData(2 * kDefaultMss, kDefaultMss);
+  const TcpSegmentPayload& ack = Tcp(capture_.sent.back());
+  ASSERT_EQ(ack.sacks.size(), 1u);
+  EXPECT_EQ(ack.sacks[0].begin, 2 * kDefaultMss);
+  EXPECT_EQ(ack.sacks[0].end, 3 * kDefaultMss);
+  InjectData(0, 2 * kDefaultMss);
+  EXPECT_EQ(Tcp(capture_.sent.back()).ack_seq, 3 * kDefaultMss);
+  EXPECT_EQ(socket_->ReadableBytes(), 3 * kDefaultMss);
+}
+
+TEST_F(TcpUnitTest, OverlappingOooSegmentsCountEachBufferedByteOnce) {
+  // [2, 3) then [2.5, 3.5) * mss buffer 1.5 segments, and the advertised
+  // window shrinks by exactly that.
+  Establish();
+  const uint32_t half = kDefaultMss / 2;
+  const uint64_t rcvbuf = Config().rcvbuf_bytes;
+  InjectData(2 * kDefaultMss, kDefaultMss);
+  EXPECT_EQ(Tcp(capture_.sent.back()).receive_window, rcvbuf - kDefaultMss);
+  InjectData(2 * kDefaultMss + half, kDefaultMss);
+  const TcpSegmentPayload& ack = Tcp(capture_.sent.back());
+  EXPECT_EQ(ack.receive_window, rcvbuf - 3 * half);
+  ASSERT_EQ(ack.sacks.size(), 1u);
+  EXPECT_EQ(ack.sacks[0].begin, 2 * kDefaultMss);
+  EXPECT_EQ(ack.sacks[0].end, 3 * kDefaultMss + half);
 }
 
 TEST_F(TcpUnitTest, AdjacentOooSegmentsMergeIntoOneSackBlock) {
@@ -471,6 +521,386 @@ TEST_F(TcpUnitTest, ZeroWindowBlocksUntilUpdate) {
   EXPECT_TRUE(capture_.DataPackets().empty());
   InjectAck(0, {}, /*rwnd=*/1 << 20);
   EXPECT_FALSE(capture_.DataPackets().empty());
+}
+
+
+// A congestion controller with a fixed window that logs, in call order, the
+// time and in-flight figure of every call that carries one, and each RTO.
+class RecordingCc : public CongestionControl {
+ public:
+  enum class Call { kSent, kAck, kLoss, kRto };
+  struct Entry {
+    Call call;
+    SimTime at;
+    uint64_t in_flight;
+  };
+
+  RecordingCc(double cwnd_segments, std::vector<Entry>* log)
+      : cwnd_(cwnd_segments), log_(log) {}
+  void OnAck(const AckSample& sample) override {
+    log_->push_back({Call::kAck, sample.now, sample.bytes_in_flight});
+  }
+  void OnLoss(SimTime now, uint64_t bytes_in_flight, uint32_t) override {
+    log_->push_back({Call::kLoss, now, bytes_in_flight});
+  }
+  void OnRetransmissionTimeout(SimTime now) override {
+    log_->push_back({Call::kRto, now, 0});
+  }
+  void OnPacketSent(SimTime now, uint64_t bytes_in_flight) override {
+    log_->push_back({Call::kSent, now, bytes_in_flight});
+  }
+  double CwndSegments() const override { return cwnd_; }
+  uint32_t SsthreshSegments() const override { return 0; }
+  std::string name() const override { return "recording"; }
+
+ private:
+  double cwnd_;
+  std::vector<Entry>* log_;
+};
+
+// The sender's SACK scoreboard as whole-window walks on every ACK: SACK
+// marking, loss marking and the lowest-lost retransmission pick as they
+// were before the socket kept runs, a scan cursor and a retransmission
+// FIFO. The differential test replays the socket's sends and ACKs through
+// it.
+class ReferenceScoreboard {
+ public:
+  struct Seg {
+    uint64_t seq = 0;
+    uint32_t len = 0;
+    bool retransmitted = false;
+    bool sacked = false;
+    bool lost = false;
+    SimTime last_tx;
+  };
+  struct AckOutcome {
+    bool entered_recovery = false;
+    bool acked = false;
+  };
+
+  explicit ReferenceScoreboard(uint32_t mss) : mss_(mss) {}
+
+  void OnNewData(uint64_t seq, uint32_t len, SimTime now) {
+    Seg seg;
+    seg.seq = seq;
+    seg.len = len;
+    seg.last_tx = now;
+    segs_.push_back(seg);
+    snd_nxt_ = seq + len;
+  }
+
+  // The lowest lost segment below the highest SACKed byte, if any.
+  Seg* LowestLost() {
+    if (lost_bytes_ == 0) {
+      return nullptr;
+    }
+    for (Seg& seg : segs_) {
+      if (seg.seq >= highest_sacked_) {
+        break;
+      }
+      if (seg.lost) {
+        return &seg;
+      }
+    }
+    return nullptr;
+  }
+
+  // Picks and re-sends the lowest lost segment; returns its seq.
+  std::optional<uint64_t> Retransmit(SimTime now) {
+    Seg* seg = LowestLost();
+    if (seg == nullptr) {
+      return std::nullopt;
+    }
+    seg->retransmitted = true;
+    seg->last_tx = now;
+    seg->lost = false;
+    lost_bytes_ -= seg->len;
+    ++retransmits_;
+    return seg->seq;
+  }
+
+  AckOutcome OnAck(uint64_t ack_seq, const std::vector<SackBlock>& sacks, SimTime now) {
+    AckOutcome out;
+    TimeDelta rtt_sample = TimeDelta::Zero();
+    for (const SackBlock& block : sacks) {
+      for (Seg& seg : segs_) {
+        if (seg.seq < block.begin || seg.seq + seg.len > block.end || seg.sacked) {
+          continue;
+        }
+        seg.sacked = true;
+        sacked_bytes_ += seg.len;
+        if (seg.lost) {
+          seg.lost = false;
+          lost_bytes_ -= seg.len;
+        }
+        if (!seg.retransmitted) {
+          rtt_sample = now - seg.last_tx;
+        }
+      }
+      highest_sacked_ = std::max(highest_sacked_, block.end);
+    }
+    uint64_t ack = std::min(ack_seq, snd_nxt_);
+    if (ack > snd_una_) {
+      out.acked = true;
+      while (!segs_.empty() && segs_.front().seq + segs_.front().len <= ack) {
+        const Seg& seg = segs_.front();
+        if (seg.sacked) {
+          sacked_bytes_ -= seg.len;
+        } else {
+          if (seg.lost) {
+            lost_bytes_ -= seg.len;
+          }
+          if (!seg.retransmitted) {
+            rtt_sample = now - seg.last_tx;
+          }
+        }
+        segs_.pop_front();
+      }
+      snd_una_ = ack;
+      highest_sacked_ = std::max(highest_sacked_, snd_una_);
+    }
+    out.entered_recovery = MarkLosses(now);
+    if (out.acked) {
+      if (rtt_sample > TimeDelta::Zero()) {
+        UpdateRtt(rtt_sample);
+      }
+      if (in_recovery_ && snd_una_ >= recovery_end_) {
+        in_recovery_ = false;
+      }
+    }
+    return out;
+  }
+
+  void OnRto() {
+    in_recovery_ = false;
+    for (Seg& seg : segs_) {
+      if (!seg.sacked && !seg.lost) {
+        seg.lost = true;
+        lost_bytes_ += seg.len;
+      }
+    }
+    highest_sacked_ = std::max(highest_sacked_, snd_nxt_);
+  }
+
+  uint64_t InFlight() const {
+    uint64_t total = snd_nxt_ - snd_una_;
+    uint64_t gone = sacked_bytes_ + lost_bytes_;
+    return gone >= total ? 0 : total - gone;
+  }
+  const std::deque<Seg>& segs() const { return segs_; }
+  uint64_t snd_una() const { return snd_una_; }
+  uint64_t retransmits() const { return retransmits_; }
+
+ private:
+  bool MarkLosses(SimTime now) {
+    if (highest_sacked_ <= snd_una_) {
+      return false;
+    }
+    bool newly_lost = false;
+    uint64_t loss_edge = highest_sacked_ > 3ull * mss_ ? highest_sacked_ - 3ull * mss_ : 0;
+    TimeDelta retx_grace = srtt_ + std::max(rttvar_ * 4.0, srtt_ * 0.5);
+    for (Seg& seg : segs_) {
+      if (seg.seq + seg.len > loss_edge) {
+        break;
+      }
+      if (seg.sacked || seg.lost) {
+        continue;
+      }
+      if (seg.retransmitted && now - seg.last_tx < retx_grace) {
+        continue;
+      }
+      seg.lost = true;
+      lost_bytes_ += seg.len;
+      newly_lost = true;
+    }
+    if (newly_lost && !in_recovery_) {
+      in_recovery_ = true;
+      recovery_end_ = snd_nxt_;
+      return true;
+    }
+    return false;
+  }
+
+  void UpdateRtt(TimeDelta sample) {
+    if (srtt_.IsZero()) {
+      srtt_ = sample;
+      rttvar_ = sample / 2;
+    } else {
+      TimeDelta err = srtt_ > sample ? srtt_ - sample : sample - srtt_;
+      rttvar_ = rttvar_ * 0.75 + err * 0.25;
+      srtt_ = srtt_ * 0.875 + sample * 0.125;
+    }
+  }
+
+  uint32_t mss_;
+  std::deque<Seg> segs_;
+  uint64_t snd_una_ = 0;
+  uint64_t snd_nxt_ = 0;
+  uint64_t sacked_bytes_ = 0;
+  uint64_t lost_bytes_ = 0;
+  uint64_t highest_sacked_ = 0;
+  bool in_recovery_ = false;
+  uint64_t recovery_end_ = 0;
+  TimeDelta srtt_ = TimeDelta::Zero();
+  TimeDelta rttvar_ = TimeDelta::Zero();
+  uint64_t retransmits_ = 0;
+};
+
+class TcpScoreboardTest : public TcpUnitTest {
+ protected:
+  // Drives a fresh socket with `steps` random ACKs, clock steps and writes,
+  // checking each retransmission and every in-flight figure the CC sees
+  // against the reference.
+  void RunDifferential(uint64_t seed, int steps) {
+    calls_.clear();
+    next_call_ = 0;
+    next_packet_ = 0;
+    socket_.reset();  // release flow id 1 before re-registering it
+    socket_ = std::make_unique<TcpSocket>(&loop_, Rng(seed), Config(), 1, &capture_, &demux_);
+    socket_->TestOnlySetCongestionControl(std::make_unique<RecordingCc>(40.0, &calls_));
+    Establish();
+    ReferenceScoreboard ref(kDefaultMss);
+    Rng rng(seed);
+    std::vector<SackBlock> previous;
+    socket_->Write(1 << 20);
+    Replay(ref, "initial write");
+    for (int step = 0; step < steps && !HasFatalFailure(); ++step) {
+      std::string where = "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      int64_t action = rng.UniformInt(0, 99);
+      if (action < 60) {
+        uint64_t ack_seq = RandomCumulativeAck(ref, rng);
+        std::vector<SackBlock> sacks = RandomSackBlocks(ref, previous, rng);
+        previous = sacks;
+        InjectAck(ack_seq, sacks);
+        ReferenceScoreboard::AckOutcome outcome = ref.OnAck(ack_seq, sacks, loop_.now());
+        ExpectAckCalls(ref, outcome, where);
+      } else if (action < 85) {
+        Advance(TimeDelta::FromMillis(rng.UniformInt(1, 20)));  // mostly within the grace
+      } else if (action < 97) {
+        Advance(TimeDelta::FromMillis(rng.UniformInt(40, 300)));  // across the grace
+      } else if (action < 99) {
+        Advance(TimeDelta::FromSecondsInt(2));  // lets the RTO fire
+      } else {
+        socket_->Write(1 << 20);
+      }
+      Replay(ref, where);
+      ASSERT_EQ(socket_->total_retransmits(), ref.retransmits()) << where;
+    }
+    EXPECT_GT(ref.retransmits(), 100u) << "seed " << seed;
+  }
+
+ private:
+  static uint64_t SegEnd(const ReferenceScoreboard::Seg& s) { return s.seq + s.len; }
+
+  // Mostly a duplicate ACK; sometimes a jump over the first few segments.
+  static uint64_t RandomCumulativeAck(const ReferenceScoreboard& ref, Rng& rng) {
+    const auto& segs = ref.segs();
+    if (segs.empty() || rng.UniformInt(0, 9) < 8) {
+      return ref.snd_una();
+    }
+    int64_t limit = std::min<int64_t>(static_cast<int64_t>(segs.size()), 12);
+    return SegEnd(segs[static_cast<size_t>(rng.UniformInt(0, limit - 1))]);
+  }
+
+  // Up to four blocks: aligned on segment boundaries, misaligned, below
+  // snd_una, or repeated from the previous ACK.
+  static std::vector<SackBlock> RandomSackBlocks(const ReferenceScoreboard& ref,
+                                                 const std::vector<SackBlock>& previous,
+                                                 Rng& rng) {
+    const auto& segs = ref.segs();
+    std::vector<SackBlock> out;
+    int64_t count = rng.UniformInt(0, 4);
+    for (int64_t b = 0; b < count && !segs.empty(); ++b) {
+      int64_t kind = rng.UniformInt(0, 9);
+      if (kind < 2 && !previous.empty()) {
+        out.push_back(previous[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(previous.size()) - 1))]);
+        continue;
+      }
+      if (kind == 2) {
+        uint64_t end = ref.snd_una() - std::min<uint64_t>(ref.snd_una(), kDefaultMss);
+        out.push_back({end - std::min<uint64_t>(end, 3 * kDefaultMss), end});
+        continue;
+      }
+      int64_t n = static_cast<int64_t>(segs.size());
+      // Skip the first segment most of the time, so holes stay open.
+      int64_t first = rng.UniformInt(std::min<int64_t>(1, n - 1), n - 1);
+      int64_t last = std::min(n - 1, first + rng.UniformInt(0, 5));
+      SackBlock block{segs[static_cast<size_t>(first)].seq,
+                      SegEnd(segs[static_cast<size_t>(last)])};
+      if (kind >= 8) {
+        block.begin += static_cast<uint64_t>(rng.UniformInt(0, kDefaultMss - 1));
+        block.end -= static_cast<uint64_t>(rng.UniformInt(0, kDefaultMss - 1));
+        block.end = std::max(block.end, block.begin + 1);
+      }
+      out.push_back(block);
+    }
+    return out;
+  }
+
+  // The ACK's CC calls: OnLoss on entering recovery, OnAck when it acked data.
+  void ExpectAckCalls(const ReferenceScoreboard& ref,
+                      const ReferenceScoreboard::AckOutcome& outcome, const std::string& where) {
+    if (outcome.entered_recovery) {
+      ASSERT_LT(next_call_, calls_.size()) << where;
+      ASSERT_EQ(calls_[next_call_].call, RecordingCc::Call::kLoss) << where;
+      EXPECT_EQ(calls_[next_call_++].in_flight, ref.InFlight()) << where;
+    }
+    if (outcome.acked) {
+      ASSERT_LT(next_call_, calls_.size()) << where;
+      ASSERT_EQ(calls_[next_call_].call, RecordingCc::Call::kAck) << where;
+      EXPECT_EQ(calls_[next_call_++].in_flight, ref.InFlight()) << where;
+    }
+  }
+
+  // Applies the RTOs and sends logged since the last replay. Each send is a
+  // retransmission the reference must pick, or new data sent while the
+  // reference has nothing to retransmit.
+  void Replay(ReferenceScoreboard& ref, const std::string& where) {
+    auto data = capture_.DataPackets();
+    for (; next_call_ < calls_.size(); ++next_call_) {
+      const RecordingCc::Entry& call = calls_[next_call_];
+      if (call.call == RecordingCc::Call::kRto) {
+        ref.OnRto();
+        continue;
+      }
+      ASSERT_EQ(call.call, RecordingCc::Call::kSent) << where;
+      ASSERT_LT(next_packet_, data.size()) << where;
+      const TcpSegmentPayload& seg = Tcp(*data[next_packet_++]);
+      // The CC sees a retransmission back in flight, and new data before
+      // snd_nxt moves past it.
+      if (seg.retransmit) {
+        std::optional<uint64_t> pick = ref.Retransmit(call.at);
+        ASSERT_TRUE(pick.has_value()) << where << ": socket resent " << seg.seq;
+        ASSERT_EQ(seg.seq, *pick) << where;
+        ASSERT_EQ(call.in_flight, ref.InFlight()) << where;
+      } else {
+        ASSERT_EQ(ref.LowestLost(), nullptr)
+            << where << ": new data at " << seg.seq << " while the reference would resend "
+            << ref.LowestLost()->seq;
+        ASSERT_EQ(call.in_flight, ref.InFlight()) << where;
+        ref.OnNewData(seg.seq, seg.payload_bytes, call.at);
+      }
+    }
+    ASSERT_EQ(next_packet_, data.size()) << where;
+    capture_.sent.clear();
+    next_packet_ = 0;
+  }
+
+  std::vector<RecordingCc::Entry> calls_;
+  size_t next_call_ = 0;
+  size_t next_packet_ = 0;
+};
+
+TEST_F(TcpScoreboardTest, RetransmissionsAndInFlightMatchWholeWindowReference) {
+  // Seed 15 reaches, near step 4460, a retransmission whose grace expired
+  // above the loss edge and then grew back over it as srtt rose.
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    RunDifferential(seed, 5000);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 }  // namespace
