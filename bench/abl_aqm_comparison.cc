@@ -9,10 +9,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
+#include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
-#include "src/trace/ground_truth.h"
 
 #include "bench/harness.h"
 
@@ -39,24 +37,16 @@ CellResult RunCell(uint64_t seed, QdiscType qdisc, int flows) {
 
   struct Per {
     Testbed::Flow flow;
-    std::unique_ptr<GroundTruthTracer> tracer;
-    std::unique_ptr<RawTcpSink> sink;
-    std::unique_ptr<IperfApp> app;
-    std::unique_ptr<SinkApp> reader;
+    std::unique_ptr<MeasuredFlow> measured;
   };
   std::vector<Per> per(static_cast<size_t>(flows));
   for (auto& p : per) {
     p.flow = bed.CreateFlow(TcpSocket::Config{});
-    GroundTruthTracer::Config tcfg;
-    tcfg.record_from = SimTime::FromNanos(3'000'000'000LL);
-    p.tracer = std::make_unique<GroundTruthTracer>(tcfg);
-    p.flow.sender->telemetry().AttachSink(p.tracer.get());
-    p.flow.receiver->telemetry().AttachSink(p.tracer.get());
-    p.sink = std::make_unique<RawTcpSink>(p.flow.sender);
-    p.app = std::make_unique<IperfApp>(&bed.loop(), p.sink.get());
-    p.reader = std::make_unique<SinkApp>(p.flow.receiver);
-    p.app->Start();
-    p.reader->Start();
+    MeasuredFlow::Options options;
+    options.tracer.record_from = SimTime::FromNanos(3'000'000'000LL);
+    p.measured =
+        std::make_unique<MeasuredFlow>(&bed.loop(), p.flow.sender, p.flow.receiver, options);
+    p.measured->Start();
   }
   const double kDuration = 40.0;
   bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(kDuration * 1e9)));
@@ -69,7 +59,7 @@ CellResult RunCell(uint64_t seed, QdiscType qdisc, int flows) {
   double sender_delay = 0;
   for (auto& p : per) {
     delivered += p.flow.receiver->app_bytes_read();
-    sender_delay += p.tracer->sender_delay().mean() * 1000 / flows;
+    sender_delay += p.measured->tracer().sender_delay().mean() * 1000 / flows;
   }
   r.utilization =
       RateOver(static_cast<int64_t>(delivered), TimeDelta::FromSeconds(kDuration)).ToMbps() /

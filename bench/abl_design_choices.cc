@@ -13,7 +13,7 @@
 #include <memory>
 
 #include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
+#include "src/apps/measured_flow.h"
 #include "src/element/interposer.h"
 #include "src/tcpsim/testbed.h"
 #include "src/trace/ground_truth.h"
@@ -44,6 +44,7 @@ struct MinRun {
   double goodput;
 };
 
+// Hand-wired: MeasuredFlow takes no MinimizerParams, and adding them would be a new knob.
 MinRun RunMinimized(uint64_t seed, const MinimizerParams& params) {
   PathConfig path;
   Testbed bed(seed, path);
@@ -120,23 +121,14 @@ void AblateAutotune() {
     cfg.sndbuf_autotune = autotune;
     cfg.sndbuf_bytes = autotune ? cfg.sndbuf_bytes : 120000;  // ~2x BDP fixed
     Testbed::Flow flow = bed.CreateFlow(cfg);
-    GroundTruthTracer::Config tcfg;
-    tcfg.record_from = SimTime::FromNanos(3'000'000'000LL);
-    GroundTruthTracer tracer(tcfg);
-    flow.sender->telemetry().AttachSink(&tracer);
-    flow.receiver->telemetry().AttachSink(&tracer);
-    RawTcpSink sink(flow.sender);
-    IperfApp app(&bed.loop(), &sink);
-    SinkApp reader(flow.receiver);
-    app.Start();
-    reader.Start();
+    MeasuredFlow::Options options;
+    options.tracer.record_from = SimTime::FromNanos(3'000'000'000LL);
+    MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+    measured.Start();
     bed.loop().RunUntil(SimTime::FromNanos(30'000'000'000LL));
-    double goodput = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                              TimeDelta::FromSecondsInt(30))
-                         .ToMbps();
     table.AddRow({autotune ? "Linux ratchet (2x cwnd)" : "fixed 120 KB",
-                  TablePrinter::Fmt(tracer.sender_delay().mean(), 3),
-                  TablePrinter::Fmt(goodput, 2),
+                  TablePrinter::Fmt(measured.tracer().sender_delay().mean(), 3),
+                  TablePrinter::Fmt(measured.GoodputMbps(30.0), 2),
                   TablePrinter::Fmt(static_cast<double>(flow.sender->sndbuf()) / 1024, 0) +
                       " KB"});
   }

@@ -24,6 +24,7 @@ struct FormulaResult {
   AccuracyResult notsent;
 };
 
+// Hand-wired: two estimator variants are fed from one tracker, which MeasuredFlow cannot do.
 FormulaResult RunBoth(uint64_t seed, const PathConfig& path) {
   Testbed bed(seed, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});

@@ -13,13 +13,9 @@
 // kernel tuning and no receiver cooperation.
 
 #include <cstdio>
-#include <memory>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
-#include "src/element/interposer.h"
+#include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
-#include "src/trace/ground_truth.h"
 
 #include "bench/harness.h"
 
@@ -45,30 +41,21 @@ Result RunOne(uint64_t seed, const char* variant) {
     cfg.drwa_rcv_window_moderation = true;
   }
   Testbed::Flow flow = bed.CreateFlow(cfg);
-  GroundTruthTracer::Config tcfg;
-  tcfg.record_from = SimTime::FromNanos(5'000'000'000LL);
-  GroundTruthTracer tracer(tcfg);
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  std::unique_ptr<ByteSink> sink;
+  MeasuredFlow::Options options;
   if (std::string(variant) == "element") {
-    sink = std::make_unique<InterposedSink>(&bed.loop(), flow.sender, /*is_wireless=*/true);
-  } else {
-    sink = std::make_unique<RawTcpSink>(flow.sender);
+    options.element = MeasuredFlow::Element::kInterposed;
+    options.wireless = true;
   }
-  IperfApp app(&bed.loop(), sink.get());
-  SinkApp reader(flow.receiver);
-  app.Start();
-  reader.Start();
+  options.tracer.record_from = SimTime::FromNanos(5'000'000'000LL);
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
   const double kDuration = 40.0;
   bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(kDuration * 1e9)));
   Result r;
-  r.sender_delay_s = tracer.sender_delay().mean();
+  r.sender_delay_s = measured.tracer().sender_delay().mean();
   r.network_delay_s =
-      std::max(0.0, tracer.network_delay().mean() - path.one_way_delay.ToSeconds());
-  r.goodput_mbps = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                            TimeDelta::FromSeconds(kDuration))
-                       .ToMbps();
+      std::max(0.0, measured.tracer().network_delay().mean() - path.one_way_delay.ToSeconds());
+  r.goodput_mbps = measured.GoodputMbps(kDuration);
   return r;
 }
 

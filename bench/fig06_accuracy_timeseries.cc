@@ -3,13 +3,8 @@
 
 #include <cstdio>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
-#include "src/element/element_socket.h"
-#include "src/element/estimation_error.h"
-#include "src/element/interposer.h"
+#include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
-#include "src/trace/ground_truth.h"
 
 #include "bench/harness.h"
 
@@ -26,19 +21,14 @@ int main() {
 
   Testbed bed(21, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  ElementSocket::Options opt;
-  opt.enable_latency_minimization = false;
-  ElementSocket em_snd(&bed.loop(), flow.sender, opt);
-  ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
-  ElementSink sink(&em_snd);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(&em_rcv);
-  app.Start();
-  reader.Start();
+  MeasuredFlow::Options options;
+  options.element = MeasuredFlow::Element::kMeasured;
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
   bed.loop().RunUntil(SimTime::FromNanos(40'000'000'000LL));
+  const GroundTruthTracer& tracer = measured.tracer();
+  ElementSocket& em_snd = measured.element_sender();
+  ElementSocket& em_rcv = measured.element_receiver();
 
   // 6a/6b: the time series, printed at 1 s sampling.
   std::printf("--- Fig 6a: sender-side delay series (s) ---\n");
@@ -63,10 +53,8 @@ int main() {
   }
 
   AccuracyRun acc;
-  acc.sender =
-      ScoreEstimates(em_snd.sender_estimator().delay_series(), tracer.sender_delay_series());
-  acc.receiver = ScoreEstimates(em_rcv.receiver_estimator().delay_series(),
-                                tracer.receiver_delay_series());
+  acc.sender = measured.SenderAccuracy();
+  acc.receiver = measured.ReceiverAccuracy();
   const AccuracyResult& snd_acc = acc.sender;
   const AccuracyResult& rcv_acc = acc.receiver;
 

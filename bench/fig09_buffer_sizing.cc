@@ -4,13 +4,9 @@
 // buffers fill the pipe but bloat delay; ELEMENT achieves both at once.
 
 #include <cstdio>
-#include <memory>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
-#include "src/element/interposer.h"
+#include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
-#include "src/trace/ground_truth.h"
 
 #include "bench/harness.h"
 
@@ -18,12 +14,7 @@ using namespace element;
 
 namespace {
 
-struct Result {
-  double goodput_mbps;
-  double relative_delay_s;
-};
-
-Result RunOne(uint64_t seed, size_t fixed_sndbuf, bool use_element) {
+FlowResult RunOne(uint64_t seed, size_t fixed_sndbuf, bool use_element) {
   PathConfig path;  // EC2-like: fast path with a ~1 MB bandwidth-delay product
   path.rate = DataRate::Mbps(200);
   path.one_way_delay = TimeDelta::FromMillis(20);
@@ -33,29 +24,13 @@ Result RunOne(uint64_t seed, size_t fixed_sndbuf, bool use_element) {
   if (fixed_sndbuf > 0) {
     flow.sender->SetSndBuf(fixed_sndbuf);
   }
-  GroundTruthTracer::Config tcfg;
-  tcfg.record_from = SimTime::FromNanos(3'000'000'000LL);
-  GroundTruthTracer tracer(tcfg);
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  std::unique_ptr<ByteSink> sink;
-  if (use_element) {
-    sink = std::make_unique<InterposedSink>(&bed.loop(), flow.sender);
-  } else {
-    sink = std::make_unique<RawTcpSink>(flow.sender);
-  }
-  IperfApp app(&bed.loop(), sink.get());
-  SinkApp reader(flow.receiver);
-  app.Start();
-  reader.Start();
+  MeasuredFlow::Options options;
+  options.element = use_element ? MeasuredFlow::Element::kInterposed : MeasuredFlow::Element::kOff;
+  options.tracer.record_from = SimTime::FromNanos(3'000'000'000LL);
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
   bed.loop().RunUntil(SimTime::FromNanos(30'000'000'000LL));
-  Result r;
-  r.goodput_mbps = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                            TimeDelta::FromSecondsInt(30))
-                       .ToMbps();
-  double e2e = tracer.end_to_end_delay().mean();
-  r.relative_delay_s = std::max(0.0, e2e - path.one_way_delay.ToSeconds());
-  return r;
+  return measured.Result("cubic", 30.0, path.one_way_delay.ToSeconds());
 }
 
 }  // namespace
@@ -75,7 +50,7 @@ int main() {
   };
 
   TablePrinter table({"buffer strategy", "throughput (Mbps)", "relative delay (s)"});
-  Result results[6];
+  FlowResult results[6];
   int i = 0;
   for (const Case& c : cases) {
     results[i] = RunOne(500 + static_cast<uint64_t>(i), c.sndbuf, c.element);
@@ -85,10 +60,10 @@ int main() {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  const Result& small = results[0];
-  const Result& big = results[3];
-  const Result& autot = results[4];
-  const Result& em = results[5];
+  const FlowResult& small = results[0];
+  const FlowResult& big = results[3];
+  const FlowResult& autot = results[4];
+  const FlowResult& em = results[5];
   bool shape_ok = true;
   // Static trade-off: the small buffer loses throughput vs the big one; the
   // big buffer has much larger delay than the small one.

@@ -4,11 +4,8 @@
 // ELEMENT keeps it minimal without ever emptying the buffer (no starvation).
 
 #include <cstdio>
-#include <memory>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
-#include "src/element/interposer.h"
+#include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
 
 #include "bench/harness.h"
@@ -24,25 +21,17 @@ TimeSeries RunOne(uint64_t seed, bool use_element, double* goodput_out) {
   path.queue_limit_packets = 250;
   Testbed bed(seed, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  std::unique_ptr<ByteSink> sink;
-  if (use_element) {
-    sink = std::make_unique<InterposedSink>(&bed.loop(), flow.sender);
-  } else {
-    sink = std::make_unique<RawTcpSink>(flow.sender);
-  }
-  IperfApp app(&bed.loop(), sink.get());
-  SinkApp reader(flow.receiver);
-  app.Start();
-  reader.Start();
+  MeasuredFlow::Options options;
+  options.element = use_element ? MeasuredFlow::Element::kInterposed : MeasuredFlow::Element::kOff;
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
   TimeSeries buffered;
   PeriodicTimer sampler(&bed.loop(), TimeDelta::FromMillis(200), [&] {
     buffered.Add(bed.loop().now(), static_cast<double>(flow.sender->SndBufUsed()) / 1024.0);
   });
   sampler.Start();
   bed.loop().RunUntil(SimTime::FromNanos(30'000'000'000LL));
-  *goodput_out = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                          TimeDelta::FromSecondsInt(30))
-                     .ToMbps();
+  *goodput_out = measured.GoodputMbps(30.0);
   return buffered;
 }
 

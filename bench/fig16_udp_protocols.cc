@@ -11,11 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
-#include "src/element/interposer.h"
+#include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
-#include "src/trace/ground_truth.h"
 #include "src/udpproto/low_latency_protocols.h"
 
 #include "bench/harness.h"
@@ -42,33 +39,17 @@ Row RunOne(uint64_t seed, const std::string& protocol) {
   Testbed bed(seed, path);
 
   // Two background Cubic flows with ground-truth end-to-end delay.
-  struct Bg {
-    Testbed::Flow flow;
-    std::unique_ptr<GroundTruthTracer> tracer;
-    std::unique_ptr<RawTcpSink> sink;
-    std::unique_ptr<IperfApp> app;
-    std::unique_ptr<SinkApp> reader;
-  };
-  std::vector<Bg> bgs(2);
-  for (Bg& bg : bgs) {
-    bg.flow = bed.CreateFlow(TcpSocket::Config{});
-    bg.tracer = std::make_unique<GroundTruthTracer>();
-    bg.flow.sender->telemetry().AttachSink(bg.tracer.get());
-    bg.flow.receiver->telemetry().AttachSink(bg.tracer.get());
-    bg.sink = std::make_unique<RawTcpSink>(bg.flow.sender);
-    bg.app = std::make_unique<IperfApp>(&bed.loop(), bg.sink.get());
-    bg.reader = std::make_unique<SinkApp>(bg.flow.receiver);
-    bg.app->Start();
-    bg.reader->Start();
+  std::vector<std::unique_ptr<MeasuredFlow>> bgs;
+  for (int i = 0; i < 2; ++i) {
+    Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+    bgs.push_back(std::make_unique<MeasuredFlow>(&bed.loop(), flow.sender, flow.receiver,
+                                                 MeasuredFlow::Options{}));
+    bgs.back()->Start();
   }
 
   std::unique_ptr<SproutLikeFlow> sprout;
   std::unique_ptr<VerusLikeFlow> verus;
-  Testbed::Flow em_flow;
-  std::unique_ptr<GroundTruthTracer> em_tracer;
-  std::unique_ptr<InterposedSink> em_sink;
-  std::unique_ptr<IperfApp> em_app;
-  std::unique_ptr<SinkApp> em_reader;
+  std::unique_ptr<MeasuredFlow> em;
   if (protocol == "Sprout") {
     sprout = std::make_unique<SproutLikeFlow>(&bed.loop(), &bed.path());
     sprout->Start();
@@ -76,15 +57,11 @@ Row RunOne(uint64_t seed, const std::string& protocol) {
     verus = std::make_unique<VerusLikeFlow>(&bed.loop(), &bed.path());
     verus->Start();
   } else {
-    em_flow = bed.CreateFlow(TcpSocket::Config{});
-    em_tracer = std::make_unique<GroundTruthTracer>();
-    em_flow.sender->telemetry().AttachSink(em_tracer.get());
-    em_flow.receiver->telemetry().AttachSink(em_tracer.get());
-    em_sink = std::make_unique<InterposedSink>(&bed.loop(), em_flow.sender);
-    em_app = std::make_unique<IperfApp>(&bed.loop(), em_sink.get());
-    em_reader = std::make_unique<SinkApp>(em_flow.receiver);
-    em_app->Start();
-    em_reader->Start();
+    Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+    MeasuredFlow::Options options;
+    options.element = MeasuredFlow::Element::kInterposed;
+    em = std::make_unique<MeasuredFlow>(&bed.loop(), flow.sender, flow.receiver, options);
+    em->Start();
   }
 
   const double kDuration = 60.0;
@@ -102,13 +79,13 @@ Row RunOne(uint64_t seed, const std::string& protocol) {
     row.low_latency_delay_s = verus->one_way_delays().mean();
     row.low_latency_tput = tput(verus->delivered_bytes());
   } else {
-    row.low_latency_delay_s = em_tracer->end_to_end_delay().mean();
-    row.low_latency_tput = tput(em_flow.receiver->app_bytes_read());
+    row.low_latency_delay_s = em->tracer().end_to_end_delay().mean();
+    row.low_latency_tput = em->GoodputMbps(kDuration);
   }
-  row.bg1_delay_s = bgs[0].tracer->end_to_end_delay().mean();
-  row.bg1_tput = tput(bgs[0].flow.receiver->app_bytes_read());
-  row.bg2_delay_s = bgs[1].tracer->end_to_end_delay().mean();
-  row.bg2_tput = tput(bgs[1].flow.receiver->app_bytes_read());
+  row.bg1_delay_s = bgs[0]->tracer().end_to_end_delay().mean();
+  row.bg1_tput = bgs[0]->GoodputMbps(kDuration);
+  row.bg2_delay_s = bgs[1]->tracer().end_to_end_delay().mean();
+  row.bg2_tput = bgs[1]->GoodputMbps(kDuration);
   return row;
 }
 

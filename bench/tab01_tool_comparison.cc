@@ -8,13 +8,9 @@
 
 #include <cstdio>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
-#include "src/element/element_socket.h"
-#include "src/element/interposer.h"
+#include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
 #include "src/tools/probe_tools.h"
-#include "src/trace/ground_truth.h"
 
 #include "bench/harness.h"
 
@@ -32,19 +28,10 @@ int main() {
 
   // Bulk flow with ground truth + ELEMENT estimators (minimization off).
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  ElementSocket::Options opt;
-  opt.enable_latency_minimization = false;
-  ElementSocket em_snd(&bed.loop(), flow.sender, opt);
-  ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
-
-  ElementSink sink(&em_snd);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(&em_rcv);
-  app.Start();
-  reader.Start();
+  MeasuredFlow::Options options;
+  options.element = MeasuredFlow::Element::kMeasured;
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
 
   // Probe tools share the same path.
   SynProbeTool tcpping(&bed.loop(), &bed.path(), SynProbeTool::TcpPing());
@@ -61,6 +48,9 @@ int main() {
 
   bed.loop().RunUntil(SimTime::FromNanos(60'000'000'000LL));
 
+  const GroundTruthTracer& tracer = measured.tracer();
+  ElementSocket& em_snd = measured.element_sender();
+  ElementSocket& em_rcv = measured.element_receiver();
   double gt_snd = tracer.sender_delay().mean();
   double gt_snd_sd = tracer.sender_delay().Stdev();
   double gt_net = tracer.network_delay().mean();

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "src/apps/iperf_app.h"
+#include "src/apps/measured_flow.h"
 #include "src/apps/vr_app.h"
 #include "src/common/flags.h"
 #include "src/element/byte_sink.h"
@@ -75,35 +76,25 @@ int CmdMeasure(const Flags& flags) {
   TcpSocket::Config cfg;
   cfg.congestion_control = flags.GetString("cc", "cubic");
   Testbed::Flow flow = bed.CreateFlow(cfg);
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  ElementSocket::Options opt;
-  opt.enable_latency_minimization = false;
-  ElementSocket em_snd(&bed.loop(), flow.sender, opt);
-  ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
-  ElementSink sink(&em_snd);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(&em_rcv);
-  app.Start();
-  reader.Start();
+  MeasuredFlow::Options options;
+  options.element = MeasuredFlow::Element::kMeasured;
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
   bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(duration * 1e9)));
 
+  const GroundTruthTracer& tracer = measured.tracer();
+  ElementSocket& em_snd = measured.element_sender();
   GroundTruthTracer::Composition c = tracer.MeanComposition();
-  AccuracyResult acc =
-      ScoreEstimates(em_snd.sender_estimator().delay_series(), tracer.sender_delay_series());
+  AccuracyResult acc = measured.SenderAccuracy();
   std::printf("ground truth : sender %.3f s | network %.3f s | receiver %.3f s\n", c.sender_s,
               c.network_s, c.receiver_s);
   std::printf("ELEMENT      : sender %.3f s | network %.3f s | receiver %.3f s\n",
               em_snd.sender_estimator().delay_series().Values().mean(),
               em_snd.path_estimator().one_way_network_delay().ToSeconds(),
-              em_rcv.receiver_estimator().delay_series().Values().mean());
+              measured.element_receiver().receiver_estimator().delay_series().Values().mean());
   std::printf("sender accuracy %.1f%% (median |err| %.4f s over %zu samples)\n",
               acc.accuracy * 100, acc.median_abs_error_s, acc.compared_samples);
-  std::printf("goodput %.2f Mbps\n",
-              RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                       TimeDelta::FromSeconds(duration))
-                  .ToMbps());
+  std::printf("goodput %.2f Mbps\n", measured.GoodputMbps(duration));
 
   std::string csv_dir = flags.GetString("csv-dir");
   if (!csv_dir.empty()) {
@@ -124,39 +115,24 @@ int CmdMinimize(const Flags& flags) {
   int flows = static_cast<int>(flags.GetInt("flows", 3));
   auto run = [&](bool with_element) {
     Testbed bed(static_cast<uint64_t>(flags.GetInt("seed", 1)), path);
-    struct Per {
-      Testbed::Flow flow;
-      std::unique_ptr<GroundTruthTracer> tracer;
-      std::unique_ptr<ByteSink> sink;
-      std::unique_ptr<IperfApp> app;
-      std::unique_ptr<SinkApp> reader;
-    };
-    std::vector<Per> per(static_cast<size_t>(flows));
+    std::vector<std::unique_ptr<MeasuredFlow>> measured;
     for (int i = 0; i < flows; ++i) {
-      Per& p = per[static_cast<size_t>(i)];
       TcpSocket::Config cfg;
       cfg.congestion_control = flags.GetString("cc", "cubic");
-      p.flow = bed.CreateFlow(cfg);
-      p.tracer = std::make_unique<GroundTruthTracer>();
-      p.flow.sender->telemetry().AttachSink(p.tracer.get());
-      p.flow.receiver->telemetry().AttachSink(p.tracer.get());
+      Testbed::Flow flow = bed.CreateFlow(cfg);
+      MeasuredFlow::Options options;
       if (i == 0 && with_element) {
-        p.sink = std::make_unique<InterposedSink>(&bed.loop(), p.flow.sender,
-                                                  flags.GetBool("wireless"));
-      } else {
-        p.sink = std::make_unique<RawTcpSink>(p.flow.sender);
+        options.element = MeasuredFlow::Element::kInterposed;
+        options.wireless = flags.GetBool("wireless");
       }
-      p.app = std::make_unique<IperfApp>(&bed.loop(), p.sink.get());
-      p.reader = std::make_unique<SinkApp>(p.flow.receiver);
-      p.app->Start();
-      p.reader->Start();
+      measured.push_back(
+          std::make_unique<MeasuredFlow>(&bed.loop(), flow.sender, flow.receiver, options));
+      measured.back()->Start();
     }
     bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(duration * 1e9)));
-    double delay = per[0].tracer->end_to_end_delay().mean() - path.one_way_delay.ToSeconds();
-    double tput = RateOver(static_cast<int64_t>(per[0].flow.receiver->app_bytes_read()),
-                           TimeDelta::FromSeconds(duration))
-                      .ToMbps();
-    return std::pair<double, double>(delay, tput);
+    FlowResult r = measured[0]->Result(flags.GetString("cc", "cubic"), duration,
+                                       path.one_way_delay.ToSeconds());
+    return std::pair<double, double>(r.relative_delay_s, r.goodput_mbps);
   };
   auto [d0, t0] = run(false);
   auto [d1, t1] = run(true);
@@ -166,6 +142,7 @@ int CmdMinimize(const Flags& flags) {
   return 0;
 }
 
+// Hand-wired: the flow has a sender-only ElementSocket, and a receiver one would add tracker polls.
 int CmdProbe(const Flags& flags) {
   PathConfig path = PathFromFlags(flags);
   double duration = flags.GetDouble("duration", 30.0);

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   path.queue_limit_packets = 100;
   Testbed bed(2024, path);
 
-  // The bulk flow, measured by ELEMENT (diagnosis only, no minimization).
+  // The bulk flow, measured by ELEMENT (diagnosis only, no minimization). Hand-wired: it has a
+  // sender-only ElementSocket, and MeasuredFlow's receiver one would add tracker polls.
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
   GroundTruthTracer tracer;
   flow.sender->telemetry().AttachSink(&tracer);

@@ -38,6 +38,7 @@ RunResult RunFlow(bool with_element) {
   socket_config.congestion_control = "cubic";
   Testbed::Flow flow = bed.CreateFlow(socket_config);
 
+  // Hand-wired rather than MeasuredFlow: the tour shows the raw ByteSink/InterposedSink swap.
   GroundTruthTracer tracer;
   flow.sender->telemetry().AttachSink(&tracer);
   flow.receiver->telemetry().AttachSink(&tracer);

@@ -10,11 +10,9 @@
 #include <memory>
 #include <vector>
 
-#include "src/apps/iperf_app.h"
-#include "src/element/byte_sink.h"
+#include "src/apps/measured_flow.h"
 #include "src/element/element_socket.h"
 #include "src/tcpsim/testbed.h"
-#include "src/trace/ground_truth.h"
 
 using namespace element;
 
@@ -112,17 +110,12 @@ int main() {
   bob_to_alice.Start();
 
   // At t=20s a bulk download congests the alice->bob direction.
-  std::unique_ptr<RawTcpSink> bulk_sink;
-  std::unique_ptr<IperfApp> bulk_app;
-  std::unique_ptr<SinkApp> bulk_reader;
-  Testbed::Flow bulk;
+  std::unique_ptr<MeasuredFlow> bulk;
   bed.loop().ScheduleAt(SimTime::FromNanos(20'000'000'000LL), [&] {
-    bulk = bed.CreateFlow(TcpSocket::Config{}, true);
-    bulk_sink = std::make_unique<RawTcpSink>(bulk.sender);
-    bulk_app = std::make_unique<IperfApp>(&bed.loop(), bulk_sink.get());
-    bulk_reader = std::make_unique<SinkApp>(bulk.receiver);
-    bulk_app->Start();
-    bulk_reader->Start();
+    Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{}, true);
+    bulk = std::make_unique<MeasuredFlow>(&bed.loop(), flow.sender, flow.receiver,
+                                          MeasuredFlow::Options{});
+    bulk->Start();
     std::printf("[t=20s] bulk Cubic download joins the alice->bob direction\n");
   });
 

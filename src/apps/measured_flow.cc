@@ -75,4 +75,14 @@ AccuracyResult MeasuredFlow::ReceiverAccuracy() const {
                         tracer_.receiver_delay_series());
 }
 
+ElementSocket& MeasuredFlow::element_sender() {
+  ELEMENT_CHECK(em_snd_ != nullptr) << "only a measured flow has ElementSockets";
+  return *em_snd_;
+}
+
+ElementSocket& MeasuredFlow::element_receiver() {
+  ELEMENT_CHECK(em_rcv_ != nullptr) << "only a measured flow has ElementSockets";
+  return *em_rcv_;
+}
+
 }  // namespace element

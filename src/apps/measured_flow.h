@@ -1,12 +1,18 @@
-// The per-flow measurement wiring shared by the three experiment drivers
-// (RunLegacyExperiment, RunAccuracyExperiment, RunContentionExperiment).
-// Given one flow's connected sender and receiver sockets, MeasuredFlow
-// attaches the ground-truth tracer (the paper's probes at write,
-// tcp_transmit_skb, tcp_v4_do_rcv and read, Section 4.3) to both, builds the
-// application's ByteSink with the IperfApp writing into it and the SinkApp
-// draining the far end, and after the run reduces the flow to one FlowResult
-// row plus, for a measured flow, ELEMENT's accuracy at both ends. How the
-// sockets are made and when the flows start stay with each driver.
+// The one per-flow measurement wiring, shared by the experiment drivers
+// (RunLegacyExperiment, RunAccuracyExperiment, RunContentionExperiment), the
+// benches, the examples and the tests. Given one flow's connected sender and
+// receiver sockets, MeasuredFlow attaches the ground-truth tracer (the paper's
+// probes at write, tcp_transmit_skb, tcp_v4_do_rcv and read, Section 4.3) to
+// both, builds the application's ByteSink with the IperfApp writing into it and
+// the SinkApp draining the far end, and after the run reduces the flow to one
+// FlowResult row plus, for a measured flow, ELEMENT's accuracy at both ends.
+// How the sockets are made and when the flows start stay with each caller.
+//
+// Deliberately hand-wired instead: tab07_cpu_overhead (a tracer would add
+// timed work), abl_estimator_formulas (two estimators on one tracker),
+// RunMinimized in abl_design_choices (MinimizerParams), latency_probe and
+// element_lab's probe command (sender-only ElementSocket), quickstart (teaches
+// the raw sink swap), the VR/SVC apps, micro_evloop and perfbench's replicas.
 
 #ifndef ELEMENT_SRC_APPS_MEASURED_FLOW_H_
 #define ELEMENT_SRC_APPS_MEASURED_FLOW_H_
@@ -82,6 +88,10 @@ class MeasuredFlow {
   AccuracyResult ReceiverAccuracy() const;
 
   const GroundTruthTracer& tracer() const { return tracer_; }
+
+  // kMeasured only: the ElementSockets at the sending and receiving end.
+  ElementSocket& element_sender();
+  ElementSocket& element_receiver();
 
  private:
   Element element_;

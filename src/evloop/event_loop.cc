@@ -395,6 +395,9 @@ void PeriodicTimer::Start() {
   if (running_) {
     return;
   }
+  // A zero period would re-fire at the same instant forever.
+  ELEMENT_CHECK(period_ > TimeDelta::Zero())
+      << "PeriodicTimer period must be positive, got " << period_.nanos() << " ns";
   running_ = true;
   base_ = loop_->now();
   timer_.RestartAfter(period_);
@@ -409,6 +412,8 @@ void PeriodicTimer::Stop() {
 }
 
 void PeriodicTimer::set_period(TimeDelta p) {
+  ELEMENT_CHECK(p > TimeDelta::Zero())
+      << "PeriodicTimer period must be positive, got " << p.nanos() << " ns";
   period_ = p;
   if (running_ && timer_.pending()) {
     // Re-arm the in-flight fire against the same anchor: the next fire lands

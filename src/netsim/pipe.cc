@@ -94,11 +94,7 @@ void Pipe::DeliverFront() {
 void Demux::Deliver(Packet pkt) {
   auto it = sinks_.find(pkt.flow_id);
   if (it == sinks_.end()) {
-    if (fallback_ != nullptr) {
-      fallback_->Deliver(std::move(pkt));
-    } else {
-      ++unroutable_;
-    }
+    ++unroutable_;
     return;
   }
   it->second->Deliver(std::move(pkt));

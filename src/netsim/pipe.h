@@ -99,14 +99,11 @@ class Demux : public PacketSink {
   bool HasFlow(uint64_t flow_id) const { return sinks_.count(flow_id) > 0; }
   // Live registrations; a churn test's leak detector.
   size_t size() const { return sinks_.size(); }
-  // Packets of unregistered flows go to the fallback (e.g. a TcpListener).
-  void SetFallback(PacketSink* sink) { fallback_ = sink; }
   void Deliver(Packet pkt) override;
   uint64_t unroutable_packets() const { return unroutable_; }
 
  private:
   std::unordered_map<uint64_t, PacketSink*> sinks_;
-  PacketSink* fallback_ = nullptr;
   uint64_t unroutable_ = 0;
 };
 

@@ -168,10 +168,13 @@ std::string ScenarioSpec::Validate() const {
     os << "num_flows must be >= 1, got " << num_flows;
   } else if (background_flows < 0) {
     os << "background_flows must be >= 0, got " << background_flows;
-  } else if (tracker_period_ms <= 0.0) {
-    os << "tracker_period_ms must be positive, got " << tracker_period_ms;
+  } else if (!(tracker_period_ms * 1e6 >= 1.0)) {
+    // The drivers truncate the period to whole nanoseconds; 0 ns would spin.
+    os << "tracker_period_ms must be at least 1e-6 (one nanosecond), got " << tracker_period_ms;
   } else if (rate_mbps <= 0.0) {
     os << "rate_mbps must be positive, got " << rate_mbps;
+  } else if (queue_packets < 0) {
+    os << "queue_packets must be >= 0 (0 sizes the queue automatically), got " << queue_packets;
   } else if (rtt_ms <= 0.0) {
     os << "rtt_ms must be positive, got " << rtt_ms;
   } else if (loss < 0.0 || loss >= 1.0) {

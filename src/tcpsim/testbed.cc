@@ -131,17 +131,6 @@ Testbed::Flow Testbed::CreateFlow(const TcpSocket::Config& socket_config,
   return flow;
 }
 
-TcpSocket* Testbed::CreateClient(const TcpSocket::Config& socket_config) {
-  uint64_t flow_id = path_->AllocateFlowId();
-  auto sock = std::make_unique<TcpSocket>(&loop_, rng_.Fork(), socket_config, flow_id,
-                                          &path_->forward(), &path_->client_demux());
-  TcpSocket* raw = sock.get();
-  raw->BindTelemetry(&spine_);
-  sockets_.push_back(std::move(sock));
-  raw->Connect();
-  return raw;
-}
-
 TimeDelta Testbed::BaseRtt() const {
   TimeDelta rev = config_.reverse_one_way_delay.IsZero() ? config_.one_way_delay
                                                          : config_.reverse_one_way_delay;

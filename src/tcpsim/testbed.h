@@ -71,10 +71,6 @@ class Testbed {
   // Connect() is initiated immediately by the sender.
   Flow CreateFlow(const TcpSocket::Config& socket_config, bool sender_at_client = true);
 
-  // Client-only socket (Connect() already called); pair it with a TcpListener
-  // installed on the server demux.
-  TcpSocket* CreateClient(const TcpSocket::Config& socket_config);
-
   // Sum of a flow's base (propagation-only) round trip.
   TimeDelta BaseRtt() const;
 

@@ -10,7 +10,7 @@
 //                (R_i, R_{i+1}) so each hop sees its own contention.
 //
 // The Network owns every pipe, router, and host demux. Endpoints (TcpSocket,
-// UdpSocket, listeners) are created by the caller against a host pair's
+// UdpSocket) are created by the caller against a host pair's
 // {tx, rx} attachment: tx is the host's access pipe into the topology, rx is
 // the host's demux. Routing is explicit: RouteFlow installs the exact-match
 // exit routes a flow needs (intermediate routers forward on their default

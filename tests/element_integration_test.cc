@@ -4,15 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 
 #include "src/apps/iperf_app.h"
+#include "src/apps/measured_flow.h"
 #include "src/element/byte_sink.h"
 #include "src/element/element_socket.h"
-#include "src/element/estimation_error.h"
 #include "src/element/interposer.h"
 #include "src/tcpsim/testbed.h"
-#include "src/trace/ground_truth.h"
 
 namespace element {
 namespace {
@@ -29,34 +27,17 @@ struct MeasuredRun {
 MeasuredRun RunMeasuredFlow(uint64_t seed, const PathConfig& path, double seconds) {
   Testbed bed(seed, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-
-  ElementSocket::Options opt;
-  opt.enable_latency_minimization = false;  // measure only
-  ElementSocket em_snd(&bed.loop(), flow.sender, opt);
-  ElementSocket em_rcv(&bed.loop(), flow.receiver, opt);
-
-  ElementSink sink(&em_snd);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(&em_rcv);
-  app.Start();
-  reader.Start();
+  MeasuredFlow::Options options;
+  options.element = MeasuredFlow::Element::kMeasured;
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
   bed.loop().RunUntil(Sec(seconds));
 
   MeasuredRun out;
-  out.sender_delay_gt = tracer.sender_delay().mean();
-  out.sender_accuracy =
-      ScoreEstimates(em_snd.sender_estimator().delay_series(), tracer.sender_delay_series())
-          .accuracy;
-  out.receiver_accuracy = ScoreEstimates(em_rcv.receiver_estimator().delay_series(),
-                                         tracer.receiver_delay_series())
-                              .accuracy;
-  out.goodput_mbps =
-      RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-               TimeDelta::FromSeconds(seconds))
-          .ToMbps();
+  out.sender_delay_gt = measured.tracer().sender_delay().mean();
+  out.sender_accuracy = measured.SenderAccuracy().accuracy;
+  out.receiver_accuracy = measured.ReceiverAccuracy().accuracy;
+  out.goodput_mbps = measured.GoodputMbps(seconds);
   return out;
 }
 
@@ -143,25 +124,14 @@ TEST(ElementMinimizationTest, CutsSenderDelayKeepsThroughput) {
     PathConfig path;
     Testbed bed(55, path);
     Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-    GroundTruthTracer tracer;
-    flow.sender->telemetry().AttachSink(&tracer);
-    flow.receiver->telemetry().AttachSink(&tracer);
-    std::unique_ptr<ByteSink> sink;
-    if (with_element) {
-      sink = std::make_unique<InterposedSink>(&bed.loop(), flow.sender);
-    } else {
-      sink = std::make_unique<RawTcpSink>(flow.sender);
-    }
-    IperfApp app(&bed.loop(), sink.get());
-    SinkApp reader(flow.receiver);
-    app.Start();
-    reader.Start();
+    MeasuredFlow::Options options;
+    options.element =
+        with_element ? MeasuredFlow::Element::kInterposed : MeasuredFlow::Element::kOff;
+    MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+    measured.Start();
     bed.loop().RunUntil(Sec(30.0));
-    return std::pair<double, double>(
-        tracer.sender_delay().mean(),
-        RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                 TimeDelta::FromSecondsInt(30))
-            .ToMbps());
+    return std::pair<double, double>(measured.tracer().sender_delay().mean(),
+                                     measured.GoodputMbps(30.0));
   };
   auto [delay_plain, goodput_plain] = run(false);
   auto [delay_em, goodput_em] = run(true);
@@ -183,27 +153,15 @@ TEST_P(MinimizationAcrossCcsTest, DelayCutThroughputKept) {
     TcpSocket::Config cfg;
     cfg.congestion_control = GetParam();
     Testbed::Flow flow = bed.CreateFlow(cfg);
-    GroundTruthTracer::Config tcfg;
-    tcfg.record_from = Sec(5.0);
-    GroundTruthTracer tracer(tcfg);
-    flow.sender->telemetry().AttachSink(&tracer);
-    flow.receiver->telemetry().AttachSink(&tracer);
-    std::unique_ptr<ByteSink> sink;
-    if (with_element) {
-      sink = std::make_unique<InterposedSink>(&bed.loop(), flow.sender);
-    } else {
-      sink = std::make_unique<RawTcpSink>(flow.sender);
-    }
-    IperfApp app(&bed.loop(), sink.get());
-    SinkApp reader(flow.receiver);
-    app.Start();
-    reader.Start();
+    MeasuredFlow::Options options;
+    options.element =
+        with_element ? MeasuredFlow::Element::kInterposed : MeasuredFlow::Element::kOff;
+    options.tracer.record_from = Sec(5.0);
+    MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+    measured.Start();
     bed.loop().RunUntil(Sec(30.0));
-    return std::pair<double, double>(
-        tracer.sender_delay().mean(),
-        RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                 TimeDelta::FromSecondsInt(30))
-            .ToMbps());
+    return std::pair<double, double>(measured.tracer().sender_delay().mean(),
+                                     measured.GoodputMbps(30.0));
   };
   auto [delay_plain, tput_plain] = run(false);
   auto [delay_em, tput_em] = run(true);

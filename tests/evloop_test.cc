@@ -197,6 +197,15 @@ TEST(PeriodicTimerTest, DestructorCancels) {
   EXPECT_EQ(count, 0);
 }
 
+// A zero period would re-fire at one instant forever; it fails loudly instead.
+TEST(PeriodicTimerDeathTest, ZeroPeriodFails) {
+  EventLoop loop;
+  PeriodicTimer zero(&loop, TimeDelta::Zero(), [] {});
+  EXPECT_DEATH(zero.Start(), "period must be positive, got 0 ns");
+  PeriodicTimer timer(&loop, TimeDelta::FromMillis(1), [] {});
+  EXPECT_DEATH(timer.set_period(TimeDelta::Zero()), "period must be positive, got 0 ns");
+}
+
 TEST(PeriodicTimerTest, CallbackMayChangePeriod) {
   EventLoop loop;
   std::vector<int64_t> times;

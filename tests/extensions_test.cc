@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/apps/iperf_app.h"
+#include "src/apps/measured_flow.h"
 #include "src/element/byte_sink.h"
 #include "src/element/delay_event_monitor.h"
 #include "src/element/element_socket.h"
@@ -255,19 +256,13 @@ TEST(InstrumentedQdiscTest, SojournMatchesNetworkQueueingOnLiveFlow) {
   Testbed bed(19, path);
   ASSERT_NE(bed.bottleneck_probe(), nullptr);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  RawTcpSink sink(flow.sender);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(flow.receiver);
-  app.Start();
-  reader.Start();
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, MeasuredFlow::Options{});
+  measured.Start();
   bed.loop().RunUntil(Sec(20.0));
   // Lower-layer decomposition: mean network delay ~= propagation (25 ms) +
   // serialization + mean bottleneck sojourn.
   double sojourn = bed.bottleneck_probe()->sojourn_samples().mean();
-  double network = tracer.network_delay().mean();
+  double network = measured.tracer().network_delay().mean();
   EXPECT_NEAR(network, 0.025 + 0.0012 + sojourn, 0.01);
   EXPECT_GT(sojourn, 0.005);  // Cubic keeps a standing queue
 }

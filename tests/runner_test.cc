@@ -265,6 +265,15 @@ TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
   EXPECT_FALSE(ScenarioSuite::ParseJson(R"({"scenarios": [{"cc": "quic"}]})", &suite, &err));
   EXPECT_FALSE(
       ScenarioSuite::ParseJson(R"({"scenarios": [{"duration_s": -1}]})", &suite, &err));
+  // A period that truncates to 0 ns would make the tracker re-fire forever.
+  EXPECT_FALSE(ScenarioSuite::ParseJson(
+      R"({"scenarios": [{"app": "accuracy", "duration_s": 2, "warmup_s": 0,
+                         "tracker_period_ms": 1e-7}]})",
+      &suite, &err));
+  EXPECT_NE(err.find("tracker_period_ms"), std::string::npos) << err;
+  EXPECT_FALSE(
+      ScenarioSuite::ParseJson(R"({"scenarios": [{"queue_packets": -5}]})", &suite, &err));
+  EXPECT_NE(err.find("queue_packets"), std::string::npos) << err;
 }
 
 // Wrong-typed fields fail the parse with a message naming the field and the

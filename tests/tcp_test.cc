@@ -10,10 +10,10 @@
 #include <tuple>
 
 #include "src/apps/iperf_app.h"
+#include "src/apps/measured_flow.h"
 #include "src/element/byte_sink.h"
 #include "src/tcpsim/testbed.h"
 #include "src/trace/flow_meter.h"
-#include "src/trace/ground_truth.h"
 
 namespace element {
 namespace {
@@ -337,22 +337,13 @@ TEST(DrwaTest, ReceiverWindowModerationBoundsDelay) {
     TcpSocket::Config cfg;
     cfg.drwa_rcv_window_moderation = drwa;
     Testbed::Flow flow = bed.CreateFlow(cfg);
-    GroundTruthTracer::Config tcfg;
-    tcfg.record_from = Sec(5.0);
-    GroundTruthTracer tracer(tcfg);
-    flow.sender->telemetry().AttachSink(&tracer);
-    flow.receiver->telemetry().AttachSink(&tracer);
-    RawTcpSink sink(flow.sender);
-    IperfApp app(&bed.loop(), &sink);
-    SinkApp reader(flow.receiver);
-    app.Start();
-    reader.Start();
+    MeasuredFlow::Options options;
+    options.tracer.record_from = Sec(5.0);
+    MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+    measured.Start();
     bed.loop().RunUntil(Sec(30.0));
-    return std::pair<double, double>(
-        tracer.network_delay().mean(),
-        RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                 TimeDelta::FromSecondsInt(30))
-            .ToMbps());
+    return std::pair<double, double>(measured.tracer().network_delay().mean(),
+                                     measured.GoodputMbps(30.0));
   };
   auto [net_plain, tput_plain] = run(false);
   auto [net_drwa, tput_drwa] = run(true);

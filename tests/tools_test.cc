@@ -7,10 +7,10 @@
 #include <memory>
 
 #include "src/apps/iperf_app.h"
+#include "src/apps/measured_flow.h"
 #include "src/element/byte_sink.h"
 #include "src/tcpsim/testbed.h"
 #include "src/tools/probe_tools.h"
-#include "src/trace/ground_truth.h"
 
 namespace element {
 namespace {
@@ -49,19 +49,13 @@ TEST(SynProbeTest, BlindToSenderSystemDelay) {
   PathConfig path;
   Testbed bed(3, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  RawTcpSink sink(flow.sender);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(flow.receiver);
-  app.Start();
-  reader.Start();
+  MeasuredFlow bulk(&bed.loop(), flow.sender, flow.receiver, MeasuredFlow::Options{});
+  bulk.Start();
   SynProbeTool tool(&bed.loop(), &bed.path(), SynProbeTool::TcpPing());
   tool.Start();
   bed.loop().RunUntil(Sec(30.0));
   double probe_rtt = tool.rtt_samples().mean();
-  double sender_delay = tracer.sender_delay().mean();
+  double sender_delay = bulk.tracer().sender_delay().mean();
   EXPECT_GT(sender_delay, probe_rtt * 1.5);
   // Probe RTT = base + queueing, bounded by the queue capacity (~120 ms+50).
   EXPECT_LT(probe_rtt, 0.25);
