@@ -98,12 +98,12 @@ void AblateHyStart() {
   std::printf("--- (4) Cubic HyStart: slow-start overshoot ---\n");
   TablePrinter table({"variant", "retransmits", "sender delay (s)", "goodput (Mbps)"});
   for (const char* cc : {"cubic", "cubic-nohystart"}) {
-    LegacyExperiment cfg;
-    cfg.congestion_control = cc;
-    cfg.num_flows = 1;
-    cfg.duration_s = 30.0;
-    cfg.seed = 3400;
-    std::vector<FlowResult> flows = RunLegacyExperiment(cfg);
+    ScenarioSpec spec;  // 10 Mbps / 50 ms RTT with PathConfig's 100-packet queue
+    spec.cc = cc;
+    spec.queue_packets = 100;
+    spec.duration_s = 30.0;
+    spec.seed = 3400;
+    std::vector<FlowResult> flows = LegacyFlows(spec);
     table.AddRow({cc, TablePrinter::Fmt(static_cast<double>(flows[0].retransmits), 0),
                   TablePrinter::Fmt(flows[0].sender_delay_s, 3),
                   TablePrinter::Fmt(flows[0].goodput_mbps, 2)});

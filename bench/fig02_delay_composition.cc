@@ -15,16 +15,14 @@ int main() {
   std::printf("=== Figure 2: delay composition of a TCP flow (pfifo_fast) ===\n");
   std::printf("Setup: 3 TCP Cubic flows, 10 Mbps, 25 ms one-way delay\n\n");
 
-  LegacyExperiment cfg;
-  cfg.path.rate = DataRate::Mbps(10);
-  cfg.path.one_way_delay = TimeDelta::FromMillis(25);
-  cfg.path.qdisc = QdiscType::kPfifoFast;
-  cfg.path.queue_limit_packets = 100;
-  cfg.num_flows = 3;
-  cfg.duration_s = 60.0;
-  cfg.seed = 42;
-
-  std::vector<FlowResult> flows = RunLegacyExperiment(cfg);
+  ScenarioSpec spec;  // pfifo_fast, Cubic
+  spec.rate_mbps = 10;
+  spec.rtt_ms = 50;
+  spec.queue_packets = 100;
+  spec.num_flows = 3;
+  spec.duration_s = 60.0;
+  spec.seed = 42;
+  std::vector<FlowResult> flows = LegacyFlows(spec);
 
   TablePrinter table({"component", "delay (ms)", "share"});
   // The paper plots one representative flow; we average across the three.

@@ -27,19 +27,15 @@ int main() {
   bool shape_ok = true;
   for (double mbps : kMbps) {
     for (int rtt : kRttMs) {
-      LegacyExperiment cfg;
-      cfg.path.rate = DataRate::Mbps(mbps);
-      cfg.path.one_way_delay = TimeDelta::FromMillis(rtt / 2);
-      double bdp_pkts = mbps * 1e6 / 8.0 * rtt * 1e-3 / 1500.0;
-      cfg.path.queue_limit_packets = static_cast<size_t>(std::max(60.0, 2.0 * bdp_pkts));
-      cfg.num_flows = 3;
-      cfg.duration_s = 40.0;
-      cfg.seed = 700 + static_cast<uint64_t>(mbps) + static_cast<uint64_t>(rtt);
-
-      cfg.element_on_first = false;
-      std::vector<FlowResult> plain = RunLegacyExperiment(cfg);
-      cfg.element_on_first = true;
-      std::vector<FlowResult> with_em = RunLegacyExperiment(cfg);
+      ScenarioSpec spec;  // queue_packets 0: auto-sized to max(60, 2x BDP)
+      spec.rate_mbps = mbps;
+      spec.rtt_ms = rtt;
+      spec.num_flows = 3;
+      spec.duration_s = 40.0;
+      spec.seed = 700 + static_cast<uint64_t>(mbps) + static_cast<uint64_t>(rtt);
+      std::vector<FlowResult> plain = LegacyFlows(spec);
+      spec.element_mode = "first";
+      std::vector<FlowResult> with_em = LegacyFlows(spec);
 
       // The three plain Cubic flows are i.i.d.; a single run's flow 0 can be
       // well above or below fair share (Cubic converges slowly at high BDP),

@@ -19,17 +19,17 @@ int main() {
   struct Cell {
     const char* network;
     const char* direction;
-    PathConfig path;
-    bool wireless;
+    const char* profile;
+    const char* element_mode;  // wireless networks use Algorithm 3's LTE/WiFi mode
   };
-  std::vector<Cell> cells = {
-      {"LAN", "Download", LanProfile(), false},
-      {"Cable", "Download", CableProfile(false), false},
-      {"Cable", "Upload", CableProfile(true), false},
-      {"LTE", "Download", LteProfile(false), true},
-      {"LTE", "Upload", LteProfile(true), true},
-      {"WiFi", "Download", WifiProfile(), true},
-      {"WiFi", "Upload", WifiProfile(), true},
+  const Cell cells[] = {
+      {"LAN", "Download", "lan", "first"},
+      {"Cable", "Download", "cable", "first"},
+      {"Cable", "Upload", "cable_up", "first"},
+      {"LTE", "Download", "lte", "wireless"},
+      {"LTE", "Upload", "lte_up", "wireless"},
+      {"WiFi", "Download", "wifi", "wireless"},
+      {"WiFi", "Upload", "wifi", "wireless"},
   };
 
   TablePrinter table({"network", "dir", "cubic avg delay(s)", "elem delay(s)", "reduction",
@@ -38,17 +38,14 @@ int main() {
   double best_nonlan_reduction = 0.0;
   uint64_t seed = 800;
   for (const Cell& cell : cells) {
-    LegacyExperiment cfg;
-    cfg.path = cell.path;
-    cfg.num_flows = 2;
-    cfg.duration_s = 40.0;
-    cfg.seed = seed++;
-    cfg.element_wireless = cell.wireless;
-
-    cfg.element_on_first = false;
-    std::vector<FlowResult> plain = RunLegacyExperiment(cfg);
-    cfg.element_on_first = true;
-    std::vector<FlowResult> with_em = RunLegacyExperiment(cfg);
+    ScenarioSpec spec;
+    spec.profile = cell.profile;
+    spec.num_flows = 2;
+    spec.duration_s = 40.0;
+    spec.seed = seed++;
+    std::vector<FlowResult> plain = LegacyFlows(spec);
+    spec.element_mode = cell.element_mode;
+    std::vector<FlowResult> with_em = LegacyFlows(spec);
 
     // Baseline = average plain Cubic flow (single-run fairness noise).
     double plain_delay = (plain[0].relative_delay_s + plain[1].relative_delay_s) / 2;

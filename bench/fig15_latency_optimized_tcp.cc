@@ -26,16 +26,15 @@ int main() {
   uint64_t seed = 900;
   for (const char* cc : kCcs) {
     for (bool with_element : {false, true}) {
-      LegacyExperiment cfg;
-      cfg.path.rate = DataRate::Mbps(50);
-      cfg.path.one_way_delay = TimeDelta::FromMillis(25);
-      cfg.path.queue_limit_packets = 250;
-      cfg.congestion_control = cc;
-      cfg.num_flows = 1;
-      cfg.duration_s = 40.0;
-      cfg.element_on_first = with_element;
-      cfg.seed = seed++;
-      std::vector<FlowResult> flows = RunLegacyExperiment(cfg);
+      ScenarioSpec spec;
+      spec.rate_mbps = 50;
+      spec.rtt_ms = 50;
+      spec.queue_packets = 250;
+      spec.cc = cc;
+      spec.duration_s = 40.0;
+      spec.element_mode = with_element ? "first" : "off";
+      spec.seed = seed++;
+      std::vector<FlowResult> flows = LegacyFlows(spec);
       const FlowResult& f = flows[0];
       std::string name = std::string(cc) + (with_element ? "+ELEMENT" : "");
       results[name] = f;

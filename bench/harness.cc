@@ -2,7 +2,15 @@
 
 #include <cstdio>
 
+#include "src/common/check.h"
+
 namespace element {
+
+std::vector<FlowResult> LegacyFlows(const ScenarioSpec& spec) {
+  ScenarioResult result = ExecuteScenario(spec);
+  ELEMENT_CHECK(result.ok) << spec.name << ": " << result.error;
+  return result.flows;
+}
 
 const std::vector<double> kCdfQuantiles = {0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99};
 

@@ -14,6 +14,10 @@
 
 namespace element {
 
+// Runs a legacy-app spec through ExecuteScenario and returns its per-flow rows;
+// a failed run aborts the bench.
+std::vector<FlowResult> LegacyFlows(const ScenarioSpec& spec);
+
 // CDF quantiles used when reproducing the paper's CDF figures as rows.
 extern const std::vector<double> kCdfQuantiles;
 

@@ -1,6 +1,7 @@
-// The one per-flow measurement wiring, shared by the experiment drivers
-// (RunLegacyExperiment, RunAccuracyExperiment, RunContentionExperiment), the
-// benches, the examples and the tests. Given one flow's connected sender and
+// The one per-flow measurement wiring, shared by the experiment drivers (the
+// legacy app behind ExecuteScenario, which runs legacy ScenarioSpecs,
+// RunAccuracyExperiment and RunContentionExperiment), the benches, the
+// examples and the tests. Given one flow's connected sender and
 // receiver sockets, MeasuredFlow attaches the ground-truth tracer (the paper's
 // probes at write, tcp_transmit_skb, tcp_v4_do_rcv and read, Section 4.3) to
 // both, builds the application's ByteSink with the IperfApp writing into it and

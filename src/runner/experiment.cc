@@ -7,43 +7,50 @@
 
 namespace element {
 
-std::vector<FlowResult> RunLegacyExperiment(const LegacyExperiment& cfg) {
-  Testbed bed(cfg.seed, cfg.path);
+namespace {
+
+// The legacy app: N iperf flows over one path, flow 0 optionally through the
+// ELEMENT interposer; returns per-flow results.
+std::vector<FlowResult> RunLegacyFlows(const ScenarioSpec& spec) {
+  PathConfig path = spec.BuildPath();
+  Testbed bed(spec.seed, path);
   TcpSocket::Config socket_config;
-  socket_config.congestion_control = cfg.congestion_control;
-  socket_config.ecn = cfg.path.ecn;
+  socket_config.congestion_control = spec.cc;
+  socket_config.ecn = path.ecn;
   // No legacy row reads the ground-truth series.
   MeasuredFlow::Options options;
-  options.wireless = cfg.element_wireless;
+  options.wireless = spec.element_mode == "wireless";
   options.tracer.keep_time_series = false;
-  options.tracer.record_from = SimTime::FromNanos(static_cast<int64_t>(cfg.warmup_s * 1e9));
+  options.tracer.record_from = SimTime::FromNanos(static_cast<int64_t>(spec.warmup_s * 1e9));
 
   // Each flow starts as soon as it is created.
   std::vector<std::unique_ptr<MeasuredFlow>> flows;
-  flows.reserve(static_cast<size_t>(cfg.num_flows));
-  for (int i = 0; i < cfg.num_flows; ++i) {
-    Testbed::Flow flow = bed.CreateFlow(socket_config, cfg.sender_at_client);
-    options.element = i == 0 && cfg.element_on_first ? MeasuredFlow::Element::kInterposed
-                                                     : MeasuredFlow::Element::kOff;
+  flows.reserve(static_cast<size_t>(spec.num_flows));
+  for (int i = 0; i < spec.num_flows; ++i) {
+    Testbed::Flow flow = bed.CreateFlow(socket_config, /*sender_at_client=*/!spec.download);
+    options.element = i == 0 && spec.element_mode != "off" ? MeasuredFlow::Element::kInterposed
+                                                           : MeasuredFlow::Element::kOff;
     flows.push_back(
         std::make_unique<MeasuredFlow>(&bed.loop(), flow.sender, flow.receiver, options));
     flows.back()->Start();
   }
 
-  bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(cfg.duration_s * 1e9)));
+  bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(spec.duration_s * 1e9)));
 
   // "Relative delay": end-to-end delay above the propagation floor of the
   // direction the data traverses.
-  TimeDelta base = cfg.path.one_way_delay;
-  if (!cfg.sender_at_client && !cfg.path.reverse_one_way_delay.IsZero()) {
-    base = cfg.path.reverse_one_way_delay;
+  TimeDelta base = path.one_way_delay;
+  if (spec.download && !path.reverse_one_way_delay.IsZero()) {
+    base = path.reverse_one_way_delay;
   }
   std::vector<FlowResult> results;
   for (const std::unique_ptr<MeasuredFlow>& flow : flows) {
-    results.push_back(flow->Result(cfg.congestion_control, cfg.duration_s, base.ToSeconds()));
+    results.push_back(flow->Result(spec.cc, spec.duration_s, base.ToSeconds()));
   }
   return results;
 }
+
+}  // namespace
 
 AccuracyRun RunAccuracyExperiment(uint64_t seed, const PathConfig& path, double duration_s,
                                   TimeDelta tracker_period, int background_flows) {
@@ -112,21 +119,6 @@ void PublishAccuracyErrors(const AccuracyRun& accuracy, telemetry::MetricRegistr
   for (double e : accuracy.receiver.errors.samples()) {
     receiver_err->Add(e);
   }
-}
-
-void FillLegacyResult(const ScenarioSpec& spec, ScenarioResult* result) {
-  LegacyExperiment cfg;
-  cfg.path = spec.BuildPath();
-  cfg.congestion_control = spec.cc;
-  cfg.num_flows = spec.num_flows;
-  cfg.element_on_first = spec.element_mode != "off";
-  cfg.element_wireless = spec.element_mode == "wireless";
-  cfg.sender_at_client = !spec.download;
-  cfg.duration_s = spec.duration_s;
-  cfg.warmup_s = spec.warmup_s;
-  cfg.seed = spec.seed;
-  result->flows = RunLegacyExperiment(cfg);
-  PublishFlowRows(result->flows, &result->metrics);
 }
 
 void FillAccuracyResult(const ScenarioSpec& spec, ScenarioResult* result) {
@@ -200,7 +192,8 @@ ScenarioResult ExecuteScenario(const ScenarioSpec& spec) {
     } else if (spec.app == "accuracy") {
       FillAccuracyResult(spec, &result);
     } else {
-      FillLegacyResult(spec, &result);
+      result.flows = RunLegacyFlows(spec);
+      PublishFlowRows(result.flows, &result.metrics);
     }
     result.ok = true;
   } catch (const std::exception& e) {

@@ -20,22 +20,6 @@
 
 namespace element {
 
-struct LegacyExperiment {
-  PathConfig path;
-  std::string congestion_control = "cubic";
-  int num_flows = 3;
-  // Flow 0 runs through the ELEMENT interposer (LD_PRELOAD analogue).
-  bool element_on_first = false;
-  bool element_wireless = false;  // LTE/WiFi mode of Algorithm 3
-  bool sender_at_client = true;   // false = "download" over the reverse pipe
-  double duration_s = 30.0;
-  double warmup_s = 3.0;  // excluded from delay statistics
-  uint64_t seed = 1;
-};
-
-// Runs N iperf-style flows over one path; returns per-flow results.
-std::vector<FlowResult> RunLegacyExperiment(const LegacyExperiment& cfg);
-
 struct AccuracyRun {
   AccuracyResult sender;
   AccuracyResult receiver;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <variant>
 
 namespace element {
 
@@ -53,6 +54,7 @@ const char* const kTopologies[] = {"none", "dumbbell", "parking_lot"};
 const char* const kProfiles[] = {"wired", "lan", "cable", "cable_up", "wifi", "lte", "lte_up"};
 const char* const kCcs[] = {"reno", "cubic", "cubic-nohystart", "vegas", "ledbat", "bbr"};
 const char* const kElementModes[] = {"off", "first", "wireless"};
+const char* const kSuiteKeys[] = {"suite", "defaults", "scenarios", "sweeps"};
 
 template <size_t N>
 bool OneOf(const std::string& v, const char* const (&set)[N]) {
@@ -74,6 +76,64 @@ std::string Options(const char* const (&set)[N]) {
     out += s;
   }
   return out;
+}
+
+// Every ScenarioSpec field under its JSON key: the one list that parsing and
+// serialization walk. json::Value objects are sorted maps, so the order here
+// changes neither the parse order nor the serialized bytes.
+using FieldPtr = std::variant<std::string ScenarioSpec::*, double ScenarioSpec::*,
+                              int ScenarioSpec::*, bool ScenarioSpec::*, uint64_t ScenarioSpec::*>;
+
+struct Field {
+  const char* key;
+  FieldPtr member;
+};
+
+constexpr Field kFields[] = {
+    {"name", &ScenarioSpec::name},
+    {"app", &ScenarioSpec::app},
+    {"profile", &ScenarioSpec::profile},
+    {"rate_mbps", &ScenarioSpec::rate_mbps},
+    {"rtt_ms", &ScenarioSpec::rtt_ms},
+    {"queue_packets", &ScenarioSpec::queue_packets},
+    {"ecn", &ScenarioSpec::ecn},
+    {"loss", &ScenarioSpec::loss},
+    {"qdisc", &ScenarioSpec::qdisc},
+    {"cc", &ScenarioSpec::cc},
+    {"topology", &ScenarioSpec::topology},
+    {"hops", &ScenarioSpec::hops},
+    {"host_pairs", &ScenarioSpec::host_pairs},
+    {"cross_iperf", &ScenarioSpec::cross_iperf},
+    {"cross_onoff", &ScenarioSpec::cross_onoff},
+    {"num_flows", &ScenarioSpec::num_flows},
+    {"element_mode", &ScenarioSpec::element_mode},
+    {"download", &ScenarioSpec::download},
+    {"duration_s", &ScenarioSpec::duration_s},
+    {"warmup_s", &ScenarioSpec::warmup_s},
+    {"tracker_period_ms", &ScenarioSpec::tracker_period_ms},
+    {"background_flows", &ScenarioSpec::background_flows},
+    {"seed", &ScenarioSpec::seed},
+};
+
+const Field* FindField(const std::string& key) {
+  for (const Field& field : kFields) {
+    if (key == field.key) {
+      return &field;
+    }
+  }
+  return nullptr;
+}
+
+json::Value ToValue(const std::string& v) { return json::Value::Str(v); }
+json::Value ToValue(double v) { return json::Value::Number(v); }
+json::Value ToValue(int v) { return json::Value::Int(v); }
+json::Value ToValue(bool v) { return json::Value::Bool(v); }
+json::Value ToValue(uint64_t v) { return json::Value::Int(static_cast<int64_t>(v)); }
+
+// The paper's wired sizing (Fig. 7): 2x BDP, floor of 60 packets.
+size_t AutoQueuePackets(double rate_mbps, double rtt_ms) {
+  double bdp_pkts = rate_mbps * 1e6 / 8.0 * rtt_ms * 1e-3 / 1500.0;
+  return static_cast<size_t>(std::max(60.0, 2.0 * bdp_pkts));
 }
 
 }  // namespace
@@ -101,11 +161,7 @@ PathConfig ScenarioSpec::BuildPath() const {
   } else {
     path.rate = DataRate::Mbps(rate_mbps);
     path.one_way_delay = TimeDelta::FromNanos(static_cast<int64_t>(rtt_ms * 1e6 / 2.0));
-    if (queue_packets <= 0) {
-      // The paper's wired sizing (Fig. 7): 2x BDP, floor of 60 packets.
-      double bdp_pkts = rate_mbps * 1e6 / 8.0 * rtt_ms * 1e-3 / 1500.0;
-      path.queue_limit_packets = static_cast<size_t>(std::max(60.0, 2.0 * bdp_pkts));
-    }
+    path.queue_limit_packets = AutoQueuePackets(rate_mbps, rtt_ms);
   }
   if (queue_packets > 0) {
     path.queue_limit_packets = static_cast<size_t>(queue_packets);
@@ -132,13 +188,8 @@ TopologySpec ScenarioSpec::BuildTopology() const {
   }
   topo.ecn = ecn;
   topo.bottleneck_rate = DataRate::Mbps(rate_mbps);
-  if (queue_packets > 0) {
-    topo.queue_limit_packets = static_cast<size_t>(queue_packets);
-  } else {
-    // Same sizing rule as the single-path wired profile: 2x BDP, floor 60.
-    double bdp_pkts = rate_mbps * 1e6 / 8.0 * rtt_ms * 1e-3 / 1500.0;
-    topo.queue_limit_packets = static_cast<size_t>(std::max(60.0, 2.0 * bdp_pkts));
-  }
+  topo.queue_limit_packets = queue_packets > 0 ? static_cast<size_t>(queue_packets)
+                                               : AutoQueuePackets(rate_mbps, rtt_ms);
   // One-way budget: 5% on each access link, the rest split across the hops,
   // so Network::BaseRtt() reproduces rtt_ms end to end.
   double one_way_ms = rtt_ms / 2.0;
@@ -209,29 +260,9 @@ std::string ScenarioSpec::Validate() const {
 
 json::Value ScenarioSpec::ToJson() const {
   json::Value obj = json::Value::Object();
-  obj.Set("name", json::Value::Str(name));
-  obj.Set("app", json::Value::Str(app));
-  obj.Set("profile", json::Value::Str(profile));
-  obj.Set("rate_mbps", json::Value::Number(rate_mbps));
-  obj.Set("rtt_ms", json::Value::Number(rtt_ms));
-  obj.Set("queue_packets", json::Value::Int(queue_packets));
-  obj.Set("ecn", json::Value::Bool(ecn));
-  obj.Set("loss", json::Value::Number(loss));
-  obj.Set("qdisc", json::Value::Str(qdisc));
-  obj.Set("cc", json::Value::Str(cc));
-  obj.Set("topology", json::Value::Str(topology));
-  obj.Set("hops", json::Value::Int(hops));
-  obj.Set("host_pairs", json::Value::Int(host_pairs));
-  obj.Set("cross_iperf", json::Value::Int(cross_iperf));
-  obj.Set("cross_onoff", json::Value::Int(cross_onoff));
-  obj.Set("num_flows", json::Value::Int(num_flows));
-  obj.Set("element_mode", json::Value::Str(element_mode));
-  obj.Set("download", json::Value::Bool(download));
-  obj.Set("duration_s", json::Value::Number(duration_s));
-  obj.Set("warmup_s", json::Value::Number(warmup_s));
-  obj.Set("tracker_period_ms", json::Value::Number(tracker_period_ms));
-  obj.Set("background_flows", json::Value::Int(background_flows));
-  obj.Set("seed", json::Value::Int(static_cast<int64_t>(seed)));
+  for (const Field& field : kFields) {
+    std::visit([&](auto member) { obj.Set(field.key, ToValue(this->*member)); }, field.member);
+  }
   return obj;
 }
 
@@ -284,192 +315,147 @@ bool Read(const json::Value& v, const std::string& field, Int* out, std::string*
   return true;
 }
 
-// Applies the scalar spec fields present in `obj` onto `spec`. Axis keys that
-// hold arrays (sweep form) are skipped when `skip_arrays`; any other unknown
-// key is an error so suite typos fail loudly.
-bool ApplySpecFields(const json::Value& obj, ScenarioSpec* spec, bool skip_arrays,
-                     std::string* error) {
+bool ReadField(const json::Value& v, const std::string& key, const FieldPtr& member,
+               ScenarioSpec* spec, std::string* error) {
+  return std::visit([&](auto m) { return Read(v, key, &(spec->*m), error); }, member);
+}
+
+// The sweep axes in expansion order, outermost first, with the affixes of
+// their label segment ("/20mbps", "/ci2").
+struct Axis {
+  const char* key;
+  const char* prefix;
+  const char* suffix;
+};
+
+constexpr Axis kAxes[] = {
+    {"profile", "", ""},
+    {"topology", "", ""},
+    {"rate_mbps", "", "mbps"},
+    {"rtt_ms", "", "ms"},
+    {"qdisc", "", ""},
+    {"cc", "", ""},
+    {"num_flows", "", "f"},
+    {"cross_iperf", "ci", ""},
+    {"cross_onoff", "co", ""},
+};
+
+std::string LabelText(const std::string& v) { return v; }
+std::string LabelText(double v) { return json::FormatNumber(v); }
+template <typename Int>
+std::string LabelText(Int v) {
+  return std::to_string(v);
+}
+
+// Applies the scalar spec fields present in `obj` onto `spec`. In a sweep
+// entry, axis arrays and the seed object are left to the expansion; any other
+// unknown key is an error so suite typos fail loudly.
+bool ApplySpecFields(const json::Value& obj, ScenarioSpec* spec, bool sweep, std::string* error) {
   for (const auto& [key, v] : obj.fields()) {
-    if (skip_arrays && v.is_array() &&
-        (key == "qdisc" || key == "cc" || key == "profile" || key == "topology" ||
-         key == "rate_mbps" || key == "rtt_ms" || key == "num_flows" || key == "cross_iperf" ||
-         key == "cross_onoff")) {
+    auto is_axis = [&key = key](const Axis& axis) { return key == axis.key; };
+    if (sweep && ((v.is_array() && std::any_of(std::begin(kAxes), std::end(kAxes), is_axis)) ||
+                  (key == "seed" && v.is_object()))) {
       continue;
     }
-    if (skip_arrays && key == "seed" && v.is_object()) {
-      continue;
-    }
-    bool ok = false;
-    if (key == "name") {
-      ok = Read(v, key, &spec->name, error);
-    } else if (key == "app") {
-      ok = Read(v, key, &spec->app, error);
-    } else if (key == "profile") {
-      ok = Read(v, key, &spec->profile, error);
-    } else if (key == "rate_mbps") {
-      ok = Read(v, key, &spec->rate_mbps, error);
-    } else if (key == "rtt_ms") {
-      ok = Read(v, key, &spec->rtt_ms, error);
-    } else if (key == "queue_packets") {
-      ok = Read(v, key, &spec->queue_packets, error);
-    } else if (key == "ecn") {
-      ok = Read(v, key, &spec->ecn, error);
-    } else if (key == "loss") {
-      ok = Read(v, key, &spec->loss, error);
-    } else if (key == "qdisc") {
-      ok = Read(v, key, &spec->qdisc, error);
-    } else if (key == "cc") {
-      ok = Read(v, key, &spec->cc, error);
-    } else if (key == "num_flows") {
-      ok = Read(v, key, &spec->num_flows, error);
-    } else if (key == "topology") {
-      ok = Read(v, key, &spec->topology, error);
-    } else if (key == "hops") {
-      ok = Read(v, key, &spec->hops, error);
-    } else if (key == "host_pairs") {
-      ok = Read(v, key, &spec->host_pairs, error);
-    } else if (key == "cross_iperf") {
-      ok = Read(v, key, &spec->cross_iperf, error);
-    } else if (key == "cross_onoff") {
-      ok = Read(v, key, &spec->cross_onoff, error);
-    } else if (key == "element_mode") {
-      ok = Read(v, key, &spec->element_mode, error);
-    } else if (key == "download") {
-      ok = Read(v, key, &spec->download, error);
-    } else if (key == "duration_s") {
-      ok = Read(v, key, &spec->duration_s, error);
-    } else if (key == "warmup_s") {
-      ok = Read(v, key, &spec->warmup_s, error);
-    } else if (key == "tracker_period_ms") {
-      ok = Read(v, key, &spec->tracker_period_ms, error);
-    } else if (key == "background_flows") {
-      ok = Read(v, key, &spec->background_flows, error);
-    } else if (key == "seed") {
-      ok = Read(v, key, &spec->seed, error);
-    } else {
+    const Field* field = FindField(key);
+    if (field == nullptr) {
       *error = "unknown scenario field '" + key + "'";
+      return false;
     }
-    if (!ok) {
+    if (!ReadField(v, key, field->member, spec, error)) {
       return false;
     }
   }
   return true;
 }
 
-// Reads a sweep axis (absent or non-array: empty) item by item.
-template <typename T>
-bool ReadAxis(const json::Value& sweep, const std::string& key, std::vector<T>* out,
-              std::string* error) {
-  const json::Value* v = sweep.Find(key);
-  if (v == nullptr || !v->is_array()) {
-    return true;
+// One non-empty sweep axis. Each item is read once into its own spec, of which
+// only the axis field matters; a label segment is kept only when the axis has
+// more than one item.
+struct AxisValues {
+  FieldPtr member;
+  std::vector<ScenarioSpec> items;
+  std::vector<std::string> labels;
+};
+
+// Expands one sweep entry: every combination of its axis items (an odometer
+// whose last axis turns fastest) applied on top of `defaults` plus the entry's
+// scalar fields, each repeated over the seeds, innermost. Empty axes keep the
+// base value.
+bool ExpandSweep(const json::Value& entry, const ScenarioSpec& defaults,
+                 std::vector<ScenarioSpec>* out, std::string* error) {
+  ScenarioSpec base = defaults;
+  if (!ApplySpecFields(entry, &base, /*sweep=*/true, error)) {
+    return false;
   }
-  for (size_t i = 0; i < v->items().size(); ++i) {
-    T item;
-    if (!Read(v->items()[i], key + "[" + std::to_string(i) + "]", &item, error)) {
+  if (base.name.empty()) {
+    base.name = "sweep";
+  }
+  std::vector<AxisValues> axes;
+  size_t combinations = 1;
+  for (const Axis& axis : kAxes) {
+    const json::Value* v = entry.Find(axis.key);
+    if (v == nullptr || !v->is_array() || v->items().empty()) {
+      continue;
+    }
+    AxisValues& values = axes.emplace_back();
+    values.member = FindField(axis.key)->member;
+    for (size_t i = 0; i < v->items().size(); ++i) {
+      std::string key = std::string(axis.key) + "[" + std::to_string(i) + "]";
+      if (!ReadField(v->items()[i], key, values.member, &values.items.emplace_back(), error)) {
+        return false;
+      }
+      std::string text =
+          std::visit([&](auto m) { return LabelText(values.items.back().*m); }, values.member);
+      values.labels.push_back(v->items().size() > 1 ? "/" + (axis.prefix + text) + axis.suffix
+                                                    : "");
+    }
+    combinations *= values.items.size();
+  }
+  uint64_t seed_base = base.seed;
+  int seed_count = 1;
+  if (const json::Value* seed = entry.Find("seed"); seed != nullptr && seed->is_object()) {
+    for (const auto& [key, v] : seed->fields()) {
+      bool ok = false;
+      if (key == "base") {
+        ok = Read(v, "seed.base", &seed_base, error);
+      } else if (key == "count") {
+        ok = Read(v, "seed.count", &seed_count, error);
+      } else {
+        *error = "unknown seed field '" + key + "' (base|count)";
+      }
+      if (!ok) {
+        return false;
+      }
+    }
+    if (seed_count < 1) {
+      *error = "field 'seed.count' must be >= 1, got " + std::to_string(seed_count);
       return false;
     }
-    out->push_back(item);
+  }
+
+  out->reserve(out->size() + combinations * static_cast<size_t>(seed_count));
+  std::vector<size_t> at(axes.size(), 0);
+  for (size_t n = 0; n < combinations; ++n) {
+    ScenarioSpec spec = base;
+    for (size_t a = 0; a < axes.size(); ++a) {
+      const ScenarioSpec& item = axes[a].items[at[a]];
+      std::visit([&](auto m) { spec.*m = item.*m; }, axes[a].member);
+      spec.name += axes[a].labels[at[a]];
+    }
+    for (int k = 0; k < seed_count; ++k) {
+      spec.seed = seed_base + static_cast<uint64_t>(k);
+      out->push_back(spec);
+    }
+    // Turn the odometer: bump the last axis, carrying into earlier ones.
+    for (size_t a = axes.size(); a-- > 0 && ++at[a] == axes[a].items.size();) {
+      at[a] = 0;
+    }
   }
   return true;
 }
 
 }  // namespace
-
-std::vector<ScenarioSpec> SweepSpec::Expand() const {
-  // Empty axes iterate once with the base value.
-  auto or_base = [](std::vector<std::string> axis, const std::string& base_value) {
-    if (axis.empty()) {
-      axis.push_back(base_value);
-    }
-    return axis;
-  };
-  auto int_or_base = [](std::vector<int> axis, int base_value) {
-    if (axis.empty()) {
-      axis.push_back(base_value);
-    }
-    return axis;
-  };
-  std::vector<std::string> axis_profiles = or_base(profiles, base.profile);
-  std::vector<std::string> axis_topologies = or_base(topologies, base.topology);
-  std::vector<std::string> axis_qdiscs = or_base(qdiscs, base.qdisc);
-  std::vector<std::string> axis_ccs = or_base(ccs, base.cc);
-  std::vector<double> axis_rates = rates_mbps.empty() ? std::vector<double>{base.rate_mbps}
-                                                      : rates_mbps;
-  std::vector<double> axis_rtts = rtts_ms.empty() ? std::vector<double>{base.rtt_ms} : rtts_ms;
-  std::vector<int> axis_flows = int_or_base(flow_counts, base.num_flows);
-  std::vector<int> axis_cross_iperfs = int_or_base(cross_iperfs, base.cross_iperf);
-  std::vector<int> axis_cross_onoffs = int_or_base(cross_onoffs, base.cross_onoff);
-
-  std::string stem = base.name.empty() ? "sweep" : base.name;
-  std::vector<ScenarioSpec> out;
-  out.reserve(axis_profiles.size() * axis_topologies.size() * axis_rates.size() *
-              axis_rtts.size() * axis_qdiscs.size() * axis_ccs.size() * axis_flows.size() *
-              axis_cross_iperfs.size() * axis_cross_onoffs.size() *
-              static_cast<size_t>(std::max(1, seed_count)));
-  for (const std::string& profile : axis_profiles) {
-    for (const std::string& topology : axis_topologies) {
-      for (double rate : axis_rates) {
-        for (double rtt : axis_rtts) {
-          for (const std::string& qdisc : axis_qdiscs) {
-            for (const std::string& cc : axis_ccs) {
-              for (int flows : axis_flows) {
-                for (int ci : axis_cross_iperfs) {
-                  for (int co : axis_cross_onoffs) {
-                    ScenarioSpec spec = base;
-                    spec.profile = profile;
-                    spec.topology = topology;
-                    spec.rate_mbps = rate;
-                    spec.rtt_ms = rtt;
-                    spec.qdisc = qdisc;
-                    spec.cc = cc;
-                    spec.num_flows = flows;
-                    spec.cross_iperf = ci;
-                    spec.cross_onoff = co;
-                    std::string label = stem;
-                    if (profiles.size() > 1) {
-                      label += "/" + profile;
-                    }
-                    if (topologies.size() > 1) {
-                      label += "/" + topology;
-                    }
-                    if (rates_mbps.size() > 1) {
-                      label += "/" + json::FormatNumber(rate) + "mbps";
-                    }
-                    if (rtts_ms.size() > 1) {
-                      label += "/" + json::FormatNumber(rtt) + "ms";
-                    }
-                    if (qdiscs.size() > 1) {
-                      label += "/" + qdisc;
-                    }
-                    if (ccs.size() > 1) {
-                      label += "/" + cc;
-                    }
-                    if (flow_counts.size() > 1) {
-                      label += "/" + std::to_string(flows) + "f";
-                    }
-                    if (cross_iperfs.size() > 1) {
-                      label += "/ci" + std::to_string(ci);
-                    }
-                    if (cross_onoffs.size() > 1) {
-                      label += "/co" + std::to_string(co);
-                    }
-                    spec.name = label;
-                    for (int k = 0; k < std::max(1, seed_count); ++k) {
-                      spec.seed = seed_base + static_cast<uint64_t>(k);
-                      out.push_back(spec);
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
-}
 
 bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::string* error) {
   json::Value doc;
@@ -479,6 +465,12 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
   if (!doc.is_object()) {
     *error = "suite document must be a JSON object";
     return false;
+  }
+  for (const auto& [key, v] : doc.fields()) {
+    if (!OneOf(key, kSuiteKeys)) {
+      *error = "unknown suite key '" + key + "' (" + Options(kSuiteKeys) + ")";
+      return false;
+    }
   }
   ScenarioSuite suite;
   const json::Value* suite_name = doc.Find("suite");
@@ -491,7 +483,7 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
       *error = "'defaults' must be an object";
       return false;
     }
-    if (!ApplySpecFields(*v, &defaults, /*skip_arrays=*/false, error)) {
+    if (!ApplySpecFields(*v, &defaults, /*sweep=*/false, error)) {
       return false;
     }
   }
@@ -502,7 +494,7 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
     }
     for (size_t i = 0; i < v->items().size(); ++i) {
       ScenarioSpec spec = defaults;
-      if (!ApplySpecFields(v->items()[i], &spec, /*skip_arrays=*/false, error)) {
+      if (!ApplySpecFields(v->items()[i], &spec, /*sweep=*/false, error)) {
         return false;
       }
       if (spec.name.empty()) {
@@ -517,33 +509,9 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
       return false;
     }
     for (const json::Value& entry : v->items()) {
-      SweepSpec sweep;
-      sweep.base = defaults;
-      if (!ApplySpecFields(entry, &sweep.base, /*skip_arrays=*/true, error)) {
+      if (!ExpandSweep(entry, defaults, &suite.scenarios, error)) {
         return false;
       }
-      if (!ReadAxis(entry, "qdisc", &sweep.qdiscs, error) ||
-          !ReadAxis(entry, "cc", &sweep.ccs, error) ||
-          !ReadAxis(entry, "profile", &sweep.profiles, error) ||
-          !ReadAxis(entry, "topology", &sweep.topologies, error) ||
-          !ReadAxis(entry, "rate_mbps", &sweep.rates_mbps, error) ||
-          !ReadAxis(entry, "rtt_ms", &sweep.rtts_ms, error) ||
-          !ReadAxis(entry, "num_flows", &sweep.flow_counts, error) ||
-          !ReadAxis(entry, "cross_iperf", &sweep.cross_iperfs, error) ||
-          !ReadAxis(entry, "cross_onoff", &sweep.cross_onoffs, error)) {
-        return false;
-      }
-      sweep.seed_base = sweep.base.seed;
-      if (const json::Value* seed = entry.Find("seed"); seed != nullptr && seed->is_object()) {
-        const json::Value* b = seed->Find("base");
-        const json::Value* c = seed->Find("count");
-        if ((b != nullptr && !Read(*b, "seed.base", &sweep.seed_base, error)) ||
-            (c != nullptr && !Read(*c, "seed.count", &sweep.seed_count, error))) {
-          return false;
-        }
-      }
-      std::vector<ScenarioSpec> expanded = sweep.Expand();
-      suite.scenarios.insert(suite.scenarios.end(), expanded.begin(), expanded.end());
     }
   }
   for (const ScenarioSpec& spec : suite.scenarios) {

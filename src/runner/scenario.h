@@ -88,42 +88,20 @@ struct ScenarioSpec {
   json::Value ToJson() const;
 };
 
-// One cartesian sweep: every combination of the axis values applied on top of
-// `base`, across `seed_count` seeds starting at `seed_base`. Empty axes
-// contribute the base value only.
-struct SweepSpec {
-  ScenarioSpec base;
-  std::vector<std::string> qdiscs;
-  std::vector<std::string> ccs;
-  std::vector<std::string> profiles;
-  std::vector<std::string> topologies;
-  std::vector<double> rates_mbps;
-  std::vector<double> rtts_ms;
-  std::vector<int> flow_counts;
-  std::vector<int> cross_iperfs;
-  std::vector<int> cross_onoffs;
-  uint64_t seed_base = 1;
-  int seed_count = 1;
-
-  // Expansion order: profiles > topologies > rates > rtts > qdiscs > ccs >
-  // flows > cross_iperf > cross_onoff > seeds (outermost to innermost),
-  // deterministic.
-  std::vector<ScenarioSpec> Expand() const;
-};
-
 struct ScenarioSuite {
   std::string name = "suite";
   std::vector<ScenarioSpec> scenarios;  // already expanded, in order
 
-  // Parses a suite document:
+  // Parses a suite document; any other top-level key is an error:
   //   { "suite": "...", "defaults": {spec fields},
   //     "scenarios": [ {spec fields}, ... ],
-  //     "sweeps": [ { spec fields..., "qdisc": [...], "cc": [...],
-  //                   "profile": [...], "topology": [...], "rate_mbps": [...],
-  //                   "rtt_ms": [...], "num_flows": [...],
-  //                   "cross_iperf": [...], "cross_onoff": [...],
-  //                   "seed": {"base": N, "count": M} }, ... ] }
-  // Explicit scenarios come first, then sweep expansions in file order.
+  //     "sweeps": [ { spec fields..., "profile": [...], "topology": [...],
+  //                   "rate_mbps": [...], "rtt_ms": [...], "qdisc": [...],
+  //                   "cc": [...], "num_flows": [...], "cross_iperf": [...],
+  //                   "cross_onoff": [...], "seed": {"base": N, "count": M >= 1} }, ... ] }
+  // Explicit scenarios come first, then sweep expansions in file order. A sweep
+  // crosses its axes in the order listed, seeds innermost; an empty axis keeps
+  // the base value, and an axis with several values adds a name segment.
   static bool ParseJson(const std::string& text, ScenarioSuite* out, std::string* error);
   static bool LoadFile(const std::string& path, ScenarioSuite* out, std::string* error);
 

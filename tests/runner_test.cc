@@ -242,6 +242,75 @@ TEST(ScenarioTest, ParsesDefaultsScenariosAndSweeps) {
   EXPECT_EQ(suite.scenarios.back().seed, 12u);
 }
 
+// Every sweep axis with two values, across two sweeps (profile and topology
+// cannot both vary in a valid spec), plus a single-value axis (topology) and
+// an empty one (cc). Pins the expansion order, the label segments, the
+// innermost seeds and the serialized specs.
+TEST(ScenarioTest, SweepExpandsEveryAxisInOrder) {
+  constexpr char kText[] = R"({
+    "defaults": {"duration_s": 2, "warmup_s": 1, "cc": "vegas"},
+    "sweeps": [
+      {"name": "p", "profile": ["wired", "lte"], "rate_mbps": [5, 20.5], "rtt_ms": [10, 40],
+       "qdisc": ["codel", "fq_codel"], "topology": ["none"], "cc": [],
+       "seed": {"base": 3, "count": 2}},
+      {"topology": ["dumbbell", "parking_lot"], "cc": ["reno", "bbr"], "num_flows": [1, 3],
+       "cross_iperf": [0, 1], "cross_onoff": [0, 2]}
+    ]
+  })";
+  ScenarioSuite suite;
+  std::string err;
+  ASSERT_TRUE(ScenarioSuite::ParseJson(kText, &suite, &err)) << err;
+  std::string ids;
+  for (const ScenarioSpec& spec : suite.scenarios) {
+    ids += spec.Id() + " ";
+  }
+  EXPECT_EQ(ids,
+            "p/wired/5mbps/10ms/codel#s3 p/wired/5mbps/10ms/codel#s4 "
+            "p/wired/5mbps/10ms/fq_codel#s3 p/wired/5mbps/10ms/fq_codel#s4 "
+            "p/wired/5mbps/40ms/codel#s3 p/wired/5mbps/40ms/codel#s4 "
+            "p/wired/5mbps/40ms/fq_codel#s3 p/wired/5mbps/40ms/fq_codel#s4 "
+            "p/wired/20.5mbps/10ms/codel#s3 p/wired/20.5mbps/10ms/codel#s4 "
+            "p/wired/20.5mbps/10ms/fq_codel#s3 p/wired/20.5mbps/10ms/fq_codel#s4 "
+            "p/wired/20.5mbps/40ms/codel#s3 p/wired/20.5mbps/40ms/codel#s4 "
+            "p/wired/20.5mbps/40ms/fq_codel#s3 p/wired/20.5mbps/40ms/fq_codel#s4 "
+            "p/lte/5mbps/10ms/codel#s3 p/lte/5mbps/10ms/codel#s4 p/lte/5mbps/10ms/fq_codel#s3 "
+            "p/lte/5mbps/10ms/fq_codel#s4 p/lte/5mbps/40ms/codel#s3 p/lte/5mbps/40ms/codel#s4 "
+            "p/lte/5mbps/40ms/fq_codel#s3 p/lte/5mbps/40ms/fq_codel#s4 "
+            "p/lte/20.5mbps/10ms/codel#s3 p/lte/20.5mbps/10ms/codel#s4 "
+            "p/lte/20.5mbps/10ms/fq_codel#s3 p/lte/20.5mbps/10ms/fq_codel#s4 "
+            "p/lte/20.5mbps/40ms/codel#s3 p/lte/20.5mbps/40ms/codel#s4 "
+            "p/lte/20.5mbps/40ms/fq_codel#s3 p/lte/20.5mbps/40ms/fq_codel#s4 "
+            "sweep/dumbbell/reno/1f/ci0/co0#s1 sweep/dumbbell/reno/1f/ci0/co2#s1 "
+            "sweep/dumbbell/reno/1f/ci1/co0#s1 sweep/dumbbell/reno/1f/ci1/co2#s1 "
+            "sweep/dumbbell/reno/3f/ci0/co0#s1 sweep/dumbbell/reno/3f/ci0/co2#s1 "
+            "sweep/dumbbell/reno/3f/ci1/co0#s1 sweep/dumbbell/reno/3f/ci1/co2#s1 "
+            "sweep/dumbbell/bbr/1f/ci0/co0#s1 sweep/dumbbell/bbr/1f/ci0/co2#s1 "
+            "sweep/dumbbell/bbr/1f/ci1/co0#s1 sweep/dumbbell/bbr/1f/ci1/co2#s1 "
+            "sweep/dumbbell/bbr/3f/ci0/co0#s1 sweep/dumbbell/bbr/3f/ci0/co2#s1 "
+            "sweep/dumbbell/bbr/3f/ci1/co0#s1 sweep/dumbbell/bbr/3f/ci1/co2#s1 "
+            "sweep/parking_lot/reno/1f/ci0/co0#s1 sweep/parking_lot/reno/1f/ci0/co2#s1 "
+            "sweep/parking_lot/reno/1f/ci1/co0#s1 sweep/parking_lot/reno/1f/ci1/co2#s1 "
+            "sweep/parking_lot/reno/3f/ci0/co0#s1 sweep/parking_lot/reno/3f/ci0/co2#s1 "
+            "sweep/parking_lot/reno/3f/ci1/co0#s1 sweep/parking_lot/reno/3f/ci1/co2#s1 "
+            "sweep/parking_lot/bbr/1f/ci0/co0#s1 sweep/parking_lot/bbr/1f/ci0/co2#s1 "
+            "sweep/parking_lot/bbr/1f/ci1/co0#s1 sweep/parking_lot/bbr/1f/ci1/co2#s1 "
+            "sweep/parking_lot/bbr/3f/ci0/co0#s1 sweep/parking_lot/bbr/3f/ci0/co2#s1 "
+            "sweep/parking_lot/bbr/3f/ci1/co0#s1 sweep/parking_lot/bbr/3f/ci1/co2#s1 ");
+  // FNV-1a of the fully serialized suite.
+  uint64_t fnv = 14695981039346656037ull;
+  for (unsigned char c : suite.ToJson()) {
+    fnv = (fnv ^ c) * 1099511628211ull;
+  }
+  EXPECT_EQ(fnv, 8903095702595401864ull);
+  EXPECT_EQ(suite.scenarios.back().ToJson().Dump(-1),
+            R"({"app":"legacy","background_flows":0,"cc":"bbr","cross_iperf":1,"cross_onoff":2,)"
+            R"("download":false,"duration_s":2,"ecn":false,"element_mode":"off","hops":1,)"
+            R"("host_pairs":0,"loss":0,"name":"sweep/parking_lot/bbr/3f/ci1/co2","num_flows":3,)"
+            R"("profile":"wired","qdisc":"pfifo_fast","queue_packets":0,"rate_mbps":10,)"
+            R"("rtt_ms":50,"seed":1,"topology":"parking_lot","tracker_period_ms":10,)"
+            R"("warmup_s":1})");
+}
+
 TEST(ScenarioTest, JsonRoundTripIsIdentity) {
   ScenarioSuite suite;
   std::string err;
@@ -254,35 +323,28 @@ TEST(ScenarioTest, JsonRoundTripIsIdentity) {
   EXPECT_EQ(back.ToJson(), serialized);
 }
 
-TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
-  ScenarioSuite suite;
-  std::string err;
-  EXPECT_FALSE(ScenarioSuite::ParseJson(R"({"scenarios": [{"qdsic": "codel"}]})", &suite, &err));
-  EXPECT_NE(err.find("unknown scenario field"), std::string::npos) << err;
-  EXPECT_FALSE(
-      ScenarioSuite::ParseJson(R"({"scenarios": [{"qdisc": "taildrop"}]})", &suite, &err));
-  EXPECT_NE(err.find("unknown qdisc"), std::string::npos) << err;
-  EXPECT_FALSE(ScenarioSuite::ParseJson(R"({"scenarios": [{"cc": "quic"}]})", &suite, &err));
-  EXPECT_FALSE(
-      ScenarioSuite::ParseJson(R"({"scenarios": [{"duration_s": -1}]})", &suite, &err));
-  // A period that truncates to 0 ns would make the tracker re-fire forever.
-  EXPECT_FALSE(ScenarioSuite::ParseJson(
-      R"({"scenarios": [{"app": "accuracy", "duration_s": 2, "warmup_s": 0,
-                         "tracker_period_ms": 1e-7}]})",
-      &suite, &err));
-  EXPECT_NE(err.find("tracker_period_ms"), std::string::npos) << err;
-  EXPECT_FALSE(
-      ScenarioSuite::ParseJson(R"({"scenarios": [{"queue_packets": -5}]})", &suite, &err));
-  EXPECT_NE(err.find("queue_packets"), std::string::npos) << err;
-}
-
-// Wrong-typed fields fail the parse with a message naming the field and the
-// expected type, instead of silently keeping the default or truncating.
+// Malformed suites fail the parse with a message naming the offending key or
+// value, instead of silently keeping the default, truncating or running nothing.
 void ExpectRejected(const char* text, const std::string& message) {
   ScenarioSuite suite;
   std::string err;
   EXPECT_FALSE(ScenarioSuite::ParseJson(text, &suite, &err)) << text;
   EXPECT_NE(err.find(message), std::string::npos) << err;
+}
+
+TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
+  ExpectRejected(R"({"scenarios": [{"qdsic": "codel"}]})", "unknown scenario field 'qdsic'");
+  ExpectRejected(R"({"scenarios": [{"qdisc": "taildrop"}]})", "unknown qdisc");
+  ExpectRejected(R"({"scenarios": [{"cc": "quic"}]})", "unknown cc");
+  ExpectRejected(R"({"scenarios": [{"duration_s": -1}]})", "duration_s must be positive");
+  // A period that truncates to 0 ns would make the tracker re-fire forever.
+  ExpectRejected(R"({"scenarios": [{"app": "accuracy", "duration_s": 2, "warmup_s": 0,
+                                    "tracker_period_ms": 1e-7}]})",
+                 "tracker_period_ms");
+  ExpectRejected(R"({"scenarios": [{"queue_packets": -5}]})", "queue_packets");
+  // A typo'd top-level key would otherwise run nothing.
+  ExpectRejected(R"({"suite": "t", "sweep": [{"qdisc": ["codel", "pie"]}]})",
+                 "unknown suite key 'sweep' (suite|defaults|scenarios|sweeps)");
 }
 
 TEST(ScenarioTest, RejectsStringInteger) {
@@ -312,6 +374,10 @@ TEST(ScenarioTest, RejectsWrongTypedAxisItem) {
 TEST(ScenarioTest, RejectsStringSeedCount) {
   ExpectRejected(R"({"sweeps": [{"seed": {"base": 1, "count": "3"}}]})",
                  "field 'seed.count' must be an integer");
+  ExpectRejected(R"({"sweeps": [{"seed": {"bsae": 5, "count": -3}}]})",
+                 "unknown seed field 'bsae' (base|count)");
+  ExpectRejected(R"({"sweeps": [{"seed": {"count": 0}}]})",
+                 "field 'seed.count' must be >= 1, got 0");
 }
 
 TEST(ScenarioTest, BuildPathWiredAutoQueueMatchesPaperFormula) {
