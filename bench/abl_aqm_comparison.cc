@@ -1,6 +1,7 @@
 // Extension study: "is CoDel really achieving what RED cannot?" (the paper's
-// reference [41]) — all five disciplines, measured with the instrumented
-// bottleneck probe (§7 lower-layer tracing), across load levels. Reports the
+// reference [41]) — all five disciplines, measured with the bottleneck
+// sojourn probe on the telemetry spine (§7 lower-layer tracing), across load
+// levels. Reports the
 // standing queueing delay at the bottleneck, link utilization, and the
 // resulting endhost (sender) delay — showing that whatever the AQM achieves
 // in the network, the endhost component needs ELEMENT.
@@ -11,6 +12,7 @@
 
 #include "src/apps/measured_flow.h"
 #include "src/tcpsim/testbed.h"
+#include "src/trace/sojourn_sink.h"
 
 #include "bench/harness.h"
 
@@ -32,8 +34,9 @@ CellResult RunCell(uint64_t seed, QdiscType qdisc, int flows) {
   path.one_way_delay = TimeDelta::FromMillis(25);
   path.queue_limit_packets = 170;  // ~2x BDP
   path.qdisc = qdisc;
-  path.instrument_bottleneck = true;
   Testbed bed(seed, path);
+  SojournSink sojourn(/*source=*/0);
+  bed.spine().AttachSink(&sojourn);
 
   struct Per {
     Testbed::Flow flow;
@@ -52,9 +55,9 @@ CellResult RunCell(uint64_t seed, QdiscType qdisc, int flows) {
   bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(kDuration * 1e9)));
 
   CellResult r;
-  const InstrumentedQdisc* probe = bed.bottleneck_probe();
-  r.sojourn_p50_ms = probe->sojourn_samples().Quantile(0.5) * 1000;
-  r.sojourn_p95_ms = probe->sojourn_samples().Quantile(0.95) * 1000;
+  const SampleSet sojourns = sojourn.series().Values();
+  r.sojourn_p50_ms = sojourns.Quantile(0.5) * 1000;
+  r.sojourn_p95_ms = sojourns.Quantile(0.95) * 1000;
   uint64_t delivered = 0;
   double sender_delay = 0;
   for (auto& p : per) {
@@ -64,7 +67,7 @@ CellResult RunCell(uint64_t seed, QdiscType qdisc, int flows) {
   r.utilization =
       RateOver(static_cast<int64_t>(delivered), TimeDelta::FromSeconds(kDuration)).ToMbps() /
       20.0;
-  const QdiscStats& qs = probe->stats();
+  const QdiscStats& qs = bed.path().forward().qdisc().stats();
   r.drop_permille = 1000.0 * static_cast<double>(qs.dropped_packets) /
                     std::max<uint64_t>(1, qs.enqueued_packets + qs.dropped_packets);
   r.sender_delay_ms = sender_delay;

@@ -22,35 +22,22 @@
 // Usage:
 //   micro_evloop                      print a JSON metrics object
 //   micro_evloop --floor <file.json>  also enforce min_* floors from the file
-//                                     (exit 1 on regression below a floor)
+//                                     (exit 1 on a regression below a floor or
+//                                     a floor key missing from the file)
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <vector>
 
 #include "src/common/time.h"
 #include "src/evloop/event_loop.h"
 #include "src/common/json.h"
 #include "src/tcpsim/testbed.h"
 
+#include "bench/micro_floor.h"
+
 namespace element {
 namespace {
-
-double NowSeconds() {
-  auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-// Runs `body` once and returns wall seconds elapsed.
-template <typename Body>
-double Timed(Body&& body) {
-  double start = NowSeconds();
-  body();
-  return NowSeconds() - start;
-}
 
 constexpr int kScheduleFireEvents = 1'000'000;
 constexpr int kChurnOps = 2'000'000;
@@ -149,7 +136,7 @@ double BenchSackRecovery() {
   return static_cast<double>(flow.sender->GetTcpInfo().tcpi_segs_in) / secs;
 }
 
-int Run(const std::string& floor_path) {
+std::vector<FloorCheck> Run() {
   json::Value out = json::Value::Object();
   double fire = BenchScheduleFire();
   double churn = BenchChurn();
@@ -162,54 +149,15 @@ int Run(const std::string& floor_path) {
   out.Set("sack_recovery_acks_per_sec", json::Value::Number(sack_acks));
   std::printf("%s\n", out.Dump(2).c_str());
 
-  if (floor_path.empty()) {
-    return 0;
-  }
-  std::ifstream in(floor_path);
-  if (!in) {
-    std::fprintf(stderr, "micro_evloop: cannot open floor file %s\n", floor_path.c_str());
-    return 2;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  json::Value floor;
-  std::string error;
-  if (!json::Value::Parse(buf.str(), &floor, &error)) {
-    std::fprintf(stderr, "micro_evloop: bad floor file: %s\n", error.c_str());
-    return 2;
-  }
-  int failures = 0;
-  auto check = [&](const char* key, double measured) {
-    const json::Value* min = floor.Find(key);
-    if (min == nullptr) {
-      return;
-    }
-    if (measured < min->AsDouble()) {
-      std::fprintf(stderr, "micro_evloop: %s = %.3g below floor %.3g\n", key, measured,
-                   min->AsDouble());
-      ++failures;
-    }
-  };
-  check("min_schedule_fire_events_per_sec", fire);
-  check("min_churn_ops_per_sec", churn);
-  check("min_tcp_codel_events_per_sec", tcp.events_per_sec);
-  check("min_sack_recovery_acks_per_sec", sack_acks);
-  return failures == 0 ? 0 : 1;
+  return {{"min_schedule_fire_events_per_sec", fire},
+          {"min_churn_ops_per_sec", churn},
+          {"min_tcp_codel_events_per_sec", tcp.events_per_sec},
+          {"min_sack_recovery_acks_per_sec", sack_acks}};
 }
 
 }  // namespace
 }  // namespace element
 
 int main(int argc, char** argv) {
-  std::string floor_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--floor" && i + 1 < argc) {
-      floor_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--floor floors.json]\n", argv[0]);
-      return 2;
-    }
-  }
-  return element::Run(floor_path);
+  return element::MicroBenchMain("micro_evloop", argc, argv, element::Run);
 }

@@ -9,39 +9,26 @@
 //                    second for the ≤2% end-to-end overhead budget to hold.
 //   emit_sink      — 20M delay records emitted through the spine to one
 //                    attached run-wide sink (record construction + fan-out).
-//   emit_ring      — 20M records emitted into a per-flow flight recorder in
-//                    steady-state overwrite (arena blocks warm).
+//   emit_ring      — 20M records emitted into a 1024-record per-flow flight
+//                    recorder in steady-state overwrite.
 //
 // Usage:
 //   micro_telemetry                      print a JSON metrics object
 //   micro_telemetry --floor <file.json>  also enforce min_telemetry_* floors
-//                                        from the file (exit 1 on regression)
+//                                        from the file (exit 1 on a regression
+//                                        or a floor key missing from the file)
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/json.h"
 #include "src/telemetry/spine.h"
 
+#include "bench/micro_floor.h"
+
 namespace element {
 namespace {
-
-double NowSeconds() {
-  auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-template <typename Body>
-double Timed(Body&& body) {
-  double start = NowSeconds();
-  body();
-  return NowSeconds() - start;
-}
 
 // Forces the compiler to assume memory changed, so guard reads are not
 // hoisted out of the benchmark loop.
@@ -103,8 +90,7 @@ double BenchEmitSink() {
 }
 
 double BenchEmitRing() {
-  FreeListArena arena;
-  telemetry::TelemetrySpine spine(&arena);
+  telemetry::TelemetrySpine spine;
   telemetry::FlowTelemetry flow;
   flow.Bind(&spine, /*flow_id=*/1);
   telemetry::TraceRing* ring = spine.EnsureRing(1, /*capacity_records=*/1024);
@@ -125,7 +111,7 @@ double BenchEmitRing() {
   return kEmitRecords / secs;
 }
 
-int Run(const std::string& floor_path) {
+std::vector<FloorCheck> Run() {
   json::Value out = json::Value::Object();
   double guard = BenchDisabledGuard();
   double emit_sink = BenchEmitSink();
@@ -135,53 +121,14 @@ int Run(const std::string& floor_path) {
   out.Set("telemetry_emit_ring_records_per_sec", json::Value::Number(emit_ring));
   std::printf("%s\n", out.Dump(2).c_str());
 
-  if (floor_path.empty()) {
-    return 0;
-  }
-  std::ifstream in(floor_path);
-  if (!in) {
-    std::fprintf(stderr, "micro_telemetry: cannot open floor file %s\n", floor_path.c_str());
-    return 2;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  json::Value floor;
-  std::string error;
-  if (!json::Value::Parse(buf.str(), &floor, &error)) {
-    std::fprintf(stderr, "micro_telemetry: bad floor file: %s\n", error.c_str());
-    return 2;
-  }
-  int failures = 0;
-  auto check = [&](const char* key, double measured) {
-    const json::Value* min = floor.Find(key);
-    if (min == nullptr) {
-      return;
-    }
-    if (measured < min->AsDouble()) {
-      std::fprintf(stderr, "micro_telemetry: %s = %.3g below floor %.3g\n", key, measured,
-                   min->AsDouble());
-      ++failures;
-    }
-  };
-  check("min_telemetry_disabled_guard_checks_per_sec", guard);
-  check("min_telemetry_emit_sink_records_per_sec", emit_sink);
-  check("min_telemetry_emit_ring_records_per_sec", emit_ring);
-  return failures == 0 ? 0 : 1;
+  return {{"min_telemetry_disabled_guard_checks_per_sec", guard},
+          {"min_telemetry_emit_sink_records_per_sec", emit_sink},
+          {"min_telemetry_emit_ring_records_per_sec", emit_ring}};
 }
 
 }  // namespace
 }  // namespace element
 
 int main(int argc, char** argv) {
-  std::string floor_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--floor" && i + 1 < argc) {
-      floor_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--floor floors.json]\n", argv[0]);
-      return 2;
-    }
-  }
-  return element::Run(floor_path);
+  return element::MicroBenchMain("micro_telemetry", argc, argv, element::Run);
 }

@@ -14,33 +14,21 @@
 // Usage:
 //   micro_topo                      print a JSON metrics object
 //   micro_topo --floor <file.json>  also enforce min_topo_* floors from the
-//                                   file (exit 1 on regression below a floor)
+//                                   file (exit 1 on a regression below a floor
+//                                   or a floor key missing from the file)
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/topo/contention.h"
 #include "src/topo/router.h"
 
+#include "bench/micro_floor.h"
+
 namespace element {
 namespace {
-
-double NowSeconds() {
-  auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-template <typename Body>
-double Timed(Body&& body) {
-  double start = NowSeconds();
-  body();
-  return NowSeconds() - start;
-}
 
 constexpr int kRouteFlows = 1024;
 constexpr int kRoutePackets = 2'000'000;
@@ -111,7 +99,7 @@ DumbbellResult BenchDumbbell1k() {
   return r;
 }
 
-int Run(const std::string& floor_path) {
+std::vector<FloorCheck> Run() {
   json::Value out = json::Value::Object();
   double lookup = BenchRouteLookup();
   DumbbellResult dumbbell = BenchDumbbell1k();
@@ -126,52 +114,13 @@ int Run(const std::string& floor_path) {
           json::Value::Int(static_cast<int64_t>(dumbbell.forwarded_packets)));
   std::printf("%s\n", out.Dump(2).c_str());
 
-  if (floor_path.empty()) {
-    return 0;
-  }
-  std::ifstream in(floor_path);
-  if (!in) {
-    std::fprintf(stderr, "micro_topo: cannot open floor file %s\n", floor_path.c_str());
-    return 2;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  json::Value floor;
-  std::string error;
-  if (!json::Value::Parse(buf.str(), &floor, &error)) {
-    std::fprintf(stderr, "micro_topo: bad floor file: %s\n", error.c_str());
-    return 2;
-  }
-  int failures = 0;
-  auto check = [&](const char* key, double measured) {
-    const json::Value* min = floor.Find(key);
-    if (min == nullptr) {
-      return;
-    }
-    if (measured < min->AsDouble()) {
-      std::fprintf(stderr, "micro_topo: %s = %.3g below floor %.3g\n", key, measured,
-                   min->AsDouble());
-      ++failures;
-    }
-  };
-  check("min_topo_route_lookup_packets_per_sec", lookup);
-  check("min_topo_dumbbell_1k_events_per_sec", dumbbell.events_per_sec);
-  return failures == 0 ? 0 : 1;
+  return {{"min_topo_route_lookup_packets_per_sec", lookup},
+          {"min_topo_dumbbell_1k_events_per_sec", dumbbell.events_per_sec}};
 }
 
 }  // namespace
 }  // namespace element
 
 int main(int argc, char** argv) {
-  std::string floor_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--floor" && i + 1 < argc) {
-      floor_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--floor floors.json]\n", argv[0]);
-      return 2;
-    }
-  }
-  return element::Run(floor_path);
+  return element::MicroBenchMain("micro_topo", argc, argv, element::Run);
 }

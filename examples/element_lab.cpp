@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "src/apps/iperf_app.h"
@@ -29,6 +30,7 @@
 #include "src/element/interposer.h"
 #include "src/netsim/pfifo_fast.h"
 #include "src/netsim/trace_link.h"
+#include "src/tcpsim/congestion_control.h"
 #include "src/tcpsim/testbed.h"
 #include "src/tools/probe_tools.h"
 #include "src/trace/export.h"
@@ -38,20 +40,22 @@ using namespace element;
 
 namespace {
 
-QdiscType ParseQdisc(const std::string& name) {
-  if (name == "codel") {
-    return QdiscType::kCoDel;
+// Rejects an unknown --qdisc or --cc before anything runs, naming the value.
+bool NameFlagsValid(const Flags& flags) {
+  QdiscType qdisc;
+  const std::string qdisc_name = flags.GetString("qdisc", "pfifo_fast");
+  if (!ParseQdisc(qdisc_name, &qdisc)) {
+    std::fprintf(stderr, "unknown --qdisc '%s' (pfifo_fast|codel|fq_codel|pie|red)\n",
+                 qdisc_name.c_str());
+    return false;
   }
-  if (name == "fq_codel") {
-    return QdiscType::kFqCoDel;
+  try {
+    MakeCongestionControl(flags.GetString("cc", "cubic"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
   }
-  if (name == "pie") {
-    return QdiscType::kPie;
-  }
-  if (name == "red") {
-    return QdiscType::kRed;
-  }
-  return QdiscType::kPfifoFast;
+  return true;
 }
 
 PathConfig PathFromFlags(const Flags& flags) {
@@ -60,7 +64,7 @@ PathConfig PathFromFlags(const Flags& flags) {
   double owd = flags.GetDouble("owd-ms", 25.0);
   path.rate = DataRate::Mbps(mbps);
   path.one_way_delay = TimeDelta::FromSeconds(owd / 1000.0);
-  path.qdisc = ParseQdisc(flags.GetString("qdisc", "pfifo_fast"));
+  ParseQdisc(flags.GetString("qdisc", "pfifo_fast"), &path.qdisc);
   double bdp_pkts = mbps * 1e6 / 8.0 * owd * 2e-3 / 1500.0;
   path.queue_limit_packets = static_cast<size_t>(
       flags.GetInt("queue-pkts", static_cast<int64_t>(std::max(60.0, 2.0 * bdp_pkts))));
@@ -261,6 +265,9 @@ int main(int argc, char** argv) {
   if (flags.positional().empty()) {
     Usage();
     return 1;
+  }
+  if (!NameFlagsValid(flags)) {
+    return 2;
   }
   const std::string& cmd = flags.positional()[0];
   if (cmd == "measure") {

@@ -50,12 +50,11 @@ class Qdisc {
 
   const QdiscStats& stats() const { return stats_; }
 
-  // Routes enqueue/drop/mark events into the run's telemetry spine, tagged
-  // with `source_id` (the hop index) so multi-hop topologies stay
-  // distinguishable. Unbound qdiscs skip all telemetry work (one compare in
-  // the Count* helpers). Virtual so decorators forward to the discipline
-  // that actually counts.
-  virtual void BindTelemetry(telemetry::TelemetrySpine* spine, uint16_t source_id) {
+  // Routes enqueue/dequeue/drop/mark events into the run's telemetry spine,
+  // tagged with `source_id` (the hop index) so multi-hop topologies stay
+  // distinguishable. Records are built only while the spine has a consumer;
+  // otherwise the Count* helpers pay one or two compares.
+  void BindTelemetry(telemetry::TelemetrySpine* spine, uint16_t source_id) {
     spine_ = spine;
     source_id_ = source_id;
   }
@@ -130,9 +129,13 @@ class Qdisc {
     stats_.enqueued_bytes += pkt.size_bytes;
     EmitRecord(telemetry::RecordKind::kQdiscEnqueue, pkt, now, 0);
   }
-  void CountDequeue(const Packet& pkt, SimTime /*now*/) {
+  // `pkt.enqueued` must still hold the admission time: the record carries the
+  // packet's sojourn (the §7 below-TCP queueing probe).
+  void CountDequeue(const Packet& pkt, SimTime now) {
     ++stats_.dequeued_packets;
     stats_.dequeued_bytes += pkt.size_bytes;
+    EmitRecord(telemetry::RecordKind::kQdiscDequeue, pkt, now, 0,
+               static_cast<uint64_t>((now - pkt.enqueued).nanos()));
   }
   // Drop of a packet that was never admitted (tail/early drop at Enqueue).
   void CountDropPreQueue(const Packet& pkt, SimTime now) {
@@ -168,7 +171,8 @@ class Qdisc {
   bool ecn_enabled_ = false;
 
  private:
-  void EmitRecord(telemetry::RecordKind kind, const Packet& pkt, SimTime now, uint8_t flags) {
+  void EmitRecord(telemetry::RecordKind kind, const Packet& pkt, SimTime now, uint8_t flags,
+                  uint64_t aux = 0) {
     if (spine_ == nullptr || !spine_->recording()) {
       return;
     }
@@ -179,6 +183,7 @@ class Qdisc {
     r.flags = flags;
     r.source = source_id_;
     r.size = pkt.size_bytes;
+    r.u.range.aux = aux;
     spine_->Dispatch(r);
   }
 

@@ -45,4 +45,42 @@ std::unique_ptr<Qdisc> MakeBottleneckQdisc(QdiscType type, size_t limit, bool ec
   return q;
 }
 
+std::string DescribeQdisc(QdiscType type) {
+  switch (type) {
+    case QdiscType::kPfifoFast:
+      return "pfifo_fast";
+    case QdiscType::kCoDel:
+      return "CoDel";
+    case QdiscType::kFqCoDel:
+      return "FQ_CoDel";
+    case QdiscType::kPie:
+      return "PIE";
+    case QdiscType::kRed:
+      return "RED";
+  }
+  return "?";
+}
+
+bool ParseQdisc(const std::string& name, QdiscType* out) {
+  std::string lower;
+  lower.reserve(name.size());
+  for (char c : name) {
+    lower.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c);
+  }
+  if (lower == "pfifo_fast" || lower == "pfifo") {
+    *out = QdiscType::kPfifoFast;
+  } else if (lower == "codel") {
+    *out = QdiscType::kCoDel;
+  } else if (lower == "fq_codel" || lower == "fqcodel") {
+    *out = QdiscType::kFqCoDel;
+  } else if (lower == "pie") {
+    *out = QdiscType::kPie;
+  } else if (lower == "red") {
+    *out = QdiscType::kRed;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace element

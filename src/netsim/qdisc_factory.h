@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/netsim/qdisc.h"
@@ -18,6 +19,12 @@ enum class QdiscType { kPfifoFast, kCoDel, kFqCoDel, kPie, kRed };
 
 // Disciplines that need randomness (PIE, RED) fork `rng`.
 std::unique_ptr<Qdisc> MakeBottleneckQdisc(QdiscType type, size_t limit, bool ecn, Rng* rng);
+
+// Display name ("pfifo_fast", "CoDel", "FQ_CoDel", "PIE", "RED").
+std::string DescribeQdisc(QdiscType type);
+// Case-insensitive: pfifo_fast|pfifo, codel, fq_codel|fqcodel, pie, red.
+// Returns false (leaving *out alone) for any other name.
+bool ParseQdisc(const std::string& name, QdiscType* out);
 
 }  // namespace element
 

@@ -164,8 +164,8 @@ void FillContentionResult(const ScenarioSpec& spec, ScenarioResult* result) {
     result->accuracy.goodput_mbps = run.flows.empty() ? 0.0 : run.flows.front().goodput_mbps;
     PublishAccuracyErrors(result->accuracy, &result->metrics);
   }
-  // The contention run's own registry snapshot (topo.* counters, spine
-  // dispatch count) rides along in the same mergeable store.
+  // The contention run's own registry snapshot (topo.* counters) rides
+  // along in the same mergeable store.
   result->metrics.Merge(run.metrics);
 
   result->has_topology = true;

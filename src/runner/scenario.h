@@ -113,10 +113,6 @@ struct ScenarioSuite {
   void OffsetSeeds(uint64_t offset);
 };
 
-// Name <-> enum helpers shared with the bench binaries.
-std::string DescribeQdisc(QdiscType type);
-bool ParseQdisc(const std::string& name, QdiscType* out);
-
 }  // namespace element
 
 #endif  // ELEMENT_SRC_RUNNER_SCENARIO_H_

@@ -69,11 +69,6 @@ Testbed::Testbed(uint64_t seed, const PathConfig& config) : config_(config), rng
   }
   std::unique_ptr<Qdisc> fwd_qdisc =
       MakeBottleneckQdisc(config_.qdisc, config_.queue_limit_packets, config_.ecn, &rng_);
-  if (config_.instrument_bottleneck) {
-    auto probe = std::make_unique<InstrumentedQdisc>(std::move(fwd_qdisc));
-    bottleneck_probe_ = probe.get();
-    fwd_qdisc = std::move(probe);
-  }
   path_ = std::make_unique<DuplexPath>(&loop_, &rng_, std::move(fwd_qdisc), MakeForwardLink(),
                                        std::move(rev_qdisc), std::move(rev_link));
   path_->BindTelemetry(&spine_);

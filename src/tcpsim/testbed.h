@@ -11,7 +11,6 @@
 
 #include "src/common/rng.h"
 #include "src/evloop/event_loop.h"
-#include "src/netsim/instrumented_qdisc.h"
 #include "src/netsim/link_model.h"
 #include "src/netsim/pipe.h"
 #include "src/netsim/qdisc_factory.h"
@@ -27,10 +26,6 @@ struct PathConfig {
   QdiscType qdisc = QdiscType::kPfifoFast;
   size_t queue_limit_packets = 100;  // ~2x BDP for the default profile
   bool ecn = false;
-
-  // Wrap the bottleneck qdisc in an InstrumentedQdisc (per-packet sojourn
-  // probe, the paper's §7 lower-layer tracing extension).
-  bool instrument_bottleneck = false;
 
   LinkType link = LinkType::kFixed;
   DataRate rate = DataRate::Mbps(10);
@@ -74,14 +69,11 @@ class Testbed {
   // Sum of a flow's base (propagation-only) round trip.
   TimeDelta BaseRtt() const;
 
-  // Non-null when `instrument_bottleneck` was set.
-  InstrumentedQdisc* bottleneck_probe() { return bottleneck_probe_; }
-
   // The testbed's telemetry spine — the default recording path. Both pipes'
-  // qdiscs and every socket this testbed creates are bound to it at
-  // construction; attach sinks (or per-flow sinks via a socket's
-  // telemetry()) to start recording. With no consumers, producers skip all
-  // telemetry work.
+  // qdiscs (forward source 0, reverse 1) and every socket this testbed
+  // creates are bound to it at construction; attach spine sinks or create
+  // rings to start recording (a SojournSink(0) here is the §7 bottleneck
+  // probe). With no consumers, producers skip all telemetry work.
   telemetry::TelemetrySpine& spine() { return spine_; }
 
  private:
@@ -92,7 +84,6 @@ class Testbed {
   Rng rng_;
   telemetry::TelemetrySpine spine_;
   std::unique_ptr<DuplexPath> path_;
-  InstrumentedQdisc* bottleneck_probe_ = nullptr;
   std::vector<std::unique_ptr<TcpSocket>> sockets_;
 };
 

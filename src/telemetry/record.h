@@ -29,6 +29,7 @@ enum class RecordKind : uint8_t {
   kCcStateChange, // congestion-control episode transition (recovery/RTO)
   // Qdisc events at the bottleneck.
   kQdiscEnqueue,
+  kQdiscDequeue,  // packet left the queue; u.range.aux = its sojourn in ns
   kQdiscDrop,  // pre-queue or from-queue (see flags)
   kQdiscMark,  // ECN CE mark instead of drop
   // A delay estimate or ground-truth sample with the paper's 3-way
@@ -94,8 +95,8 @@ struct TraceRecord {
   }
 };
 
-// The ring buffer packs records into fixed-size arena blocks; keep the record
-// layout boring and stable.
+// Rings and sinks copy records by value; keep the record layout boring and
+// stable.
 static_assert(sizeof(TraceRecord) == 48, "TraceRecord must stay 48 bytes");
 static_assert(std::is_trivially_copyable<TraceRecord>::value,
               "TraceRecord must be memcpy-safe");

@@ -2,11 +2,15 @@
 //
 // Topology
 //   TelemetrySpine (one per run/Testbed/Network)
-//     ├── MetricRegistry      named counters/gauges/distributions
-//     ├── per-flow TraceRing  flight recorders (arena-backed, optional)
+//     ├── per-flow TraceRing  flight recorders (own storage, optional)
 //     └── spine RecordSinks   run-wide consumers (see every record)
 //   FlowTelemetry (by value inside each producer: socket, estimator)
 //     └── up to kMaxSinks per-flow RecordSinks (e.g. a GroundTruthTracer)
+//
+// Consumers: only spine sinks and rings turn the spine on. A per-flow sink
+// turns on its own producer and nothing else, so a run whose only consumers
+// are per-flow tracers dispatches nothing through the spine and shared
+// producers (qdiscs) build no records.
 //
 // Overhead model (the ≤2% disabled-sink budget in bench/perf_floor.json):
 // FlowTelemetry::Emit is the only call on hot paths. When nothing is
@@ -14,16 +18,13 @@
 // flag) and no loads beyond the producer's own cache line — cheaper than the
 // virtual observer dispatch it replaces. All record construction happens
 // *after* the guard, so a disabled spine never materializes a TraceRecord.
-// Counters follow the same rule: producers bump registry handles only inside
-// recording paths or at end-of-run publication, never per-event when idle.
 //
 // Determinism rules (docs/telemetry.md):
 //   - attach sinks and create rings before the loop runs; mid-run attachment
 //     flips recording() and changes which branches execute, which is fine for
 //     correctness but changes perf, not results;
 //   - record emission order is simulation event order, so ring contents and
-//     sink callback sequences are seed-stable;
-//   - the registry snapshot is merged in the fleet's fixed fold order.
+//     sink callback sequences are seed-stable.
 
 #ifndef ELEMENT_SRC_TELEMETRY_SPINE_H_
 #define ELEMENT_SRC_TELEMETRY_SPINE_H_
@@ -34,9 +35,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
-#include "src/telemetry/metric_registry.h"
 #include "src/telemetry/record.h"
 #include "src/telemetry/trace_ring.h"
 
@@ -46,20 +45,13 @@ namespace telemetry {
 class TelemetrySpine {
  public:
   TelemetrySpine() = default;
-  // `arena` backs per-flow trace rings; pass the loop's arena so ring slabs
-  // recycle through the same freelist as packet payloads. Null is fine when
-  // no rings will be created.
-  explicit TelemetrySpine(FreeListArena* arena) : arena_(arena) {}
 
   TelemetrySpine(const TelemetrySpine&) = delete;
   TelemetrySpine& operator=(const TelemetrySpine&) = delete;
 
-  MetricRegistry* registry() { return &registry_; }
-  const MetricRegistry& registry() const { return registry_; }
-
-  // True when any consumer (ring, spine sink, or per-flow sink) is attached.
-  // Producers gate *all* telemetry work on this, so a run with no consumers
-  // pays only the check itself.
+  // True when a spine sink or a ring is attached. Shared producers gate *all*
+  // telemetry work on this, so a run with no spine consumers pays only the
+  // check itself.
   bool recording() const { return consumers_ != 0; }
 
   // Run-wide sinks: see every record emitted by every bound producer.
@@ -79,13 +71,13 @@ class TelemetrySpine {
     ELEMENT_CHECK(false) << "detaching sink that was never attached";
   }
 
-  // Creates (or returns) the flight recorder for `flow_id`. Requires an
-  // arena. Capacity is per-flow; see TraceRing for rounding.
+  // Creates (or returns) the flight recorder for `flow_id`, holding its last
+  // `capacity_records` records. Create rings before the run: the ring's
+  // storage is allocated here.
   TraceRing* EnsureRing(uint64_t flow_id, size_t capacity_records) {
-    ELEMENT_CHECK(arena_ != nullptr) << "spine has no arena for trace rings";
     auto it = rings_.find(flow_id);
     if (it == rings_.end()) {
-      it = rings_.emplace(flow_id, std::make_unique<TraceRing>(arena_, capacity_records)).first;
+      it = rings_.emplace(flow_id, std::make_unique<TraceRing>(capacity_records)).first;
       ++consumers_;
     }
     return it->second.get();
@@ -116,16 +108,7 @@ class TelemetrySpine {
 
   uint64_t dispatched() const { return dispatched_; }
 
-  // FlowTelemetry attach/detach bookkeeping (flips recording()).
-  void NoteFlowSinkAttached() { ++consumers_; }
-  void NoteFlowSinkDetached() {
-    ELEMENT_CHECK(consumers_ > 0);
-    --consumers_;
-  }
-
  private:
-  FreeListArena* arena_ = nullptr;
-  MetricRegistry registry_;
   std::vector<RecordSink*> sinks_;
   std::map<uint64_t, std::unique_ptr<TraceRing>> rings_;
   size_t consumers_ = 0;
@@ -151,14 +134,12 @@ class FlowTelemetry {
 
   // Per-flow sinks see only this producer's records (both sockets of a flow
   // bind separate FlowTelemetry instances; attach the same sink to both to
-  // observe the whole flow, which is what GroundTruthTracer does).
+  // observe the whole flow, which is what GroundTruthTracer does). They are
+  // not spine consumers: attaching one leaves the spine off.
   void AttachSink(RecordSink* sink) {
     ELEMENT_CHECK(sink != nullptr);
     ELEMENT_CHECK(sink_count_ < kMaxSinks) << "too many per-flow sinks";
     sinks_[sink_count_++] = sink;
-    if (spine_ != nullptr) {
-      spine_->NoteFlowSinkAttached();
-    }
   }
   void DetachSink(RecordSink* sink) {
     for (size_t i = 0; i < sink_count_; ++i) {
@@ -167,9 +148,6 @@ class FlowTelemetry {
           sinks_[j - 1] = sinks_[j];
         }
         --sink_count_;
-        if (spine_ != nullptr) {
-          spine_->NoteFlowSinkDetached();
-        }
         return;
       }
     }

@@ -1,10 +1,8 @@
-// Per-flow flight recorder: a bounded ring of TraceRecords carved from the
-// loop's FreeListArena in 192-byte slabs (4 records per block). When full the
+// Per-flow flight recorder: a bounded ring of TraceRecords. When full the
 // ring overwrites the oldest record, so after a long run it holds the most
 // recent window of a flow's history — the part post-mortem diagnosis wants —
-// at fixed memory cost. Blocks are allocated lazily on first touch and
-// returned to the arena on destruction, so an unused ring costs one pointer
-// vector.
+// at fixed memory cost. Its storage is allocated once, when the ring is
+// created, so pushing never allocates.
 
 #ifndef ELEMENT_SRC_TELEMETRY_TRACE_RING_H_
 #define ELEMENT_SRC_TELEMETRY_TRACE_RING_H_
@@ -13,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/telemetry/record.h"
 
@@ -22,64 +19,40 @@ namespace telemetry {
 
 class TraceRing {
  public:
-  static constexpr size_t kRecordsPerBlock = FreeListArena::kBlockBytes / sizeof(TraceRecord);
-  static_assert(kRecordsPerBlock == 4, "arena block should hold 4 records exactly");
-
-  // Capacity is rounded up to a whole number of arena blocks.
-  TraceRing(FreeListArena* arena, size_t capacity_records)
-      : arena_(arena),
-        capacity_((capacity_records + kRecordsPerBlock - 1) / kRecordsPerBlock *
-                  kRecordsPerBlock) {
+  explicit TraceRing(size_t capacity_records) : records_(capacity_records) {
     ELEMENT_CHECK(capacity_records > 0) << "trace ring needs capacity";
-    blocks_.resize(capacity_ / kRecordsPerBlock, nullptr);
   }
 
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  ~TraceRing() {
-    for (TraceRecord* block : blocks_) {
-      if (block != nullptr) {
-        arena_->Free(block, FreeListArena::kBlockBytes);
-      }
-    }
-  }
-
   void Push(const TraceRecord& record) {
-    const size_t slot = static_cast<size_t>(total_ % capacity_);
-    TraceRecord*& block = blocks_[slot / kRecordsPerBlock];
-    if (block == nullptr) {
-      block = static_cast<TraceRecord*>(arena_->Allocate(FreeListArena::kBlockBytes));
-    }
-    block[slot % kRecordsPerBlock] = record;
+    records_[next_] = record;
+    next_ = next_ + 1 == records_.size() ? 0 : next_ + 1;
     ++total_;
   }
 
   // Records currently held (== min(total_pushed, capacity)).
   size_t size() const {
-    return total_ < capacity_ ? static_cast<size_t>(total_) : capacity_;
+    return total_ < records_.size() ? static_cast<size_t>(total_) : records_.size();
   }
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return records_.size(); }
   uint64_t total_pushed() const { return total_; }
-  uint64_t overwritten() const { return total_ < capacity_ ? 0 : total_ - capacity_; }
+  uint64_t overwritten() const { return total_ - size(); }
 
   // Copies the held records oldest-first.
   std::vector<TraceRecord> Snapshot() const {
     std::vector<TraceRecord> out;
-    const size_t n = size();
-    out.reserve(n);
-    const uint64_t first = total_ - n;
-    for (uint64_t i = first; i < total_; ++i) {
-      const size_t slot = static_cast<size_t>(i % capacity_);
-      out.push_back(blocks_[slot / kRecordsPerBlock][slot % kRecordsPerBlock]);
+    out.reserve(size());
+    for (uint64_t i = total_ - size(); i < total_; ++i) {
+      out.push_back(records_[static_cast<size_t>(i % records_.size())]);
     }
     return out;
   }
 
  private:
-  FreeListArena* arena_;
-  size_t capacity_;
-  std::vector<TraceRecord*> blocks_;
+  std::vector<TraceRecord> records_;
+  size_t next_ = 0;  // slot the next Push writes
   uint64_t total_ = 0;
 };
 

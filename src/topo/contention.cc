@@ -25,8 +25,8 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   EventLoop loop;
   Rng rng(config.seed);
   Network net(&loop, &rng, config.topo);
-  // One spine per run: qdisc/socket producers route through it, and its
-  // registry carries the end-of-run counter snapshot out in the result.
+  // One spine per run: qdisc/socket producers route through it. Nothing here
+  // attaches a spine sink or ring, so it stays off.
   telemetry::TelemetrySpine spine;
   net.BindTelemetry(&spine);
 
@@ -106,7 +106,6 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   result.bottleneck = net.bottleneck_qdisc(0).stats();
   result.processed_events = loop.processed_events();
   net.PublishMetrics(&result.metrics, "topo.");
-  *result.metrics.Counter("telemetry.dispatched") += spine.dispatched();
   return result;
 }
 

@@ -69,8 +69,7 @@ struct ContentionResult {
   uint64_t processed_events = 0;     // EventLoop total (perf accounting)
 
   // End-of-run registry snapshot: router/hop counters published by the
-  // Network plus "telemetry.dispatched" from the run's spine. Mergeable
-  // across runs via MetricRegistry::Merge.
+  // Network. Mergeable across runs via MetricRegistry::Merge.
   telemetry::MetricRegistry metrics;
 };
 

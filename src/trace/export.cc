@@ -3,8 +3,6 @@
 #include <fstream>
 #include <iomanip>
 
-#include "src/common/json.h"
-
 namespace element {
 
 void WriteTimeSeriesCsv(std::ostream& os, const TimeSeries& series,
@@ -23,29 +21,6 @@ void WriteCdfCsv(std::ostream& os, const SampleSet& samples,
   for (double q : quantiles) {
     os << q << "," << samples.Quantile(q) << "\n";
   }
-}
-
-void WriteSummaryJson(std::ostream& os, const SampleSet& samples, const std::string& name) {
-  json::Value obj = json::Value::Object();
-  obj.Set("name", json::Value::Str(name));
-  obj.Set("count", json::Value::Int(static_cast<int64_t>(samples.count())));
-  obj.Set("mean", json::Value::Number(samples.mean()));
-  obj.Set("stdev", json::Value::Number(samples.Stdev()));
-  obj.Set("min", json::Value::Number(samples.min()));
-  obj.Set("max", json::Value::Number(samples.max()));
-  obj.Set("p50", json::Value::Number(samples.Quantile(0.5)));
-  obj.Set("p90", json::Value::Number(samples.Quantile(0.9)));
-  obj.Set("p99", json::Value::Number(samples.Quantile(0.99)));
-  os << obj.Dump(/*indent=*/-1);
-}
-
-void WriteCompositionJson(std::ostream& os, const GroundTruthTracer::Composition& composition) {
-  json::Value obj = json::Value::Object();
-  obj.Set("sender_s", json::Value::Number(composition.sender_s));
-  obj.Set("network_s", json::Value::Number(composition.network_s));
-  obj.Set("receiver_s", json::Value::Number(composition.receiver_s));
-  obj.Set("total_s", json::Value::Number(composition.total_s));
-  os << obj.Dump(/*indent=*/-1);
 }
 
 bool WriteTimeSeriesCsvFile(const std::string& path, const TimeSeries& series,

@@ -1,6 +1,6 @@
-// Export helpers: write time series, sample sets, and delay compositions to
-// CSV or JSON so external tooling (gnuplot, pandas, ...) can consume the
-// experiment outputs the bench binaries print.
+// Export helpers: write time series and sample-set CDFs to CSV so external
+// tooling (gnuplot, pandas, ...) can consume the experiment outputs the bench
+// binaries print.
 
 #ifndef ELEMENT_SRC_TRACE_EXPORT_H_
 #define ELEMENT_SRC_TRACE_EXPORT_H_
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/stats.h"
-#include "src/trace/ground_truth.h"
 
 namespace element {
 
@@ -21,13 +20,6 @@ void WriteTimeSeriesCsv(std::ostream& os, const TimeSeries& series,
 // (quantile, value) rows for a CDF at the given quantiles.
 void WriteCdfCsv(std::ostream& os, const SampleSet& samples,
                  const std::vector<double>& quantiles, const std::string& value_name);
-
-// One JSON object with summary statistics (count/mean/stdev/min/max and the
-// standard quantiles).
-void WriteSummaryJson(std::ostream& os, const SampleSet& samples, const std::string& name);
-
-// The delay-composition triple as a JSON object.
-void WriteCompositionJson(std::ostream& os, const GroundTruthTracer::Composition& composition);
 
 // Convenience file variants; return false on I/O failure.
 bool WriteTimeSeriesCsvFile(const std::string& path, const TimeSeries& series,

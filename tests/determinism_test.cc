@@ -14,6 +14,7 @@
 #include "src/evloop/event_loop.h"
 #include "src/tcpsim/testbed.h"
 #include "src/trace/ground_truth.h"
+#include "src/trace/sojourn_sink.h"
 
 namespace element {
 namespace {
@@ -27,15 +28,15 @@ void SerializeSeries(std::ostringstream& os, const char* label, const TimeSeries
   }
 }
 
-// One bulk transfer over a jittery, lossy wifi-profile path with an
-// instrumented CoDel-style bottleneck — enough stochastic machinery (link
+// One bulk transfer over a jittery, lossy wifi-profile path with a sojourn
+// probe on the bottleneck — enough stochastic machinery (link
 // jitter, loss coin flips, app wakeup latency) that any nondeterminism
 // perturbs the trace within milliseconds of sim time.
 std::string RunScenarioTrace(uint64_t seed) {
   PathConfig path = WifiProfile();
-  path.instrument_bottleneck = true;
   Testbed bed(seed, path);
-  bed.bottleneck_probe()->set_keep_series(true);
+  SojournSink bottleneck(/*source=*/0);
+  bed.spine().AttachSink(&bottleneck);
 
   GroundTruthTracer ground_truth;
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
@@ -68,7 +69,7 @@ std::string RunScenarioTrace(uint64_t seed) {
      << " drop=" << qs.dropped_packets << " enq_b=" << qs.enqueued_bytes
      << " deq_b=" << qs.dequeued_bytes << '\n';
 
-  SerializeSeries(os, "bottleneck_sojourn", bed.bottleneck_probe()->sojourn_series());
+  SerializeSeries(os, "bottleneck_sojourn", bottleneck.series());
   SerializeSeries(os, "sender_delay", ground_truth.sender_delay_series());
   SerializeSeries(os, "receiver_delay", ground_truth.receiver_delay_series());
   return os.str();
@@ -83,9 +84,9 @@ std::string RunScenarioTrace(uint64_t seed) {
 // byte-identical.
 std::string RunCancelHeavyTrace(uint64_t seed) {
   PathConfig path = WifiProfile();
-  path.instrument_bottleneck = true;
   Testbed bed(seed, path);
-  bed.bottleneck_probe()->set_keep_series(true);
+  SojournSink bottleneck(/*source=*/0);
+  bed.spine().AttachSink(&bottleneck);
 
   GroundTruthTracer ground_truth;
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
@@ -138,7 +139,7 @@ std::string RunCancelHeavyTrace(uint64_t seed) {
   os << "pending_after_drain=" << loop.pending_events() << '\n';
   os << "bytes_read=" << flow.receiver->app_bytes_read() << '\n';
   os << "retransmits=" << flow.sender->total_retransmits() << '\n';
-  SerializeSeries(os, "bottleneck_sojourn", bed.bottleneck_probe()->sojourn_series());
+  SerializeSeries(os, "bottleneck_sojourn", bottleneck.series());
   SerializeSeries(os, "sender_delay", ground_truth.sender_delay_series());
   SerializeSeries(os, "receiver_delay", ground_truth.receiver_delay_series());
   return os.str();

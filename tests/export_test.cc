@@ -1,4 +1,4 @@
-// Tests for the trace export helpers (CSV/JSON) and the RFC 2861 idle-restart
+// Tests for the trace export helpers (CSV) and the RFC 2861 idle-restart
 // behaviour added to the stack.
 
 #include <gtest/gtest.h>
@@ -39,27 +39,6 @@ TEST(ExportTest, CdfCsvHasQuantileRows) {
   EXPECT_NE(out.find("quantile,v"), std::string::npos);
   EXPECT_NE(out.find("0.5,50.5"), std::string::npos);
   EXPECT_NE(out.find("0.9,90.1"), std::string::npos);
-}
-
-TEST(ExportTest, SummaryJsonFields) {
-  SampleSet s;
-  s.Add(1.0);
-  s.Add(3.0);
-  std::ostringstream os;
-  WriteSummaryJson(os, s, "test");
-  std::string out = os.str();
-  EXPECT_NE(out.find("\"name\":\"test\""), std::string::npos);
-  EXPECT_NE(out.find("\"count\":2"), std::string::npos);
-  EXPECT_NE(out.find("\"mean\":2"), std::string::npos);
-}
-
-TEST(ExportTest, CompositionJson) {
-  GroundTruthTracer tracer;
-  tracer.OnAppWrite(0, 100, Ms(0));
-  tracer.OnTcpTransmit(0, 100, Ms(10), false);
-  std::ostringstream os;
-  WriteCompositionJson(os, tracer.MeanComposition());
-  EXPECT_NE(os.str().find("\"sender_s\":0.01"), std::string::npos);
 }
 
 TEST(ExportTest, FileVariantsWriteAndFail) {

@@ -1,6 +1,6 @@
 // Tests for the Discussion-section (§7) extensions: the event-driven
 // delay/jitter monitor, pluggable rate controllers, the QoS latency-budget
-// hook, and the instrumented-qdisc lower-layer probe.
+// hook, and the bottleneck sojourn probe (lower-layer tracing).
 
 #include <gtest/gtest.h>
 
@@ -14,11 +14,11 @@
 #include "src/element/element_socket.h"
 #include "src/element/interposer.h"
 #include "src/element/rate_controller.h"
-#include "src/netsim/instrumented_qdisc.h"
 #include "src/netsim/pfifo_fast.h"
 #include "src/tcpsim/testbed.h"
 #include "src/telemetry/record.h"
 #include "src/trace/ground_truth.h"
+#include "src/trace/sojourn_sink.h"
 
 namespace element {
 namespace {
@@ -231,8 +231,14 @@ TEST(LatencyBudgetTest, BudgetShiftsEquilibriumDelay) {
   EXPECT_LT(tight, 0.05);
 }
 
-TEST(InstrumentedQdiscTest, RecordsSojournTimes) {
-  InstrumentedQdisc q(std::make_unique<PfifoFast>(100));
+TEST(SojournSinkTest, RecordsSojournTimes) {
+  telemetry::TelemetrySpine spine;
+  SojournSink sink(/*source=*/3);
+  SojournSink other_hop(/*source=*/4);
+  spine.AttachSink(&sink);
+  spine.AttachSink(&other_hop);
+  PfifoFast q(100);
+  q.BindTelemetry(&spine, 3);
   Packet p;
   p.flow_id = 1;
   p.size_bytes = 1500;
@@ -243,25 +249,26 @@ TEST(InstrumentedQdiscTest, RecordsSojournTimes) {
   q.Enqueue(std::move(p2), Ms(0));
   q.Dequeue(Ms(5));
   q.Dequeue(Ms(12));
-  ASSERT_EQ(q.sojourn_samples().count(), 2u);
-  EXPECT_NEAR(q.sojourn_samples().samples()[0], 0.005, 1e-9);
-  EXPECT_NEAR(q.sojourn_samples().samples()[1], 0.012, 1e-9);
-  EXPECT_EQ(q.name(), "pfifo_fast+probe");
+  ASSERT_EQ(sink.series().count(), 2u);
+  EXPECT_NEAR(sink.series().points()[0].v, 0.005, 1e-9);
+  EXPECT_NEAR(sink.series().points()[1].v, 0.012, 1e-9);
+  EXPECT_EQ(sink.series().points()[1].t, Ms(12));
+  EXPECT_TRUE(other_hop.series().empty());
   EXPECT_EQ(q.stats().dequeued_packets, 2u);
 }
 
-TEST(InstrumentedQdiscTest, SojournMatchesNetworkQueueingOnLiveFlow) {
+TEST(SojournSinkTest, SojournMatchesNetworkQueueingOnLiveFlow) {
   PathConfig path;
-  path.instrument_bottleneck = true;
   Testbed bed(19, path);
-  ASSERT_NE(bed.bottleneck_probe(), nullptr);
+  SojournSink bottleneck(/*source=*/0);
+  bed.spine().AttachSink(&bottleneck);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
   MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, MeasuredFlow::Options{});
   measured.Start();
   bed.loop().RunUntil(Sec(20.0));
   // Lower-layer decomposition: mean network delay ~= propagation (25 ms) +
   // serialization + mean bottleneck sojourn.
-  double sojourn = bed.bottleneck_probe()->sojourn_samples().mean();
+  double sojourn = bottleneck.series().Values().mean();
   double network = measured.tracer().network_delay().mean();
   EXPECT_NEAR(network, 0.025 + 0.0012 + sojourn, 0.01);
   EXPECT_GT(sojourn, 0.005);  // Cubic keeps a standing queue

@@ -1,12 +1,14 @@
-// Telemetry spine unit tests: arena-backed trace rings, the metric
-// registry's merge contract, and spine/FlowTelemetry recording semantics.
+// Telemetry spine tests: trace rings, the metric registry's merge contract,
+// spine/FlowTelemetry recording semantics, and the spine on a Testbed run.
 
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/arena.h"
+#include "src/apps/measured_flow.h"
 #include "src/common/stats.h"
+#include "src/tcpsim/testbed.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/spine.h"
 #include "src/telemetry/trace_ring.h"
@@ -16,42 +18,21 @@ namespace telemetry {
 namespace {
 
 TEST(TraceRingTest, OverwritesOldestAndSnapshotsInOrder) {
-  FreeListArena arena;
-  TraceRing ring(&arena, 7);  // rounds up to 8 (2 blocks)
-  EXPECT_EQ(ring.capacity(), 8u);
+  TraceRing ring(7);
+  EXPECT_EQ(ring.capacity(), 7u);
   for (uint64_t i = 0; i < 11; ++i) {
     ring.Push(TraceRecord::Range(RecordKind::kAppWrite, /*flow_id=*/1,
                                  SimTime::FromNanos(static_cast<int64_t>(i)), i, i + 1));
   }
   EXPECT_EQ(ring.total_pushed(), 11u);
-  EXPECT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.overwritten(), 3u);
+  EXPECT_EQ(ring.size(), 7u);
+  EXPECT_EQ(ring.overwritten(), 4u);
   std::vector<TraceRecord> snap = ring.Snapshot();
-  ASSERT_EQ(snap.size(), 8u);
-  // Oldest-first window: records 3..10 survive.
+  ASSERT_EQ(snap.size(), 7u);
+  // Oldest-first window: records 4..10 survive.
   for (size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].u.range.begin, i + 3);
+    EXPECT_EQ(snap[i].u.range.begin, i + 4);
   }
-}
-
-TEST(TraceRingTest, BlocksAllocateLazilyOnFirstTouch) {
-  FreeListArena arena;
-  {
-    TraceRing ring(&arena, 16);  // 4 blocks, none touched yet
-    EXPECT_EQ(arena.pool_allocs(), 0u);
-    for (uint64_t i = 0; i < 4; ++i) {
-      ring.Push(TraceRecord::Range(RecordKind::kAppWrite, 1,
-                                   SimTime::FromNanos(static_cast<int64_t>(i)), i, i + 1));
-    }
-    EXPECT_EQ(arena.pool_allocs(), 1u);  // records 0..3 share the first block
-    ring.Push(TraceRecord::Range(RecordKind::kAppWrite, 1, SimTime::FromNanos(4), 4, 5));
-    EXPECT_EQ(arena.pool_allocs(), 2u);  // record 4 touches the second block
-  }
-  // Destructor returned both blocks: a fresh ring reuses them off the
-  // freelist instead of growing a new chunk.
-  TraceRing again(&arena, 8);
-  again.Push(TraceRecord::Range(RecordKind::kAppWrite, 1, SimTime::Zero(), 0, 1));
-  EXPECT_EQ(arena.capacity_blocks(), FreeListArena::kBlocksPerChunk);
 }
 
 TEST(MetricRegistryTest, HandlesAreStableAndMergeFolds) {
@@ -101,8 +82,7 @@ struct CollectSink : RecordSink {
 };
 
 TEST(SpineTest, RecordingReflectsConsumersAndDispatchRoutes) {
-  FreeListArena arena;
-  TelemetrySpine spine(&arena);
+  TelemetrySpine spine;
   EXPECT_FALSE(spine.recording());
 
   FlowTelemetry flow;
@@ -135,26 +115,28 @@ TEST(SpineTest, PerFlowSinksSeeOnlyTheirProducer) {
   TelemetrySpine spine;
   FlowTelemetry flow_a;
   FlowTelemetry flow_b;
+  CollectSink sink_a;
+  flow_a.AttachSink(&sink_a);  // before Bind: the order must not matter
   flow_a.Bind(&spine, 1);
   flow_b.Bind(&spine, 2);
-
-  CollectSink sink_a;
-  flow_a.AttachSink(&sink_a);
-  EXPECT_TRUE(spine.recording());  // per-flow attachment counts as a consumer
+  EXPECT_FALSE(spine.recording());  // a per-flow sink is not a spine consumer
   EXPECT_TRUE(flow_a.recording());
-  EXPECT_TRUE(flow_b.recording());  // spine-level recording turns b on too
+  EXPECT_FALSE(flow_b.recording());
 
   flow_a.Emit(TraceRecord::Range(RecordKind::kAppWrite, 1, SimTime::Zero(), 0, 10));
   flow_b.Emit(TraceRecord::Range(RecordKind::kAppWrite, 2, SimTime::Zero(), 0, 20));
   ASSERT_EQ(sink_a.records.size(), 1u);
   EXPECT_EQ(sink_a.records[0].flow_id, 1u);
-  EXPECT_EQ(spine.dispatched(), 2u);  // both still crossed the spine
+  EXPECT_EQ(spine.dispatched(), 0u);  // nothing crossed the spine
 
+  // Detaching the per-flow sink leaves a ring created meanwhile switched on.
+  TraceRing* ring = spine.EnsureRing(2, 4);
   flow_a.DetachSink(&sink_a);
-  EXPECT_FALSE(spine.recording());
-  EXPECT_FALSE(flow_a.recording());
-  flow_a.Emit(TraceRecord::Range(RecordKind::kAppWrite, 1, SimTime::Zero(), 10, 20));
-  EXPECT_EQ(spine.dispatched(), 2u);  // disabled producers emit nothing
+  EXPECT_TRUE(spine.recording());
+  EXPECT_TRUE(flow_b.recording());
+  flow_b.Emit(TraceRecord::Range(RecordKind::kAppWrite, 2, SimTime::Zero(), 20, 30));
+  EXPECT_EQ(ring->size(), 1u);
+  EXPECT_EQ(spine.dispatched(), 1u);
 }
 
 TEST(SpineTest, UnboundFlowTelemetryStillFeedsLocalSinks) {
@@ -166,6 +148,50 @@ TEST(SpineTest, UnboundFlowTelemetryStillFeedsLocalSinks) {
   flow.Emit(TraceRecord::Range(RecordKind::kAppRead, 9, SimTime::Zero(), 0, 5));
   ASSERT_EQ(sink.records.size(), 1u);
   EXPECT_EQ(sink.records[0].kind, RecordKind::kAppRead);
+}
+
+// A ring on a Testbed's spine, during a MeasuredFlow run, holds exactly the
+// flow's last records as a run-wide sink saw them, oldest first.
+TEST(SpineRunTest, TestbedRingHoldsFlowsLastRecords) {
+  Testbed bed(7, PathConfig{});
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  TraceRing* ring = bed.spine().EnsureRing(flow.flow_id, 64);
+  CollectSink all;
+  bed.spine().AttachSink(&all);
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, MeasuredFlow::Options{});
+  measured.Start();
+  bed.loop().RunUntil(SimTime::FromNanos(2'000'000'000));
+
+  std::vector<TraceRecord> mine;
+  for (const TraceRecord& r : all.records) {
+    if (r.flow_id == flow.flow_id) {
+      mine.push_back(r);
+    }
+  }
+  ASSERT_GT(mine.size(), 64u);
+  EXPECT_EQ(ring->total_pushed(), mine.size());
+  std::vector<TraceRecord> snap = ring->Snapshot();
+  ASSERT_EQ(snap.size(), 64u);
+  for (size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&snap[i], &mine[mine.size() - 64 + i], sizeof(TraceRecord)), 0) << i;
+    if (i > 0) {
+      EXPECT_LE(snap[i - 1].t, snap[i].t);
+    }
+  }
+}
+
+// Per-flow tracers and estimators record without turning the spine on.
+TEST(SpineRunTest, PerFlowTracersDispatchNothing) {
+  Testbed bed(7, PathConfig{});
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  MeasuredFlow::Options options;
+  options.element = MeasuredFlow::Element::kMeasured;
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
+  bed.loop().RunUntil(SimTime::FromNanos(2'000'000'000));
+  EXPECT_GT(measured.tracer().sender_delay().count(), 0u);
+  EXPECT_FALSE(bed.spine().recording());
+  EXPECT_EQ(bed.spine().dispatched(), 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "src/topo/cross_traffic.h"
 #include "src/topo/router.h"
 #include "src/topo/topology.h"
+#include "src/trace/sojourn_sink.h"
 
 namespace element {
 namespace {
@@ -181,6 +182,49 @@ TEST(TopologyTest, EcnMarksSurviveMultiHopForwarding) {
   EXPECT_TRUE(at_receiver.packets[1].ecn_capable);
   EXPECT_FALSE(at_receiver.packets[1].ecn_marked);
   net.receiver(0).rx->Unregister(flow);
+}
+
+// Each hop's qdisc reports its sojourns on the spine under its own source id
+// (2h forward, 2h+1 reverse). A burst queues at hop 0 and leaves it paced at
+// the bottleneck rate, so hop 1 forwards it with no standing queue.
+TEST(TopologyTest, SojournSinkKeepsItsOwnHop) {
+  EventLoop loop;
+  Rng rng(1);
+  TopologySpec spec;
+  spec.shape = TopologyShape::kParkingLot;
+  spec.hops = 2;
+  spec.host_pairs = 1;
+  Network net(&loop, &rng, spec);
+  telemetry::TelemetrySpine spine;
+  net.BindTelemetry(&spine);
+  SojournSink hop0(/*source=*/0);
+  SojournSink hop1(/*source=*/2);
+  SojournSink hop0_reverse(/*source=*/1);
+  spine.AttachSink(&hop0);
+  spine.AttachSink(&hop1);
+  spine.AttachSink(&hop0_reverse);
+
+  uint64_t flow = net.AllocateFlowId();
+  net.RouteFlow(flow, 0);
+  CaptureSink at_receiver;
+  net.receiver(0).rx->Register(flow, &at_receiver);
+  constexpr size_t kBurst = 10;
+  for (size_t i = 0; i < kBurst; ++i) {
+    net.sender(0).tx->Deliver(MakePacket(flow));
+  }
+  loop.RunUntil(Sec(1.0));
+  ASSERT_EQ(at_receiver.packets.size(), kBurst);
+  net.receiver(0).rx->Unregister(flow);
+
+  ASSERT_EQ(hop0.series().count(), kBurst);
+  ASSERT_EQ(hop1.series().count(), kBurst);
+  EXPECT_TRUE(hop0_reverse.series().empty());
+  // 10 Mbps bottleneck: each 1500-byte packet waits ~1.2 ms more than the last.
+  const std::vector<TimeSeries::Point>& p0 = hop0.series().points();
+  for (size_t i = 1; i < kBurst; ++i) {
+    EXPECT_GT(p0[i].v, p0[i - 1].v + 0.001) << i;
+  }
+  EXPECT_LT(hop1.series().Values().max(), 0.001);
 }
 
 // S1, end to end: with ECN on a multi-hop path, CoDel marks instead of
