@@ -23,6 +23,9 @@ MeasuredFlow::MeasuredFlow(EventLoop* loop, TcpSocket* sender, TcpSocket* receiv
       measure.tracker_period = options.tracker_period;
       em_snd_ = std::make_unique<ElementSocket>(loop, sender_, measure);
       em_rcv_ = std::make_unique<ElementSocket>(loop, receiver_, measure);
+      em_snd_->sender_estimator().telemetry().AttachSink(&sender_scorer_);
+      em_rcv_->receiver_estimator().telemetry().AttachSink(&receiver_scorer_);
+      tracer_.ScoreInto(&sender_scorer_.scorer, &receiver_scorer_.scorer);
       sink_ = std::make_unique<ElementSink>(em_snd_.get());
       reader_ = std::make_unique<SinkApp>(em_rcv_.get());
       break;
@@ -65,14 +68,12 @@ FlowResult MeasuredFlow::Result(const std::string& congestion_control, double du
 
 AccuracyResult MeasuredFlow::SenderAccuracy() const {
   ELEMENT_CHECK(em_snd_ != nullptr) << "accuracy needs a measured flow";
-  return ScoreEstimates(em_snd_->sender_estimator().delay_series(),
-                        tracer_.sender_delay_series());
+  return sender_scorer_.scorer.Result();
 }
 
 AccuracyResult MeasuredFlow::ReceiverAccuracy() const {
   ELEMENT_CHECK(em_rcv_ != nullptr) << "accuracy needs a measured flow";
-  return ScoreEstimates(em_rcv_->receiver_estimator().delay_series(),
-                        tracer_.receiver_delay_series());
+  return receiver_scorer_.scorer.Result();
 }
 
 ElementSocket& MeasuredFlow::element_sender() {

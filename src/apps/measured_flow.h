@@ -7,6 +7,10 @@
 // both, builds the application's ByteSink with the IperfApp writing into it and
 // the SinkApp draining the far end, and after the run reduces the flow to one
 // FlowResult row plus, for a measured flow, ELEMENT's accuracy at both ends.
+// A measured flow scores while it runs: each estimator's kDelaySample records
+// and the tracer's truth points stream into one StreamingScorer per end, so
+// accuracy needs neither the tracer's series nor the estimators' (drivers
+// that print no trace set `tracer.keep_time_series = false`).
 // How the sockets are made and when the flows start stay with each caller.
 //
 // Deliberately hand-wired instead: tab07_cpu_overhead (a tracer would add
@@ -84,7 +88,8 @@ class MeasuredFlow {
   FlowResult Result(const std::string& congestion_control, double duration_s,
                     double base_delay_s) const;
 
-  // kMeasured only: ELEMENT's estimates at each end against ground truth.
+  // kMeasured only: ELEMENT's estimates at each end against ground truth,
+  // scored while the flow ran.
   AccuracyResult SenderAccuracy() const;
   AccuracyResult ReceiverAccuracy() const;
 
@@ -95,10 +100,25 @@ class MeasuredFlow {
   ElementSocket& element_receiver();
 
  private:
+  // One end's scorer, fed the estimates from that end's estimator.
+  class EstimateScorer : public telemetry::RecordSink {
+   public:
+    explicit EstimateScorer(bool receiver) : receiver_(receiver) {}
+    void OnRecord(const telemetry::TraceRecord& r) override {
+      scorer.OnEstimate(r.t, receiver_ ? r.u.delay.receiver_s : r.u.delay.sender_s);
+    }
+    StreamingScorer scorer;
+
+   private:
+    bool receiver_;
+  };
+
   Element element_;
   TcpSocket* sender_;
   TcpSocket* receiver_;
   GroundTruthTracer tracer_;
+  EstimateScorer sender_scorer_{/*receiver=*/false};
+  EstimateScorer receiver_scorer_{/*receiver=*/true};
   std::unique_ptr<ElementSocket> em_snd_;
   std::unique_ptr<ElementSocket> em_rcv_;
   std::unique_ptr<ByteSink> sink_;

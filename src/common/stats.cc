@@ -260,7 +260,12 @@ double Histogram::Quantile(double q) const {
   return std::min(std::max(value, min_), max_);
 }
 
-void TimeSeries::Add(SimTime t, double v) { points_.push_back({t, v}); }
+void TimeSeries::Add(SimTime t, double v) {
+  ELEMENT_DCHECK(points_.empty() || t >= points_.back().t)
+      << "time series point at " << t.nanos() << "ns after one at " << points_.back().t.nanos()
+      << "ns";
+  points_.push_back({t, v});
+}
 
 bool TimeSeries::InterpolateAt(SimTime t, double* out) const {
   if (points_.empty()) {
@@ -276,16 +281,17 @@ bool TimeSeries::InterpolateAt(SimTime t, double* out) const {
   }
   auto it = std::lower_bound(points_.begin(), points_.end(), t,
                              [](const Point& p, SimTime when) { return p.t < when; });
-  const Point& hi = *it;
-  const Point& lo = *(it - 1);
+  *out = Interpolate(*(it - 1), *it, t);
+  return true;
+}
+
+double TimeSeries::Interpolate(const Point& lo, const Point& hi, SimTime t) {
   TimeDelta span = hi.t - lo.t;
   if (span.nanos() <= 0) {
-    *out = lo.v;
-    return true;
+    return lo.v;
   }
   double frac = (t - lo.t) / span;
-  *out = lo.v * (1.0 - frac) + hi.v * frac;
-  return true;
+  return lo.v * (1.0 - frac) + hi.v * frac;
 }
 
 RunningStats TimeSeries::Summary() const {

@@ -131,6 +131,7 @@ class Histogram {
 // which is how the paper compares ELEMENT samples against ground truth.
 class TimeSeries {
  public:
+  // Points must not go back in time (DCHECK): InterpolateAt searches them.
   void Add(SimTime t, double v);
 
   size_t count() const { return points_.size(); }
@@ -145,6 +146,9 @@ class TimeSeries {
   // Linear interpolation at time t; clamps outside the recorded range.
   // Returns false if the series is empty.
   bool InterpolateAt(SimTime t, double* out) const;
+  // The value at `t` on the segment from `lo` to `hi`: the one expression
+  // InterpolateAt and StreamingScorer share, so both give the same bits.
+  static double Interpolate(const Point& lo, const Point& hi, SimTime t);
 
   RunningStats Summary() const;
   // The values alone, in insertion order (exact mean/stdev/quantiles).

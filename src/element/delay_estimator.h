@@ -9,10 +9,11 @@
 // structure: records are pushed at the front and consumed from the back.
 //
 // Each matched record yields one buffer-delay estimate, which an estimator
-// delivers two ways: appended to delay_series() (the stored history accuracy
-// scoring reads), and emitted as a kDelaySample record (kFlagEstimate) on
-// telemetry(). Live consumers — Algorithm 3's controller, DelayEventMonitor —
-// attach a telemetry::RecordSink there.
+// delivers two ways: appended to delay_series() (the stored history the
+// figures and ScoreEstimates read), and emitted as a kDelaySample record
+// (kFlagEstimate) on telemetry(). Live consumers — Algorithm 3's controller,
+// DelayEventMonitor, a measured MeasuredFlow's accuracy scorers — attach a
+// telemetry::RecordSink there.
 
 #ifndef ELEMENT_SRC_ELEMENT_DELAY_ESTIMATOR_H_
 #define ELEMENT_SRC_ELEMENT_DELAY_ESTIMATOR_H_

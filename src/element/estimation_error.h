@@ -6,7 +6,9 @@
 #ifndef ELEMENT_SRC_ELEMENT_ESTIMATION_ERROR_H_
 #define ELEMENT_SRC_ELEMENT_ESTIMATION_ERROR_H_
 
+#include "src/common/ring_fifo.h"
 #include "src/common/stats.h"
+#include "src/common/time.h"
 
 namespace element {
 
@@ -25,6 +27,42 @@ struct AccuracyResult {
   size_t compared_samples = 0;
 };
 
+// Scores estimates against ground truth while both arrive, so neither has to
+// be stored. Each estimate waits for the first truth point strictly after it
+// and is then compared with the truth interpolated at its time, exactly as
+// TimeSeries::InterpolateAt would on the whole truth series (same rule, same
+// expression). The scorer holds the waiting estimates and four truth points:
+// the first, the latest, the first at the latest time, and the one before
+// that.
+class StreamingScorer {
+ public:
+  // Inputs must not go back in time, across both streams (DCHECK).
+  void OnEstimate(SimTime t, double v);
+  void OnTruth(SimTime t, double v);
+
+  // The score as if the run ended now: estimates still waiting take the
+  // first truth point if at or before it, else the last. With no truth at
+  // all every estimate is skipped.
+  AccuracyResult Result() const;
+
+ private:
+  // The truth at `t` for an estimate strictly before `next`, the truth point
+  // arriving now.
+  double TruthBefore(SimTime t, const TimeSeries::Point& next) const;
+
+  SampleSet errors_;
+  double truth_sum_ = 0.0;
+  RingFifo<TimeSeries::Point> waiting_;
+  SimTime latest_ = SimTime::Zero();  // latest input of either kind
+  bool has_truth_ = false;
+  TimeSeries::Point first_{};
+  TimeSeries::Point last_{};
+  TimeSeries::Point group_first_{};   // first truth point at last_.t
+  TimeSeries::Point before_group_{};  // the one before it, if any
+};
+
+// Scores stored series: a merge-walk that feeds a StreamingScorer in time
+// order.
 AccuracyResult ScoreEstimates(const TimeSeries& estimates, const TimeSeries& ground_truth);
 
 }  // namespace element

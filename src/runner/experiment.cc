@@ -56,9 +56,11 @@ AccuracyRun RunAccuracyExperiment(uint64_t seed, const PathConfig& path, double 
                                   TimeDelta tracker_period, int background_flows) {
   Testbed bed(seed, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  // The flow scores while it runs; nothing reads its series.
   MeasuredFlow::Options options;
   options.element = MeasuredFlow::Element::kMeasured;
   options.tracker_period = tracker_period;
+  options.tracer.keep_time_series = false;
   MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
   measured.Start();
 

@@ -49,6 +49,9 @@ using FieldPtr = std::variant<std::string ScenarioSpec::*, double ScenarioSpec::
 struct Field {
   const char* key;
   FieldPtr member;
+  // A time field's nanoseconds per unit, else 0. The drivers convert time
+  // fields to int64 nanoseconds, so Validate checks that they fit.
+  double ns_per_unit = 0.0;
 };
 
 constexpr Field kFields[] = {
@@ -56,7 +59,7 @@ constexpr Field kFields[] = {
     {"app", &ScenarioSpec::app},
     {"profile", &ScenarioSpec::profile},
     {"rate_mbps", &ScenarioSpec::rate_mbps},
-    {"rtt_ms", &ScenarioSpec::rtt_ms},
+    {"rtt_ms", &ScenarioSpec::rtt_ms, 1e6},
     {"queue_packets", &ScenarioSpec::queue_packets},
     {"ecn", &ScenarioSpec::ecn},
     {"loss", &ScenarioSpec::loss},
@@ -70,12 +73,28 @@ constexpr Field kFields[] = {
     {"num_flows", &ScenarioSpec::num_flows},
     {"element_mode", &ScenarioSpec::element_mode},
     {"download", &ScenarioSpec::download},
-    {"duration_s", &ScenarioSpec::duration_s},
-    {"warmup_s", &ScenarioSpec::warmup_s},
-    {"tracker_period_ms", &ScenarioSpec::tracker_period_ms},
+    {"duration_s", &ScenarioSpec::duration_s, 1e9},
+    {"warmup_s", &ScenarioSpec::warmup_s, 1e9},
+    {"tracker_period_ms", &ScenarioSpec::tracker_period_ms, 1e6},
     {"background_flows", &ScenarioSpec::background_flows},
     {"seed", &ScenarioSpec::seed},
 };
+
+// The first time field whose nanoseconds do not fit in int64, or null.
+const Field* OverflowingTimeField(const ScenarioSpec& spec) {
+  // 2^63, the first value past int64's range; a double holds it exactly.
+  constexpr double kInt64End = 9223372036854775808.0;
+  for (const Field& field : kFields) {
+    if (field.ns_per_unit == 0.0) {
+      continue;
+    }
+    double ns = spec.*std::get<double ScenarioSpec::*>(field.member) * field.ns_per_unit;
+    if (!(ns >= -kInt64End && ns < kInt64End)) {
+      return &field;
+    }
+  }
+  return nullptr;
+}
 
 const Field* FindField(const std::string& key) {
   for (const Field& field : kFields) {
@@ -173,6 +192,9 @@ std::string ScenarioSpec::Validate() const {
     os << "unknown cc '" << cc << "' (" << Options(kCcs) << ")";
   } else if (!OneOf(element_mode, kElementModes)) {
     os << "unknown element_mode '" << element_mode << "' (" << Options(kElementModes) << ")";
+  } else if (const Field* f = OverflowingTimeField(*this)) {
+    os << f->key << " = " << this->*std::get<double ScenarioSpec::*>(f->member)
+       << " is out of range: its nanoseconds must fit in int64";
   } else if (duration_s <= 0.0) {
     os << "duration_s must be positive, got " << duration_s;
   } else if (warmup_s < 0.0 || warmup_s >= duration_s) {

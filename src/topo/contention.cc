@@ -35,6 +35,7 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   socket_config.ecn = config.ecn;
   MeasuredFlow::Options options;
   options.tracker_period = config.tracker_period;
+  options.tracer.keep_time_series = false;  // nothing reads the series
   options.tracer.record_from = SimTime::FromNanos(static_cast<int64_t>(config.warmup_s * 1e9));
 
   // Declared before the flows, whose ELEMENT sockets must go first.
@@ -59,11 +60,10 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
     receiver->Listen();
     sender->Connect();
 
-    // Only a scored flow 0 reads its ground-truth series (interpolated
-    // against ELEMENT's estimates, regardless of warmup).
+    // A measured flow 0 is scored while it runs: every estimate against the
+    // truth recorded after warmup.
     bool scored = i == 0 && config.element_on_first;
     options.element = scored ? MeasuredFlow::Element::kMeasured : MeasuredFlow::Element::kOff;
-    options.tracer.keep_time_series = scored;
     flows.push_back(std::make_unique<MeasuredFlow>(&loop, sender, receiver, options));
   }
 

@@ -2,18 +2,51 @@
 
 #include <algorithm>
 
+#include "src/element/estimation_error.h"
+
 namespace element {
 
-bool GroundTruthTracer::LookupInRanges(const std::vector<Range>& ranges, uint64_t byte,
-                                       SimTime* out) {
+namespace {
+
+// Index of the first entry of `table` that is `past` the key, where `past`
+// is false on a prefix of the table and true after it. `*cursor` holds the
+// answer of the previous call on this table; the tables never shrink and
+// stay sorted, so when the entry below it is not past the key, the answer
+// is no lower and is usually a step or two up. Otherwise, or when a few
+// steps do not reach it, a binary search finds it. Leaves the answer in
+// `*cursor`.
+template <typename Table, typename Past>
+size_t Seek(const Table& table, size_t* cursor, Past past) {
+  constexpr size_t kSteps = 4;
+  size_t i = *cursor;
+  if (i > 0 && past(table[i - 1])) {
+    i = 0;
+  }
+  size_t stop = std::min(table.size(), i + kSteps);
+  while (i < stop && !past(table[i])) {
+    ++i;
+  }
+  if (i == stop && i < table.size()) {
+    i = static_cast<size_t>(
+        std::partition_point(table.begin() + static_cast<std::ptrdiff_t>(i), table.end(),
+                             [&past](const auto& entry) { return !past(entry); }) -
+        table.begin());
+  }
+  *cursor = i;
+  return i;
+}
+
+}  // namespace
+
+bool GroundTruthTracer::LookupInRanges(const std::vector<Range>& ranges, size_t* cursor,
+                                       uint64_t byte, SimTime* out) {
   // Ranges are contiguous with strictly increasing `end`; entry i covers
-  // [prev_end, end). Binary search for the first end > byte.
-  auto it = std::upper_bound(ranges.begin(), ranges.end(), byte,
-                             [](uint64_t b, const Range& r) { return b < r.end; });
-  if (it == ranges.end()) {
+  // [prev_end, end). Find the first end > byte.
+  size_t i = Seek(ranges, cursor, [byte](const Range& r) { return r.end > byte; });
+  if (i == ranges.size()) {
     return false;
   }
-  *out = it->t;
+  *out = ranges[i].t;
   return true;
 }
 
@@ -31,10 +64,8 @@ void GroundTruthTracer::Upsert(SpanTable* table, uint64_t begin, uint64_t end, S
   }
 }
 
-GroundTruthTracer::SpanTable::const_iterator GroundTruthTracer::PastFloor(
-    const SpanTable& table, SpanTable::const_iterator first, uint64_t byte) {
-  return std::upper_bound(first, table.end(), byte,
-                          [](uint64_t b, const Span& s) { return b < s.begin; });
+size_t GroundTruthTracer::PastFloor(const SpanTable& table, size_t* cursor, uint64_t byte) {
+  return Seek(table, cursor, [byte](const Span& s) { return s.begin > byte; });
 }
 
 void GroundTruthTracer::OnRecord(const telemetry::TraceRecord& r) {
@@ -81,11 +112,14 @@ void GroundTruthTracer::OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t,
   first_tx_.push_back({end, t});
 
   SimTime wt;
-  if (t >= config_.record_from && WriteTimeOf(new_begin, &wt)) {
+  if (t >= config_.record_from && LookupInRanges(writes_, &tx_write_cursor_, new_begin, &wt)) {
     double d = (t - wt).ToSeconds();
     sender_delay_.Add(d);
     if (config_.keep_time_series) {
       sender_delay_series_.Add(t, d);
+    }
+    if (sender_scorer_ != nullptr) {
+      sender_scorer_->OnTruth(t, d);
     }
   }
 }
@@ -97,9 +131,9 @@ void GroundTruthTracer::OnTcpRxSegment(uint64_t begin, uint64_t end, SimTime t,
     return;
   }
   // Pair the arrival with the latest transmission covering its first byte.
-  auto it = PastFloor(last_tx_, last_tx_.cbegin(), begin);
-  if (it != last_tx_.cbegin()) {
-    const Span& tx = *(it - 1);
+  size_t past = PastFloor(last_tx_, &rx_tx_cursor_, begin);
+  if (past != 0) {
+    const Span& tx = last_tx_[past - 1];
     if (begin < tx.end && tx.t <= t) {
       network_delay_.Add((t - tx.t).ToSeconds());
     }
@@ -111,16 +145,14 @@ void GroundTruthTracer::OnAppRead(uint64_t begin, uint64_t end, SimTime t) {
     return;
   }
   // A read may span several arrival ranges; sample each range it consumes.
-  // The cursor only moves up, so each search starts past the last floor.
-  uint64_t cursor = begin;
-  auto from = arrivals_.cbegin();
-  while (cursor < end) {
-    auto it = PastFloor(arrivals_, from, cursor);
-    if (it == arrivals_.cbegin()) {
+  uint64_t byte = begin;
+  while (byte < end) {
+    size_t past = PastFloor(arrivals_, &read_arrival_cursor_, byte);
+    if (past == 0) {
       break;
     }
-    const Span& arrival = *(it - 1);
-    if (cursor >= arrival.end) {
+    const Span& arrival = arrivals_[past - 1];
+    if (byte >= arrival.end) {
       break;
     }
     double d = (t - arrival.t).ToSeconds();
@@ -128,29 +160,34 @@ void GroundTruthTracer::OnAppRead(uint64_t begin, uint64_t end, SimTime t) {
     if (config_.keep_time_series) {
       receiver_delay_series_.Add(t, d);
     }
+    if (receiver_scorer_ != nullptr) {
+      receiver_scorer_->OnTruth(t, d);
+    }
     SimTime wt;
-    if (WriteTimeOf(cursor, &wt)) {
+    if (LookupInRanges(writes_, &read_write_cursor_, byte, &wt)) {
       end_to_end_delay_.Add((t - wt).ToSeconds());
     }
-    cursor = arrival.end;
-    from = it;
+    byte = arrival.end;
   }
 }
 
 bool GroundTruthTracer::WriteTimeOf(uint64_t byte, SimTime* out) const {
-  return LookupInRanges(writes_, byte, out);
+  size_t cursor = 0;
+  return LookupInRanges(writes_, &cursor, byte, out);
 }
 
 bool GroundTruthTracer::FirstTxTimeOf(uint64_t byte, SimTime* out) const {
-  return LookupInRanges(first_tx_, byte, out);
+  size_t cursor = 0;
+  return LookupInRanges(first_tx_, &cursor, byte, out);
 }
 
 bool GroundTruthTracer::ArrivalTimeOf(uint64_t byte, SimTime* out) const {
-  auto it = PastFloor(arrivals_, arrivals_.cbegin(), byte);
-  if (it == arrivals_.cbegin() || byte >= (it - 1)->end) {
+  size_t cursor = 0;
+  size_t past = PastFloor(arrivals_, &cursor, byte);
+  if (past == 0 || byte >= arrivals_[past - 1].end) {
     return false;
   }
-  *out = (it - 1)->t;
+  *out = arrivals_[past - 1].t;
   return true;
 }
 

@@ -18,6 +18,8 @@
 
 namespace element {
 
+class StreamingScorer;
+
 class GroundTruthTracer : public telemetry::RecordSink {
  public:
   struct Config {
@@ -58,6 +60,13 @@ class GroundTruthTracer : public telemetry::RecordSink {
   const TimeSeries& sender_delay_series() const { return sender_delay_series_; }
   const TimeSeries& receiver_delay_series() const { return receiver_delay_series_; }
 
+  // Also streams each point of the two series, kept or not, as a truth point
+  // into `sender` and `receiver` (either may be null). Call before the run.
+  void ScoreInto(StreamingScorer* sender, StreamingScorer* receiver) {
+    sender_scorer_ = sender;
+    receiver_scorer_ = receiver;
+  }
+
   // Byte-time lookups (false if the byte has not reached that layer).
   bool WriteTimeOf(uint64_t byte, SimTime* out) const;
   bool FirstTxTimeOf(uint64_t byte, SimTime* out) const;
@@ -77,7 +86,9 @@ class GroundTruthTracer : public telemetry::RecordSink {
     uint64_t end;
     SimTime t;
   };
-  static bool LookupInRanges(const std::vector<Range>& ranges, uint64_t byte, SimTime* out);
+  // The entry covering `byte`, searched from `*cursor` (see Seek).
+  static bool LookupInRanges(const std::vector<Range>& ranges, size_t* cursor, uint64_t byte,
+                             SimTime* out);
 
   // A byte range [begin, end) stamped at t, in a table sorted by `begin`
   // with one entry per `begin`.
@@ -90,10 +101,10 @@ class GroundTruthTracer : public telemetry::RecordSink {
   // Sets the entry for `begin`, inserting it in order. Appends when `begin`
   // is above the last entry, the common case.
   static void Upsert(SpanTable* table, uint64_t begin, uint64_t end, SimTime t);
-  // First entry from `first` on whose begin is above `byte`. The entry
-  // before it, if any, is the floor for `byte`: the last with begin <= byte.
-  static SpanTable::const_iterator PastFloor(const SpanTable& table,
-                                             SpanTable::const_iterator first, uint64_t byte);
+  // Index of the first entry whose begin is above `byte`, searched from
+  // `*cursor` (see Seek). The entry before it, if any, is the floor for
+  // `byte`: the last with begin <= byte.
+  static size_t PastFloor(const SpanTable& table, size_t* cursor, uint64_t byte);
 
   Config config_;
 
@@ -105,12 +116,22 @@ class GroundTruthTracer : public telemetry::RecordSink {
   // fill below it inserts, shifting only the entries of about one window.
   SpanTable arrivals_;
 
+  // Where each per-record lookup last landed. Transmissions, arrivals and
+  // reads each move up through the byte space, so the next answer is
+  // usually a step or two above the last one.
+  size_t tx_write_cursor_ = 0;       // writes_, from OnTcpTransmit
+  size_t rx_tx_cursor_ = 0;          // last_tx_, from OnTcpRxSegment
+  size_t read_arrival_cursor_ = 0;   // arrivals_, from OnAppRead
+  size_t read_write_cursor_ = 0;     // writes_, from OnAppRead
+
   SampleSet sender_delay_;
   SampleSet network_delay_;
   SampleSet receiver_delay_;
   SampleSet end_to_end_delay_;
   TimeSeries sender_delay_series_;
   TimeSeries receiver_delay_series_;
+  StreamingScorer* sender_scorer_ = nullptr;
+  StreamingScorer* receiver_scorer_ = nullptr;
 };
 
 }  // namespace element

@@ -13,6 +13,7 @@
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/element/delay_estimator.h"
+#include "src/element/estimation_error.h"
 #include "src/netsim/codel.h"
 #include "src/netsim/fq_codel.h"
 #include "src/netsim/pfifo_fast.h"
@@ -173,6 +174,23 @@ TEST(ArenaAuditDeathTest, DoubleFreeAborts) {
 TEST(DelayDecompositionDeathTest, AuditAbortsOnHole) {
   EXPECT_DEATH(AuditDelayDecomposition(0.200, 0.025, 0.010, 0.085),
                "delay decomposition does not conserve");
+}
+
+// InterpolateAt's binary search and the scorer's merge both need time
+// order; a point that goes back would be misplaced without a word.
+TEST(TimeOrderDeathTest, SeriesPointBackInTimeAborts) {
+  TimeSeries series;
+  series.Add(Sec(2.0), 1.0);
+  EXPECT_DEATH(series.Add(Sec(1.0), 1.0), "time series point at 1000000000ns");
+}
+
+TEST(TimeOrderDeathTest, ScorerInputBackInTimeAborts) {
+  StreamingScorer truth_then_estimate;
+  truth_then_estimate.OnTruth(Sec(2.0), 0.1);
+  EXPECT_DEATH(truth_then_estimate.OnEstimate(Sec(1.0), 0.1), "estimate at 1000000000ns");
+  StreamingScorer estimate_then_truth;
+  estimate_then_truth.OnEstimate(Sec(2.0), 0.1);
+  EXPECT_DEATH(estimate_then_truth.OnTruth(Sec(1.0), 0.1), "truth at 1000000000ns");
 }
 
 #else  // !ELEMENT_AUDITS_ENABLED

@@ -41,6 +41,36 @@ MeasuredRun RunMeasuredFlow(uint64_t seed, const PathConfig& path, double second
   return out;
 }
 
+// A measured flow scores while it runs; with the series kept, scoring them
+// afterwards must give the same errors, bit for bit.
+TEST(ElementAccuracyTest, StreamingScoreMatchesStoredSeries) {
+  PathConfig path;
+  path.loss_probability = 0.01;  // retransmissions and out-of-order arrivals
+  Testbed bed(41, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  MeasuredFlow::Options options;
+  options.element = MeasuredFlow::Element::kMeasured;
+  options.tracer.record_from = Sec(1.0);
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);
+  measured.Start();
+  bed.loop().RunUntil(Sec(8.0));
+
+  AccuracyResult sender = measured.SenderAccuracy();
+  AccuracyResult receiver = measured.ReceiverAccuracy();
+  AccuracyResult sender_stored =
+      ScoreEstimates(measured.element_sender().sender_estimator().delay_series(),
+                     measured.tracer().sender_delay_series());
+  AccuracyResult receiver_stored =
+      ScoreEstimates(measured.element_receiver().receiver_estimator().delay_series(),
+                     measured.tracer().receiver_delay_series());
+  ASSERT_GT(sender.compared_samples, 100u);
+  ASSERT_GT(receiver.compared_samples, 100u);
+  EXPECT_EQ(sender.errors.samples(), sender_stored.errors.samples());
+  EXPECT_EQ(receiver.errors.samples(), receiver_stored.errors.samples());
+  EXPECT_EQ(sender.mean_ground_truth_s, sender_stored.mean_ground_truth_s);
+  EXPECT_EQ(receiver.mean_ground_truth_s, receiver_stored.mean_ground_truth_s);
+}
+
 TEST(ElementAccuracyTest, SenderEstimationAbove90Percent) {
   PathConfig path;  // 10 Mbps / 25 ms, the paper's Low BW profile
   MeasuredRun run = RunMeasuredFlow(101, path, 30.0);

@@ -1,12 +1,16 @@
 // Unit tests for ELEMENT's delay estimators (Algorithms 1 and 2) and the
-// tcp_info tracker, driven by synthetic tcp_info snapshots.
+// tcp_info tracker, driven by synthetic tcp_info snapshots, and for the
+// accuracy scoring against ground truth.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/element/delay_estimator.h"
+#include "src/element/estimation_error.h"
 #include "src/element/tcp_info_tracker.h"
 #include "src/tcpsim/testbed.h"
 #include "src/telemetry/spine.h"
@@ -296,6 +300,142 @@ TEST(TrackerTest, FeedsBothEstimators) {
   EXPECT_TRUE(snd.has_estimate());
   EXPECT_TRUE(rcv.has_estimate());
   EXPECT_GE(snd.latest_delay(), TimeDelta::Zero());
+}
+
+// Scoring as it was before StreamingScorer: the stored truth interpolated at
+// each estimate.
+struct InterpolatedScore {
+  std::vector<double> errors;
+  double truth_sum = 0.0;
+};
+
+InterpolatedScore ScoreByInterpolation(const TimeSeries& estimates, const TimeSeries& truth) {
+  InterpolatedScore score;
+  for (const TimeSeries::Point& p : estimates.points()) {
+    double gt = 0.0;
+    if (!truth.InterpolateAt(p.t, &gt)) {
+      continue;
+    }
+    score.errors.push_back(std::abs(p.v - gt));
+    score.truth_sum += gt;
+  }
+  return score;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameScore(const InterpolatedScore& want, const AccuracyResult& got) {
+  ASSERT_EQ(got.compared_samples, want.errors.size());
+  ASSERT_EQ(got.errors.count(), want.errors.size());
+  for (size_t i = 0; i < want.errors.size(); ++i) {
+    ASSERT_EQ(Bits(got.errors.samples()[i]), Bits(want.errors[i])) << "error " << i;
+  }
+  double mean_truth =
+      want.errors.empty() ? 0.0 : want.truth_sum / static_cast<double>(want.errors.size());
+  EXPECT_EQ(Bits(got.mean_ground_truth_s), Bits(mean_truth));
+}
+
+// `count` points from `start`, 0-2 steps of 1 ms apart, so equal-time groups
+// are common.
+TimeSeries RandomSeries(Rng* rng, int64_t start_ms, int count) {
+  TimeSeries series;
+  int64_t t = start_ms;
+  for (int i = 0; i < count; ++i) {
+    t += rng->UniformInt(0, 2);
+    series.Add(Ms(t), rng->Uniform(0.0, 0.2));
+  }
+  return series;
+}
+
+// Feeds both series to a scorer in time order, choosing at random which
+// stream goes first at equal times (the live order is up to the event loop).
+AccuracyResult ScoreInRandomOrder(Rng* rng, const TimeSeries& estimates,
+                                  const TimeSeries& truth) {
+  StreamingScorer scorer;
+  const std::vector<TimeSeries::Point>& e = estimates.points();
+  const std::vector<TimeSeries::Point>& g = truth.points();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < e.size() || j < g.size()) {
+    bool estimate_next = j == g.size() ||
+                         (i < e.size() && (e[i].t < g[j].t ||
+                                           (e[i].t == g[j].t && rng->Bernoulli(0.5))));
+    if (estimate_next) {
+      scorer.OnEstimate(e[i].t, e[i].v);
+      ++i;
+    } else {
+      scorer.OnTruth(g[j].t, g[j].v);
+      ++j;
+    }
+  }
+  return scorer.Result();
+}
+
+void ExpectStreamingMatchesInterpolation(Rng* rng, const TimeSeries& estimates,
+                                         const TimeSeries& truth) {
+  InterpolatedScore want = ScoreByInterpolation(estimates, truth);
+  ExpectSameScore(want, ScoreEstimates(estimates, truth));
+  ExpectSameScore(want, ScoreInRandomOrder(rng, estimates, truth));
+}
+
+TEST(StreamingScorerTest, MatchesInterpolationOnRandomSeries) {
+  Rng rng(15);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Estimates start before, at or after the first truth point and run
+    // past the last; a quarter of the trials have no truth at all.
+    int truth_count = trial % 4 == 0 ? 0 : static_cast<int>(rng.UniformInt(1, 30));
+    TimeSeries truth = RandomSeries(&rng, rng.UniformInt(0, 10), truth_count);
+    TimeSeries estimates =
+        RandomSeries(&rng, rng.UniformInt(0, 20), static_cast<int>(rng.UniformInt(0, 40)));
+    ExpectStreamingMatchesInterpolation(&rng, estimates, truth);
+    if (HasFatalFailure()) {
+      FAIL() << "trial " << trial;
+    }
+  }
+}
+
+TEST(StreamingScorerTest, MatchesInterpolationAtTheEdges) {
+  Rng rng(16);
+  TimeSeries truth;
+  truth.Add(Ms(10), 0.010);
+  truth.Add(Ms(10), 0.030);  // a group at the first time
+  truth.Add(Ms(20), 0.050);
+  truth.Add(Ms(30), 0.020);
+  truth.Add(Ms(30), 0.040);
+  truth.Add(Ms(30), 0.060);  // a group at the last time
+  TimeSeries estimates;
+  for (int64_t t : {0, 5, 10, 10, 15, 20, 25, 30, 30, 35}) {
+    estimates.Add(Ms(t), 0.001 * static_cast<double>(t));
+  }
+  ExpectStreamingMatchesInterpolation(&rng, estimates, truth);
+
+  // Estimates before, at and after a single truth point, and with no truth.
+  TimeSeries single;
+  single.Add(Ms(20), 0.025);
+  ExpectStreamingMatchesInterpolation(&rng, estimates, single);
+  AccuracyResult none = ScoreEstimates(estimates, TimeSeries());
+  EXPECT_EQ(none.compared_samples, 0u);
+  EXPECT_TRUE(none.errors.empty());
+  EXPECT_EQ(none.mean_ground_truth_s, 0.0);
+}
+
+TEST(StreamingScorerTest, ResultSoFarLeavesTheScorerGoing) {
+  StreamingScorer scorer;
+  scorer.OnTruth(Ms(10), 0.010);
+  scorer.OnEstimate(Ms(15), 0.012);
+  // Clamped to the last truth point for now...
+  AccuracyResult early = scorer.Result();
+  ASSERT_EQ(early.compared_samples, 1u);
+  EXPECT_NEAR(early.errors.samples()[0], 0.002, 1e-12);
+  // ...then interpolated once the next point arrives.
+  scorer.OnTruth(Ms(20), 0.020);
+  AccuracyResult late = scorer.Result();
+  ASSERT_EQ(late.compared_samples, 1u);
+  EXPECT_NEAR(late.errors.samples()[0], 0.003, 1e-12);
 }
 
 }  // namespace

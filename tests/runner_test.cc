@@ -347,6 +347,23 @@ TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
                  "unknown suite key 'sweep' (suite|defaults|scenarios|sweeps)");
 }
 
+// Each time field becomes int64 nanoseconds in the drivers; a value past
+// that range used to wrap (a negative tracker period aborted the run) or
+// run an empty scenario that reported "ok".
+TEST(ScenarioTest, RejectsTrackerPeriodPastInt64Nanoseconds) {
+  ExpectRejected(R"({"scenarios": [{"name": "a", "app": "accuracy", "tracker_period_ms": 1e300}]})",
+                 "tracker_period_ms = 1e+300 is out of range: its nanoseconds must fit in int64");
+}
+
+TEST(ScenarioTest, RejectsDurationPastInt64Nanoseconds) {
+  ExpectRejected(R"({"scenarios": [{"duration_s": 1e12}]})",
+                 "duration_s = 1e+12 is out of range");
+}
+
+TEST(ScenarioTest, RejectsRttPastInt64Nanoseconds) {
+  ExpectRejected(R"({"scenarios": [{"rtt_ms": 1e300}]})", "rtt_ms = 1e+300 is out of range");
+}
+
 TEST(ScenarioTest, RejectsStringInteger) {
   ExpectRejected(R"({"scenarios": [{"num_flows": "4"}]})",
                  "field 'num_flows' must be an integer in [-2147483648, 2147483647]");

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "src/apps/iperf_app.h"
+#include "src/common/rng.h"
 #include "src/element/byte_sink.h"
 #include "src/tcpsim/testbed.h"
 #include "src/trace/flow_meter.h"
@@ -316,6 +321,280 @@ TEST(GroundTruthTracerTest, DroppingTimeSeriesKeepsSamples) {
   EXPECT_EQ(kept.receiver_delay_series().count(), kept.receiver_delay().count());
   EXPECT_TRUE(dropped.sender_delay_series().empty());
   EXPECT_TRUE(dropped.receiver_delay_series().empty());
+}
+
+// The tracer's lookups as they were before they kept cursors: a binary
+// search of the whole table on every record. Same tables, same samples.
+class BinarySearchTracer {
+ public:
+  explicit BinarySearchTracer(SimTime record_from) : record_from_(record_from) {}
+
+  void OnRecord(const telemetry::TraceRecord& r) {
+    uint64_t begin = r.u.range.begin;
+    uint64_t end = r.u.range.end;
+    switch (r.kind) {
+      case telemetry::RecordKind::kAppWrite:
+        if (writes_.empty() || end > writes_.back().end) {
+          writes_.push_back({end, r.t});
+        }
+        break;
+      case telemetry::RecordKind::kTcpTransmit:
+        OnTcpTransmit(begin, end, r.t);
+        break;
+      case telemetry::RecordKind::kTcpRxSegment:
+        OnTcpRxSegment(begin, end, r.t);
+        break;
+      case telemetry::RecordKind::kAppRead:
+        OnAppRead(begin, end, r.t);
+        break;
+      default:
+        break;
+    }
+  }
+
+  bool WriteTimeOf(uint64_t byte, SimTime* out) const { return Lookup(writes_, byte, out); }
+  bool FirstTxTimeOf(uint64_t byte, SimTime* out) const { return Lookup(first_tx_, byte, out); }
+  bool ArrivalTimeOf(uint64_t byte, SimTime* out) const {
+    auto it = PastFloor(arrivals_, arrivals_.begin(), byte);
+    if (it == arrivals_.begin() || byte >= (it - 1)->end) {
+      return false;
+    }
+    *out = (it - 1)->t;
+    return true;
+  }
+
+  SampleSet sender;
+  SampleSet network;
+  SampleSet receiver;
+  SampleSet end_to_end;
+  TimeSeries sender_series;
+  TimeSeries receiver_series;
+
+ private:
+  struct Range {
+    uint64_t end;
+    SimTime t;
+  };
+  struct Span {
+    uint64_t begin;
+    uint64_t end;
+    SimTime t;
+  };
+  using SpanTable = std::vector<Span>;
+
+  static bool Lookup(const std::vector<Range>& ranges, uint64_t byte, SimTime* out) {
+    auto it = std::upper_bound(ranges.begin(), ranges.end(), byte,
+                               [](uint64_t b, const Range& r) { return b < r.end; });
+    if (it == ranges.end()) {
+      return false;
+    }
+    *out = it->t;
+    return true;
+  }
+  static void Upsert(SpanTable* table, uint64_t begin, uint64_t end, SimTime t) {
+    auto it = std::lower_bound(table->begin(), table->end(), begin,
+                               [](const Span& s, uint64_t b) { return s.begin < b; });
+    if (it != table->end() && it->begin == begin) {
+      *it = {begin, end, t};
+    } else {
+      table->insert(it, {begin, end, t});
+    }
+  }
+  static SpanTable::const_iterator PastFloor(const SpanTable& table,
+                                             SpanTable::const_iterator first, uint64_t byte) {
+    return std::upper_bound(first, table.end(), byte,
+                            [](uint64_t b, const Span& s) { return b < s.begin; });
+  }
+
+  void OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t) {
+    Upsert(&last_tx_, begin, end, t);
+    uint64_t last = first_tx_.empty() ? 0 : first_tx_.back().end;
+    if (end <= last) {
+      return;
+    }
+    uint64_t new_begin = std::max(begin, last);
+    first_tx_.push_back({end, t});
+    SimTime wt;
+    if (t >= record_from_ && WriteTimeOf(new_begin, &wt)) {
+      sender.Add((t - wt).ToSeconds());
+      sender_series.Add(t, (t - wt).ToSeconds());
+    }
+  }
+  void OnTcpRxSegment(uint64_t begin, uint64_t end, SimTime t) {
+    Upsert(&arrivals_, begin, end, t);
+    if (t < record_from_) {
+      return;
+    }
+    auto it = PastFloor(last_tx_, last_tx_.begin(), begin);
+    if (it != last_tx_.begin() && begin < (it - 1)->end && (it - 1)->t <= t) {
+      network.Add((t - (it - 1)->t).ToSeconds());
+    }
+  }
+  void OnAppRead(uint64_t begin, uint64_t end, SimTime t) {
+    if (t < record_from_) {
+      return;
+    }
+    uint64_t cursor = begin;
+    auto from = arrivals_.cbegin();
+    while (cursor < end) {
+      auto it = PastFloor(arrivals_, from, cursor);
+      if (it == arrivals_.cbegin() || cursor >= (it - 1)->end) {
+        break;
+      }
+      double d = (t - (it - 1)->t).ToSeconds();
+      receiver.Add(d);
+      receiver_series.Add(t, d);
+      SimTime wt;
+      if (WriteTimeOf(cursor, &wt)) {
+        end_to_end.Add((t - wt).ToSeconds());
+      }
+      cursor = (it - 1)->end;
+      from = it;
+    }
+  }
+
+  SimTime record_from_;
+  std::vector<Range> writes_;
+  std::vector<Range> first_tx_;
+  SpanTable last_tx_;
+  SpanTable arrivals_;
+};
+
+// A random record stream for one flow: writes, first transmissions,
+// retransmissions over new segment boundaries, arrivals in and out of order
+// (hole fills, duplicates, some below the read point) and reads of the
+// in-order prefix that span several arrivals. Counts what it produced.
+struct RandomFlowStream {
+  std::vector<telemetry::TraceRecord> records;
+  int retransmits = 0;
+  int out_of_order = 0;
+  int below_read = 0;
+  int reads = 0;
+
+  RandomFlowStream(uint64_t seed, int steps) {
+    Rng rng(seed);
+    int64_t now_ns = 0;
+    uint64_t written = 0;
+    uint64_t sent = 0;
+    uint64_t rcv_next = 0;
+    uint64_t read = 0;
+    std::vector<std::pair<uint64_t, uint64_t>> in_flight;
+    std::map<uint64_t, uint64_t> above_hole;  // out-of-order ranges past rcv_next
+    auto emit = [&](telemetry::RecordKind kind, uint64_t begin, uint64_t end, uint8_t flags) {
+      records.push_back(telemetry::TraceRecord::Range(kind, 1, SimTime::FromNanos(now_ns), begin,
+                                                      end, flags));
+    };
+    for (int step = 0; step < steps; ++step) {
+      now_ns += rng.UniformInt(0, 2) * 100'000;  // equal times are common
+      double pick = rng.Uniform();
+      if (pick < 0.2) {
+        uint64_t n = static_cast<uint64_t>(rng.UniformInt(1, 5000));
+        emit(telemetry::RecordKind::kAppWrite, written, written + n, 0);
+        written += n;
+      } else if (pick < 0.45) {
+        if (sent < written) {
+          uint64_t end = std::min(written, sent + static_cast<uint64_t>(rng.UniformInt(1, 1500)));
+          emit(telemetry::RecordKind::kTcpTransmit, sent, end, 0);
+          in_flight.push_back({sent, end});
+          sent = end;
+        }
+      } else if (pick < 0.55) {
+        if (sent > 0) {
+          // Anywhere in the last 20 kB, so boundaries rarely match the
+          // first copy's; a go-back-N resend is flagged fresh.
+          uint64_t begin = static_cast<uint64_t>(
+              rng.UniformInt(static_cast<int64_t>(sent > 20000 ? sent - 20000 : 0),
+                             static_cast<int64_t>(sent) - 1));
+          uint64_t end = std::min(sent, begin + static_cast<uint64_t>(rng.UniformInt(1, 3000)));
+          emit(telemetry::RecordKind::kTcpTransmit, begin, end,
+               rng.Bernoulli(0.8) ? telemetry::kFlagRetransmit : 0);
+          in_flight.push_back({begin, end});
+          ++retransmits;
+        }
+      } else if (pick < 0.85) {
+        if (!in_flight.empty()) {
+          size_t k = rng.Bernoulli(0.7)
+                         ? 0
+                         : static_cast<size_t>(
+                               rng.UniformInt(0, static_cast<int64_t>(in_flight.size()) - 1));
+          auto [begin, end] = in_flight[k];
+          if (!rng.Bernoulli(0.1)) {  // else a duplicate arrives later too
+            in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(k));
+          }
+          bool in_order = begin <= rcv_next;
+          out_of_order += in_order ? 0 : 1;
+          below_read += end <= read ? 1 : 0;
+          emit(telemetry::RecordKind::kTcpRxSegment, begin, end,
+               in_order ? 0 : telemetry::kFlagOutOfOrder);
+          if (in_order) {
+            rcv_next = std::max(rcv_next, end);
+          } else {
+            uint64_t& stored = above_hole[begin];
+            stored = std::max(stored, end);
+          }
+          while (!above_hole.empty() && above_hole.begin()->first <= rcv_next) {
+            rcv_next = std::max(rcv_next, above_hole.begin()->second);
+            above_hole.erase(above_hole.begin());
+          }
+        }
+      } else if (read < rcv_next) {
+        uint64_t end = std::min(rcv_next, read + static_cast<uint64_t>(rng.UniformInt(1, 8000)));
+        emit(telemetry::RecordKind::kAppRead, read, end, 0);
+        read = end;
+        ++reads;
+      }
+    }
+  }
+};
+
+void ExpectSameSeries(const TimeSeries& want, const TimeSeries& got, const char* what) {
+  ASSERT_EQ(want.count(), got.count()) << what;
+  for (size_t i = 0; i < want.count(); ++i) {
+    ASSERT_EQ(want.points()[i].t, got.points()[i].t) << what << " point " << i;
+    ASSERT_EQ(want.points()[i].v, got.points()[i].v) << what << " point " << i;
+  }
+}
+
+// The cursors must find exactly what a binary search of the whole table
+// finds, whatever order the bytes come in.
+TEST(GroundTruthTracerTest, CursorLookupsMatchBinarySearch) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    RandomFlowStream stream(seed, 4000);
+    ASSERT_GT(stream.retransmits, 0);
+    ASSERT_GT(stream.out_of_order, 0);
+    ASSERT_GT(stream.below_read, 0);
+    SimTime mid = stream.records[stream.records.size() / 2].t;
+    for (SimTime record_from : {SimTime::Zero(), mid}) {
+      GroundTruthTracer::Config config;
+      config.record_from = record_from;
+      GroundTruthTracer tracer(config);
+      BinarySearchTracer reference(record_from);
+      for (const telemetry::TraceRecord& r : stream.records) {
+        tracer.OnRecord(r);
+        reference.OnRecord(r);
+      }
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " from " << record_from.nanos());
+      // Reads that span several arrivals sample each of them.
+      ASSERT_GT(reference.receiver.count(), static_cast<size_t>(stream.reads));
+      EXPECT_EQ(reference.sender.samples(), tracer.sender_delay().samples());
+      EXPECT_EQ(reference.network.samples(), tracer.network_delay().samples());
+      EXPECT_EQ(reference.receiver.samples(), tracer.receiver_delay().samples());
+      EXPECT_EQ(reference.end_to_end.samples(), tracer.end_to_end_delay().samples());
+      ExpectSameSeries(reference.sender_series, tracer.sender_delay_series(), "sender series");
+      ExpectSameSeries(reference.receiver_series, tracer.receiver_delay_series(),
+                       "receiver series");
+      for (uint64_t byte = 0; byte < 400'000; byte += 997) {
+        SimTime want;
+        SimTime got;
+        ASSERT_EQ(reference.WriteTimeOf(byte, &want), tracer.WriteTimeOf(byte, &got));
+        ASSERT_TRUE(!reference.WriteTimeOf(byte, &want) || want == got) << byte;
+        ASSERT_EQ(reference.FirstTxTimeOf(byte, &want), tracer.FirstTxTimeOf(byte, &got));
+        ASSERT_TRUE(!reference.FirstTxTimeOf(byte, &want) || want == got) << byte;
+        ASSERT_EQ(reference.ArrivalTimeOf(byte, &want), tracer.ArrivalTimeOf(byte, &got));
+        ASSERT_TRUE(!reference.ArrivalTimeOf(byte, &want) || want == got) << byte;
+      }
+    }
+  }
 }
 
 TEST(FlowMeterTest, MeasuresGoodput) {
