@@ -1,6 +1,7 @@
 #include "src/apps/measured_flow.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/element/interposer.h"
@@ -84,6 +85,64 @@ ElementSocket& MeasuredFlow::element_sender() {
 ElementSocket& MeasuredFlow::element_receiver() {
   ELEMENT_CHECK(em_rcv_ != nullptr) << "only a measured flow has ElementSockets";
   return *em_rcv_;
+}
+
+FlowSet::FlowSet(EventLoop* loop, const FlowSetConfig& config, MakePair make_pair)
+    : loop_(loop), config_(config), make_pair_(std::move(make_pair)) {
+  ELEMENT_CHECK(config_.flows >= 1) << "a flow set needs at least one flow";
+  flows_.reserve(static_cast<size_t>(config_.flows));
+  for (int i = 0; i < config_.flows; ++i) {
+    AddFlow(i == 0 ? config_.first : config_.others);
+  }
+}
+
+FlowSet::FlowSet(Testbed* bed, const FlowSetConfig& config)
+    : FlowSet(&bed->loop(), config, [bed](const TcpSocket::Config& socket, bool sender_at_client) {
+        return bed->CreateFlow(socket, sender_at_client);
+      }) {}
+
+void FlowSet::AddFlow(const MeasuredFlow::Options& options) {
+  Testbed::Flow pair = make_pair_(config_.socket, config_.sender_at_client);
+  flows_.push_back(std::make_unique<MeasuredFlow>(loop_, pair.sender, pair.receiver, options));
+}
+
+void FlowSet::Start() {
+  for (const std::unique_ptr<MeasuredFlow>& flow : flows_) {
+    flow->Start();
+  }
+  // Scheduled after the Start calls: events at equal times fire in the order
+  // they were scheduled.
+  for (int i = 0; i < config_.staggered_flows; ++i) {
+    double join_s = 20.0 * (i + 1);
+    loop_->ScheduleAt(SimTime::FromNanos(static_cast<int64_t>(join_s * 1e9)), [this] {
+      AddFlow(config_.others);
+      flows_.back()->Start();
+    });
+  }
+}
+
+void FlowSet::Run() {
+  loop_->RunUntil(SimTime::FromNanos(static_cast<int64_t>(config_.duration_s * 1e9)));
+}
+
+std::vector<FlowResult> FlowSet::Results(double base_delay_s) const {
+  std::vector<FlowResult> results;
+  results.reserve(flows_.size());
+  for (const std::unique_ptr<MeasuredFlow>& flow : flows_) {
+    results.push_back(
+        flow->Result(config_.socket.congestion_control, config_.duration_s, base_delay_s));
+  }
+  return results;
+}
+
+AccuracyRun FlowSet::FirstAccuracy() const {
+  const MeasuredFlow& flow = *flows_.front();
+  AccuracyRun run;
+  run.sender = flow.SenderAccuracy();
+  run.receiver = flow.ReceiverAccuracy();
+  run.composition = flow.tracer().MeanComposition();
+  run.goodput_mbps = flow.GoodputMbps(config_.duration_s);
+  return run;
 }
 
 }  // namespace element

@@ -1,17 +1,16 @@
-// The one per-flow measurement wiring, shared by the experiment drivers (the
-// legacy app behind ExecuteScenario, which runs legacy ScenarioSpecs,
-// RunAccuracyExperiment and RunContentionExperiment), the benches, the
-// examples and the tests. Given one flow's connected sender and
-// receiver sockets, MeasuredFlow attaches the ground-truth tracer (the paper's
-// probes at write, tcp_transmit_skb, tcp_v4_do_rcv and read, Section 4.3) to
-// both, builds the application's ByteSink with the IperfApp writing into it and
-// the SinkApp draining the far end, and after the run reduces the flow to one
-// FlowResult row plus, for a measured flow, ELEMENT's accuracy at both ends.
-// A measured flow scores while it runs: each estimator's kDelaySample records
-// and the tracer's truth points stream into one StreamingScorer per end, so
-// accuracy needs neither the tracer's series nor the estimators' (drivers
-// that print no trace set `tracer.keep_time_series = false`).
-// How the sockets are made and when the flows start stay with each caller.
+// The one per-flow measurement wiring, shared by the experiment drivers'
+// FlowSet core (below), the benches, the examples and the tests. Given one
+// flow's connected sender and receiver sockets, MeasuredFlow attaches the
+// ground-truth tracer (the paper's probes at write, tcp_transmit_skb,
+// tcp_v4_do_rcv and read, Section 4.3) to both, builds the application's
+// ByteSink with the IperfApp writing into it and the SinkApp draining the far
+// end, and after the run reduces the flow to one FlowResult row plus, for a
+// measured flow, ELEMENT's accuracy at both ends. A measured flow scores while
+// it runs: each estimator's kDelaySample records and the tracer's truth points
+// stream into one StreamingScorer per end, so accuracy needs neither the
+// tracer's series nor the estimators' (drivers that print no trace set
+// `tracer.keep_time_series = false`). How the sockets are made and when the
+// flows start stay with each caller.
 //
 // Deliberately hand-wired instead: tab07_cpu_overhead (a tracer would add
 // timed work), abl_estimator_formulas (two estimators on one tracker),
@@ -23,8 +22,10 @@
 #define ELEMENT_SRC_APPS_MEASURED_FLOW_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/apps/iperf_app.h"
 #include "src/common/time.h"
@@ -33,6 +34,7 @@
 #include "src/element/estimation_error.h"
 #include "src/evloop/event_loop.h"
 #include "src/tcpsim/tcp_socket.h"
+#include "src/tcpsim/testbed.h"
 #include "src/trace/ground_truth.h"
 
 namespace element {
@@ -124,6 +126,61 @@ class MeasuredFlow {
   std::unique_ptr<ByteSink> sink_;
   std::unique_ptr<IperfApp> app_;
   std::unique_ptr<SinkApp> reader_;
+};
+
+// A measured flow's ELEMENT estimates against ground truth.
+struct AccuracyRun {
+  AccuracyResult sender;
+  AccuracyResult receiver;
+  GroundTruthTracer::Composition composition;
+  double goodput_mbps = 0.0;
+};
+
+struct FlowSetConfig {
+  int flows = 1;
+  TcpSocket::Config socket;
+  bool sender_at_client = true;  // data crosses the client-to-server direction
+  MeasuredFlow::Options first;   // flow 0
+  MeasuredFlow::Options others;  // every other flow, staggered ones too
+  int staggered_flows = 0;       // joining one every 20 s from t = 20 s (Fig. 8b)
+  double duration_s = 30.0;
+};
+
+// The one experiment driver core: N MeasuredFlows over the caller's path. The
+// drivers (the legacy app behind ExecuteScenario, RunAccuracyExperiment and
+// RunContentionExperiment) only build the path and read its counters. The
+// order fixed here makes every run repeat event for event: the constructor
+// creates flows 0..N-1 (pair, then MeasuredFlow) before any starts; Start()
+// starts them in creation order, then schedules the staggered flows, each
+// created and started at its join time; Run() runs to the duration.
+class FlowSet {
+ public:
+  // Makes one connected pair on the caller's path; the sockets must outlive
+  // the set.
+  using MakePair =
+      std::function<Testbed::Flow(const TcpSocket::Config& socket, bool sender_at_client)>;
+
+  FlowSet(EventLoop* loop, const FlowSetConfig& config, MakePair make_pair);
+  // Pairs from Testbed::CreateFlow.
+  FlowSet(Testbed* bed, const FlowSetConfig& config);
+  FlowSet(const FlowSet&) = delete;
+  FlowSet& operator=(const FlowSet&) = delete;
+
+  void Start();
+  void Run();
+
+  // One row per flow in creation order, relative delay above `base_delay_s`.
+  std::vector<FlowResult> Results(double base_delay_s) const;
+  // Flow 0 must be measured.
+  AccuracyRun FirstAccuracy() const;
+
+ private:
+  void AddFlow(const MeasuredFlow::Options& options);
+
+  EventLoop* loop_;
+  FlowSetConfig config_;
+  MakePair make_pair_;
+  std::vector<std::unique_ptr<MeasuredFlow>> flows_;
 };
 
 }  // namespace element

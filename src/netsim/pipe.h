@@ -107,6 +107,13 @@ class Demux : public PacketSink {
   uint64_t unroutable_ = 0;
 };
 
+// One endpoint's attachment: where it transmits and the demux its packets are
+// delivered to.
+struct Attachment {
+  PacketSink* tx = nullptr;
+  Demux* rx = nullptr;
+};
+
 // A bidirectional path between two hosts ("client" and "server").
 class DuplexPath {
  public:

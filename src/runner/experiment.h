@@ -1,8 +1,10 @@
 // Experiment runners shared by the bench binaries and the fleet executor.
-// Each runner builds a Testbed for one scenario, drives it to completion on
-// the calling thread, and returns plain-value results. Runs are deterministic
-// in the seed and fully isolated (each owns its EventLoop and Rng), which is
-// what makes them safe to fan out across fleet worker threads.
+// Each builds its path (a single-path Testbed, or a src/topo Network with
+// cross traffic), runs its flows through the one FlowSet core
+// (src/apps/measured_flow.h) to completion on the calling thread, and returns
+// plain-value results. Runs are deterministic in the seed and fully isolated
+// (each owns its EventLoop and Rng), which is what makes them safe to fan out
+// across fleet worker threads.
 
 #ifndef ELEMENT_SRC_RUNNER_EXPERIMENT_H_
 #define ELEMENT_SRC_RUNNER_EXPERIMENT_H_
@@ -20,14 +22,8 @@
 
 namespace element {
 
-struct AccuracyRun {
-  AccuracyResult sender;
-  AccuracyResult receiver;
-  GroundTruthTracer::Composition composition;
-  double goodput_mbps = 0.0;
-};
-
-// One measured (minimization off) flow: ELEMENT estimates vs ground truth.
+// One measured (minimization off) Cubic flow: ELEMENT estimates vs ground
+// truth, with `background_flows` unmeasured flows joining every 20 s.
 AccuracyRun RunAccuracyExperiment(uint64_t seed, const PathConfig& path, double duration_s,
                                   TimeDelta tracker_period = TimeDelta::FromMillis(10),
                                   int background_flows = 0);
@@ -41,9 +37,9 @@ struct ScenarioResult {
   bool cancelled = false;
   std::string error;
 
-  std::vector<FlowResult> flows;  // legacy app
+  std::vector<FlowResult> flows;  // legacy app and topology runs
   bool has_accuracy = false;
-  AccuracyRun accuracy;  // accuracy app
+  AccuracyRun accuracy;  // accuracy app, or a topology run's scored flow 0
 
   // Mergeable summaries under canonical names (the aggregate's pinned JSON
   // keys): hists "sender_delay_s", "network_delay_s", "receiver_delay_s",

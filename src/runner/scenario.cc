@@ -203,6 +203,8 @@ std::string ScenarioSpec::Validate() const {
     os << "num_flows must be >= 1, got " << num_flows;
   } else if (background_flows < 0) {
     os << "background_flows must be >= 0, got " << background_flows;
+  } else if (background_flows > 0 && app != "accuracy") {
+    os << "background_flows needs app=accuracy (got '" << app << "')";
   } else if (!(tracker_period_ms * 1e6 >= 1.0)) {
     // The drivers truncate the period to whole nanoseconds; 0 ns would spin.
     os << "tracker_period_ms must be at least 1e-6 (one nanosecond), got " << tracker_period_ms;
@@ -238,6 +240,19 @@ std::string ScenarioSpec::Validate() const {
     }
   } else if (cross_iperf > 0 || cross_onoff > 0) {
     os << "cross traffic needs a topology";
+  } else if (app == "accuracy") {
+    // The accuracy app always measures one default Cubic flow, client to
+    // server.
+    if (num_flows != 1) {
+      os << "app=accuracy runs one flow; num_flows must be 1, got " << num_flows;
+    } else if (download) {
+      os << "download is legacy-only; app=accuracy sends client to server";
+    } else if (element_mode != "off") {
+      os << "app=accuracy always measures flow 0; element_mode must be off (got '"
+         << element_mode << "')";
+    } else if (cc != "cubic") {
+      os << "app=accuracy runs Cubic; cc must be cubic (got '" << cc << "')";
+    }
   }
   return os.str();
 }

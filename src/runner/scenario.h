@@ -29,7 +29,7 @@ struct ScenarioSpec {
 
   // Workload: "legacy" = N iperf flows with ground-truth delay decomposition
   // (the Fig. 2/3/13/14 experiments); "accuracy" = one ELEMENT-instrumented
-  // flow scored against ground truth (the Fig. 6/7/8 experiments).
+  // Cubic flow scored against ground truth (the Fig. 6/7/8 experiments).
   std::string app = "legacy";
 
   // Path: "wired" uses the rate/rtt/queue knobs below; "lan", "cable",
@@ -57,16 +57,24 @@ struct ScenarioSpec {
   int cross_iperf = 0;  // per hop: long-lived competing flows
   int cross_onoff = 0;  // per hop: on-off Pareto web-like flows
 
-  int num_flows = 1;  // legacy app: parallel iperf flows
-  // "off" = plain TCP; "first" = flow 0 through the ELEMENT interposer;
-  // "wireless" = interposer in LTE/WiFi mode (Algorithm 3).
+  // Legacy app and topology runs: parallel iperf flows. The accuracy app runs
+  // exactly one.
+  int num_flows = 1;
+  // Legacy app and topology runs only. "off" = plain TCP. "first": on the
+  // single path, flow 0 through the ELEMENT interposer; on a topology, flow 0
+  // gets a scored ElementSocket pair with minimization off. "wireless" =
+  // interposer in LTE/WiFi mode (Algorithm 3), single path only.
   std::string element_mode = "off";
-  bool download = false;  // legacy app: sender at server side (reverse pipe)
+  bool download = false;  // legacy app only: sender at server side (reverse pipe)
 
   double duration_s = 30.0;
-  double warmup_s = 3.0;             // legacy app: excluded from delay stats
-  double tracker_period_ms = 10.0;   // accuracy app: tcp_info poll period
-  int background_flows = 0;          // accuracy app: staggered competing flows
+  // Legacy app and topology runs: excluded from the delay decomposition (and
+  // from a topology flow 0's scoring). The accuracy app ignores it.
+  double warmup_s = 3.0;
+  // tcp_info poll period of a measured flow: the accuracy app, and flow 0 of
+  // a topology run with element_mode=first.
+  double tracker_period_ms = 10.0;
+  int background_flows = 0;  // accuracy app only: flows joining every 20 s
 
   uint64_t seed = 1;
 

@@ -1098,4 +1098,19 @@ TcpInfoData TcpSocket::GetTcpInfo() const {
   return info;
 }
 
+TcpSocketPair ConnectTcpPair(EventLoop* loop, Rng* rng, const TcpSocket::Config& config,
+                             uint64_t flow_id, Attachment client, Attachment server,
+                             bool client_sends) {
+  auto client_socket =
+      std::make_unique<TcpSocket>(loop, rng->Fork(), config, flow_id, client.tx, client.rx);
+  auto server_socket =
+      std::make_unique<TcpSocket>(loop, rng->Fork(), config, flow_id, server.tx, server.rx);
+  TcpSocketPair pair;
+  pair.sender = std::move(client_sends ? client_socket : server_socket);
+  pair.receiver = std::move(client_sends ? server_socket : client_socket);
+  pair.receiver->Listen();
+  pair.sender->Connect();
+  return pair;
+}
+
 }  // namespace element

@@ -389,6 +389,20 @@ class TcpSocket : public PacketSink {
   mutable TcpInfoData shared_page_;
 };
 
+struct TcpSocketPair {
+  std::unique_ptr<TcpSocket> sender;
+  std::unique_ptr<TcpSocket> receiver;
+};
+
+// The one way src/ makes a flow's sockets: forks `rng` for the client socket,
+// then for the server socket, puts the receiving end in Listen and has the
+// sending end Connect. The client sends unless `client_sends` is false.
+// Binding telemetry is left to the caller; Connect emits no record, so a
+// socket bound afterwards records the same run.
+TcpSocketPair ConnectTcpPair(EventLoop* loop, Rng* rng, const TcpSocket::Config& config,
+                             uint64_t flow_id, Attachment client, Attachment server,
+                             bool client_sends = true);
+
 }  // namespace element
 
 #endif  // ELEMENT_SRC_TCPSIM_TCP_SOCKET_H_

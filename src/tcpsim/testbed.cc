@@ -95,34 +95,17 @@ std::unique_ptr<LinkModel> Testbed::MakeForwardLink() {
 
 Testbed::Flow Testbed::CreateFlow(const TcpSocket::Config& socket_config,
                                   bool sender_at_client) {
-  uint64_t flow_id = path_->AllocateFlowId();
-  PacketSink* client_tx = &path_->forward();
-  PacketSink* server_tx = &path_->reverse();
-  Demux* client_rx = &path_->client_demux();
-  Demux* server_rx = &path_->server_demux();
-
-  auto a = std::make_unique<TcpSocket>(&loop_, rng_.Fork(), socket_config, flow_id, client_tx,
-                                       client_rx);
-  auto b = std::make_unique<TcpSocket>(&loop_, rng_.Fork(), socket_config, flow_id, server_tx,
-                                       server_rx);
-  TcpSocket* client = a.get();
-  TcpSocket* server = b.get();
-  client->BindTelemetry(&spine_);
-  server->BindTelemetry(&spine_);
-  sockets_.push_back(std::move(a));
-  sockets_.push_back(std::move(b));
-
   Flow flow;
-  flow.flow_id = flow_id;
-  if (sender_at_client) {
-    flow.sender = client;
-    flow.receiver = server;
-  } else {
-    flow.sender = server;
-    flow.receiver = client;
-  }
-  flow.receiver->Listen();
-  flow.sender->Connect();
+  flow.flow_id = path_->AllocateFlowId();
+  TcpSocketPair pair = ConnectTcpPair(
+      &loop_, &rng_, socket_config, flow.flow_id, {&path_->forward(), &path_->client_demux()},
+      {&path_->reverse(), &path_->server_demux()}, sender_at_client);
+  flow.sender = pair.sender.get();
+  flow.receiver = pair.receiver.get();
+  flow.sender->BindTelemetry(&spine_);
+  flow.receiver->BindTelemetry(&spine_);
+  sockets_.push_back(std::move(pair.sender));
+  sockets_.push_back(std::move(pair.receiver));
   return flow;
 }
 

@@ -1,6 +1,7 @@
 #include "src/topo/contention.h"
 
 #include <memory>
+#include <utility>
 
 namespace element {
 
@@ -30,73 +31,68 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   telemetry::TelemetrySpine spine;
   net.BindTelemetry(&spine);
 
-  TcpSocket::Config socket_config;
-  socket_config.congestion_control = config.congestion_control;
-  socket_config.ecn = config.ecn;
-  MeasuredFlow::Options options;
-  options.tracker_period = config.tracker_period;
-  options.tracer.keep_time_series = false;  // nothing reads the series
-  options.tracer.record_from = SimTime::FromNanos(static_cast<int64_t>(config.warmup_s * 1e9));
+  FlowSetConfig flow_config;
+  flow_config.flows = config.flows;
+  flow_config.socket.congestion_control = config.congestion_control;
+  flow_config.socket.ecn = config.ecn;
+  flow_config.others.tracker_period = config.tracker_period;
+  flow_config.others.tracer.keep_time_series = false;  // nothing reads the series
+  flow_config.others.tracer.record_from =
+      SimTime::FromNanos(static_cast<int64_t>(config.warmup_s * 1e9));
+  // A measured flow 0 is scored while it runs: every estimate against the
+  // truth recorded after warmup.
+  flow_config.first = flow_config.others;
+  if (config.element_on_first) {
+    flow_config.first.element = MeasuredFlow::Element::kMeasured;
+  }
+  flow_config.duration_s = config.duration_s;
 
-  // Declared before the flows, whose ELEMENT sockets must go first.
+  // Declared before the flows, whose ELEMENT sockets must go first. Flows are
+  // round-robined over the spec's end-to-end host pairs, data always forward.
   std::vector<std::unique_ptr<TcpSocket>> sockets;
-  std::vector<std::unique_ptr<MeasuredFlow>> flows;
   sockets.reserve(2 * static_cast<size_t>(config.flows));
-  flows.reserve(static_cast<size_t>(config.flows));
-  for (int i = 0; i < config.flows; ++i) {
-    int pair = i % net.spec().host_pairs;
+  auto make_pair = [&](const TcpSocket::Config& socket, bool /*sender_at_client*/) {
+    int pair = static_cast<int>(sockets.size() / 2) % net.spec().host_pairs;
     uint64_t flow_id = net.AllocateFlowId();
     net.RouteFlow(flow_id, pair);
-    Network::Attachment snd = net.sender(pair);
-    Network::Attachment rcv = net.receiver(pair);
-    sockets.push_back(std::make_unique<TcpSocket>(&loop, rng.Fork(), socket_config, flow_id,
-                                                  snd.tx, snd.rx));
-    TcpSocket* sender = sockets.back().get();
-    sockets.push_back(std::make_unique<TcpSocket>(&loop, rng.Fork(), socket_config, flow_id,
-                                                  rcv.tx, rcv.rx));
-    TcpSocket* receiver = sockets.back().get();
-    sender->BindTelemetry(&spine);
-    receiver->BindTelemetry(&spine);
-    receiver->Listen();
-    sender->Connect();
-
-    // A measured flow 0 is scored while it runs: every estimate against the
-    // truth recorded after warmup.
-    bool scored = i == 0 && config.element_on_first;
-    options.element = scored ? MeasuredFlow::Element::kMeasured : MeasuredFlow::Element::kOff;
-    flows.push_back(std::make_unique<MeasuredFlow>(&loop, sender, receiver, options));
-  }
+    TcpSocketPair made =
+        ConnectTcpPair(&loop, &rng, socket, flow_id, net.sender(pair), net.receiver(pair));
+    Testbed::Flow flow{made.sender.get(), made.receiver.get(), flow_id};
+    flow.sender->BindTelemetry(&spine);
+    flow.receiver->BindTelemetry(&spine);
+    sockets.push_back(std::move(made.sender));
+    sockets.push_back(std::move(made.receiver));
+    return flow;
+  };
+  FlowSet flows(&loop, flow_config, make_pair);
 
   // Cross traffic is created after the foreground flows so both draw their
   // flow ids and Rng forks in a fixed, seed-stable order.
   CrossTraffic cross(&loop, &rng, &net, config.cross);
 
-  for (const std::unique_ptr<MeasuredFlow>& flow : flows) {
-    flow->Start();
-  }
+  flows.Start();
   cross.Start();
-
-  loop.RunUntil(SimTime::FromNanos(static_cast<int64_t>(config.duration_s * 1e9)));
+  flows.Run();
 
   // Propagation floor of the data direction, for the "relative delay" metric.
   double base_s = (config.topo.access_delay * 2.0 +
                    config.topo.bottleneck_delay * static_cast<double>(config.topo.hops))
                       .ToSeconds();
   ContentionResult result;
+  result.flows = flows.Results(base_s);
   std::vector<double> goodputs;
-  goodputs.reserve(flows.size());
-  for (const std::unique_ptr<MeasuredFlow>& flow : flows) {
-    result.flows.push_back(flow->Result(config.congestion_control, config.duration_s, base_s));
-    goodputs.push_back(result.flows.back().goodput_mbps);
+  goodputs.reserve(result.flows.size());
+  for (const ContentionFlowResult& flow : result.flows) {
+    goodputs.push_back(flow.goodput_mbps);
   }
   result.jain_fairness = JainFairnessIndex(goodputs);
 
   if (config.element_on_first) {
-    const MeasuredFlow& flow0 = *flows.front();
+    AccuracyRun flow0 = flows.FirstAccuracy();
     result.has_accuracy = true;
-    result.sender_accuracy = flow0.SenderAccuracy();
-    result.receiver_accuracy = flow0.ReceiverAccuracy();
-    result.flow0_composition = flow0.tracer().MeanComposition();
+    result.sender_accuracy = std::move(flow0.sender);
+    result.receiver_accuracy = std::move(flow0.receiver);
+    result.flow0_composition = flow0.composition;
   }
 
   result.forwarded_packets = net.TotalForwardedPackets();

@@ -82,14 +82,10 @@ void CrossTraffic::AddFlow(EventLoop* loop, Rng* rng, Network* net, int hop, boo
   TcpSocket::Config socket_config;
   socket_config.congestion_control = config_.congestion_control;
   socket_config.ecn = config_.ecn;
-  Network::Attachment snd = net->sender(flow.pair);
-  Network::Attachment rcv = net->receiver(flow.pair);
-  flow.sender = std::make_unique<TcpSocket>(loop, rng->Fork(), socket_config, flow.flow_id,
-                                            snd.tx, snd.rx);
-  flow.receiver = std::make_unique<TcpSocket>(loop, rng->Fork(), socket_config, flow.flow_id,
-                                              rcv.tx, rcv.rx);
-  flow.receiver->Listen();
-  flow.sender->Connect();
+  TcpSocketPair pair = ConnectTcpPair(loop, rng, socket_config, flow.flow_id,
+                                      net->sender(flow.pair), net->receiver(flow.pair));
+  flow.sender = std::move(pair.sender);
+  flow.receiver = std::move(pair.receiver);
 
   flow.sink = std::make_unique<RawTcpSink>(flow.sender.get());
   if (onoff) {

@@ -82,12 +82,8 @@ class Network {
   const TopologySpec& spec() const { return spec_; }
   int levels() const { return spec_.hops + 1; }
 
-  // One endpoint's attachment: where it transmits into the topology and the
-  // demux its packets are delivered to.
-  struct Attachment {
-    PacketSink* tx = nullptr;
-    Demux* rx = nullptr;
-  };
+  // tx is the host's access pipe into the topology, rx the host's demux.
+  using Attachment = element::Attachment;
 
   // Attaches a host pair whose sender injects at router level `sender_level`
   // and whose receiver exits at `receiver_level` (sender_level <

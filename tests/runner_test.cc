@@ -397,6 +397,20 @@ TEST(ScenarioTest, RejectsStringSeedCount) {
                  "field 'seed.count' must be >= 1, got 0");
 }
 
+// Knobs an app never reads are rejected instead of silently ignored.
+TEST(ScenarioTest, RejectsKnobsTheAppIgnores) {
+  ExpectRejected(R"({"scenarios": [{"background_flows": 1}]})",
+                 "background_flows needs app=accuracy (got 'legacy')");
+  ExpectRejected(R"({"scenarios": [{"app": "accuracy", "num_flows": 2}]})",
+                 "app=accuracy runs one flow; num_flows must be 1, got 2");
+  ExpectRejected(R"({"scenarios": [{"app": "accuracy", "download": true}]})",
+                 "download is legacy-only");
+  ExpectRejected(R"({"scenarios": [{"app": "accuracy", "element_mode": "first"}]})",
+                 "element_mode must be off (got 'first')");
+  ExpectRejected(R"({"scenarios": [{"app": "accuracy", "cc": "bbr"}]})",
+                 "app=accuracy runs Cubic; cc must be cubic (got 'bbr')");
+}
+
 TEST(ScenarioTest, BuildPathWiredAutoQueueMatchesPaperFormula) {
   ScenarioSpec spec;
   spec.rate_mbps = 30;
@@ -576,6 +590,31 @@ TEST(FleetTest, ProgressCallbackSeesEveryRun) {
   EXPECT_EQ(summary.completed, specs.size());
   EXPECT_EQ(calls, specs.size());
   EXPECT_EQ(max_finished, specs.size());
+}
+
+// Figure 8b's staggered flows: one background flow joins at 20 s of a 25 s
+// run. The run repeats exactly, and the measured flow's goodput drops below
+// the same run without it.
+TEST(ExperimentTest, StaggeredFlowJoinsAtTwentySeconds) {
+  ScenarioSpec spec;
+  spec.name = "staggered";
+  spec.app = "accuracy";
+  spec.duration_s = 25.0;
+  spec.background_flows = 1;
+  spec.seed = 11;
+  ScenarioResult first = ExecuteScenario(spec);
+  ScenarioResult second = ExecuteScenario(spec);
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(second.ok) << second.error;
+  ASSERT_FALSE(first.accuracy.sender.errors.samples().empty());
+  EXPECT_EQ(first.accuracy.sender.errors.samples(), second.accuracy.sender.errors.samples());
+  EXPECT_EQ(first.accuracy.receiver.errors.samples(),
+            second.accuracy.receiver.errors.samples());
+
+  spec.background_flows = 0;
+  ScenarioResult alone = ExecuteScenario(spec);
+  ASSERT_TRUE(alone.ok) << alone.error;
+  EXPECT_LT(first.accuracy.goodput_mbps, alone.accuracy.goodput_mbps);
 }
 
 TEST(FleetTest, EmptySuiteReturnsEmptySummary) {

@@ -30,9 +30,15 @@ reproducible; this lint does:
       and nothing at all once grown, where a deque allocates blocks as it
       cycles and a list allocates one node per element. Waived line-by-line
       with allow(node-container), as for R7, when a line has a design reason.
+  R9  no TcpSocket construction in src/ outside the socket-pair helper
+      (ConnectTcpPair in src/tcpsim/tcp_socket.cc) — every flow's sockets
+      are made there, so the client/server Rng fork order and the
+      Listen-then-Connect handshake are written once. Waived line-by-line
+      with allow(socket-construction), as for R7 and R8.
 
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
-src/topo/, and src/telemetry/; R8 only in src/netsim/ and src/evloop/).
+src/topo/, and src/telemetry/; R8 only in src/netsim/ and src/evloop/; R9 in
+all of src/).
 tests/, bench/, and examples/ are linted with
 R2/R3/R4 only
 (benchmark harnesses legitimately read wall clocks; floats never carry sim
@@ -104,6 +110,17 @@ RULES = {
         "std::deque/std::list in a netsim/evloop per-packet path; use RingFifo "
         "(src/common/ring_fifo.h) (waive with lint_sim: allow(node-container))",
     ),
+    # A heap-made, `new`-ed or named (stack/member-initialized) TcpSocket.
+    "socket-construction": (
+        re.compile(
+            r"\bmake_(?:unique|shared)\s*<\s*(?:element::)?TcpSocket\s*>"
+            r"|\bnew\s+(?:element::)?TcpSocket\b"
+            r"|(?<![\w:])(?:element::)?TcpSocket\s+\w+\s*[({]"
+        ),
+        "TcpSocket constructed outside the socket-pair helper; make a flow's "
+        "sockets with ConnectTcpPair (src/tcpsim/tcp_socket.h) "
+        "(waive with lint_sim: allow(socket-construction))",
+    ),
     # (?!::) keeps std::thread::hardware_concurrency() (a query, not a spawn)
     # out of scope.
     "thread": (
@@ -125,6 +142,8 @@ EXEMPT = {
     # inside) deterministic simulations. Wall-clock reads are still findings
     # here unless waived line-by-line for harness timing.
     "src/runner/fleet.cc": {"thread"},
+    # Home of ConnectTcpPair, the one place src/ constructs TcpSockets.
+    "src/tcpsim/tcp_socket.cc": {"socket-construction"},
 }
 
 
