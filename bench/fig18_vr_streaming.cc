@@ -38,9 +38,8 @@ VrResult RunOne(uint64_t seed, bool with_element, QdiscType qdisc) {
     ElementSocket::Options opt;
     em = std::make_unique<ElementSocket>(&bed.loop(), flow.sender, opt);
   }
-  VrConfig cfg;
-  VrServer server(&bed.loop(), flow.sender, em.get(), cfg);
-  VrClient client(&bed.loop(), flow.receiver, &server, cfg);
+  VrServer server(&bed.loop(), flow.sender, em.get(), VrConfig{});
+  VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();
   FlowMeter meter(&bed.loop(), flow.receiver, TimeDelta::FromMillis(250));

@@ -188,9 +188,8 @@ int CmdVr(const Flags& flags) {
   if (with_element) {
     em = std::make_unique<ElementSocket>(&bed.loop(), flow.sender, ElementSocket::Options{});
   }
-  VrConfig cfg;
-  VrServer server(&bed.loop(), flow.sender, em.get(), cfg);
-  VrClient client(&bed.loop(), flow.receiver, &server, cfg);
+  VrServer server(&bed.loop(), flow.sender, em.get(), VrConfig{});
+  VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();
   double duration = flags.GetDouble("duration", 30.0);

@@ -28,9 +28,8 @@ void RunAndReport(const char* label, uint64_t seed, double mbps, bool with_eleme
     ElementSocket::Options opt;
     em = std::make_unique<ElementSocket>(&bed.loop(), flow.sender, opt);
   }
-  VrConfig cfg;
-  VrServer server(&bed.loop(), flow.sender, em.get(), cfg);
-  VrClient client(&bed.loop(), flow.receiver, &server, cfg);
+  VrServer server(&bed.loop(), flow.sender, em.get(), VrConfig{});
+  VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();
   bed.loop().RunUntil(SimTime::FromNanos(30'000'000'000LL));

@@ -97,12 +97,11 @@ FlowSet::FlowSet(EventLoop* loop, const FlowSetConfig& config, MakePair make_pai
 }
 
 FlowSet::FlowSet(Testbed* bed, const FlowSetConfig& config)
-    : FlowSet(&bed->loop(), config, [bed](const TcpSocket::Config& socket, bool sender_at_client) {
-        return bed->CreateFlow(socket, sender_at_client);
-      }) {}
+    : FlowSet(&bed->loop(), config,
+              [bed](const TcpSocket::Config& socket) { return bed->CreateFlow(socket); }) {}
 
 void FlowSet::AddFlow(const MeasuredFlow::Options& options) {
-  Testbed::Flow pair = make_pair_(config_.socket, config_.sender_at_client);
+  Testbed::Flow pair = make_pair_(config_.socket);
   flows_.push_back(std::make_unique<MeasuredFlow>(loop_, pair.sender, pair.receiver, options));
 }
 

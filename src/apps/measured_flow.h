@@ -139,7 +139,6 @@ struct AccuracyRun {
 struct FlowSetConfig {
   int flows = 1;
   TcpSocket::Config socket;
-  bool sender_at_client = true;  // data crosses the client-to-server direction
   MeasuredFlow::Options first;   // flow 0
   MeasuredFlow::Options others;  // every other flow, staggered ones too
   int staggered_flows = 0;       // joining one every 20 s from t = 20 s (Fig. 8b)
@@ -155,10 +154,9 @@ struct FlowSetConfig {
 // created and started at its join time; Run() runs to the duration.
 class FlowSet {
  public:
-  // Makes one connected pair on the caller's path; the sockets must outlive
-  // the set.
-  using MakePair =
-      std::function<Testbed::Flow(const TcpSocket::Config& socket, bool sender_at_client)>;
+  // Makes one connected pair on the caller's path, data crossing it in the
+  // client-to-server direction; the sockets must outlive the set.
+  using MakePair = std::function<Testbed::Flow(const TcpSocket::Config& socket)>;
 
   FlowSet(EventLoop* loop, const FlowSetConfig& config, MakePair make_pair);
   // Pairs from Testbed::CreateFlow.

@@ -1,13 +1,25 @@
 #include "src/apps/svc_app.h"
 
-namespace element {
+#include <array>
 
-SvcStreamer::SvcStreamer(EventLoop* loop, ElementSocket* em, const SvcConfig& config)
+namespace element {
+namespace {
+
+constexpr double kFps = 30.0;
+constexpr size_t kBaseLayerBytes = 8400;  // ~2 Mbps at 30 fps
+// Enhancement layers, cumulative extras (~+2, +4, +8 Mbps at 30 fps).
+constexpr std::array<size_t, 3> kEnhancementBytes = {8400, 16800, 33600};
+// Layer k (1-based) is shed when the send-buffer delay exceeds
+// kDelayBudget / k: the highest layers go first.
+constexpr TimeDelta kDelayBudget = TimeDelta::FromMillis(120);
+
+}  // namespace
+
+SvcStreamer::SvcStreamer(EventLoop* loop, ElementSocket* em)
     : loop_(loop),
       em_(em),
-      config_(config),
-      frame_timer_(loop, TimeDelta::FromSeconds(1.0 / config.fps), [this] { OnFrameTick(); }) {
-  stats_.resize(config_.enhancement_bytes.size() + 1);
+      frame_timer_(loop, TimeDelta::FromSeconds(1.0 / kFps), [this] { OnFrameTick(); }) {
+  stats_.resize(kEnhancementBytes.size() + 1);
 }
 
 void SvcStreamer::Start() {
@@ -28,11 +40,11 @@ void SvcStreamer::OnFrameTick() {
   ++frames_;
   // All layers enter the application buffer; the shedding decision happens at
   // the TCP boundary, with fresh delay information (§4.4).
-  Chunk base{frames_, 0, config_.base_layer_bytes, loop_->now()};
+  Chunk base{frames_, 0, kBaseLayerBytes, loop_->now()};
   queue_.push_back(base);
   ++stats_[0].enqueued;
-  for (size_t k = 0; k < config_.enhancement_bytes.size(); ++k) {
-    Chunk enh{frames_, static_cast<int>(k + 1), config_.enhancement_bytes[k], loop_->now()};
+  for (size_t k = 0; k < kEnhancementBytes.size(); ++k) {
+    Chunk enh{frames_, static_cast<int>(k + 1), kEnhancementBytes[k], loop_->now()};
     queue_.push_back(enh);
     ++stats_[k + 1].enqueued;
   }
@@ -46,10 +58,10 @@ void SvcStreamer::Pump() {
       // Enhancement layers are shed when the measured send-buffer delay
       // exceeds their (tighter, for higher layers) share of the budget, or
       // when they have already waited out most of the budget in the app queue.
-      TimeDelta budget = config_.delay_budget * (1.0 / chunk.layer);
+      TimeDelta budget = kDelayBudget * (1.0 / chunk.layer);
       TimeDelta send_delay = TimeDelta::FromSeconds(em_->send_buffer_delay_s());
       TimeDelta waited = loop_->now() - chunk.generated;
-      if (send_delay > budget || waited > config_.delay_budget) {
+      if (send_delay > budget || waited > kDelayBudget) {
         ++stats_[static_cast<size_t>(chunk.layer)].shed;
         queue_.pop_front();
         continue;

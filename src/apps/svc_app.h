@@ -18,25 +18,18 @@
 
 namespace element {
 
-struct SvcConfig {
-  double fps = 30.0;
-  size_t base_layer_bytes = 8400;  // ~2 Mbps at 30 fps
-  // Enhancement layers, cumulative extras (~+2, +4, +8 Mbps at 30 fps).
-  std::vector<size_t> enhancement_bytes = {8400, 16800, 33600};
-  // Layer k (1-based) is shed when the send-buffer delay exceeds
-  // delay_budget / k: the highest layers go first.
-  TimeDelta delay_budget = TimeDelta::FromMillis(120);
-};
-
 struct SvcLayerStats {
   uint64_t enqueued = 0;  // admitted to the app buffer
   uint64_t sent = 0;      // actually written to TCP
   uint64_t shed = 0;      // dropped at the TCP boundary
 };
 
+// A 30 fps stream of a ~2 Mbps base layer and three enhancement layers
+// (~+2, +4, +8 Mbps). Layer k (1-based) is shed when the send-buffer delay
+// exceeds 120 ms / k: the highest layers go first.
 class SvcStreamer {
  public:
-  SvcStreamer(EventLoop* loop, ElementSocket* em, const SvcConfig& config);
+  SvcStreamer(EventLoop* loop, ElementSocket* em);
 
   void Start();
   void Stop();
@@ -61,7 +54,6 @@ class SvcStreamer {
 
   EventLoop* loop_;
   ElementSocket* em_;
-  SvcConfig config_;
   PeriodicTimer frame_timer_;
 
   std::deque<Chunk> queue_;

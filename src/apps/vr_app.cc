@@ -3,14 +3,32 @@
 #include <algorithm>
 
 namespace element {
+namespace {
+
+constexpr double kFps = 60.0;
+constexpr TimeDelta kFrameDeadline = TimeDelta::FromMillis(200);
+// Encoder output buffer: even a non-adaptive server cannot queue frames
+// without bound; the oldest pending frames are capped at this many.
+constexpr size_t kEncoderBufferFrames = 3;
+// Adaptation (ELEMENT mode only). Thresholds sit above the latency
+// minimizer's own ~25 ms equilibrium so steady-state pacing is not read as
+// congestion.
+constexpr TimeDelta kSenderDelayDropThreshold = TimeDelta::FromMillis(60);
+constexpr TimeDelta kSenderDelayDownshiftThreshold = TimeDelta::FromMillis(35);
+constexpr int kUpshiftAfterGoodFrames = 45;
+constexpr TimeDelta kFailedUpshiftBackoff = TimeDelta::FromSecondsInt(30);
+// Head-control channel.
+constexpr TimeDelta kControlInterval = TimeDelta::FromMillis(50);
+constexpr uint32_t kControlBytes = 32;
+
+}  // namespace
 
 VrServer::VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em,
                    const VrConfig& config)
     : loop_(loop),
       socket_(socket),
       em_(em),
-      config_(config),
-      frame_timer_(loop, TimeDelta::FromSeconds(1.0 / config.fps), [this] { OnFrameTick(); }),
+      frame_timer_(loop, TimeDelta::FromSeconds(1.0 / kFps), [this] { OnFrameTick(); }),
       // An adaptive (ELEMENT-driven) server starts conservatively and climbs;
       // a blind server streams the configured level from the first frame.
       level_(em != nullptr ? std::min(config.initial_level, 1) : config.initial_level) {}
@@ -35,7 +53,7 @@ void VrServer::Stop() {
 void VrServer::DrainControl() {
   size_t n;
   while ((n = socket_->Read(4096)) > 0) {
-    control_messages_ += n / config_.control_bytes;
+    control_messages_ += n / kControlBytes;
   }
 }
 
@@ -57,13 +75,13 @@ void VrServer::OnFrameTick() {
       // downshift cascade the measured delay is stale backlog from the
       // overloaded level, not evidence against the lower levels.
       if (level_ == last_upshift_target_ &&
-          frames_since_upshift_ < 2 * static_cast<uint64_t>(config_.upshift_after_good_frames)) {
+          frames_since_upshift_ < 2 * static_cast<uint64_t>(kUpshiftAfterGoodFrames)) {
         failed_level_ = level_;
-        failed_level_retry_after_ = loop_->now() + config_.failed_upshift_backoff;
+        failed_level_retry_after_ = loop_->now() + kFailedUpshiftBackoff;
       }
     };
-    if (send_delay > config_.sender_delay_drop_threshold ||
-        write_queue_.size() >= config_.encoder_buffer_frames) {
+    if (send_delay > kSenderDelayDropThreshold ||
+        write_queue_.size() >= kEncoderBufferFrames) {
       // Stack (or app queue) is badly backed up: discard this frame entirely
       // and downshift.
       rec.dropped = true;
@@ -74,16 +92,16 @@ void VrServer::OnFrameTick() {
       frames_.push_back(rec);
       return;
     }
-    if (send_delay > config_.sender_delay_downshift_threshold) {
+    if (send_delay > kSenderDelayDownshiftThreshold) {
       remember_failed_upshift();
       level_ = std::max(level_ - 1, 0);
       good_frames_streak_ = 0;
     } else {
       ++good_frames_streak_;
       int next = level_ + 1;
-      bool next_allowed = next < static_cast<int>(config_.resolution_ladder.size()) &&
+      bool next_allowed = next < static_cast<int>(kResolutionLadder.size()) &&
                           (next < failed_level_ || loop_->now() > failed_level_retry_after_);
-      if (good_frames_streak_ >= config_.upshift_after_good_frames && next_allowed) {
+      if (good_frames_streak_ >= kUpshiftAfterGoodFrames && next_allowed) {
         level_ = next;
         last_upshift_target_ = next;
         good_frames_streak_ = 0;
@@ -92,7 +110,7 @@ void VrServer::OnFrameTick() {
     }
   }
 
-  if (write_queue_.size() >= config_.encoder_buffer_frames) {
+  if (write_queue_.size() >= kEncoderBufferFrames) {
     // Encoder buffer full: this frame is skipped (any server does this; only
     // the ELEMENT-driven one above also *adapts* before it gets here).
     rec.dropped = true;
@@ -101,7 +119,7 @@ void VrServer::OnFrameTick() {
     return;
   }
   rec.level = level_;
-  rec.bytes = config_.resolution_ladder[static_cast<size_t>(level_)];
+  rec.bytes = kResolutionLadder[static_cast<size_t>(level_)];
   frames_.push_back(rec);
   write_queue_.emplace_back(rec.id, rec.bytes);
   PumpWrites();
@@ -134,12 +152,11 @@ void VrServer::PumpWrites() {
   }
 }
 
-VrClient::VrClient(EventLoop* loop, TcpSocket* socket, VrServer* server, const VrConfig& config)
+VrClient::VrClient(EventLoop* loop, TcpSocket* socket, VrServer* server)
     : loop_(loop),
       socket_(socket),
       server_(server),
-      config_(config),
-      control_timer_(loop, config.control_interval, [this] { SendHeadControl(); }) {}
+      control_timer_(loop, kControlInterval, [this] { SendHeadControl(); }) {}
 
 void VrClient::Start() {
   socket_->SetReadableCallback([this] { OnReadable(); });
@@ -150,7 +167,7 @@ void VrClient::Stop() { control_timer_.Stop(); }
 
 void VrClient::SendHeadControl() {
   if (socket_->established()) {
-    socket_->Write(config_.control_bytes);  // viewpoint x/y + angular speed
+    socket_->Write(kControlBytes);  // viewpoint x/y + angular speed
   }
 }
 
@@ -173,7 +190,7 @@ void VrClient::OnReadable() {
     double delay = (loop_->now() - rec.generated).ToSeconds();
     frame_delays_.Add(delay);
     ++frames_received_;
-    if (delay > config_.frame_deadline.ToSeconds()) {
+    if (delay > kFrameDeadline.ToSeconds()) {
       ++deadline_misses_;
     }
     ++next_frame_index_;

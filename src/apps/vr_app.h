@@ -9,6 +9,7 @@
 #ifndef ELEMENT_SRC_APPS_VR_APP_H_
 #define ELEMENT_SRC_APPS_VR_APP_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -21,25 +22,7 @@
 namespace element {
 
 struct VrConfig {
-  double fps = 60.0;
-  // Encoded frame sizes per resolution level (bytes). Top level at 60 fps on
-  // the defaults is ~58 Mbps — deliberately above typical link capacity.
-  std::vector<size_t> resolution_ladder = {30000, 60000, 90000, 120000};
   int initial_level = 3;  // non-adaptive servers stream the top level
-  TimeDelta frame_deadline = TimeDelta::FromMillis(200);
-  // Encoder output buffer: even a non-adaptive server cannot queue frames
-  // without bound; the oldest pending frames are capped at this many.
-  size_t encoder_buffer_frames = 3;
-  // Adaptation knobs (ELEMENT mode only). Thresholds sit above the latency
-  // minimizer's own ~25 ms equilibrium so steady-state pacing is not read as
-  // congestion.
-  TimeDelta sender_delay_drop_threshold = TimeDelta::FromMillis(60);
-  TimeDelta sender_delay_downshift_threshold = TimeDelta::FromMillis(35);
-  int upshift_after_good_frames = 45;
-  TimeDelta failed_upshift_backoff = TimeDelta::FromSecondsInt(30);
-  // Head-control channel.
-  TimeDelta control_interval = TimeDelta::FromMillis(50);
-  uint32_t control_bytes = 32;
 };
 
 struct VrFrameRecord {
@@ -54,8 +37,14 @@ struct VrFrameRecord {
   SimTime completed_at;
 };
 
+// Streams 60 fps frames; each must arrive within 200 ms (VrClient counts the
+// misses).
 class VrServer {
  public:
+  // Encoded frame sizes per resolution level (bytes). The top level at 60 fps
+  // is ~58 Mbps — deliberately above typical link capacity.
+  static constexpr std::array<size_t, 4> kResolutionLadder = {30000, 60000, 90000, 120000};
+
   // `em` may be null: then the server streams blindly at `initial_level`
   // through the raw socket (the "TCP Cubic alone" configuration).
   VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em, const VrConfig& config);
@@ -77,7 +66,6 @@ class VrServer {
   EventLoop* loop_;
   TcpSocket* socket_;
   ElementSocket* em_;
-  VrConfig config_;
   PeriodicTimer frame_timer_;
 
   std::vector<VrFrameRecord> frames_;
@@ -96,7 +84,7 @@ class VrServer {
 
 class VrClient {
  public:
-  VrClient(EventLoop* loop, TcpSocket* socket, VrServer* server, const VrConfig& config);
+  VrClient(EventLoop* loop, TcpSocket* socket, VrServer* server);
 
   void Start();
   void Stop();
@@ -113,7 +101,6 @@ class VrClient {
   EventLoop* loop_;
   TcpSocket* socket_;
   VrServer* server_;
-  VrConfig config_;
   PeriodicTimer control_timer_;
 
   SampleSet frame_delays_;

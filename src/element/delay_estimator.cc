@@ -7,18 +7,17 @@
 namespace element {
 
 bool DelayDecompositionConserves(double sender_s, double network_s, double receiver_s,
-                                 double end_to_end_s, double rel_tolerance,
-                                 double abs_slack_s) {
+                                 double end_to_end_s) {
+  constexpr double kRelTolerance = 0.05;
+  constexpr double kAbsSlackS = 2e-3;
   double reconstructed = sender_s + network_s + receiver_s;
-  double budget = rel_tolerance * end_to_end_s + abs_slack_s;
+  double budget = kRelTolerance * end_to_end_s + kAbsSlackS;
   return std::abs(reconstructed - end_to_end_s) <= budget;
 }
 
 void AuditDelayDecomposition(double sender_s, double network_s, double receiver_s,
-                             double end_to_end_s, double rel_tolerance,
-                             double abs_slack_s) {
-  ELEMENT_AUDIT(DelayDecompositionConserves(sender_s, network_s, receiver_s, end_to_end_s,
-                                            rel_tolerance, abs_slack_s))
+                             double end_to_end_s) {
+  ELEMENT_AUDIT(DelayDecompositionConserves(sender_s, network_s, receiver_s, end_to_end_s))
       << "delay decomposition does not conserve: sender=" << sender_s
       << "s network=" << network_s << "s receiver=" << receiver_s
       << "s sum=" << sender_s + network_s + receiver_s

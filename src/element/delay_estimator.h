@@ -32,17 +32,15 @@ namespace element {
 // Figure 2 claim: the sender, network, and receiver components must
 // reconstruct the measured end-to-end delay. Means over one run satisfy
 //   sender + network + receiver ≈ end_to_end
-// within a relative tolerance (decomposition boundaries timestamp slightly
-// different bytes) plus an absolute slack for near-zero delays.
+// within a 5% relative tolerance (decomposition boundaries timestamp slightly
+// different bytes) plus a 2 ms absolute slack for near-zero delays.
 bool DelayDecompositionConserves(double sender_s, double network_s, double receiver_s,
-                                 double end_to_end_s, double rel_tolerance = 0.05,
-                                 double abs_slack_s = 2e-3);
+                                 double end_to_end_s);
 
 // ELEMENT_AUDIT wrapper (compiled out in Release): aborts with the four
 // components when the decomposition does not conserve.
 void AuditDelayDecomposition(double sender_s, double network_s, double receiver_s,
-                             double end_to_end_s, double rel_tolerance = 0.05,
-                             double abs_slack_s = 2e-3);
+                             double end_to_end_s);
 
 class SenderDelayEstimator {
  public:

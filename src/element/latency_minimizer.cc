@@ -15,11 +15,12 @@ LatencyMinimizer::LatencyMinimizer(EventLoop* loop, TcpSocket* socket,
       last_adjust_(loop->now()) {}
 
 void LatencyMinimizer::OnDelayMeasurement(double measured_s) {
+  constexpr double kEwmaWeight = 1.0 / 8.0;  // D_avg <- 7/8 D_avg + 1/8 D_measured
   if (!have_delay_) {
     avg_delay_s_ = measured_s;
     have_delay_ = true;
   } else {
-    avg_delay_s_ = (1.0 - params_.ewma_weight) * avg_delay_s_ + params_.ewma_weight * measured_s;
+    avg_delay_s_ = (1.0 - kEwmaWeight) * avg_delay_s_ + kEwmaWeight * measured_s;
   }
 }
 
@@ -45,18 +46,18 @@ void LatencyMinimizer::CheckAndAdjust() {
     starget_ /= ratio;
   }
   TcpInfoData info = socket_->GetTcpInfo();
-  double cap = params_.beta * static_cast<double>(info.tcpi_snd_cwnd) * info.tcpi_snd_mss;
+  double cap = kBeta * static_cast<double>(info.tcpi_snd_cwnd) * info.tcpi_snd_mss;
   starget_ = std::min(starget_, cap);
   starget_ = std::max(starget_, static_cast<double>(info.tcpi_snd_mss));
 
   if (is_wireless_) {
     // On LTE/WiFi the paper additionally pins the kernel buffer near S_target.
-    socket_->SetSndBuf(static_cast<size_t>(starget_ * params_.gamma));
+    socket_->SetSndBuf(static_cast<size_t>(starget_ * kGamma));
   }
 }
 
 bool LatencyMinimizer::MaySendNow() const {
-  if (sleep_count_ > params_.max_sleeps) {
+  if (sleep_count_ > kMaxSleeps) {
     return true;  // sleep budget exhausted; let the write through
   }
   if (starget_ <= 0.0) {
@@ -69,8 +70,9 @@ bool LatencyMinimizer::MaySendNow() const {
 }
 
 TimeDelta LatencyMinimizer::NextRetryDelay() {
+  constexpr double kLambda = 1.5;  // sleep time = cnt^lambda milliseconds
   ++sleep_count_;
-  double ms = std::pow(static_cast<double>(sleep_count_), params_.lambda);
+  double ms = std::pow(static_cast<double>(sleep_count_), kLambda);
   return TimeDelta::FromSeconds(ms / 1000.0);
 }
 

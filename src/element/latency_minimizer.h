@@ -19,15 +19,14 @@ namespace element {
 struct MinimizerParams {
   TimeDelta delay_threshold = TimeDelta::FromMillis(25);  // D_thr
   double delta = 0.25;        // adjustment exponent
-  double beta = 2.1;          // cwnd cap multiplier
-  double gamma = 1.1;         // wireless sndbuf multiplier
-  int max_sleeps = 8;         // delta in the paper's sleep loop
-  double lambda = 1.5;        // sleep time = cnt^lambda milliseconds
-  double ewma_weight = 1.0 / 8.0;  // D_avg <- 7/8 D_avg + 1/8 D_measured
 };
 
 class LatencyMinimizer : public RateController {
  public:
+  static constexpr double kBeta = 2.1;   // cwnd cap multiplier
+  static constexpr double kGamma = 1.1;  // wireless sndbuf multiplier
+  static constexpr int kMaxSleeps = 8;   // delta in the paper's sleep loop
+
   LatencyMinimizer(EventLoop* loop, TcpSocket* socket, const MinimizerParams& params,
                    bool is_wireless);
 

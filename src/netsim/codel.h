@@ -10,30 +10,26 @@
 
 namespace element {
 
+// RFC 8289's defaults: a 5 ms target sojourn and a 100 ms interval.
 struct CoDelParams {
-  TimeDelta target = TimeDelta::FromMillis(5);
-  TimeDelta interval = TimeDelta::FromMillis(100);
   size_t limit_packets = 1000;
 };
 
 // CoDel control state, reusable by FqCoDel for its per-flow queues.
 class CoDelState {
  public:
-  explicit CoDelState(const CoDelParams& params) : params_(params) {}
 
   // Decides the fate of a packet whose sojourn time is known, at dequeue.
   // Returns true if the packet should be dropped (caller may convert the
   // drop to an ECN mark).
   bool ShouldDrop(TimeDelta sojourn, SimTime now, size_t queued_bytes);
 
-  const CoDelParams& params() const { return params_; }
   uint32_t drop_count() const { return count_; }
   bool dropping() const { return dropping_; }
 
  private:
   SimTime ControlLawNext(SimTime t) const;
 
-  CoDelParams params_;
   bool first_above_valid_ = false;
   SimTime first_above_time_ = SimTime::Zero();
   SimTime drop_next_ = SimTime::Zero();

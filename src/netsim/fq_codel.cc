@@ -4,6 +4,11 @@
 #include <utility>
 
 namespace element {
+namespace {
+
+constexpr int64_t kQuantumBytes = 1514;
+
+}  // namespace
 
 FqCoDel::FqCoDel(const FqCoDelParams& params) : params_(params) {
   buckets_.resize(params_.num_buckets);
@@ -66,7 +71,7 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
   uint32_t idx = static_cast<uint32_t>(BucketFor(pkt));
   FlowQueue& fq = buckets_[idx];
   if (!fq.codel) {
-    fq.codel = std::make_unique<CoDelState>(params_.codel);
+    fq.codel = std::make_unique<CoDelState>();
   }
   pkt.enqueued = now;
   fq.bytes += pkt.size_bytes;
@@ -76,7 +81,7 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
   fq.packets.push_back(std::move(pkt));
   if (!fq.active) {
     fq.active = true;
-    fq.deficit = params_.quantum_bytes;
+    fq.deficit = kQuantumBytes;
     PushBack(&new_flows_, idx);
   }
   return true;
@@ -114,7 +119,7 @@ std::optional<Packet> FqCoDel::Dequeue(SimTime now) {
     uint32_t idx = list->head;
     FlowQueue& fq = buckets_[idx];
     if (fq.deficit <= 0) {
-      fq.deficit += params_.quantum_bytes;
+      fq.deficit += kQuantumBytes;
       // Move to the back of old_flows_.
       PopFront(list);
       PushBack(&old_flows_, idx);

@@ -14,11 +14,11 @@
 
 namespace element {
 
+// Each flow's DRR quantum is one 1514-byte frame; its CoDel runs at
+// CoDel's target and interval.
 struct FqCoDelParams {
-  CoDelParams codel;
   size_t num_buckets = 1024;
   size_t limit_packets = 10240;
-  int64_t quantum_bytes = 1514;
 };
 
 class FqCoDel : public Qdisc {

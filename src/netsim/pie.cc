@@ -4,9 +4,18 @@
 #include <utility>
 
 namespace element {
+namespace {
+
+constexpr TimeDelta kTarget = TimeDelta::FromMillis(15);
+constexpr TimeDelta kUpdateInterval = TimeDelta::FromMillis(15);
+constexpr TimeDelta kBurstAllowance = TimeDelta::FromMillis(150);
+constexpr double kAlpha = 0.125;  // 1/s of delay error
+constexpr double kBeta = 1.25;
+
+}  // namespace
 
 Pie::Pie(const PieParams& params, Rng rng)
-    : params_(params), rng_(std::move(rng)), burst_left_(params.burst_allowance) {}
+    : params_(params), rng_(std::move(rng)), burst_left_(kBurstAllowance) {}
 
 TimeDelta Pie::EstimateQueueDelay() const {
   if (avg_drain_rate_bytes_per_sec_ <= 1.0) {
@@ -16,12 +25,12 @@ TimeDelta Pie::EstimateQueueDelay() const {
 }
 
 void Pie::MaybeUpdateProbability(SimTime now) {
-  if (first_update_done_ && now - last_update_ < params_.update_interval) {
+  if (first_update_done_ && now - last_update_ < kUpdateInterval) {
     return;
   }
   TimeDelta qdelay = EstimateQueueDelay();
-  double p = params_.alpha * (qdelay - params_.target).ToSeconds() +
-             params_.beta * (qdelay - qdelay_old_).ToSeconds();
+  double p = kAlpha * (qdelay - kTarget).ToSeconds() +
+             kBeta * (qdelay - qdelay_old_).ToSeconds();
 
   // RFC 8033 §5.1 auto-tuning: scale the adjustment by the operating region.
   if (drop_prob_ < 0.000001) {
@@ -49,10 +58,10 @@ void Pie::MaybeUpdateProbability(SimTime now) {
   // RFC 8033 §4.2: the burst allowance drains on every update; it is only
   // replenished while the queue is demonstrably uncongested.
   if (burst_left_ > TimeDelta::Zero()) {
-    burst_left_ -= params_.update_interval;
-  } else if (drop_prob_ == 0.0 && qdelay < params_.target * 0.5 &&
-             qdelay_old_ < params_.target * 0.5) {
-    burst_left_ = params_.burst_allowance;
+    burst_left_ -= kUpdateInterval;
+  } else if (drop_prob_ == 0.0 && qdelay < kTarget * 0.5 &&
+             qdelay_old_ < kTarget * 0.5) {
+    burst_left_ = kBurstAllowance;
   }
   last_update_ = now;
   first_update_done_ = true;
@@ -69,7 +78,7 @@ bool Pie::Enqueue(Packet pkt, SimTime now) {
   if (burst_left_ <= TimeDelta::Zero()) {
     // RFC 8033 §5.3 safeguards against starving small queues.
     bool tiny_queue = queue_.size() < 2;
-    bool low_delay = qdelay_old_ < params_.target * 0.5 && drop_prob_ < 0.2;
+    bool low_delay = qdelay_old_ < kTarget * 0.5 && drop_prob_ < 0.2;
     if (!tiny_queue && !low_delay && rng_.Bernoulli(drop_prob_)) {
       should_drop = true;
     }

@@ -11,12 +11,9 @@
 
 namespace element {
 
+// RFC 8033's controller: a 15 ms target delay, updated every 15 ms, with a
+// 150 ms burst allowance.
 struct PieParams {
-  TimeDelta target = TimeDelta::FromMillis(15);
-  TimeDelta update_interval = TimeDelta::FromMillis(15);
-  TimeDelta burst_allowance = TimeDelta::FromMillis(150);
-  double alpha = 0.125;  // 1/s of delay error
-  double beta = 1.25;
   size_t limit_packets = 1000;
 };
 

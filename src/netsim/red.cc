@@ -9,13 +9,14 @@ namespace element {
 Red::Red(const RedParams& params, Rng rng) : params_(params), rng_(std::move(rng)) {}
 
 double Red::CurrentDropProbability() const {
+  constexpr double kMaxDropProbability = 0.1;  // max_p at max_threshold
   if (avg_queue_ < params_.min_threshold_packets) {
     return 0.0;
   }
   if (avg_queue_ >= params_.max_threshold_packets) {
     return 1.0;
   }
-  double base = params_.max_drop_probability * (avg_queue_ - params_.min_threshold_packets) /
+  double base = kMaxDropProbability * (avg_queue_ - params_.min_threshold_packets) /
                 (params_.max_threshold_packets - params_.min_threshold_packets);
   // Gentle uniformization: spread drops out over the inter-drop interval.
   double denom = 1.0 - static_cast<double>(std::max(count_since_drop_, 0)) * base;
@@ -29,14 +30,15 @@ bool Red::Enqueue(Packet pkt, SimTime now) {
   ScopedConservationAudit audit(this);
   // EWMA of the instantaneous queue; an idle period decays it toward zero
   // (approximation of the m-packet idle correction).
+  constexpr double kQueueWeight = 0.002;
   if (idle_) {
     TimeDelta idle_time = now - idle_since_;
     double decay_steps = idle_time.ToSeconds() / 0.001;  // ~1 small pkt / ms
-    avg_queue_ *= std::pow(1.0 - params_.queue_weight, std::max(0.0, decay_steps));
+    avg_queue_ *= std::pow(1.0 - kQueueWeight, std::max(0.0, decay_steps));
     idle_ = false;
   }
-  avg_queue_ = (1.0 - params_.queue_weight) * avg_queue_ +
-               params_.queue_weight * static_cast<double>(queue_.size());
+  avg_queue_ = (1.0 - kQueueWeight) * avg_queue_ +
+               kQueueWeight * static_cast<double>(queue_.size());
 
   if (queue_.size() >= params_.limit_packets) {
     CountDropPreQueue(pkt, now);

@@ -12,11 +12,11 @@
 
 namespace element {
 
+// The drop probability climbs to 0.1 at max_threshold; the average queue is
+// an EWMA with weight 0.002.
 struct RedParams {
   double min_threshold_packets = 20;
   double max_threshold_packets = 60;
-  double max_drop_probability = 0.1;  // max_p at max_threshold
-  double queue_weight = 0.002;        // EWMA weight for the average queue
   size_t limit_packets = 1000;
 };
 

@@ -34,7 +34,6 @@ std::vector<FlowResult> RunLegacyApp(const ScenarioSpec& spec) {
   config.flows = spec.num_flows;
   config.socket.congestion_control = spec.cc;
   config.socket.ecn = path.ecn;
-  config.sender_at_client = !spec.download;
   // No legacy row reads the ground-truth series.
   config.others.wireless = spec.element_mode == "wireless";
   config.others.tracer.keep_time_series = false;
@@ -49,13 +48,8 @@ std::vector<FlowResult> RunLegacyApp(const ScenarioSpec& spec) {
   flows.Start();
   flows.Run();
 
-  // "Relative delay": end-to-end delay above the propagation floor of the
-  // direction the data traverses.
-  TimeDelta base = path.one_way_delay;
-  if (spec.download && !path.reverse_one_way_delay.IsZero()) {
-    base = path.reverse_one_way_delay;
-  }
-  return flows.Results(base.ToSeconds());
+  // "Relative delay": end-to-end delay above the path's propagation floor.
+  return flows.Results(path.one_way_delay.ToSeconds());
 }
 
 // Runs the spec's app on its path, keeping the rows, flow 0's accuracy and

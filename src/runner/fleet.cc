@@ -47,7 +47,7 @@ FleetSummary RunFleet(const std::vector<ScenarioSpec>& specs, const FleetOptions
         return;
       }
       ScenarioResult& slot = summary.results[i];
-      if (options.cancel_on_failure && cancelled.load(std::memory_order_acquire)) {
+      if (cancelled.load(std::memory_order_acquire)) {
         slot.spec = specs[i];
         slot.cancelled = true;
         slot.error = "cancelled: an earlier scenario failed";

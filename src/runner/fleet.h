@@ -31,9 +31,6 @@ struct FleetProgress {
 
 struct FleetOptions {
   int jobs = 1;  // clamped to [1, scenario count]
-  // Stop handing out new scenarios after the first failed run (in-flight runs
-  // still complete; unstarted ones are marked cancelled).
-  bool cancel_on_failure = true;
   // Invoked after every finished run, serialized under the fleet's lock, from
   // worker threads. Must not call back into the fleet.
   std::function<void(const FleetProgress&)> progress;
@@ -49,6 +46,8 @@ struct FleetSummary {
   double wall_seconds = 0.0;  // harness metric, not deterministic output
 };
 
+// Stops handing out new scenarios after the first failed run (in-flight runs
+// still complete; unstarted ones are marked cancelled).
 FleetSummary RunFleet(const std::vector<ScenarioSpec>& specs, const FleetOptions& options);
 
 // Fleet-wide mergeable statistics, folded from ScenarioResults in scenario

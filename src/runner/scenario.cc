@@ -72,7 +72,6 @@ constexpr Field kFields[] = {
     {"cross_onoff", &ScenarioSpec::cross_onoff},
     {"num_flows", &ScenarioSpec::num_flows},
     {"element_mode", &ScenarioSpec::element_mode},
-    {"download", &ScenarioSpec::download},
     {"duration_s", &ScenarioSpec::duration_s, 1e9},
     {"warmup_s", &ScenarioSpec::warmup_s, 1e9},
     {"tracker_period_ms", &ScenarioSpec::tracker_period_ms, 1e6},
@@ -233,8 +232,6 @@ std::string ScenarioSpec::Validate() const {
       os << "topology runs use profile=wired (got '" << profile << "')";
     } else if (element_mode == "wireless") {
       os << "element_mode=wireless is single-path only";
-    } else if (download) {
-      os << "download is single-path only";
     } else if (loss > 0.0) {
       os << "loss is single-path only";
     }
@@ -245,8 +242,6 @@ std::string ScenarioSpec::Validate() const {
     // server.
     if (num_flows != 1) {
       os << "app=accuracy runs one flow; num_flows must be 1, got " << num_flows;
-    } else if (download) {
-      os << "download is legacy-only; app=accuracy sends client to server";
     } else if (element_mode != "off") {
       os << "app=accuracy always measures flow 0; element_mode must be off (got '"
          << element_mode << "')";

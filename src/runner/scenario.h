@@ -33,8 +33,9 @@ struct ScenarioSpec {
   std::string app = "legacy";
 
   // Path: "wired" uses the rate/rtt/queue knobs below; "lan", "cable",
-  // "wifi", "lte" use the named production profiles (knobs other than qdisc /
-  // ecn / loss are ignored for profiles).
+  // "cable_up", "wifi", "lte", "lte_up" use the named production profiles
+  // (rate_mbps and rtt_ms are ignored for profiles; a positive queue_packets,
+  // qdisc, ecn and loss still apply).
   std::string profile = "wired";
   double rate_mbps = 10.0;
   double rtt_ms = 50.0;
@@ -65,7 +66,6 @@ struct ScenarioSpec {
   // gets a scored ElementSocket pair with minimization off. "wireless" =
   // interposer in LTE/WiFi mode (Algorithm 3), single path only.
   std::string element_mode = "off";
-  bool download = false;  // legacy app only: sender at server side (reverse pipe)
 
   double duration_s = 30.0;
   // Legacy app and topology runs: excluded from the delay decomposition (and

@@ -9,7 +9,16 @@ namespace element {
 namespace {
 
 constexpr uint32_t kSynWireBytes = 60;  // header + MSS/wscale/SACK/TS options
+constexpr TimeDelta kMinRto = TimeDelta::FromMillis(200);  // Linux TCP_RTO_MIN
+constexpr TimeDelta kInitialRto = TimeDelta::FromSecondsInt(1);  // Linux TCP_TIMEOUT_INIT
 constexpr TimeDelta kMaxRto = TimeDelta::FromSecondsInt(60);
+constexpr TimeDelta kDelayedAckTimeout = TimeDelta::FromMillis(40);
+// Target queueing delay of DRWA's advertised-window cap (see
+// Config::drwa_rcv_window_moderation).
+constexpr TimeDelta kDrwaTargetDelay = TimeDelta::FromMillis(150);
+// Mean process-scheduling latency before the app's readable callback runs;
+// models the small baseline receiver-side delay.
+constexpr TimeDelta kAppWakeupLatencyMean = TimeDelta::FromMicros(300);
 constexpr TimeDelta kSynRetry = TimeDelta::FromSecondsInt(1);
 
 const TcpSegmentPayload& AsTcp(const Packet& pkt) {
@@ -29,7 +38,7 @@ TcpSocket::TcpSocket(EventLoop* loop, Rng rng, Config config, uint64_t flow_id, 
       syn_retry_timer_(loop, [this] { OnSynRetry(); }),
       sndbuf_(config.sndbuf_bytes),
       sndbuf_autotune_(config.sndbuf_autotune),
-      rto_(config.initial_rto),
+      rto_(kInitialRto),
       rto_timer_(loop, [this] { OnRtoFire(); }),
       pacing_timer_(loop, [this] { TrySendData(); }),
       writable_notify_timer_(loop,
@@ -315,7 +324,7 @@ void TcpSocket::UpdateRtt(TimeDelta sample) {
     rttvar_ = rttvar_ * 0.75 + err * 0.25;
     srtt_ = srtt_ * 0.875 + sample * 0.125;
   }
-  rto_ = std::max(config_.min_rto, srtt_ + rttvar_ * 4.0);
+  rto_ = std::max(kMinRto, srtt_ + rttvar_ * 4.0);
   rto_ = std::min(rto_, kMaxRto);
 }
 
@@ -685,7 +694,7 @@ uint64_t TcpSocket::AdvertisedWindow() const {
   uint64_t window = occupancy >= config_.rcvbuf_bytes ? 0 : config_.rcvbuf_bytes - occupancy;
   if (config_.drwa_rcv_window_moderation && rcv_rate_bytes_per_s_ > 0.0) {
     uint64_t cap = static_cast<uint64_t>(rcv_rate_bytes_per_s_ *
-                                         config_.drwa_target_delay.ToSeconds());
+                                         kDrwaTargetDelay.ToSeconds());
     cap = std::max<uint64_t>(cap, 4ull * config_.mss);  // never choke to zero
     window = std::min(window, cap);
   }
@@ -816,7 +825,7 @@ void TcpSocket::ScheduleDelayedAck() {
   if (delayed_ack_timer_.pending()) {
     return;
   }
-  delayed_ack_timer_.RestartAfter(config_.delayed_ack_timeout);
+  delayed_ack_timer_.RestartAfter(kDelayedAckTimeout);
 }
 
 void TcpSocket::ScheduleReadableWakeup() {
@@ -824,7 +833,7 @@ void TcpSocket::ScheduleReadableWakeup() {
     return;
   }
   TimeDelta latency =
-      TimeDelta::FromSeconds(rng_.Exponential(config_.app_wakeup_latency_mean.ToSeconds()));
+      TimeDelta::FromSeconds(rng_.Exponential(kAppWakeupLatencyMean.ToSeconds()));
   readable_wakeup_timer_.RestartAfter(latency);
 }
 

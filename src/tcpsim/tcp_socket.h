@@ -49,22 +49,13 @@ class TcpSocket : public PacketSink {
 
     // DRWA-style receiver-side window moderation (the paper's related-work
     // baseline [37]): the advertised window is capped near
-    // arrival_rate * drwa_target_delay, bounding the sender's inflight (and,
-    // through the 2x-cwnd sndbuf ratchet, its buffer) from the receiver.
+    // arrival_rate * 150 ms, bounding the sender's inflight (and, through the
+    // 2x-cwnd sndbuf ratchet, its buffer) from the receiver.
     bool drwa_rcv_window_moderation = false;
-    TimeDelta drwa_target_delay = TimeDelta::FromMillis(150);
 
     // Nagle / autocorking: hold back a sub-MSS tail while earlier data is
     // unacknowledged, so bulk transfers emit full segments (as Linux does).
     bool nagle = true;
-
-    TimeDelta min_rto = TimeDelta::FromMillis(200);
-    TimeDelta initial_rto = TimeDelta::FromSecondsInt(1);
-    TimeDelta delayed_ack_timeout = TimeDelta::FromMillis(40);
-
-    // Mean process-scheduling latency before the app's readable callback
-    // runs; models the small baseline receiver-side delay.
-    TimeDelta app_wakeup_latency_mean = TimeDelta::FromMicros(300);
   };
 
   enum class State { kClosed, kListen, kSynSent, kSynReceived, kEstablished };

@@ -49,9 +49,11 @@ PathConfig LteProfile(bool upload) {
 }
 
 Testbed::Testbed(uint64_t seed, const PathConfig& config) : config_(config), rng_(seed) {
-  TimeDelta rev_delay = config_.reverse_one_way_delay.IsZero() ? config_.one_way_delay
-                                                               : config_.reverse_one_way_delay;
-  auto rev_qdisc = std::make_unique<PfifoFast>(config_.reverse_queue_limit_packets);
+  // The reverse (ACK) pipe mirrors the forward delay behind a pfifo_fast deep
+  // enough that ACKs are never dropped at the profiles' reverse rates.
+  constexpr size_t kReverseQueueLimitPackets = 1000;
+  TimeDelta rev_delay = config_.one_way_delay;
+  auto rev_qdisc = std::make_unique<PfifoFast>(kReverseQueueLimitPackets);
   std::unique_ptr<LinkModel> rev_link;
   switch (config_.link) {
     case LinkType::kCable:
@@ -107,12 +109,6 @@ Testbed::Flow Testbed::CreateFlow(const TcpSocket::Config& socket_config,
   sockets_.push_back(std::move(pair.sender));
   sockets_.push_back(std::move(pair.receiver));
   return flow;
-}
-
-TimeDelta Testbed::BaseRtt() const {
-  TimeDelta rev = config_.reverse_one_way_delay.IsZero() ? config_.one_way_delay
-                                                         : config_.reverse_one_way_delay;
-  return config_.one_way_delay + rev;
 }
 
 }  // namespace element

@@ -33,11 +33,10 @@ struct PathConfig {
   double loss_probability = 0.0;
   std::vector<SteppedLinkModel::Step> steps;  // for LinkType::kStepped
 
-  // Reverse (ACK) direction; generous defaults so ACKs are not the bottleneck
-  // unless a test wants them to be.
+  // Reverse (ACK) direction: a pfifo_fast pipe with the forward one-way
+  // delay; a generous default rate so ACKs are not the bottleneck unless a
+  // test wants them to be.
   DataRate reverse_rate = DataRate::Gbps(1);
-  TimeDelta reverse_one_way_delay = TimeDelta::Zero();  // Zero => mirror forward
-  size_t reverse_queue_limit_packets = 1000;
 };
 
 // Named production-network profiles from the paper (Sections 2.2 and 4.3).
@@ -65,9 +64,6 @@ class Testbed {
   // forward pipe (the configured bottleneck); otherwise it crosses reverse.
   // Connect() is initiated immediately by the sender.
   Flow CreateFlow(const TcpSocket::Config& socket_config, bool sender_at_client = true);
-
-  // Sum of a flow's base (propagation-only) round trip.
-  TimeDelta BaseRtt() const;
 
   // The testbed's telemetry spine — the default recording path. Both pipes'
   // qdiscs (forward source 0, reverse 1) and every socket this testbed

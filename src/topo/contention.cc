@@ -51,7 +51,7 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   // round-robined over the spec's end-to-end host pairs, data always forward.
   std::vector<std::unique_ptr<TcpSocket>> sockets;
   sockets.reserve(2 * static_cast<size_t>(config.flows));
-  auto make_pair = [&](const TcpSocket::Config& socket, bool /*sender_at_client*/) {
+  auto make_pair = [&](const TcpSocket::Config& socket) {
     int pair = static_cast<int>(sockets.size() / 2) % net.spec().host_pairs;
     uint64_t flow_id = net.AllocateFlowId();
     net.RouteFlow(flow_id, pair);

@@ -9,24 +9,22 @@ namespace element {
 namespace {
 // Write granularity for on-off bursts; matches IperfApp's default chunk.
 constexpr size_t kBurstChunkBytes = 128 * 1024;
+
+// On-off shape. Burst sizes are Pareto with this mean (heavy tailed, like
+// web-object sizes); idle gaps are exponential.
+constexpr double kMeanBurstBytes = 256.0 * 1024.0;
+constexpr double kParetoShape = 1.5;
+constexpr TimeDelta kMeanOffTime = TimeDelta::FromMillis(500);
+static_assert(kParetoShape > 1.0, "on-off Pareto shape must be > 1 for a finite mean burst");
+// Pareto mean = scale * shape / (shape - 1); solve for scale so bursts
+// average kMeanBurstBytes.
+constexpr double kBurstScale = kMeanBurstBytes * (kParetoShape - 1.0) / kParetoShape;
 }  // namespace
 
-OnOffSender::OnOffSender(EventLoop* loop, TcpSocket* socket, Rng rng,
-                         const CrossTrafficConfig& config)
-    : loop_(loop),
-      socket_(socket),
+OnOffSender::OnOffSender(EventLoop* loop, TcpSocket* socket, Rng rng)
+    : socket_(socket),
       rng_(std::move(rng)),
-      // Pareto mean = scale * shape / (shape - 1); solve for scale so bursts
-      // average config.mean_burst_bytes.
-      burst_scale_(config.mean_burst_bytes * (config.pareto_shape - 1.0) /
-                   config.pareto_shape),
-      pareto_shape_(config.pareto_shape),
-      mean_off_(config.mean_off_time),
-      off_timer_(loop, [this] { StartBurst(); }) {
-  ELEMENT_CHECK(config.pareto_shape > 1.0)
-      << "on-off Pareto shape must be > 1 for a finite mean burst, got "
-      << config.pareto_shape;
-}
+      off_timer_(loop, [this] { StartBurst(); }) {}
 
 void OnOffSender::Start() {
   if (started_) {
@@ -39,7 +37,7 @@ void OnOffSender::Start() {
 
 void OnOffSender::StartBurst() {
   ++bursts_started_;
-  double draw = rng_.Pareto(burst_scale_, pareto_shape_);
+  double draw = rng_.Pareto(kBurstScale, kParetoShape);
   uint64_t min_burst = socket_->mss();
   burst_remaining_ = std::max<uint64_t>(min_burst, static_cast<uint64_t>(std::llround(draw)));
   Pump();
@@ -57,7 +55,7 @@ void OnOffSender::Pump() {
     burst_remaining_ -= accepted;
   }
   // Burst complete: go idle for an exponential off period.
-  off_timer_.RestartAfter(TimeDelta::FromSeconds(rng_.Exponential(mean_off_.ToSeconds())));
+  off_timer_.RestartAfter(TimeDelta::FromSeconds(rng_.Exponential(kMeanOffTime.ToSeconds())));
 }
 
 CrossTraffic::CrossTraffic(EventLoop* loop, Rng* rng, Network* net,
@@ -89,7 +87,7 @@ void CrossTraffic::AddFlow(EventLoop* loop, Rng* rng, Network* net, int hop, boo
 
   flow.sink = std::make_unique<RawTcpSink>(flow.sender.get());
   if (onoff) {
-    flow.onoff = std::make_unique<OnOffSender>(loop, flow.sender.get(), rng->Fork(), config_);
+    flow.onoff = std::make_unique<OnOffSender>(loop, flow.sender.get(), rng->Fork());
   } else {
     flow.iperf = std::make_unique<IperfApp>(loop, flow.sink.get());
   }

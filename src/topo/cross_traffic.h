@@ -38,18 +38,13 @@ struct CrossTrafficConfig {
 
   std::string congestion_control = "cubic";
   bool ecn = false;
-
-  // On-off shape. Burst sizes are Pareto with this mean (heavy tailed, like
-  // web-object sizes); idle gaps are exponential.
-  double mean_burst_bytes = 256.0 * 1024.0;
-  double pareto_shape = 1.5;
-  TimeDelta mean_off_time = TimeDelta::FromMillis(500);
 };
 
-// Drives one sender socket with Pareto on / exponential off periods.
+// Drives one sender socket with Pareto on / exponential off periods: bursts
+// average 256 KiB (heavy tailed, like web-object sizes), idle gaps 500 ms.
 class OnOffSender {
  public:
-  OnOffSender(EventLoop* loop, TcpSocket* socket, Rng rng, const CrossTrafficConfig& config);
+  OnOffSender(EventLoop* loop, TcpSocket* socket, Rng rng);
 
   void Start();
   uint64_t bytes_offered() const { return bytes_offered_; }
@@ -59,12 +54,8 @@ class OnOffSender {
   void StartBurst();
   void Pump();
 
-  EventLoop* loop_;
   TcpSocket* socket_;
   Rng rng_;
-  double burst_scale_;  // Pareto scale for the configured mean
-  double pareto_shape_;
-  TimeDelta mean_off_;
   uint64_t burst_remaining_ = 0;
   uint64_t bytes_offered_ = 0;
   uint64_t bursts_started_ = 0;

@@ -1,11 +1,20 @@
 #include "src/topo/topology.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "src/netsim/pfifo_fast.h"
 
 namespace element {
+namespace {
+
+// Host access links: 10x the bottleneck rate, behind a 1000-packet
+// pfifo_fast that also floors each reverse hop's queue.
+constexpr double kAccessRateFactor = 10.0;
+constexpr size_t kAccessQueuePackets = 1000;
+
+}  // namespace
 
 std::string TopologySpec::Validate() const {
   std::ostringstream os;
@@ -28,10 +37,6 @@ std::string TopologySpec::Validate() const {
 Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
     : loop_(loop), rng_(rng), spec_(spec) {
   ELEMENT_CHECK(spec_.Validate().empty()) << "bad TopologySpec: " << spec_.Validate();
-  access_rate_ = spec_.access_rate.IsZero() ? spec_.bottleneck_rate * 10.0
-                                            : spec_.access_rate;
-  DataRate reverse_rate = spec_.reverse_rate.IsZero() ? spec_.bottleneck_rate
-                                                      : spec_.reverse_rate;
 
   int levels = spec_.hops + 1;
   fwd_routers_.reserve(static_cast<size_t>(levels));
@@ -57,11 +62,10 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
     int fwd_port = fwd_routers_[static_cast<size_t>(h)]->AddPort(pipes_.back().get());
     fwd_routers_[static_cast<size_t>(h)]->SetDefaultPort(fwd_port);
 
-    size_t rev_limit = spec_.access_queue_packets > spec_.queue_limit_packets
-                           ? spec_.access_queue_packets
-                           : spec_.queue_limit_packets;
-    auto rev_qdisc = std::make_unique<PfifoFast>(rev_limit);
-    auto rev_link = std::make_unique<FixedLinkModel>(reverse_rate, spec_.bottleneck_delay);
+    auto rev_qdisc =
+        std::make_unique<PfifoFast>(std::max(kAccessQueuePackets, spec_.queue_limit_packets));
+    auto rev_link =
+        std::make_unique<FixedLinkModel>(spec_.bottleneck_rate, spec_.bottleneck_delay);
     pipes_.push_back(std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(rev_qdisc),
                                             std::move(rev_link),
                                             rev_routers_[static_cast<size_t>(h)].get()));
@@ -77,8 +81,9 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
 }
 
 Pipe* Network::MakeAccessPipe(PacketSink* out) {
-  auto qdisc = std::make_unique<PfifoFast>(spec_.access_queue_packets);
-  auto link = std::make_unique<FixedLinkModel>(access_rate_, spec_.access_delay);
+  auto qdisc = std::make_unique<PfifoFast>(kAccessQueuePackets);
+  auto link = std::make_unique<FixedLinkModel>(spec_.bottleneck_rate * kAccessRateFactor,
+                                               spec_.access_delay);
   pipes_.push_back(
       std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(qdisc), std::move(link), out));
   return pipes_.back().get();

@@ -58,16 +58,12 @@ struct TopologySpec {
   bool ecn = false;
   DataRate bottleneck_rate = DataRate::Mbps(10);
   TimeDelta bottleneck_delay = TimeDelta::FromMillis(10);  // propagation per hop
-  // Reverse-direction bottleneck rate; zero mirrors the forward rate. The
-  // reverse qdisc is always a roomy pfifo_fast (ACKs must not be the
-  // experiment's bottleneck unless the spec lowers this rate).
-  DataRate reverse_rate = DataRate::Zero();
+  // Each reverse hop mirrors the forward rate through a roomy pfifo_fast, so
+  // ACKs are not the experiment's bottleneck.
 
-  // Host access links. Zero rate auto-sizes to 10x the bottleneck so access
-  // never masks bottleneck contention.
-  DataRate access_rate = DataRate::Zero();
+  // Host access links: only the delay is set here. They run at 10x the
+  // bottleneck rate, so access never masks bottleneck contention.
   TimeDelta access_delay = TimeDelta::FromMillis(1);
-  size_t access_queue_packets = 1000;
 
   // Empty string when well-formed, else the first problem.
   std::string Validate() const;
@@ -168,7 +164,6 @@ class Network {
   EventLoop* loop_;
   Rng* rng_;
   TopologySpec spec_;
-  DataRate access_rate_;
 
   std::vector<std::unique_ptr<Router>> fwd_routers_;  // levels 0..hops
   std::vector<std::unique_ptr<Router>> rev_routers_;

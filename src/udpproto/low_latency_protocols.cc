@@ -4,16 +4,38 @@
 #include <cmath>
 
 namespace element {
+namespace {
+
+// SproutLike: the receiver forecasts the arrival rate every tick.
+constexpr TimeDelta kSproutTick = TimeDelta::FromMillis(20);
+constexpr TimeDelta kSproutForecastHorizon = TimeDelta::FromMillis(100);
+constexpr double kSproutCautionStddevs = 1.3;  // ~10th percentile of the rate forecast
+constexpr uint32_t kSproutDatagramBytes = 1400;
+// Delay-bounded probing: overshoot the forecast while queueing stays below
+// the target (Sprout's "fill the link, keep delay < 100 ms").
+constexpr double kSproutProbeGain = 1.25;
+constexpr double kSproutBackoffGain = 0.7;
+constexpr TimeDelta kSproutQueueingTarget = TimeDelta::FromMillis(60);
+
+// VerusLike: the sender moves its window once per epoch.
+constexpr TimeDelta kVerusEpoch = TimeDelta::FromMillis(5);
+constexpr TimeDelta kVerusDelayTargetLow = TimeDelta::FromMillis(15);
+constexpr TimeDelta kVerusDelayTargetHigh = TimeDelta::FromMillis(45);
+constexpr double kVerusDecreaseFactor = 0.87;
+constexpr double kVerusIncreaseBytes = 2800.0;  // additive, per epoch
+constexpr uint32_t kVerusDatagramBytes = 1400;
+constexpr double kVerusMaxWindowBytes = 2e6;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SproutLike
 // ---------------------------------------------------------------------------
 
-SproutLikeFlow::SproutLikeFlow(EventLoop* loop, DuplexPath* path, Params params)
+SproutLikeFlow::SproutLikeFlow(EventLoop* loop, DuplexPath* path)
     : loop_(loop),
-      params_(params),
-      send_timer_(loop, params.tick, [this] { SenderTick(); }),
-      recv_timer_(loop, params.tick, [this] { ReceiverTick(); }) {
+      send_timer_(loop, kSproutTick, [this] { SenderTick(); }),
+      recv_timer_(loop, kSproutTick, [this] { ReceiverTick(); }) {
   uint64_t flow_id = path->AllocateFlowId();
   sender_ = std::make_unique<UdpSocket>(loop, flow_id, &path->forward(), &path->client_demux());
   receiver_ =
@@ -36,15 +58,15 @@ void SproutLikeFlow::Stop() {
 
 void SproutLikeFlow::SenderTick() {
   // Spend this tick's share of the forecast allowance.
-  double per_tick = allowance_bytes_ * (params_.tick.ToSeconds() /
-                                        params_.forecast_horizon.ToSeconds());
+  double per_tick = allowance_bytes_ * (kSproutTick.ToSeconds() /
+                                        kSproutForecastHorizon.ToSeconds());
   int64_t budget = static_cast<int64_t>(per_tick);
   while (budget > 0) {
     UdpDatagramPayload dg;
     dg.seq = ++next_seq_;
-    dg.payload_bytes = params_.datagram_bytes;
+    dg.payload_bytes = kSproutDatagramBytes;
     sender_->SendDatagram(dg);
-    budget -= params_.datagram_bytes;
+    budget -= kSproutDatagramBytes;
   }
 }
 
@@ -67,7 +89,7 @@ void SproutLikeFlow::OnReceiverReceive(const UdpDatagramPayload& payload, const 
 }
 
 void SproutLikeFlow::ReceiverTick() {
-  double inst_rate = static_cast<double>(tick_bytes_) / params_.tick.ToSeconds();
+  double inst_rate = static_cast<double>(tick_bytes_) / kSproutTick.ToSeconds();
   tick_bytes_ = 0;
   if (!have_rate_) {
     rate_mean_ = inst_rate;
@@ -80,16 +102,16 @@ void SproutLikeFlow::ReceiverTick() {
   }
   // Conservative stochastic forecast: the cautious percentile of the rate,
   // probed upward while queueing stays below target and cut when it exceeds.
-  double safe_rate = std::max(0.0, rate_mean_ - params_.caution_stddevs * std::sqrt(rate_var_));
+  double safe_rate = std::max(0.0, rate_mean_ - kSproutCautionStddevs * std::sqrt(rate_var_));
   TimeDelta queueing =
       min_owd_.IsInfinite() ? TimeDelta::Zero() : tick_max_owd_ - min_owd_;
-  double gain = queueing > params_.queueing_target ? params_.backoff_gain : params_.probe_gain;
+  double gain = queueing > kSproutQueueingTarget ? kSproutBackoffGain : kSproutProbeGain;
   tick_max_owd_ = TimeDelta::Zero();
   UdpDatagramPayload fb;
   fb.is_feedback = true;
   fb.payload_bytes = 40;
-  fb.metric_a = safe_rate * gain * params_.forecast_horizon.ToSeconds() +
-                static_cast<double>(params_.datagram_bytes);  // never fully starve
+  fb.metric_a = safe_rate * gain * kSproutForecastHorizon.ToSeconds() +
+                static_cast<double>(kSproutDatagramBytes);  // never fully starve
   fb.metric_b = rate_mean_;
   receiver_->SendDatagram(fb);
 }
@@ -106,8 +128,8 @@ DataRate SproutLikeFlow::MeanThroughput(SimTime from, SimTime to) const {
 // VerusLike
 // ---------------------------------------------------------------------------
 
-VerusLikeFlow::VerusLikeFlow(EventLoop* loop, DuplexPath* path, Params params)
-    : loop_(loop), params_(params), epoch_timer_(loop, params.epoch, [this] { EpochTick(); }) {
+VerusLikeFlow::VerusLikeFlow(EventLoop* loop, DuplexPath* path)
+    : loop_(loop), epoch_timer_(loop, kVerusEpoch, [this] { EpochTick(); }) {
   uint64_t flow_id = path->AllocateFlowId();
   sender_ = std::make_unique<UdpSocket>(loop, flow_id, &path->forward(), &path->client_demux());
   receiver_ =
@@ -128,13 +150,13 @@ void VerusLikeFlow::Stop() { epoch_timer_.Stop(); }
 void VerusLikeFlow::TrySend() {
   uint64_t last_sent = next_seq_;
   uint64_t unacked =
-      (last_sent > highest_acked_ ? last_sent - highest_acked_ : 0) * params_.datagram_bytes;
-  while (unacked + params_.datagram_bytes <= static_cast<uint64_t>(window_bytes_)) {
+      (last_sent > highest_acked_ ? last_sent - highest_acked_ : 0) * kVerusDatagramBytes;
+  while (unacked + kVerusDatagramBytes <= static_cast<uint64_t>(window_bytes_)) {
     UdpDatagramPayload dg;
     dg.seq = ++next_seq_;
-    dg.payload_bytes = params_.datagram_bytes;
+    dg.payload_bytes = kVerusDatagramBytes;
     sender_->SendDatagram(dg);
-    unacked += params_.datagram_bytes;
+    unacked += kVerusDatagramBytes;
   }
 }
 
@@ -169,13 +191,13 @@ void VerusLikeFlow::EpochTick() {
     return;
   }
   TimeDelta queueing = latest_owd_ - min_owd_;
-  if (queueing < params_.delay_target_low) {
-    window_bytes_ += params_.increase_bytes;
-  } else if (queueing > params_.delay_target_high) {
-    window_bytes_ *= params_.decrease_factor;
+  if (queueing < kVerusDelayTargetLow) {
+    window_bytes_ += kVerusIncreaseBytes;
+  } else if (queueing > kVerusDelayTargetHigh) {
+    window_bytes_ *= kVerusDecreaseFactor;
   }
-  window_bytes_ = std::clamp(window_bytes_, static_cast<double>(params_.datagram_bytes),
-                             params_.max_window_bytes);
+  window_bytes_ = std::clamp(window_bytes_, static_cast<double>(kVerusDatagramBytes),
+                             kVerusMaxWindowBytes);
   TrySend();
 }
 

@@ -27,20 +27,7 @@ namespace element {
 
 class SproutLikeFlow {
  public:
-  struct Params {
-    TimeDelta tick = TimeDelta::FromMillis(20);
-    TimeDelta forecast_horizon = TimeDelta::FromMillis(100);
-    double caution_stddevs = 1.3;  // ~10th percentile of the rate forecast
-    uint32_t datagram_bytes = 1400;
-    // Delay-bounded probing: overshoot the forecast while queueing stays
-    // below the target (Sprout's "fill the link, keep delay < 100 ms").
-    double probe_gain = 1.25;
-    double backoff_gain = 0.7;
-    TimeDelta queueing_target = TimeDelta::FromMillis(60);
-  };
-
-  SproutLikeFlow(EventLoop* loop, DuplexPath* path, Params params);
-  SproutLikeFlow(EventLoop* loop, DuplexPath* path) : SproutLikeFlow(loop, path, Params{}) {}
+  SproutLikeFlow(EventLoop* loop, DuplexPath* path);
 
   void Start();
   void Stop();
@@ -56,7 +43,6 @@ class SproutLikeFlow {
   void OnReceiverReceive(const UdpDatagramPayload& payload, const Packet& pkt);
 
   EventLoop* loop_;
-  Params params_;
   std::unique_ptr<UdpSocket> sender_;
   std::unique_ptr<UdpSocket> receiver_;
   PeriodicTimer send_timer_;
@@ -79,18 +65,7 @@ class SproutLikeFlow {
 
 class VerusLikeFlow {
  public:
-  struct Params {
-    TimeDelta epoch = TimeDelta::FromMillis(5);
-    TimeDelta delay_target_low = TimeDelta::FromMillis(15);
-    TimeDelta delay_target_high = TimeDelta::FromMillis(45);
-    double decrease_factor = 0.87;
-    double increase_bytes = 2800.0;  // additive, per epoch
-    uint32_t datagram_bytes = 1400;
-    double max_window_bytes = 2e6;
-  };
-
-  VerusLikeFlow(EventLoop* loop, DuplexPath* path, Params params);
-  VerusLikeFlow(EventLoop* loop, DuplexPath* path) : VerusLikeFlow(loop, path, Params{}) {}
+  VerusLikeFlow(EventLoop* loop, DuplexPath* path);
 
   void Start();
   void Stop();
@@ -106,7 +81,6 @@ class VerusLikeFlow {
   void OnReceiverReceive(const UdpDatagramPayload& payload, const Packet& pkt);
 
   EventLoop* loop_;
-  Params params_;
   std::unique_ptr<UdpSocket> sender_;
   std::unique_ptr<UdpSocket> receiver_;
   PeriodicTimer epoch_timer_;

@@ -57,7 +57,7 @@ TEST_F(MinimizerTest, StargetCappedByBetaCwnd) {
     bed_.loop().RunUntil(Sec(0.5 + 0.25 * i));
   }
   TcpInfoData info = flow_.sender->GetTcpInfo();
-  double cap = params.beta * info.tcpi_snd_cwnd * info.tcpi_snd_mss;
+  double cap = LatencyMinimizer::kBeta * info.tcpi_snd_cwnd * info.tcpi_snd_mss;
   EXPECT_LE(static_cast<double>(min.starget_bytes()), cap * 1.01);
 }
 
@@ -82,8 +82,8 @@ TEST_F(MinimizerTest, SleepBudgetExhaustionOpensGate) {
   bed_.loop().RunUntil(Sec(3.0));
   // Fill the pipe so unsent exceeds S_target.
   flow_.sender->Write(4 << 20);
-  // After max_sleeps retries the gate must open regardless.
-  for (int i = 0; i <= params.max_sleeps; ++i) {
+  // After kMaxSleeps retries the gate must open regardless.
+  for (int i = 0; i <= LatencyMinimizer::kMaxSleeps; ++i) {
     min.NextRetryDelay();
   }
   EXPECT_TRUE(min.MaySendNow());
@@ -105,7 +105,7 @@ TEST_F(MinimizerTest, WirelessModePinsSndbuf) {
   bed_.loop().RunUntil(Sec(5.0));
   // SetSndBuf disables auto-tuning and pins near S_target * gamma.
   EXPECT_NEAR(static_cast<double>(flow_.sender->sndbuf()),
-              static_cast<double>(min.starget_bytes()) * params.gamma,
+              static_cast<double>(min.starget_bytes()) * LatencyMinimizer::kGamma,
               static_cast<double>(min.starget_bytes()) * 0.5);
 }
 

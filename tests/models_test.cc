@@ -114,15 +114,15 @@ TEST(VrServerTest, LevelsStayWithinLadder) {
   ElementSocket em(&bed.loop(), flow.sender, opt);
   VrConfig cfg;
   VrServer server(&bed.loop(), flow.sender, &em, cfg);
-  VrClient client(&bed.loop(), flow.receiver, &server, cfg);
+  VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();
   bed.loop().RunUntil(Sec(15.0));
   for (const VrFrameRecord& f : server.frames()) {
     EXPECT_GE(f.level, 0);
-    EXPECT_LT(f.level, static_cast<int>(cfg.resolution_ladder.size()));
+    EXPECT_LT(f.level, static_cast<int>(VrServer::kResolutionLadder.size()));
     if (!f.dropped) {
-      EXPECT_EQ(f.bytes, cfg.resolution_ladder[static_cast<size_t>(f.level)]);
+      EXPECT_EQ(f.bytes, VrServer::kResolutionLadder[static_cast<size_t>(f.level)]);
     }
   }
 }
@@ -135,7 +135,7 @@ TEST(VrServerTest, FrameRecordsMonotoneStreamPositions) {
   VrConfig cfg;
   cfg.initial_level = 1;
   VrServer server(&bed.loop(), flow.sender, nullptr, cfg);
-  VrClient client(&bed.loop(), flow.receiver, &server, cfg);
+  VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();
   bed.loop().RunUntil(Sec(10.0));

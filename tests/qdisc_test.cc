@@ -119,8 +119,7 @@ TEST(CoDelTest, EcnMarksInsteadOfDropping) {
 }
 
 TEST(CoDelTest, ControlLawAcceleratesDrops) {
-  CoDelParams params;
-  CoDelState state(params);
+  CoDelState state;
   // Persistently above target with a large standing queue.
   SimTime t = SimTime::Zero();
   int drops = 0;

@@ -34,7 +34,7 @@ SvcRun MakeRun(uint64_t seed, DataRate rate) {
   run.flow = run.bed->CreateFlow(TcpSocket::Config{});
   ElementSocket::Options opt;
   run.em = std::make_unique<ElementSocket>(&run.bed->loop(), run.flow.sender, opt);
-  run.streamer = std::make_unique<SvcStreamer>(&run.bed->loop(), run.em.get(), SvcConfig{});
+  run.streamer = std::make_unique<SvcStreamer>(&run.bed->loop(), run.em.get());
   run.reader = std::make_unique<SinkApp>(run.flow.receiver);
   run.streamer->Start();
   run.reader->Start();

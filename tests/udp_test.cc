@@ -61,7 +61,7 @@ TEST(VerusLikeTest, AloneKeepsQueueingBounded) {
                          TimeDelta::FromSecondsInt(30))
                     .ToMbps();
   EXPECT_GT(mbps, 3.0);
-  // Delay target band keeps queueing under ~delay_target_high + base.
+  // The 15-45 ms delay target band keeps queueing under ~45 ms + base.
   EXPECT_LT(flow.one_way_delays().Quantile(0.95), 0.12);
 }
 

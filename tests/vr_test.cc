@@ -36,8 +36,8 @@ VrRun MakeVrRun(uint64_t seed, bool with_element, DataRate rate, const VrConfig&
     run.em = std::make_unique<ElementSocket>(&run.bed->loop(), run.flow.sender, opt);
   }
   run.server = std::make_unique<VrServer>(&run.bed->loop(), run.flow.sender, run.em.get(), cfg);
-  run.client = std::make_unique<VrClient>(&run.bed->loop(), run.flow.receiver,
-                                          run.server.get(), cfg);
+  run.client =
+      std::make_unique<VrClient>(&run.bed->loop(), run.flow.receiver, run.server.get());
   run.server->Start();
   run.client->Start();
   return run;

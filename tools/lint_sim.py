@@ -35,10 +35,18 @@ reproducible; this lint does:
       are made there, so the client/server Rng fork order and the
       Listen-then-Connect handshake are written once. Waived line-by-line
       with allow(socket-construction), as for R7 and R8.
+  R10 no unset knob: every field of a `struct ...Config|Params|Options|Spec`
+      declared in a src/ header must be set somewhere in src/, bench/,
+      examples/, tests/ or perfbench/, or it is a configuration nobody runs
+      and belongs in a named constant next to the code that reads it. A
+      field counts as set where `.f =`, `->f =`, a nested `.f.x =` or a
+      `&Struct::f` member pointer appears in those trees. Waived per field
+      line with allow(unset-knob).
 
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
 src/topo/, and src/telemetry/; R8 only in src/netsim/ and src/evloop/; R9 in
-all of src/).
+all of src/; R10 in src/ headers, searching the five trees above for setters
+whatever paths are linted).
 tests/, bench/, and examples/ are linted with
 R2/R3/R4 only
 (benchmark harnesses legitimately read wall clocks; floats never carry sim
@@ -162,6 +170,116 @@ def lint_line(line: str, rules: dict) -> list[tuple[str, str]]:
     return findings
 
 
+# R10 (unset-knob) works on whole declarations, not lines.
+TYPE_OPEN_RE = re.compile(r"\b(?:struct|class)\s+(\w+)[^;{}()]*\{$")
+KNOB_STRUCT_RE = re.compile(r"\w*(?:Config|Params|Options|Spec)")
+KNOB_TREES = ("src", "bench", "examples", "tests", "perfbench")
+UNSET_KNOB_MESSAGE = (
+    "config field that nothing in src/, bench/, examples/, tests/ or perfbench/ "
+    "sets; make it a named constant next to the code that reads it "
+    "(waive with lint_sim: allow(unset-knob))"
+)
+BLANK_RE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:[^"\\\n]|\\.)*"', re.S)
+DECL_SKIP_RE = re.compile(
+    r"\s*(static|using|typedef|friend|template|struct|class|enum|union)\b")
+
+
+def blank_comments_and_strings(text: str) -> str:
+    """Replaces comments and string literals with spaces, keeping offsets."""
+    return BLANK_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+
+
+def knob_fields(text: str):
+    """Yields (struct, owner, field, offset) for each data member of a knob
+    struct; `owner` is the outermost enclosing type's name (the struct's own
+    name when it is not nested), which is how other files name it."""
+    code = blank_comments_and_strings(text)
+    stack, knobs, stmt = [], [], 0
+    for i, c in enumerate(code):
+        if c == "{":
+            opened = TYPE_OPEN_RE.search(code[stmt:i + 1])
+            name = opened.group(1) if opened else None
+            if name and KNOB_STRUCT_RE.fullmatch(name):
+                owner = next((n for n in stack if n), name)
+                knobs.append((name, owner, i + 1))
+            stack.append(name)
+        elif c == "}" and stack:
+            stack.pop()
+        if c in ";{}":
+            stmt = i + 1
+    for struct, owner, body in knobs:
+        depth, start, head = 1, body, ""
+        for i in range(body, len(code)):
+            c = code[i]
+            if c == "{":
+                depth += 1
+                if depth == 2:
+                    head = code[start:i]
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+                # A brace initializer keeps its declaration; a function body
+                # or a nested type ends its own statement.
+                if depth == 1 and ("(" in head.split("=", 1)[0] or DECL_SKIP_RE.match(head)):
+                    start = i + 1
+            elif c == ";" and depth == 1:
+                decl, decl_at, start = code[start:i], start, i + 1
+                access = re.match(r"\s*(?:(?:public|private|protected)\s*:)?", decl)
+                decl_at += access.end()
+                lhs = re.split(r"[={]", decl[access.end():], maxsplit=1)[0]
+                if not lhs.strip() or "(" in lhs or DECL_SKIP_RE.match(lhs):
+                    continue
+                name = re.search(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$", lhs)
+                if name:
+                    yield struct, owner, name.group(1), decl_at + name.start(1)
+
+
+class KnobIndex:
+    """Every knob field declared in src/ headers, and the setter corpus."""
+
+    def __init__(self, root: Path):
+        self.files = []
+        for tree in KNOB_TREES:
+            base = root / tree
+            if base.is_dir():
+                self.files.extend(blank_comments_and_strings(p.read_text())
+                                  for p in sorted(base.rglob("*"))
+                                  if p.suffix in CPP_SUFFIXES)
+        self.declared = {}  # field name -> number of knob structs declaring it
+        for p in sorted((root / "src").rglob("*")):
+            if p.suffix in {".h", ".hpp"}:
+                for _, _, field, _ in knob_fields(p.read_text()):
+                    self.declared[field] = self.declared.get(field, 0) + 1
+
+    def is_set(self, struct: str, owner: str, field: str) -> bool:
+        f = re.escape(field)
+        member_ptr = re.compile(rf"&\s*(?:\w+::)*{re.escape(struct)}::{f}\b")
+        assign = re.compile(rf"(?:\.|->){f}\s*(?:\.\w+\s*)*=(?!=)")
+        # A field name several knob structs share is set for this struct only
+        # by a file that names the struct (or the type it is nested in).
+        named = re.compile(rf"\b{re.escape(owner)}\b")
+        shared = self.declared.get(field, 0) > 1
+        return any(member_ptr.search(text) or
+                   (assign.search(text) and (not shared or named.search(text)))
+                   for text in self.files)
+
+
+def lint_unset_knobs(path: Path, index: KnobIndex) -> list[tuple[int, str]]:
+    """R10: (line, message) for each knob field nothing sets."""
+    text = path.read_text()
+    lines = text.splitlines()
+    findings = []
+    for struct, owner, field, offset in knob_fields(text):
+        lineno = text.count("\n", 0, offset) + 1
+        if "unset-knob" in {m.group(1) for m in ALLOW_RE.finditer(lines[lineno - 1])}:
+            continue
+        if not index.is_set(struct, owner, field):
+            qualified = struct if owner == struct else f"{owner}::{struct}"
+            findings.append((lineno, f"{qualified}::{field}: {UNSET_KNOB_MESSAGE}"))
+    return findings
+
+
 def rules_for(rel: str) -> dict:
     if rel.startswith("src/"):
         selected = dict(RULES)
@@ -206,6 +324,7 @@ def main() -> int:
             return 2
 
     failures = 0
+    knobs = None
     for path in files:
         try:
             rel = path.relative_to(root).as_posix()
@@ -226,6 +345,12 @@ def main() -> int:
                 in_block_comment = True
             for rule, message in lint_line(line, rules):
                 print(f"{rel}:{lineno}: [{rule}] {message}")
+                failures += 1
+        if rel.startswith("src/") and path.suffix in {".h", ".hpp"}:
+            if knobs is None:
+                knobs = KnobIndex(root)
+            for lineno, message in lint_unset_knobs(path, knobs):
+                print(f"{rel}:{lineno}: [unset-knob] {message}")
                 failures += 1
 
     if failures:
