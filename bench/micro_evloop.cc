@@ -2,12 +2,15 @@
 // CI perf-smoke floor.
 //
 // Three workloads, each reported as a rate:
-//   schedule_fire  — schedule 1M one-shot events at ascending times, run the
-//                    loop dry (the pure fire-path cost: pop + dispatch).
-//   churn          — the TCP RTO re-arm pattern: keep one far-future event
-//                    pending and cancel/re-schedule it 2M times, then drain.
-//                    On a tombstoning core the queue grows with every cancel;
-//                    on the slab core it stays at one slot.
+//   schedule_fire  — arm 65,536 timers at ascending times, each re-arming
+//                    itself from its callback 16 times (1,048,576 fires from
+//                    a heap 8 levels deep), and run the loop dry: the pure
+//                    fire-path cost, fire plus re-arm to the bottom of the
+//                    heap. The timers are made before the clock starts.
+//   churn          — the TCP RTO re-arm pattern: keep one far-future timer
+//                    pending and Restart it 2M times, with a trickle of near
+//                    fires so the clock advances, then drain. Each Restart
+//                    re-keys the timer's heap entry in place.
 //   tcp_codel      — a full TCP-over-CoDel bulk transfer (Testbed, cubic,
 //                    10 Mbps bottleneck) for 30 simulated seconds; reports
 //                    both events/sec and sim-seconds per wall-second.
@@ -27,6 +30,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <vector>
 
 #include "src/common/time.h"
@@ -39,17 +43,45 @@
 namespace element {
 namespace {
 
-constexpr int kScheduleFireEvents = 1'000'000;
+constexpr int kScheduleFireTimers = 65'536;
+constexpr int kScheduleFireRounds = 16;
+constexpr uint64_t kScheduleFireEvents =
+    static_cast<uint64_t>(kScheduleFireTimers) * kScheduleFireRounds;
 constexpr int kChurnOps = 2'000'000;
 constexpr double kTcpCodelSimSeconds = 30.0;
 constexpr double kSackRecoverySimSeconds = 30.0;
 
+// One schedule_fire timer: fires kScheduleFireRounds times, one round of
+// kScheduleFireTimers ns apart, so every re-arm lands behind every other
+// timer's next fire.
+class RoundTimer {
+ public:
+  RoundTimer(EventLoop* loop, uint64_t* fires) : fires_(fires), timer_(loop, [this] { Fire(); }) {}
+  void Arm(SimTime at) { timer_.Restart(at); }
+
+ private:
+  void Fire() {
+    ++*fires_;
+    if (++rounds_ < kScheduleFireRounds) {
+      timer_.RestartAfter(TimeDelta::FromNanos(kScheduleFireTimers));
+    }
+  }
+
+  uint64_t* fires_;
+  int rounds_ = 0;
+  Timer timer_;
+};
+
 double BenchScheduleFire() {
   EventLoop loop;
   uint64_t sink = 0;
+  std::deque<RoundTimer> timers;
+  for (int i = 0; i < kScheduleFireTimers; ++i) {
+    timers.emplace_back(&loop, &sink);
+  }
   double secs = Timed([&] {
-    for (int i = 0; i < kScheduleFireEvents; ++i) {
-      loop.ScheduleAfter(TimeDelta::FromNanos(i), [&sink] { ++sink; });
+    for (int i = 0; i < kScheduleFireTimers; ++i) {
+      timers[static_cast<size_t>(i)].Arm(SimTime::FromNanos(i));
     }
     loop.Run();
   });
@@ -58,22 +90,25 @@ double BenchScheduleFire() {
                  static_cast<unsigned long long>(sink));
     std::exit(1);
   }
-  return kScheduleFireEvents / secs;
+  return static_cast<double>(kScheduleFireEvents) / secs;
 }
 
 double BenchChurn() {
   EventLoop loop;
   uint64_t sink = 0;
+  // One re-armed far-future timeout (the RTO) plus a trickle of near fires,
+  // one timer each, so the clock advances, as a transfer's ACK stream does.
+  Timer rto(&loop, [&sink] { ++sink; });
+  std::deque<Timer> near;
+  for (int i = 0; i < kChurnOps; i += 1024) {
+    near.emplace_back(&loop, [&sink] { ++sink; });
+  }
   double secs = Timed([&] {
-    // One re-armed far-future timeout (the RTO) plus a trickle of near
-    // events so the clock advances, exactly as a transfer's ACK stream does.
-    auto rto = loop.ScheduleAfter(TimeDelta::FromSecondsInt(60), [&sink] { ++sink; });
+    rto.RestartAfter(TimeDelta::FromSecondsInt(60));
     for (int i = 0; i < kChurnOps; ++i) {
-      loop.Cancel(rto);
-      rto = loop.ScheduleAfter(TimeDelta::FromSecondsInt(60) + TimeDelta::FromNanos(i),
-                               [&sink] { ++sink; });
+      rto.RestartAfter(TimeDelta::FromSecondsInt(60) + TimeDelta::FromNanos(i));
       if ((i & 1023) == 0) {
-        loop.ScheduleAfter(TimeDelta::FromNanos(i), [&sink] { ++sink; });
+        near[static_cast<size_t>(i >> 10)].RestartAfter(TimeDelta::FromNanos(i));
         loop.RunUntil(loop.now() + TimeDelta::FromNanos(1));
       }
     }

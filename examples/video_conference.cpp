@@ -111,13 +111,14 @@ int main() {
 
   // At t=20s a bulk download congests the alice->bob direction.
   std::unique_ptr<MeasuredFlow> bulk;
-  bed.loop().ScheduleAt(SimTime::FromNanos(20'000'000'000LL), [&] {
+  Timer join(&bed.loop(), [&] {
     Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{}, true);
     bulk = std::make_unique<MeasuredFlow>(&bed.loop(), flow.sender, flow.receiver,
                                           MeasuredFlow::Options{});
     bulk->Start();
     std::printf("[t=20s] bulk Cubic download joins the alice->bob direction\n");
   });
+  join.Restart(SimTime::FromNanos(20'000'000'000LL));
 
   for (int t = 10; t <= 60; t += 10) {
     bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(t) * 1'000'000'000LL));

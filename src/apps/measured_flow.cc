@@ -88,7 +88,13 @@ ElementSocket& MeasuredFlow::element_receiver() {
 }
 
 FlowSet::FlowSet(EventLoop* loop, const FlowSetConfig& config, MakePair make_pair)
-    : loop_(loop), config_(config), make_pair_(std::move(make_pair)) {
+    : loop_(loop),
+      config_(config),
+      make_pair_(std::move(make_pair)),
+      joins_(loop, [this] {
+        AddFlow(config_.others);
+        flows_.back()->Start();
+      }) {
   ELEMENT_CHECK(config_.flows >= 1) << "a flow set needs at least one flow";
   flows_.reserve(static_cast<size_t>(config_.flows));
   for (int i = 0; i < config_.flows; ++i) {
@@ -109,14 +115,11 @@ void FlowSet::Start() {
   for (const std::unique_ptr<MeasuredFlow>& flow : flows_) {
     flow->Start();
   }
-  // Scheduled after the Start calls: events at equal times fire in the order
-  // they were scheduled.
+  // Pushed after the Start calls: events at equal times fire in the order
+  // they were armed.
   for (int i = 0; i < config_.staggered_flows; ++i) {
     double join_s = 20.0 * (i + 1);
-    loop_->ScheduleAt(SimTime::FromNanos(static_cast<int64_t>(join_s * 1e9)), [this] {
-      AddFlow(config_.others);
-      flows_.back()->Start();
-    });
+    joins_.Push(SimTime::FromNanos(static_cast<int64_t>(join_s * 1e9)));
   }
 }
 

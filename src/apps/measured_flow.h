@@ -150,7 +150,7 @@ struct FlowSetConfig {
 // RunContentionExperiment) only build the path and read its counters. The
 // order fixed here makes every run repeat event for event: the constructor
 // creates flows 0..N-1 (pair, then MeasuredFlow) before any starts; Start()
-// starts them in creation order, then schedules the staggered flows, each
+// starts them in creation order, then arms the staggered joins, each flow
 // created and started at its join time; Run() runs to the duration.
 class FlowSet {
  public:
@@ -179,6 +179,7 @@ class FlowSet {
   FlowSetConfig config_;
   MakePair make_pair_;
   std::vector<std::unique_ptr<MeasuredFlow>> flows_;
+  FifoTimer joins_;  // one entry per staggered flow, in join order
 };
 
 }  // namespace element

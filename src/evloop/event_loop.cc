@@ -12,31 +12,36 @@ namespace element {
 
 EventLoop::~EventLoop() = default;
 
-uint32_t EventLoop::AllocSlot() {
-  if (free_head_ == EventHandle::kInvalidSlot) {
+uint32_t EventLoop::AllocSlot(void (*fn)(void*), void* arg) {
+  if (free_head_ == kNoSlot) {
     uint32_t base = static_cast<uint32_t>(chunks_.size()) << kChunkShift;
     chunks_.push_back(std::make_unique<Record[]>(kChunkSize));
     // Thread the fresh chunk onto the freelist, lowest slot on top so ids
     // are handed out in address order.
-    for (uint32_t i = kChunkSize; i > 1; --i) {
+    for (uint32_t i = kChunkSize; i > 0; --i) {
       record(base + i - 1).next_free = free_head_;
       free_head_ = base + i - 1;
     }
-    return base;
   }
   uint32_t slot = free_head_;
-  free_head_ = record(slot).next_free;
+  Record& r = record(slot);
+  free_head_ = r.next_free;
+  r.fn = fn;
+  r.arg = arg;
   return slot;
 }
 
 void EventLoop::FreeSlot(uint32_t slot) {
   Record& r = record(slot);
-  ++r.generation;  // invalidates outstanding handles to this slot
-  r.kind = Record::Kind::kFree;
-  r.heap_index = kNotInHeap;
+  ELEMENT_DCHECK(r.fn != nullptr) << "freeing free slot " << slot;
+  if (slot == firing_slot_) {
+    firing_slot_ = kNoSlot;
+  }
+  if (r.heap_index != kNotInHeap) {
+    HeapRemove(slot);
+  }
   r.fn = nullptr;
   r.arg = nullptr;
-  r.cb = InlineCallback();
   r.next_free = free_head_;
   free_head_ = slot;
 }
@@ -127,7 +132,7 @@ void EventLoop::AuditHeapInvariant() const {
     ELEMENT_AUDIT(r.heap_index == i)
         << "heap back-pointer mismatch at index " << i << ": slot " << e.slot
         << " claims index " << r.heap_index;
-    ELEMENT_AUDIT(r.kind != Record::Kind::kFree)
+    ELEMENT_AUDIT(r.fn != nullptr)
         << "freed slot " << e.slot << " still in heap at index " << i;
     ELEMENT_AUDIT(e.at == r.at && e.seq == r.seq)
         << "heap key out of sync at index " << i << ": entry (t=" << e.at.nanos()
@@ -143,74 +148,26 @@ void EventLoop::AuditHeapInvariant() const {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling
-// ---------------------------------------------------------------------------
-
-EventHandle EventLoop::ScheduleAt(SimTime at, Callback cb) {
-  if (at < now_) {
-    at = now_;
-  }
-  uint32_t slot = AllocSlot();
-  Record& r = record(slot);
-  r.at = at;
-  r.seq = next_seq_++;
-  r.kind = Record::Kind::kOneShot;
-  r.cb = std::move(cb);
-  HeapPush(slot);
-  return EventHandle{slot, r.generation};
-}
-
-EventHandle EventLoop::ScheduleAfter(TimeDelta delay, Callback cb) {
-  return ScheduleAt(now_ + delay, std::move(cb));
-}
-
-bool EventLoop::Cancel(EventHandle h) {
-  if (!h.IsValid() || (h.slot >> kChunkShift) >= chunks_.size()) {
-    return false;
-  }
-  Record& r = record(h.slot);
-  if (r.generation != h.generation || r.kind == Record::Kind::kFree) {
-    return false;  // already fired, already cancelled, or slot reused
-  }
-  ELEMENT_AUDIT(r.kind == Record::Kind::kOneShot)
-      << "EventLoop::Cancel on a Timer-owned slot " << h.slot
-      << "; use Timer::Cancel instead";
-  HeapRemove(h.slot);
-  FreeSlot(h.slot);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Timer plumbing
 // ---------------------------------------------------------------------------
 
-EventHandle EventLoop::AllocTrampoline(void (*fn)(void*), void* arg) {
-  uint32_t slot = AllocSlot();
-  Record& r = record(slot);
-  r.kind = Record::Kind::kTrampoline;
-  r.fn = fn;
-  r.arg = arg;
-  return EventHandle{slot, r.generation};
-}
-
-void EventLoop::ArmTrampoline(EventHandle h, SimTime at) {
+void EventLoop::Arm(uint32_t slot, SimTime at) {
   if (at < now_) {
     at = now_;
   }
-  ArmTrampolineKeyed(h, at, next_seq_++);  // a re-arm orders like a fresh schedule
+  ArmKeyed(slot, at, next_seq_++);
 }
 
-void EventLoop::ArmTrampolineKeyed(EventHandle h, SimTime at, uint64_t seq) {
-  Record& r = record(h.slot);
-  ELEMENT_DCHECK(r.generation == h.generation && r.kind == Record::Kind::kTrampoline)
-      << "stale trampoline handle " << h.slot;
+void EventLoop::ArmKeyed(uint32_t slot, SimTime at, uint64_t seq) {
+  Record& r = record(slot);
+  ELEMENT_DCHECK(r.fn != nullptr) << "arming free slot " << slot;
   r.at = at;
   r.seq = seq;
-  if (h.slot == firing_slot_) {
-    firing_slot_ = EventHandle::kInvalidSlot;  // re-armed: the loop must not pop it
+  if (slot == firing_slot_) {
+    firing_slot_ = kNoSlot;  // re-armed: the loop must not pop it
   }
   if (r.heap_index == kNotInHeap) {
-    HeapPush(h.slot);
+    HeapPush(slot);
   } else {
     // In-place re-arm: update the entry's key, then restore heap order from
     // the slot's current position (for a firing timer, the root: one sift
@@ -223,30 +180,11 @@ void EventLoop::ArmTrampolineKeyed(EventHandle h, SimTime at, uint64_t seq) {
   }
 }
 
-bool EventLoop::DisarmTrampoline(EventHandle h) {
-  Record& r = record(h.slot);
-  ELEMENT_DCHECK(r.generation == h.generation && r.kind == Record::Kind::kTrampoline)
-      << "stale trampoline handle " << h.slot;
-  if (r.heap_index == kNotInHeap) {
-    return false;
-  }
+void EventLoop::Disarm(uint32_t slot) {
+  ELEMENT_DCHECK(record(slot).fn != nullptr) << "disarming free slot " << slot;
   // A firing timer is not pending (Timer::Cancel returns before this).
-  ELEMENT_DCHECK(h.slot != firing_slot_) << "disarming the firing timer " << h.slot;
-  HeapRemove(h.slot);
-  return true;
-}
-
-void EventLoop::ReleaseTrampoline(EventHandle h) {
-  Record& r = record(h.slot);
-  ELEMENT_DCHECK(r.generation == h.generation && r.kind == Record::Kind::kTrampoline)
-      << "stale trampoline handle " << h.slot;
-  if (h.slot == firing_slot_) {
-    firing_slot_ = EventHandle::kInvalidSlot;
-  }
-  if (r.heap_index != kNotInHeap) {
-    HeapRemove(h.slot);
-  }
-  FreeSlot(h.slot);
+  ELEMENT_DCHECK(slot != firing_slot_) << "disarming the firing timer " << slot;
+  HeapRemove(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +193,7 @@ void EventLoop::ReleaseTrampoline(EventHandle h) {
 
 uint32_t EventLoop::NextRunnable(SimTime deadline) const {
   if (heap_.empty() || heap_[0].at > deadline) {
-    return EventHandle::kInvalidSlot;
+    return kNoSlot;
   }
   return heap_[0].slot;
 }
@@ -263,8 +201,8 @@ uint32_t EventLoop::NextRunnable(SimTime deadline) const {
 void EventLoop::RunLoop(SimTime deadline) {
   stopped_ = false;
   uint32_t slot;
-  while (!stopped_ && (slot = NextRunnable(deadline)) != EventHandle::kInvalidSlot) {
-    Record& r = record(slot);
+  while (!stopped_ && (slot = NextRunnable(deadline)) != kNoSlot) {
+    const Record& r = record(slot);
     ELEMENT_AUDIT(r.at >= now_) << "event loop time went backwards: now=" << now_.nanos()
                                 << "ns event=" << r.at.nanos() << "ns seq=" << r.seq;
     now_ = r.at;
@@ -274,30 +212,19 @@ void EventLoop::RunLoop(SimTime deadline) {
         AuditHeapInvariant();
       }
     }
-    if (r.kind == Record::Kind::kOneShot) {
-      // Move the callable out and free the slot before invoking: the
-      // callback may schedule (and thereby reuse) slots, including this one.
+    // The timer fires in place: its slot stays at the root while the
+    // callback runs. Its key (now, seq) is the minimum, and everything armed
+    // meanwhile draws a larger seq at a time >= now, so nothing sorts before
+    // it. A Restart() re-keys the root (one sift down); otherwise the slot is
+    // popped here, still allocated (its timer owns it). The callback may
+    // destroy its timer, freeing the slot: fn and arg are read before the
+    // call.
+    firing_slot_ = slot;
+    r.fn(r.arg);
+    if (firing_slot_ == slot) {
+      firing_slot_ = kNoSlot;
+      ELEMENT_DCHECK(heap_[0].slot == slot) << "firing timer left the heap root";
       HeapPopTop();
-      Callback cb = std::move(r.cb);
-      FreeSlot(slot);
-      cb();
-    } else {
-      // Timer fire, in place: the slot stays at the root while the callback
-      // runs. Its key (now, seq) is the minimum, and everything scheduled or
-      // re-armed meanwhile draws a larger seq at a time >= now, so nothing
-      // sorts before it. A Restart() re-keys the root (one sift down);
-      // otherwise the slot is popped here, still allocated (its Timer owns
-      // it). Copy fn/arg out first — the callback may destroy the Timer,
-      // releasing the slot.
-      auto* fn = r.fn;
-      void* arg = r.arg;
-      firing_slot_ = slot;
-      fn(arg);
-      if (firing_slot_ == slot) {
-        firing_slot_ = EventHandle::kInvalidSlot;
-        ELEMENT_DCHECK(heap_[0].slot == slot) << "firing timer left the heap root";
-        HeapPopTop();
-      }
     }
   }
 }
@@ -316,22 +243,22 @@ void EventLoop::RunUntil(SimTime deadline) {
 // ---------------------------------------------------------------------------
 
 Timer::~Timer() {
-  if (handle_.IsValid()) {
-    loop_->ReleaseTrampoline(handle_);
+  if (slot_ != EventLoop::kNoSlot) {
+    loop_->FreeSlot(slot_);
   }
 }
 
-void Timer::FireTrampoline(void* self) {
+void Timer::Fire(void* self) {
   Timer* timer = static_cast<Timer*>(self);
   timer->pending_ = false;
   timer->cb_();
 }
 
 void Timer::Restart(SimTime at) {
-  if (!handle_.IsValid()) {
-    handle_ = loop_->AllocTrampoline(&Timer::FireTrampoline, this);
+  if (slot_ == EventLoop::kNoSlot) {
+    slot_ = loop_->AllocSlot(&Timer::Fire, this);
   }
-  loop_->ArmTrampoline(handle_, at);
+  loop_->Arm(slot_, at);
   pending_ = true;
   deadline_ = at < loop_->now() ? loop_->now() : at;
 }
@@ -341,7 +268,8 @@ bool Timer::Cancel() {
     return false;
   }
   pending_ = false;
-  return loop_->DisarmTrampoline(handle_);
+  loop_->Disarm(slot_);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -349,8 +277,8 @@ bool Timer::Cancel() {
 // ---------------------------------------------------------------------------
 
 FifoTimer::~FifoTimer() {
-  if (handle_.IsValid()) {
-    loop_->ReleaseTrampoline(handle_);
+  if (slot_ != EventLoop::kNoSlot) {
+    loop_->FreeSlot(slot_);
   }
 }
 
@@ -361,23 +289,23 @@ void FifoTimer::Push(SimTime at) {
   ELEMENT_DCHECK(entries_.empty() || entries_.back().at <= at)
       << "FifoTimer push at " << at.nanos() << "ns before the tail at "
       << entries_.back().at.nanos() << "ns";
-  // The sequence number is drawn now, as the ScheduleAt this replaces would.
+  // The sequence number is drawn now, as a Timer's Restart() here would.
   uint64_t seq = loop_->next_seq_++;
   entries_.push_back(Entry{at, seq});
   if (entries_.size() == 1) {
-    if (!handle_.IsValid()) {
-      handle_ = loop_->AllocTrampoline(&FifoTimer::FireTrampoline, this);
+    if (slot_ == EventLoop::kNoSlot) {
+      slot_ = loop_->AllocSlot(&FifoTimer::Fire, this);
     }
-    loop_->ArmTrampolineKeyed(handle_, at, seq);
+    loop_->ArmKeyed(slot_, at, seq);
   }
 }
 
-void FifoTimer::FireTrampoline(void* self) {
+void FifoTimer::Fire(void* self) {
   FifoTimer* timer = static_cast<FifoTimer*>(self);
   timer->entries_.pop_front();
   if (!timer->entries_.empty()) {
     const Entry& next = timer->entries_.front();
-    timer->loop_->ArmTrampolineKeyed(timer->handle_, next.at, next.seq);
+    timer->loop_->ArmKeyed(timer->slot_, next.at, next.seq);
   }
   timer->cb_();
 }
@@ -386,7 +314,7 @@ void FifoTimer::FireTrampoline(void* self) {
 // PeriodicTimer
 // ---------------------------------------------------------------------------
 
-PeriodicTimer::PeriodicTimer(EventLoop* loop, TimeDelta period, EventLoop::Callback cb)
+PeriodicTimer::PeriodicTimer(EventLoop* loop, TimeDelta period, std::function<void()> cb)
     : loop_(loop), period_(period), cb_(std::move(cb)), timer_(loop, [this] { Fire(); }) {}
 
 PeriodicTimer::~PeriodicTimer() { Stop(); }

@@ -1,20 +1,23 @@
-// Discrete-event simulation core: a monotonic virtual clock and an ordered
-// queue of callbacks. Everything else in this repository (links, TCP stacks,
+// Discrete-event simulation core: a monotonic virtual clock and the timers
+// that fire on it. Everything else in this repository (links, TCP stacks,
 // the ELEMENT trackers that the paper runs as threads) is driven by this loop,
 // which makes runs deterministic and reproducible.
 //
-// The core is allocation-free on the steady-state path:
-//   - event records live in a chunked slab (stable addresses, freelist reuse);
-//   - pending events sit in an index-addressable 4-ary min-heap whose
+// The loop schedules one kind of event: a slab slot owned by a Timer or a
+// FifoTimer (PeriodicTimer runs on a Timer). The core is allocation-free on
+// the steady-state path:
+//   - slot records live in a chunked slab (stable addresses, freelist reuse);
+//     a timer takes its slot on its first arm and holds it until it is
+//     destroyed, so re-arming never allocates;
+//   - pending fires sit in an index-addressable 4-ary min-heap whose
 //     entries carry their (time, seq) key next to the slot id, so sifting
 //     compares inside the heap array and touches a record only to update its
-//     back-pointer; Cancel() removes the record in O(log n) — no tombstones,
+//     back-pointer; a Cancel() removes the entry in O(log n) — no tombstones,
 //     no hash lookup on fire;
-//   - handles are generation-tagged, so a stale cancel is a checked no-op;
-//   - callbacks are stored in small-buffer InlineCallback storage (no heap
-//     allocation for captures up to kInlineBytes, which covers every
-//     scheduling site in src/);
-//   - Timer re-arms in place (Restart reuses its slab slot), which is what
+//   - each timer stores its callback once, at construction; a slot holds
+//     only a trampoline (function pointer + the timer), so arming and firing
+//     never touch callback storage;
+//   - Timer re-arms in place (Restart re-keys its heap entry), which is what
 //     the TCP RTO/delayed-ACK/pacing re-arm churn rides on. A timer fires in
 //     place: it stays at the heap root while its callback runs, so a
 //     Restart() from the callback is one sift down from the root, and the
@@ -24,19 +27,17 @@
 //     the heap, and each fire re-keys it in place with the next entry;
 //   - a per-loop FreeListArena recycles Packet payload allocations.
 //
-// Ordering guarantee: events fire in (time, schedule order). Every schedule,
-// every Timer::Restart and every FifoTimer::Push draws a fresh monotonic
-// sequence number, so equal-time events run in exactly the order they were
-// (re-)armed or pushed.
+// Ordering guarantee: events fire in (time, arm order). Every Timer::Restart
+// and every FifoTimer::Push draws a fresh monotonic sequence number, so
+// equal-time events run in exactly the order they were (re-)armed or pushed.
 
 #ifndef ELEMENT_SRC_EVLOOP_EVENT_LOOP_H_
 #define ELEMENT_SRC_EVLOOP_EVENT_LOOP_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,123 +47,11 @@
 
 namespace element {
 
-// Move-only type-erased callable with small-buffer storage. Callables whose
-// size fits kInlineBytes live inside the object (and therefore inside the
-// event slab); larger ones fall back to the heap. Everything scheduled on the
-// hot paths in src/ fits inline.
-class InlineCallback {
- public:
-  static constexpr size_t kInlineBytes = 48;
-
-  InlineCallback() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineCallback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineCallback(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      new (buf_) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      ops_ = &HeapOps<Fn>::ops;
-    }
-  }
-
-  InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  InlineCallback& operator=(InlineCallback&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(buf_, other.buf_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  InlineCallback(const InlineCallback&) = delete;
-  InlineCallback& operator=(const InlineCallback&) = delete;
-
-  ~InlineCallback() { Reset(); }
-
-  void operator()() { ops_->invoke(buf_); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-  // True when the callable lives in the inline buffer (no heap allocation).
-  bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
-
- private:
-  struct Ops {
-    void (*invoke)(void*);
-    // Move-constructs into dst from src and destroys src.
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void*);
-    bool inline_storage;
-  };
-
-  template <typename Fn>
-  struct InlineOps {
-    static void Invoke(void* p) { (*static_cast<Fn*>(p))(); }
-    static void Relocate(void* dst, void* src) {
-      Fn* from = static_cast<Fn*>(src);
-      new (dst) Fn(std::move(*from));
-      from->~Fn();
-    }
-    static void Destroy(void* p) { static_cast<Fn*>(p)->~Fn(); }
-    static constexpr Ops ops{&Invoke, &Relocate, &Destroy, /*inline_storage=*/true};
-  };
-
-  template <typename Fn>
-  struct HeapOps {
-    static Fn*& Slot(void* p) { return *static_cast<Fn**>(p); }
-    static void Invoke(void* p) { (*Slot(p))(); }
-    static void Relocate(void* dst, void* src) {
-      *static_cast<Fn**>(dst) = Slot(src);
-    }
-    static void Destroy(void* p) { delete Slot(p); }
-    static constexpr Ops ops{&Invoke, &Relocate, &Destroy, /*inline_storage=*/false};
-  };
-
-  void Reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-};
-
-// Generation-tagged reference to a pending one-shot event. A handle whose
-// event already fired (or was cancelled, or whose slot was since reused)
-// no-ops on Cancel: the generation check makes stale handles safe.
-struct EventHandle {
-  uint32_t slot = kInvalidSlot;
-  uint32_t generation = 0;
-
-  static constexpr uint32_t kInvalidSlot = 0xffffffffu;
-  bool IsValid() const { return slot != kInvalidSlot; }
-};
-
 class Timer;
 class FifoTimer;
 
 class EventLoop {
  public:
-  using Callback = InlineCallback;
-
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -170,17 +59,7 @@ class EventLoop {
 
   SimTime now() const { return now_; }
 
-  // Schedules `cb` at absolute time `at` (>= now; earlier clamps to now).
-  // Returns a handle usable with Cancel().
-  EventHandle ScheduleAt(SimTime at, Callback cb);
-  EventHandle ScheduleAfter(TimeDelta delay, Callback cb);
-
-  // Cancels a pending event in O(log n), releasing its slot immediately.
-  // Returns true when the event was pending; a stale or invalid handle is a
-  // no-op returning false.
-  bool Cancel(EventHandle h);
-
-  // Runs until the queue drains or Stop() is called.
+  // Runs until no timer is armed or Stop() is called.
   void Run();
   // Runs events with time <= deadline, then sets now to the deadline.
   void RunUntil(SimTime deadline);
@@ -191,7 +70,7 @@ class EventLoop {
   // pending (though it sits at the heap root until the callback returns),
   // and a FifoTimer counts once however many entries it holds.
   size_t pending_events() const {
-    return heap_.size() - (firing_slot_ != EventHandle::kInvalidSlot ? 1 : 0);
+    return heap_.size() - (firing_slot_ != kNoSlot ? 1 : 0);
   }
   uint64_t processed_events() const { return processed_; }
 
@@ -216,23 +95,19 @@ class EventLoop {
 
   static constexpr uint32_t kChunkShift = 8;  // 256 records per slab chunk
   static constexpr uint32_t kChunkSize = 1u << kChunkShift;
+  static constexpr uint32_t kNoSlot = 0xffffffffu;
   static constexpr uint32_t kNotInHeap = 0xffffffffu;
 
   struct Record {
-    // The event's key; its heap entry holds a copy while it is pending.
+    // The fire's key; its heap entry holds a copy while it is pending.
     SimTime at;
     uint64_t seq = 0;  // FIFO tie-break among equal times
-    uint32_t generation = 1;
     uint32_t heap_index = kNotInHeap;
-    uint32_t next_free = EventHandle::kInvalidSlot;
-    enum class Kind : uint8_t { kFree, kOneShot, kTrampoline };
-    Kind kind = Kind::kFree;
-    // Trampoline target (Timer-owned slots): fixed function + context, no
-    // callback storage churn on re-arm.
+    uint32_t next_free = kNoSlot;
+    // The owning timer's trampoline: a fixed function and the timer. A null
+    // `fn` marks a free slot.
     void (*fn)(void*) = nullptr;
     void* arg = nullptr;
-    // One-shot callable (moved out on fire).
-    InlineCallback cb;
   };
 
   Record& record(uint32_t slot) { return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)]; }
@@ -240,10 +115,7 @@ class EventLoop {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
 
-  uint32_t AllocSlot();
-  void FreeSlot(uint32_t slot);
-
-  // A pending event: its key, copied from the record, and its slot.
+  // A pending fire: its key, copied from the record, and its slot.
   struct HeapEntry {
     SimTime at;
     uint64_t seq;
@@ -265,20 +137,22 @@ class EventLoop {
   void SiftUp(uint32_t index);
   void SiftDown(uint32_t index);
 
-  // Timer plumbing: a trampoline slot is owned by its Timer for the Timer's
-  // lifetime; arming inserts it into the heap (or re-keys it where it is),
-  // and a fire that leaves it un-armed removes it but keeps the slot
-  // allocated so Restart() re-arms in place.
-  EventHandle AllocTrampoline(void (*fn)(void*), void* arg);
+  // Timer plumbing: a slot is owned by one Timer or FifoTimer from its first
+  // arm until the timer is destroyed; arming inserts it into the heap (or
+  // re-keys it where it is), and a fire that leaves it un-armed removes it
+  // but keeps the slot allocated so the next arm reuses it.
+  uint32_t AllocSlot(void (*fn)(void*), void* arg);
   // Arms at `at` (clamped to now) with a fresh sequence number.
-  void ArmTrampoline(EventHandle h, SimTime at);
+  void Arm(uint32_t slot, SimTime at);
   // Arms with a key drawn earlier (a FifoTimer entry's).
-  void ArmTrampolineKeyed(EventHandle h, SimTime at, uint64_t seq);
-  bool DisarmTrampoline(EventHandle h);
-  void ReleaseTrampoline(EventHandle h);
+  void ArmKeyed(uint32_t slot, SimTime at, uint64_t seq);
+  // Removes a pending slot from the heap.
+  void Disarm(uint32_t slot);
+  // Disarms the slot if pending and returns it to the freelist.
+  void FreeSlot(uint32_t slot);
 
-  // Returns the slot of the next event with time <= deadline, still at the
-  // heap root, or kInvalidSlot.
+  // Returns the slot of the next fire with time <= deadline, still at the
+  // heap root, or kNoSlot.
   uint32_t NextRunnable(SimTime deadline) const;
   void RunLoop(SimTime deadline);
 
@@ -288,35 +162,37 @@ class EventLoop {
   bool stopped_ = false;
 
   std::vector<std::unique_ptr<Record[]>> chunks_;
-  uint32_t free_head_ = EventHandle::kInvalidSlot;
+  uint32_t free_head_ = kNoSlot;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap over (at, seq)
-  // The trampoline slot whose callback is running, at heap_[0]; cleared when
-  // the callback re-arms or releases it.
-  uint32_t firing_slot_ = EventHandle::kInvalidSlot;
+  // The slot whose callback is running, at heap_[0]; cleared when the
+  // callback re-arms or releases it.
+  uint32_t firing_slot_ = kNoSlot;
 
   FreeListArena payload_arena_;
 };
 
-// One-shot, re-armable timer with a fixed callback. The callback is stored
-// once at construction; Restart() re-arms the timer's slab slot in place
-// (new deadline, fresh sequence number) without touching callback storage —
-// the zero-allocation replacement for the schedule/cancel churn of re-armed
-// timeouts (TCP RTO, delayed ACK, pacing).
+// Re-armable timer with a fixed callback; each arm fires once. The callback is
+// stored once at construction; Restart() re-arms the timer's slab slot in
+// place (new deadline, fresh sequence number) without touching callback
+// storage, which is what keeps the re-arm churn of timeouts (TCP RTO, delayed
+// ACK, pacing) allocation-free. Callbacks should capture no more than
+// `this`, so that std::function keeps them inline and construction allocates
+// nothing.
 //
 // Destroying the timer cancels any pending fire, so callbacks never outlive
 // their owner (no alive-flag guards needed). Destroying a timer from inside
 // its own callback is allowed only as the callback's last action.
 class Timer {
  public:
-  Timer(EventLoop* loop, EventLoop::Callback cb) : loop_(loop), cb_(std::move(cb)) {}
+  Timer(EventLoop* loop, std::function<void()> cb) : loop_(loop), cb_(std::move(cb)) {}
   ~Timer();
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
   // Arms (or re-arms in place) the timer to fire at `at` (>= now; earlier
-  // clamps to now). Re-arming draws a fresh sequence number, exactly as a
-  // cancel + schedule would.
+  // clamps to now). Every arm draws a fresh sequence number, so the fire
+  // orders after everything armed earlier for the same time.
   void Restart(SimTime at);
   void RestartAfter(TimeDelta delay) { Restart(loop_->now() + delay); }
 
@@ -328,11 +204,11 @@ class Timer {
   SimTime deadline() const { return deadline_; }
 
  private:
-  static void FireTrampoline(void* self);
+  static void Fire(void* self);
 
   EventLoop* loop_;
-  EventLoop::Callback cb_;
-  EventHandle handle_;  // trampoline slot, allocated on first Restart
+  std::function<void()> cb_;
+  uint32_t slot_ = EventLoop::kNoSlot;  // taken on the first Restart
   bool pending_ = false;
   SimTime deadline_;
 };
@@ -341,7 +217,7 @@ class Timer {
 // scheduling shape of a link's in-flight packets, which leave in the order
 // they entered. Push() appends a fire; times must be non-decreasing once
 // clamped to now. Each push draws its sequence number at push time, so every
-// fire runs exactly where a ScheduleAt() made at the push would have run.
+// fire runs exactly where a Timer's Restart() made at the push would have run.
 // Only the stream's head is in the heap; on fire the slot is re-keyed in
 // place with the next entry's stored (time, seq), one sift from the root.
 //
@@ -351,7 +227,7 @@ class Timer {
 // callback's last action.
 class FifoTimer {
  public:
-  FifoTimer(EventLoop* loop, EventLoop::Callback cb) : loop_(loop), cb_(std::move(cb)) {}
+  FifoTimer(EventLoop* loop, std::function<void()> cb) : loop_(loop), cb_(std::move(cb)) {}
   ~FifoTimer();
 
   FifoTimer(const FifoTimer&) = delete;
@@ -368,11 +244,11 @@ class FifoTimer {
     uint64_t seq;
   };
 
-  static void FireTrampoline(void* self);
+  static void Fire(void* self);
 
   EventLoop* loop_;
-  EventLoop::Callback cb_;
-  EventHandle handle_;  // trampoline slot, allocated on first Push
+  std::function<void()> cb_;
+  uint32_t slot_ = EventLoop::kNoSlot;  // taken on the first Push
   RingFifo<Entry> entries_;
 };
 
@@ -383,7 +259,7 @@ class FifoTimer {
 // (clamped to now), and subsequent fires follow the new period.
 class PeriodicTimer {
  public:
-  PeriodicTimer(EventLoop* loop, TimeDelta period, EventLoop::Callback cb);
+  PeriodicTimer(EventLoop* loop, TimeDelta period, std::function<void()> cb);
   ~PeriodicTimer();
 
   PeriodicTimer(const PeriodicTimer&) = delete;
@@ -400,7 +276,7 @@ class PeriodicTimer {
 
   EventLoop* loop_;
   TimeDelta period_;
-  EventLoop::Callback cb_;
+  std::function<void()> cb_;
   Timer timer_;
   bool running_ = false;
   SimTime base_;  // last fire time (or Start time): anchor for re-arms

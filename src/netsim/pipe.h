@@ -80,7 +80,7 @@ class Pipe : public PacketSink {
   // delivery_timer_'s entries: one push onto each per packet, one pop from
   // each per delivery. Delivery times are clamped monotonic, so the link's
   // whole flight is one heap entry and every delivery keeps the key a
-  // per-packet ScheduleAt would have had.
+  // per-packet Timer armed at the transmit would have had.
   RingFifo<Packet> wire_;
   FifoTimer delivery_timer_;
 };

@@ -1,6 +1,7 @@
 #include "src/netsim/trace_link.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -37,6 +38,14 @@ bool TraceLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
 }
 
 std::vector<TracePoint> TraceLinkModel::ParseCsv(const std::string& csv_text) {
+  // 2^63, the first value past int64's range; a double holds it exactly.
+  constexpr double kInt64End = 9223372036854775808.0;
+  auto blank = [](const char* p) {
+    while (std::isspace(static_cast<unsigned char>(*p))) {
+      ++p;
+    }
+    return *p == '\0';
+  };
   std::vector<TracePoint> out;
   std::istringstream in(csv_text);
   std::string line;
@@ -59,6 +68,13 @@ std::vector<TracePoint> TraceLinkModel::ParseCsv(const std::string& csv_text) {
       if (out.empty() && t_str.find_first_of("0123456789") == std::string::npos) {
         continue;
       }
+      return {};
+    }
+    // Each number fills its field but for trailing blanks (a CRLF line end);
+    // the time is a non-negative count of int64 nanoseconds, the rate finite
+    // and non-negative (0 is an outage, which the pipe rides out).
+    if (!blank(end1) || !blank(end2) || !(t >= 0.0 && t * 1e9 < kInt64End) ||
+        !(mbps >= 0.0 && std::isfinite(mbps))) {
       return {};
     }
     if (!out.empty() && t * 1e9 < static_cast<double>(out.back().at.nanos())) {

@@ -36,7 +36,9 @@ class TraceLinkModel : public LinkModel {
   const std::vector<TracePoint>& trace() const { return trace_; }
 
   // Parses "t_seconds,mbps" CSV rows (header line optional; '#' comments
-  // skipped). Returns an empty vector on malformed input.
+  // skipped). Returns an empty vector on malformed input: a row that is not
+  // two numbers, a negative time or one past int64 nanoseconds, a negative or
+  // non-finite rate, or times out of order.
   static std::vector<TracePoint> ParseCsv(const std::string& csv_text);
   static std::vector<TracePoint> LoadCsvFile(const std::string& path);
 

@@ -110,10 +110,11 @@ json::Value ToValue(int v) { return json::Value::Int(v); }
 json::Value ToValue(bool v) { return json::Value::Bool(v); }
 json::Value ToValue(uint64_t v) { return json::Value::Int(static_cast<int64_t>(v)); }
 
-// The paper's wired sizing (Fig. 7): 2x BDP, floor of 60 packets.
-size_t AutoQueuePackets(double rate_mbps, double rtt_ms) {
+// The paper's wired sizing (Fig. 7): 2x BDP, floor of 60 packets. Validate
+// checks that it fits in size_t before any caller casts it.
+double AutoQueueSize(double rate_mbps, double rtt_ms) {
   double bdp_pkts = rate_mbps * 1e6 / 8.0 * rtt_ms * 1e-3 / 1500.0;
-  return static_cast<size_t>(std::max(60.0, 2.0 * bdp_pkts));
+  return std::max(60.0, 2.0 * bdp_pkts);
 }
 
 }  // namespace
@@ -141,7 +142,9 @@ PathConfig ScenarioSpec::BuildPath() const {
   } else {
     path.rate = DataRate::Mbps(rate_mbps);
     path.one_way_delay = TimeDelta::FromNanos(static_cast<int64_t>(rtt_ms * 1e6 / 2.0));
-    path.queue_limit_packets = AutoQueuePackets(rate_mbps, rtt_ms);
+    if (queue_packets == 0) {
+      path.queue_limit_packets = static_cast<size_t>(AutoQueueSize(rate_mbps, rtt_ms));
+    }
   }
   if (queue_packets > 0) {
     path.queue_limit_packets = static_cast<size_t>(queue_packets);
@@ -168,8 +171,9 @@ TopologySpec ScenarioSpec::BuildTopology() const {
   }
   topo.ecn = ecn;
   topo.bottleneck_rate = DataRate::Mbps(rate_mbps);
-  topo.queue_limit_packets = queue_packets > 0 ? static_cast<size_t>(queue_packets)
-                                               : AutoQueuePackets(rate_mbps, rtt_ms);
+  topo.queue_limit_packets = queue_packets > 0
+                                 ? static_cast<size_t>(queue_packets)
+                                 : static_cast<size_t>(AutoQueueSize(rate_mbps, rtt_ms));
   // One-way budget: 5% on each access link, the rest split across the hops,
   // so Network::BaseRtt() reproduces rtt_ms end to end.
   double one_way_ms = rtt_ms / 2.0;
@@ -213,6 +217,10 @@ std::string ScenarioSpec::Validate() const {
     os << "queue_packets must be >= 0 (0 sizes the queue automatically), got " << queue_packets;
   } else if (rtt_ms <= 0.0) {
     os << "rtt_ms must be positive, got " << rtt_ms;
+  } else if (profile == "wired" && queue_packets == 0 &&
+             !(AutoQueueSize(rate_mbps, rtt_ms) < 18446744073709551616.0)) {  // 2^64
+    os << "rate_mbps = " << rate_mbps << " is out of range: at rtt_ms = " << rtt_ms
+       << " its auto-sized queue (2x BDP) does not fit in size_t; set queue_packets";
   } else if (loss < 0.0 || loss >= 1.0) {
     os << "loss must be in [0, 1), got " << loss;
   } else if (!OneOf(topology, kTopologies)) {

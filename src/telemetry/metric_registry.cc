@@ -36,9 +36,6 @@ void MetricRegistry::Merge(const MetricRegistry& other) {
   for (const auto& [name, v] : other.counters_) {
     counters_[name] += v;
   }
-  for (const auto& [name, v] : other.gauges_) {
-    gauges_[name] = v;
-  }
   for (const auto& [name, h] : other.hists_) {
     hists_[name].Merge(h);
   }
@@ -84,13 +81,6 @@ json::Value MetricRegistry::ToJson() const {
       obj.Set(name, json::Value::Int(static_cast<int64_t>(v)));
     }
     doc.Set("counters", std::move(obj));
-  }
-  if (!gauges_.empty()) {
-    json::Value obj = json::Value::Object();
-    for (const auto& [name, v] : gauges_) {
-      obj.Set(name, json::Value::Number(v));
-    }
-    doc.Set("gauges", std::move(obj));
   }
   if (!hists_.empty()) {
     json::Value obj = json::Value::Object();

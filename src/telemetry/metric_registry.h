@@ -5,12 +5,10 @@
 // publishes into one MetricRegistry instead. The registry is a plain value
 // type: copyable, and Merge() folds another registry in with the same
 // associativity rules the fleet's per-slot aggregation relies on
-// (counters add, distributions merge, gauges take the incoming value under
-// the runner's fixed fold order).
+// (counters add, distributions merge).
 //
-// Four metric kinds:
+// Three metric kinds:
 //   counter — monotonic uint64 (events, bytes, drops)
-//   gauge   — last-written double (configuration echoes, final cwnd)
 //   hist    — log-scale Histogram (golden-pinned delay decompositions)
 //   stats   — RunningStats (mean/stdev summaries, e.g. goodput)
 //
@@ -37,7 +35,6 @@ class MetricRegistry {
  public:
   // Accessors create the metric on first use and return a stable handle.
   uint64_t* Counter(const std::string& name) { return &counters_[name]; }
-  double* Gauge(const std::string& name) { return &gauges_[name]; }
   Histogram* Hist(const std::string& name) { return &hists_[name]; }
   RunningStats* Stats(const std::string& name) { return &stats_[name]; }
 
@@ -54,24 +51,21 @@ class MetricRegistry {
   const RunningStats& StatsOrEmpty(const std::string& name) const;
 
   bool empty() const {
-    return counters_.empty() && gauges_.empty() && hists_.empty() && stats_.empty();
+    return counters_.empty() && hists_.empty() && stats_.empty();
   }
 
   // Folds `other` in: counters add, hist/stats Merge() (hist geometry must
-  // match per Histogram's contract), gauges take other's value.
-  // Associative and — except for gauges — commutative; the fleet calls it in
-  // a fixed fold order so gauge overwrite is deterministic too.
+  // match per Histogram's contract). Associative and commutative.
   void Merge(const MetricRegistry& other);
 
   // Deterministic snapshot, one object per kind that has entries:
-  // {"counters": {...}, "gauges": {...}, "hists": {name: {count, mean, ...}},
+  // {"counters": {...}, "hists": {name: {count, mean, ...}},
   //  "stats": {...}}. Distribution sub-objects carry the same key set as the
   //  fleet's aggregate emitters.
   json::Value ToJson() const;
 
  private:
   std::map<std::string, uint64_t> counters_;
-  std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> hists_;
   std::map<std::string, RunningStats> stats_;
 };

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -78,7 +79,7 @@ std::string RunScenarioTrace(uint64_t seed) {
 // Cancel-heavy variant: exercises the event core's O(log n) in-place
 // cancellation and Timer re-arms under churn. The lossy wifi path keeps the
 // TCP RTO / delayed-ACK / pacing timers restarting, while an app-level storm
-// schedules and cancels batches of far-future events and re-arms a one-shot
+// arms, cancels and destroys batches of far-future timers and re-arms one
 // Timer every millisecond. Heap removals from arbitrary positions must not
 // perturb the (time, seq) fire order: two runs with the same seed must be
 // byte-identical.
@@ -108,16 +109,17 @@ std::string RunCancelHeavyTrace(uint64_t seed) {
 
   EventLoop& loop = bed.loop();
   uint64_t storm_fires = 0;
-  std::vector<EventHandle> parked;
+  std::deque<Timer> parked;
   Timer rearm(&loop, [&storm_fires] { ++storm_fires; });
   PeriodicTimer storm(&loop, TimeDelta::FromMillis(1), [&] {
-    // Schedule a batch of far-future events, then cancel most of them so the
-    // heap sees removals from arbitrary interior positions every tick.
+    // Arm a batch of far-future timers, then cancel and destroy most of them
+    // so the heap sees removals from arbitrary interior positions every tick.
     for (int i = 0; i < 8; ++i) {
-      parked.push_back(loop.ScheduleAfter(TimeDelta::FromSecondsInt(3600), [] {}));
+      parked.emplace_back(&loop, [] {});
+      parked.back().RestartAfter(TimeDelta::FromSecondsInt(3600));
     }
     for (int i = 0; i < 7; ++i) {
-      loop.Cancel(parked.back());
+      parked.back().Cancel();
       parked.pop_back();
     }
     // And keep one Timer perpetually re-armed past its old deadline.
@@ -128,8 +130,8 @@ std::string RunCancelHeavyTrace(uint64_t seed) {
   loop.RunUntil(Sec(15.0));
   storm.Stop();
   rearm.Cancel();
-  for (EventHandle h : parked) {
-    loop.Cancel(h);
+  for (Timer& t : parked) {
+    t.Cancel();
   }
 
   std::ostringstream os;

@@ -21,30 +21,38 @@ namespace {
 TEST(EventLoopTest, RunsEventsInTimeOrder) {
   EventLoop loop;
   std::vector<int> order;
-  loop.ScheduleAt(SimTime::FromNanos(300), [&] { order.push_back(3); });
-  loop.ScheduleAt(SimTime::FromNanos(100), [&] { order.push_back(1); });
-  loop.ScheduleAt(SimTime::FromNanos(200), [&] { order.push_back(2); });
+  Timer third(&loop, [&] { order.push_back(3); });
+  Timer first(&loop, [&] { order.push_back(1); });
+  Timer second(&loop, [&] { order.push_back(2); });
+  third.Restart(SimTime::FromNanos(300));
+  first.Restart(SimTime::FromNanos(100));
+  second.Restart(SimTime::FromNanos(200));
   loop.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now().nanos(), 300);
 }
 
 TEST(EventLoopTest, FifoAmongEqualTimes) {
+  // Equal times fire in arm order, not in the order the timers were made.
   EventLoop loop;
   std::vector<int> order;
+  std::deque<Timer> timers;
   for (int i = 0; i < 5; ++i) {
-    loop.ScheduleAt(SimTime::FromNanos(50), [&order, i] { order.push_back(i); });
+    timers.emplace_back(&loop, [&order, i] { order.push_back(i); });
+  }
+  for (int i = 4; i >= 0; --i) {
+    timers[static_cast<size_t>(i)].Restart(SimTime::FromNanos(50));
   }
   loop.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
 }
 
-TEST(EventLoopTest, ScheduleAfterUsesCurrentTime) {
+TEST(EventLoopTest, RestartAfterUsesCurrentTime) {
   EventLoop loop;
   SimTime fired;
-  loop.ScheduleAfter(TimeDelta::FromMillis(10), [&] {
-    loop.ScheduleAfter(TimeDelta::FromMillis(5), [&] { fired = loop.now(); });
-  });
+  Timer inner(&loop, [&] { fired = loop.now(); });
+  Timer outer(&loop, [&] { inner.RestartAfter(TimeDelta::FromMillis(5)); });
+  outer.RestartAfter(TimeDelta::FromMillis(10));
   loop.Run();
   EXPECT_EQ(fired.nanos(), 15'000'000);
 }
@@ -52,61 +60,46 @@ TEST(EventLoopTest, ScheduleAfterUsesCurrentTime) {
 TEST(EventLoopTest, CancelPreventsExecution) {
   EventLoop loop;
   bool ran = false;
-  auto id = loop.ScheduleAfter(TimeDelta::FromMillis(1), [&] { ran = true; });
-  EXPECT_TRUE(loop.Cancel(id));
+  Timer t(&loop, [&] { ran = true; });
+  t.RestartAfter(TimeDelta::FromMillis(1));
+  EXPECT_TRUE(t.Cancel());
   loop.Run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(loop.processed_events(), 0u);
   EXPECT_EQ(loop.pending_events(), 0u);
 }
 
-TEST(EventLoopTest, CancelInvalidHandleIsNoop) {
-  EventLoop loop;
-  EXPECT_FALSE(loop.Cancel(EventHandle{}));                  // default handle
-  EXPECT_FALSE(loop.Cancel(EventHandle{12345u, 7u}));        // out-of-range slot
-  bool ran = false;
-  loop.ScheduleAfter(TimeDelta::Zero(), [&] { ran = true; });
-  loop.Run();
-  EXPECT_TRUE(ran);
-}
-
 TEST(EventLoopTest, CancelAfterFireIsStaleNoop) {
   EventLoop loop;
   int ran = 0;
-  auto id = loop.ScheduleAfter(TimeDelta::FromMillis(1), [&] { ++ran; });
+  Timer t(&loop, [&] { ++ran; });
+  t.RestartAfter(TimeDelta::FromMillis(1));
   loop.Run();
   EXPECT_EQ(ran, 1);
-  // The event fired; its slot was released and the generation bumped.
-  EXPECT_FALSE(loop.Cancel(id));
-}
-
-TEST(EventLoopTest, StaleHandleDoesNotCancelSlotReuser) {
-  EventLoop loop;
-  auto first = loop.ScheduleAfter(TimeDelta::FromMillis(1), [] {});
-  EXPECT_TRUE(loop.Cancel(first));
-  // The freed slot is reused by the next schedule, with a new generation.
-  bool ran = false;
-  auto second = loop.ScheduleAfter(TimeDelta::FromMillis(1), [&] { ran = true; });
-  EXPECT_EQ(second.slot, first.slot);
-  EXPECT_NE(second.generation, first.generation);
-  EXPECT_FALSE(loop.Cancel(first));  // stale: must not kill the new event
+  // The timer fired: it keeps its slot but has nothing to cancel, and the
+  // no-op leaves it re-armable.
+  EXPECT_FALSE(t.Cancel());
+  t.RestartAfter(TimeDelta::FromMillis(1));
   loop.Run();
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(ran, 2);
 }
 
 TEST(EventLoopTest, DoubleCancelReturnsFalse) {
   EventLoop loop;
-  auto id = loop.ScheduleAfter(TimeDelta::FromMillis(1), [] {});
-  EXPECT_TRUE(loop.Cancel(id));
-  EXPECT_FALSE(loop.Cancel(id));
+  Timer t(&loop, [] {});
+  t.RestartAfter(TimeDelta::FromMillis(1));
+  EXPECT_TRUE(t.Cancel());
+  EXPECT_FALSE(t.Cancel());
   loop.Run();
 }
 
 TEST(EventLoopTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   EventLoop loop;
   int count = 0;
-  loop.ScheduleAt(SimTime::FromNanos(100), [&] { ++count; });
-  loop.ScheduleAt(SimTime::FromNanos(900), [&] { ++count; });
+  Timer early(&loop, [&] { ++count; });
+  Timer late(&loop, [&] { ++count; });
+  early.Restart(SimTime::FromNanos(100));
+  late.Restart(SimTime::FromNanos(900));
   loop.RunUntil(SimTime::FromNanos(500));
   EXPECT_EQ(count, 1);
   EXPECT_EQ(loop.now().nanos(), 500);
@@ -116,37 +109,49 @@ TEST(EventLoopTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
 
 TEST(EventLoopTest, EventScheduledInPastRunsNow) {
   EventLoop loop;
-  loop.ScheduleAfter(TimeDelta::FromMillis(10), [&] {
-    // Scheduling "in the past" clamps to now rather than going backwards.
-    loop.ScheduleAt(SimTime::Zero(), [&] { EXPECT_EQ(loop.now().nanos(), 10'000'000); });
+  Timer inner(&loop, [&] { EXPECT_EQ(loop.now().nanos(), 10'000'000); });
+  Timer outer(&loop, [&] {
+    // Arming "in the past" clamps to now rather than going backwards.
+    inner.Restart(SimTime::Zero());
   });
+  outer.RestartAfter(TimeDelta::FromMillis(10));
   loop.Run();
+  EXPECT_EQ(loop.processed_events(), 2u);
 }
 
 TEST(EventLoopTest, StopHaltsProcessing) {
   EventLoop loop;
   int count = 0;
-  loop.ScheduleAt(SimTime::FromNanos(1), [&] {
+  Timer first(&loop, [&] {
     ++count;
     loop.Stop();
   });
-  loop.ScheduleAt(SimTime::FromNanos(2), [&] { ++count; });
+  Timer second(&loop, [&] { ++count; });
+  first.Restart(SimTime::FromNanos(1));
+  second.Restart(SimTime::FromNanos(2));
   loop.Run();
   EXPECT_EQ(count, 1);
 }
 
 TEST(EventLoopTest, EventsCanScheduleMoreEvents) {
+  // Each callback makes and arms the next timer. Past 256 timers the slab
+  // grows a chunk from inside a firing callback.
   EventLoop loop;
-  int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 10) {
-      loop.ScheduleAfter(TimeDelta::FromNanos(1), recurse);
-    }
+  std::deque<Timer> chain;
+  std::function<void()> arm_next = [&] {
+    chain.emplace_back(&loop, [&] {
+      if (chain.size() < 300) {
+        arm_next();
+      }
+    });
+    chain.back().RestartAfter(TimeDelta::FromNanos(1));
   };
-  loop.ScheduleAfter(TimeDelta::Zero(), recurse);
+  arm_next();
   loop.Run();
-  EXPECT_EQ(depth, 10);
-  EXPECT_EQ(loop.processed_events(), 10u);
+  EXPECT_EQ(chain.size(), 300u);
+  EXPECT_EQ(loop.processed_events(), 300u);
+  EXPECT_EQ(loop.now().nanos(), 300);
+  EXPECT_EQ(loop.slab_slots(), 512u);
 }
 
 TEST(PeriodicTimerTest, FiresAtPeriod) {
@@ -232,8 +237,8 @@ TEST(PeriodicTimerTest, SetPeriodReArmsInFlightFire) {
   PeriodicTimer timer(&loop, TimeDelta::FromMillis(100),
                       [&] { times.push_back(loop.now().nanos()); });
   timer.Start();
-  loop.ScheduleAt(SimTime::FromNanos(5'000'000),
-                  [&] { timer.set_period(TimeDelta::FromMillis(10)); });
+  Timer shorten(&loop, [&] { timer.set_period(TimeDelta::FromMillis(10)); });
+  shorten.Restart(SimTime::FromNanos(5'000'000));
   loop.RunUntil(SimTime::FromNanos(25'000'000));
   // Re-anchored to Start (0ms) + 10ms, then every 10ms — not 100ms.
   ASSERT_EQ(times.size(), 2u);
@@ -249,8 +254,8 @@ TEST(PeriodicTimerTest, SetPeriodPastDeadlineClampsToNow) {
   PeriodicTimer timer(&loop, TimeDelta::FromMillis(100),
                       [&] { times.push_back(loop.now().nanos()); });
   timer.Start();
-  loop.ScheduleAt(SimTime::FromNanos(50'000'000),
-                  [&] { timer.set_period(TimeDelta::FromMillis(1)); });
+  Timer shorten(&loop, [&] { timer.set_period(TimeDelta::FromMillis(1)); });
+  shorten.Restart(SimTime::FromNanos(50'000'000));
   loop.RunUntil(SimTime::FromNanos(52'500'000));
   ASSERT_GE(times.size(), 2u);
   EXPECT_EQ(times[0], 50'000'000);  // clamped re-arm fires immediately
@@ -258,7 +263,7 @@ TEST(PeriodicTimerTest, SetPeriodPastDeadlineClampsToNow) {
 }
 
 // ---------------------------------------------------------------------------
-// Timer (one-shot, re-armable)
+// Timer (re-armable; each arm fires once)
 // ---------------------------------------------------------------------------
 
 TEST(TimerTest, FiresOnceAtDeadline) {
@@ -337,24 +342,28 @@ TEST(TimerTest, RestartPastDeadlineClampsToNow) {
   EventLoop loop;
   SimTime fired;
   Timer t(&loop, [&] { fired = loop.now(); });
-  loop.ScheduleAfter(TimeDelta::FromMillis(10), [&] {
-    t.Restart(SimTime::Zero());  // in the past: clamps to now
-  });
+  loop.RunFor(TimeDelta::FromMillis(10));
+  t.Restart(SimTime::Zero());  // in the past: clamps to now
+  EXPECT_EQ(t.deadline().nanos(), 10'000'000);
   loop.Run();
   EXPECT_EQ(fired.nanos(), 10'000'000);
 }
 
 TEST(TimerTest, EqualTimeOrderFollowsArmOrder) {
-  // A Timer::Restart draws a fresh sequence number exactly like a schedule,
-  // so equal-deadline events fire in arm order regardless of mechanism.
+  // Every Timer::Restart draws a fresh sequence number, so equal-deadline
+  // timers fire in the order of their latest arm: a re-arm to the same
+  // deadline moves a timer behind those armed since.
   EventLoop loop;
   std::vector<int> order;
-  Timer t(&loop, [&] { order.push_back(1); });
-  loop.ScheduleAt(SimTime::FromNanos(100), [&] { order.push_back(0); });
-  t.Restart(SimTime::FromNanos(100));
-  loop.ScheduleAt(SimTime::FromNanos(100), [&] { order.push_back(2); });
+  Timer t2(&loop, [&] { order.push_back(2); });
+  Timer t1(&loop, [&] { order.push_back(1); });
+  Timer t0(&loop, [&] { order.push_back(0); });
+  t0.Restart(SimTime::FromNanos(100));
+  t1.Restart(SimTime::FromNanos(100));
+  t2.Restart(SimTime::FromNanos(100));
+  t0.Restart(SimTime::FromNanos(100));
   loop.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
 TEST(TimerTest, FiringTimerIsNotPending) {
@@ -369,7 +378,8 @@ TEST(TimerTest, FiringTimerIsNotPending) {
       seen.push_back(loop.pending_events());
     }
   });
-  loop.ScheduleAfter(TimeDelta::FromMillis(5), [] {});
+  Timer other(&loop, [] {});
+  other.RestartAfter(TimeDelta::FromMillis(5));
   t.RestartAfter(TimeDelta::FromMillis(1));
   EXPECT_EQ(loop.pending_events(), 2u);
   loop.Run();
@@ -387,7 +397,8 @@ TEST(TimerTest, CancelAndDestroyFromOwnCallback) {
     owned.reset();                  // the callback's last action
   });
   owned->RestartAfter(TimeDelta::FromMillis(1));
-  loop.ScheduleAfter(TimeDelta::FromMillis(1), [&] { ++fires; });
+  Timer other(&loop, [&] { ++fires; });
+  other.RestartAfter(TimeDelta::FromMillis(1));
   loop.Run();
   EXPECT_EQ(fires, 2);
   EXPECT_EQ(loop.pending_events(), 0u);
@@ -411,18 +422,20 @@ TEST(FifoTimerTest, FiresEachEntryInOrderFromOneHeapEntry) {
 
 TEST(FifoTimerTest, EqualTimeEntriesInterleaveWithSchedulesInDrawOrder) {
   // Each push draws its sequence number at push time, so equal-time FIFO
-  // entries and one-shots scheduled between the pushes fire in the order
-  // they were drawn.
+  // entries and timers armed between the pushes fire in the order they were
+  // drawn.
   EventLoop loop;
   std::vector<std::string> order;
   int next = 0;
   FifoTimer fifo(&loop, [&] { order.push_back("fifo" + std::to_string(next++)); });
+  Timer a(&loop, [&] { order.push_back("a"); });
+  Timer b(&loop, [&] { order.push_back("b"); });
   const SimTime t = SimTime::FromNanos(100);
   fifo.Push(t);
-  loop.ScheduleAt(t, [&] { order.push_back("a"); });
+  a.Restart(t);
   fifo.Push(t);
   fifo.Push(t);
-  loop.ScheduleAt(t, [&] { order.push_back("b"); });
+  b.Restart(t);
   fifo.Push(t);
   loop.Run();
   EXPECT_EQ(order, (std::vector<std::string>{"fifo0", "a", "fifo1", "fifo2", "b", "fifo3"}));
@@ -468,16 +481,18 @@ TEST(FifoTimerTest, DestroyingCancelsEveryPendingEntry) {
 // ---------------------------------------------------------------------------
 
 TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
-  // True O(log n) cancellation releases the heap slot and slab record
-  // immediately. A tombstone design would grow the heap to a million entries
-  // here; the index-addressable heap must stay at a handful.
+  // True O(log n) cancellation removes the heap entry immediately, and a
+  // destroyed timer's slab record is reused by the next. A tombstone design
+  // would grow the heap to a million entries here; the index-addressable
+  // heap must stay at a handful.
   EventLoop loop;
   // Keep one far-future event alive so the loop has steady-state occupancy.
   Timer keeper(&loop, [] {});
   keeper.Restart(SimTime::Zero() + TimeDelta::FromSecondsInt(1'000'000));
   for (int i = 0; i < 1'000'000; ++i) {
-    auto h = loop.ScheduleAfter(TimeDelta::FromSecondsInt(3600), [] {});
-    ASSERT_TRUE(loop.Cancel(h));
+    Timer t(&loop, [] {});
+    t.RestartAfter(TimeDelta::FromSecondsInt(3600));
+    ASSERT_TRUE(t.Cancel());
   }
   EXPECT_EQ(loop.pending_events(), 1u);
   EXPECT_LE(loop.heap_capacity(), 64u);
@@ -491,18 +506,21 @@ TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
 // ---------------------------------------------------------------------------
 
 // The model keeps every pending event as (deadline, arm order, id). Each
-// ScheduleAt, each Timer::Restart and each FifoTimer::Push takes the next arm
-// number, so the model's order is the loop's documented (time, arm order):
-// a FIFO push is modelled as the ScheduleAt it replaces, made at push time.
-// Every callback checks that it is the model's earliest entry and removes
-// it; a stale cancel must return false and leave the model untouched.
-// Timer callbacks also restart, cancel or destroy their own timer while it
-// sits at the heap root, and FIFO callbacks push onto their own stream.
+// Timer::Restart and each FifoTimer::Push takes the next arm number, so the
+// model's order is the loop's documented (time, arm order): a FIFO push is
+// modelled as a Timer armed at push time. Every callback checks that it is
+// the model's earliest entry and removes it; a stale cancel must return
+// false and leave the model untouched. Besides a fixed set of re-armed
+// timers and FIFO streams, ad-hoc timers are made, armed once and destroyed
+// when cancelled or, half the time, by their own fire, so slots are freed
+// and reused under a full heap. Timer callbacks also restart, cancel or
+// destroy their own timer while it sits at the heap root, and FIFO callbacks
+// push onto their own stream.
 class HeapModelHarness {
  public:
   static constexpr int kTimers = 16;
   static constexpr int kFifos = 4;
-  static constexpr int kFirstOneShot = kTimers + kFifos;
+  static constexpr int kFirstAdHoc = kTimers + kFifos;
 
   explicit HeapModelHarness(uint64_t seed) : rng_(seed) {
     for (int i = 0; i < kTimers; ++i) {
@@ -520,9 +538,9 @@ class HeapModelHarness {
     for (int op = 1; op <= ops; ++op) {
       int64_t kind = rng_.UniformInt(0, 99);
       if (kind < 30) {
-        Schedule(RandomTime());
+        ArmAdHoc(RandomTime());
       } else if (kind < 42) {
-        CancelRandomHandle();
+        CancelAdHoc();
       } else if (kind < 60) {
         RestartTimer(static_cast<int>(rng_.UniformInt(0, kTimers - 1)), RandomTime());
       } else if (kind < 68) {
@@ -596,23 +614,30 @@ class HeapModelHarness {
     e->pending = false;
   }
 
-  void Schedule(int64_t at) {
-    int id = kFirstOneShot + static_cast<int>(one_shots_.size());
-    one_shots_.push_back(Entry{});
-    Insert(&one_shots_.back(), id, at);
-    handles_.push_back(loop_.ScheduleAt(SimTime::FromNanos(at), [this, id] { OnOneShotFire(id); }));
+  void ArmAdHoc(int64_t at) {
+    int id = kFirstAdHoc + static_cast<int>(adhoc_.size());
+    adhoc_state_.push_back(Entry{});
+    Insert(&adhoc_state_.back(), id, at);
+    adhoc_.push_back(std::make_unique<Timer>(&loop_, [this, id] { OnAdHocFire(id); }));
+    adhoc_.back()->Restart(SimTime::FromNanos(at));
   }
 
-  void CancelRandomHandle() {
-    if (handles_.empty()) {
+  // A pending timer is cancelled and destroyed; one kept after its fire
+  // must refuse the cancel.
+  void CancelAdHoc() {
+    if (adhoc_.empty()) {
       return;
     }
-    size_t i = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(handles_.size()) - 1));
-    Entry& e = one_shots_[i];
+    size_t i = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(adhoc_.size()) - 1));
+    if (adhoc_[i] == nullptr) {
+      return;
+    }
+    Entry& e = adhoc_state_[i];
     bool was_pending = e.pending;
-    EXPECT_EQ(loop_.Cancel(handles_[i]), was_pending) << "one-shot " << i;
+    EXPECT_EQ(adhoc_[i]->Cancel(), was_pending) << "ad-hoc timer " << i;
     if (was_pending) {
-      Erase(&e, kFirstOneShot + static_cast<int>(i));
+      Erase(&e, kFirstAdHoc + static_cast<int>(i));
+      adhoc_[i].reset();
     } else {
       ++stale_cancels_;
     }
@@ -678,11 +703,15 @@ class HeapModelHarness {
     }
   }
 
-  void OnOneShotFire(int id) {
-    CheckFire(&one_shots_[static_cast<size_t>(id - kFirstOneShot)], id);
-    EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside one-shot " << id;
+  void OnAdHocFire(int id) {
+    size_t i = static_cast<size_t>(id - kFirstAdHoc);
+    CheckFire(&adhoc_state_[i], id);
+    EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside ad-hoc timer " << id;
     if (rng_.Bernoulli(0.4)) {
-      Schedule(loop_.now().nanos() + rng_.UniformInt(0, 10));
+      ArmAdHoc(loop_.now().nanos() + rng_.UniformInt(0, 10));
+    }
+    if (rng_.Bernoulli(0.5)) {
+      adhoc_[i].reset();  // the callback's last action
     }
   }
 
@@ -729,8 +758,8 @@ class HeapModelHarness {
   std::vector<std::unique_ptr<FifoTimer>> fifos_;
   std::vector<std::deque<Entry>> fifo_state_;
   std::vector<int64_t> fifo_tail_;  // last time pushed onto each stream
-  std::vector<Entry> one_shots_;  // indexed like handles_
-  std::vector<EventHandle> handles_;
+  std::vector<std::unique_ptr<Timer>> adhoc_;  // null once destroyed
+  std::vector<Entry> adhoc_state_;             // indexed like adhoc_
   std::set<Key> model_;
   uint64_t next_arm_ = 0;
   uint64_t fired_ = 0;
@@ -747,44 +776,6 @@ TEST(EventLoopTest, RandomOperationMixMatchesReferenceModel) {
   EXPECT_GT(harness.fifo_fired(), 10'000u);
   EXPECT_GT(harness.stale_cancels(), 1'000u);
   EXPECT_GT(harness.self_destroyed(), 100u);
-}
-
-// ---------------------------------------------------------------------------
-// InlineCallback storage
-// ---------------------------------------------------------------------------
-
-TEST(InlineCallbackTest, SmallCapturesStayInline) {
-  int a = 0;
-  InlineCallback small([&a] { ++a; });
-  EXPECT_TRUE(small.is_inline());
-  small();
-  EXPECT_EQ(a, 1);
-
-  struct Big {
-    char pad[96];
-  } big{};
-  int b = 0;
-  InlineCallback large([big, &b] {
-    (void)big;
-    ++b;
-  });
-  EXPECT_FALSE(large.is_inline());
-  large();
-  EXPECT_EQ(b, 1);
-}
-
-TEST(InlineCallbackTest, MoveTransfersOwnership) {
-  int count = 0;
-  InlineCallback cb([&count] { ++count; });
-  InlineCallback moved(std::move(cb));
-  EXPECT_FALSE(static_cast<bool>(cb));  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(static_cast<bool>(moved));
-  moved();
-  EXPECT_EQ(count, 1);
-  InlineCallback assigned;
-  assigned = std::move(moved);
-  assigned();
-  EXPECT_EQ(count, 2);
 }
 
 }  // namespace

@@ -171,8 +171,7 @@ TEST(FixedRateControllerTest, TokenBucketPacing) {
   TimeDelta retry = ctl.NextRetryDelay();
   EXPECT_GT(retry, TimeDelta::Zero());
   // After 5 ms, 5000 bytes of tokens have accrued.
-  loop.ScheduleAfter(TimeDelta::FromMillis(5), [] {});
-  loop.Run();
+  loop.RunFor(TimeDelta::FromMillis(5));
   EXPECT_TRUE(ctl.MaySendNow());
   ctl.OnBytesAdmitted(5000, loop.now());
   EXPECT_FALSE(ctl.MaySendNow());

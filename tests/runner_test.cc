@@ -345,6 +345,8 @@ TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
                                     "tracker_period_ms": 1e-7}]})",
                  "tracker_period_ms");
   ExpectRejected(R"({"scenarios": [{"queue_packets": -5}]})", "queue_packets");
+  // The auto-sized queue used to wrap to 0 packets and abort a topology run.
+  ExpectRejected(R"({"scenarios": [{"rate_mbps": 1e300}]})", "rate_mbps = 1e+300 is out of range");
   // A typo'd top-level key would otherwise run nothing.
   ExpectRejected(R"({"suite": "t", "sweep": [{"qdisc": ["codel", "pie"]}]})",
                  "unknown suite key 'sweep' (suite|defaults|scenarios|sweeps)");

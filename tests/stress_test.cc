@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -236,19 +237,18 @@ TEST(EventLoopStressTest, HundredThousandEventsWithChurn) {
   EventLoop loop;
   Rng rng(77);
   int64_t executed = 0;
-  std::vector<EventHandle> cancellable;
+  std::deque<Timer> timers;
+  int64_t cancelled = 0;
   for (int i = 0; i < 100000; ++i) {
-    auto id = loop.ScheduleAfter(TimeDelta::FromMicros(rng.UniformInt(0, 1'000'000)),
-                                 [&executed] { ++executed; });
-    if (i % 3 == 0) {
-      cancellable.push_back(id);
-    }
+    timers.emplace_back(&loop, [&executed] { ++executed; });
+    timers.back().RestartAfter(TimeDelta::FromMicros(rng.UniformInt(0, 1'000'000)));
   }
-  for (auto id : cancellable) {
-    loop.Cancel(id);
+  for (size_t i = 0; i < timers.size(); i += 3) {
+    EXPECT_TRUE(timers[i].Cancel());
+    ++cancelled;
   }
   loop.Run();
-  EXPECT_EQ(executed, 100000 - static_cast<int64_t>(cancellable.size()));
+  EXPECT_EQ(executed, 100000 - cancelled);
   EXPECT_EQ(loop.pending_events(), 0u);
 }
 

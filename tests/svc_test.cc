@@ -82,7 +82,7 @@ TEST(SvcTest, AdaptsWhenBackgroundFlowsJoin) {
   std::vector<std::unique_ptr<RawTcpSink>> bulk_sinks;
   std::vector<std::unique_ptr<IperfApp>> bulk_apps;
   std::vector<std::unique_ptr<SinkApp>> bulk_readers;
-  run.bed->loop().ScheduleAt(Sec(10.0), [&] {
+  Timer join(&run.bed->loop(), [&] {
     for (int i = 0; i < 3; ++i) {
       bulk.push_back(run.bed->CreateFlow(TcpSocket::Config{}));
       bulk_sinks.push_back(std::make_unique<RawTcpSink>(bulk.back().sender));
@@ -92,6 +92,7 @@ TEST(SvcTest, AdaptsWhenBackgroundFlowsJoin) {
       bulk_readers.back()->Start();
     }
   });
+  join.Restart(Sec(10.0));
   run.bed->loop().RunUntil(Sec(10.0));
   uint64_t shed_before = 0;
   for (const auto& l : run.streamer->layer_stats()) {

@@ -39,13 +39,11 @@ TEST(MetricRegistryTest, HandlesAreStableAndMergeFolds) {
   MetricRegistry a;
   uint64_t* drops = a.Counter("qdisc.drops");
   *drops += 3;
-  *a.Gauge("cwnd") = 10.0;
   a.Hist("delay_s")->Add(0.5);
   a.Stats("goodput")->Add(8.0);
 
   MetricRegistry b;
   *b.Counter("qdisc.drops") += 4;
-  *b.Gauge("cwnd") = 20.0;
   b.Hist("delay_s")->Add(1.5);
   b.Stats("goodput")->Add(10.0);
   *b.Counter("only_in_b") += 1;
@@ -53,7 +51,6 @@ TEST(MetricRegistryTest, HandlesAreStableAndMergeFolds) {
   a.Merge(b);
   EXPECT_EQ(a.CounterValue("qdisc.drops"), 7u);  // counters add
   EXPECT_EQ(a.CounterValue("only_in_b"), 1u);    // absent = created
-  EXPECT_DOUBLE_EQ(*a.Gauge("cwnd"), 20.0);      // gauges take incoming
   EXPECT_EQ(a.HistOrEmpty("delay_s").count(), 2u);
   EXPECT_EQ(a.StatsOrEmpty("goodput").count(), 2u);
   EXPECT_DOUBLE_EQ(a.StatsOrEmpty("goodput").mean(), 9.0);

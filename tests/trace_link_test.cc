@@ -36,6 +36,12 @@ TEST(TraceParseTest, RejectsMalformedAndUnorderedInput) {
   EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10\nbogus line\n").empty());
   EXPECT_TRUE(TraceLinkModel::ParseCsv("5,10\n1,20\n").empty());
   EXPECT_TRUE(TraceLinkModel::ParseCsv("no commas here\n").empty());
+  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10\n1e300,10\n").empty());
+  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10\nnan,10\n").empty());
+  EXPECT_TRUE(TraceLinkModel::ParseCsv("-5,10\n").empty());
+  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,-5\n").empty());
+  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,inf\n").empty());
+  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10abc\n").empty());
 }
 
 TEST(TraceLinkTest, StepHoldAndLooping) {

@@ -16,8 +16,9 @@ reproducible; this lint does:
   R6  no thread spawning (std::thread/std::jthread/std::async/pthread_create)
       in simulator code — every simulation is single-threaded by design
   R7  no std::function in src/tcpsim/, src/netsim/, src/topo/, or
-      src/telemetry/ hot-path classes — those layers schedule via
-      Timer/InlineCallback (slab-resident, no per-event heap allocation).
+      src/telemetry/ hot-path classes — those layers schedule via Timer,
+      which stores its callback once at construction, so arming and firing
+      allocate nothing.
       Existing app-facing observer registration interfaces are waived
       line-by-line with allow(std-function); new members need a design reason
       to join them. src/topo/ is in scope because routers and cross-traffic
@@ -110,7 +111,7 @@ RULES = {
     "std-function": (
         re.compile(r"\bstd::function\b"),
         "std::function in a tcpsim/netsim hot-path class; per-event callbacks "
-        "belong in Timer/InlineCallback storage (app-facing observer "
+        "belong in a Timer, which stores its callback once (app-facing observer "
         "registration may be waived with lint_sim: allow(std-function))",
     ),
     "node-container": (
