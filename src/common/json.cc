@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 namespace element {
 namespace json {
@@ -133,9 +134,16 @@ class Parser {
     }
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // Each level recurses, so a bound on depth bounds the stack.
+        if (depth_ == Value::kMaxDepth) {
+          return Fail("nesting deeper than " + std::to_string(Value::kMaxDepth) + " levels");
+        }
+        ++depth_;
+        const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!ParseString(&s)) {
@@ -349,6 +357,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
 };
 
 void EscapeTo(const std::string& s, std::string* out) {

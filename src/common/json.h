@@ -30,8 +30,11 @@ class Value {
   static Value Array();
   static Value Object();
 
+  // Deepest nesting of arrays and objects that Parse accepts.
+  static constexpr int kMaxDepth = 256;
+
   // Parses `text`; on failure returns false and describes the problem
-  // (with offset) in *error.
+  // (with offset) in *error. Nesting past kMaxDepth is such a problem.
   static bool Parse(const std::string& text, Value* out, std::string* error);
 
   Type type() const { return type_; }

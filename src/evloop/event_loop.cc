@@ -7,46 +7,6 @@
 namespace element {
 
 // ---------------------------------------------------------------------------
-// Slab
-// ---------------------------------------------------------------------------
-
-EventLoop::~EventLoop() = default;
-
-uint32_t EventLoop::AllocSlot(void (*fn)(void*), void* arg) {
-  if (free_head_ == kNoSlot) {
-    uint32_t base = static_cast<uint32_t>(chunks_.size()) << kChunkShift;
-    chunks_.push_back(std::make_unique<Record[]>(kChunkSize));
-    // Thread the fresh chunk onto the freelist, lowest slot on top so ids
-    // are handed out in address order.
-    for (uint32_t i = kChunkSize; i > 0; --i) {
-      record(base + i - 1).next_free = free_head_;
-      free_head_ = base + i - 1;
-    }
-  }
-  uint32_t slot = free_head_;
-  Record& r = record(slot);
-  free_head_ = r.next_free;
-  r.fn = fn;
-  r.arg = arg;
-  return slot;
-}
-
-void EventLoop::FreeSlot(uint32_t slot) {
-  Record& r = record(slot);
-  ELEMENT_DCHECK(r.fn != nullptr) << "freeing free slot " << slot;
-  if (slot == firing_slot_) {
-    firing_slot_ = kNoSlot;
-  }
-  if (r.heap_index != kNotInHeap) {
-    HeapRemove(slot);
-  }
-  r.fn = nullptr;
-  r.arg = nullptr;
-  r.next_free = free_head_;
-  free_head_ = slot;
-}
-
-// ---------------------------------------------------------------------------
 // 4-ary min-heap over (at, seq), with back-pointers for O(log n) removal
 // ---------------------------------------------------------------------------
 
@@ -58,11 +18,11 @@ void EventLoop::SiftUp(uint32_t index) {
       break;
     }
     heap_[index] = heap_[parent];
-    record(heap_[index].slot).heap_index = index;
+    heap_[index].node->heap_index = index;
     index = parent;
   }
   heap_[index] = entry;
-  record(entry.slot).heap_index = index;
+  entry.node->heap_index = index;
 }
 
 void EventLoop::SiftDown(uint32_t index) {
@@ -84,43 +44,42 @@ void EventLoop::SiftDown(uint32_t index) {
       break;
     }
     heap_[index] = heap_[best];
-    record(heap_[index].slot).heap_index = index;
+    heap_[index].node->heap_index = index;
     index = best;
   }
   heap_[index] = entry;
-  record(entry.slot).heap_index = index;
+  entry.node->heap_index = index;
 }
 
-void EventLoop::HeapPush(uint32_t slot) {
-  const Record& r = record(slot);
-  heap_.push_back(HeapEntry{r.at, r.seq, slot});
+void EventLoop::HeapPush(Node* node) {
+  heap_.push_back(HeapEntry{node->at, node->seq, node});
   SiftUp(static_cast<uint32_t>(heap_.size()) - 1);
 }
 
-void EventLoop::HeapRemove(uint32_t slot) {
-  uint32_t index = record(slot).heap_index;
-  ELEMENT_DCHECK(index != kNotInHeap && index < heap_.size() && heap_[index].slot == slot)
-      << "heap back-pointer corrupt for slot " << slot;
-  record(slot).heap_index = kNotInHeap;
+void EventLoop::HeapRemove(Node* node) {
+  uint32_t index = node->heap_index;
+  ELEMENT_DCHECK(index != kNotInHeap && index < heap_.size() && heap_[index].node == node)
+      << "heap back-pointer corrupt for node at index " << index;
+  node->heap_index = kNotInHeap;
   const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (last.slot == slot) {
+  if (last.node == node) {
     return;
   }
   heap_[index] = last;
-  record(last.slot).heap_index = index;
+  last.node->heap_index = index;
   // The replacement may need to move either way relative to its new parent.
   SiftUp(index);
-  SiftDown(record(last.slot).heap_index);
+  SiftDown(last.node->heap_index);
 }
 
 void EventLoop::HeapPopTop() {
-  record(heap_[0].slot).heap_index = kNotInHeap;
+  heap_[0].node->heap_index = kNotInHeap;
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
     heap_[0] = last;
-    record(last.slot).heap_index = 0;
+    last.node->heap_index = 0;
     SiftDown(0);
   }
 }
@@ -128,15 +87,12 @@ void EventLoop::HeapPopTop() {
 void EventLoop::AuditHeapInvariant() const {
   for (uint32_t i = 0; i < heap_.size(); ++i) {
     const HeapEntry& e = heap_[i];
-    const Record& r = record(e.slot);
-    ELEMENT_AUDIT(r.heap_index == i)
-        << "heap back-pointer mismatch at index " << i << ": slot " << e.slot
-        << " claims index " << r.heap_index;
-    ELEMENT_AUDIT(r.fn != nullptr)
-        << "freed slot " << e.slot << " still in heap at index " << i;
-    ELEMENT_AUDIT(e.at == r.at && e.seq == r.seq)
+    const Node& n = *e.node;
+    ELEMENT_AUDIT(n.heap_index == i)
+        << "heap back-pointer mismatch at index " << i << ": node claims index " << n.heap_index;
+    ELEMENT_AUDIT(e.at == n.at && e.seq == n.seq)
         << "heap key out of sync at index " << i << ": entry (t=" << e.at.nanos()
-        << " seq=" << e.seq << ") vs record (t=" << r.at.nanos() << " seq=" << r.seq << ")";
+        << " seq=" << e.seq << ") vs node (t=" << n.at.nanos() << " seq=" << n.seq << ")";
     if (i > 0) {
       const HeapEntry& parent = heap_[(i - 1) >> 2];
       ELEMENT_AUDIT(!Earlier(e, parent))
@@ -151,79 +107,84 @@ void EventLoop::AuditHeapInvariant() const {
 // Timer plumbing
 // ---------------------------------------------------------------------------
 
-void EventLoop::Arm(uint32_t slot, SimTime at) {
+void EventLoop::AddNode() {
+  ++live_nodes_;
+  if (live_nodes_ > peak_nodes_) {
+    peak_nodes_ = live_nodes_;
+  }
+}
+
+void EventLoop::RemoveNode(Node* node) {
+  --live_nodes_;
+  if (node == firing_) {
+    firing_ = nullptr;
+  }
+  if (node->heap_index != kNotInHeap) {
+    HeapRemove(node);
+  }
+}
+
+void EventLoop::Arm(Node* node, SimTime at) {
   if (at < now_) {
     at = now_;
   }
-  ArmKeyed(slot, at, next_seq_++);
+  ArmKeyed(node, at, next_seq_++);
 }
 
-void EventLoop::ArmKeyed(uint32_t slot, SimTime at, uint64_t seq) {
-  Record& r = record(slot);
-  ELEMENT_DCHECK(r.fn != nullptr) << "arming free slot " << slot;
-  r.at = at;
-  r.seq = seq;
-  if (slot == firing_slot_) {
-    firing_slot_ = kNoSlot;  // re-armed: the loop must not pop it
+void EventLoop::ArmKeyed(Node* node, SimTime at, uint64_t seq) {
+  node->at = at;
+  node->seq = seq;
+  if (node == firing_) {
+    firing_ = nullptr;  // re-armed: the loop must not pop it
   }
-  if (r.heap_index == kNotInHeap) {
-    HeapPush(slot);
+  if (node->heap_index == kNotInHeap) {
+    HeapPush(node);
   } else {
     // In-place re-arm: update the entry's key, then restore heap order from
-    // the slot's current position (for a firing timer, the root: one sift
+    // the node's current position (for a firing timer, the root: one sift
     // down).
-    HeapEntry& e = heap_[r.heap_index];
-    e.at = r.at;
-    e.seq = r.seq;
-    SiftUp(r.heap_index);
-    SiftDown(r.heap_index);
+    HeapEntry& e = heap_[node->heap_index];
+    e.at = at;
+    e.seq = seq;
+    SiftUp(node->heap_index);
+    SiftDown(node->heap_index);
   }
-}
-
-void EventLoop::Disarm(uint32_t slot) {
-  ELEMENT_DCHECK(record(slot).fn != nullptr) << "disarming free slot " << slot;
-  // A firing timer is not pending (Timer::Cancel returns before this).
-  ELEMENT_DCHECK(slot != firing_slot_) << "disarming the firing timer " << slot;
-  HeapRemove(slot);
 }
 
 // ---------------------------------------------------------------------------
 // Run loop
 // ---------------------------------------------------------------------------
 
-uint32_t EventLoop::NextRunnable(SimTime deadline) const {
+EventLoop::Node* EventLoop::NextRunnable(SimTime deadline) const {
   if (heap_.empty() || heap_[0].at > deadline) {
-    return kNoSlot;
+    return nullptr;
   }
-  return heap_[0].slot;
+  return heap_[0].node;
 }
 
 void EventLoop::RunLoop(SimTime deadline) {
   stopped_ = false;
-  uint32_t slot;
-  while (!stopped_ && (slot = NextRunnable(deadline)) != kNoSlot) {
-    const Record& r = record(slot);
-    ELEMENT_AUDIT(r.at >= now_) << "event loop time went backwards: now=" << now_.nanos()
-                                << "ns event=" << r.at.nanos() << "ns seq=" << r.seq;
-    now_ = r.at;
+  Node* node;
+  while (!stopped_ && (node = NextRunnable(deadline)) != nullptr) {
+    ELEMENT_AUDIT(node->at >= now_) << "event loop time went backwards: now=" << now_.nanos()
+                                    << "ns event=" << node->at.nanos() << "ns seq=" << node->seq;
+    now_ = node->at;
     ++processed_;
     if constexpr (kAuditsEnabled) {
       if ((processed_ & 1023) == 0) {
         AuditHeapInvariant();
       }
     }
-    // The timer fires in place: its slot stays at the root while the
+    // The timer fires in place: its node stays at the root while the
     // callback runs. Its key (now, seq) is the minimum, and everything armed
     // meanwhile draws a larger seq at a time >= now, so nothing sorts before
-    // it. A Restart() re-keys the root (one sift down); otherwise the slot is
-    // popped here, still allocated (its timer owns it). The callback may
-    // destroy its timer, freeing the slot: fn and arg are read before the
-    // call.
-    firing_slot_ = slot;
-    r.fn(r.arg);
-    if (firing_slot_ == slot) {
-      firing_slot_ = kNoSlot;
-      ELEMENT_DCHECK(heap_[0].slot == slot) << "firing timer left the heap root";
+    // it. A Restart() re-keys the root (one sift down); otherwise the node is
+    // popped here. The callback may destroy its timer, which clears firing_.
+    firing_ = node;
+    node->fire(node);
+    if (firing_ == node) {
+      firing_ = nullptr;
+      ELEMENT_DCHECK(heap_[0].node == node) << "firing timer left the heap root";
       HeapPopTop();
     }
   }
@@ -242,33 +203,23 @@ void EventLoop::RunUntil(SimTime deadline) {
 // Timer
 // ---------------------------------------------------------------------------
 
-Timer::~Timer() {
-  if (slot_ != EventLoop::kNoSlot) {
-    loop_->FreeSlot(slot_);
-  }
+Timer::Timer(EventLoop* loop, std::function<void()> cb)
+    : Node(&Timer::Fire), loop_(loop), cb_(std::move(cb)) {
+  loop_->AddNode();
 }
 
-void Timer::Fire(void* self) {
-  Timer* timer = static_cast<Timer*>(self);
-  timer->pending_ = false;
-  timer->cb_();
-}
+Timer::~Timer() { loop_->RemoveNode(this); }
 
-void Timer::Restart(SimTime at) {
-  if (slot_ == EventLoop::kNoSlot) {
-    slot_ = loop_->AllocSlot(&Timer::Fire, this);
-  }
-  loop_->Arm(slot_, at);
-  pending_ = true;
-  deadline_ = at < loop_->now() ? loop_->now() : at;
-}
+void Timer::Fire(EventLoop::Node* node) { static_cast<Timer*>(node)->cb_(); }
+
+void Timer::Restart(SimTime when) { loop_->Arm(this, when); }
 
 bool Timer::Cancel() {
-  if (!pending_) {
+  // A firing timer is not pending: the loop pops it after its callback.
+  if (!pending()) {
     return false;
   }
-  pending_ = false;
-  loop_->Disarm(slot_);
+  loop_->HeapRemove(this);
   return true;
 }
 
@@ -276,36 +227,34 @@ bool Timer::Cancel() {
 // FifoTimer
 // ---------------------------------------------------------------------------
 
-FifoTimer::~FifoTimer() {
-  if (slot_ != EventLoop::kNoSlot) {
-    loop_->FreeSlot(slot_);
-  }
+FifoTimer::FifoTimer(EventLoop* loop, std::function<void()> cb)
+    : Node(&FifoTimer::Fire), loop_(loop), cb_(std::move(cb)) {
+  loop_->AddNode();
 }
 
-void FifoTimer::Push(SimTime at) {
-  if (at < loop_->now()) {
-    at = loop_->now();
+FifoTimer::~FifoTimer() { loop_->RemoveNode(this); }
+
+void FifoTimer::Push(SimTime when) {
+  if (when < loop_->now()) {
+    when = loop_->now();
   }
-  ELEMENT_DCHECK(entries_.empty() || entries_.back().at <= at)
-      << "FifoTimer push at " << at.nanos() << "ns before the tail at "
+  ELEMENT_DCHECK(entries_.empty() || entries_.back().at <= when)
+      << "FifoTimer push at " << when.nanos() << "ns before the tail at "
       << entries_.back().at.nanos() << "ns";
   // The sequence number is drawn now, as a Timer's Restart() here would.
-  uint64_t seq = loop_->next_seq_++;
-  entries_.push_back(Entry{at, seq});
+  const uint64_t drawn = loop_->next_seq_++;
+  entries_.push_back(Entry{when, drawn});
   if (entries_.size() == 1) {
-    if (slot_ == EventLoop::kNoSlot) {
-      slot_ = loop_->AllocSlot(&FifoTimer::Fire, this);
-    }
-    loop_->ArmKeyed(slot_, at, seq);
+    loop_->ArmKeyed(this, when, drawn);
   }
 }
 
-void FifoTimer::Fire(void* self) {
-  FifoTimer* timer = static_cast<FifoTimer*>(self);
+void FifoTimer::Fire(EventLoop::Node* node) {
+  FifoTimer* timer = static_cast<FifoTimer*>(node);
   timer->entries_.pop_front();
   if (!timer->entries_.empty()) {
     const Entry& next = timer->entries_.front();
-    timer->loop_->ArmKeyed(timer->slot_, next.at, next.seq);
+    timer->loop_->ArmKeyed(timer, next.at, next.seq);
   }
   timer->cb_();
 }

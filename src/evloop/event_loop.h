@@ -3,20 +3,17 @@
 // the ELEMENT trackers that the paper runs as threads) is driven by this loop,
 // which makes runs deterministic and reproducible.
 //
-// The loop schedules one kind of event: a slab slot owned by a Timer or a
-// FifoTimer (PeriodicTimer runs on a Timer). The core is allocation-free on
-// the steady-state path:
-//   - slot records live in a chunked slab (stable addresses, freelist reuse);
-//     a timer takes its slot on its first arm and holds it until it is
-//     destroyed, so re-arming never allocates;
+// The loop schedules one kind of event: a Timer or a FifoTimer (PeriodicTimer
+// runs on a Timer). Each timer is itself the heap's node, as a Linux socket
+// embeds its timer_list. The core is allocation-free on the steady-state path:
 //   - pending fires sit in an index-addressable 4-ary min-heap whose
-//     entries carry their (time, seq) key next to the slot id, so sifting
-//     compares inside the heap array and touches a record only to update its
-//     back-pointer; a Cancel() removes the entry in O(log n) — no tombstones,
-//     no hash lookup on fire;
-//   - each timer stores its callback once, at construction; a slot holds
-//     only a trampoline (function pointer + the timer), so arming and firing
-//     never touch callback storage;
+//     entries carry their (time, seq) key next to a pointer to the timer, so
+//     sifting compares inside the heap array and touches a timer only to
+//     update its back-pointer; a Cancel() removes the entry in O(log n) — no
+//     tombstones, no hash lookup on fire;
+//   - each timer stores its callback once, at construction, and its node
+//     holds a fixed fire routine, so arming and firing never touch callback
+//     storage or allocate;
 //   - Timer re-arms in place (Restart re-keys its heap entry), which is what
 //     the TCP RTO/delayed-ACK/pacing re-arm churn rides on. A timer fires in
 //     place: it stays at the heap root while its callback runs, so a
@@ -37,8 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -55,7 +50,6 @@ class EventLoop {
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-  ~EventLoop();
 
   SimTime now() const { return now_; }
 
@@ -69,14 +63,14 @@ class EventLoop {
   // Events waiting to fire. A timer whose callback is running is not
   // pending (though it sits at the heap root until the callback returns),
   // and a FifoTimer counts once however many entries it holds.
-  size_t pending_events() const {
-    return heap_.size() - (firing_slot_ != kNoSlot ? 1 : 0);
-  }
+  size_t pending_events() const { return heap_.size() - (firing_ != nullptr ? 1 : 0); }
   uint64_t processed_events() const { return processed_; }
 
   // Introspection for tests and benchmarks: bounded-growth assertions.
   size_t heap_capacity() const { return heap_.capacity(); }
-  size_t slab_slots() const { return chunks_.size() << kChunkShift; }
+  // Peak number of Timers and FifoTimers alive at once on this loop: the
+  // heap nodes it could hold.
+  size_t slab_slots() const { return peak_nodes_; }
 
   // Per-loop arena recycling Packet payload allocations (see
   // MakePooledPayload in src/netsim/packet.h). Payloads drawn from it must
@@ -84,7 +78,7 @@ class EventLoop {
   FreeListArena& payload_arena() { return payload_arena_; }
 
   // Heap-invariant audit (parent <= children, back-pointer consistency,
-  // each entry's key equal to its record's).
+  // each entry's key equal to its node's).
   // O(n); compiled into debug builds via the periodic fire-path audit and
   // callable directly from tests.
   void AuditHeapInvariant() const;
@@ -93,33 +87,25 @@ class EventLoop {
   friend class Timer;
   friend class FifoTimer;
 
-  static constexpr uint32_t kChunkShift = 8;  // 256 records per slab chunk
-  static constexpr uint32_t kChunkSize = 1u << kChunkShift;
-  static constexpr uint32_t kNoSlot = 0xffffffffu;
   static constexpr uint32_t kNotInHeap = 0xffffffffu;
 
-  struct Record {
-    // The fire's key; its heap entry holds a copy while it is pending.
+  // The part of a Timer or FifoTimer that the heap sees; both derive from it
+  // privately. `fire` is the timer's fixed fire routine.
+  struct Node {
+    explicit Node(void (*fire_fn)(Node*)) : fire(fire_fn) {}
+
+    // The pending fire's key; its heap entry holds a copy.
     SimTime at;
     uint64_t seq = 0;  // FIFO tie-break among equal times
     uint32_t heap_index = kNotInHeap;
-    uint32_t next_free = kNoSlot;
-    // The owning timer's trampoline: a fixed function and the timer. A null
-    // `fn` marks a free slot.
-    void (*fn)(void*) = nullptr;
-    void* arg = nullptr;
+    void (*fire)(Node*);
   };
 
-  Record& record(uint32_t slot) { return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)]; }
-  const Record& record(uint32_t slot) const {
-    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
-  }
-
-  // A pending fire: its key, copied from the record, and its slot.
+  // A pending fire: its key, copied from the node, and the node.
   struct HeapEntry {
     SimTime at;
     uint64_t seq;
-    uint32_t slot;
+    Node* node;
   };
 
   // (time, seq) lexicographic order.
@@ -130,30 +116,31 @@ class EventLoop {
     return a.seq < b.seq;
   }
 
-  // Copies the slot's key into a new heap entry.
-  void HeapPush(uint32_t slot);
-  void HeapRemove(uint32_t slot);  // arbitrary position, O(log n)
+  // Copies the node's key into a new heap entry.
+  void HeapPush(Node* node);
+  void HeapRemove(Node* node);  // arbitrary position, O(log n)
   void HeapPopTop();
   void SiftUp(uint32_t index);
   void SiftDown(uint32_t index);
 
-  // Timer plumbing: a slot is owned by one Timer or FifoTimer from its first
-  // arm until the timer is destroyed; arming inserts it into the heap (or
-  // re-keys it where it is), and a fire that leaves it un-armed removes it
-  // but keeps the slot allocated so the next arm reuses it.
-  uint32_t AllocSlot(void (*fn)(void*), void* arg);
+  // Timer plumbing: arming inserts a node into the heap (or re-keys it where
+  // it is), and a fire that leaves it un-armed removes it. A timer's
+  // constructor calls AddNode; its destructor calls RemoveNode, which
+  // disarms the node if it is in the heap.
+  void AddNode();
+  void RemoveNode(Node* node);
   // Arms at `at` (clamped to now) with a fresh sequence number.
-  void Arm(uint32_t slot, SimTime at);
+  void Arm(Node* node, SimTime at);
   // Arms with a key drawn earlier (a FifoTimer entry's).
-  void ArmKeyed(uint32_t slot, SimTime at, uint64_t seq);
-  // Removes a pending slot from the heap.
-  void Disarm(uint32_t slot);
-  // Disarms the slot if pending and returns it to the freelist.
-  void FreeSlot(uint32_t slot);
+  void ArmKeyed(Node* node, SimTime at, uint64_t seq);
+  // In the heap and not the one firing.
+  bool IsPending(const Node* node) const {
+    return node->heap_index != kNotInHeap && node != firing_;
+  }
 
-  // Returns the slot of the next fire with time <= deadline, still at the
-  // heap root, or kNoSlot.
-  uint32_t NextRunnable(SimTime deadline) const;
+  // Returns the node of the next fire with time <= deadline, still at the
+  // heap root, or null.
+  Node* NextRunnable(SimTime deadline) const;
   void RunLoop(SimTime deadline);
 
   SimTime now_ = SimTime::Zero();
@@ -161,56 +148,55 @@ class EventLoop {
   uint64_t processed_ = 0;
   bool stopped_ = false;
 
-  std::vector<std::unique_ptr<Record[]>> chunks_;
-  uint32_t free_head_ = kNoSlot;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap over (at, seq)
-  // The slot whose callback is running, at heap_[0]; cleared when the
-  // callback re-arms or releases it.
-  uint32_t firing_slot_ = kNoSlot;
+  // The node whose callback is running, at heap_[0]; cleared when the
+  // callback re-arms or destroys its timer.
+  Node* firing_ = nullptr;
+  size_t live_nodes_ = 0;
+  size_t peak_nodes_ = 0;
 
   FreeListArena payload_arena_;
 };
 
-// Re-armable timer with a fixed callback; each arm fires once. The callback is
-// stored once at construction; Restart() re-arms the timer's slab slot in
-// place (new deadline, fresh sequence number) without touching callback
-// storage, which is what keeps the re-arm churn of timeouts (TCP RTO, delayed
-// ACK, pacing) allocation-free. Callbacks should capture no more than
-// `this`, so that std::function keeps them inline and construction allocates
-// nothing.
+// Re-armable timer with a fixed callback; each arm fires once. The timer is
+// its own heap node: Restart() re-keys it in place (new deadline, fresh
+// sequence number) without touching callback storage, which is what keeps the
+// re-arm churn of timeouts (TCP RTO, delayed ACK, pacing) allocation-free.
+// Callbacks should capture no more than `this`, so that std::function keeps
+// them inline and construction allocates nothing. The heap holds the timer's
+// address, so a timer is neither copied nor moved.
 //
 // Destroying the timer cancels any pending fire, so callbacks never outlive
 // their owner (no alive-flag guards needed). Destroying a timer from inside
-// its own callback is allowed only as the callback's last action.
-class Timer {
+// its own callback is allowed only as the callback's last action. A timer
+// registers with its loop when constructed, so it must not outlive the loop.
+class Timer : private EventLoop::Node {
  public:
-  Timer(EventLoop* loop, std::function<void()> cb) : loop_(loop), cb_(std::move(cb)) {}
+  Timer(EventLoop* loop, std::function<void()> cb);
   ~Timer();
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  // Arms (or re-arms in place) the timer to fire at `at` (>= now; earlier
+  // Arms (or re-arms in place) the timer to fire at `when` (>= now; earlier
   // clamps to now). Every arm draws a fresh sequence number, so the fire
   // orders after everything armed earlier for the same time.
-  void Restart(SimTime at);
+  void Restart(SimTime when);
   void RestartAfter(TimeDelta delay) { Restart(loop_->now() + delay); }
 
   // Disarms a pending fire; returns true when the timer was pending.
   bool Cancel();
 
-  bool pending() const { return pending_; }
+  // False from the moment the timer's callback starts until it re-arms.
+  bool pending() const { return loop_->IsPending(this); }
   // Deadline of the pending fire; meaningful only while pending().
-  SimTime deadline() const { return deadline_; }
+  SimTime deadline() const { return at; }
 
  private:
-  static void Fire(void* self);
+  static void Fire(EventLoop::Node* node);
 
   EventLoop* loop_;
   std::function<void()> cb_;
-  uint32_t slot_ = EventLoop::kNoSlot;  // taken on the first Restart
-  bool pending_ = false;
-  SimTime deadline_;
 };
 
 // A stream of fire times served by one callback and one heap entry: the
@@ -218,22 +204,23 @@ class Timer {
 // they entered. Push() appends a fire; times must be non-decreasing once
 // clamped to now. Each push draws its sequence number at push time, so every
 // fire runs exactly where a Timer's Restart() made at the push would have run.
-// Only the stream's head is in the heap; on fire the slot is re-keyed in
+// Only the stream's head is in the heap; on fire the node is re-keyed in
 // place with the next entry's stored (time, seq), one sift from the root.
 //
 // The callback takes no argument: the owner keeps the entries' payloads in
 // a queue of its own, in step with the pushes. Destroying the FifoTimer
 // cancels every pending fire; from inside its own callback, only as the
-// callback's last action.
-class FifoTimer {
+// callback's last action. Like a Timer, it is its own heap node: it is
+// neither copied nor moved, and it must not outlive its loop.
+class FifoTimer : private EventLoop::Node {
  public:
-  FifoTimer(EventLoop* loop, std::function<void()> cb) : loop_(loop), cb_(std::move(cb)) {}
+  FifoTimer(EventLoop* loop, std::function<void()> cb);
   ~FifoTimer();
 
   FifoTimer(const FifoTimer&) = delete;
   FifoTimer& operator=(const FifoTimer&) = delete;
 
-  void Push(SimTime at);
+  void Push(SimTime when);
 
   // Pushed fires that have not yet run.
   size_t size() const { return entries_.size(); }
@@ -244,11 +231,10 @@ class FifoTimer {
     uint64_t seq;
   };
 
-  static void Fire(void* self);
+  static void Fire(EventLoop::Node* node);
 
   EventLoop* loop_;
   std::function<void()> cb_;
-  uint32_t slot_ = EventLoop::kNoSlot;  // taken on the first Push
   RingFifo<Entry> entries_;
 };
 

@@ -48,9 +48,6 @@ class FixedLinkModel : public LinkModel {
   bool DropOnWire(Rng& rng, SimTime now) override;
   std::string name() const override { return "fixed"; }
 
-  void set_rate(DataRate r) { rate_ = r; }
-  void set_loss_prob(double p) { loss_prob_ = p; }
-
  private:
   DataRate rate_;
   TimeDelta prop_delay_;

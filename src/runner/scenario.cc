@@ -383,8 +383,8 @@ struct AxisValues {
 // Expands one sweep entry: every combination of its axis items (an odometer
 // whose last axis turns fastest) applied on top of `defaults` plus the entry's
 // scalar fields, each repeated over the seeds, innermost. Empty axes keep the
-// base value.
-bool ExpandSweep(const json::Value& entry, const ScenarioSpec& defaults,
+// base value. `where` names the entry in messages.
+bool ExpandSweep(const json::Value& entry, const std::string& where, const ScenarioSpec& defaults,
                  std::vector<ScenarioSpec>* out, std::string* error) {
   ScenarioSpec base = defaults;
   if (!ApplySpecFields(entry, &base, /*sweep=*/true, error)) {
@@ -393,8 +393,14 @@ bool ExpandSweep(const json::Value& entry, const ScenarioSpec& defaults,
   if (base.name.empty()) {
     base.name = "sweep";
   }
+  auto too_many = [&](const std::string& count) {
+    *error = where + " brings the suite to " + count + " scenarios; a suite holds at most " +
+             std::to_string(ScenarioSuite::kMaxScenarios);
+    return false;
+  };
   std::vector<AxisValues> axes;
-  size_t combinations = 1;
+  // Stays within kMaxScenarios times one axis's length, so no multiply wraps.
+  uint64_t combinations = 1;
   for (const Axis& axis : kAxes) {
     const json::Value* v = entry.Find(axis.key);
     if (v == nullptr || !v->is_array() || v->items().empty()) {
@@ -413,6 +419,9 @@ bool ExpandSweep(const json::Value& entry, const ScenarioSpec& defaults,
                                                     : "");
     }
     combinations *= values.items.size();
+    if (out->size() + combinations > ScenarioSuite::kMaxScenarios) {
+      return too_many("at least " + std::to_string(out->size() + combinations));
+    }
   }
   uint64_t seed_base = base.seed;
   int seed_count = 1;
@@ -436,7 +445,11 @@ bool ExpandSweep(const json::Value& entry, const ScenarioSpec& defaults,
     }
   }
 
-  out->reserve(out->size() + combinations * static_cast<size_t>(seed_count));
+  const uint64_t expanded = combinations * static_cast<uint64_t>(seed_count);
+  if (out->size() + expanded > ScenarioSuite::kMaxScenarios) {
+    return too_many(std::to_string(out->size() + expanded));
+  }
+  out->reserve(out->size() + expanded);
   std::vector<size_t> at(axes.size(), 0);
   for (size_t n = 0; n < combinations; ++n) {
     ScenarioSpec spec = base;
@@ -495,6 +508,10 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
       return false;
     }
     for (size_t i = 0; i < v->items().size(); ++i) {
+      if (!v->items()[i].is_object()) {
+        *error = "scenarios[" + std::to_string(i) + "] must be an object";
+        return false;
+      }
       ScenarioSpec spec = defaults;
       if (!ApplySpecFields(v->items()[i], &spec, /*sweep=*/false, error)) {
         return false;
@@ -510,8 +527,13 @@ bool ScenarioSuite::ParseJson(const std::string& text, ScenarioSuite* out, std::
       *error = "'sweeps' must be an array";
       return false;
     }
-    for (const json::Value& entry : v->items()) {
-      if (!ExpandSweep(entry, defaults, &suite.scenarios, error)) {
+    for (size_t i = 0; i < v->items().size(); ++i) {
+      const std::string where = "sweeps[" + std::to_string(i) + "]";
+      if (!v->items()[i].is_object()) {
+        *error = where + " must be an object";
+        return false;
+      }
+      if (!ExpandSweep(v->items()[i], where, defaults, &suite.scenarios, error)) {
         return false;
       }
     }

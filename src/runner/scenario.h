@@ -100,6 +100,11 @@ struct ScenarioSuite {
   std::string name = "suite";
   std::vector<ScenarioSpec> scenarios;  // already expanded, in order
 
+  // Most scenarios a sweep may bring a suite to, counting the scenarios
+  // before it; a sweep past it is refused before anything is reserved.
+  // Explicit scenarios need no bound: each is an object in the file.
+  static constexpr uint64_t kMaxScenarios = 1'000'000;
+
   // Parses a suite document; any other top-level key is an error:
   //   { "suite": "...", "defaults": {spec fields},
   //     "scenarios": [ {spec fields}, ... ],
@@ -107,6 +112,7 @@ struct ScenarioSuite {
   //                   "rate_mbps": [...], "rtt_ms": [...], "qdisc": [...],
   //                   "cc": [...], "num_flows": [...], "cross_iperf": [...],
   //                   "cross_onoff": [...], "seed": {"base": N, "count": M >= 1} }, ... ] }
+  // Every entry of "scenarios" and "sweeps" must be an object.
   // Explicit scenarios come first, then sweep expansions in file order. A sweep
   // crosses its axes in the order listed, seeds innermost; an empty axis keeps
   // the base value, and an axis with several values adds a name segment.

@@ -310,8 +310,8 @@ class TcpSocket : public PacketSink {
   TimeDelta min_rtt_ = TimeDelta::Infinite();
   int rto_backoff_ = 0;
   // Re-armed in place on every transmission and every ACK with data still in
-  // flight (tcp_rearm_rto): with Timer::Restart this is a heap-slot update,
-  // not a cancel + reschedule churn.
+  // flight (tcp_rearm_rto): with Timer::Restart this re-keys the timer's
+  // heap entry in place, not a cancel + reschedule churn.
   Timer rto_timer_;
 
   // Idle detection for RFC 2861 cwnd validation.

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -76,8 +77,8 @@ TEST(EventLoopTest, CancelAfterFireIsStaleNoop) {
   t.RestartAfter(TimeDelta::FromMillis(1));
   loop.Run();
   EXPECT_EQ(ran, 1);
-  // The timer fired: it keeps its slot but has nothing to cancel, and the
-  // no-op leaves it re-armable.
+  // The timer fired: it has nothing to cancel, and the no-op leaves it
+  // re-armable.
   EXPECT_FALSE(t.Cancel());
   t.RestartAfter(TimeDelta::FromMillis(1));
   loop.Run();
@@ -134,8 +135,8 @@ TEST(EventLoopTest, StopHaltsProcessing) {
 }
 
 TEST(EventLoopTest, EventsCanScheduleMoreEvents) {
-  // Each callback makes and arms the next timer. Past 256 timers the slab
-  // grows a chunk from inside a firing callback.
+  // Each callback makes and arms the next timer, so the loop gains a node
+  // from inside a firing callback 299 times.
   EventLoop loop;
   std::deque<Timer> chain;
   std::function<void()> arm_next = [&] {
@@ -151,7 +152,7 @@ TEST(EventLoopTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(chain.size(), 300u);
   EXPECT_EQ(loop.processed_events(), 300u);
   EXPECT_EQ(loop.now().nanos(), 300);
-  EXPECT_EQ(loop.slab_slots(), 512u);
+  EXPECT_EQ(loop.slab_slots(), 300u);  // peak live timers: the whole chain
 }
 
 TEST(PeriodicTimerTest, FiresAtPeriod) {
@@ -311,19 +312,25 @@ TEST(TimerTest, CancelPreventsFire) {
   EXPECT_FALSE(ran);
 }
 
-TEST(TimerTest, RestartFromOwnCallbackReusesSlot) {
+TEST(TimerTest, RestartFromOwnCallbackRekeysInPlace) {
+  // A re-arm from the callback re-keys the timer's one heap entry: the heap
+  // neither grows nor reallocates.
   EventLoop loop;
   int fires = 0;
+  std::vector<size_t> pending_after_rearm;
   Timer t(&loop, [&] {
     if (++fires < 5) {
       t.RestartAfter(TimeDelta::FromMillis(1));
+      pending_after_rearm.push_back(loop.pending_events());
     }
   });
   t.RestartAfter(TimeDelta::FromMillis(1));
-  size_t slots_before = loop.slab_slots();
+  const size_t capacity_before = loop.heap_capacity();
   loop.Run();
   EXPECT_EQ(fires, 5);
-  EXPECT_EQ(loop.slab_slots(), slots_before);  // re-arm never allocates
+  EXPECT_EQ(pending_after_rearm, (std::vector<size_t>{1, 1, 1, 1}));
+  EXPECT_EQ(loop.heap_capacity(), capacity_before);
+  EXPECT_EQ(loop.slab_slots(), 1u);
 }
 
 TEST(TimerTest, DestructorCancelsPendingFire) {
@@ -405,6 +412,44 @@ TEST(TimerTest, CancelAndDestroyFromOwnCallback) {
   loop.AuditHeapInvariant();
 }
 
+TEST(TimerTest, DestroyingPendingTimerFromEqualTimeCallback) {
+  // The heap holds the timers themselves: a timer destroyed while pending,
+  // from another timer's callback at the same instant, leaves the heap with
+  // no entry for it and never fires. The same holds for a FifoTimer.
+  EventLoop loop;
+  std::vector<std::string> order;
+  auto victim = std::make_unique<Timer>(&loop, [&] { order.push_back("victim"); });
+  auto stream = std::make_unique<FifoTimer>(&loop, [&] { order.push_back("stream"); });
+  Timer killer(&loop, [&] {
+    order.push_back("killer");
+    EXPECT_TRUE(victim->pending());
+    victim.reset();
+    stream.reset();
+    loop.AuditHeapInvariant();
+  });
+  Timer after(&loop, [&] { order.push_back("after"); });
+  const SimTime t = SimTime::FromNanos(100);
+  killer.Restart(t);
+  victim->Restart(t);
+  stream->Push(t);
+  stream->Push(t);
+  after.Restart(t);
+  EXPECT_EQ(loop.pending_events(), 4u);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"killer", "after"}));
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_EQ(loop.processed_events(), 2u);
+  loop.AuditHeapInvariant();
+}
+
+// The heap holds each timer's address: a copy or a move would leave it
+// pointing at the old object.
+static_assert(!std::is_copy_constructible_v<Timer> && !std::is_move_constructible_v<Timer>);
+static_assert(!std::is_copy_constructible_v<FifoTimer> &&
+              !std::is_move_constructible_v<FifoTimer>);
+static_assert(!std::is_copy_constructible_v<PeriodicTimer> &&
+              !std::is_move_constructible_v<PeriodicTimer>);
+
 TEST(FifoTimerTest, FiresEachEntryInOrderFromOneHeapEntry) {
   EventLoop loop;
   std::vector<int64_t> fired;
@@ -481,10 +526,9 @@ TEST(FifoTimerTest, DestroyingCancelsEveryPendingEntry) {
 // ---------------------------------------------------------------------------
 
 TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
-  // True O(log n) cancellation removes the heap entry immediately, and a
-  // destroyed timer's slab record is reused by the next. A tombstone design
-  // would grow the heap to a million entries here; the index-addressable
-  // heap must stay at a handful.
+  // True O(log n) cancellation removes the heap entry immediately. A
+  // tombstone design would grow the heap to a million entries here; the
+  // index-addressable heap must stay at a handful.
   EventLoop loop;
   // Keep one far-future event alive so the loop has steady-state occupancy.
   Timer keeper(&loop, [] {});
@@ -496,7 +540,7 @@ TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
   }
   EXPECT_EQ(loop.pending_events(), 1u);
   EXPECT_LE(loop.heap_capacity(), 64u);
-  EXPECT_LE(loop.slab_slots(), 256u);  // a single slab chunk suffices
+  EXPECT_EQ(loop.slab_slots(), 2u);  // the keeper and one short-lived timer
   loop.AuditHeapInvariant();
   keeper.Cancel();
 }
@@ -512,8 +556,8 @@ TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
 // the model's earliest entry and removes it; a stale cancel must return
 // false and leave the model untouched. Besides a fixed set of re-armed
 // timers and FIFO streams, ad-hoc timers are made, armed once and destroyed
-// when cancelled or, half the time, by their own fire, so slots are freed
-// and reused under a full heap. Timer callbacks also restart, cancel or
+// when cancelled or, half the time, by their own fire, so nodes leave and
+// join a full heap. Timer callbacks also restart, cancel or
 // destroy their own timer while it sits at the heap root, and FIFO callbacks
 // push onto their own stream.
 class HeapModelHarness {

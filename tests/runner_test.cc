@@ -186,6 +186,21 @@ TEST(JsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(json::Value::Parse("[1, 2", &v, &err));
   EXPECT_FALSE(json::Value::Parse("{\"a\": 1} trailing", &v, &err));
   EXPECT_FALSE(json::Value::Parse("\"unterminated", &v, &err));
+  // Deep nesting is refused before it can overflow the stack: 200,000
+  // brackets crashed the recursive parser; the bound itself is exact.
+  EXPECT_FALSE(json::Value::Parse(std::string(200'000, '['), &v, &err));
+  EXPECT_NE(err.find("nesting deeper than 256 levels"), std::string::npos) << err;
+  const int depth = json::Value::kMaxDepth;
+  EXPECT_TRUE(json::Value::Parse(std::string(depth, '[') + std::string(depth, ']'), &v, &err))
+      << err;
+  EXPECT_FALSE(json::Value::Parse(std::string(depth + 1, '[') + std::string(depth + 1, ']'), &v,
+                                  &err));
+  std::string objects;
+  for (int i = 0; i <= depth; ++i) {
+    objects += "{\"a\":";
+  }
+  EXPECT_FALSE(json::Value::Parse(objects + "1" + std::string(depth + 1, '}'), &v, &err));
+  EXPECT_NE(err.find("nesting deeper"), std::string::npos) << err;
 }
 
 TEST(JsonTest, DumpParsesBackIdentically) {
@@ -325,7 +340,7 @@ TEST(ScenarioTest, JsonRoundTripIsIdentity) {
 
 // Malformed suites fail the parse with a message naming the offending key or
 // value, instead of silently keeping the default, truncating or running nothing.
-void ExpectRejected(const char* text, const std::string& message) {
+void ExpectRejected(const std::string& text, const std::string& message) {
   ScenarioSuite suite;
   std::string err;
   EXPECT_FALSE(ScenarioSuite::ParseJson(text, &suite, &err)) << text;
@@ -350,6 +365,33 @@ TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
   // A typo'd top-level key would otherwise run nothing.
   ExpectRejected(R"({"suite": "t", "sweep": [{"qdisc": ["codel", "pie"]}]})",
                  "unknown suite key 'sweep' (suite|defaults|scenarios|sweeps)");
+  // An entry that is not an object used to run as a default scenario.
+  ExpectRejected(R"({"scenarios": [5]})", "scenarios[0] must be an object");
+  ExpectRejected(R"({"scenarios": [{"name": "a"}, "x"]})", "scenarios[1] must be an object");
+  ExpectRejected(R"({"scenarios": [[]]})", "scenarios[0] must be an object");
+  ExpectRejected(R"({"scenarios": [null]})", "scenarios[0] must be an object");
+  ExpectRejected(R"({"sweeps": [7]})", "sweeps[0] must be an object");
+  ExpectRejected(R"({"sweeps": [{"qdisc": ["codel"]}, []]})", "sweeps[1] must be an object");
+}
+
+// A sweep past the suite's scenario limit is refused before anything is
+// reserved; 2e9 seeds used to abort on std::bad_alloc.
+TEST(ScenarioTest, RejectsSweepPastScenarioLimit) {
+  ExpectRejected(R"({"sweeps": [{"seed": {"count": 2000000000}}]})",
+                 "sweeps[0] brings the suite to 2000000000 scenarios; a suite holds at most "
+                 "1000000");
+  // The limit counts the whole suite: explicit scenarios and earlier sweeps.
+  ExpectRejected(R"({"scenarios": [{"name": "a"}],
+                     "sweeps": [{"seed": {"count": 999999}}, {"seed": {"count": 1}}]})",
+                 "sweeps[1] brings the suite to 1000001 scenarios");
+  // The axis product is checked at each axis, before it can wrap.
+  std::string axis;
+  for (int i = 1; i <= 1001; ++i) {
+    axis += (i > 1 ? "," : "") + std::to_string(i);
+  }
+  ExpectRejected(R"({"sweeps": [{"rate_mbps": [)" + axis + R"(], "rtt_ms": [)" + axis +
+                     R"(], "seed": {"count": 2000000000}}]})",
+                 "sweeps[0] brings the suite to at least 1002001 scenarios");
 }
 
 // Each time field becomes int64 nanoseconds in the drivers; a value past
