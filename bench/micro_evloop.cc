@@ -7,6 +7,12 @@
 //                    a heap 8 levels deep), and run the loop dry: the pure
 //                    fire-path cost, fire plus re-arm to the bottom of the
 //                    heap. The timers are made before the clock starts.
+//   handoff        — 512 far-future timers stay pending (about the heap of
+//                    a 128-flow dumbbell) while a ring of 64 timers runs
+//                    2M fires, each callback arming the next, idle timer of
+//                    the ring and leaving its own un-armed: the shape of a
+//                    delivery that wakes a socket, which transmits. The
+//                    armed timer takes the fired one's root slot.
 //   churn          — the TCP RTO re-arm pattern: keep one far-future timer
 //                    pending and Restart it 2M times, with a trickle of near
 //                    fires so the clock advances, then drain. Each Restart
@@ -47,6 +53,9 @@ constexpr int kScheduleFireTimers = 65'536;
 constexpr int kScheduleFireRounds = 16;
 constexpr uint64_t kScheduleFireEvents =
     static_cast<uint64_t>(kScheduleFireTimers) * kScheduleFireRounds;
+constexpr int kHandoffBackground = 512;
+constexpr int kHandoffRing = 64;
+constexpr uint64_t kHandoffFires = 2'000'000;
 constexpr int kChurnOps = 2'000'000;
 constexpr double kTcpCodelSimSeconds = 30.0;
 constexpr double kSackRecoverySimSeconds = 30.0;
@@ -91,6 +100,34 @@ double BenchScheduleFire() {
     std::exit(1);
   }
   return static_cast<double>(kScheduleFireEvents) / secs;
+}
+
+double BenchHandoff() {
+  EventLoop loop;
+  std::deque<Timer> background;
+  for (int i = 0; i < kHandoffBackground; ++i) {
+    background.emplace_back(&loop, [] {});
+    background.back().Restart(SimTime::Zero() + TimeDelta::FromSecondsInt(3600) +
+                              TimeDelta::FromNanos(i));
+  }
+  uint64_t fires = 0;
+  std::deque<Timer> ring;
+  for (int i = 0; i < kHandoffRing; ++i) {
+    ring.emplace_back(&loop, [&fires, &ring, i] {
+      if (++fires < kHandoffFires) {
+        ring[static_cast<size_t>((i + 1) % kHandoffRing)].RestartAfter(TimeDelta::FromNanos(1));
+      }
+    });
+  }
+  double secs = Timed([&] {
+    ring.front().Restart(SimTime::Zero());
+    loop.RunUntil(SimTime::Zero() + TimeDelta::FromSecondsInt(1));
+  });
+  if (fires != kHandoffFires || loop.pending_events() != kHandoffBackground) {
+    std::fprintf(stderr, "handoff lost fires: %llu\n", static_cast<unsigned long long>(fires));
+    std::exit(1);
+  }
+  return static_cast<double>(kHandoffFires) / secs;
 }
 
 double BenchChurn() {
@@ -174,10 +211,12 @@ double BenchSackRecovery() {
 std::vector<FloorCheck> Run() {
   json::Value out = json::Value::Object();
   double fire = BenchScheduleFire();
+  double handoff = BenchHandoff();
   double churn = BenchChurn();
   TcpCodelResult tcp = BenchTcpCodel();
   double sack_acks = BenchSackRecovery();
   out.Set("schedule_fire_events_per_sec", json::Value::Number(fire));
+  out.Set("handoff_fires_per_sec", json::Value::Number(handoff));
   out.Set("churn_ops_per_sec", json::Value::Number(churn));
   out.Set("tcp_codel_events_per_sec", json::Value::Number(tcp.events_per_sec));
   out.Set("tcp_codel_sim_seconds_per_sec", json::Value::Number(tcp.sim_seconds_per_sec));

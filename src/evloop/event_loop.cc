@@ -138,7 +138,17 @@ void EventLoop::ArmKeyed(Node* node, SimTime at, uint64_t seq) {
     firing_ = nullptr;  // re-armed: the loop must not pop it
   }
   if (node->heap_index == kNotInHeap) {
-    HeapPush(node);
+    if (firing_ != nullptr) {
+      // The firing timer has not re-armed, so this node takes its root slot:
+      // one sift down now instead of a push now and a pop when the callback
+      // returns. The fired timer is idle from here; a re-arm pushes it.
+      firing_->heap_index = kNotInHeap;
+      firing_ = nullptr;
+      heap_[0] = HeapEntry{at, seq, node};
+      SiftDown(0);
+    } else {
+      HeapPush(node);
+    }
   } else {
     // In-place re-arm: update the entry's key, then restore heap order from
     // the node's current position (for a firing timer, the root: one sift
@@ -178,8 +188,10 @@ void EventLoop::RunLoop(SimTime deadline) {
     // The timer fires in place: its node stays at the root while the
     // callback runs. Its key (now, seq) is the minimum, and everything armed
     // meanwhile draws a larger seq at a time >= now, so nothing sorts before
-    // it. A Restart() re-keys the root (one sift down); otherwise the node is
-    // popped here. The callback may destroy its timer, which clears firing_.
+    // it. A Restart() re-keys the root (one sift down), and the first timer
+    // armed from idle before that takes the root (one sift down); otherwise
+    // the node is popped here. The callback may destroy its timer, which
+    // clears firing_.
     firing_ = node;
     node->fire(node);
     if (firing_ == node) {

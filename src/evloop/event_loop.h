@@ -18,7 +18,10 @@
 //     the TCP RTO/delayed-ACK/pacing re-arm churn rides on. A timer fires in
 //     place: it stays at the heap root while its callback runs, so a
 //     Restart() from the callback is one sift down from the root, and the
-//     loop pops it only if the callback left it un-armed;
+//     loop pops it only if the callback left it un-armed. A timer armed
+//     from idle by a callback that has not yet re-armed its own takes the
+//     fired timer's root slot with one sift down, instead of a push now and
+//     a pop when the callback returns;
 //   - FifoTimer serves a stream of non-decreasing fire times (a link's
 //     in-flight packets) from one heap entry: only the stream's head is in
 //     the heap, and each fire re-keys it in place with the next entry;
@@ -124,9 +127,9 @@ class EventLoop {
   void SiftDown(uint32_t index);
 
   // Timer plumbing: arming inserts a node into the heap (or re-keys it where
-  // it is), and a fire that leaves it un-armed removes it. A timer's
-  // constructor calls AddNode; its destructor calls RemoveNode, which
-  // disarms the node if it is in the heap.
+  // it is, or puts it in the firing node's root slot), and a fire that
+  // leaves it un-armed removes it. A timer's constructor calls AddNode; its
+  // destructor calls RemoveNode, which disarms the node if it is in the heap.
   void AddNode();
   void RemoveNode(Node* node);
   // Arms at `at` (clamped to now) with a fresh sequence number.
@@ -150,7 +153,8 @@ class EventLoop {
 
   std::vector<HeapEntry> heap_;  // 4-ary min-heap over (at, seq)
   // The node whose callback is running, at heap_[0]; cleared when the
-  // callback re-arms or destroys its timer.
+  // callback re-arms or destroys its timer, or arms an idle one, which takes
+  // its root slot.
   Node* firing_ = nullptr;
   size_t live_nodes_ = 0;
   size_t peak_nodes_ = 0;

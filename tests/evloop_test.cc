@@ -442,6 +442,176 @@ TEST(TimerTest, DestroyingPendingTimerFromEqualTimeCallback) {
   loop.AuditHeapInvariant();
 }
 
+// ---------------------------------------------------------------------------
+// Root hand-off: a timer armed from idle during a fire, before the firing
+// timer re-arms, takes the fired timer's root slot
+// ---------------------------------------------------------------------------
+
+TEST(EventLoopTest, HandOffChainReusesTheFiredRoot) {
+  // Each callback arms the next, idle timer and leaves its own un-armed, so
+  // every fire hands its root slot to the next timer: the heap never holds
+  // two entries at once (a push during the fire and a pop after it would).
+  constexpr int kChain = 1000;
+  EventLoop loop;
+  std::vector<int> fired;
+  std::deque<Timer> chain;
+  for (int i = 0; i < kChain; ++i) {
+    chain.emplace_back(&loop, [&, i] {
+      fired.push_back(i);
+      if (i + 1 < kChain) {
+        chain[static_cast<size_t>(i) + 1].RestartAfter(TimeDelta::FromNanos(1));
+      }
+    });
+  }
+  chain.front().Restart(SimTime::FromNanos(1));
+  loop.Run();
+  ASSERT_EQ(fired.size(), static_cast<size_t>(kChain));
+  for (int i = 0; i < kChain; ++i) {
+    ASSERT_EQ(fired[static_cast<size_t>(i)], i);
+  }
+  EXPECT_EQ(loop.now().nanos(), kChain);
+  EXPECT_EQ(loop.heap_capacity(), 1u);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+// What a firing callback does to the timer that has just taken its root.
+enum class TakerAction { kRestartEarlier, kRestartLater, kCancel, kDestroy };
+
+TEST(TimerTest, RootTakerFiresOnlyAtItsLatestKey) {
+  // `first` fires at 5 and arms the idle `taker` for 50, which takes the
+  // root; a `witness` is pending for 20. Whatever the callback then does to
+  // the taker, it fires at its latest key or not at all.
+  for (TakerAction action : {TakerAction::kRestartEarlier, TakerAction::kRestartLater,
+                             TakerAction::kCancel, TakerAction::kDestroy}) {
+    SCOPED_TRACE(static_cast<int>(action));
+    EventLoop loop;
+    std::vector<std::string> order;
+    auto log = [&](const char* name) {
+      order.push_back(std::string(name) + "@" + std::to_string(loop.now().nanos()));
+    };
+    auto taker = std::make_unique<Timer>(&loop, [&] { log("taker"); });
+    Timer witness(&loop, [&] { log("witness"); });
+    Timer late(&loop, [&] { log("late"); });
+    Timer first(&loop, [&] {
+      log("first");
+      taker->Restart(SimTime::FromNanos(50));
+      EXPECT_TRUE(taker->pending());
+      EXPECT_EQ(taker->deadline().nanos(), 50);
+      EXPECT_EQ(loop.pending_events(), 2u);  // the witness and the taker
+      loop.AuditHeapInvariant();
+      switch (action) {
+        case TakerAction::kRestartEarlier:
+          taker->Restart(SimTime::FromNanos(10));
+          break;
+        case TakerAction::kRestartLater:
+          taker->Restart(SimTime::FromNanos(10));
+          taker->Restart(SimTime::FromNanos(30));
+          break;
+        case TakerAction::kCancel:
+          EXPECT_TRUE(taker->Cancel());
+          EXPECT_FALSE(taker->pending());
+          EXPECT_FALSE(taker->Cancel());
+          late.Restart(SimTime::FromNanos(40));  // pushed: the root is taken
+          break;
+        case TakerAction::kDestroy:
+          taker.reset();
+          late.Restart(SimTime::FromNanos(40));
+          break;
+      }
+      EXPECT_EQ(loop.pending_events(), 2u);
+      loop.AuditHeapInvariant();
+    });
+    first.Restart(SimTime::FromNanos(5));
+    witness.Restart(SimTime::FromNanos(20));
+    loop.Run();
+    std::vector<std::string> expected;
+    switch (action) {
+      case TakerAction::kRestartEarlier:
+        expected = {"first@5", "taker@10", "witness@20"};
+        break;
+      case TakerAction::kRestartLater:
+        expected = {"first@5", "witness@20", "taker@30"};
+        break;
+      case TakerAction::kCancel:
+      case TakerAction::kDestroy:
+        expected = {"first@5", "witness@20", "late@40"};
+        break;
+    }
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(loop.pending_events(), 0u);
+    loop.AuditHeapInvariant();
+  }
+}
+
+TEST(TimerTest, FiredTimerReArmedOrDestroyedAfterAnotherTookItsRoot) {
+  // Once the taker holds the root, the fired timer is idle: a re-arm pushes
+  // it, and destroying it leaves the heap alone.
+  for (bool destroy : {false, true}) {
+    SCOPED_TRACE(destroy);
+    EventLoop loop;
+    std::vector<std::string> order;
+    auto log = [&](const char* name) {
+      order.push_back(std::string(name) + "@" + std::to_string(loop.now().nanos()));
+    };
+    Timer taker(&loop, [&] { log("taker"); });
+    Timer witness(&loop, [&] { log("witness"); });
+    std::unique_ptr<Timer> first;
+    first = std::make_unique<Timer>(&loop, [&] {
+      log("first");
+      if (loop.now().nanos() != 5) {
+        return;
+      }
+      taker.Restart(SimTime::FromNanos(30));
+      loop.AuditHeapInvariant();
+      if (destroy) {
+        first.reset();  // the callback's last action
+        return;
+      }
+      first->Restart(SimTime::FromNanos(40));
+      EXPECT_TRUE(taker.pending());
+      EXPECT_EQ(loop.pending_events(), 3u);
+      loop.AuditHeapInvariant();
+    });
+    first->Restart(SimTime::FromNanos(5));
+    witness.Restart(SimTime::FromNanos(20));
+    loop.Run();
+    if (destroy) {
+      EXPECT_EQ(order, (std::vector<std::string>{"first@5", "witness@20", "taker@30"}));
+    } else {
+      EXPECT_EQ(order,
+                (std::vector<std::string>{"first@5", "witness@20", "taker@30", "first@40"}));
+    }
+    EXPECT_EQ(loop.pending_events(), 0u);
+    loop.AuditHeapInvariant();
+  }
+}
+
+TEST(TimerTest, StopFromHandOffCallbackKeepsTakerPending) {
+  // Stop() ends the run after the callback; the taker keeps the root it
+  // took, and the next Run() fires it.
+  EventLoop loop;
+  std::vector<int64_t> taker_fires;
+  Timer taker(&loop, [&] { taker_fires.push_back(loop.now().nanos()); });
+  Timer first(&loop, [&] {
+    taker.Restart(SimTime::FromNanos(30));
+    EXPECT_TRUE(taker.pending());
+    EXPECT_EQ(loop.pending_events(), 1u);
+    loop.AuditHeapInvariant();
+    loop.Stop();
+  });
+  first.Restart(SimTime::FromNanos(5));
+  loop.Run();
+  EXPECT_EQ(loop.now().nanos(), 5);
+  EXPECT_TRUE(taker_fires.empty());
+  EXPECT_TRUE(taker.pending());
+  EXPECT_FALSE(first.pending());
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.AuditHeapInvariant();
+  loop.Run();
+  EXPECT_EQ(taker_fires, (std::vector<int64_t>{30}));
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
 // The heap holds each timer's address: a copy or a move would leave it
 // pointing at the old object.
 static_assert(!std::is_copy_constructible_v<Timer> && !std::is_move_constructible_v<Timer>);
@@ -559,7 +729,10 @@ TEST(EventLoopTest, MillionCancelledTimersStayBounded) {
 // when cancelled or, half the time, by their own fire, so nodes leave and
 // join a full heap. Timer callbacks also restart, cancel or
 // destroy their own timer while it sits at the heap root, and FIFO callbacks
-// push onto their own stream.
+// push onto their own stream. Timer and FIFO callbacks also arm another idle
+// timer (and then may restart, cancel or destroy it) or push onto another
+// empty stream, before or after their own action: such an arm made while
+// the firing timer is still un-armed takes the fired timer's root slot.
 class HeapModelHarness {
  public:
   static constexpr int kTimers = 16;
@@ -614,6 +787,7 @@ class HeapModelHarness {
   uint64_t fifo_fired() const { return fifo_fired_; }
   uint64_t stale_cancels() const { return stale_cancels_; }
   uint64_t self_destroyed() const { return self_destroyed_; }
+  uint64_t handoffs() const { return handoffs_; }
 
  private:
   struct Entry {
@@ -699,6 +873,14 @@ class HeapModelHarness {
     timers_[static_cast<size_t>(t)]->Restart(SimTime::FromNanos(at));
   }
 
+  void DestroyTimer(int t) {
+    Entry& e = timer_state_[static_cast<size_t>(t)];
+    if (e.pending) {
+      Erase(&e, t);
+    }
+    timers_[static_cast<size_t>(t)].reset();
+  }
+
   void CancelTimer(int t) {
     Entry& e = timer_state_[static_cast<size_t>(t)];
     if (timers_[static_cast<size_t>(t)] == nullptr) {
@@ -759,11 +941,48 @@ class HeapModelHarness {
     }
   }
 
+  // From inside the fire of timer `self_timer` or stream `self_fifo` (the
+  // other is -1): arms an idle timer other than the firing one, then may
+  // restart, cancel or destroy it, or pushes onto an empty stream other than
+  // the firing one. Returns whether it armed anything.
+  bool ArmIdleOther(int self_timer, int self_fifo) {
+    const int64_t soon = loop_.now().nanos() + rng_.UniformInt(0, 10);
+    if (rng_.Bernoulli(0.3)) {
+      int f = static_cast<int>(rng_.UniformInt(0, kFifos - 1));
+      if (f == self_fifo || !fifo_state_[static_cast<size_t>(f)].empty()) {
+        return false;
+      }
+      PushFifo(f, soon);
+      return true;
+    }
+    int u = static_cast<int>(rng_.UniformInt(0, kTimers - 1));
+    if (u == self_timer || timer_state_[static_cast<size_t>(u)].pending) {
+      return false;
+    }
+    RestartTimer(u, soon);
+    int64_t then = rng_.UniformInt(0, 3);
+    if (then == 1) {
+      RestartTimer(u, loop_.now().nanos() + rng_.UniformInt(0, 10));
+    } else if (then == 2) {
+      CancelTimer(u);
+    } else if (then == 3) {
+      DestroyTimer(u);
+    }
+    loop_.AuditHeapInvariant();
+    return true;
+  }
+
   // The timer sits at the heap root while this runs.
   void OnTimerFire(int t) {
     CheckFire(&timer_state_[static_cast<size_t>(t)], t);
     EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside timer " << t;
     Timer* timer = timers_[static_cast<size_t>(t)].get();
+    const bool others_first = rng_.Bernoulli(0.5);
+    // Armed before the timer's own action, while it is still un-armed: the
+    // other timer or stream takes the root.
+    if (others_first && ArmIdleOther(t, -1)) {
+      ++handoffs_;
+    }
     int64_t action = rng_.UniformInt(0, 9);
     if (action < 4) {
       RestartTimer(t, loop_.now().nanos() + rng_.UniformInt(0, 10));
@@ -772,7 +991,13 @@ class HeapModelHarness {
       CancelTimer(t);
     } else if (action == 5) {
       EXPECT_FALSE(timer->Cancel()) << "a firing timer is not pending";
-    } else if (action == 6) {
+    }
+    // Actions 0-4 re-armed the timer, so an arm now is an ordinary push.
+    if (!others_first && ArmIdleOther(t, -1) && action > 4) {
+      ++handoffs_;
+    }
+    EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside timer " << t;
+    if (action == 6) {
       ++self_destroyed_;
       timers_[static_cast<size_t>(t)].reset();  // the callback's last action
     }
@@ -790,9 +1015,20 @@ class HeapModelHarness {
     CheckFire(&q.front(), kTimers + f);
     q.pop_front();
     EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside FIFO " << f;
-    if (rng_.Bernoulli(0.3)) {
+    // A stream with entries left re-armed itself before this callback.
+    const bool unarmed = q.empty();
+    const bool others_first = rng_.Bernoulli(0.5);
+    if (others_first && unarmed && ArmIdleOther(-1, f)) {
+      ++handoffs_;
+    }
+    const bool push_self = rng_.Bernoulli(0.3);
+    if (push_self) {
       PushFifo(f, loop_.now().nanos() + rng_.UniformInt(0, 10));
     }
+    if (!others_first && ArmIdleOther(-1, f) && unarmed && !push_self) {
+      ++handoffs_;
+    }
+    EXPECT_EQ(loop_.pending_events(), ExpectedPending()) << "inside FIFO " << f;
   }
 
   EventLoop loop_;
@@ -810,6 +1046,7 @@ class HeapModelHarness {
   uint64_t fifo_fired_ = 0;
   uint64_t stale_cancels_ = 0;
   uint64_t self_destroyed_ = 0;
+  uint64_t handoffs_ = 0;  // timer and FIFO fires whose callback armed a node into the root
   int mismatches_ = 0;
 };
 
@@ -820,6 +1057,7 @@ TEST(EventLoopTest, RandomOperationMixMatchesReferenceModel) {
   EXPECT_GT(harness.fifo_fired(), 10'000u);
   EXPECT_GT(harness.stale_cancels(), 1'000u);
   EXPECT_GT(harness.self_destroyed(), 100u);
+  EXPECT_GT(harness.handoffs(), 10'000u);
 }
 
 }  // namespace

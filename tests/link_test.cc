@@ -179,6 +179,14 @@ TEST(DemuxTest, RoutesByFlowId) {
   demux.Unregister(2);
   demux.Deliver(MakePacket(100, 2));
   EXPECT_EQ(demux.unroutable_packets(), 2u);
+  // A freed flow id may be registered again; an unknown one unregisters as
+  // a no-op.
+  demux.Register(2, &b);
+  demux.Unregister(99);
+  EXPECT_EQ(demux.size(), 2u);
+  demux.Deliver(MakePacket(100, 2));
+  EXPECT_EQ(b.packets.size(), 2u);
+  EXPECT_EQ(demux.unroutable_packets(), 2u);
 }
 
 TEST(DuplexPathTest, ForwardAndReverseIndependent) {
