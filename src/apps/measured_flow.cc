@@ -61,8 +61,6 @@ FlowResult MeasuredFlow::Result(const std::string& congestion_control, double du
   r.receiver_delay_s = c.receiver_s;
   r.e2e_delay_s = tracer_.end_to_end_delay().mean();
   r.relative_delay_s = std::max(0.0, r.e2e_delay_s - base_delay_s);
-  r.sender_delay_stdev_s = tracer_.sender_delay().Stdev();
-  r.receiver_delay_stdev_s = tracer_.receiver_delay().Stdev();
   r.retransmits = sender_->total_retransmits();
   return r;
 }

@@ -49,8 +49,6 @@ struct FlowResult {
   double e2e_delay_s = 0.0;
   // End-to-end delay above the observed floor — the paper's "relative delay".
   double relative_delay_s = 0.0;
-  double sender_delay_stdev_s = 0.0;
-  double receiver_delay_stdev_s = 0.0;
   uint64_t retransmits = 0;
 };
 

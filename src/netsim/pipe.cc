@@ -92,12 +92,12 @@ void Pipe::DeliverFront() {
 }
 
 void Demux::Deliver(Packet pkt) {
-  auto it = sinks_.find(pkt.flow_id);
-  if (it == sinks_.end()) {
+  PacketSink* sink = Find(pkt.flow_id);
+  if (sink == nullptr) {
     ++unroutable_;
     return;
   }
-  it->second->Deliver(std::move(pkt));
+  sink->Deliver(std::move(pkt));
 }
 
 DuplexPath::DuplexPath(EventLoop* loop, Rng* rng, std::unique_ptr<Qdisc> fwd_qdisc,

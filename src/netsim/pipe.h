@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
@@ -85,29 +84,73 @@ class Pipe : public PacketSink {
   FifoTimer delivery_timer_;
 };
 
-// Routes delivered packets to per-flow endpoints. A demux holds every flow
-// that ends at its host: a handful on a DuplexPath, 4 per host pair on
-// perfbench's dumbbell_128, and no bound in general, so a hash map keeps
-// the lookup O(1).
+// Routes delivered packets to per-flow endpoints: a table indexed by flow id.
+// Ids are small and dense (a FlowIdAllocator hands them out and reuses
+// released ones), so the table stays proportional to the largest live id and
+// a lookup is one bounds check and one load, however many flows end here.
+// Router keeps its exact routes in one as well.
 class Demux : public PacketSink {
  public:
   void Register(uint64_t flow_id, PacketSink* sink) {
+    if (flow_id >= sinks_.size()) {
+      sinks_.resize(flow_id + 1, nullptr);
+    }
+    PacketSink*& slot = sinks_[flow_id];
     // Re-registering a live flow id would silently misdeliver one endpoint's
     // packets to another — the classic bug when ids are recycled too early.
-    ELEMENT_DCHECK(sinks_.count(flow_id) == 0 || sinks_[flow_id] == sink)
+    ELEMENT_DCHECK(slot == nullptr || slot == sink)
         << "flow id " << flow_id << " is still registered";
-    sinks_[flow_id] = sink;
+    live_ += slot == nullptr ? 1 : 0;
+    slot = sink;
   }
-  void Unregister(uint64_t flow_id) { sinks_.erase(flow_id); }
-  bool HasFlow(uint64_t flow_id) const { return sinks_.count(flow_id) > 0; }
+  void Unregister(uint64_t flow_id) {
+    if (HasFlow(flow_id)) {
+      sinks_[flow_id] = nullptr;
+      --live_;
+    }
+  }
+  // The flow's sink, or nullptr. Never grows the table.
+  PacketSink* Find(uint64_t flow_id) const {
+    return flow_id < sinks_.size() ? sinks_[flow_id] : nullptr;
+  }
+  bool HasFlow(uint64_t flow_id) const { return Find(flow_id) != nullptr; }
   // Live registrations; a churn test's leak detector.
-  size_t size() const { return sinks_.size(); }
+  size_t size() const { return live_; }
+  // One past the largest id ever registered: the table's length.
+  size_t table_size() const { return sinks_.size(); }
   void Deliver(Packet pkt) override;
   uint64_t unroutable_packets() const { return unroutable_; }
 
  private:
-  std::unordered_map<uint64_t, PacketSink*> sinks_;
+  std::vector<PacketSink*> sinks_;  // flow id -> sink, nullptr = none
+  size_t live_ = 0;
   uint64_t unroutable_ = 0;
+};
+
+// Hands out flow ids from 1 up and reuses released ones last-in first-out, so
+// the same churn always yields the same ids and every Demux stays
+// proportional to the peak concurrent flow count. Only release an id once no
+// packet under it can still arrive (see docs/topology.md, the teardown drain
+// rule); Demux::Register catches a too-early reuse with a DCHECK.
+class FlowIdAllocator {
+ public:
+  uint64_t Allocate() {
+    if (free_.empty()) {
+      return next_++;
+    }
+    uint64_t id = free_.back();
+    free_.pop_back();
+    return id;
+  }
+  void Release(uint64_t flow_id) {
+    ELEMENT_DCHECK(flow_id > 0 && flow_id < next_)
+        << "releasing unallocated flow id " << flow_id;
+    free_.push_back(flow_id);
+  }
+
+ private:
+  uint64_t next_ = 1;
+  std::vector<uint64_t> free_;
 };
 
 // One endpoint's attachment: where it transmits and the demux its packets are
@@ -139,22 +182,13 @@ class DuplexPath {
   // Endpoints at the client register here to receive reverse-direction packets.
   Demux& client_demux() { return client_demux_; }
 
-  // Flow ids recycle through a LIFO free list. Only release an id once the
-  // path is drained of its packets (both endpoints closed and destroyed),
-  // otherwise in-flight packets would reach the id's next owner; Demux
-  // catches that misuse with a DCHECK on re-registration.
-  uint64_t AllocateFlowId() {
-    if (!free_flow_ids_.empty()) {
-      uint64_t id = free_flow_ids_.back();
-      free_flow_ids_.pop_back();
-      return id;
-    }
-    return next_flow_id_++;
-  }
+  // Flow ids for this path's endpoints. Only release an id once the path is
+  // drained of its packets (both endpoints closed and destroyed).
+  uint64_t AllocateFlowId() { return flow_ids_.Allocate(); }
   void ReleaseFlowId(uint64_t flow_id) {
     ELEMENT_DCHECK(!server_demux_.HasFlow(flow_id) && !client_demux_.HasFlow(flow_id))
         << "flow id " << flow_id << " released while still registered";
-    free_flow_ids_.push_back(flow_id);
+    flow_ids_.Release(flow_id);
   }
 
  private:
@@ -162,8 +196,7 @@ class DuplexPath {
   Demux client_demux_;
   std::unique_ptr<Pipe> forward_;
   std::unique_ptr<Pipe> reverse_;
-  uint64_t next_flow_id_ = 1;
-  std::vector<uint64_t> free_flow_ids_;
+  FlowIdAllocator flow_ids_;
 };
 
 }  // namespace element

@@ -133,6 +133,7 @@ size_t TcpSocket::Write(size_t n) {
           write_seq_ + accepted));
     }
     write_seq_ += accepted;
+    ++info_version_;  // tcpi_notsent_bytes
     if (established()) {
       TrySendData();
     }
@@ -220,6 +221,7 @@ void TcpSocket::TrySendData() {
     TimeDelta idle = loop_->now() - last_send_activity_;
     if (idle >= rto_) {
       cc_->OnApplicationIdle(loop_->now(), idle, rto_);
+      ++info_version_;  // the window may shrink with nothing sent
     }
   }
   std::optional<DataRate> pacing = cc_->PacingRate();
@@ -656,6 +658,7 @@ void TcpSocket::OnRtoFire() {
     return;
   }
   cc_->OnRetransmissionTimeout(loop_->now());
+  ++info_version_;  // the window collapses even if pacing holds the resend
   in_recovery_ = false;
   EmitCcEpisode(telemetry::CcEpisode::kRtoRecovery);
   ++rto_backoff_;

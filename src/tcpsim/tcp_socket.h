@@ -375,6 +375,8 @@ class TcpSocket : public PacketSink {
   uint64_t total_retrans_ = 0;
 
   // ---- Shared info page (version-gated snapshot) ----
+  // Bumped wherever a GetTcpInfo input changes: each segment out or in, each
+  // app write, an RTO and an idle restart.
   uint64_t info_version_ = 0;
   mutable uint64_t shared_page_version_ = ~0ull;
   mutable TcpInfoData shared_page_;

@@ -4,41 +4,18 @@
 
 namespace element {
 
-void Router::AddRoute(uint64_t flow_id, int port) {
-  ELEMENT_CHECK(port >= 0 && port < port_count()) << name_ << ": bad port " << port;
-  if (flow_id >= routes_.size()) {
-    routes_.resize(flow_id + 1, -1);
-  }
-  // Installing over a live different route would silently misdeliver the old
-  // flow's in-flight packets; callers must RemoveRoute first.
-  ELEMENT_DCHECK(routes_[flow_id] < 0 || routes_[flow_id] == port)
-      << name_ << ": route clobber for flow " << flow_id << ": " << routes_[flow_id] << " -> "
-      << port;
-  if (routes_[flow_id] < 0) {
-    ++route_count_;
-  }
-  routes_[flow_id] = static_cast<int32_t>(port);
-}
-
-void Router::RemoveRoute(uint64_t flow_id) {
-  if (flow_id < routes_.size() && routes_[flow_id] >= 0) {
-    routes_[flow_id] = -1;
-    --route_count_;
-  }
-}
-
 void Router::Deliver(Packet pkt) {
-  int port = default_port_;
-  if (pkt.flow_id < routes_.size() && routes_[pkt.flow_id] >= 0) {
-    port = routes_[pkt.flow_id];
+  PacketSink* out = next_hops_.Find(pkt.flow_id);
+  if (out == nullptr) {
+    out = default_port_;
   }
-  if (port < 0) {
+  if (out == nullptr) {
     ++stats_.unroutable_packets;
     return;
   }
   ++stats_.forwarded_packets;
   stats_.forwarded_bytes += pkt.size_bytes;
-  ports_[static_cast<size_t>(port)]->Deliver(std::move(pkt));
+  out->Deliver(std::move(pkt));
 }
 
 }  // namespace element

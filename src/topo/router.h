@@ -5,12 +5,11 @@
 // flow is wired through the topology and removed on teardown — there is no
 // routing protocol, which keeps multi-hop runs exactly reproducible.
 //
-// Lookup is a dense vector indexed by flow id (flow ids are small and
-// allocated densely by Network/DuplexPath), so the per-packet cost on the
-// forwarding hot path is one bounds check and one load. Flows without an
-// exact route fall through to the default port (the "next hop toward the far
-// end" in dumbbell/parking-lot shapes); packets with neither are counted
-// dropped, never delivered.
+// Exact routes live in a Demux from flow id to the egress port's sink, so the
+// per-packet cost on the forwarding hot path is one bounds check and one
+// load. Flows without an exact route fall through to the default port (the
+// "next hop toward the far end" in dumbbell/parking-lot shapes); packets with
+// neither are counted dropped, never delivered.
 
 #ifndef ELEMENT_SRC_TOPO_ROUTER_H_
 #define ELEMENT_SRC_TOPO_ROUTER_H_
@@ -20,7 +19,7 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/netsim/packet.h"
+#include "src/netsim/pipe.h"
 #include "src/telemetry/metric_registry.h"
 
 namespace element {
@@ -50,16 +49,20 @@ class Router : public PacketSink {
   void SetDefaultPort(int port) {
     ELEMENT_CHECK(port >= -1 && port < port_count())
         << name_ << ": bad default port " << port;
-    default_port_ = port;
+    default_port_ = port < 0 ? nullptr : ports_[static_cast<size_t>(port)];
   }
 
-  void AddRoute(uint64_t flow_id, int port);
-  void RemoveRoute(uint64_t flow_id);
-  bool HasRoute(uint64_t flow_id) const {
-    return flow_id < routes_.size() && routes_[flow_id] >= 0;
+  // Installing over a live route to another port is a DCHECK failure: the
+  // old flow's in-flight packets would be misdelivered. RemoveRoute first.
+  void AddRoute(uint64_t flow_id, int port) {
+    ELEMENT_CHECK(port >= 0 && port < port_count()) << name_ << ": bad port " << port;
+    next_hops_.Register(flow_id, ports_[static_cast<size_t>(port)]);
   }
+  void RemoveRoute(uint64_t flow_id) { next_hops_.Unregister(flow_id); }
+  bool HasRoute(uint64_t flow_id) const { return next_hops_.HasFlow(flow_id); }
   // Live exact routes — churn tests assert this returns to its baseline.
-  size_t route_count() const { return route_count_; }
+  size_t route_count() const { return next_hops_.size(); }
+  size_t route_table_size() const { return next_hops_.table_size(); }
 
   const RouterStats& stats() const { return stats_; }
 
@@ -77,12 +80,8 @@ class Router : public PacketSink {
  private:
   std::string name_;
   std::vector<PacketSink*> ports_;
-  // flow id -> port index, -1 = no exact route. Dense: ids come from the
-  // Network's allocator which recycles released ids, so the table stays
-  // proportional to the peak concurrent flow count.
-  std::vector<int32_t> routes_;
-  size_t route_count_ = 0;
-  int default_port_ = -1;
+  Demux next_hops_;  // flow id -> egress port's sink
+  PacketSink* default_port_ = nullptr;
   RouterStats stats_;
 };
 

@@ -119,21 +119,6 @@ Network::Attachment Network::receiver(int pair) const {
   return Attachment{p.receiver_out, p.receiver_rx.get()};
 }
 
-uint64_t Network::AllocateFlowId() {
-  if (!free_flow_ids_.empty()) {
-    uint64_t id = free_flow_ids_.back();
-    free_flow_ids_.pop_back();
-    return id;
-  }
-  return next_flow_id_++;
-}
-
-void Network::ReleaseFlowId(uint64_t flow_id) {
-  ELEMENT_DCHECK(flow_id > 0 && flow_id < next_flow_id_)
-      << "releasing unallocated flow id " << flow_id;
-  free_flow_ids_.push_back(flow_id);
-}
-
 void Network::RouteFlow(uint64_t flow_id, int pair) {
   const HostPair& p = pairs_[static_cast<size_t>(pair)];
   fwd_routers_[static_cast<size_t>(p.receiver_level)]->AddRoute(flow_id, p.fwd_exit_port);

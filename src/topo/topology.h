@@ -92,13 +92,12 @@ class Network {
   Attachment sender(int pair) const;
   Attachment receiver(int pair) const;
 
-  // Flow id allocation with recycling: released ids are reused (LIFO) so the
-  // routers' dense tables do not grow with churn. An id must only be released
+  // Flow ids for every endpoint and route in the network. Release an id only
   // after its endpoints are unregistered and unrouted, and — if it may be
   // reused while old packets could still be in flight — after the loop has
   // drained those deliveries (see docs/topology.md).
-  uint64_t AllocateFlowId();
-  void ReleaseFlowId(uint64_t flow_id);
+  uint64_t AllocateFlowId() { return flow_ids_.Allocate(); }
+  void ReleaseFlowId(uint64_t flow_id) { flow_ids_.Release(flow_id); }
 
   // Installs / removes the exact-match exit routes for one flow between the
   // endpoints of `pair` (both directions).
@@ -172,8 +171,7 @@ class Network {
   std::vector<std::unique_ptr<Pipe>> pipes_;  // owns every pipe
   std::vector<HostPair> pairs_;
 
-  uint64_t next_flow_id_ = 1;
-  std::vector<uint64_t> free_flow_ids_;
+  FlowIdAllocator flow_ids_;
 };
 
 }  // namespace element

@@ -16,10 +16,13 @@
 #include "src/element/estimation_error.h"
 #include "src/netsim/codel.h"
 #include "src/netsim/fq_codel.h"
+#include "src/netsim/link_model.h"
 #include "src/netsim/pfifo_fast.h"
 #include "src/netsim/pie.h"
+#include "src/netsim/pipe.h"
 #include "src/netsim/red.h"
 #include "src/tcpsim/testbed.h"
+#include "src/topo/router.h"
 
 namespace element {
 namespace {
@@ -169,6 +172,46 @@ TEST(ArenaAuditDeathTest, DoubleFreeAborts) {
   void* block = arena.Allocate(64);
   arena.Free(block, 64);
   EXPECT_DEATH(arena.Free(block, 64), "arena double-free");
+}
+
+// A live flow id registered to a second sink would hand the first one's
+// packets to it. Demux and Router share the one check.
+TEST(FlowIdDeathTest, ReRegisteringALiveIdAborts) {
+  Demux demux;
+  Demux a;
+  Demux b;
+  demux.Register(3, &a);
+  demux.Register(3, &a);  // the same sink again is a no-op
+  EXPECT_DEATH(demux.Register(3, &b), "flow id 3 is still registered");
+}
+
+TEST(FlowIdDeathTest, RoutingALiveIdToAnotherPortAborts) {
+  Router router("r");
+  Demux a;
+  Demux b;
+  int port_a = router.AddPort(&a);
+  int port_b = router.AddPort(&b);
+  router.AddRoute(5, port_a);
+  router.AddRoute(5, port_a);
+  EXPECT_DEATH(router.AddRoute(5, port_b), "flow id 5 is still registered");
+}
+
+TEST(FlowIdDeathTest, ReleasingARegisteredIdAborts) {
+  EventLoop loop;
+  Rng rng(1);
+  DuplexPath path(&loop, &rng, std::make_unique<PfifoFast>(10),
+                  std::make_unique<FixedLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()),
+                  std::make_unique<PfifoFast>(10),
+                  std::make_unique<FixedLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()));
+  uint64_t flow = path.AllocateFlowId();
+  Demux endpoint;
+  path.client_demux().Register(flow, &endpoint);
+  EXPECT_DEATH(path.ReleaseFlowId(flow), "released while still registered");
+}
+
+TEST(FlowIdDeathTest, ReleasingAnUnallocatedIdAborts) {
+  FlowIdAllocator ids;
+  EXPECT_DEATH(ids.Release(1), "releasing unallocated flow id 1");
 }
 
 TEST(DelayDecompositionDeathTest, AuditAbortsOnHole) {

@@ -231,6 +231,25 @@ TEST(TrackerTest, ThroughputTracksAckedBytes) {
   EXPECT_GT(tracker.latest_info().tcpi_bytes_acked, 10'000'000u);
 }
 
+void ExpectSameTcpInfo(const TcpInfoData& a, const TcpInfoData& b) {
+  EXPECT_EQ(a.tcpi_bytes_acked, b.tcpi_bytes_acked);
+  EXPECT_EQ(a.tcpi_unacked, b.tcpi_unacked);
+  EXPECT_EQ(a.tcpi_snd_mss, b.tcpi_snd_mss);
+  EXPECT_EQ(a.tcpi_snd_cwnd, b.tcpi_snd_cwnd);
+  EXPECT_EQ(a.tcpi_snd_ssthresh, b.tcpi_snd_ssthresh);
+  EXPECT_EQ(a.tcpi_segs_out, b.tcpi_segs_out);
+  EXPECT_EQ(a.tcpi_total_retrans, b.tcpi_total_retrans);
+  EXPECT_EQ(a.tcpi_notsent_bytes, b.tcpi_notsent_bytes);
+  EXPECT_EQ(a.tcpi_segs_in, b.tcpi_segs_in);
+  EXPECT_EQ(a.tcpi_rcv_mss, b.tcpi_rcv_mss);
+  EXPECT_EQ(a.tcpi_bytes_received, b.tcpi_bytes_received);
+  EXPECT_EQ(a.tcpi_rtt_us, b.tcpi_rtt_us);
+  EXPECT_EQ(a.tcpi_rttvar_us, b.tcpi_rttvar_us);
+  EXPECT_EQ(a.tcpi_min_rtt_us, b.tcpi_min_rtt_us);
+  EXPECT_EQ(a.tcpi_delivery_rate_bps, b.tcpi_delivery_rate_bps);
+  EXPECT_EQ(a.tcpi_pacing_rate_bps, b.tcpi_pacing_rate_bps);
+}
+
 TEST(TrackerTest, SharedPageMatchesGetTcpInfo) {
   PathConfig path;
   Testbed bed(4, path);
@@ -240,15 +259,13 @@ TEST(TrackerTest, SharedPageMatchesGetTcpInfo) {
     while (flow.receiver->Read(1 << 20) > 0) {
     }
   });
-  for (int step = 1; step <= 20; ++step) {
-    bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(step) * 100'000'000));
-    TcpInfoData a = flow.sender->GetTcpInfo();
-    const TcpInfoData& b = flow.sender->SharedInfoPage();
-    EXPECT_EQ(a.tcpi_bytes_acked, b.tcpi_bytes_acked);
-    EXPECT_EQ(a.tcpi_unacked, b.tcpi_unacked);
-    EXPECT_EQ(a.tcpi_snd_cwnd, b.tcpi_snd_cwnd);
-    EXPECT_EQ(a.tcpi_segs_in, b.tcpi_segs_in);
-    EXPECT_EQ(a.tcpi_rtt_us, b.tcpi_rtt_us);
+  for (int step = 1; step <= 300; ++step) {
+    bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(step) * 7'000'000));
+    ExpectSameTcpInfo(flow.sender->GetTcpInfo(), flow.sender->SharedInfoPage());
+    // A write sends nothing while the window is full, yet it changes
+    // tcpi_notsent_bytes: the page must show it at once.
+    flow.sender->Write(3000);
+    ExpectSameTcpInfo(flow.sender->GetTcpInfo(), flow.sender->SharedInfoPage());
   }
   // Repeated reads without traffic return the same cached page.
   const TcpInfoData* p1 = &flow.sender->SharedInfoPage();

@@ -187,6 +187,14 @@ TEST(DemuxTest, RoutesByFlowId) {
   demux.Deliver(MakePacket(100, 2));
   EXPECT_EQ(b.packets.size(), 2u);
   EXPECT_EQ(demux.unroutable_packets(), 2u);
+  // An id far above every registered one is unroutable, and looking it up
+  // does not grow the table.
+  const size_t table = demux.table_size();
+  demux.Deliver(MakePacket(100, uint64_t{1} << 40));
+  EXPECT_FALSE(demux.HasFlow(uint64_t{1} << 40));
+  EXPECT_EQ(demux.unroutable_packets(), 3u);
+  EXPECT_EQ(demux.table_size(), table);
+  EXPECT_EQ(demux.size(), 2u);
 }
 
 TEST(DuplexPathTest, ForwardAndReverseIndependent) {

@@ -68,6 +68,13 @@ TEST(RouterTest, NoRouteNoDefaultCountsUnroutable) {
   EXPECT_EQ(a.packets.size(), 0u);
   EXPECT_EQ(router.stats().unroutable_packets, 1u);
   EXPECT_EQ(router.stats().forwarded_packets, 0u);
+  // An id far above every routed one is unroutable, and looking it up does
+  // not grow the table.
+  const size_t table = router.route_table_size();
+  router.Deliver(MakePacket(uint64_t{1} << 40));
+  EXPECT_EQ(router.stats().unroutable_packets, 2u);
+  EXPECT_EQ(router.route_table_size(), table);
+  EXPECT_EQ(router.route_count(), 1u);
 }
 
 TEST(RouterTest, RemoveRouteRestoresBaseline) {

@@ -25,12 +25,17 @@ reproducible; this lint does:
       generators sit on the per-packet forwarding path of every multi-flow
       scenario; src/telemetry/ because FlowTelemetry::Emit is inlined into
       every instrumented event and record sinks must stay virtual-call-only.
-  R8  no std::deque or std::list (node-container) in src/netsim/ or
-      src/evloop/ — their per-packet FIFOs use RingFifo
+  R8  no node-based container (node-container) in src/netsim/, src/topo/ or
+      src/evloop/: no std::deque or std::list, and no std::map,
+      std::unordered_map, std::set or std::unordered_set (multi- variants
+      included), nor their headers. Their per-packet FIFOs use RingFifo
       (src/common/ring_fifo.h), which allocates nothing until its first push
       and nothing at all once grown, where a deque allocates blocks as it
-      cycles and a list allocates one node per element. Waived line-by-line
-      with allow(node-container), as for R7, when a line has a design reason.
+      cycles and a list allocates one node per element. Their per-packet
+      lookups by flow id use Demux's dense table (src/netsim/pipe.h), one
+      bounds check and one load, where a map walks a tree and a hash map
+      hashes and chases a bucket node. Waived line-by-line with
+      allow(node-container), as for R7, when a line has a design reason.
   R9  no TcpSocket construction in src/ outside the socket-pair helper
       (ConnectTcpPair in src/tcpsim/tcp_socket.cc) — every flow's sockets
       are made there, so the client/server Rng fork order and the
@@ -45,9 +50,9 @@ reproducible; this lint does:
       line with allow(unset-knob).
 
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
-src/topo/, and src/telemetry/; R8 only in src/netsim/ and src/evloop/; R9 in
-all of src/; R10 in src/ headers, searching the five trees above for setters
-whatever paths are linted).
+src/topo/, and src/telemetry/; R8 only in src/netsim/, src/topo/ and
+src/evloop/; R9 in all of src/; R10 in src/ headers, searching the five
+trees above for setters whatever paths are linted).
 tests/, bench/, and examples/ are linted with
 R2/R3/R4 only
 (benchmark harnesses legitimately read wall clocks; floats never carry sim
@@ -115,9 +120,14 @@ RULES = {
         "registration may be waived with lint_sim: allow(std-function))",
     ),
     "node-container": (
-        re.compile(r"\bstd::(deque|list)\b|#\s*include\s*<(deque|list)>"),
-        "std::deque/std::list in a netsim/evloop per-packet path; use RingFifo "
-        "(src/common/ring_fifo.h) (waive with lint_sim: allow(node-container))",
+        re.compile(
+            r"\bstd::(deque|list|(?:unordered_)?(?:multi)?(?:map|set))\b"
+            r"|#\s*include\s*<(deque|list|(?:unordered_)?(?:map|set))>"
+        ),
+        "node-based container in a netsim/topo/evloop per-packet path; use "
+        "RingFifo (src/common/ring_fifo.h) for a FIFO and Demux "
+        "(src/netsim/pipe.h) for a flow-id lookup "
+        "(waive with lint_sim: allow(node-container))",
     ),
     # A heap-made, `new`-ed or named (stack/member-initialized) TcpSocket.
     "socket-construction": (
@@ -286,7 +296,7 @@ def rules_for(rel: str) -> dict:
         selected = dict(RULES)
         if not rel.startswith(("src/tcpsim/", "src/netsim/", "src/topo/", "src/telemetry/")):
             selected.pop("std-function")
-        if not rel.startswith(("src/netsim/", "src/evloop/")):
+        if not rel.startswith(("src/netsim/", "src/topo/", "src/evloop/")):
             selected.pop("node-container")
     else:
         selected = {k: RULES[k] for k in ("rng-engine", "random-device", "libc-rand")}
