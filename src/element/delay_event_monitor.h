@@ -45,7 +45,7 @@ class DelayEventMonitor : public telemetry::RecordSink {
       : thresholds_(thresholds), cb_(std::move(cb)) {}
 
   // Adds the monitor to the estimator's per-flow sinks, beside any other
-  // consumer (e.g. ElementSocket's rate controller). The monitor must outlive
+  // consumer (e.g. ElementSocket's Algorithm 3). The monitor must outlive
   // the estimator's run; attach it to one estimator only.
   void Attach(SenderDelayEstimator* est) {
     receiver_side_ = false;

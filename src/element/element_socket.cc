@@ -7,7 +7,6 @@ namespace element {
 ElementSocket::ElementSocket(EventLoop* loop, TcpSocket* socket, const Options& options)
     : loop_(loop),
       socket_(socket),
-      options_(options),
       retry_timer_(loop, [this] { OnGateRetry(); }) {
   tracker_ = std::make_unique<TcpInfoTracker>(loop, socket, options.tracker_period);
   tracker_->set_sender_estimator(&sender_est_);
@@ -22,14 +21,10 @@ ElementSocket::ElementSocket(EventLoop* loop, TcpSocket* socket, const Options& 
   receiver_est_.BindTelemetry(socket->telemetry().spine(), socket->flow_id());
 
   if (options.enable_latency_minimization) {
-    if (options.controller_factory) {
-      controller_ = options.controller_factory(loop, socket);
-    } else {
-      controller_ = std::make_unique<LatencyMinimizer>(loop, socket, options.minimizer,
-                                                       options.is_wireless);
-    }
+    minimizer_ = std::make_unique<LatencyMinimizer>(loop, socket, options.minimizer,
+                                                    options.is_wireless);
     sender_est_.telemetry().AttachSink(this);
-    controller_->Start();
+    minimizer_->Start();
   }
 
   socket_->SetWritableCallback([this] {
@@ -38,7 +33,7 @@ ElementSocket::ElementSocket(EventLoop* loop, TcpSocket* socket, const Options& 
     }
     if (MaySendNow()) {
       ready_cb_();
-    } else if (controller_) {
+    } else if (minimizer_) {
       // Buffer space opened while the pacing gate is closed: keep a retry
       // armed, otherwise no event would ever wake the application again.
       ArmGateRetry();
@@ -59,16 +54,10 @@ RetInfo ElementSocket::MakeRetInfo(long size, double buf_delay_s) const {
 }
 
 bool ElementSocket::MaySendNow() const {
-  if (controller_ && !controller_->MaySendNow()) {
+  if (minimizer_ && !minimizer_->MaySendNow()) {
     return false;
   }
   return socket_->SndBufFree() > 0;
-}
-
-void ElementSocket::SetLatencyBudget(TimeDelta budget) {
-  if (auto* algo3 = minimizer()) {
-    algo3->set_delay_threshold(budget);
-  }
 }
 
 void ElementSocket::SetReadyToSendCallback(std::function<void()> cb) {
@@ -76,17 +65,17 @@ void ElementSocket::SetReadyToSendCallback(std::function<void()> cb) {
 }
 
 void ElementSocket::ArmGateRetry() {
-  if (retry_timer_.pending() || !controller_) {
+  if (retry_timer_.pending() || !minimizer_) {
     return;
   }
-  retry_timer_.RestartAfter(controller_->NextRetryDelay());
+  retry_timer_.RestartAfter(minimizer_->NextRetryDelay());
 }
 
 void ElementSocket::OnGateRetry() {
   if (!ready_cb_) {
     return;
   }
-  if (MaySendNow() || controller_->MaySendNow()) {
+  if (MaySendNow() || minimizer_->MaySendNow()) {
     ready_cb_();
   } else {
     ArmGateRetry();
@@ -94,12 +83,12 @@ void ElementSocket::OnGateRetry() {
 }
 
 RetInfo ElementSocket::Send(size_t n) {
-  if (controller_ && !controller_->MaySendNow()) {
+  if (minimizer_ && !minimizer_->MaySendNow()) {
     ArmGateRetry();
     return MakeRetInfo(0, send_buffer_delay_s());
   }
-  if (controller_) {
-    controller_->OnSendAllowed();
+  if (minimizer_) {
+    minimizer_->OnSendAllowed();
     // Application-level *packet* pacing (§4.4): each admitted write is one
     // segment's worth, so the S_target gate is re-evaluated at packet
     // granularity. A large legacy write would otherwise blow through the
@@ -109,13 +98,10 @@ RetInfo ElementSocket::Send(size_t n) {
   size_t accepted = socket_->Write(n);
   if (accepted > 0) {
     sender_est_.OnAppSend(socket_->app_bytes_written(), loop_->now());
-    if (controller_) {
-      controller_->OnBytesAdmitted(accepted, loop_->now());
-    }
   }
   // After the write, Algorithm 3 sleeps while the buffered-but-unsent amount
   // exceeds S_target; in event-driven form that is the retry timer.
-  if (controller_ && !controller_->MaySendNow()) {
+  if (minimizer_ && !minimizer_->MaySendNow()) {
     ArmGateRetry();
   }
   return MakeRetInfo(static_cast<long>(accepted), send_buffer_delay_s());

@@ -1,7 +1,7 @@
 // ELEMENT's public socket API (Figure 12 of the paper): wrapper calls that
 // behave like send/write/read but additionally return the measured buffer
 // delay, TCP-layer throughput, RTT, and congestion window, and optionally run
-// the default latency-minimization algorithm.
+// the latency-minimization algorithm (Algorithm 3).
 
 #ifndef ELEMENT_SRC_ELEMENT_ELEMENT_SOCKET_H_
 #define ELEMENT_SRC_ELEMENT_ELEMENT_SOCKET_H_
@@ -11,7 +11,6 @@
 
 #include "src/element/delay_estimator.h"
 #include "src/element/latency_minimizer.h"
-#include "src/element/rate_controller.h"
 #include "src/element/tcp_info_tracker.h"
 #include "src/evloop/event_loop.h"
 #include "src/tcpsim/tcp_socket.h"
@@ -29,17 +28,16 @@ struct RetInfo {
 };
 
 // With minimization on, the socket is a per-flow sink on its sender
-// estimator's telemetry and feeds each estimate to the rate controller.
+// estimator's telemetry and feeds each estimate to Algorithm 3.
 class ElementSocket : private telemetry::RecordSink {
  public:
   struct Options {
     bool is_wireless = false;                 // init_em's is_wireless flag
     bool enable_latency_minimization = true;  // init_em's algorithm selector
     TimeDelta tracker_period = TcpInfoTracker::kDefaultPeriod;
+    // Algorithm 3's parameters; `delay_threshold` (D_thr) is the
+    // application's latency budget (the §7 QoS hook).
     MinimizerParams minimizer;
-    // Custom rate-control algorithm (§7): when set (and minimization is
-    // enabled), replaces the default Algorithm 3 controller.
-    std::function<std::unique_ptr<RateController>(EventLoop*, TcpSocket*)> controller_factory;
   };
 
   // init_em: attaches ELEMENT to an existing TCP socket.
@@ -69,12 +67,8 @@ class ElementSocket : private telemetry::RecordSink {
   SenderDelayEstimator& sender_estimator() { return sender_est_; }
   ReceiverDelayEstimator& receiver_estimator() { return receiver_est_; }
   PathDelayEstimator& path_estimator() { return path_est_; }
-  // The active rate controller, or null when minimization is disabled.
-  RateController* controller() { return controller_.get(); }
-  // The default controller if it is Algorithm 3 (null with a custom one).
-  LatencyMinimizer* minimizer() { return dynamic_cast<LatencyMinimizer*>(controller_.get()); }
-  // QoS hook (§7): route a latency requirement to the default controller.
-  void SetLatencyBudget(TimeDelta budget);
+  // Algorithm 3, or null when minimization is disabled.
+  LatencyMinimizer* minimizer() { return minimizer_.get(); }
 
   // Convenience: latest delay decomposition visible to the application.
   double send_buffer_delay_s() const { return sender_est_.latest_delay().ToSeconds(); }
@@ -83,7 +77,7 @@ class ElementSocket : private telemetry::RecordSink {
 
  private:
   void OnRecord(const telemetry::TraceRecord& record) override {
-    controller_->OnDelayMeasurement(record.u.delay.sender_s);
+    minimizer_->OnDelayMeasurement(record.u.delay.sender_s);
   }
   RetInfo MakeRetInfo(long size, double buf_delay_s) const;
   void ArmGateRetry();
@@ -91,13 +85,12 @@ class ElementSocket : private telemetry::RecordSink {
 
   EventLoop* loop_;
   TcpSocket* socket_;
-  Options options_;
 
   std::unique_ptr<TcpInfoTracker> tracker_;
   SenderDelayEstimator sender_est_;
   ReceiverDelayEstimator receiver_est_;
   PathDelayEstimator path_est_;
-  std::unique_ptr<RateController> controller_;
+  std::unique_ptr<LatencyMinimizer> minimizer_;
 
   std::function<void()> ready_cb_;
   Timer retry_timer_;

@@ -7,7 +7,7 @@
 // library with LD_PRELOAD (Section 4.5): a legacy app that writes through a
 // ByteSink is handed an InterposedSink instead of a RawTcpSink; its code is
 // unchanged, but every write now flows through ELEMENT's measurement and
-// default latency-minimization algorithm.
+// latency-minimization algorithm (Algorithm 3).
 
 #ifndef ELEMENT_SRC_ELEMENT_INTERPOSER_H_
 #define ELEMENT_SRC_ELEMENT_INTERPOSER_H_

@@ -45,7 +45,7 @@ void LatencyMinimizer::CheckAndAdjust() {
   if (ratio > 0.0) {
     starget_ /= ratio;
   }
-  TcpInfoData info = socket_->GetTcpInfo();
+  const TcpInfoData& info = socket_->SharedInfoPage();
   double cap = kBeta * static_cast<double>(info.tcpi_snd_cwnd) * info.tcpi_snd_mss;
   starget_ = std::min(starget_, cap);
   starget_ = std::max(starget_, static_cast<double>(info.tcpi_snd_mss));
@@ -64,7 +64,7 @@ bool LatencyMinimizer::MaySendNow() const {
     return true;  // not initialized yet; no gating
   }
   uint64_t seq = socket_->app_bytes_written();
-  uint64_t best = SenderDelayEstimator::EstimateSentBytes(socket_->GetTcpInfo());
+  uint64_t best = SenderDelayEstimator::EstimateSentBytes(socket_->SharedInfoPage());
   uint64_t unsent = seq > best ? seq - best : 0;
   return unsent <= starget_bytes();
 }

@@ -1,4 +1,4 @@
-// ELEMENT's default latency-minimization algorithm (Algorithm 3): an
+// ELEMENT's latency-minimization algorithm (Algorithm 3): an
 // application-layer analogue of FAST TCP. It adapts S_target — the amount of
 // data allowed to sit unsent in the TCP send buffer — by the ratio of the
 // measured average buffer delay to a threshold:
@@ -10,7 +10,6 @@
 #define ELEMENT_SRC_ELEMENT_LATENCY_MINIMIZER_H_
 
 #include "src/element/delay_estimator.h"
-#include "src/element/rate_controller.h"
 #include "src/evloop/event_loop.h"
 #include "src/tcpsim/tcp_socket.h"
 
@@ -21,7 +20,7 @@ struct MinimizerParams {
   double delta = 0.25;        // adjustment exponent
 };
 
-class LatencyMinimizer : public RateController {
+class LatencyMinimizer {
  public:
   static constexpr double kBeta = 2.1;   // cwnd cap multiplier
   static constexpr double kGamma = 1.1;  // wireless sndbuf multiplier
@@ -30,28 +29,23 @@ class LatencyMinimizer : public RateController {
   LatencyMinimizer(EventLoop* loop, TcpSocket* socket, const MinimizerParams& params,
                    bool is_wireless);
 
-  void Start() override { check_timer_.Start(); }
-  void Stop() override { check_timer_.Stop(); }
+  void Start() { check_timer_.Start(); }
 
   // Feed each new send-buffer delay measurement (Algorithm 1's output).
-  void OnDelayMeasurement(double measured_s) override;
+  void OnDelayMeasurement(double measured_s);
 
   // True when the application may push more data: the estimated amount
   // buffered-but-unsent in the TCP layer is within S_target, or the sleep
   // budget for this send is exhausted.
-  bool MaySendNow() const override;
+  bool MaySendNow() const;
   // Next retry delay when gated (advances the sleep ladder).
-  TimeDelta NextRetryDelay() override;
+  TimeDelta NextRetryDelay();
   // Reset the ladder after an allowed send.
-  void OnSendAllowed() override { sleep_count_ = 0; }
-  std::string name() const override { return "algorithm3"; }
+  void OnSendAllowed() { sleep_count_ = 0; }
 
   uint64_t starget_bytes() const { return static_cast<uint64_t>(starget_); }
   TimeDelta average_delay() const { return TimeDelta::FromSeconds(avg_delay_s_); }
   const MinimizerParams& params() const { return params_; }
-  // QoS hook (§7): applications can state their latency requirement, which
-  // becomes Algorithm 3's D_thr.
-  void set_delay_threshold(TimeDelta d_thr) { params_.delay_threshold = d_thr; }
 
  private:
   void CheckAndAdjust();

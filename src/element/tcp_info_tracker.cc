@@ -19,7 +19,7 @@ DataRate TcpInfoTracker::throughput() const {
 }
 
 void TcpInfoTracker::PollNow() {
-  latest_ = use_shared_page_ ? socket_->SharedInfoPage() : socket_->GetTcpInfo();
+  latest_ = socket_->SharedInfoPage();
   ++samples_;
   SimTime now = loop_->now();
 

@@ -1,6 +1,9 @@
-// The tcp_info tracking "thread": polls getsockopt(TCP_INFO) every P (10 ms
-// by default, the paper's accuracy/overhead compromise) and feeds the delay
-// estimators. Also derives TCP-layer throughput from bytes-acked deltas.
+// The tcp_info tracking "thread": polls TCP_INFO every P (10 ms by default,
+// the paper's accuracy/overhead compromise) and feeds the delay estimators.
+// Each poll reads the socket's versioned shared info page (§7), which is only
+// rebuilt from getsockopt(TCP_INFO) when the connection state changed, so an
+// always-on tracker costs nothing between ACK bursts. Also derives TCP-layer
+// throughput from bytes-acked deltas.
 
 #ifndef ELEMENT_SRC_ELEMENT_TCP_INFO_TRACKER_H_
 #define ELEMENT_SRC_ELEMENT_TCP_INFO_TRACKER_H_
@@ -20,11 +23,6 @@ class TcpInfoTracker {
   static constexpr TimeDelta kDefaultPeriod = TimeDelta::FromMillis(10);
 
   TcpInfoTracker(EventLoop* loop, TcpSocket* socket, TimeDelta period = kDefaultPeriod);
-
-  // §7 optimization: poll through the socket's versioned shared info page
-  // instead of a full getsockopt-style snapshot per poll.
-  void set_use_shared_page(bool use) { use_shared_page_ = use; }
-  bool use_shared_page() const { return use_shared_page_; }
 
   void set_sender_estimator(SenderDelayEstimator* est) { sender_est_ = est; }
   void set_receiver_estimator(ReceiverDelayEstimator* est) { receiver_est_ = est; }
@@ -55,7 +53,6 @@ class TcpInfoTracker {
   ReceiverDelayEstimator* receiver_est_ = nullptr;
   PathDelayEstimator* path_est_ = nullptr;
 
-  bool use_shared_page_ = false;
   TcpInfoData latest_;
   uint64_t samples_ = 0;
 

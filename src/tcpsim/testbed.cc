@@ -52,45 +52,35 @@ Testbed::Testbed(uint64_t seed, const PathConfig& config) : config_(config), rng
   // The reverse (ACK) pipe mirrors the forward delay behind a pfifo_fast deep
   // enough that ACKs are never dropped at the profiles' reverse rates.
   constexpr size_t kReverseQueueLimitPackets = 1000;
-  TimeDelta rev_delay = config_.one_way_delay;
   auto rev_qdisc = std::make_unique<PfifoFast>(kReverseQueueLimitPackets);
-  std::unique_ptr<LinkModel> rev_link;
-  switch (config_.link) {
-    case LinkType::kCable:
-      rev_link = std::make_unique<CableLinkModel>(config_.reverse_rate, rev_delay, rng_.Fork());
-      break;
-    case LinkType::kWifi:
-      rev_link = std::make_unique<WifiLinkModel>(rng_.Fork(), config_.reverse_rate, rev_delay);
-      break;
-    case LinkType::kLte:
-      rev_link = std::make_unique<LteLinkModel>(rng_.Fork(), config_.reverse_rate, rev_delay);
-      break;
-    default:
-      rev_link = std::make_unique<FixedLinkModel>(config_.reverse_rate, rev_delay);
-      break;
-  }
+  // The reverse link is lossless and never stepped; it is built first, so
+  // it forks rng_ before the forward qdisc and link do.
+  LinkType rev_type = config_.link == LinkType::kStepped ? LinkType::kFixed : config_.link;
+  std::unique_ptr<LinkModel> rev_link =
+      MakeLink(rev_type, config_.reverse_rate, config_.one_way_delay, 0.0);
   std::unique_ptr<Qdisc> fwd_qdisc =
       MakeBottleneckQdisc(config_.qdisc, config_.queue_limit_packets, config_.ecn, &rng_);
-  path_ = std::make_unique<DuplexPath>(&loop_, &rng_, std::move(fwd_qdisc), MakeForwardLink(),
+  std::unique_ptr<LinkModel> fwd_link =
+      MakeLink(config_.link, config_.rate, config_.one_way_delay, config_.loss_probability);
+  path_ = std::make_unique<DuplexPath>(&loop_, &rng_, std::move(fwd_qdisc), std::move(fwd_link),
                                        std::move(rev_qdisc), std::move(rev_link));
   path_->BindTelemetry(&spine_);
 }
 
-std::unique_ptr<LinkModel> Testbed::MakeForwardLink() {
-  switch (config_.link) {
+std::unique_ptr<LinkModel> Testbed::MakeLink(LinkType type, DataRate rate, TimeDelta delay,
+                                             double loss_probability) {
+  switch (type) {
     case LinkType::kFixed:
     case LinkType::kLan:
-      return std::make_unique<FixedLinkModel>(config_.rate, config_.one_way_delay,
-                                              config_.loss_probability);
+      return std::make_unique<FixedLinkModel>(rate, delay, loss_probability);
     case LinkType::kStepped:
-      return std::make_unique<SteppedLinkModel>(config_.steps, config_.one_way_delay,
-                                                config_.loss_probability);
+      return std::make_unique<SteppedLinkModel>(config_.steps, delay, loss_probability);
     case LinkType::kCable:
-      return std::make_unique<CableLinkModel>(config_.rate, config_.one_way_delay, rng_.Fork());
+      return std::make_unique<CableLinkModel>(rate, delay, rng_.Fork());
     case LinkType::kWifi:
-      return std::make_unique<WifiLinkModel>(rng_.Fork(), config_.rate, config_.one_way_delay);
+      return std::make_unique<WifiLinkModel>(rng_.Fork(), rate, delay);
     case LinkType::kLte:
-      return std::make_unique<LteLinkModel>(rng_.Fork(), config_.rate, config_.one_way_delay);
+      return std::make_unique<LteLinkModel>(rng_.Fork(), rate, delay);
   }
   return nullptr;
 }

@@ -73,7 +73,9 @@ class Testbed {
   telemetry::TelemetrySpine& spine() { return spine_; }
 
  private:
-  std::unique_ptr<LinkModel> MakeForwardLink();
+  // One link model of `type`; Cable, WiFi and LTE fork rng_.
+  std::unique_ptr<LinkModel> MakeLink(LinkType type, DataRate rate, TimeDelta delay,
+                                      double loss_probability);
 
   PathConfig config_;
   EventLoop loop_;

@@ -187,7 +187,7 @@ TEST(ElementSocketEdgeTest, MeasurementOnlyModeNeverGates) {
   // Without the controller, em_send is an un-quantized write.
   RetInfo r = em.Send(50000);
   EXPECT_EQ(r.size, 50000);
-  EXPECT_EQ(em.controller(), nullptr);
+  EXPECT_EQ(em.minimizer(), nullptr);
 }
 
 TEST(ElementSocketEdgeTest, ReadOnEmptyBufferReturnsZero) {

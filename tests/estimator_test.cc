@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -231,46 +233,160 @@ TEST(TrackerTest, ThroughputTracksAckedBytes) {
   EXPECT_GT(tracker.latest_info().tcpi_bytes_acked, 10'000'000u);
 }
 
-void ExpectSameTcpInfo(const TcpInfoData& a, const TcpInfoData& b) {
-  EXPECT_EQ(a.tcpi_bytes_acked, b.tcpi_bytes_acked);
-  EXPECT_EQ(a.tcpi_unacked, b.tcpi_unacked);
-  EXPECT_EQ(a.tcpi_snd_mss, b.tcpi_snd_mss);
-  EXPECT_EQ(a.tcpi_snd_cwnd, b.tcpi_snd_cwnd);
-  EXPECT_EQ(a.tcpi_snd_ssthresh, b.tcpi_snd_ssthresh);
-  EXPECT_EQ(a.tcpi_segs_out, b.tcpi_segs_out);
-  EXPECT_EQ(a.tcpi_total_retrans, b.tcpi_total_retrans);
-  EXPECT_EQ(a.tcpi_notsent_bytes, b.tcpi_notsent_bytes);
-  EXPECT_EQ(a.tcpi_segs_in, b.tcpi_segs_in);
-  EXPECT_EQ(a.tcpi_rcv_mss, b.tcpi_rcv_mss);
-  EXPECT_EQ(a.tcpi_bytes_received, b.tcpi_bytes_received);
-  EXPECT_EQ(a.tcpi_rtt_us, b.tcpi_rtt_us);
-  EXPECT_EQ(a.tcpi_rttvar_us, b.tcpi_rttvar_us);
-  EXPECT_EQ(a.tcpi_min_rtt_us, b.tcpi_min_rtt_us);
-  EXPECT_EQ(a.tcpi_delivery_rate_bps, b.tcpi_delivery_rate_bps);
-  EXPECT_EQ(a.tcpi_pacing_rate_bps, b.tcpi_pacing_rate_bps);
+// Names the TcpInfoData fields in which `a` and `b` differ ("" if none).
+std::string DiffTcpInfo(const TcpInfoData& a, const TcpInfoData& b) {
+  std::string diff;
+  auto field = [&diff](const char* name, uint64_t x, uint64_t y) {
+    if (x != y) {
+      diff += std::string(" ") + name + " " + std::to_string(x) + "!=" + std::to_string(y);
+    }
+  };
+  field("bytes_acked", a.tcpi_bytes_acked, b.tcpi_bytes_acked);
+  field("unacked", a.tcpi_unacked, b.tcpi_unacked);
+  field("snd_mss", a.tcpi_snd_mss, b.tcpi_snd_mss);
+  field("snd_cwnd", a.tcpi_snd_cwnd, b.tcpi_snd_cwnd);
+  field("snd_ssthresh", a.tcpi_snd_ssthresh, b.tcpi_snd_ssthresh);
+  field("segs_out", a.tcpi_segs_out, b.tcpi_segs_out);
+  field("total_retrans", a.tcpi_total_retrans, b.tcpi_total_retrans);
+  field("notsent_bytes", a.tcpi_notsent_bytes, b.tcpi_notsent_bytes);
+  field("segs_in", a.tcpi_segs_in, b.tcpi_segs_in);
+  field("rcv_mss", a.tcpi_rcv_mss, b.tcpi_rcv_mss);
+  field("bytes_received", a.tcpi_bytes_received, b.tcpi_bytes_received);
+  field("rtt_us", a.tcpi_rtt_us, b.tcpi_rtt_us);
+  field("rttvar_us", a.tcpi_rttvar_us, b.tcpi_rttvar_us);
+  field("min_rtt_us", a.tcpi_min_rtt_us, b.tcpi_min_rtt_us);
+  field("delivery_rate_bps", a.tcpi_delivery_rate_bps, b.tcpi_delivery_rate_bps);
+  field("pacing_rate_bps", a.tcpi_pacing_rate_bps, b.tcpi_pacing_rate_bps);
+  return diff;
+}
+
+// Each case drives senders through a different place in TcpSocket that
+// changes a GetTcpInfo input, and compares each sender's shared page with
+// GetTcpInfo after every step and after every application write.
+struct SharedPageCase {
+  const char* name;
+  PathConfig path;
+  TcpSocket::Config socket;
+  TimeDelta step;
+  int steps;
+  size_t first_write;  // at establishment
+  int write_every;     // steps between the writes that follow (0: none)
+  size_t write_bytes;
+  int flows = 1;
+  bool close_after_first_write = false;
+};
+
+std::vector<SharedPageCase> SharedPageCases() {
+  std::vector<SharedPageCase> cases;
+  // A write sends nothing while the window is full, yet it changes
+  // tcpi_notsent_bytes: the page must show it at once.
+  SharedPageCase base{"cwnd_limited_writes", PathConfig{}, TcpSocket::Config{},
+                      TimeDelta::FromMillis(7), 300, 100000, 1, 3000};
+  cases.push_back(base);
+
+  SharedPageCase bulk = base;
+  bulk.step = TimeDelta::FromMillis(1);
+  bulk.steps = 6000;
+  bulk.write_every = 10;
+  bulk.write_bytes = 1 << 20;
+
+  // Short transfers that close at once on a lossy link: when a FIN is lost
+  // twice, the RTO fires with nothing left to resend, so no segment leaves
+  // after the window collapses.
+  SharedPageCase lossy = bulk;
+  lossy.name = "rto_on_lossy_link";
+  lossy.path.loss_probability = 0.3;
+  lossy.steps = 4000;
+  lossy.first_write = 20000;
+  lossy.write_every = 0;
+  lossy.flows = 40;
+  lossy.close_after_first_write = true;
+  cases.push_back(lossy);
+
+  // Bursts 600 ms apart leave the sender idle for longer than its RTO, so
+  // each burst starts with the RFC 2861 window decay.
+  SharedPageCase idle = bulk;
+  idle.name = "idle_restart";
+  idle.first_write = 1 << 20;
+  idle.write_every = 600;
+  idle.write_bytes = 30000;
+  cases.push_back(idle);
+
+  SharedPageCase bbr = bulk;
+  bbr.name = "bbr_pacing";
+  bbr.socket.congestion_control = "bbr";
+  cases.push_back(bbr);
+
+  SharedPageCase ecn = bulk;
+  ecn.name = "codel_ecn_marks";
+  ecn.path.qdisc = QdiscType::kCoDel;
+  ecn.path.ecn = true;
+  ecn.socket.ecn = true;
+  cases.push_back(ecn);
+  return cases;
 }
 
 TEST(TrackerTest, SharedPageMatchesGetTcpInfo) {
-  PathConfig path;
-  Testbed bed(4, path);
-  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  flow.sender->SetEstablishedCallback([&] { flow.sender->Write(100000); });
-  flow.receiver->SetReadableCallback([&] {
-    while (flow.receiver->Read(1 << 20) > 0) {
+  for (const SharedPageCase& c : SharedPageCases()) {
+    SCOPED_TRACE(c.name);
+    Testbed bed(4, c.path);
+    std::vector<TcpSocket*> senders;
+    for (int i = 0; i < c.flows; ++i) {
+      Testbed::Flow flow = bed.CreateFlow(c.socket);
+      TcpSocket* sender = flow.sender;
+      TcpSocket* receiver = flow.receiver;
+      sender->SetEstablishedCallback([sender, &c] {
+        sender->Write(c.first_write);
+        if (c.close_after_first_write) {
+          sender->Close();
+        }
+      });
+      receiver->SetReadableCallback([receiver] {
+        while (receiver->Read(1 << 20) > 0) {
+        }
+      });
+      senders.push_back(sender);
     }
-  });
-  for (int step = 1; step <= 300; ++step) {
-    bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(step) * 7'000'000));
-    ExpectSameTcpInfo(flow.sender->GetTcpInfo(), flow.sender->SharedInfoPage());
-    // A write sends nothing while the window is full, yet it changes
-    // tcpi_notsent_bytes: the page must show it at once.
-    flow.sender->Write(3000);
-    ExpectSameTcpInfo(flow.sender->GetTcpInfo(), flow.sender->SharedInfoPage());
+    std::string diff;
+    std::vector<TcpInfoData> prev(senders.size());
+    bool saw_rto_collapse = false;
+    bool saw_cut_without_loss = false;
+    uint64_t peak_pacing_bps = 0;
+    for (int step = 1; step <= c.steps && diff.empty(); ++step) {
+      bed.loop().RunUntil(SimTime::FromNanos(c.step.nanos() * step));
+      for (size_t i = 0; i < senders.size() && diff.empty(); ++i) {
+        TcpInfoData info = senders[i]->GetTcpInfo();
+        diff = DiffTcpInfo(info, senders[i]->SharedInfoPage());
+        EXPECT_EQ(diff, "") << "flow " << i << " after step " << step;
+        saw_rto_collapse |= info.tcpi_snd_cwnd < prev[i].tcpi_snd_cwnd && info.tcpi_snd_cwnd <= 2;
+        saw_cut_without_loss |= info.tcpi_snd_cwnd < prev[i].tcpi_snd_cwnd &&
+                                info.tcpi_total_retrans == prev[i].tcpi_total_retrans;
+        peak_pacing_bps = std::max(peak_pacing_bps, info.tcpi_pacing_rate_bps);
+        prev[i] = info;
+      }
+      if (diff.empty() && c.write_every > 0 && step % c.write_every == 0) {
+        senders[0]->Write(c.write_bytes);
+        diff = DiffTcpInfo(senders[0]->GetTcpInfo(), senders[0]->SharedInfoPage());
+        EXPECT_EQ(diff, "") << "after the write at step " << step;
+      }
+    }
+    // Each case reached the state change it is there for.
+    std::string name = c.name;
+    if (name == "rto_on_lossy_link") {
+      EXPECT_TRUE(saw_rto_collapse);
+    } else if (name == "idle_restart" || name == "codel_ecn_marks") {
+      EXPECT_TRUE(saw_cut_without_loss);
+    } else if (name == "bbr_pacing") {
+      EXPECT_GT(peak_pacing_bps, 0u);
+    }
+    if (name == "codel_ecn_marks") {
+      EXPECT_GT(bed.path().forward().qdisc().stats().ecn_marked_packets, 0u);
+    }
+    // Repeated reads without traffic return the same cached page.
+    const TcpInfoData* p1 = &senders[0]->SharedInfoPage();
+    const TcpInfoData* p2 = &senders[0]->SharedInfoPage();
+    EXPECT_EQ(p1, p2);
   }
-  // Repeated reads without traffic return the same cached page.
-  const TcpInfoData* p1 = &flow.sender->SharedInfoPage();
-  const TcpInfoData* p2 = &flow.sender->SharedInfoPage();
-  EXPECT_EQ(p1, p2);
 }
 
 TEST(TrackerTest, SharedPageModeTracksEqually) {
@@ -278,7 +394,6 @@ TEST(TrackerTest, SharedPageModeTracksEqually) {
   Testbed bed(5, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
   TcpInfoTracker tracker(&bed.loop(), flow.sender);
-  tracker.set_use_shared_page(true);
   tracker.Start();
   flow.sender->SetEstablishedCallback([&] { flow.sender->Write(1 << 22); });
   flow.sender->SetWritableCallback([&] { flow.sender->Write(1 << 22); });

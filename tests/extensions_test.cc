@@ -1,10 +1,10 @@
 // Tests for the Discussion-section (§7) extensions: the event-driven
-// delay/jitter monitor, pluggable rate controllers, the QoS latency-budget
-// hook, and the bottleneck sojourn probe (lower-layer tracing).
+// delay/jitter monitor, the QoS latency budget (Algorithm 3's D_thr, set
+// through ElementSocket::Options::minimizer), and the bottleneck sojourn
+// probe (lower-layer tracing).
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "src/apps/iperf_app.h"
@@ -13,7 +13,6 @@
 #include "src/element/delay_event_monitor.h"
 #include "src/element/element_socket.h"
 #include "src/element/interposer.h"
-#include "src/element/rate_controller.h"
 #include "src/netsim/pfifo_fast.h"
 #include "src/tcpsim/testbed.h"
 #include "src/telemetry/record.h"
@@ -162,47 +161,6 @@ TEST(DelayEventMonitorTest, AttachingKeepsMinimizerFed) {
   EXPECT_GT(em.minimizer()->starget_bytes(), 0u);
 }
 
-TEST(FixedRateControllerTest, TokenBucketPacing) {
-  EventLoop loop;
-  FixedRateController ctl(&loop, DataRate::Mbps(8), /*burst=*/10000);  // 1 MB/s
-  EXPECT_TRUE(ctl.MaySendNow());
-  ctl.OnBytesAdmitted(10000, loop.now());
-  EXPECT_FALSE(ctl.MaySendNow());
-  TimeDelta retry = ctl.NextRetryDelay();
-  EXPECT_GT(retry, TimeDelta::Zero());
-  // After 5 ms, 5000 bytes of tokens have accrued.
-  loop.RunFor(TimeDelta::FromMillis(5));
-  EXPECT_TRUE(ctl.MaySendNow());
-  ctl.OnBytesAdmitted(5000, loop.now());
-  EXPECT_FALSE(ctl.MaySendNow());
-}
-
-TEST(CustomControllerTest, ElementSocketUsesFactory) {
-  PathConfig path;
-  path.rate = DataRate::Mbps(50);
-  Testbed bed(13, path);
-  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  ElementSocket::Options opt;
-  opt.controller_factory = [](EventLoop* loop, TcpSocket*) {
-    return std::make_unique<FixedRateController>(loop, DataRate::Mbps(4));
-  };
-  ElementSocket em(&bed.loop(), flow.sender, opt);
-  EXPECT_EQ(em.controller()->name(), "fixed_rate");
-  EXPECT_EQ(em.minimizer(), nullptr);  // not Algorithm 3
-
-  ElementSink sink(&em);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(flow.receiver);
-  app.Start();
-  reader.Start();
-  bed.loop().RunUntil(Sec(20.0));
-  // The custom controller caps the app at ~4 Mbps on a 50 Mbps link.
-  double goodput = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
-                            TimeDelta::FromSecondsInt(20))
-                       .ToMbps();
-  EXPECT_NEAR(goodput, 4.0, 0.8);
-}
-
 TEST(LatencyBudgetTest, BudgetShiftsEquilibriumDelay) {
   auto run = [](TimeDelta budget) {
     PathConfig path;
@@ -214,8 +172,8 @@ TEST(LatencyBudgetTest, BudgetShiftsEquilibriumDelay) {
     flow.sender->telemetry().AttachSink(&tracer);
     flow.receiver->telemetry().AttachSink(&tracer);
     ElementSocket::Options opt;
+    opt.minimizer.delay_threshold = budget;
     ElementSocket em(&bed.loop(), flow.sender, opt);
-    em.SetLatencyBudget(budget);
     ElementSink sink(&em);
     IperfApp app(&bed.loop(), &sink);
     SinkApp reader(flow.receiver);

@@ -387,7 +387,10 @@ TEST(ScenarioTest, RejectsSweepPastScenarioLimit) {
   // The axis product is checked at each axis, before it can wrap.
   std::string axis;
   for (int i = 1; i <= 1001; ++i) {
-    axis += (i > 1 ? "," : "") + std::to_string(i);
+    if (i > 1) {
+      axis += ',';
+    }
+    axis += std::to_string(i);
   }
   ExpectRejected(R"({"sweeps": [{"rate_mbps": [)" + axis + R"(], "rtt_ms": [)" + axis +
                      R"(], "seed": {"count": 2000000000}}]})",
