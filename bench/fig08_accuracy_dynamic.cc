@@ -16,7 +16,6 @@ int main() {
 
   // (a) Dynamic bandwidth: 10 <-> 50 Mbps every 20 s.
   PathConfig dyn;
-  dyn.link = LinkType::kStepped;
   dyn.steps = {{TimeDelta::FromSecondsInt(20), DataRate::Mbps(10)},
                {TimeDelta::FromSecondsInt(20), DataRate::Mbps(50)}};
   dyn.one_way_delay = TimeDelta::FromMillis(25);

@@ -28,7 +28,6 @@
 #include "src/element/element_socket.h"
 #include "src/element/estimation_error.h"
 #include "src/element/interposer.h"
-#include "src/netsim/pfifo_fast.h"
 #include "src/netsim/trace_link.h"
 #include "src/tcpsim/congestion_control.h"
 #include "src/tcpsim/testbed.h"
@@ -206,42 +205,31 @@ int CmdTrace(const Flags& flags) {
   std::vector<TracePoint> trace;
   if (file.empty()) {
     Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-    trace = TraceLinkModel::SynthesizeCellular(
-        &rng, DataRate::Mbps(flags.GetDouble("rate-mbps", 20.0)),
-        TimeDelta::FromSeconds(flags.GetDouble("duration", 30.0)));
+    trace = SynthesizeCellularTrace(&rng, DataRate::Mbps(flags.GetDouble("rate-mbps", 20.0)),
+                                    TimeDelta::FromSeconds(flags.GetDouble("duration", 30.0)));
     std::printf("(no --trace-file: synthesized a cellular-like trace)\n");
   } else {
-    trace = TraceLinkModel::LoadCsvFile(file);
+    trace = LoadTraceCsvFile(file);
     if (trace.empty()) {
-      std::fprintf(stderr, "could not load trace from %s\n", file.c_str());
-      return 1;
+      std::fprintf(stderr, "could not load a trace from '%s' (missing, empty or malformed)\n",
+                   file.c_str());
+      return 2;
     }
   }
-  EventLoop loop;
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)) + 1);
-  DuplexPath path(&loop, &rng, std::make_unique<PfifoFast>(200),
-                  std::make_unique<TraceLinkModel>(trace, TimeDelta::FromMillis(25)),
-                  std::make_unique<PfifoFast>(1000),
-                  std::make_unique<FixedLinkModel>(DataRate::Gbps(1), TimeDelta::FromMillis(25)));
-  uint64_t flow_id = path.AllocateFlowId();
+  PathConfig path;
+  path.queue_limit_packets = 200;
+  path.steps = ScheduleFromTrace(trace);
+  Testbed bed(static_cast<uint64_t>(flags.GetInt("seed", 1)) + 1, path);
   TcpSocket::Config cfg;
   cfg.congestion_control = flags.GetString("cc", "cubic");
-  TcpSocket sender(&loop, rng.Fork(), cfg, flow_id, &path.forward(), &path.client_demux());
-  TcpSocket receiver(&loop, rng.Fork(), cfg, flow_id, &path.reverse(), &path.server_demux());
-  receiver.Listen();
-  sender.Connect();
-  RawTcpSink sink(&sender);
-  IperfApp app(&loop, &sink);
-  SinkApp reader(&receiver);
-  app.Start();
-  reader.Start();
+  Testbed::Flow flow = bed.CreateFlow(cfg);
+  MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, MeasuredFlow::Options{});
+  measured.Start();
   double duration = flags.GetDouble("duration", 30.0);
-  loop.RunUntil(SimTime::FromNanos(static_cast<int64_t>(duration * 1e9)));
+  bed.loop().RunUntil(SimTime::FromNanos(static_cast<int64_t>(duration * 1e9)));
   std::printf("trace replay (%zu points): goodput %.2f Mbps, retransmits %lu\n", trace.size(),
-              RateOver(static_cast<int64_t>(receiver.app_bytes_read()),
-                       TimeDelta::FromSeconds(duration))
-                  .ToMbps(),
-              static_cast<unsigned long>(sender.total_retransmits()));
+              measured.GoodputMbps(duration),
+              static_cast<unsigned long>(flow.sender->total_retransmits()));
   return 0;
 }
 

@@ -30,7 +30,6 @@ class TcpInfoTracker {
 
   void Start() { timer_.Start(); }
   void Stop() { timer_.Stop(); }
-  TimeDelta period() const { return timer_.period(); }
 
   // Latest polled snapshot (also reachable via socket->GetTcpInfo(), but this
   // is what user code would have, sampled at the tracker cadence).

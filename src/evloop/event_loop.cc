@@ -276,7 +276,7 @@ void FifoTimer::Fire(EventLoop::Node* node) {
 // ---------------------------------------------------------------------------
 
 PeriodicTimer::PeriodicTimer(EventLoop* loop, TimeDelta period, std::function<void()> cb)
-    : loop_(loop), period_(period), cb_(std::move(cb)), timer_(loop, [this] { Fire(); }) {}
+    : period_(period), cb_(std::move(cb)), timer_(loop, [this] { Fire(); }) {}
 
 PeriodicTimer::~PeriodicTimer() { Stop(); }
 
@@ -288,7 +288,6 @@ void PeriodicTimer::Start() {
   ELEMENT_CHECK(period_ > TimeDelta::Zero())
       << "PeriodicTimer period must be positive, got " << period_.nanos() << " ns";
   running_ = true;
-  base_ = loop_->now();
   timer_.RestartAfter(period_);
 }
 
@@ -300,23 +299,11 @@ void PeriodicTimer::Stop() {
   timer_.Cancel();
 }
 
-void PeriodicTimer::set_period(TimeDelta p) {
-  ELEMENT_CHECK(p > TimeDelta::Zero())
-      << "PeriodicTimer period must be positive, got " << p.nanos() << " ns";
-  period_ = p;
-  if (running_ && timer_.pending()) {
-    // Re-arm the in-flight fire against the same anchor: the next fire lands
-    // at (last fire or Start) + new period, clamped to now by Restart().
-    timer_.Restart(base_ + period_);
-  }
-}
-
 void PeriodicTimer::Fire() {
   if (!running_) {
     return;
   }
-  base_ = loop_->now();
-  // Re-arm before invoking so the callback may Stop() or change the period.
+  // Re-arm before invoking so the callback may Stop().
   timer_.RestartAfter(period_);
   cb_();
 }

@@ -244,9 +244,7 @@ class FifoTimer : private EventLoop::Node {
 
 // Repeating timer built on Timer; the simulation analogue of the paper's
 // periodic tcp_info tracking thread. The callback runs every `period` until
-// Stop() is called or the timer is destroyed. set_period() re-arms the
-// in-flight fire: the next fire lands at (last fire or Start) + new period
-// (clamped to now), and subsequent fires follow the new period.
+// Stop() is called or the timer is destroyed.
 class PeriodicTimer {
  public:
   PeriodicTimer(EventLoop* loop, TimeDelta period, std::function<void()> cb);
@@ -257,19 +255,14 @@ class PeriodicTimer {
 
   void Start();
   void Stop();
-  bool running() const { return running_; }
-  TimeDelta period() const { return period_; }
-  void set_period(TimeDelta p);
 
  private:
   void Fire();
 
-  EventLoop* loop_;
   TimeDelta period_;
   std::function<void()> cb_;
   Timer timer_;
   bool running_ = false;
-  SimTime base_;  // last fire time (or Start time): anchor for re-arms
 };
 
 }  // namespace element

@@ -3,41 +3,38 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/check.h"
+
 namespace element {
 
-FixedLinkModel::FixedLinkModel(DataRate rate, TimeDelta prop_delay, double loss_prob)
-    : rate_(rate), prop_delay_(prop_delay), loss_prob_(loss_prob) {}
+ScheduledLinkModel::ScheduledLinkModel(DataRate rate, TimeDelta prop_delay, double loss_prob)
+    : held_rate_(rate), prop_delay_(prop_delay), loss_prob_(loss_prob) {}
 
-DataRate FixedLinkModel::RateAt(SimTime /*now*/) { return rate_; }
-
-bool FixedLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
-  return loss_prob_ > 0.0 && rng.Bernoulli(loss_prob_);
-}
-
-SteppedLinkModel::SteppedLinkModel(std::vector<Step> steps, TimeDelta prop_delay,
-                                   double loss_prob)
-    : steps_(std::move(steps)), prop_delay_(prop_delay), loss_prob_(loss_prob) {
-  cycle_ = TimeDelta::Zero();
+ScheduledLinkModel::ScheduledLinkModel(std::vector<Step> steps, TimeDelta prop_delay,
+                                       double loss_prob)
+    : prop_delay_(prop_delay), loss_prob_(loss_prob), steps_(std::move(steps)) {
+  ELEMENT_CHECK(!steps_.empty()) << "a link schedule needs at least one step";
+  held_rate_ = steps_.back().rate;
+  ends_ns_.reserve(steps_.size());
   for (const Step& s : steps_) {
-    cycle_ += s.duration;
+    ELEMENT_CHECK(s.duration >= TimeDelta::Zero())
+        << "negative schedule step: " << s.duration.nanos() << " ns";
+    cycle_ns_ += s.duration.nanos();
+    ends_ns_.push_back(cycle_ns_);
   }
 }
 
-DataRate SteppedLinkModel::RateAt(SimTime now) {
-  if (steps_.empty() || cycle_ <= TimeDelta::Zero()) {
-    return DataRate::Zero();
+DataRate ScheduledLinkModel::RateAt(SimTime now) {
+  if (cycle_ns_ == 0) {
+    return held_rate_;
   }
-  int64_t pos = now.nanos() % cycle_.nanos();
-  for (const Step& s : steps_) {
-    if (pos < s.duration.nanos()) {
-      return s.rate;
-    }
-    pos -= s.duration.nanos();
-  }
-  return steps_.back().rate;
+  // The first step that ends after `now` within the cycle; a zero-length
+  // step ends where its predecessor does, so it is never chosen.
+  auto it = std::upper_bound(ends_ns_.begin(), ends_ns_.end(), now.nanos() % cycle_ns_);
+  return steps_[static_cast<size_t>(it - ends_ns_.begin())].rate;
 }
 
-bool SteppedLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
+bool ScheduledLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
   return loss_prob_ > 0.0 && rng.Bernoulli(loss_prob_);
 }
 

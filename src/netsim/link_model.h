@@ -6,8 +6,7 @@
 #ifndef ELEMENT_SRC_NETSIM_LINK_MODEL_H_
 #define ELEMENT_SRC_NETSIM_LINK_MODEL_H_
 
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/data_rate.h"
@@ -34,46 +33,41 @@ class LinkModel {
     (void)now;
     return false;
   }
-  virtual std::string name() const = 0;
 };
 
-// Fixed-rate, fixed-delay link with optional i.i.d. loss — the tc/netem
-// equivalent used in the controlled experiments.
-class FixedLinkModel : public LinkModel {
- public:
-  FixedLinkModel(DataRate rate, TimeDelta prop_delay, double loss_prob = 0.0);
-
-  DataRate RateAt(SimTime now) override;
-  TimeDelta PropagationDelay() const override { return prop_delay_; }
-  bool DropOnWire(Rng& rng, SimTime now) override;
-  std::string name() const override { return "fixed"; }
-
- private:
-  DataRate rate_;
-  TimeDelta prop_delay_;
-  double loss_prob_;
-};
-
-// Bandwidth follows a repeating schedule of (duration, rate) steps — used for
-// the Figure 8 "dynamic bandwidth" scenario (10 <-> 50 Mbps every 20 s).
-class SteppedLinkModel : public LinkModel {
+// Capacity that is piecewise constant in time: a looping schedule of
+// (duration, rate) steps, a propagation delay and i.i.d. wire loss. A single
+// rate is a one-step schedule: the tc/netem link of the controlled
+// experiments. Two steps give the Figure 8 "dynamic bandwidth" scenario
+// (10 <-> 50 Mbps every 20 s), and ScheduleFromTrace (trace_link.h) turns a
+// recorded bandwidth trace into steps for replay.
+class ScheduledLinkModel : public LinkModel {
  public:
   struct Step {
     TimeDelta duration;
     DataRate rate;
   };
-  SteppedLinkModel(std::vector<Step> steps, TimeDelta prop_delay, double loss_prob = 0.0);
+  // A constant-rate link.
+  ScheduledLinkModel(DataRate rate, TimeDelta prop_delay, double loss_prob = 0.0);
+  // Step i holds for its duration, then step i + 1; after the last step the
+  // schedule starts over. A zero-length step never holds, and a schedule that
+  // spans no time holds its last step's rate. `steps` must not be empty.
+  ScheduledLinkModel(std::vector<Step> steps, TimeDelta prop_delay, double loss_prob = 0.0);
 
   DataRate RateAt(SimTime now) override;
   TimeDelta PropagationDelay() const override { return prop_delay_; }
   bool DropOnWire(Rng& rng, SimTime now) override;
-  std::string name() const override { return "stepped"; }
 
  private:
-  std::vector<Step> steps_;
-  TimeDelta cycle_;
+  // The rate when the schedule spans no time: the last step's, or the one
+  // rate, for which no steps are stored, so the per-packet lookup of a
+  // constant link reads one member and the link allocates nothing.
+  DataRate held_rate_;
+  int64_t cycle_ns_ = 0;
   TimeDelta prop_delay_;
   double loss_prob_;
+  std::vector<Step> steps_;
+  std::vector<int64_t> ends_ns_;  // where each step ends within the cycle
 };
 
 // DOCSIS-like cable access link: stable rate with mild jitter.
@@ -85,7 +79,6 @@ class CableLinkModel : public LinkModel {
   TimeDelta PropagationDelay() const override { return prop_delay_; }
   TimeDelta JitterFor(Rng& rng) override;
   bool DropOnWire(Rng& rng, SimTime now) override;
-  std::string name() const override { return "cable"; }
 
  private:
   DataRate rate_;
@@ -104,7 +97,6 @@ class WifiLinkModel : public LinkModel {
   TimeDelta PropagationDelay() const override { return prop_delay_; }
   TimeDelta JitterFor(Rng& rng) override;
   bool DropOnWire(Rng& rng, SimTime now) override;
-  std::string name() const override { return "wifi"; }
 
  private:
   void MaybeTransition(SimTime now);
@@ -127,7 +119,6 @@ class LteLinkModel : public LinkModel {
   TimeDelta PropagationDelay() const override { return prop_delay_; }
   TimeDelta JitterFor(Rng& rng) override;
   bool DropOnWire(Rng& rng, SimTime now) override;
-  std::string name() const override { return "lte"; }
 
  private:
   void MaybeTransition(SimTime now);

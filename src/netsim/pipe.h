@@ -35,7 +35,6 @@ class Pipe : public PacketSink {
   void Send(Packet pkt);
 
   Qdisc& qdisc() { return *qdisc_; }
-  LinkModel& link_model() { return *link_; }
   const PipeStats& stats() const { return stats_; }
 
   // Binds this pipe's qdisc to the run's spine under hop id `source_id`.

@@ -7,37 +7,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/check.h"
+
 namespace element {
 
-TraceLinkModel::TraceLinkModel(std::vector<TracePoint> trace, TimeDelta prop_delay,
-                               double loss_prob)
-    : trace_(std::move(trace)), prop_delay_(prop_delay), loss_prob_(loss_prob) {
-  cycle_ = trace_.empty() ? TimeDelta::Zero() : trace_.back().at - SimTime::Zero();
-}
-
-DataRate TraceLinkModel::RateAt(SimTime now) {
-  if (trace_.empty()) {
-    return DataRate::Zero();
-  }
-  int64_t pos_ns = now.nanos();
-  if (cycle_ > TimeDelta::Zero()) {
-    pos_ns %= cycle_.nanos();
-  }
-  SimTime pos = SimTime::FromNanos(pos_ns);
-  // Last point at or before `pos` (points are time-ordered).
-  auto it = std::upper_bound(trace_.begin(), trace_.end(), pos,
-                             [](SimTime t, const TracePoint& p) { return t < p.at; });
-  if (it == trace_.begin()) {
-    return trace_.front().rate;
-  }
-  return (it - 1)->rate;
-}
-
-bool TraceLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
-  return loss_prob_ > 0.0 && rng.Bernoulli(loss_prob_);
-}
-
-std::vector<TracePoint> TraceLinkModel::ParseCsv(const std::string& csv_text) {
+std::vector<TracePoint> ParseTraceCsv(const std::string& csv_text) {
   // 2^63, the first value past int64's range; a double holds it exactly.
   constexpr double kInt64End = 9223372036854775808.0;
   auto blank = [](const char* p) {
@@ -85,19 +59,19 @@ std::vector<TracePoint> TraceLinkModel::ParseCsv(const std::string& csv_text) {
   return out;
 }
 
-std::vector<TracePoint> TraceLinkModel::LoadCsvFile(const std::string& path) {
+std::vector<TracePoint> LoadTraceCsvFile(const std::string& path) {
   std::ifstream f(path);
   if (!f) {
     return {};
   }
   std::ostringstream buf;
   buf << f.rdbuf();
-  return ParseCsv(buf.str());
+  return ParseTraceCsv(buf.str());
 }
 
-std::vector<TracePoint> TraceLinkModel::SynthesizeCellular(Rng* rng, DataRate mean_rate,
-                                                           TimeDelta duration, TimeDelta step,
-                                                           double volatility) {
+std::vector<TracePoint> SynthesizeCellularTrace(Rng* rng, DataRate mean_rate,
+                                                TimeDelta duration, TimeDelta step,
+                                                double volatility) {
   std::vector<TracePoint> out;
   double log_mean = std::log(mean_rate.bps());
   double x = log_mean;
@@ -108,6 +82,21 @@ std::vector<TracePoint> TraceLinkModel::SynthesizeCellular(Rng* rng, DataRate me
     out.push_back({t, DataRate::BitsPerSecond(std::exp(x))});
   }
   return out;
+}
+
+std::vector<ScheduledLinkModel::Step> ScheduleFromTrace(const std::vector<TracePoint>& trace) {
+  ELEMENT_CHECK(!trace.empty()) << "an empty trace has no schedule";
+  std::vector<ScheduledLinkModel::Step> steps;
+  steps.reserve(trace.size());
+  SimTime from = SimTime::Zero();
+  for (size_t i = 0; i + 1 < trace.size(); ++i) {
+    steps.push_back({trace[i + 1].at - from, trace[i].rate});
+    from = trace[i + 1].at;
+  }
+  // The last point is a zero-length step at the loop point: it holds only
+  // when the whole trace spans no time.
+  steps.push_back({TimeDelta::Zero(), trace.back().rate});
+  return steps;
 }
 
 }  // namespace element

@@ -891,7 +891,6 @@ void TcpSocket::Deliver(Packet pkt) {
         SendAck();
       }
       return;
-    case State::kSynReceived:
     case State::kEstablished:
       break;
   }

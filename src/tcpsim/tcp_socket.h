@@ -58,7 +58,7 @@ class TcpSocket : public PacketSink {
     bool nagle = true;
   };
 
-  enum class State { kClosed, kListen, kSynSent, kSynReceived, kEstablished };
+  enum class State { kClosed, kListen, kSynSent, kEstablished };
   // Teardown is tracked by flags rather than the full TCP state machine:
   // Close() half-closes the write side; the read side stays usable until the
   // peer's FIN arrives (signalled via the EOF callback).
@@ -376,7 +376,9 @@ class TcpSocket : public PacketSink {
 
   // ---- Shared info page (version-gated snapshot) ----
   // Bumped wherever a GetTcpInfo input changes: each segment out or in, each
-  // app write, an RTO and an idle restart.
+  // app write, an RTO and an idle restart. Today an idle restart runs only
+  // inside Write or Deliver, which have bumped already; its own bump guards
+  // the page should a restart ever run from elsewhere.
   uint64_t info_version_ = 0;
   mutable uint64_t shared_page_version_ = ~0ull;
   mutable TcpInfoData shared_page_;

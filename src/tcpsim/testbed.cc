@@ -2,13 +2,13 @@
 
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/netsim/pfifo_fast.h"
 
 namespace element {
 
 PathConfig LanProfile() {
   PathConfig cfg;
-  cfg.link = LinkType::kLan;
   cfg.rate = DataRate::Mbps(1000);
   cfg.one_way_delay = TimeDelta::FromMicros(200);
   cfg.queue_limit_packets = 1000;
@@ -49,19 +49,23 @@ PathConfig LteProfile(bool upload) {
 }
 
 Testbed::Testbed(uint64_t seed, const PathConfig& config) : config_(config), rng_(seed) {
+  ELEMENT_CHECK(config_.steps.empty() || config_.link == LinkType::kFixed)
+      << "PathConfig::steps needs LinkType::kFixed";
   // The reverse (ACK) pipe mirrors the forward delay behind a pfifo_fast deep
   // enough that ACKs are never dropped at the profiles' reverse rates.
   constexpr size_t kReverseQueueLimitPackets = 1000;
   auto rev_qdisc = std::make_unique<PfifoFast>(kReverseQueueLimitPackets);
-  // The reverse link is lossless and never stepped; it is built first, so
-  // it forks rng_ before the forward qdisc and link do.
-  LinkType rev_type = config_.link == LinkType::kStepped ? LinkType::kFixed : config_.link;
+  // The reverse link is lossless and never follows the steps; it is built
+  // first, so it forks rng_ before the forward qdisc and link do.
   std::unique_ptr<LinkModel> rev_link =
-      MakeLink(rev_type, config_.reverse_rate, config_.one_way_delay, 0.0);
+      MakeLink(config_.link, config_.reverse_rate, config_.one_way_delay, 0.0);
   std::unique_ptr<Qdisc> fwd_qdisc =
       MakeBottleneckQdisc(config_.qdisc, config_.queue_limit_packets, config_.ecn, &rng_);
   std::unique_ptr<LinkModel> fwd_link =
-      MakeLink(config_.link, config_.rate, config_.one_way_delay, config_.loss_probability);
+      config_.steps.empty()
+          ? MakeLink(config_.link, config_.rate, config_.one_way_delay, config_.loss_probability)
+          : std::make_unique<ScheduledLinkModel>(config_.steps, config_.one_way_delay,
+                                                 config_.loss_probability);
   path_ = std::make_unique<DuplexPath>(&loop_, &rng_, std::move(fwd_qdisc), std::move(fwd_link),
                                        std::move(rev_qdisc), std::move(rev_link));
   path_->BindTelemetry(&spine_);
@@ -71,10 +75,7 @@ std::unique_ptr<LinkModel> Testbed::MakeLink(LinkType type, DataRate rate, TimeD
                                              double loss_probability) {
   switch (type) {
     case LinkType::kFixed:
-    case LinkType::kLan:
-      return std::make_unique<FixedLinkModel>(rate, delay, loss_probability);
-    case LinkType::kStepped:
-      return std::make_unique<SteppedLinkModel>(config_.steps, delay, loss_probability);
+      return std::make_unique<ScheduledLinkModel>(rate, delay, loss_probability);
     case LinkType::kCable:
       return std::make_unique<CableLinkModel>(rate, delay, rng_.Fork());
     case LinkType::kWifi:

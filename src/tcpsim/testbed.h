@@ -1,6 +1,7 @@
 // Testbed: builds the sender/WAN-emulator/receiver topology of the paper's
 // experiments — a duplex path with a configurable bottleneck qdisc and link
-// model — and wires connected TCP socket pairs onto it.
+// model — and wires connected TCP socket pairs onto it. It is the one place
+// that builds a single path; topo::Network builds multi-hop ones.
 
 #ifndef ELEMENT_SRC_TCPSIM_TESTBED_H_
 #define ELEMENT_SRC_TCPSIM_TESTBED_H_
@@ -19,7 +20,7 @@
 
 namespace element {
 
-enum class LinkType { kFixed, kStepped, kLan, kCable, kWifi, kLte };
+enum class LinkType { kFixed, kCable, kWifi, kLte };
 
 struct PathConfig {
   // Bottleneck (data direction) configuration.
@@ -31,7 +32,10 @@ struct PathConfig {
   DataRate rate = DataRate::Mbps(10);
   TimeDelta one_way_delay = TimeDelta::FromMillis(25);
   double loss_probability = 0.0;
-  std::vector<SteppedLinkModel::Step> steps;  // for LinkType::kStepped
+  // A time-varying forward rate (kFixed only): Fig. 8's steps, or a replayed
+  // trace through ScheduleFromTrace (src/netsim/trace_link.h). When set, it
+  // replaces `rate`; the reverse link keeps `reverse_rate`.
+  std::vector<ScheduledLinkModel::Step> steps;
 
   // Reverse (ACK) direction: a pfifo_fast pipe with the forward one-way
   // delay; a generous default rate so ACKs are not the bottleneck unless a

@@ -53,8 +53,8 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
   for (int h = 0; h < spec_.hops; ++h) {
     std::unique_ptr<Qdisc> qdisc = MakeBottleneckQdisc(spec_.qdisc, spec_.queue_limit_packets,
                                                        spec_.ecn, rng_);
-    auto fwd_link = std::make_unique<FixedLinkModel>(spec_.bottleneck_rate,
-                                                     spec_.bottleneck_delay);
+    auto fwd_link = std::make_unique<ScheduledLinkModel>(spec_.bottleneck_rate,
+                                                         spec_.bottleneck_delay);
     pipes_.push_back(std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(qdisc),
                                             std::move(fwd_link),
                                             fwd_routers_[static_cast<size_t>(h + 1)].get()));
@@ -65,7 +65,7 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
     auto rev_qdisc =
         std::make_unique<PfifoFast>(std::max(kAccessQueuePackets, spec_.queue_limit_packets));
     auto rev_link =
-        std::make_unique<FixedLinkModel>(spec_.bottleneck_rate, spec_.bottleneck_delay);
+        std::make_unique<ScheduledLinkModel>(spec_.bottleneck_rate, spec_.bottleneck_delay);
     pipes_.push_back(std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(rev_qdisc),
                                             std::move(rev_link),
                                             rev_routers_[static_cast<size_t>(h)].get()));
@@ -82,8 +82,8 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
 
 Pipe* Network::MakeAccessPipe(PacketSink* out) {
   auto qdisc = std::make_unique<PfifoFast>(kAccessQueuePackets);
-  auto link = std::make_unique<FixedLinkModel>(spec_.bottleneck_rate * kAccessRateFactor,
-                                               spec_.access_delay);
+  auto link = std::make_unique<ScheduledLinkModel>(spec_.bottleneck_rate * kAccessRateFactor,
+                                                   spec_.access_delay);
   pipes_.push_back(
       std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(qdisc), std::move(link), out));
   return pipes_.back().get();

@@ -200,9 +200,9 @@ TEST(FlowIdDeathTest, ReleasingARegisteredIdAborts) {
   EventLoop loop;
   Rng rng(1);
   DuplexPath path(&loop, &rng, std::make_unique<PfifoFast>(10),
-                  std::make_unique<FixedLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()),
+                  std::make_unique<ScheduledLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()),
                   std::make_unique<PfifoFast>(10),
-                  std::make_unique<FixedLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()));
+                  std::make_unique<ScheduledLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()));
   uint64_t flow = path.AllocateFlowId();
   Demux endpoint;
   path.client_demux().Register(flow, &endpoint);

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/netsim/link_model.h"
 #include "src/netsim/pfifo_fast.h"
 #include "src/netsim/pipe.h"
+#include "src/netsim/trace_link.h"
 
 namespace element {
 namespace {
@@ -33,8 +37,134 @@ Packet MakePacket(uint32_t size, uint64_t flow = 1) {
   return p;
 }
 
+// The rate the stepped link gave before fixed, stepped and trace links became
+// one class: it walked the steps, and a schedule spanning no time gave 0.
+DataRate OldSteppedRate(const std::vector<ScheduledLinkModel::Step>& steps, SimTime now) {
+  TimeDelta cycle = TimeDelta::Zero();
+  for (const ScheduledLinkModel::Step& s : steps) {
+    cycle += s.duration;
+  }
+  if (steps.empty() || cycle <= TimeDelta::Zero()) {
+    return DataRate::Zero();
+  }
+  int64_t pos = now.nanos() % cycle.nanos();
+  for (const ScheduledLinkModel::Step& s : steps) {
+    if (pos < s.duration.nanos()) {
+      return s.rate;
+    }
+    pos -= s.duration.nanos();
+  }
+  return steps.back().rate;
+}
+
+// The rate the trace link gave: the last point at or before `now` within a
+// cycle that ends at the last point, the first point's rate before it.
+DataRate OldTraceRate(const std::vector<TracePoint>& trace, SimTime now) {
+  if (trace.empty()) {
+    return DataRate::Zero();
+  }
+  int64_t pos_ns = now.nanos();
+  int64_t cycle_ns = trace.back().at.nanos();
+  if (cycle_ns > 0) {
+    pos_ns %= cycle_ns;
+  }
+  auto it = std::upper_bound(trace.begin(), trace.end(), SimTime::FromNanos(pos_ns),
+                             [](SimTime t, const TracePoint& p) { return t < p.at; });
+  return it == trace.begin() ? trace.front().rate : (it - 1)->rate;
+}
+
+struct ScheduleCase {
+  std::string name;
+  // A trace replayed through ScheduleFromTrace; when empty, `steps` is the
+  // schedule, and one zero-length step stands for the one-rate constructor.
+  std::vector<TracePoint> trace;
+  std::vector<ScheduledLinkModel::Step> steps;
+  double loss = 0.0;
+};
+
+void PrintTo(const ScheduleCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<ScheduleCase> ScheduleCases() {
+  Rng rng(42);
+  return {
+      {"fig08",
+       {},
+       {{TimeDelta::FromSecondsInt(20), DataRate::Mbps(10)},
+        {TimeDelta::FromSecondsInt(20), DataRate::Mbps(50)}}},
+      {"csv", ParseTraceCsv("t_seconds,mbps\n0.5,10\n1,20\n1,30\n2.25,5\n3,40\n"), {}},
+      {"synthesized",
+       SynthesizeCellularTrace(&rng, DataRate::Mbps(15), TimeDelta::FromSecondsInt(10)),
+       {}},
+      {"one_row", ParseTraceCsv("2,7\n"), {}},
+      {"loss", {}, {{TimeDelta::Zero(), DataRate::Mbps(8)}}, 0.5},
+  };
+}
+
+class ScheduledLinkModelTest : public ::testing::TestWithParam<ScheduleCase> {};
+
+TEST_P(ScheduledLinkModelTest, MatchesTheOldLinks) {
+  const ScheduleCase& c = GetParam();
+  const TimeDelta delay = TimeDelta::FromMillis(10);
+  std::vector<ScheduledLinkModel::Step> steps =
+      c.trace.empty() ? c.steps : ScheduleFromTrace(c.trace);
+  const bool one_rate = c.trace.empty() && steps.size() == 1 && steps[0].duration.IsZero();
+  std::unique_ptr<ScheduledLinkModel> link =
+      one_rate ? std::make_unique<ScheduledLinkModel>(steps[0].rate, delay, c.loss)
+               : std::make_unique<ScheduledLinkModel>(steps, delay, c.loss);
+  EXPECT_EQ(link->PropagationDelay().nanos(), delay.nanos());
+
+  // Every step boundary and trace point, +-1 ns, over three cycles.
+  TimeDelta cycle = TimeDelta::Zero();
+  std::vector<int64_t> marks = {0};
+  for (const ScheduledLinkModel::Step& s : steps) {
+    cycle += s.duration;
+    marks.push_back(cycle.nanos());
+  }
+  for (const TracePoint& p : c.trace) {
+    marks.push_back(p.at.nanos());
+  }
+  const int64_t period = cycle > TimeDelta::Zero() ? cycle.nanos() : 1'000'000'000;
+  for (int64_t k = 0; k < 3; ++k) {
+    for (int64_t mark : marks) {
+      for (int64_t d = -1; d <= 1; ++d) {
+        const int64_t ns = k * period + mark + d;
+        if (ns < 0) {
+          continue;
+        }
+        const SimTime t = SimTime::FromNanos(ns);
+        const DataRate rate = link->RateAt(t);
+        if (!c.trace.empty()) {
+          EXPECT_EQ(rate.bps(), OldTraceRate(c.trace, t).bps()) << "trace at " << ns << " ns";
+        }
+        if (one_rate) {
+          EXPECT_EQ(rate.bps(), steps[0].rate.bps()) << "one rate at " << ns << " ns";
+        } else if (cycle > TimeDelta::Zero()) {
+          EXPECT_EQ(rate.bps(), OldSteppedRate(steps, t).bps()) << "steps at " << ns << " ns";
+        }
+      }
+    }
+  }
+
+  // Wire loss draws from the pipe's Rng exactly as before: one Bernoulli
+  // per packet when the loss is positive, none otherwise.
+  Rng rng(7);
+  Rng reference(7);
+  int drops = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const bool drop = link->DropOnWire(rng, SimTime::Zero());
+    EXPECT_EQ(drop, c.loss > 0.0 && reference.Bernoulli(c.loss));
+    drops += drop;
+  }
+  EXPECT_EQ(rng.Uniform(0.0, 1.0), reference.Uniform(0.0, 1.0));
+  EXPECT_NEAR(drops / 10000.0, c.loss, 0.03);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, ScheduledLinkModelTest, ::testing::ValuesIn(ScheduleCases()));
+
+// The one-rate constructor stands in for the deleted FixedLinkModel; these
+// keep that link's checks under their old names.
 TEST(FixedLinkModelTest, RateAndDelay) {
-  FixedLinkModel link(DataRate::Mbps(8), TimeDelta::FromMillis(10));
+  ScheduledLinkModel link(DataRate::Mbps(8), TimeDelta::FromMillis(10));
   EXPECT_DOUBLE_EQ(link.RateAt(SimTime::Zero()).ToMbps(), 8.0);
   EXPECT_EQ(link.PropagationDelay().ToMillis(), 10);
   Rng rng(1);
@@ -42,7 +172,7 @@ TEST(FixedLinkModelTest, RateAndDelay) {
 }
 
 TEST(FixedLinkModelTest, LossProbability) {
-  FixedLinkModel link(DataRate::Mbps(8), TimeDelta::Zero(), 0.5);
+  ScheduledLinkModel link(DataRate::Mbps(8), TimeDelta::Zero(), 0.5);
   Rng rng(42);
   int drops = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -51,16 +181,12 @@ TEST(FixedLinkModelTest, LossProbability) {
   EXPECT_NEAR(drops / 10000.0, 0.5, 0.03);
 }
 
-TEST(SteppedLinkModelTest, SwitchesOnSchedule) {
-  std::vector<SteppedLinkModel::Step> steps = {
-      {TimeDelta::FromSecondsInt(20), DataRate::Mbps(10)},
-      {TimeDelta::FromSecondsInt(20), DataRate::Mbps(50)},
-  };
-  SteppedLinkModel link(steps, TimeDelta::FromMillis(5));
-  EXPECT_DOUBLE_EQ(link.RateAt(SimTime::FromNanos(1'000'000'000)).ToMbps(), 10.0);
-  EXPECT_DOUBLE_EQ(link.RateAt(SimTime::FromNanos(25'000'000'000LL)).ToMbps(), 50.0);
-  // Wraps around after one full cycle.
-  EXPECT_DOUBLE_EQ(link.RateAt(SimTime::FromNanos(41'000'000'000LL)).ToMbps(), 10.0);
+TEST(ScheduledLinkModelDeathTest, RejectsEmptyAndNegativeSchedules) {
+  using Steps = std::vector<ScheduledLinkModel::Step>;
+  EXPECT_DEATH(ScheduledLinkModel(Steps{}, TimeDelta::Zero()), "at least one step");
+  EXPECT_DEATH(
+      ScheduledLinkModel(Steps{{TimeDelta::FromNanos(-1), DataRate::Mbps(1)}}, TimeDelta::Zero()),
+      "negative schedule step: -1 ns");
 }
 
 TEST(WifiLinkModelTest, RateStaysWithinLadder) {
@@ -85,7 +211,7 @@ TEST(PipeTest, SerializationAndPropagationTiming) {
   EventLoop loop;
   CollectorSink sink(&loop);
   Pipe pipe(&loop, Rng(1), std::make_unique<PfifoFast>(100),
-            std::make_unique<FixedLinkModel>(DataRate::Mbps(10), TimeDelta::FromMillis(25)),
+            std::make_unique<ScheduledLinkModel>(DataRate::Mbps(10), TimeDelta::FromMillis(25)),
             &sink);
   // 1250 bytes at 10 Mbps = 1 ms serialization + 25 ms propagation.
   pipe.Send(MakePacket(1250));
@@ -98,7 +224,7 @@ TEST(PipeTest, BackToBackPacketsSpacedBySerialization) {
   EventLoop loop;
   CollectorSink sink(&loop);
   Pipe pipe(&loop, Rng(1), std::make_unique<PfifoFast>(100),
-            std::make_unique<FixedLinkModel>(DataRate::Mbps(10), TimeDelta::Zero()), &sink);
+            std::make_unique<ScheduledLinkModel>(DataRate::Mbps(10), TimeDelta::Zero()), &sink);
   for (int i = 0; i < 5; ++i) {
     pipe.Send(MakePacket(1250));
   }
@@ -111,9 +237,9 @@ TEST(PipeTest, BackToBackPacketsSpacedBySerialization) {
 
 TEST(PipeTest, DeliveryOrderPreservedUnderJitter) {
   // A jittery link must not reorder packets.
-  class JitteryLink : public FixedLinkModel {
+  class JitteryLink : public ScheduledLinkModel {
    public:
-    JitteryLink() : FixedLinkModel(DataRate::Mbps(100), TimeDelta::FromMillis(5)) {}
+    JitteryLink() : ScheduledLinkModel(DataRate::Mbps(100), TimeDelta::FromMillis(5)) {}
     TimeDelta JitterFor(Rng& rng) override {
       return TimeDelta::FromSeconds(rng.Exponential(0.002));
     }
@@ -141,7 +267,7 @@ TEST(PipeTest, WireLossCounted) {
   EventLoop loop;
   CollectorSink sink(&loop);
   Pipe pipe(&loop, Rng(5), std::make_unique<PfifoFast>(10000),
-            std::make_unique<FixedLinkModel>(DataRate::Mbps(100), TimeDelta::Zero(), 0.3),
+            std::make_unique<ScheduledLinkModel>(DataRate::Mbps(100), TimeDelta::Zero(), 0.3),
             &sink);
   for (int i = 0; i < 2000; ++i) {
     pipe.Send(MakePacket(1500));
@@ -155,7 +281,7 @@ TEST(PipeTest, BacklogDelayReflectsQueue) {
   EventLoop loop;
   CollectorSink sink(&loop);
   Pipe pipe(&loop, Rng(1), std::make_unique<PfifoFast>(1000),
-            std::make_unique<FixedLinkModel>(DataRate::Mbps(10), TimeDelta::Zero()), &sink);
+            std::make_unique<ScheduledLinkModel>(DataRate::Mbps(10), TimeDelta::Zero()), &sink);
   for (int i = 0; i < 11; ++i) {
     pipe.Send(MakePacket(1250));
   }
@@ -200,10 +326,11 @@ TEST(DemuxTest, RoutesByFlowId) {
 TEST(DuplexPathTest, ForwardAndReverseIndependent) {
   EventLoop loop;
   Rng rng(9);
-  DuplexPath path(&loop, &rng, std::make_unique<PfifoFast>(100),
-                  std::make_unique<FixedLinkModel>(DataRate::Mbps(10), TimeDelta::FromMillis(5)),
-                  std::make_unique<PfifoFast>(100),
-                  std::make_unique<FixedLinkModel>(DataRate::Mbps(50), TimeDelta::FromMillis(5)));
+  DuplexPath path(
+      &loop, &rng, std::make_unique<PfifoFast>(100),
+      std::make_unique<ScheduledLinkModel>(DataRate::Mbps(10), TimeDelta::FromMillis(5)),
+      std::make_unique<PfifoFast>(100),
+      std::make_unique<ScheduledLinkModel>(DataRate::Mbps(50), TimeDelta::FromMillis(5)));
   CollectorSink at_server(&loop);
   CollectorSink at_client(&loop);
   uint64_t flow = path.AllocateFlowId();
@@ -225,9 +352,9 @@ TEST(DuplexPathTest, FlowIdsUnique) {
   EventLoop loop;
   Rng rng(9);
   DuplexPath path(&loop, &rng, std::make_unique<PfifoFast>(10),
-                  std::make_unique<FixedLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()),
+                  std::make_unique<ScheduledLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()),
                   std::make_unique<PfifoFast>(10),
-                  std::make_unique<FixedLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()));
+                  std::make_unique<ScheduledLinkModel>(DataRate::Mbps(1), TimeDelta::Zero()));
   uint64_t a = path.AllocateFlowId();
   uint64_t b = path.AllocateFlowId();
   EXPECT_NE(a, b);

@@ -153,7 +153,6 @@ TEST(SproutTest, BacksOffWhenQueueingRises) {
   // Squeeze the link after 10 s: Sprout's delay-bounded probing must shrink
   // its rate rather than sit on a standing queue.
   PathConfig path;
-  path.link = LinkType::kStepped;
   path.steps = {{TimeDelta::FromSecondsInt(10), DataRate::Mbps(10)},
                 {TimeDelta::FromSecondsInt(30), DataRate::Mbps(2)}};
   Testbed bed(15, path);

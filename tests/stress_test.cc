@@ -139,7 +139,6 @@ TEST(OutageTest, FlowSurvivesLinkBlackout) {
   // 10 s up, 2 s total outage, then up again — RTO backoff must carry the
   // connection across and resume transfer.
   PathConfig path;
-  path.link = LinkType::kStepped;
   path.steps = {{TimeDelta::FromSecondsInt(10), DataRate::Mbps(10)},
                 {TimeDelta::FromSecondsInt(2), DataRate::Zero()},
                 {TimeDelta::FromSecondsInt(30), DataRate::Mbps(10)}};
@@ -166,7 +165,6 @@ TEST(OutageTest, FlowSurvivesLinkBlackout) {
 
 TEST(OutageTest, ElementFlowSurvivesBlackoutToo) {
   PathConfig path;
-  path.link = LinkType::kStepped;
   path.steps = {{TimeDelta::FromSecondsInt(8), DataRate::Mbps(10)},
                 {TimeDelta::FromSecondsInt(2), DataRate::Zero()},
                 {TimeDelta::FromSecondsInt(30), DataRate::Mbps(10)}};

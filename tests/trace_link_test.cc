@@ -1,5 +1,6 @@
-// Tests for the trace-driven link model (CSV parsing, replay semantics,
-// synthetic cellular traces) and the path-delay estimator.
+// Tests for bandwidth traces (CSV parsing, synthetic cellular traces, TCP
+// over a replayed trace) and the path-delay estimator. How a trace's
+// schedule rates the link is checked in link_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +9,6 @@
 #include "src/apps/iperf_app.h"
 #include "src/element/byte_sink.h"
 #include "src/element/element_socket.h"
-#include "src/netsim/pfifo_fast.h"
-#include "src/netsim/pipe.h"
 #include "src/netsim/trace_link.h"
 #include "src/tcpsim/testbed.h"
 
@@ -25,7 +24,7 @@ TEST(TraceParseTest, ParsesCsvWithHeaderAndComments) {
       "0,10\n"
       "2.5,25\n"
       "5,5\n";
-  auto trace = TraceLinkModel::ParseCsv(csv);
+  auto trace = ParseTraceCsv(csv);
   ASSERT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace[0].at.nanos(), 0);
   EXPECT_DOUBLE_EQ(trace[1].rate.ToMbps(), 25.0);
@@ -33,34 +32,20 @@ TEST(TraceParseTest, ParsesCsvWithHeaderAndComments) {
 }
 
 TEST(TraceParseTest, RejectsMalformedAndUnorderedInput) {
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10\nbogus line\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("5,10\n1,20\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("no commas here\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10\n1e300,10\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10\nnan,10\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("-5,10\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,-5\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,inf\n").empty());
-  EXPECT_TRUE(TraceLinkModel::ParseCsv("0,10abc\n").empty());
-}
-
-TEST(TraceLinkTest, StepHoldAndLooping) {
-  std::vector<TracePoint> trace = {
-      {SimTime::Zero(), DataRate::Mbps(10)},
-      {Sec(1.0), DataRate::Mbps(20)},
-      {Sec(2.0), DataRate::Mbps(30)},
-  };
-  TraceLinkModel link(trace, TimeDelta::FromMillis(5));
-  EXPECT_DOUBLE_EQ(link.RateAt(Sec(0.5)).ToMbps(), 10.0);
-  EXPECT_DOUBLE_EQ(link.RateAt(Sec(1.5)).ToMbps(), 20.0);
-  // After the last point the trace loops (cycle = 2 s).
-  EXPECT_DOUBLE_EQ(link.RateAt(Sec(2.5)).ToMbps(), 10.0);
-  EXPECT_DOUBLE_EQ(link.RateAt(Sec(3.5)).ToMbps(), 20.0);
+  EXPECT_TRUE(ParseTraceCsv("0,10\nbogus line\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("5,10\n1,20\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("no commas here\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("0,10\n1e300,10\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("0,10\nnan,10\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("-5,10\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("0,-5\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("0,inf\n").empty());
+  EXPECT_TRUE(ParseTraceCsv("0,10abc\n").empty());
 }
 
 TEST(TraceLinkTest, SynthesizedCellularTraceIsBoundedAndVaries) {
   Rng rng(42);
-  auto trace = TraceLinkModel::SynthesizeCellular(&rng, DataRate::Mbps(20), Sec(60.0) - SimTime::Zero());
+  auto trace = SynthesizeCellularTrace(&rng, DataRate::Mbps(20), Sec(60.0) - SimTime::Zero());
   ASSERT_GT(trace.size(), 500u);
   double lo = 1e18;
   double hi = 0;
@@ -75,36 +60,34 @@ TEST(TraceLinkTest, SynthesizedCellularTraceIsBoundedAndVaries) {
 }
 
 TEST(TraceLinkTest, TcpRidesAReplayedTrace) {
-  // Drive a full TCP flow over a synthesized cellular trace via a hand-built
-  // path (Testbed has no trace LinkType; this is the power-user route).
-  EventLoop loop;
-  Rng rng(7);
+  // Drive a full TCP flow over a synthesized cellular trace.
   Rng trace_rng(8);
-  auto trace = TraceLinkModel::SynthesizeCellular(&trace_rng, DataRate::Mbps(15),
-                                                  Sec(60.0) - SimTime::Zero());
-  DuplexPath path(&loop, &rng, std::make_unique<PfifoFast>(200),
-                  std::make_unique<TraceLinkModel>(trace, TimeDelta::FromMillis(25)),
-                  std::make_unique<PfifoFast>(1000),
-                  std::make_unique<FixedLinkModel>(DataRate::Gbps(1), TimeDelta::FromMillis(25)));
-  uint64_t flow_id = path.AllocateFlowId();
-  TcpSocket sender(&loop, rng.Fork(), TcpSocket::Config{}, flow_id, &path.forward(),
-                   &path.client_demux());
-  TcpSocket receiver(&loop, rng.Fork(), TcpSocket::Config{}, flow_id, &path.reverse(),
-                     &path.server_demux());
-  receiver.Listen();
-  sender.Connect();
-  RawTcpSink sink(&sender);
-  IperfApp app(&loop, &sink);
-  SinkApp reader(&receiver);
+  PathConfig path;
+  path.queue_limit_packets = 200;
+  path.steps = ScheduleFromTrace(
+      SynthesizeCellularTrace(&trace_rng, DataRate::Mbps(15), Sec(60.0) - SimTime::Zero()));
+  Testbed bed(7, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  RawTcpSink sink(flow.sender);
+  IperfApp app(&bed.loop(), &sink);
+  SinkApp reader(flow.receiver);
   app.Start();
   reader.Start();
-  loop.RunUntil(Sec(30.0));
-  double goodput =
-      RateOver(static_cast<int64_t>(receiver.app_bytes_read()), TimeDelta::FromSecondsInt(30))
-          .ToMbps();
+  bed.loop().RunUntil(Sec(30.0));
+  double goodput = RateOver(static_cast<int64_t>(flow.receiver->app_bytes_read()),
+                            TimeDelta::FromSecondsInt(30))
+                       .ToMbps();
   // TCP extracts a decent share of a ~15 Mbps varying link.
   EXPECT_GT(goodput, 6.0);
   EXPECT_LT(goodput, 16.0);
+}
+
+// Steps replace the rate of a fixed link only; an empty trace has no schedule.
+TEST(TraceLinkDeathTest, StepsNeedAFixedLinkAndATrace) {
+  PathConfig path = LteProfile();
+  path.steps = ScheduleFromTrace(ParseTraceCsv("0,10\n1,20\n"));
+  EXPECT_DEATH(Testbed(1, path), "PathConfig::steps needs LinkType::kFixed");
+  EXPECT_DEATH(ScheduleFromTrace({}), "an empty trace has no schedule");
 }
 
 TEST(PathDelayEstimatorTest, DecomposesPropagationAndQueueing) {

@@ -36,11 +36,11 @@ reproducible; this lint does:
       bounds check and one load, where a map walks a tree and a hash map
       hashes and chases a bucket node. Waived line-by-line with
       allow(node-container), as for R7, when a line has a design reason.
-  R9  no TcpSocket construction in src/ outside the socket-pair helper
-      (ConnectTcpPair in src/tcpsim/tcp_socket.cc) — every flow's sockets
-      are made there, so the client/server Rng fork order and the
-      Listen-then-Connect handshake are written once. Waived line-by-line
-      with allow(socket-construction), as for R7 and R8.
+  R9  no TcpSocket construction in src/, bench/ or examples/ outside the
+      socket-pair helper (ConnectTcpPair in src/tcpsim/tcp_socket.cc) —
+      every flow's sockets are made there, so the client/server Rng fork
+      order and the Listen-then-Connect handshake are written once. Waived
+      line-by-line with allow(socket-construction), as for R7 and R8.
   R10 no unset knob: every field of a `struct ...Config|Params|Options|Spec`
       declared in a src/ header must be set somewhere in src/, bench/,
       examples/, tests/ or perfbench/, or it is a configuration nobody runs
@@ -48,15 +48,21 @@ reproducible; this lint does:
       field counts as set where `.f =`, `->f =`, a nested `.f.x =` or a
       `&Struct::f` member pointer appears in those trees. Waived per field
       line with allow(unset-knob).
+  R11 no DuplexPath construction in src/, bench/ or examples/ outside
+      Testbed (src/tcpsim/testbed.cc) — a single path's qdiscs, link models
+      (fixed, stepped or a replayed trace, all through PathConfig) and Rng
+      forks are chosen in one place; multi-hop paths come from topo::Network.
+      Waived line-by-line with allow(path-construction).
 
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
 src/topo/, and src/telemetry/; R8 only in src/netsim/, src/topo/ and
-src/evloop/; R9 in all of src/; R10 in src/ headers, searching the five
-trees above for setters whatever paths are linted).
-tests/, bench/, and examples/ are linted with
-R2/R3/R4 only
-(benchmark harnesses legitimately read wall clocks; floats never carry sim
-state in src/ but may appear in plotting-oriented code).
+src/evloop/; R9 and R11 in all of src/; R10 in src/ headers, searching the
+five trees above for setters whatever paths are linted).
+bench/ and examples/ are linted with R2/R3/R4, R9 and R11; tests/ with
+R2/R3/R4 only, since unit tests build sockets and paths by hand to reach
+states a flow cannot (benchmark harnesses legitimately read wall clocks;
+floats never carry sim state in src/ but may appear in plotting-oriented
+code).
 
 src/runner/ policy: the fleet executor (src/runner/fleet.cc) is the one
 sanctioned parallel driver, so it is exempt from R6 — but wall-clock reads
@@ -140,6 +146,18 @@ RULES = {
         "sockets with ConnectTcpPair (src/tcpsim/tcp_socket.h) "
         "(waive with lint_sim: allow(socket-construction))",
     ),
+    # A heap-made, `new`-ed or named DuplexPath.
+    "path-construction": (
+        re.compile(
+            r"\bmake_(?:unique|shared)\s*<\s*(?:element::)?DuplexPath\s*>"
+            r"|\bnew\s+(?:element::)?DuplexPath\b"
+            r"|(?<![\w:])(?:element::)?DuplexPath\s+\w+\s*[({]"
+        ),
+        "DuplexPath constructed outside Testbed; describe the path with a "
+        "PathConfig (PathConfig::steps for a stepped link or a replayed trace) "
+        "and build it with Testbed (src/tcpsim/testbed.h) "
+        "(waive with lint_sim: allow(path-construction))",
+    ),
     # (?!::) keeps std::thread::hardware_concurrency() (a query, not a spawn)
     # out of scope.
     "thread": (
@@ -163,6 +181,8 @@ EXEMPT = {
     "src/runner/fleet.cc": {"thread"},
     # Home of ConnectTcpPair, the one place src/ constructs TcpSockets.
     "src/tcpsim/tcp_socket.cc": {"socket-construction"},
+    # Testbed, the one place that builds a single path.
+    "src/tcpsim/testbed.cc": {"path-construction"},
 }
 
 
@@ -300,6 +320,9 @@ def rules_for(rel: str) -> dict:
             selected.pop("node-container")
     else:
         selected = {k: RULES[k] for k in ("rng-engine", "random-device", "libc-rand")}
+        if rel.startswith(("bench/", "examples/")):
+            for rule in ("socket-construction", "path-construction"):
+                selected[rule] = RULES[rule]
     for rule in EXEMPT.get(rel, ()):  # per-file exemptions
         selected.pop(rule, None)
     return selected
