@@ -24,7 +24,6 @@ class CoDelState {
   // drop to an ECN mark).
   bool ShouldDrop(TimeDelta sojourn, SimTime now, size_t queued_bytes);
 
-  uint32_t drop_count() const { return count_; }
   bool dropping() const { return dropping_; }
 
  private:

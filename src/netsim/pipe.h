@@ -84,10 +84,10 @@ class Pipe : public PacketSink {
 };
 
 // Routes delivered packets to per-flow endpoints: a table indexed by flow id.
-// Ids are small and dense (a FlowIdAllocator hands them out and reuses
-// released ones), so the table stays proportional to the largest live id and
-// a lookup is one bounds check and one load, however many flows end here.
-// Router keeps its exact routes in one as well.
+// Ids are small and dense (a FlowIdAllocator counts them up from 1), so the
+// table stays proportional to the number of flows in the run and a lookup is
+// one bounds check and one load, however many flows end here. Router keeps
+// its exact routes in one as well.
 class Demux : public PacketSink {
  public:
   void Register(uint64_t flow_id, PacketSink* sink) {
@@ -96,25 +96,20 @@ class Demux : public PacketSink {
     }
     PacketSink*& slot = sinks_[flow_id];
     // Re-registering a live flow id would silently misdeliver one endpoint's
-    // packets to another — the classic bug when ids are recycled too early.
+    // packets to another.
     ELEMENT_DCHECK(slot == nullptr || slot == sink)
         << "flow id " << flow_id << " is still registered";
-    live_ += slot == nullptr ? 1 : 0;
     slot = sink;
   }
   void Unregister(uint64_t flow_id) {
-    if (HasFlow(flow_id)) {
+    if (flow_id < sinks_.size()) {
       sinks_[flow_id] = nullptr;
-      --live_;
     }
   }
   // The flow's sink, or nullptr. Never grows the table.
   PacketSink* Find(uint64_t flow_id) const {
     return flow_id < sinks_.size() ? sinks_[flow_id] : nullptr;
   }
-  bool HasFlow(uint64_t flow_id) const { return Find(flow_id) != nullptr; }
-  // Live registrations; a churn test's leak detector.
-  size_t size() const { return live_; }
   // One past the largest id ever registered: the table's length.
   size_t table_size() const { return sinks_.size(); }
   void Deliver(Packet pkt) override;
@@ -122,34 +117,17 @@ class Demux : public PacketSink {
 
  private:
   std::vector<PacketSink*> sinks_;  // flow id -> sink, nullptr = none
-  size_t live_ = 0;
   uint64_t unroutable_ = 0;
 };
 
-// Hands out flow ids from 1 up and reuses released ones last-in first-out, so
-// the same churn always yields the same ids and every Demux stays
-// proportional to the peak concurrent flow count. Only release an id once no
-// packet under it can still arrive (see docs/topology.md, the teardown drain
-// rule); Demux::Register catches a too-early reuse with a DCHECK.
+// Hands out flow ids counting up from 1. A connection lives until the run
+// ends, so an id is never handed out twice within a run.
 class FlowIdAllocator {
  public:
-  uint64_t Allocate() {
-    if (free_.empty()) {
-      return next_++;
-    }
-    uint64_t id = free_.back();
-    free_.pop_back();
-    return id;
-  }
-  void Release(uint64_t flow_id) {
-    ELEMENT_DCHECK(flow_id > 0 && flow_id < next_)
-        << "releasing unallocated flow id " << flow_id;
-    free_.push_back(flow_id);
-  }
+  uint64_t Allocate() { return next_++; }
 
  private:
   uint64_t next_ = 1;
-  std::vector<uint64_t> free_;
 };
 
 // One endpoint's attachment: where it transmits and the demux its packets are
@@ -181,14 +159,8 @@ class DuplexPath {
   // Endpoints at the client register here to receive reverse-direction packets.
   Demux& client_demux() { return client_demux_; }
 
-  // Flow ids for this path's endpoints. Only release an id once the path is
-  // drained of its packets (both endpoints closed and destroyed).
+  // Flow ids for this path's endpoints.
   uint64_t AllocateFlowId() { return flow_ids_.Allocate(); }
-  void ReleaseFlowId(uint64_t flow_id) {
-    ELEMENT_DCHECK(!server_demux_.HasFlow(flow_id) && !client_demux_.HasFlow(flow_id))
-        << "flow id " << flow_id << " released while still registered";
-    flow_ids_.Release(flow_id);
-  }
 
  private:
   Demux server_demux_;

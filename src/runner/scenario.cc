@@ -223,6 +223,9 @@ std::string ScenarioSpec::Validate() const {
        << " its auto-sized queue (2x BDP) does not fit in size_t; set queue_packets";
   } else if (loss < 0.0 || loss >= 1.0) {
     os << "loss must be in [0, 1), got " << loss;
+  } else if (loss > 0.0 && profile != "wired" && profile != "lan") {
+    // Only a fixed link draws wire losses; cable, WiFi and LTE would ignore it.
+    os << "loss needs a fixed link (profile wired or lan), got profile '" << profile << "'";
   } else if (!OneOf(topology, kTopologies)) {
     os << "unknown topology '" << topology << "' (" << Options(kTopologies) << ")";
   } else if (hops < 1 || hops > 16) {

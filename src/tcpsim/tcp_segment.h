@@ -43,7 +43,6 @@ struct TcpSegmentPayload : public Payload {
   // Flags.
   bool syn = false;
   bool ack = false;
-  bool fin = false;
   bool ece = false;  // ECN-Echo
   bool cwr = false;  // Congestion Window Reduced
 

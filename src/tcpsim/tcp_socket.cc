@@ -47,12 +47,6 @@ TcpSocket::TcpSocket(EventLoop* loop, Rng rng, Config config, uint64_t flow_id, 
                                  writable_cb_();
                                }
                              }),
-      fin_retry_timer_(loop,
-                       [this] {
-                         if (!fin_acked_) {
-                           SendFinSegment();
-                         }
-                       }),
       delayed_ack_timer_(loop, [this] { SendAck(); }),
       readable_wakeup_timer_(loop, [this] {
         if (ReadableBytes() > 0 && readable_cb_) {
@@ -122,9 +116,6 @@ size_t TcpSocket::SndBufFree() const {
 }
 
 size_t TcpSocket::Write(size_t n) {
-  if (close_requested_) {
-    return 0;  // write side is shut
-  }
   size_t accepted = std::min(n, SndBufFree());
   if (accepted > 0) {
     if (telemetry_.recording()) {
@@ -242,13 +233,12 @@ void TcpSocket::TrySendData() {
     if (RetransmitOneLost()) {
       sent_len = config_.mss;  // pacing accounting only
     } else {
-      // After a FIN, snd_nxt_ sits one past write_seq_ (the phantom byte).
-      uint64_t avail = write_seq_ > snd_nxt_ ? write_seq_ - snd_nxt_ : 0;
+      uint64_t avail = write_seq_ - snd_nxt_;
       if (avail == 0) {
         app_limited_now_ = true;
         break;
       }
-      if (config_.nagle && avail < config_.mss && snd_nxt_ > snd_una_) {
+      if (avail < config_.mss && snd_nxt_ > snd_una_) {
         // Nagle: park the sub-MSS tail until outstanding data is ACKed (or
         // the application writes enough to fill a segment).
         app_limited_now_ = true;
@@ -264,7 +254,6 @@ void TcpSocket::TrySendData() {
       next_send_time_ = base + pacing->TransmitTime(sent_len + kIpTcpHeaderBytes);
     }
   }
-  MaybeSendFin();
 }
 
 void TcpSocket::SendDataSegment(uint64_t seq, uint32_t len, bool retransmit) {
@@ -338,37 +327,6 @@ void TcpSocket::ReactToEcnEcho() {
   last_ecn_reaction_ = loop_->now();
   cwr_pending_ = true;
   cc_->OnLoss(loop_->now(), EffectiveInFlight(), config_.mss);
-}
-
-void TcpSocket::Close() {
-  if (close_requested_) {
-    return;
-  }
-  close_requested_ = true;
-  MaybeSendFin();
-}
-
-void TcpSocket::MaybeSendFin() {
-  // The FIN goes out once every buffered byte has been transmitted.
-  if (!close_requested_ || fin_sent_ || !established() || snd_nxt_ < write_seq_) {
-    return;
-  }
-  fin_seq_ = write_seq_;
-  snd_nxt_ = fin_seq_ + 1;  // the FIN consumes one sequence number
-  fin_sent_ = true;
-  SendFinSegment();
-}
-
-void TcpSocket::SendFinSegment() {
-  TcpSegmentPayload fin;
-  fin.fin = true;
-  fin.seq = fin_seq_;
-  fin.ack = true;
-  fin.ack_seq = rcv_nxt_;
-  fin.receive_window = AdvertisedWindow();
-  EmitSegment(fin, 0);
-  // Retransmit until acknowledged, with the connection's current RTO.
-  fin_retry_timer_.RestartAfter(rto_);
 }
 
 void TcpSocket::ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample) {
@@ -583,10 +541,6 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
     if (highest_sacked_ < snd_una_) {
       highest_sacked_ = snd_una_;
     }
-    if (fin_sent_ && !fin_acked_ && ack >= fin_seq_ + 1) {
-      fin_acked_ = true;
-      fin_retry_timer_.Cancel();
-    }
   }
 
   MarkLosses();
@@ -746,15 +700,7 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
     bool filled_hole = it != out_of_order_.begin();
     out_of_order_.erase(out_of_order_.begin(), it);
     ++segs_since_ack_;
-    if (pending_peer_fin_ && peer_fin_seq_ <= rcv_nxt_) {
-      peer_fin_received_ = true;
-      pending_peer_fin_ = false;
-      rcv_nxt_ = std::max(rcv_nxt_, peer_fin_seq_ + 1);
-      SendAck();
-      if (eof_cb_) {
-        eof_cb_();
-      }
-    } else if (filled_hole || segs_since_ack_ >= 2 || !out_of_order_.empty()) {
+    if (filled_hole || segs_since_ack_ >= 2 || !out_of_order_.empty()) {
       SendAck();
     } else {
       ScheduleDelayedAck();
@@ -907,22 +853,6 @@ void TcpSocket::Deliver(Packet pkt) {
   if (seg.payload_bytes > 0) {
     OnDataSegment(pkt, seg);
   }
-  if (seg.fin && !peer_fin_received_) {
-    if (seg.seq <= rcv_nxt_) {
-      // All data before the FIN has arrived: consume its phantom byte.
-      peer_fin_received_ = true;
-      pending_peer_fin_ = false;
-      rcv_nxt_ = std::max(rcv_nxt_, seg.seq + 1);
-      SendAck();
-      if (eof_cb_) {
-        eof_cb_();
-      }
-    } else {
-      pending_peer_fin_ = true;  // data still missing; re-check on arrival
-      peer_fin_seq_ = seg.seq;
-      SendAck();
-    }
-  }
   if (seg.ack) {
     OnAckSegment(seg);
   }
@@ -936,13 +866,8 @@ void TcpSocket::AuditSequenceInvariants() const {
   // -- sender sequence space --
   ELEMENT_AUDIT(snd_una_ <= snd_nxt_)
       << "snd_una=" << snd_una_ << " > snd_nxt=" << snd_nxt_ << " flow=" << flow_id_;
-  uint64_t send_limit = write_seq_ + (fin_sent_ ? 1 : 0);  // FIN's phantom byte
-  ELEMENT_AUDIT(snd_nxt_ <= send_limit)
-      << "snd_nxt=" << snd_nxt_ << " beyond app writes=" << write_seq_
-      << " fin_sent=" << fin_sent_ << " flow=" << flow_id_;
-  ELEMENT_AUDIT(snd_una_ <= send_limit)
-      << "sndbuf occupancy negative: snd_una=" << snd_una_ << " write_seq=" << write_seq_
-      << " fin_sent=" << fin_sent_ << " flow=" << flow_id_;
+  ELEMENT_AUDIT(snd_nxt_ <= write_seq_)
+      << "snd_nxt=" << snd_nxt_ << " beyond app writes=" << write_seq_ << " flow=" << flow_id_;
 
   // -- SACK scoreboard vs. the retransmit queue --
   for (size_t i = 1; i < retx_fifo_.size(); ++i) {
@@ -1048,7 +973,7 @@ void TcpSocket::AuditSequenceInvariants() const {
       << " flow=" << flow_id_;
 
   // -- receiver sequence space --
-  ELEMENT_AUDIT(read_seq_ + (peer_fin_received_ ? 1 : 0) <= rcv_nxt_)
+  ELEMENT_AUDIT(read_seq_ <= rcv_nxt_)
       << "app read past rcv_nxt: read_seq=" << read_seq_ << " rcv_nxt=" << rcv_nxt_
       << " flow=" << flow_id_;
   uint64_t ooo = 0;
@@ -1094,11 +1019,10 @@ TcpInfoData TcpSocket::GetTcpInfo() const {
   info.tcpi_snd_ssthresh = cc_->SsthreshSegments();
   info.tcpi_segs_out = segs_out_;
   info.tcpi_total_retrans = static_cast<uint32_t>(total_retrans_);
-  info.tcpi_notsent_bytes =
-      static_cast<uint32_t>(write_seq_ > snd_nxt_ ? write_seq_ - snd_nxt_ : 0);
+  info.tcpi_notsent_bytes = static_cast<uint32_t>(write_seq_ - snd_nxt_);
   info.tcpi_segs_in = segs_in_;
   info.tcpi_rcv_mss = config_.mss;
-  info.tcpi_bytes_received = rcv_nxt_ - (peer_fin_received_ ? 1 : 0);
+  info.tcpi_bytes_received = rcv_nxt_;
   info.tcpi_rtt_us = static_cast<uint32_t>(srtt_.ToMicros());
   info.tcpi_rttvar_us = static_cast<uint32_t>(rttvar_.ToMicros());
   info.tcpi_min_rtt_us =

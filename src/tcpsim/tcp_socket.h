@@ -52,16 +52,10 @@ class TcpSocket : public PacketSink {
     // arrival_rate * 150 ms, bounding the sender's inflight (and, through the
     // 2x-cwnd sndbuf ratchet, its buffer) from the receiver.
     bool drwa_rcv_window_moderation = false;
-
-    // Nagle / autocorking: hold back a sub-MSS tail while earlier data is
-    // unacknowledged, so bulk transfers emit full segments (as Linux does).
-    bool nagle = true;
   };
 
+  // A connection lives until the run ends: there is no teardown.
   enum class State { kClosed, kListen, kSynSent, kEstablished };
-  // Teardown is tracked by flags rather than the full TCP state machine:
-  // Close() half-closes the write side; the read side stays usable until the
-  // peer's FIN arrives (signalled via the EOF callback).
 
   TcpSocket(EventLoop* loop, Rng rng, Config config, uint64_t flow_id, PacketSink* tx,
             Demux* rx_demux);
@@ -78,32 +72,13 @@ class TcpSocket : public PacketSink {
   void SetEstablishedCallback(std::function<void()> cb) {  // lint_sim: allow(std-function)
     established_cb_ = std::move(cb);
   }
-  SimTime established_time() const { return established_time_; }
-
-  // ---- Teardown ----
-  // Half-closes the write side: no further writes are accepted; a FIN is sent
-  // once all buffered data has been transmitted (and is retransmitted until
-  // acknowledged).
-  void Close();
-  bool close_requested() const { return close_requested_; }
-  bool fin_acked() const { return fin_acked_; }
-  // True once the peer's FIN arrived and all prior data was delivered.
-  bool peer_closed() const { return peer_fin_received_; }
-  void SetEofCallback(std::function<void()> cb) {  // lint_sim: allow(std-function)
-    eof_cb_ = std::move(cb);
-  }
 
   // ---- Application I/O (non-blocking) ----
   // Accepts up to `n` bytes into the send buffer; returns bytes accepted.
-  // Returns 0 after Close().
   size_t Write(size_t n);
   // Consumes up to `max` bytes from the receive buffer; returns bytes read.
   size_t Read(size_t max);
-  size_t ReadableBytes() const {
-    // The peer's FIN consumes a phantom sequence number that is not app data.
-    uint64_t stream_end = rcv_nxt_ - (peer_fin_received_ ? 1 : 0);
-    return static_cast<size_t>(stream_end - read_seq_);
-  }
+  size_t ReadableBytes() const { return static_cast<size_t>(rcv_nxt_ - read_seq_); }
   uint64_t app_bytes_written() const { return write_seq_; }
   uint64_t app_bytes_read() const { return read_seq_; }
 
@@ -126,11 +101,7 @@ class TcpSocket : public PacketSink {
   // setsockopt(SO_SNDBUF): pins the buffer and disables auto-tuning.
   void SetSndBuf(size_t bytes);
   size_t sndbuf() const { return sndbuf_; }
-  // Occupancy is clamped at zero: once the FIN's phantom byte is acked,
-  // snd_una_ sits one past write_seq_.
-  size_t SndBufUsed() const {
-    return static_cast<size_t>(write_seq_ > snd_una_ ? write_seq_ - snd_una_ : 0);
-  }
+  size_t SndBufUsed() const { return static_cast<size_t>(write_seq_ - snd_una_); }
   size_t SndBufFree() const;
 
   // Telemetry handle for this endpoint. Attach sinks (e.g. a
@@ -220,8 +191,6 @@ class TcpSocket : public PacketSink {
   void OnRtoFire();
   void NotifyWritableIfNeeded();
   void ReactToEcnEcho();
-  void MaybeSendFin();
-  void SendFinSegment();
 
   // -- receiver half --
   void OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg);
@@ -336,17 +305,6 @@ class TcpSocket : public PacketSink {
   std::function<void()> writable_cb_;  // lint_sim: allow(std-function)
   Timer writable_notify_timer_;
 
-  // ---- Teardown state ----
-  bool close_requested_ = false;
-  bool fin_sent_ = false;
-  bool fin_acked_ = false;
-  uint64_t fin_seq_ = 0;  // sequence of the FIN's phantom byte
-  Timer fin_retry_timer_;
-  bool peer_fin_received_ = false;
-  bool pending_peer_fin_ = false;
-  uint64_t peer_fin_seq_ = 0;
-  std::function<void()> eof_cb_;  // lint_sim: allow(std-function)
-
   // ---- Receiver state ----
   uint64_t rcv_nxt_ = 0;   // next expected in-order byte
   uint64_t read_seq_ = 0;  // bytes the app has consumed
@@ -376,9 +334,11 @@ class TcpSocket : public PacketSink {
 
   // ---- Shared info page (version-gated snapshot) ----
   // Bumped wherever a GetTcpInfo input changes: each segment out or in, each
-  // app write, an RTO and an idle restart. Today an idle restart runs only
-  // inside Write or Deliver, which have bumped already; its own bump guards
-  // the page should a restart ever run from elsewhere.
+  // app write, an RTO and an idle restart. No test observes the last two
+  // bumps: an idle restart runs only inside Write or Deliver, which have
+  // bumped already, and an RTO always has data to resend, whose segment
+  // bumps. They stay so the page is right should a restart run from
+  // elsewhere or pacing hold an RTO's resend back.
   uint64_t info_version_ = 0;
   mutable uint64_t shared_page_version_ = ~0ull;
   mutable TcpInfoData shared_page_;

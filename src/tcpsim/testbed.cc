@@ -51,6 +51,8 @@ PathConfig LteProfile(bool upload) {
 Testbed::Testbed(uint64_t seed, const PathConfig& config) : config_(config), rng_(seed) {
   ELEMENT_CHECK(config_.steps.empty() || config_.link == LinkType::kFixed)
       << "PathConfig::steps needs LinkType::kFixed";
+  ELEMENT_CHECK(config_.loss_probability == 0.0 || config_.link == LinkType::kFixed)
+      << "PathConfig::loss_probability needs LinkType::kFixed";
   // The reverse (ACK) pipe mirrors the forward delay behind a pfifo_fast deep
   // enough that ACKs are never dropped at the profiles' reverse rates.
   constexpr size_t kReverseQueueLimitPackets = 1000;

@@ -31,7 +31,7 @@ struct PathConfig {
   LinkType link = LinkType::kFixed;
   DataRate rate = DataRate::Mbps(10);
   TimeDelta one_way_delay = TimeDelta::FromMillis(25);
-  double loss_probability = 0.0;
+  double loss_probability = 0.0;  // i.i.d. forward wire loss (kFixed only)
   // A time-varying forward rate (kFixed only): Fig. 8's steps, or a replayed
   // trace through ScheduleFromTrace (src/netsim/trace_link.h). When set, it
   // replaces `rate`; the reverse link keeps `reverse_rate`.

@@ -36,7 +36,6 @@ void OnOffSender::Start() {
 }
 
 void OnOffSender::StartBurst() {
-  ++bursts_started_;
   double draw = rng_.Pareto(kBurstScale, kParetoShape);
   uint64_t min_burst = socket_->mss();
   burst_remaining_ = std::max<uint64_t>(min_burst, static_cast<uint64_t>(std::llround(draw)));

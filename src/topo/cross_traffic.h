@@ -48,7 +48,6 @@ class OnOffSender {
 
   void Start();
   uint64_t bytes_offered() const { return bytes_offered_; }
-  uint64_t bursts_started() const { return bursts_started_; }
 
  private:
   void StartBurst();
@@ -58,7 +57,6 @@ class OnOffSender {
   Rng rng_;
   uint64_t burst_remaining_ = 0;
   uint64_t bytes_offered_ = 0;
-  uint64_t bursts_started_ = 0;
   bool started_ = false;
   Timer off_timer_;
 };

@@ -2,8 +2,8 @@
 // owns nothing but a forwarding table; its egress "ports" are plain
 // PacketSinks (usually Pipes owned by the Network, sometimes a host demux or
 // another router directly). Forwarding is static: routes are installed when a
-// flow is wired through the topology and removed on teardown — there is no
-// routing protocol, which keeps multi-hop runs exactly reproducible.
+// flow is wired through the topology and kept until the run ends — there is
+// no routing protocol, which keeps multi-hop runs exactly reproducible.
 //
 // Exact routes live in a Demux from flow id to the egress port's sink, so the
 // per-packet cost on the forwarding hot path is one bounds check and one
@@ -53,15 +53,11 @@ class Router : public PacketSink {
   }
 
   // Installing over a live route to another port is a DCHECK failure: the
-  // old flow's in-flight packets would be misdelivered. RemoveRoute first.
+  // old flow's in-flight packets would be misdelivered.
   void AddRoute(uint64_t flow_id, int port) {
     ELEMENT_CHECK(port >= 0 && port < port_count()) << name_ << ": bad port " << port;
     next_hops_.Register(flow_id, ports_[static_cast<size_t>(port)]);
   }
-  void RemoveRoute(uint64_t flow_id) { next_hops_.Unregister(flow_id); }
-  bool HasRoute(uint64_t flow_id) const { return next_hops_.HasFlow(flow_id); }
-  // Live exact routes — churn tests assert this returns to its baseline.
-  size_t route_count() const { return next_hops_.size(); }
   size_t route_table_size() const { return next_hops_.table_size(); }
 
   const RouterStats& stats() const { return stats_; }

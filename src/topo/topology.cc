@@ -125,12 +125,6 @@ void Network::RouteFlow(uint64_t flow_id, int pair) {
   rev_routers_[static_cast<size_t>(p.sender_level)]->AddRoute(flow_id, p.rev_exit_port);
 }
 
-void Network::UnrouteFlow(uint64_t flow_id, int pair) {
-  const HostPair& p = pairs_[static_cast<size_t>(pair)];
-  fwd_routers_[static_cast<size_t>(p.receiver_level)]->RemoveRoute(flow_id);
-  rev_routers_[static_cast<size_t>(p.sender_level)]->RemoveRoute(flow_id);
-}
-
 Qdisc& Network::bottleneck_qdisc(int hop) {
   return fwd_bottlenecks_[static_cast<size_t>(hop)]->qdisc();
 }

@@ -14,9 +14,9 @@
 // {tx, rx} attachment: tx is the host's access pipe into the topology, rx is
 // the host's demux. Routing is explicit: RouteFlow installs the exact-match
 // exit routes a flow needs (intermediate routers forward on their default
-// "next hop" port), UnrouteFlow removes them, and flow ids are recycled
-// through a free list so the routers' dense tables stay proportional to the
-// peak concurrent flow count.
+// "next hop" port). A flow lives until the run ends: ids count up from 1 and
+// are never reused, so the routers' dense tables stay proportional to the
+// number of flows in the run.
 //
 // Determinism rules (see docs/topology.md): construction order is fixed by
 // the spec, every pipe forks the caller's Rng in that order, and the layer
@@ -87,28 +87,21 @@ class Network {
   // (0, hops); cross-traffic builders attach per-hop pairs (i, i+1).
   // Returns the pair index.
   int AttachHostPair(int sender_level, int receiver_level);
-  int host_pair_count() const { return static_cast<int>(pairs_.size()); }
 
   Attachment sender(int pair) const;
   Attachment receiver(int pair) const;
 
-  // Flow ids for every endpoint and route in the network. Release an id only
-  // after its endpoints are unregistered and unrouted, and — if it may be
-  // reused while old packets could still be in flight — after the loop has
-  // drained those deliveries (see docs/topology.md).
+  // Flow ids for every endpoint and route in the network.
   uint64_t AllocateFlowId() { return flow_ids_.Allocate(); }
-  void ReleaseFlowId(uint64_t flow_id) { flow_ids_.Release(flow_id); }
 
-  // Installs / removes the exact-match exit routes for one flow between the
-  // endpoints of `pair` (both directions).
+  // Installs the exact-match exit routes for one flow between the endpoints
+  // of `pair` (both directions).
   void RouteFlow(uint64_t flow_id, int pair);
-  void UnrouteFlow(uint64_t flow_id, int pair);
 
   Router& forward_router(int level) { return *fwd_routers_[static_cast<size_t>(level)]; }
   Router& reverse_router(int level) { return *rev_routers_[static_cast<size_t>(level)]; }
   // Forward-direction bottleneck of hop `h` (0-based).
   Qdisc& bottleneck_qdisc(int hop);
-  Pipe& bottleneck_pipe(int hop) { return *fwd_bottlenecks_[static_cast<size_t>(hop)]; }
 
   // Propagation-only round trip between the endpoints of `pair`.
   TimeDelta BaseRtt(int pair) const;

@@ -309,7 +309,9 @@ TEST(DemuxTest, RoutesByFlowId) {
   // a no-op.
   demux.Register(2, &b);
   demux.Unregister(99);
-  EXPECT_EQ(demux.size(), 2u);
+  EXPECT_EQ(demux.Find(1), &a);
+  EXPECT_EQ(demux.Find(2), &b);
+  EXPECT_EQ(demux.Find(99), nullptr);
   demux.Deliver(MakePacket(100, 2));
   EXPECT_EQ(b.packets.size(), 2u);
   EXPECT_EQ(demux.unroutable_packets(), 2u);
@@ -317,10 +319,9 @@ TEST(DemuxTest, RoutesByFlowId) {
   // does not grow the table.
   const size_t table = demux.table_size();
   demux.Deliver(MakePacket(100, uint64_t{1} << 40));
-  EXPECT_FALSE(demux.HasFlow(uint64_t{1} << 40));
+  EXPECT_EQ(demux.Find(uint64_t{1} << 40), nullptr);
   EXPECT_EQ(demux.unroutable_packets(), 3u);
   EXPECT_EQ(demux.table_size(), table);
-  EXPECT_EQ(demux.size(), 2u);
 }
 
 TEST(DuplexPathTest, ForwardAndReverseIndependent) {

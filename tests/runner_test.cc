@@ -459,6 +459,27 @@ TEST(ScenarioTest, RejectsKnobsTheAppIgnores) {
                  "app=accuracy runs Cubic; cc must be cubic (got 'bbr')");
 }
 
+// Only a fixed link draws wire losses, so loss with a cable, WiFi or LTE
+// profile would be ignored; lan is a fixed link and keeps it.
+TEST(ScenarioTest, RejectsLossOffAFixedLink) {
+  for (const char* profile : {"cable", "cable_up", "wifi", "lte", "lte_up"}) {
+    ExpectRejected(std::string(R"({"scenarios": [{"loss": 0.2, "profile": ")") + profile +
+                       R"("}]})",
+                   std::string("loss needs a fixed link (profile wired or lan), got profile '") +
+                       profile + "'");
+  }
+  for (const char* profile : {"wired", "lan"}) {
+    ScenarioSuite suite;
+    std::string err;
+    EXPECT_TRUE(ScenarioSuite::ParseJson(
+        std::string(R"({"scenarios": [{"loss": 0.2, "profile": ")") + profile + R"("}]})",
+        &suite, &err))
+        << err;
+    ASSERT_EQ(suite.scenarios.size(), 1u);
+    EXPECT_EQ(suite.scenarios[0].BuildPath().loss_probability, 0.2);
+  }
+}
+
 TEST(ScenarioTest, BuildPathWiredAutoQueueMatchesPaperFormula) {
   ScenarioSpec spec;
   spec.rate_mbps = 30;

@@ -170,16 +170,6 @@ TEST_F(TcpUnitTest, NagleHoldsSubMssTailUntilAcked) {
   EXPECT_EQ(Tcp(*data[1]).payload_bytes, 100u);
 }
 
-TEST_F(TcpUnitTest, NagleDisabledSendsTailImmediately) {
-  TcpSocket::Config cfg = Config();
-  cfg.nagle = false;
-  socket_.reset();  // release flow id 1 before re-registering it
-  socket_ = std::make_unique<TcpSocket>(&loop_, Rng(2), cfg, 1, &capture_, &demux_);
-  Establish();
-  socket_->Write(kDefaultMss + 100);
-  EXPECT_EQ(capture_.DataPackets().size(), 2u);
-}
-
 TEST_F(TcpUnitTest, DelayedAckPolicyEverySecondSegment) {
   Establish();
   InjectData(0, kDefaultMss);

@@ -1,16 +1,12 @@
-// Scale tests for the topology subsystem (slow label, excluded from tier-1):
+// Scale test for the topology subsystem (slow label, excluded from tier-1):
 // >= 1k concurrent flows through one dumbbell bottleneck with a byte-identical
-// run-twice aggregate, and 1k-flow churn exercising flow-id recycling.
+// run-twice aggregate.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "src/apps/iperf_app.h"
 #include "src/runner/fleet.h"
-#include "src/topo/topology.h"
 
 namespace element {
 namespace {
@@ -44,77 +40,6 @@ TEST(TopoScaleTest, ThousandFlowDumbbellIsDeterministic) {
   std::vector<ScenarioResult> fleet_b;
   fleet_b.push_back(std::move(second));
   EXPECT_EQ(AggregateResults(fleet_a).ToJson().Dump(), AggregateResults(fleet_b).ToJson().Dump());
-}
-
-TEST(TopoScaleTest, ThousandFlowChurnRecyclesIds) {
-  EventLoop loop;
-  Rng rng(4);
-  TopologySpec spec;
-  spec.host_pairs = 1;
-  spec.bottleneck_rate = DataRate::Mbps(400);
-  Network net(&loop, &rng, spec);
-  Network::Attachment snd = net.sender(0);
-  Network::Attachment rcv = net.receiver(0);
-
-  constexpr int kRounds = 16;
-  constexpr int kFlowsPerRound = 64;  // 1024 flows total through recycled ids
-  uint64_t max_id_seen = 0;
-  SimTime now = SimTime::Zero();
-  for (int round = 0; round < kRounds; ++round) {
-    struct Live {
-      uint64_t id;
-      std::unique_ptr<TcpSocket> sender;
-      std::unique_ptr<TcpSocket> receiver;
-      std::unique_ptr<SinkApp> reader;
-    };
-    std::vector<Live> live;
-    for (int i = 0; i < kFlowsPerRound; ++i) {
-      Live f;
-      f.id = net.AllocateFlowId();
-      max_id_seen = std::max(max_id_seen, f.id);
-      net.RouteFlow(f.id, 0);
-      TcpSocket::Config config;
-      f.sender = std::make_unique<TcpSocket>(&loop, rng.Fork(), config, f.id, snd.tx, snd.rx);
-      f.receiver = std::make_unique<TcpSocket>(&loop, rng.Fork(), config, f.id, rcv.tx, rcv.rx);
-      f.receiver->Listen();
-      f.sender->Connect();
-      f.reader = std::make_unique<SinkApp>(f.receiver.get());
-      f.reader->Start();
-      live.push_back(std::move(f));
-    }
-    now += TimeDelta::FromMillis(500);
-    loop.RunUntil(now);
-    for (Live& f : live) {
-      ASSERT_TRUE(f.sender->established());
-      f.sender->Write(8000);
-      f.sender->Close();
-    }
-    now += TimeDelta::FromSecondsInt(8);
-    loop.RunUntil(now);
-    for (Live& f : live) {
-      ASSERT_TRUE(f.sender->fin_acked());
-      EXPECT_EQ(f.receiver->app_bytes_read(), 8000u);
-    }
-    std::vector<uint64_t> ids;
-    for (Live& f : live) {
-      ids.push_back(f.id);
-    }
-    live.clear();
-    for (uint64_t id : ids) {
-      net.UnrouteFlow(id, 0);
-    }
-    now += TimeDelta::FromSecondsInt(2);
-    loop.RunUntil(now);
-    for (uint64_t id : ids) {
-      net.ReleaseFlowId(id);
-    }
-    ASSERT_EQ(snd.rx->size(), 0u);
-    ASSERT_EQ(rcv.rx->size(), 0u);
-  }
-  EXPECT_LE(max_id_seen, static_cast<uint64_t>(kFlowsPerRound));
-  EXPECT_EQ(net.TotalUnroutablePackets(), 0u);
-  EXPECT_EQ(snd.rx->unroutable_packets(), 0u);
-  EXPECT_EQ(rcv.rx->unroutable_packets(), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,11 @@
 // Tests for the multi-flow topology subsystem: router forwarding, dumbbell /
-// parking-lot delivery, ECN CE survival across hops, flow-id churn without
-// demux leaks or misdelivery, and seeded-run determinism.
+// parking-lot delivery, ECN CE survival across hops, and seeded-run
+// determinism.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "src/apps/iperf_app.h"
 #include "src/common/rng.h"
 #include "src/evloop/event_loop.h"
 #include "src/topo/contention.h"
@@ -74,23 +71,9 @@ TEST(RouterTest, NoRouteNoDefaultCountsUnroutable) {
   router.Deliver(MakePacket(uint64_t{1} << 40));
   EXPECT_EQ(router.stats().unroutable_packets, 2u);
   EXPECT_EQ(router.route_table_size(), table);
-  EXPECT_EQ(router.route_count(), 1u);
-}
-
-TEST(RouterTest, RemoveRouteRestoresBaseline) {
-  Router router("r");
-  CaptureSink a;
-  int port_a = router.AddPort(&a);
-  EXPECT_EQ(router.route_count(), 0u);
-  router.AddRoute(3, port_a);
-  router.AddRoute(9, port_a);
-  EXPECT_EQ(router.route_count(), 2u);
-  EXPECT_TRUE(router.HasRoute(3));
-  router.RemoveRoute(3);
-  EXPECT_FALSE(router.HasRoute(3));
-  EXPECT_EQ(router.route_count(), 1u);
-  router.RemoveRoute(9);
-  EXPECT_EQ(router.route_count(), 0u);
+  // The installed route still forwards.
+  router.Deliver(MakePacket(1));
+  EXPECT_EQ(a.packets.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,8 +123,6 @@ TEST(TopologyTest, DumbbellDeliversRawPacketsBothWays) {
   EXPECT_EQ(net.TotalUnroutablePackets(), 0u);
   net.receiver(1).rx->Unregister(flow);
   net.sender(1).rx->Unregister(flow);
-  net.UnrouteFlow(flow, 1);
-  net.ReleaseFlowId(flow);
 }
 
 TEST(TopologyTest, UnroutedFlowIsDroppedAtExit) {
@@ -265,94 +246,6 @@ TEST(TopologyTest, EcnEchoTamesCodelAcrossHops) {
   ContentionResult without_ecn = run(false);
   EXPECT_EQ(without_ecn.bottleneck.ecn_marked_packets, 0u);
   EXPECT_GT(without_ecn.flows[0].retransmits, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// S2: flow-id churn — teardown must leave no demux entries, no routes, and
-// recycled ids must not misdeliver (Demux DCHECKs on live re-registration).
-// ---------------------------------------------------------------------------
-
-TEST(TopologyTest, FlowChurnReusesIdsWithoutLeaks) {
-  EventLoop loop;
-  Rng rng(3);
-  TopologySpec spec;
-  spec.host_pairs = 1;
-  spec.bottleneck_rate = DataRate::Mbps(50);
-  Network net(&loop, &rng, spec);
-  Network::Attachment snd = net.sender(0);
-  Network::Attachment rcv = net.receiver(0);
-
-  constexpr int kRounds = 12;
-  constexpr int kFlowsPerRound = 8;
-  uint64_t max_id_seen = 0;
-  SimTime now = SimTime::Zero();
-  for (int round = 0; round < kRounds; ++round) {
-    struct Live {
-      uint64_t id;
-      std::unique_ptr<TcpSocket> sender;
-      std::unique_ptr<TcpSocket> receiver;
-      std::unique_ptr<SinkApp> reader;
-    };
-    std::vector<Live> live;
-    for (int i = 0; i < kFlowsPerRound; ++i) {
-      Live f;
-      f.id = net.AllocateFlowId();
-      max_id_seen = std::max(max_id_seen, f.id);
-      net.RouteFlow(f.id, 0);
-      TcpSocket::Config config;
-      f.sender = std::make_unique<TcpSocket>(&loop, rng.Fork(), config, f.id, snd.tx, snd.rx);
-      f.receiver = std::make_unique<TcpSocket>(&loop, rng.Fork(), config, f.id, rcv.tx, rcv.rx);
-      f.receiver->Listen();
-      f.sender->Connect();
-      live.push_back(std::move(f));
-    }
-    EXPECT_EQ(snd.rx->size(), static_cast<size_t>(kFlowsPerRound));
-    EXPECT_EQ(rcv.rx->size(), static_cast<size_t>(kFlowsPerRound));
-
-    now += TimeDelta::FromMillis(500);
-    loop.RunUntil(now);
-    for (Live& f : live) {
-      ASSERT_TRUE(f.sender->established());
-      f.sender->Write(20000);
-      f.sender->Close();
-      f.reader = std::make_unique<SinkApp>(f.receiver.get());
-      f.reader->Start();
-    }
-    now += TimeDelta::FromSecondsInt(5);
-    loop.RunUntil(now);
-    for (Live& f : live) {
-      EXPECT_TRUE(f.sender->fin_acked());
-      EXPECT_EQ(f.receiver->app_bytes_read(), 20000u);
-    }
-
-    // Teardown in the documented order: destroy endpoints (unregisters),
-    // unroute, drain the loop, then release ids for reuse.
-    std::vector<uint64_t> ids;
-    for (Live& f : live) {
-      ids.push_back(f.id);
-    }
-    live.clear();
-    for (uint64_t id : ids) {
-      net.UnrouteFlow(id, 0);
-    }
-    now += TimeDelta::FromSecondsInt(2);
-    loop.RunUntil(now);
-    for (uint64_t id : ids) {
-      net.ReleaseFlowId(id);
-    }
-    EXPECT_EQ(snd.rx->size(), 0u);
-    EXPECT_EQ(rcv.rx->size(), 0u);
-    EXPECT_EQ(net.forward_router(1).route_count(), 0u);
-    EXPECT_EQ(net.reverse_router(0).route_count(), 0u);
-  }
-
-  // Ids were recycled: 12 rounds x 8 flows never needed more than one
-  // round's worth of distinct ids.
-  EXPECT_LE(max_id_seen, static_cast<uint64_t>(kFlowsPerRound));
-  // Nothing was misdelivered or stranded anywhere in the topology.
-  EXPECT_EQ(net.TotalUnroutablePackets(), 0u);
-  EXPECT_EQ(snd.rx->unroutable_packets(), 0u);
-  EXPECT_EQ(rcv.rx->unroutable_packets(), 0u);
 }
 
 // ---------------------------------------------------------------------------

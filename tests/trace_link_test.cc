@@ -90,6 +90,13 @@ TEST(TraceLinkDeathTest, StepsNeedAFixedLinkAndATrace) {
   EXPECT_DEATH(ScheduleFromTrace({}), "an empty trace has no schedule");
 }
 
+// Only a fixed link draws wire losses; cable, WiFi and LTE would ignore them.
+TEST(TestbedDeathTest, LossNeedsAFixedLink) {
+  PathConfig path = LteProfile();
+  path.loss_probability = 0.2;
+  EXPECT_DEATH(Testbed(1, path), "PathConfig::loss_probability needs LinkType::kFixed");
+}
+
 TEST(PathDelayEstimatorTest, DecomposesPropagationAndQueueing) {
   PathDelayEstimator est;
   TcpInfoData info;
