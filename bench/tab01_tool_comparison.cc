@@ -52,10 +52,10 @@ int main() {
   ElementSocket& em_snd = measured.element_sender();
   ElementSocket& em_rcv = measured.element_receiver();
   double gt_snd = tracer.sender_delay().mean();
-  double gt_snd_sd = tracer.sender_delay().Stdev();
+  double gt_snd_sd = tracer.sender_delay_series().Values().Stdev();
   double gt_net = tracer.network_delay().mean();
   double gt_rcv = tracer.receiver_delay().mean();
-  double gt_rcv_sd = tracer.receiver_delay().Stdev();
+  double gt_rcv_sd = tracer.receiver_delay_series().Values().Stdev();
   SampleSet em_snd_delay = em_snd.sender_estimator().delay_series().Values();
   SampleSet em_rcv_delay = em_rcv.receiver_estimator().delay_series().Values();
   double em_snd_d = em_snd_delay.mean();

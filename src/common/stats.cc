@@ -128,6 +128,26 @@ double SampleSet::Quantile(double q) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
 }
 
+double SampleSet::Median() const {
+  if (samples_.empty()) {
+    return Quantile(0.5);
+  }
+  // Quantile(0.5)'s positions and expression over a partly ordered copy:
+  // after nth_element, s[lo] is the lo-th order statistic and the (lo+1)-th
+  // is the least of the part above it.
+  std::vector<double> s = samples_;
+  double pos = 0.5 * static_cast<double>(s.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  double frac = pos - static_cast<double>(lo);
+  auto nth = s.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(s.begin(), nth, s.end());
+  if (lo + 1 >= s.size()) {
+    return *nth;
+  }
+  double next = *std::min_element(nth + 1, s.end());
+  return *nth * (1.0 - frac) + next * frac;
+}
+
 double SampleSet::FractionBelow(double x) const {
   EnsureSorted();
   if (sorted_.empty()) {

@@ -37,6 +37,24 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
+// Count and sum of samples, added in insertion order: mean() has the same
+// bits as SampleSet::mean() over the same samples, without storing them
+// (RunningStats::mean() is Welford's, whose bits differ).
+class RunningSum {
+ public:
+  void Add(double x) {
+    sum_ += x;
+    ++count_;
+  }
+
+  size_t count() const { return count_; }
+  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
+
+ private:
+  size_t count_ = 0;
+  double sum_ = 0.0;
+};
+
 // Stores raw samples; answers quantile queries and prints CDF rows.
 class SampleSet {
  public:
@@ -55,7 +73,9 @@ class SampleSet {
   // q in [0, 1]; linear interpolation between order statistics. Querying an
   // empty set is a caller bug (DCHECK) but returns a defined 0.0 in release.
   double Quantile(double q) const;
-  double Median() const { return Quantile(0.5); }
+  // Quantile(0.5), bit for bit, but it selects the two middle order
+  // statistics in O(n) instead of sorting.
+  double Median() const;
   // Fraction of samples <= x.
   double FractionBelow(double x) const;
 

@@ -55,7 +55,9 @@ double StreamingScorer::TruthBefore(SimTime t, const TimeSeries::Point& next) co
 
 AccuracyResult StreamingScorer::Result() const {
   AccuracyResult result;
-  result.errors = errors_;
+  // Sized once: appending the waiting estimates to a copy would double it.
+  result.errors.Reserve(errors_.count() + (has_truth_ ? waiting_.size() : 0));
+  result.errors.Merge(errors_);
   double truth_sum = truth_sum_;
   if (has_truth_) {
     for (const TimeSeries::Point& estimate : waiting_) {

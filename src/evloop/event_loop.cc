@@ -10,8 +10,7 @@ namespace element {
 // 4-ary min-heap over (at, seq), with back-pointers for O(log n) removal
 // ---------------------------------------------------------------------------
 
-void EventLoop::SiftUp(uint32_t index) {
-  const HeapEntry entry = heap_[index];
+void EventLoop::SiftUp(uint32_t index, const HeapEntry entry) {
   while (index > 0) {
     uint32_t parent = (index - 1) >> 2;
     if (!Earlier(entry, heap_[parent])) {
@@ -25,8 +24,7 @@ void EventLoop::SiftUp(uint32_t index) {
   entry.node->heap_index = index;
 }
 
-void EventLoop::SiftDown(uint32_t index) {
-  const HeapEntry entry = heap_[index];
+void EventLoop::SiftDown(uint32_t index, const HeapEntry entry) {
   const uint32_t size = static_cast<uint32_t>(heap_.size());
   while (true) {
     uint32_t first_child = (index << 2) + 1;
@@ -52,8 +50,9 @@ void EventLoop::SiftDown(uint32_t index) {
 }
 
 void EventLoop::HeapPush(Node* node) {
-  heap_.push_back(HeapEntry{node->at, node->seq, node});
-  SiftUp(static_cast<uint32_t>(heap_.size()) - 1);
+  const HeapEntry entry{node->at, node->seq, node};
+  heap_.push_back(entry);
+  SiftUp(static_cast<uint32_t>(heap_.size()) - 1, entry);
 }
 
 void EventLoop::HeapRemove(Node* node) {
@@ -66,11 +65,9 @@ void EventLoop::HeapRemove(Node* node) {
   if (last.node == node) {
     return;
   }
-  heap_[index] = last;
-  last.node->heap_index = index;
   // The replacement may need to move either way relative to its new parent.
-  SiftUp(index);
-  SiftDown(last.node->heap_index);
+  SiftUp(index, last);
+  SiftDown(last.node->heap_index, last);
 }
 
 void EventLoop::HeapPopTop() {
@@ -78,9 +75,7 @@ void EventLoop::HeapPopTop() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
-    heap_[0] = last;
-    last.node->heap_index = 0;
-    SiftDown(0);
+    SiftDown(0, last);
   }
 }
 
@@ -144,20 +139,16 @@ void EventLoop::ArmKeyed(Node* node, SimTime at, uint64_t seq) {
       // returns. The fired timer is idle from here; a re-arm pushes it.
       firing_->heap_index = kNotInHeap;
       firing_ = nullptr;
-      heap_[0] = HeapEntry{at, seq, node};
-      SiftDown(0);
+      SiftDown(0, HeapEntry{at, seq, node});
     } else {
       HeapPush(node);
     }
   } else {
-    // In-place re-arm: update the entry's key, then restore heap order from
-    // the node's current position (for a firing timer, the root: one sift
-    // down).
-    HeapEntry& e = heap_[node->heap_index];
-    e.at = at;
-    e.seq = seq;
-    SiftUp(node->heap_index);
-    SiftDown(node->heap_index);
+    // In-place re-arm: sift the re-keyed entry from the node's current
+    // position (for a firing timer, the root: one sift down).
+    const HeapEntry entry{at, seq, node};
+    SiftUp(node->heap_index, entry);
+    SiftDown(node->heap_index, entry);
   }
 }
 

@@ -123,8 +123,11 @@ class EventLoop {
   void HeapPush(Node* node);
   void HeapRemove(Node* node);  // arbitrary position, O(log n)
   void HeapPopTop();
-  void SiftUp(uint32_t index);
-  void SiftDown(uint32_t index);
+  // Move `entry` from the hole at `index` towards the root (up) or the
+  // leaves (down), then store it where it stops. The caller passes the entry
+  // rather than storing it first, so the sift never reloads it.
+  void SiftUp(uint32_t index, HeapEntry entry);
+  void SiftDown(uint32_t index, HeapEntry entry);
 
   // Timer plumbing: arming inserts a node into the heap (or re-keys it where
   // it is, or puts it in the firing node's root slot), and a fire that

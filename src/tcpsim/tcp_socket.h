@@ -125,8 +125,9 @@ class TcpSocket : public PacketSink {
   void TestOnlyCorruptSequenceStateForAudit();
   // Test-only: records a SACKed run no segment backs and runs the audit.
   void TestOnlyCorruptSackedRunsForAudit();
-  // Test-only: replaces the congestion controller (before Connect/Listen),
-  // so a test can fix the window and observe the in-flight figures it gets.
+  // Test-only: replaces the congestion controller (before the handshake
+  // completes), so a test can fix the window or the pacing rate and observe
+  // what the socket does with them.
   void TestOnlySetCongestionControl(std::unique_ptr<CongestionControl> cc) {
     cc_ = std::move(cc);
   }
@@ -334,11 +335,10 @@ class TcpSocket : public PacketSink {
 
   // ---- Shared info page (version-gated snapshot) ----
   // Bumped wherever a GetTcpInfo input changes: each segment out or in, each
-  // app write, an RTO and an idle restart. No test observes the last two
-  // bumps: an idle restart runs only inside Write or Deliver, which have
-  // bumped already, and an RTO always has data to resend, whose segment
-  // bumps. They stay so the page is right should a restart run from
-  // elsewhere or pacing hold an RTO's resend back.
+  // app write, an RTO (pacing may hold its resend back) and an idle restart.
+  // No test observes the last bump: an idle restart runs only inside Write
+  // or Deliver, which have bumped already. It stays so the page is right
+  // should a restart run from elsewhere.
   uint64_t info_version_ = 0;
   mutable uint64_t shared_page_version_ = ~0ull;
   mutable TcpInfoData shared_page_;

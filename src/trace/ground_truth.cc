@@ -10,11 +10,11 @@ namespace {
 
 // Index of the first entry of `table` that is `past` the key, where `past`
 // is false on a prefix of the table and true after it. `*cursor` holds the
-// answer of the previous call on this table; the tables never shrink and
-// stay sorted, so when the entry below it is not past the key, the answer
-// is no lower and is usually a step or two up. Otherwise, or when a few
-// steps do not reach it, a binary search finds it. Leaves the answer in
-// `*cursor`.
+// answer of the previous call on this table (moved down when a prefix is
+// trimmed); the tables stay sorted, so when the entry below it is not past
+// the key, the answer is no lower and is usually a step or two up.
+// Otherwise, or when a few steps do not reach it, a binary search finds it.
+// Leaves the answer in `*cursor`.
 template <typename Table, typename Past>
 size_t Seek(const Table& table, size_t* cursor, Past past) {
   constexpr size_t kSteps = 4;
@@ -34,6 +34,18 @@ size_t Seek(const Table& table, size_t* cursor, Past past) {
   }
   *cursor = i;
   return i;
+}
+
+// Erases the first `dead` entries of `table` once they are at least half of
+// it, so that each entry costs amortized O(1) to erase. Returns whether it
+// erased; the caller then moves its cursors down by `dead`.
+template <typename Table>
+bool TrimDeadPrefix(Table* table, size_t dead) {
+  if (dead == 0 || 2 * dead < table->size()) {
+    return false;
+  }
+  table->erase(table->begin(), table->begin() + static_cast<std::ptrdiff_t>(dead));
+  return true;
 }
 
 }  // namespace
@@ -103,13 +115,12 @@ void GroundTruthTracer::OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t,
 
   // Sender delay uses the *first* transmission of each byte. After a
   // go-back-N rewind the socket may resend old bytes flagged fresh; the
-  // `end > last` guard filters them.
-  uint64_t last = first_tx_.empty() ? 0 : first_tx_.back().end;
-  if (end <= last) {
+  // `end > first_tx_end_` guard filters them.
+  if (end <= first_tx_end_) {
     return;
   }
-  uint64_t new_begin = std::max(begin, last);
-  first_tx_.push_back({end, t});
+  uint64_t new_begin = std::max(begin, first_tx_end_);
+  first_tx_end_ = end;
 
   SimTime wt;
   if (t >= config_.record_from && LookupInRanges(writes_, &tx_write_cursor_, new_begin, &wt)) {
@@ -121,6 +132,7 @@ void GroundTruthTracer::OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t,
     if (sender_scorer_ != nullptr) {
       sender_scorer_->OnTruth(t, d);
     }
+    TrimWrites();
   }
 }
 
@@ -169,26 +181,27 @@ void GroundTruthTracer::OnAppRead(uint64_t begin, uint64_t end, SimTime t) {
     }
     byte = arrival.end;
   }
+  // The floor entry stays: the next read may begin inside it.
+  size_t dead = read_arrival_cursor_ > 0 ? read_arrival_cursor_ - 1 : 0;
+  if (TrimDeadPrefix(&arrivals_, dead)) {
+    read_arrival_cursor_ -= dead;
+  }
+  TrimWrites();
+}
+
+void GroundTruthTracer::TrimWrites() {
+  size_t dead = std::min(tx_write_cursor_, read_write_cursor_);
+  uint64_t floor = dead > 0 ? writes_[dead - 1].end : writes_floor_;
+  if (TrimDeadPrefix(&writes_, dead)) {
+    writes_floor_ = floor;
+    tx_write_cursor_ -= dead;
+    read_write_cursor_ -= dead;
+  }
 }
 
 bool GroundTruthTracer::WriteTimeOf(uint64_t byte, SimTime* out) const {
   size_t cursor = 0;
-  return LookupInRanges(writes_, &cursor, byte, out);
-}
-
-bool GroundTruthTracer::FirstTxTimeOf(uint64_t byte, SimTime* out) const {
-  size_t cursor = 0;
-  return LookupInRanges(first_tx_, &cursor, byte, out);
-}
-
-bool GroundTruthTracer::ArrivalTimeOf(uint64_t byte, SimTime* out) const {
-  size_t cursor = 0;
-  size_t past = PastFloor(arrivals_, &cursor, byte);
-  if (past == 0 || byte >= arrivals_[past - 1].end) {
-    return false;
-  }
-  *out = arrivals_[past - 1].t;
-  return true;
+  return byte >= writes_floor_ && LookupInRanges(writes_, &cursor, byte, out);
 }
 
 GroundTruthTracer::Composition GroundTruthTracer::MeanComposition() const {

@@ -47,16 +47,21 @@ class GroundTruthTracer : public telemetry::RecordSink {
   // Receiver: data segment arrived at the TCP layer (tcp_v4_do_rcv).
   void OnTcpRxSegment(uint64_t begin, uint64_t end, SimTime t, bool in_order);
   // Receiver: bytes consumed from the receive buffer by a socket read.
+  // Reads come in byte order, as a socket's do: the tracer drops the
+  // arrivals and writes they have passed.
   void OnAppRead(uint64_t begin, uint64_t end, SimTime t);
 
-  // Delay sample sets (seconds).
-  const SampleSet& sender_delay() const { return sender_delay_; }
-  const SampleSet& network_delay() const { return network_delay_; }
-  const SampleSet& receiver_delay() const { return receiver_delay_; }
-  const SampleSet& end_to_end_delay() const { return end_to_end_delay_; }
+  // Count and sum of each delay's samples (seconds); the samples themselves
+  // are not kept.
+  const RunningSum& sender_delay() const { return sender_delay_; }
+  const RunningSum& network_delay() const { return network_delay_; }
+  const RunningSum& receiver_delay() const { return receiver_delay_; }
+  const RunningSum& end_to_end_delay() const { return end_to_end_delay_; }
 
   // Per-event time series (seconds), for Figure 6-style traces and for
-  // interpolation against ELEMENT's periodic estimates.
+  // interpolation against ELEMENT's periodic estimates. They hold the
+  // sender and receiver delay samples in the order they were added (for
+  // their spread or quantiles), unless `keep_time_series` is off.
   const TimeSeries& sender_delay_series() const { return sender_delay_series_; }
   const TimeSeries& receiver_delay_series() const { return receiver_delay_series_; }
 
@@ -67,10 +72,10 @@ class GroundTruthTracer : public telemetry::RecordSink {
     receiver_scorer_ = receiver;
   }
 
-  // Byte-time lookups (false if the byte has not reached that layer).
+  // Write time of `byte`: false if it has not been written, or if it lies
+  // below the live window. A write range leaves the window once both the
+  // transmit and the read lookups have moved past it.
   bool WriteTimeOf(uint64_t byte, SimTime* out) const;
-  bool FirstTxTimeOf(uint64_t byte, SimTime* out) const;
-  bool ArrivalTimeOf(uint64_t byte, SimTime* out) const;
 
   struct Composition {
     double sender_s = 0.0;
@@ -106,14 +111,25 @@ class GroundTruthTracer : public telemetry::RecordSink {
   // `byte`: the last with begin <= byte.
   static size_t PastFloor(const SpanTable& table, size_t* cursor, uint64_t byte);
 
+  // Drops the write ranges below both lookups' cursors, in amortized O(1).
+  void TrimWrites();
+
   Config config_;
 
-  std::vector<Range> writes_;    // contiguous, increasing `end`
-  std::vector<Range> first_tx_;  // contiguous, increasing `end` (first tx only)
-  // Every transmission; a retransmission overwrites its range's entry.
+  // Write ranges still ahead of a lookup: contiguous, increasing `end`.
+  // Both lookups into it only move up, so ranges below both cursors go.
+  std::vector<Range> writes_;
+  uint64_t writes_floor_ = 0;  // bytes below it have left writes_
+  uint64_t first_tx_end_ = 0;  // end of the highest first transmission
+  // Every transmission; a retransmission overwrites its range's entry. Kept
+  // whole: an arrival below the read point (a spurious retransmission's)
+  // still pairs with its transmission.
   SpanTable last_tx_;
-  // Every arrival. In-order arrivals append; an out-of-order range or a hole
-  // fill below it inserts, shifting only the entries of about one window.
+  // Arrivals from the read floor up. In-order arrivals append; an
+  // out-of-order range or a hole fill below it inserts, shifting only the
+  // entries of about one window. Reads only move up, so entries below the
+  // floor entry (the last with begin <= the read point, which a later read
+  // may still be in) are never read again and go.
   SpanTable arrivals_;
 
   // Where each per-record lookup last landed. Transmissions, arrivals and
@@ -124,10 +140,10 @@ class GroundTruthTracer : public telemetry::RecordSink {
   size_t read_arrival_cursor_ = 0;   // arrivals_, from OnAppRead
   size_t read_write_cursor_ = 0;     // writes_, from OnAppRead
 
-  SampleSet sender_delay_;
-  SampleSet network_delay_;
-  SampleSet receiver_delay_;
-  SampleSet end_to_end_delay_;
+  RunningSum sender_delay_;
+  RunningSum network_delay_;
+  RunningSum receiver_delay_;
+  RunningSum end_to_end_delay_;
   TimeSeries sender_delay_series_;
   TimeSeries receiver_delay_series_;
   StreamingScorer* sender_scorer_ = nullptr;

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "src/element/delay_estimator.h"
 #include "src/element/estimation_error.h"
 #include "src/element/tcp_info_tracker.h"
+#include "src/tcpsim/cc_reno.h"
 #include "src/tcpsim/testbed.h"
 #include "src/telemetry/spine.h"
 
@@ -273,6 +276,15 @@ struct SharedPageCase {
   int write_every;     // steps between the writes that follow (0: none)
   size_t write_bytes;
   int flows = 1;
+  bool slow_paced_reno = false;  // senders run SlowPacedRenoCc
+};
+
+// Reno paced at 16 kbps: a full segment waits ~0.77 s for its pacing slot,
+// longer than an RTO on a 50 ms path takes to fire, so each RTO collapses
+// the window while its resend is held back and no segment goes out.
+class SlowPacedRenoCc : public RenoCc {
+ public:
+  std::optional<DataRate> PacingRate() const override { return DataRate::Kbps(16); }
 };
 
 std::vector<SharedPageCase> SharedPageCases() {
@@ -320,6 +332,16 @@ std::vector<SharedPageCase> SharedPageCases() {
   ecn.path.ecn = true;
   ecn.socket.ecn = true;
   cases.push_back(ecn);
+
+  // An RTO whose resend pacing holds back: the window collapse must reach
+  // the page although no segment is sent or received until the resend.
+  SharedPageCase held = lossy;
+  held.name = "rto_resend_held_by_pacing";
+  held.step = TimeDelta::FromMillis(10);
+  held.steps = 3000;
+  held.flows = 1;
+  held.slow_paced_reno = true;
+  cases.push_back(held);
   return cases;
 }
 
@@ -332,6 +354,9 @@ TEST(TrackerTest, SharedPageMatchesGetTcpInfo) {
       Testbed::Flow flow = bed.CreateFlow(c.socket);
       TcpSocket* sender = flow.sender;
       TcpSocket* receiver = flow.receiver;
+      if (c.slow_paced_reno) {
+        sender->TestOnlySetCongestionControl(std::make_unique<SlowPacedRenoCc>());
+      }
       sender->SetEstablishedCallback([sender, &c] { sender->Write(c.first_write); });
       receiver->SetReadableCallback([receiver] {
         while (receiver->Read(1 << 20) > 0) {
@@ -343,6 +368,7 @@ TEST(TrackerTest, SharedPageMatchesGetTcpInfo) {
     std::vector<TcpInfoData> prev(senders.size());
     bool saw_rto_collapse = false;
     bool saw_cut_without_loss = false;
+    bool saw_cut_without_traffic = false;
     uint64_t peak_pacing_bps = 0;
     for (int step = 1; step <= c.steps && diff.empty(); ++step) {
       bed.loop().RunUntil(SimTime::FromNanos(c.step.nanos() * step));
@@ -353,6 +379,9 @@ TEST(TrackerTest, SharedPageMatchesGetTcpInfo) {
         saw_rto_collapse |= info.tcpi_snd_cwnd < prev[i].tcpi_snd_cwnd && info.tcpi_snd_cwnd <= 2;
         saw_cut_without_loss |= info.tcpi_snd_cwnd < prev[i].tcpi_snd_cwnd &&
                                 info.tcpi_total_retrans == prev[i].tcpi_total_retrans;
+        saw_cut_without_traffic |= info.tcpi_snd_cwnd < prev[i].tcpi_snd_cwnd &&
+                                   info.tcpi_segs_out == prev[i].tcpi_segs_out &&
+                                   info.tcpi_segs_in == prev[i].tcpi_segs_in;
         peak_pacing_bps = std::max(peak_pacing_bps, info.tcpi_pacing_rate_bps);
         prev[i] = info;
       }
@@ -370,6 +399,8 @@ TEST(TrackerTest, SharedPageMatchesGetTcpInfo) {
       EXPECT_TRUE(saw_cut_without_loss);
     } else if (name == "bbr_pacing") {
       EXPECT_GT(peak_pacing_bps, 0u);
+    } else if (name == "rto_resend_held_by_pacing") {
+      EXPECT_TRUE(saw_cut_without_traffic);
     }
     if (name == "codel_ecn_marks") {
       EXPECT_GT(bed.path().forward().qdisc().stats().ecn_marked_packets, 0u);
@@ -560,6 +591,33 @@ TEST(StreamingScorerTest, ResultSoFarLeavesTheScorerGoing) {
   AccuracyResult late = scorer.Result();
   ASSERT_EQ(late.compared_samples, 1u);
   EXPECT_NEAR(late.errors.samples()[0], 0.003, 1e-12);
+}
+
+// The median is selected, not sorted for: for every size and with many
+// ties it must equal the sorted Quantile(0.5) bit for bit.
+TEST(StreamingScorerTest, MedianBySelectionMatchesSortedQuantile) {
+  Rng rng(17);
+  for (int n = 1; n <= 64; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Errors from a handful of values, so ties are the rule.
+      StreamingScorer scorer;
+      SampleSet errors;
+      for (int i = 0; i < n; ++i) {
+        double truth = 0.001 * static_cast<double>(rng.UniformInt(0, 5));
+        double estimate = trial % 2 == 0 ? 0.0 : rng.Uniform(0.0, 0.01);
+        scorer.OnTruth(Ms(2 * i), truth);
+        scorer.OnEstimate(Ms(2 * i + 1), estimate);
+        errors.Add(std::abs(estimate - truth));
+      }
+      AccuracyResult result = scorer.Result();
+      ASSERT_EQ(result.compared_samples, static_cast<size_t>(n));
+      SampleSet sorted = result.errors;
+      EXPECT_EQ(Bits(result.median_abs_error_s), Bits(sorted.Quantile(0.5)))
+          << "n " << n << " trial " << trial;
+      double median = errors.Median();
+      EXPECT_EQ(Bits(median), Bits(errors.Quantile(0.5))) << "n " << n;
+    }
+  }
 }
 
 }  // namespace

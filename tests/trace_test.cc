@@ -20,14 +20,24 @@ namespace {
 SimTime Ms(int64_t ms) { return SimTime::FromNanos(ms * 1'000'000); }
 SimTime Sec(double s) { return SimTime::FromNanos(static_cast<int64_t>(s * 1e9)); }
 
+// The tracer keeps only counts and sums; the sender and receiver series
+// hold the samples themselves, in the order they were taken.
+double SenderSample(const GroundTruthTracer& tracer, size_t i) {
+  return tracer.sender_delay_series().points().at(i).v;
+}
+double ReceiverSample(const GroundTruthTracer& tracer, size_t i) {
+  return tracer.receiver_delay_series().points().at(i).v;
+}
+
 TEST(GroundTruthTracerTest, SenderDelayIsWriteToFirstTransmit) {
   GroundTruthTracer tracer;
   tracer.OnAppWrite(0, 1000, Ms(10));
   tracer.OnTcpTransmit(0, 500, Ms(15), false);
   tracer.OnTcpTransmit(500, 1000, Ms(40), false);
   ASSERT_EQ(tracer.sender_delay().count(), 2u);
-  EXPECT_NEAR(tracer.sender_delay().samples()[0], 0.005, 1e-9);
-  EXPECT_NEAR(tracer.sender_delay().samples()[1], 0.030, 1e-9);
+  EXPECT_NEAR(SenderSample(tracer, 0), 0.005, 1e-9);
+  EXPECT_NEAR(SenderSample(tracer, 1), 0.030, 1e-9);
+  EXPECT_NEAR(tracer.sender_delay().mean(), 0.0175, 1e-9);
 }
 
 TEST(GroundTruthTracerTest, NetworkDelayPairsWithLastTransmit) {
@@ -38,7 +48,7 @@ TEST(GroundTruthTracerTest, NetworkDelayPairsWithLastTransmit) {
   tracer.OnTcpTransmit(0, 1000, Ms(105), true);
   tracer.OnTcpRxSegment(0, 1000, Ms(130), true);
   ASSERT_EQ(tracer.network_delay().count(), 1u);
-  EXPECT_NEAR(tracer.network_delay().samples()[0], 0.025, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().mean(), 0.025, 1e-9);
 }
 
 TEST(GroundTruthTracerTest, ReceiverDelayIsArrivalToRead) {
@@ -49,11 +59,11 @@ TEST(GroundTruthTracerTest, ReceiverDelayIsArrivalToRead) {
   tracer.OnTcpRxSegment(1000, 2000, Ms(35), true);
   tracer.OnAppRead(0, 2000, Ms(40));  // read spans both arrival ranges
   ASSERT_EQ(tracer.receiver_delay().count(), 2u);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[0], 0.010, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[1], 0.005, 1e-9);
-  // End-to-end = write -> read.
+  EXPECT_NEAR(ReceiverSample(tracer, 0), 0.010, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 1), 0.005, 1e-9);
+  // End-to-end = write -> read, once per arrival range.
   ASSERT_EQ(tracer.end_to_end_delay().count(), 2u);
-  EXPECT_NEAR(tracer.end_to_end_delay().samples()[0], 0.040, 1e-9);
+  EXPECT_NEAR(tracer.end_to_end_delay().mean(), 0.040, 1e-9);
 }
 
 TEST(GroundTruthTracerTest, OutOfOrderArrivalCoversEachByteOnce) {
@@ -67,12 +77,13 @@ TEST(GroundTruthTracerTest, OutOfOrderArrivalCoversEachByteOnce) {
   tracer.OnTcpRxSegment(2000, 3000, Ms(22), false);  // out of order
   tracer.OnTcpTransmit(1000, 2000, Ms(60), true);
   tracer.OnTcpRxSegment(1000, 2000, Ms(80), true);
-  SimTime t;
-  ASSERT_TRUE(tracer.ArrivalTimeOf(2500, &t));
-  EXPECT_EQ(t, Ms(22));
-  ASSERT_TRUE(tracer.ArrivalTimeOf(1500, &t));
-  EXPECT_EQ(t, Ms(80));
   EXPECT_EQ(tracer.network_delay().count(), 3u);
+  // Each range is read at 90 ms with the time of its one arrival.
+  tracer.OnAppRead(0, 3000, Ms(90));
+  ASSERT_EQ(tracer.receiver_delay().count(), 3u);
+  EXPECT_NEAR(ReceiverSample(tracer, 0), 0.070, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 1), 0.010, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 2), 0.068, 1e-9);
 }
 
 // The in-order hole fill is recorded after the two out-of-order ranges above
@@ -89,30 +100,21 @@ TEST(GroundTruthTracerTest, HoleFillRecordedAfterTwoOutOfOrderArrivals) {
   tracer.OnTcpTransmit(1000, 2000, Ms(50), true);
   tracer.OnTcpRxSegment(1000, 2000, Ms(70), true);
 
-  SimTime t;
-  ASSERT_TRUE(tracer.ArrivalTimeOf(500, &t));
-  EXPECT_EQ(t, Ms(10));
-  ASSERT_TRUE(tracer.ArrivalTimeOf(1000, &t));
-  EXPECT_EQ(t, Ms(70));
-  ASSERT_TRUE(tracer.ArrivalTimeOf(2999, &t));
-  EXPECT_EQ(t, Ms(12));
-  ASSERT_TRUE(tracer.ArrivalTimeOf(3000, &t));
-  EXPECT_EQ(t, Ms(13));
-  EXPECT_FALSE(tracer.ArrivalTimeOf(4000, &t));
-  // Network delay samples come in arrival order; the hole pairs with its
-  // retransmission.
+  // The hole pairs with its retransmission: 9, 9, 9 and 20 ms.
   ASSERT_EQ(tracer.network_delay().count(), 4u);
-  EXPECT_NEAR(tracer.network_delay().samples()[0], 0.009, 1e-9);
-  EXPECT_NEAR(tracer.network_delay().samples()[1], 0.009, 1e-9);
-  EXPECT_NEAR(tracer.network_delay().samples()[2], 0.009, 1e-9);
-  EXPECT_NEAR(tracer.network_delay().samples()[3], 0.020, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().mean(), 0.047 / 4, 1e-9);
 
+  // Each range is read with the time of its own arrival, the hole fill's
+  // included.
   tracer.OnAppRead(0, 4000, Ms(80));
   ASSERT_EQ(tracer.receiver_delay().count(), 4u);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[0], 0.070, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[1], 0.010, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[2], 0.068, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[3], 0.067, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 0), 0.070, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 1), 0.010, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 2), 0.068, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 3), 0.067, 1e-9);
+  // Nothing arrived past 4000.
+  tracer.OnAppRead(4000, 5000, Ms(90));
+  EXPECT_EQ(tracer.receiver_delay().count(), 4u);
 }
 
 TEST(GroundTruthTracerTest, OutOfOrderArrivalsInDescendingOrder) {
@@ -124,22 +126,17 @@ TEST(GroundTruthTracerTest, OutOfOrderArrivalsInDescendingOrder) {
   tracer.OnTcpRxSegment(1000, 2000, Ms(14), false);
   tracer.OnTcpRxSegment(0, 1000, Ms(15), true);
 
-  SimTime t;
-  for (uint64_t k = 0; k < 4; ++k) {
-    ASSERT_TRUE(tracer.ArrivalTimeOf(k * 1000 + 999, &t)) << k;
-    EXPECT_EQ(t, Ms(15 - static_cast<int64_t>(k))) << k;
-  }
-  // Every arrival pairs with the one transmission covering its first byte.
+  // Every arrival pairs with the one transmission covering its first byte:
+  // 11, 12, 13 and 14 ms.
   ASSERT_EQ(tracer.network_delay().count(), 4u);
-  EXPECT_NEAR(tracer.network_delay().samples()[0], 0.011, 1e-9);
-  EXPECT_NEAR(tracer.network_delay().samples()[3], 0.014, 1e-9);
+  EXPECT_NEAR(tracer.network_delay().mean(), 0.0125, 1e-9);
 
   tracer.OnAppRead(0, 4000, Ms(20));
   ASSERT_EQ(tracer.receiver_delay().count(), 4u);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[0], 0.005, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[1], 0.006, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[2], 0.007, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[3], 0.008, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 0), 0.005, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 1), 0.006, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 2), 0.007, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 3), 0.008, 1e-9);
 }
 
 // A retransmission of a range below the newest transmission overwrites that
@@ -155,15 +152,16 @@ TEST(GroundTruthTracerTest, RetransmissionOverwritesExistingBegin) {
   tracer.OnTcpRxSegment(0, 1000, Ms(130), true);
   tracer.OnTcpRxSegment(2000, 3000, Ms(137), true);
 
+  // 30, 30 and 130 ms.
   ASSERT_EQ(tracer.network_delay().count(), 3u);
-  EXPECT_NEAR(tracer.network_delay().samples()[0], 0.030, 1e-9);
-  EXPECT_NEAR(tracer.network_delay().samples()[1], 0.030, 1e-9);
-  EXPECT_NEAR(tracer.network_delay().samples()[2], 0.130, 1e-9);
-  // The retransmission is not a first transmission.
+  EXPECT_NEAR(tracer.network_delay().mean(), 0.190 / 3, 1e-9);
+  // The retransmission is not a first transmission: the sender delays are
+  // those of the three first copies.
   ASSERT_EQ(tracer.sender_delay().count(), 3u);
-  SimTime t;
-  ASSERT_TRUE(tracer.FirstTxTimeOf(10, &t));
-  EXPECT_EQ(t, Ms(5));
+  ASSERT_EQ(tracer.sender_delay_series().count(), 3u);
+  EXPECT_EQ(tracer.sender_delay_series().points()[0].t, Ms(5));
+  EXPECT_NEAR(SenderSample(tracer, 0), 0.005, 1e-9);
+  EXPECT_NEAR(SenderSample(tracer, 2), 0.007, 1e-9);
 }
 
 TEST(GroundTruthTracerTest, ReadSpanningThreeArrivalsSamplesInByteOrder) {
@@ -176,14 +174,12 @@ TEST(GroundTruthTracerTest, ReadSpanningThreeArrivalsSamplesInByteOrder) {
   tracer.OnAppRead(0, 3000, Ms(40));
 
   ASSERT_EQ(tracer.receiver_delay().count(), 3u);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[0], 0.010, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[1], 0.005, 1e-9);
-  EXPECT_NEAR(tracer.receiver_delay().samples()[2], 0.008, 1e-9);
   ASSERT_EQ(tracer.receiver_delay_series().count(), 3u);
+  EXPECT_NEAR(ReceiverSample(tracer, 0), 0.010, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 1), 0.005, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 2), 0.008, 1e-9);
   ASSERT_EQ(tracer.end_to_end_delay().count(), 3u);
-  for (double d : tracer.end_to_end_delay().samples()) {
-    EXPECT_NEAR(d, 0.040, 1e-9);
-  }
+  EXPECT_NEAR(tracer.end_to_end_delay().mean(), 0.040, 1e-9);
 }
 
 TEST(GroundTruthTracerTest, EarlyByteLookupsAfterManyAppendedRanges) {
@@ -195,20 +191,25 @@ TEST(GroundTruthTracerTest, EarlyByteLookupsAfterManyAppendedRanges) {
     tracer.OnTcpTransmit(k * 100, (k + 1) * 100, Ms(ms + 1), false);
     tracer.OnTcpRxSegment(k * 100, (k + 1) * 100, Ms(ms + 20), true);
   }
-  SimTime t;
-  ASSERT_TRUE(tracer.ArrivalTimeOf(0, &t));
-  EXPECT_EQ(t, Ms(20));
-  ASSERT_TRUE(tracer.ArrivalTimeOf(150, &t));
-  EXPECT_EQ(t, Ms(21));
-  ASSERT_TRUE(tracer.FirstTxTimeOf(99, &t));
-  EXPECT_EQ(t, Ms(1));
-  ASSERT_TRUE(tracer.FirstTxTimeOf(250, &t));
-  EXPECT_EQ(t, Ms(3));
-  ASSERT_TRUE(tracer.ArrivalTimeOf(kRanges * 100 - 1, &t));
-  EXPECT_EQ(t, Ms(static_cast<int64_t>(kRanges) - 1 + 20));
-  EXPECT_FALSE(tracer.ArrivalTimeOf(kRanges * 100, &t));
-  EXPECT_FALSE(tracer.FirstTxTimeOf(kRanges * 100, &t));
   EXPECT_EQ(tracer.network_delay().count(), kRanges);
+  ASSERT_EQ(tracer.sender_delay_series().count(), kRanges);
+  EXPECT_EQ(tracer.sender_delay_series().points()[2].t, Ms(3));
+  EXPECT_NEAR(tracer.sender_delay().mean(), 0.001, 1e-9);
+
+  // Nothing has been read, so the earliest arrivals are still there. The
+  // first read ends inside the second range, which the next read begins in.
+  const int64_t read_ms = static_cast<int64_t>(kRanges) + 100;
+  tracer.OnAppRead(0, 150, Ms(read_ms));
+  ASSERT_EQ(tracer.receiver_delay().count(), 2u);
+  EXPECT_NEAR(ReceiverSample(tracer, 0), (read_ms - 20) / 1e3, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 1), (read_ms - 21) / 1e3, 1e-9);
+  tracer.OnAppRead(150, kRanges * 100, Ms(read_ms));
+  ASSERT_EQ(tracer.receiver_delay().count(), kRanges + 1);
+  EXPECT_NEAR(ReceiverSample(tracer, 2), (read_ms - 21) / 1e3, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, kRanges), 0.081, 1e-9);
+  // Nothing arrived past the last range.
+  tracer.OnAppRead(kRanges * 100, kRanges * 100 + 1, Ms(read_ms));
+  EXPECT_EQ(tracer.receiver_delay().count(), kRanges + 1);
 }
 
 TEST(GroundTruthTracerTest, GoBackNRewindDoesNotDoubleCountSenderDelay) {
@@ -218,7 +219,7 @@ TEST(GroundTruthTracerTest, GoBackNRewindDoesNotDoubleCountSenderDelay) {
   // Pre-SACK style rewind resends the same bytes flagged fresh.
   tracer.OnTcpTransmit(0, 2000, Ms(300), false);
   EXPECT_EQ(tracer.sender_delay().count(), 1u);
-  EXPECT_NEAR(tracer.sender_delay().samples()[0], 0.005, 1e-9);
+  EXPECT_NEAR(tracer.sender_delay().mean(), 0.005, 1e-9);
 }
 
 TEST(GroundTruthTracerTest, RecordFromSkipsEarlySamples) {
@@ -230,18 +231,48 @@ TEST(GroundTruthTracerTest, RecordFromSkipsEarlySamples) {
   tracer.OnAppWrite(1000, 2000, Ms(150));
   tracer.OnTcpTransmit(1000, 2000, Ms(170), false);
   ASSERT_EQ(tracer.sender_delay().count(), 1u);
-  EXPECT_NEAR(tracer.sender_delay().samples()[0], 0.020, 1e-9);
+  EXPECT_NEAR(tracer.sender_delay().mean(), 0.020, 1e-9);
 }
 
 TEST(GroundTruthTracerTest, LookupsFailBeforeData) {
   GroundTruthTracer tracer;
   SimTime t;
   EXPECT_FALSE(tracer.WriteTimeOf(0, &t));
-  EXPECT_FALSE(tracer.FirstTxTimeOf(0, &t));
-  EXPECT_FALSE(tracer.ArrivalTimeOf(0, &t));
   tracer.OnAppWrite(0, 100, Ms(1));
   EXPECT_TRUE(tracer.WriteTimeOf(50, &t));
   EXPECT_FALSE(tracer.WriteTimeOf(100, &t));  // half-open
+}
+
+// Write ranges that both the transmit and the read lookups have passed are
+// dropped, and so are the arrivals below the one a read ended in; the
+// range a read ended in stays for the next read.
+TEST(GroundTruthTracerTest, ReadsDropWhatTheyPassed) {
+  GroundTruthTracer tracer;
+  for (uint64_t k = 0; k < 8; ++k) {
+    int64_t ms = static_cast<int64_t>(k);
+    tracer.OnAppWrite(k * 100, (k + 1) * 100, Ms(ms));
+    tracer.OnTcpTransmit(k * 100, (k + 1) * 100, Ms(ms + 10), false);
+    tracer.OnTcpRxSegment(k * 100, (k + 1) * 100, Ms(ms + 30), true);
+  }
+  SimTime t;
+  ASSERT_TRUE(tracer.WriteTimeOf(0, &t));  // nothing read yet
+  EXPECT_EQ(t, Ms(0));
+  tracer.OnAppRead(0, 650, Ms(40));
+  EXPECT_EQ(tracer.receiver_delay().count(), 7u);
+  EXPECT_FALSE(tracer.WriteTimeOf(0, &t));
+  EXPECT_FALSE(tracer.WriteTimeOf(599, &t));
+  ASSERT_TRUE(tracer.WriteTimeOf(600, &t));
+  EXPECT_EQ(t, Ms(6));
+  ASSERT_TRUE(tracer.WriteTimeOf(799, &t));
+  EXPECT_EQ(t, Ms(7));
+  EXPECT_FALSE(tracer.WriteTimeOf(800, &t));
+
+  // The next read begins inside the range the last one ended in.
+  tracer.OnAppRead(650, 800, Ms(50));
+  ASSERT_EQ(tracer.receiver_delay().count(), 9u);
+  EXPECT_NEAR(ReceiverSample(tracer, 7), 0.014, 1e-9);
+  EXPECT_NEAR(ReceiverSample(tracer, 8), 0.013, 1e-9);
+  EXPECT_EQ(tracer.end_to_end_delay().count(), 9u);
 }
 
 TEST(GroundTruthTracerTest, CompositionSumsMeans) {
@@ -255,28 +286,6 @@ TEST(GroundTruthTracerTest, CompositionSumsMeans) {
   EXPECT_NEAR(c.network_s, 0.030, 1e-9);
   EXPECT_NEAR(c.receiver_s, 0.005, 1e-9);
   EXPECT_NEAR(c.total_s, 0.045, 1e-9);
-}
-
-TEST(GroundTruthTracerTest, EndToEndConsistencyOnLiveFlow) {
-  PathConfig path;
-  Testbed bed(3, path);
-  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  GroundTruthTracer tracer;
-  flow.sender->telemetry().AttachSink(&tracer);
-  flow.receiver->telemetry().AttachSink(&tracer);
-  RawTcpSink sink(flow.sender);
-  IperfApp app(&bed.loop(), &sink);
-  SinkApp reader(flow.receiver);
-  app.Start();
-  reader.Start();
-  bed.loop().RunUntil(Sec(10.0));
-  ASSERT_GT(tracer.end_to_end_delay().count(), 100u);
-  // Invariants: components non-negative, network >= one-way floor 25 ms.
-  EXPECT_GE(tracer.sender_delay().min(), 0.0);
-  EXPECT_GE(tracer.network_delay().min(), 0.025);
-  EXPECT_GE(tracer.receiver_delay().min(), 0.0);
-  GroundTruthTracer::Composition c = tracer.MeanComposition();
-  EXPECT_NEAR(c.total_s, tracer.end_to_end_delay().mean(), c.total_s * 0.25);
 }
 
 // Dropping the time series (what the experiment drivers do for flows whose
@@ -306,10 +315,11 @@ TEST(GroundTruthTracerTest, DroppingTimeSeriesKeepsSamples) {
 
   ASSERT_GT(kept.end_to_end_delay().count(), 100u);
   EXPECT_GT(flow.sender->total_retransmits(), 0u);
-  EXPECT_EQ(kept.sender_delay().samples(), dropped.sender_delay().samples());
-  EXPECT_EQ(kept.network_delay().samples(), dropped.network_delay().samples());
-  EXPECT_EQ(kept.receiver_delay().samples(), dropped.receiver_delay().samples());
-  EXPECT_EQ(kept.end_to_end_delay().samples(), dropped.end_to_end_delay().samples());
+  for (auto part : {&GroundTruthTracer::sender_delay, &GroundTruthTracer::network_delay,
+                    &GroundTruthTracer::receiver_delay, &GroundTruthTracer::end_to_end_delay}) {
+    EXPECT_EQ((kept.*part)().count(), (dropped.*part)().count());
+    EXPECT_EQ((kept.*part)().mean(), (dropped.*part)().mean());
+  }
   GroundTruthTracer::Composition a = kept.MeanComposition();
   GroundTruthTracer::Composition b = dropped.MeanComposition();
   EXPECT_EQ(a.sender_s, b.sender_s);
@@ -323,13 +333,14 @@ TEST(GroundTruthTracerTest, DroppingTimeSeriesKeepsSamples) {
   EXPECT_TRUE(dropped.receiver_delay_series().empty());
 }
 
-// The tracer's lookups as they were before they kept cursors: a binary
-// search of the whole table on every record. Same tables, same samples.
-class BinarySearchTracer {
+// The tracer as it was before it kept cursors, trimmed its tables and kept
+// sums: every table whole, a binary search of it on every record, and every
+// sample stored.
+class BinarySearchTracer : public telemetry::RecordSink {
  public:
   explicit BinarySearchTracer(SimTime record_from) : record_from_(record_from) {}
 
-  void OnRecord(const telemetry::TraceRecord& r) {
+  void OnRecord(const telemetry::TraceRecord& r) override {
     uint64_t begin = r.u.range.begin;
     uint64_t end = r.u.range.end;
     switch (r.kind) {
@@ -353,15 +364,6 @@ class BinarySearchTracer {
   }
 
   bool WriteTimeOf(uint64_t byte, SimTime* out) const { return Lookup(writes_, byte, out); }
-  bool FirstTxTimeOf(uint64_t byte, SimTime* out) const { return Lookup(first_tx_, byte, out); }
-  bool ArrivalTimeOf(uint64_t byte, SimTime* out) const {
-    auto it = PastFloor(arrivals_, arrivals_.begin(), byte);
-    if (it == arrivals_.begin() || byte >= (it - 1)->end) {
-      return false;
-    }
-    *out = (it - 1)->t;
-    return true;
-  }
 
   SampleSet sender;
   SampleSet network;
@@ -470,6 +472,7 @@ struct RandomFlowStream {
   int out_of_order = 0;
   int below_read = 0;
   int reads = 0;
+  uint64_t read = 0;  // bytes read by the end
 
   RandomFlowStream(uint64_t seed, int steps) {
     Rng rng(seed);
@@ -477,7 +480,6 @@ struct RandomFlowStream {
     uint64_t written = 0;
     uint64_t sent = 0;
     uint64_t rcv_next = 0;
-    uint64_t read = 0;
     std::vector<std::pair<uint64_t, uint64_t>> in_flight;
     std::map<uint64_t, uint64_t> above_hole;  // out-of-order ranges past rcv_next
     auto emit = [&](telemetry::RecordKind kind, uint64_t begin, uint64_t end, uint8_t flags) {
@@ -555,8 +557,22 @@ void ExpectSameSeries(const TimeSeries& want, const TimeSeries& got, const char*
   }
 }
 
-// The cursors must find exactly what a binary search of the whole table
-// finds, whatever order the bytes come in.
+// Every count, mean and series point bit for bit.
+void ExpectSameAsReference(const BinarySearchTracer& reference, const GroundTruthTracer& tracer) {
+  EXPECT_EQ(reference.sender.count(), tracer.sender_delay().count());
+  EXPECT_EQ(reference.network.count(), tracer.network_delay().count());
+  EXPECT_EQ(reference.receiver.count(), tracer.receiver_delay().count());
+  EXPECT_EQ(reference.end_to_end.count(), tracer.end_to_end_delay().count());
+  EXPECT_EQ(reference.sender.mean(), tracer.sender_delay().mean());
+  EXPECT_EQ(reference.network.mean(), tracer.network_delay().mean());
+  EXPECT_EQ(reference.receiver.mean(), tracer.receiver_delay().mean());
+  EXPECT_EQ(reference.end_to_end.mean(), tracer.end_to_end_delay().mean());
+  ExpectSameSeries(reference.sender_series, tracer.sender_delay_series(), "sender series");
+  ExpectSameSeries(reference.receiver_series, tracer.receiver_delay_series(), "receiver series");
+}
+
+// The cursors over trimmed tables must find exactly what a binary search of
+// the whole tables finds, whatever order the bytes come in.
 TEST(GroundTruthTracerTest, CursorLookupsMatchBinarySearch) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     RandomFlowStream stream(seed, 4000);
@@ -576,25 +592,77 @@ TEST(GroundTruthTracerTest, CursorLookupsMatchBinarySearch) {
       SCOPED_TRACE(testing::Message() << "seed " << seed << " from " << record_from.nanos());
       // Reads that span several arrivals sample each of them.
       ASSERT_GT(reference.receiver.count(), static_cast<size_t>(stream.reads));
-      EXPECT_EQ(reference.sender.samples(), tracer.sender_delay().samples());
-      EXPECT_EQ(reference.network.samples(), tracer.network_delay().samples());
-      EXPECT_EQ(reference.receiver.samples(), tracer.receiver_delay().samples());
-      EXPECT_EQ(reference.end_to_end.samples(), tracer.end_to_end_delay().samples());
-      ExpectSameSeries(reference.sender_series, tracer.sender_delay_series(), "sender series");
-      ExpectSameSeries(reference.receiver_series, tracer.receiver_delay_series(),
-                       "receiver series");
+      ExpectSameAsReference(reference, tracer);
+      // Below the live window WriteTimeOf says no; from the read point up
+      // it answers as the whole table does.
       for (uint64_t byte = 0; byte < 400'000; byte += 997) {
         SimTime want;
         SimTime got;
-        ASSERT_EQ(reference.WriteTimeOf(byte, &want), tracer.WriteTimeOf(byte, &got));
-        ASSERT_TRUE(!reference.WriteTimeOf(byte, &want) || want == got) << byte;
-        ASSERT_EQ(reference.FirstTxTimeOf(byte, &want), tracer.FirstTxTimeOf(byte, &got));
-        ASSERT_TRUE(!reference.FirstTxTimeOf(byte, &want) || want == got) << byte;
-        ASSERT_EQ(reference.ArrivalTimeOf(byte, &want), tracer.ArrivalTimeOf(byte, &got));
-        ASSERT_TRUE(!reference.ArrivalTimeOf(byte, &want) || want == got) << byte;
+        bool found = tracer.WriteTimeOf(byte, &got);
+        if (byte >= stream.read) {
+          ASSERT_EQ(reference.WriteTimeOf(byte, &want), found) << byte;
+        }
+        ASSERT_TRUE(!found || (reference.WriteTimeOf(byte, &want) && want == got)) << byte;
       }
     }
   }
+}
+
+TEST(GroundTruthTracerTest, EndToEndConsistencyOnLiveFlow) {
+  PathConfig path;
+  Testbed bed(3, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  GroundTruthTracer tracer;
+  BinarySearchTracer reference(SimTime::Zero());
+  for (telemetry::RecordSink* sink : {static_cast<telemetry::RecordSink*>(&tracer),
+                                      static_cast<telemetry::RecordSink*>(&reference)}) {
+    flow.sender->telemetry().AttachSink(sink);
+    flow.receiver->telemetry().AttachSink(sink);
+  }
+  RawTcpSink sink(flow.sender);
+  IperfApp app(&bed.loop(), &sink);
+  SinkApp reader(flow.receiver);
+  app.Start();
+  reader.Start();
+  bed.loop().RunUntil(Sec(10.0));
+  ASSERT_GT(tracer.end_to_end_delay().count(), 100u);
+  // The tracer keeps what the every-sample reference keeps, whose samples
+  // hold the invariants: components non-negative, network >= one-way floor
+  // 25 ms.
+  ExpectSameAsReference(reference, tracer);
+  EXPECT_GE(reference.sender.min(), 0.0);
+  EXPECT_GE(reference.network.min(), 0.025);
+  EXPECT_GE(reference.receiver.min(), 0.0);
+  GroundTruthTracer::Composition c = tracer.MeanComposition();
+  EXPECT_NEAR(c.total_s, tracer.end_to_end_delay().mean(), c.total_s * 0.25);
+}
+
+// A real flow on a lossy path: spurious retransmissions, duplicates and
+// arrivals below the read point, as TCP makes them.
+TEST(GroundTruthTracerTest, LossyFlowMatchesWholeTables) {
+  PathConfig path;
+  path.loss_probability = 0.02;
+  Testbed bed(6, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  GroundTruthTracer::Config config;
+  config.record_from = Sec(1.0);
+  GroundTruthTracer tracer(config);
+  BinarySearchTracer reference(config.record_from);
+  for (telemetry::RecordSink* sink : {static_cast<telemetry::RecordSink*>(&tracer),
+                                      static_cast<telemetry::RecordSink*>(&reference)}) {
+    flow.sender->telemetry().AttachSink(sink);
+    flow.receiver->telemetry().AttachSink(sink);
+  }
+  RawTcpSink sink(flow.sender);
+  IperfApp app(&bed.loop(), &sink);
+  SinkApp reader(flow.receiver);
+  app.Start();
+  reader.Start();
+  bed.loop().RunUntil(Sec(20.0));
+  ASSERT_GT(flow.sender->total_retransmits(), 10u);
+  ASSERT_GT(reference.receiver.count(), 1000u);
+  ExpectSameAsReference(reference, tracer);
+  EXPECT_GE(reference.network.min(), 0.025);
 }
 
 TEST(FlowMeterTest, MeasuresGoodput) {
