@@ -82,7 +82,7 @@ double BenchEmitSink() {
   double secs = Timed([&] {
     for (int i = 0; i < kEmitRecords; ++i) {
       if (flow.recording()) {
-        flow.EmitAlways(telemetry::TraceRecord::Delay(
+        flow.Emit(telemetry::TraceRecord::Delay(
             flow.flow_id(), SimTime::FromNanos(i), 1e-3, 2e-3, 3e-3));
       }
     }
@@ -103,7 +103,7 @@ double BenchEmitRing() {
   double secs = Timed([&] {
     for (int i = 0; i < kEmitRecords; ++i) {
       if (flow.recording()) {
-        flow.EmitAlways(telemetry::TraceRecord::Range(
+        flow.Emit(telemetry::TraceRecord::Range(
             telemetry::RecordKind::kAppWrite, flow.flow_id(), SimTime::FromNanos(i),
             static_cast<uint64_t>(i), static_cast<uint64_t>(i) + 1448));
       }

@@ -26,9 +26,7 @@ void IperfApp::Pump() {
   // Keep writing until the sink pushes back (full buffer or pacing gate);
   // the writable callback resumes the pump.
   while (true) {
-    size_t accepted = sink_->Write(chunk_);
-    bytes_offered_ += accepted;
-    if (accepted < chunk_) {
+    if (sink_->Write(chunk_) < chunk_) {
       break;
     }
   }

@@ -21,7 +21,6 @@ class IperfApp {
   IperfApp(EventLoop* loop, ByteSink* sink, size_t chunk_bytes = 128 * 1024);
 
   void Start();
-  uint64_t bytes_offered() const { return bytes_offered_; }
 
  private:
   void Pump();
@@ -29,7 +28,6 @@ class IperfApp {
   EventLoop* loop_;
   ByteSink* sink_;
   size_t chunk_;
-  uint64_t bytes_offered_ = 0;
   bool started_ = false;
 };
 

@@ -55,7 +55,7 @@ class VrServer {
   const std::vector<VrFrameRecord>& frames() const { return frames_; }
   std::vector<VrFrameRecord>& mutable_frames() { return frames_; }
   uint64_t control_messages_received() const { return control_messages_; }
-  int current_level() const { return level_; }
+  int current_level() const { return level_; }  // lint_sim: allow(test-only) -- observer
 
  private:
   void OnFrameTick();

@@ -71,9 +71,15 @@ class FreeListArena {
   }
 
   // Blocks ever carved from chunks (bounded-growth assertions in tests).
-  size_t capacity_blocks() const { return chunks_.size() * kBlocksPerChunk; }
-  uint64_t pool_allocs() const { return pool_allocs_; }
-  uint64_t oversize_allocs() const { return oversize_allocs_; }
+  size_t capacity_blocks() const {  // lint_sim: allow(test-only) -- counter
+    return chunks_.size() * kBlocksPerChunk;
+  }
+  uint64_t pool_allocs() const {  // lint_sim: allow(test-only) -- counter
+    return pool_allocs_;
+  }
+  uint64_t oversize_allocs() const {  // lint_sim: allow(test-only) -- counter
+    return oversize_allocs_;
+  }
 
  private:
   // Marks a block on the freelist; cleared when the block is handed out.

@@ -16,7 +16,6 @@ class DataRate {
   constexpr DataRate() = default;
 
   static constexpr DataRate BitsPerSecond(double bps) { return DataRate(bps); }
-  static constexpr DataRate Kbps(double kbps) { return DataRate(kbps * 1e3); }
   static constexpr DataRate Mbps(double mbps) { return DataRate(mbps * 1e6); }
   static constexpr DataRate Gbps(double gbps) { return DataRate(gbps * 1e9); }
   static constexpr DataRate BytesPerSecond(double bytes_per_sec) {
@@ -36,9 +35,6 @@ class DataRate {
     }
     return TimeDelta::FromSeconds(static_cast<double>(bytes) * 8.0 / bps_);
   }
-
-  // Bytes delivered over `d` at this rate.
-  constexpr double BytesIn(TimeDelta d) const { return BytesPerSec() * d.ToSeconds(); }
 
   constexpr DataRate operator*(double f) const { return DataRate(bps_ * f); }
   constexpr DataRate operator+(DataRate o) const { return DataRate(bps_ + o.bps_); }

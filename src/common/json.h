@@ -38,7 +38,6 @@ class Value {
   static bool Parse(const std::string& text, Value* out, std::string* error);
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
@@ -47,9 +46,6 @@ class Value {
 
   bool AsBool(bool def = false) const { return is_bool() ? bool_ : def; }
   double AsDouble(double def = 0.0) const { return is_number() ? number_ : def; }
-  int64_t AsInt(int64_t def = 0) const {
-    return is_number() ? static_cast<int64_t>(number_) : def;
-  }
   const std::string& AsString(const std::string& def = "") const {
     return is_string() ? string_ : def;
   }

@@ -40,11 +40,6 @@ class Rng {
   double Normal(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
-  // Normal clipped at zero; convenient for jitter terms.
-  double NonNegNormal(double mean, double stddev) {
-    double v = Normal(mean, stddev);
-    return v < 0.0 ? 0.0 : v;
-  }
   double Pareto(double scale, double shape) {
     ELEMENT_DCHECK(shape > 0.0) << "Pareto() needs a positive shape, got " << shape;
     // Uniform() draws from [0, 1), but uniform_real_distribution may round up
@@ -57,8 +52,6 @@ class Rng {
     }
     return scale / std::pow(survival, 1.0 / shape);
   }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

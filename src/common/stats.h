@@ -77,7 +77,7 @@ class SampleSet {
   // statistics in O(n) instead of sorting.
   double Median() const;
   // Fraction of samples <= x.
-  double FractionBelow(double x) const;
+  double FractionBelow(double x) const;  // lint_sim: allow(test-only) -- pending deletion
 
   const std::vector<double>& samples() const { return samples_; }
 
@@ -127,9 +127,15 @@ class Histogram {
   // SampleSet::Quantile (DCHECK + 0.0).
   double Quantile(double q) const;
 
-  const std::vector<uint64_t>& bins() const { return bins_; }
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
+  const std::vector<uint64_t>& bins() const {  // lint_sim: allow(test-only) -- observer
+    return bins_;
+  }
+  uint64_t underflow() const {  // lint_sim: allow(test-only) -- observer
+    return underflow_;
+  }
+  uint64_t overflow() const {  // lint_sim: allow(test-only) -- observer
+    return overflow_;
+  }
   // Lower edge of bin i (i == bins().size() yields the ceiling).
   double BinLowerEdge(size_t i) const;
 

@@ -32,7 +32,6 @@ class TimeDelta {
 
   constexpr int64_t nanos() const { return ns_; }
   constexpr int64_t ToMicros() const { return ns_ / 1000; }
-  constexpr int64_t ToMillis() const { return ns_ / 1000000; }
   constexpr double ToSeconds() const { return static_cast<double>(ns_) * 1e-9; }
   constexpr double ToMillisF() const { return static_cast<double>(ns_) * 1e-6; }
 
@@ -60,7 +59,7 @@ class TimeDelta {
 
   constexpr auto operator<=>(const TimeDelta&) const = default;
 
-  std::string ToString() const;
+  std::string ToString() const;  // lint_sim: allow(test-only) -- pending deletion
 
  private:
   explicit constexpr TimeDelta(int64_t ns) : ns_(ns) {}
@@ -94,7 +93,7 @@ class SimTime {
 
   constexpr auto operator<=>(const SimTime&) const = default;
 
-  std::string ToString() const;
+  std::string ToString() const;  // lint_sim: allow(test-only) -- pending deletion
 
  private:
   explicit constexpr SimTime(int64_t ns) : ns_(ns) {}

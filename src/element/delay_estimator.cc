@@ -56,12 +56,11 @@ void SenderDelayEstimator::OnTcpInfoSample(const TcpInfoData& info, SimTime t) {
         << records_.back().send_time.nanos() << "ns";
     records_.pop_back();
     latest_delay_ = d;
-    has_estimate_ = true;
     double ds = d.ToSeconds();
     series_.Add(t, ds);
     if (telemetry_.recording()) {
-      telemetry_.EmitAlways(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, ds, 0.0,
-                                                          0.0, telemetry::kFlagEstimate));
+      telemetry_.Emit(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, ds, 0.0, 0.0,
+                                                    telemetry::kFlagEstimate));
     }
   }
 }
@@ -91,12 +90,11 @@ void ReceiverDelayEstimator::OnAppReceive(uint64_t cumulative_bytes, SimTime t) 
         << "negative receiver delay: read at " << t.nanos() << "ns before TCP receive at "
         << records_.back().recv_time.nanos() << "ns";
     latest_delay_ = d;
-    has_estimate_ = true;
     double ds = d.ToSeconds();
     series_.Add(t, ds);
     if (telemetry_.recording()) {
-      telemetry_.EmitAlways(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, 0.0, 0.0,
-                                                          ds, telemetry::kFlagEstimate));
+      telemetry_.Emit(telemetry::TraceRecord::Delay(telemetry_.flow_id(), t, 0.0, 0.0, ds,
+                                                    telemetry::kFlagEstimate));
     }
     break;
   }

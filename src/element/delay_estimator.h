@@ -11,8 +11,8 @@
 // Each matched record yields one buffer-delay estimate, which an estimator
 // delivers two ways: appended to delay_series() (the stored history the
 // figures and ScoreEstimates read), and emitted as a kDelaySample record
-// (kFlagEstimate) on telemetry(). Live consumers — Algorithm 3's controller,
-// DelayEventMonitor, a measured MeasuredFlow's accuracy scorers — attach a
+// (kFlagEstimate) on telemetry(). Live consumers — Algorithm 3's controller
+// and a measured MeasuredFlow's accuracy scorers — attach a
 // telemetry::RecordSink there.
 
 #ifndef ELEMENT_SRC_ELEMENT_DELAY_ESTIMATOR_H_
@@ -39,8 +39,8 @@ bool DelayDecompositionConserves(double sender_s, double network_s, double recei
 
 // ELEMENT_AUDIT wrapper (compiled out in Release): aborts with the four
 // components when the decomposition does not conserve.
-void AuditDelayDecomposition(double sender_s, double network_s, double receiver_s,
-                             double end_to_end_s);
+void AuditDelayDecomposition(  // lint_sim: allow(test-only) -- audit, not yet wired
+    double sender_s, double network_s, double receiver_s, double end_to_end_s);
 
 class SenderDelayEstimator {
  public:
@@ -74,7 +74,6 @@ class SenderDelayEstimator {
 
   // Latest estimated send-buffer delay (EWMA-free raw value).
   TimeDelta latest_delay() const { return latest_delay_; }
-  bool has_estimate() const { return has_estimate_; }
   const TimeSeries& delay_series() const { return series_; }
   size_t pending_records() const { return records_.size(); }
 
@@ -96,7 +95,6 @@ class SenderDelayEstimator {
   SentBytesFormula formula_ = SentBytesFormula::kAckedPlusUnacked;
   std::deque<SendRecord> records_;  // back = oldest
   TimeDelta latest_delay_ = TimeDelta::Zero();
-  bool has_estimate_ = false;
   TimeSeries series_;
   telemetry::FlowTelemetry telemetry_;
 };
@@ -115,7 +113,6 @@ class ReceiverDelayEstimator {
   static uint64_t EstimateReceivedBytes(const TcpInfoData& info);
 
   TimeDelta latest_delay() const { return latest_delay_; }
-  bool has_estimate() const { return has_estimate_; }
   const TimeSeries& delay_series() const { return series_; }
   size_t pending_records() const { return records_.size(); }
 
@@ -135,7 +132,6 @@ class ReceiverDelayEstimator {
   std::deque<RecvRecord> records_;  // back = oldest
   uint64_t prev_estimate_ = 0;
   TimeDelta latest_delay_ = TimeDelta::Zero();
-  bool has_estimate_ = false;
   TimeSeries series_;
   telemetry::FlowTelemetry telemetry_;
 };

@@ -44,7 +44,9 @@ class LatencyMinimizer {
   void OnSendAllowed() { sleep_count_ = 0; }
 
   uint64_t starget_bytes() const { return static_cast<uint64_t>(starget_); }
-  TimeDelta average_delay() const { return TimeDelta::FromSeconds(avg_delay_s_); }
+  TimeDelta average_delay() const {  // lint_sim: allow(test-only) -- observer
+    return TimeDelta::FromSeconds(avg_delay_s_);
+  }
   const MinimizerParams& params() const { return params_; }
 
  private:

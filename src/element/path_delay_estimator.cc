@@ -13,7 +13,6 @@ void PathDelayEstimator::OnTcpInfoSample(const TcpInfoData& info) {
   if (floor_candidate < base_rtt_) {
     base_rtt_ = floor_candidate;
   }
-  has_estimate_ = true;
 }
 
 }  // namespace element

@@ -17,10 +17,9 @@ class PathDelayEstimator {
 
   void OnTcpInfoSample(const TcpInfoData& info);
 
-  bool has_estimate() const { return has_estimate_; }
   TimeDelta smoothed_rtt() const { return srtt_; }
   // Propagation floor: the smallest RTT ever reported by the kernel.
-  TimeDelta base_rtt() const { return base_rtt_; }
+  TimeDelta base_rtt() const { return base_rtt_; }  // lint_sim: allow(test-only) -- observer
   // Standing queueing along the path (both directions).
   TimeDelta queueing() const {
     return srtt_ > base_rtt_ ? srtt_ - base_rtt_ : TimeDelta::Zero();
@@ -29,7 +28,6 @@ class PathDelayEstimator {
   TimeDelta one_way_network_delay() const { return srtt_ / 2; }
 
  private:
-  bool has_estimate_ = false;
   TimeDelta srtt_ = TimeDelta::Zero();
   TimeDelta base_rtt_ = TimeDelta::Infinite();
 };

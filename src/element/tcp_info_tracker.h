@@ -38,7 +38,7 @@ class TcpInfoTracker {
   // arrivals are bursty at the poll granularity, so a window — rather than a
   // per-poll EWMA — gives an unaliased rate).
   DataRate throughput() const;
-  uint64_t samples_taken() const { return samples_; }
+  uint64_t samples_taken() const { return samples_; }  // lint_sim: allow(test-only) -- observer
 
   // Forces an immediate poll (used by em_send/em_read wrappers so their
   // returned info is fresh).

@@ -60,7 +60,6 @@ class EventLoop {
   void Run();
   // Runs events with time <= deadline, then sets now to the deadline.
   void RunUntil(SimTime deadline);
-  void RunFor(TimeDelta d) { RunUntil(now_ + d); }
   void Stop() { stopped_ = true; }
 
   // Events waiting to fire. A timer whose callback is running is not

@@ -18,13 +18,10 @@ struct CoDelParams {
 // CoDel control state, reusable by FqCoDel for its per-flow queues.
 class CoDelState {
  public:
-
   // Decides the fate of a packet whose sojourn time is known, at dequeue.
   // Returns true if the packet should be dropped (caller may convert the
   // drop to an ECN mark).
   bool ShouldDrop(TimeDelta sojourn, SimTime now, size_t queued_bytes);
-
-  bool dropping() const { return dropping_; }
 
  private:
   SimTime ControlLawNext(SimTime t) const;

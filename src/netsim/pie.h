@@ -28,7 +28,7 @@ class Pie : public Qdisc {
   int64_t byte_count() const override { return bytes_; }
   std::string name() const override { return "pie"; }
 
-  double drop_probability() const { return drop_prob_; }
+  double drop_probability() const { return drop_prob_; }  // lint_sim: allow(test-only) -- observer
 
  private:
   void MaybeUpdateProbability(SimTime now);

@@ -51,7 +51,7 @@ class Pipe : public PacketSink {
   }
 
   // Queueing + serialization delay a new arrival would currently see.
-  TimeDelta CurrentBacklogDelay();
+  TimeDelta CurrentBacklogDelay();  // lint_sim: allow(test-only) -- observer
 
  private:
   void MaybeStartTransmission();

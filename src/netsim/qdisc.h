@@ -72,7 +72,6 @@ class Qdisc {
 
   // When enabled, AQM "drop" decisions on ECN-capable packets become CE marks.
   void set_ecn_enabled(bool enabled) { ecn_enabled_ = enabled; }
-  bool ecn_enabled() const { return ecn_enabled_; }
 
   // Conservation audit (compiled out in Release): every packet counted as
   // enqueued must be accounted for as dequeued, dropped from the queue, or
@@ -104,7 +103,7 @@ class Qdisc {
 
   // Test-only: desynchronizes the stats so audit death tests can verify the
   // conservation check actually fires.
-  void TestOnlyCorruptStatsForAudit() {
+  void TestOnlyCorruptStatsForAudit() {  // lint_sim: allow(test-only) -- test hook
     ++stats_.enqueued_packets;
     stats_.enqueued_bytes += 1;
   }

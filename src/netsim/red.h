@@ -31,7 +31,7 @@ class Red : public Qdisc {
   int64_t byte_count() const override { return bytes_; }
   std::string name() const override { return "red"; }
 
-  double average_queue() const { return avg_queue_; }
+  double average_queue() const { return avg_queue_; }  // lint_sim: allow(test-only) -- observer
 
  private:
   double CurrentDropProbability() const;

@@ -43,7 +43,7 @@ class BbrCc : public CongestionControl {
   std::optional<DataRate> PacingRate() const override;
   std::string name() const override { return "bbr"; }
 
-  const char* mode_name() const;
+  const char* mode_name() const;  // lint_sim: allow(test-only) -- observer
 
  private:
   enum class Mode { kStartup, kDrain, kProbeBw, kProbeRtt };

@@ -29,7 +29,7 @@ class CubicCc : public CongestionControl {
   }
   std::string name() const override { return "cubic"; }
 
-  double w_max() const { return w_max_; }
+  double w_max() const { return w_max_; }  // lint_sim: allow(test-only) -- observer
 
  private:
   void ResetEpoch();

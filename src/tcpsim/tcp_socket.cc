@@ -119,7 +119,7 @@ size_t TcpSocket::Write(size_t n) {
   size_t accepted = std::min(n, SndBufFree());
   if (accepted > 0) {
     if (telemetry_.recording()) {
-      telemetry_.EmitAlways(telemetry::TraceRecord::Range(
+      telemetry_.Emit(telemetry::TraceRecord::Range(
           telemetry::RecordKind::kAppWrite, flow_id_, loop_->now(), write_seq_,
           write_seq_ + accepted));
     }
@@ -140,7 +140,7 @@ size_t TcpSocket::Read(size_t max) {
   size_t n = std::min<uint64_t>(max, ReadableBytes());
   if (n > 0) {
     if (telemetry_.recording()) {
-      telemetry_.EmitAlways(telemetry::TraceRecord::Range(
+      telemetry_.Emit(telemetry::TraceRecord::Range(
           telemetry::RecordKind::kAppRead, flow_id_, loop_->now(), read_seq_, read_seq_ + n));
     }
     read_seq_ += n;
@@ -274,7 +274,7 @@ void TcpSocket::SendDataSegment(uint64_t seq, uint32_t len, bool retransmit) {
     outstanding_.push_back(meta);
   }
   if (telemetry_.recording()) {
-    telemetry_.EmitAlways(telemetry::TraceRecord::Range(
+    telemetry_.Emit(telemetry::TraceRecord::Range(
         telemetry::RecordKind::kTcpTransmit, flow_id_, loop_->now(), seq, seq + len,
         retransmit ? telemetry::kFlagRetransmit : 0));
   }
@@ -503,7 +503,7 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
       telemetry::TraceRecord r = telemetry::TraceRecord::Range(
           telemetry::RecordKind::kSegmentAcked, flow_id_, loop_->now(), snd_una_, ack);
       r.u.range.aux = ack;  // snd_una after this ACK
-      telemetry_.EmitAlways(r);
+      telemetry_.Emit(r);
     }
     while (!outstanding_.empty() &&
            outstanding_.front().seq + outstanding_.front().len <= ack) {
@@ -686,7 +686,7 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
   }
   if (seq <= rcv_nxt_) {
     if (telemetry_.recording()) {
-      telemetry_.EmitAlways(telemetry::TraceRecord::Range(
+      telemetry_.Emit(telemetry::TraceRecord::Range(
           telemetry::RecordKind::kTcpRxSegment, flow_id_, loop_->now(), rcv_nxt_, end));
     }
     rcv_nxt_ = end;
@@ -730,7 +730,7 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
       }
       sack_hint_ = seq;
       if (telemetry_.recording()) {
-        telemetry_.EmitAlways(telemetry::TraceRecord::Range(
+        telemetry_.Emit(telemetry::TraceRecord::Range(
             telemetry::RecordKind::kTcpRxSegment, flow_id_, loop_->now(), seq, end,
             telemetry::kFlagOutOfOrder));
       }

@@ -122,13 +122,14 @@ class TcpSocket : public PacketSink {
 
   // Test-only: breaks sequence-space ordering and runs the audit so death
   // tests can verify the invariant layer actually fires.
-  void TestOnlyCorruptSequenceStateForAudit();
+  void TestOnlyCorruptSequenceStateForAudit();  // lint_sim: allow(test-only) -- test hook
   // Test-only: records a SACKed run no segment backs and runs the audit.
-  void TestOnlyCorruptSackedRunsForAudit();
+  void TestOnlyCorruptSackedRunsForAudit();  // lint_sim: allow(test-only) -- test hook
   // Test-only: replaces the congestion controller (before the handshake
   // completes), so a test can fix the window or the pacing rate and observe
   // what the socket does with them.
-  void TestOnlySetCongestionControl(std::unique_ptr<CongestionControl> cc) {
+  void TestOnlySetCongestionControl(  // lint_sim: allow(test-only) -- test hook
+      std::unique_ptr<CongestionControl> cc) {
     cc_ = std::move(cc);
   }
 
@@ -206,7 +207,7 @@ class TcpSocket : public PacketSink {
       telemetry::TraceRecord r = telemetry::TraceRecord::Range(
           telemetry::RecordKind::kCcStateChange, flow_id_, loop_->now(), snd_una_, snd_nxt_);
       r.size = static_cast<uint32_t>(episode);
-      telemetry_.EmitAlways(r);
+      telemetry_.Emit(r);
     }
   }
   void EmitSegment(TcpSegmentPayload seg, uint32_t payload_bytes, uint32_t priority_band = 1);

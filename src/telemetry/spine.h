@@ -13,16 +13,18 @@
 // producers (qdiscs) build no records.
 //
 // Overhead model (the ≤2% disabled-sink budget in bench/perf_floor.json):
-// FlowTelemetry::Emit is the only call on hot paths. When nothing is
+// FlowTelemetry::recording() is the only call on hot paths. When nothing is
 // attached it is two predictable compares (local sink count, spine recording
 // flag) and no loads beyond the producer's own cache line — cheaper than the
-// virtual observer dispatch it replaces. All record construction happens
-// *after* the guard, so a disabled spine never materializes a TraceRecord.
+// virtual observer dispatch it replaces. Every producer builds its record and
+// calls Emit() only after that guard, so a disabled spine never materializes
+// a TraceRecord.
 //
 // Determinism rules (docs/telemetry.md):
 //   - attach sinks and create rings before the loop runs; mid-run attachment
 //     flips recording() and changes which branches execute, which is fine for
-//     correctness but changes perf, not results;
+//     correctness but changes perf, not results. Sinks are never detached,
+//     so a sink must stay alive while its producers emit;
 //   - record emission order is simulation event order, so ring contents and
 //     sink callback sequences are seed-stable.
 
@@ -59,16 +61,6 @@ class TelemetrySpine {
     ELEMENT_CHECK(sink != nullptr);
     sinks_.push_back(sink);
     ++consumers_;
-  }
-  void DetachSink(RecordSink* sink) {
-    for (auto it = sinks_.begin(); it != sinks_.end(); ++it) {
-      if (*it == sink) {
-        sinks_.erase(it);
-        --consumers_;
-        return;
-      }
-    }
-    ELEMENT_CHECK(false) << "detaching sink that was never attached";
   }
 
   // Creates (or returns) the flight recorder for `flow_id`, holding its last
@@ -116,8 +108,8 @@ class TelemetrySpine {
 };
 
 // The producer-side handle, held by value so emitting costs no indirection
-// when idle. Producers call Emit(); the guard compiles to two compares on the
-// disabled path.
+// when idle. Producers check recording() and then call Emit(); the guard
+// compiles to two compares on the disabled path.
 class FlowTelemetry {
  public:
   static constexpr size_t kMaxSinks = 4;
@@ -128,7 +120,6 @@ class FlowTelemetry {
     spine_ = spine;
     flow_id_ = flow_id;
   }
-  bool bound() const { return spine_ != nullptr; }
   TelemetrySpine* spine() const { return spine_; }
   uint64_t flow_id() const { return flow_id_; }
 
@@ -141,35 +132,17 @@ class FlowTelemetry {
     ELEMENT_CHECK(sink_count_ < kMaxSinks) << "too many per-flow sinks";
     sinks_[sink_count_++] = sink;
   }
-  void DetachSink(RecordSink* sink) {
-    for (size_t i = 0; i < sink_count_; ++i) {
-      if (sinks_[i] == sink) {
-        for (size_t j = i + 1; j < sink_count_; ++j) {
-          sinks_[j - 1] = sinks_[j];
-        }
-        --sink_count_;
-        return;
-      }
-    }
-    ELEMENT_CHECK(false) << "detaching sink that was never attached";
-  }
-  size_t sink_count() const { return sink_count_; }
 
   // The hot-path guard: emit-side work happens only when someone listens.
   bool recording() const {
     return sink_count_ != 0 || (spine_ != nullptr && spine_->recording());
   }
 
+  // Delivers a record to this producer's sinks and the spine. The caller
+  // checks recording() first and builds the record only when it is true.
   void Emit(const TraceRecord& record) {
-    if (!recording()) {
-      return;
-    }
-    EmitAlways(record);
-  }
-
-  // For call sites that already checked recording() and built the record.
-  void EmitAlways(const TraceRecord& record) {
     if constexpr (kAuditsEnabled) {
+      ELEMENT_AUDIT(recording()) << "Emit() without a recording() check";
       ELEMENT_AUDIT(record.t >= last_t_) << "telemetry records emitted out of order";
       last_t_ = record.t;
     }

@@ -38,10 +38,12 @@ class TraceRing {
   }
   size_t capacity() const { return records_.size(); }
   uint64_t total_pushed() const { return total_; }
-  uint64_t overwritten() const { return total_ - size(); }
+  uint64_t overwritten() const {  // lint_sim: allow(test-only) -- recorder read
+    return total_ - size();
+  }
 
   // Copies the held records oldest-first.
-  std::vector<TraceRecord> Snapshot() const {
+  std::vector<TraceRecord> Snapshot() const {  // lint_sim: allow(test-only) -- recorder read
     std::vector<TraceRecord> out;
     out.reserve(size());
     for (uint64_t i = total_ - size(); i < total_; ++i) {

@@ -123,7 +123,6 @@ void EchoPing::OnClientReadable() {
   if (in_flight_ && client_->app_bytes_read() >= expected_read_) {
     in_flight_ = false;
     times_.Add((loop_->now() - request_time_).ToSeconds());
-    ++completed_;
     pause_timer_.RestartAfter(pause_);
   }
 }

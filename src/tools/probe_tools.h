@@ -84,7 +84,6 @@ class EchoPing {
   void Start();
   // Total request->document-complete time per exchange, seconds.
   const SampleSet& transfer_times() const { return times_; }
-  uint64_t completed_transfers() const { return completed_; }
 
  private:
   void SendRequest();
@@ -102,7 +101,6 @@ class EchoPing {
   SimTime request_time_;
   uint64_t expected_read_;
   size_t response_left_ = 0;
-  uint64_t completed_ = 0;
   bool in_flight_ = false;
   Timer pause_timer_;
   SampleSet times_;

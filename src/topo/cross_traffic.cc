@@ -50,7 +50,6 @@ void OnOffSender::Pump() {
     if (accepted == 0) {
       return;  // buffer full; the writable callback resumes the burst
     }
-    bytes_offered_ += accepted;
     burst_remaining_ -= accepted;
   }
   // Burst complete: go idle for an exponential off period.

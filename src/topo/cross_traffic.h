@@ -47,7 +47,6 @@ class OnOffSender {
   OnOffSender(EventLoop* loop, TcpSocket* socket, Rng rng);
 
   void Start();
-  uint64_t bytes_offered() const { return bytes_offered_; }
 
  private:
   void StartBurst();
@@ -56,7 +55,6 @@ class OnOffSender {
   TcpSocket* socket_;
   Rng rng_;
   uint64_t burst_remaining_ = 0;
-  uint64_t bytes_offered_ = 0;
   bool started_ = false;
   Timer off_timer_;
 };

@@ -76,7 +76,6 @@ class Network {
   Network(EventLoop* loop, Rng* rng, const TopologySpec& spec);
 
   const TopologySpec& spec() const { return spec_; }
-  int levels() const { return spec_.hops + 1; }
 
   // tx is the host's access pipe into the topology, rx the host's demux.
   using Attachment = element::Attachment;
@@ -98,13 +97,11 @@ class Network {
   // of `pair` (both directions).
   void RouteFlow(uint64_t flow_id, int pair);
 
-  Router& forward_router(int level) { return *fwd_routers_[static_cast<size_t>(level)]; }
-  Router& reverse_router(int level) { return *rev_routers_[static_cast<size_t>(level)]; }
   // Forward-direction bottleneck of hop `h` (0-based).
   Qdisc& bottleneck_qdisc(int hop);
 
   // Propagation-only round trip between the endpoints of `pair`.
-  TimeDelta BaseRtt(int pair) const;
+  TimeDelta BaseRtt(int pair) const;  // lint_sim: allow(test-only) -- observer
 
   // Sum of packets forwarded by every router (the topo micro-bench metric).
   uint64_t TotalForwardedPackets() const;

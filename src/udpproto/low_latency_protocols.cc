@@ -116,14 +116,6 @@ void SproutLikeFlow::ReceiverTick() {
   receiver_->SendDatagram(fb);
 }
 
-DataRate SproutLikeFlow::MeanThroughput(SimTime from, SimTime to) const {
-  TimeDelta span = to - from;
-  if (span <= TimeDelta::Zero()) {
-    return DataRate::Zero();
-  }
-  return RateOver(static_cast<int64_t>(delivered_bytes_), span);
-}
-
 // ---------------------------------------------------------------------------
 // VerusLike
 // ---------------------------------------------------------------------------

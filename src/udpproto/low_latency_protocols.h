@@ -34,7 +34,6 @@ class SproutLikeFlow {
 
   const SampleSet& one_way_delays() const { return delays_; }
   uint64_t delivered_bytes() const { return delivered_bytes_; }
-  DataRate MeanThroughput(SimTime from, SimTime to) const;
 
  private:
   void SenderTick();
@@ -72,7 +71,7 @@ class VerusLikeFlow {
 
   const SampleSet& one_way_delays() const { return delays_; }
   uint64_t delivered_bytes() const { return delivered_bytes_; }
-  double window_bytes() const { return window_bytes_; }
+  double window_bytes() const { return window_bytes_; }  // lint_sim: allow(test-only) -- observer
 
  private:
   void EpochTick();

@@ -20,12 +20,10 @@ void UdpSocket::SendDatagram(const UdpDatagramPayload& payload) {
   auto owned = MakePooledPayload<UdpDatagramPayload>(loop_->payload_arena(), payload);
   owned->sent = loop_->now();
   pkt.payload = std::move(owned);
-  ++sent_;
   tx_->Deliver(std::move(pkt));
 }
 
 void UdpSocket::Deliver(Packet pkt) {
-  ++received_;
   if (on_receive_) {
     const auto& payload = *static_cast<const UdpDatagramPayload*>(pkt.payload.get());
     on_receive_(payload, pkt);

@@ -38,17 +38,12 @@ class UdpSocket : public PacketSink {
 
   void Deliver(Packet pkt) override;
 
-  uint64_t datagrams_sent() const { return sent_; }
-  uint64_t datagrams_received() const { return received_; }
-
  private:
   EventLoop* loop_;
   uint64_t flow_id_;
   PacketSink* tx_;
   Demux* rx_demux_;
   ReceiveCallback on_receive_;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
 };
 
 }  // namespace element

@@ -168,7 +168,7 @@ TEST(VegasTest, StabilizesWithQueueBetweenAlphaAndBeta) {
     double queued = std::max(0.0, w - 50.0);
     TimeDelta rtt = TimeDelta::FromSeconds((base_ms + queued * 2.0) / 1000.0);
     cc.OnAck(MakeAck(At(t), static_cast<uint64_t>(w) * kMss, rtt));
-    t += static_cast<int64_t>(rtt.ToMillis());
+    t += rtt.ToMicros() / 1000;
   }
   // Vegas should hold cwnd near BDP + alpha..beta queued segments.
   EXPECT_GE(cc.CwndSegments(), 50.0);

@@ -25,7 +25,7 @@ namespace {
 TEST(TimeDeltaTest, ConstructionAndConversion) {
   EXPECT_EQ(TimeDelta::FromMillis(5).nanos(), 5'000'000);
   EXPECT_EQ(TimeDelta::FromMicros(5).nanos(), 5'000);
-  EXPECT_EQ(TimeDelta::FromSecondsInt(2).ToMillis(), 2000);
+  EXPECT_EQ(TimeDelta::FromSecondsInt(2), TimeDelta::FromMillis(2000));
   EXPECT_DOUBLE_EQ(TimeDelta::FromMillis(1500).ToSeconds(), 1.5);
   EXPECT_DOUBLE_EQ(TimeDelta::FromMicros(2500).ToMillisF(), 2.5);
 }
@@ -33,10 +33,10 @@ TEST(TimeDeltaTest, ConstructionAndConversion) {
 TEST(TimeDeltaTest, Arithmetic) {
   TimeDelta a = TimeDelta::FromMillis(10);
   TimeDelta b = TimeDelta::FromMillis(4);
-  EXPECT_EQ((a + b).ToMillis(), 14);
-  EXPECT_EQ((a - b).ToMillis(), 6);
-  EXPECT_EQ((a * 2.5).ToMillis(), 25);
-  EXPECT_EQ((a / 2).ToMillis(), 5);
+  EXPECT_EQ(a + b, TimeDelta::FromMillis(14));
+  EXPECT_EQ(a - b, TimeDelta::FromMillis(6));
+  EXPECT_EQ(a * 2.5, TimeDelta::FromMillis(25));
+  EXPECT_EQ(a / 2, TimeDelta::FromMillis(5));
   EXPECT_DOUBLE_EQ(a / b, 2.5);
   EXPECT_EQ((-b).nanos(), -4'000'000);
 }
@@ -51,7 +51,7 @@ TEST(TimeDeltaTest, ComparisonAndSpecials) {
 TEST(SimTimeTest, PointArithmetic) {
   SimTime t0 = SimTime::Zero();
   SimTime t1 = t0 + TimeDelta::FromMillis(150);
-  EXPECT_EQ((t1 - t0).ToMillis(), 150);
+  EXPECT_EQ(t1 - t0, TimeDelta::FromMillis(150));
   EXPECT_EQ((t1 - TimeDelta::FromMillis(50)).nanos(), 100'000'000);
   EXPECT_LT(t0, t1);
   t0 += TimeDelta::FromMillis(200);
@@ -72,7 +72,6 @@ TEST(DataRateTest, ConversionsAndTransmitTime) {
   // 1250 bytes at 10 Mbps = 1 ms.
   EXPECT_EQ(r.TransmitTime(1250).ToMicros(), 1000);
   EXPECT_TRUE(DataRate::Zero().TransmitTime(100).IsInfinite());
-  EXPECT_DOUBLE_EQ(r.BytesIn(TimeDelta::FromSecondsInt(2)), 2.5e6);
 }
 
 TEST(DataRateTest, RateOver) {
@@ -112,7 +111,6 @@ TEST(RngTest, DistributionsInRange) {
     EXPECT_GE(n, -2);
     EXPECT_LE(n, 2);
     EXPECT_GE(rng.Exponential(0.5), 0.0);
-    EXPECT_GE(rng.NonNegNormal(0.0, 1.0), 0.0);
     EXPECT_GE(rng.Pareto(1.0, 2.0), 1.0);
   }
 }

@@ -92,7 +92,7 @@ TEST(SenderEstimatorTest, MatchesRecordsAgainstEstimatedSentBytes) {
   EXPECT_DOUBLE_EQ(reports[0].u.delay.sender_s, 0.050);
   EXPECT_DOUBLE_EQ(reports[1].u.delay.sender_s, 0.040);
   EXPECT_EQ(est.pending_records(), 1u);
-  EXPECT_EQ(est.latest_delay().ToMillis(), 40);
+  EXPECT_EQ(est.latest_delay(), TimeDelta::FromMillis(40));
   // Remaining record matches later.
   est.OnTcpInfoSample(SenderInfo(3000, 0), Ms(70));
   ASSERT_EQ(reports.size(), 3u);
@@ -105,7 +105,7 @@ TEST(SenderEstimatorTest, NoReportWhenNothingLeftTcp) {
   SenderDelayEstimator est;
   est.OnAppSend(5000, Ms(0));
   est.OnTcpInfoSample(SenderInfo(0, 2), Ms(10));  // only 2000 estimated sent
-  EXPECT_FALSE(est.has_estimate());
+  EXPECT_TRUE(est.delay_series().empty());
   EXPECT_EQ(est.pending_records(), 1u);
 }
 
@@ -186,12 +186,12 @@ TEST(ReceiverEstimatorTest, ReadMatchesCoveringRecord) {
   // App reads 1500 bytes at t=30: record "2000@0" covers it (first with
   // bytes > 1500): delay 30 ms.
   est.OnAppReceive(1500, Ms(30));
-  ASSERT_TRUE(est.has_estimate());
-  EXPECT_EQ(est.latest_delay().ToMillis(), 30);
+  ASSERT_FALSE(est.delay_series().empty());
+  EXPECT_EQ(est.latest_delay(), TimeDelta::FromMillis(30));
   // App reads to 2500 at t=35: the 2000@0 record is consumed; 4000@10 covers:
   // delay 25 ms.
   est.OnAppReceive(2500, Ms(35));
-  EXPECT_EQ(est.latest_delay().ToMillis(), 25);
+  EXPECT_EQ(est.latest_delay(), TimeDelta::FromMillis(25));
   EXPECT_EQ(est.pending_records(), 1u);
 }
 
@@ -199,7 +199,7 @@ TEST(ReceiverEstimatorTest, NoEstimateWhenAllRecordsConsumed) {
   ReceiverDelayEstimator est;
   est.OnTcpInfoSample(ReceiverInfo(1), Ms(0));
   est.OnAppReceive(5000, Ms(10));  // read beyond all records
-  EXPECT_FALSE(est.has_estimate());
+  EXPECT_TRUE(est.delay_series().empty());
   EXPECT_EQ(est.pending_records(), 0u);
 }
 
@@ -284,7 +284,7 @@ struct SharedPageCase {
 // the window while its resend is held back and no segment goes out.
 class SlowPacedRenoCc : public RenoCc {
  public:
-  std::optional<DataRate> PacingRate() const override { return DataRate::Kbps(16); }
+  std::optional<DataRate> PacingRate() const override { return DataRate::BitsPerSecond(16000); }
 };
 
 std::vector<SharedPageCase> SharedPageCases() {
@@ -452,8 +452,8 @@ TEST(TrackerTest, FeedsBothEstimators) {
     rcv.OnAppReceive(flow.receiver->app_bytes_read(), bed.loop().now());
   });
   bed.loop().RunUntil(SimTime::FromNanos(10'000'000'000LL));
-  EXPECT_TRUE(snd.has_estimate());
-  EXPECT_TRUE(rcv.has_estimate());
+  EXPECT_FALSE(snd.delay_series().empty());
+  EXPECT_FALSE(rcv.delay_series().empty());
   EXPECT_GE(snd.latest_delay(), TimeDelta::Zero());
 }
 

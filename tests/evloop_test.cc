@@ -295,7 +295,7 @@ TEST(TimerTest, RestartPastDeadlineClampsToNow) {
   EventLoop loop;
   SimTime fired;
   Timer t(&loop, [&] { fired = loop.now(); });
-  loop.RunFor(TimeDelta::FromMillis(10));
+  loop.RunUntil(loop.now() + TimeDelta::FromMillis(10));
   t.Restart(SimTime::Zero());  // in the past: clamps to now
   EXPECT_EQ(t.deadline().nanos(), 10'000'000);
   loop.Run();

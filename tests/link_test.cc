@@ -166,7 +166,7 @@ INSTANTIATE_TEST_SUITE_P(Schedules, ScheduledLinkModelTest, ::testing::ValuesIn(
 TEST(FixedLinkModelTest, RateAndDelay) {
   ScheduledLinkModel link(DataRate::Mbps(8), TimeDelta::FromMillis(10));
   EXPECT_DOUBLE_EQ(link.RateAt(SimTime::Zero()).ToMbps(), 8.0);
-  EXPECT_EQ(link.PropagationDelay().ToMillis(), 10);
+  EXPECT_EQ(link.PropagationDelay(), TimeDelta::FromMillis(10));
   Rng rng(1);
   EXPECT_FALSE(link.DropOnWire(rng, SimTime::Zero()));
 }

@@ -141,7 +141,7 @@ TEST(CoDelTest, ControlLawAcceleratesDrops) {
   ASSERT_EQ(drops, 5);
   // Interval/sqrt(count) spacing: the gap from drop 1 to 5 must be well under
   // 4 full intervals.
-  EXPECT_LT((fifth_drop - first_drop).ToMillis(), 4 * 100);
+  EXPECT_LT(fifth_drop - first_drop, TimeDelta::FromMillis(4 * 100));
 }
 
 TEST(FqCoDelTest, IsolatesFlowsRoundRobin) {

@@ -175,7 +175,7 @@ TEST(JsonTest, ParsesScalarsArraysObjectsAndComments) {
   EXPECT_DOUBLE_EQ(v.Find("a")->items()[1].AsDouble(), 2.5);
   EXPECT_DOUBLE_EQ(v.Find("a")->items()[2].AsDouble(), -300.0);
   EXPECT_TRUE(v.Find("b")->Find("c")->AsBool());
-  EXPECT_TRUE(v.Find("b")->Find("d")->is_null());
+  EXPECT_EQ(v.Find("b")->Find("d")->type(), json::Value::Type::kNull);
   EXPECT_EQ(v.Find("s")->AsString(), "x\ny");
 }
 

@@ -42,6 +42,16 @@ class CaptureSink : public PacketSink {
   std::vector<Packet> sent;
 };
 
+class RxSegmentCounter : public telemetry::RecordSink {
+ public:
+  void OnRecord(const telemetry::TraceRecord& r) override {
+    if (r.kind == telemetry::RecordKind::kTcpRxSegment) {
+      ++count;
+    }
+  }
+  int count = 0;
+};
+
 // One socket + scripted peer.
 class TcpUnitTest : public ::testing::Test {
  protected:
@@ -104,6 +114,8 @@ class TcpUnitTest : public ::testing::Test {
   EventLoop loop_;
   CaptureSink capture_;
   Demux demux_;
+  // Declared before socket_ so that it outlives every record the socket emits.
+  RxSegmentCounter rx_counter_;
   std::unique_ptr<TcpSocket> socket_;
 };
 
@@ -382,34 +394,22 @@ TEST_F(TcpUnitTest, DescendingOooSegmentsGiveSameSackBlocksAsAscending) {
   EXPECT_EQ(descending.receive_window, ascending.receive_window);
 }
 
-class RxSegmentCounter : public telemetry::RecordSink {
- public:
-  void OnRecord(const telemetry::TraceRecord& r) override {
-    if (r.kind == telemetry::RecordKind::kTcpRxSegment) {
-      ++count;
-    }
-  }
-  int count = 0;
-};
-
 TEST_F(TcpUnitTest, DuplicateOooSegmentIsNotRecordedTwice) {
-  RxSegmentCounter counter;
-  socket_->telemetry().AttachSink(&counter);
+  socket_->telemetry().AttachSink(&rx_counter_);
   Establish();
   InjectData(2 * kDefaultMss, kDefaultMss);
   ASSERT_FALSE(capture_.sent.empty());
   TcpSegmentPayload first = Tcp(capture_.sent.back());
-  EXPECT_EQ(counter.count, 1);
+  EXPECT_EQ(rx_counter_.count, 1);
   InjectData(2 * kDefaultMss, kDefaultMss);  // exact duplicate, still out of order
   TcpSegmentPayload second = Tcp(capture_.sent.back());
-  EXPECT_EQ(counter.count, 1);
+  EXPECT_EQ(rx_counter_.count, 1);
   EXPECT_EQ(second.receive_window, first.receive_window);
   EXPECT_EQ(second.ack_seq, 0u);
   ASSERT_EQ(second.sacks.size(), 1u);
   EXPECT_EQ(second.sacks[0].begin, 2 * kDefaultMss);
   EXPECT_EQ(second.sacks[0].end, 3 * kDefaultMss);
   EXPECT_EQ(socket_->ReadableBytes(), 0u);
-  socket_->telemetry().DetachSink(&counter);
 }
 
 TEST_F(TcpUnitTest, PartialHoleFillLeavesHigherRangeBufferedAndSacked) {

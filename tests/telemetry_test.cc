@@ -104,8 +104,9 @@ TEST(SpineTest, RecordingReflectsConsumersAndDispatchRoutes) {
   EXPECT_EQ(ring->size(), 2u);
   EXPECT_EQ(spine.dispatched(), 3u);
 
-  spine.DetachSink(&run_sink);
-  EXPECT_TRUE(spine.recording());  // the ring still counts as a consumer
+  TelemetrySpine ring_only;
+  ring_only.EnsureRing(5, 8);
+  EXPECT_TRUE(ring_only.recording());  // a ring alone counts as a consumer
 }
 
 TEST(SpineTest, PerFlowSinksSeeOnlyTheirProducer) {
@@ -121,19 +122,19 @@ TEST(SpineTest, PerFlowSinksSeeOnlyTheirProducer) {
   EXPECT_FALSE(flow_b.recording());
 
   flow_a.Emit(TraceRecord::Range(RecordKind::kAppWrite, 1, SimTime::Zero(), 0, 10));
-  flow_b.Emit(TraceRecord::Range(RecordKind::kAppWrite, 2, SimTime::Zero(), 0, 20));
   ASSERT_EQ(sink_a.records.size(), 1u);
   EXPECT_EQ(sink_a.records[0].flow_id, 1u);
   EXPECT_EQ(spine.dispatched(), 0u);  // nothing crossed the spine
 
-  // Detaching the per-flow sink leaves a ring created meanwhile switched on.
+  // A ring turns the spine on, and with it every bound producer; flow_b's
+  // record reaches the ring and the spine but not flow_a's per-flow sink.
   TraceRing* ring = spine.EnsureRing(2, 4);
-  flow_a.DetachSink(&sink_a);
   EXPECT_TRUE(spine.recording());
   EXPECT_TRUE(flow_b.recording());
   flow_b.Emit(TraceRecord::Range(RecordKind::kAppWrite, 2, SimTime::Zero(), 20, 30));
   EXPECT_EQ(ring->size(), 1u);
   EXPECT_EQ(spine.dispatched(), 1u);
+  EXPECT_EQ(sink_a.records.size(), 1u);
 }
 
 TEST(SpineTest, UnboundFlowTelemetryStillFeedsLocalSinks) {

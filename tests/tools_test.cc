@@ -82,7 +82,7 @@ TEST(EchoPingTest, MeasuresFullTransferTime) {
   EchoPing echo(&bed.loop(), flow.receiver, flow.sender);
   echo.Start();
   bed.loop().RunUntil(Sec(30.0));
-  ASSERT_GT(echo.completed_transfers(), 5u);
+  ASSERT_GT(echo.transfer_times().count(), 5u);
   // Total time includes serialization (~210 ms) + RTT; far above probe RTT.
   EXPECT_GT(echo.transfer_times().mean(), 0.2);
   EXPECT_LT(echo.transfer_times().mean(), 2.0);
@@ -103,7 +103,7 @@ TEST(EchoPingTest, SeesServerSideBufferDelayUnderLoad) {
   EchoPing echo(&bed.loop(), echo_flow.receiver, echo_flow.sender);
   echo.Start();
   bed.loop().RunUntil(Sec(40.0));
-  ASSERT_GT(echo.completed_transfers(), 3u);
+  ASSERT_GT(echo.transfer_times().count(), 3u);
   PathConfig idle_path;
   Testbed idle_bed(7, idle_path);
   Testbed::Flow idle_flow = idle_bed.CreateFlow(TcpSocket::Config{});

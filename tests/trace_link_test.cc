@@ -103,15 +103,14 @@ TEST(PathDelayEstimatorTest, DecomposesPropagationAndQueueing) {
   info.tcpi_rtt_us = 50000;
   info.tcpi_min_rtt_us = 50000;
   est.OnTcpInfoSample(info);
-  EXPECT_TRUE(est.has_estimate());
-  EXPECT_EQ(est.base_rtt().ToMillis(), 50);
-  EXPECT_EQ(est.queueing().ToMillis(), 0);
-  EXPECT_EQ(est.one_way_network_delay().ToMillis(), 25);
+  EXPECT_EQ(est.base_rtt(), TimeDelta::FromMillis(50));
+  EXPECT_EQ(est.queueing(), TimeDelta::Zero());
+  EXPECT_EQ(est.one_way_network_delay(), TimeDelta::FromMillis(25));
   // Queue builds: srtt rises, base stays.
   info.tcpi_rtt_us = 130000;
   est.OnTcpInfoSample(info);
-  EXPECT_EQ(est.base_rtt().ToMillis(), 50);
-  EXPECT_EQ(est.queueing().ToMillis(), 80);
+  EXPECT_EQ(est.base_rtt(), TimeDelta::FromMillis(50));
+  EXPECT_EQ(est.queueing(), TimeDelta::FromMillis(80));
 }
 
 TEST(PathDelayEstimatorTest, LiveFlowMatchesConfiguredPath) {

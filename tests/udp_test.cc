@@ -36,8 +36,6 @@ TEST(UdpSocketTest, DatagramRoundTrip) {
   bed.loop().RunUntil(Sec(1.0));
   ASSERT_EQ(received, 1);
   EXPECT_NEAR(arrival.ToSeconds(), 0.026, 0.001);
-  EXPECT_EQ(client.datagrams_sent(), 1u);
-  EXPECT_EQ(server.datagrams_received(), 1u);
 }
 
 TEST(SproutLikeTest, AloneAchievesLowDelayAndDecentThroughput) {
@@ -46,7 +44,9 @@ TEST(SproutLikeTest, AloneAchievesLowDelayAndDecentThroughput) {
   SproutLikeFlow flow(&bed.loop(), &bed.path());
   flow.Start();
   bed.loop().RunUntil(Sec(30.0));
-  double mbps = flow.MeanThroughput(SimTime::Zero(), Sec(30.0)).ToMbps();
+  double mbps = RateOver(static_cast<int64_t>(flow.delivered_bytes()),
+                         TimeDelta::FromSecondsInt(30))
+                    .ToMbps();
   EXPECT_GT(mbps, 3.0);                              // uses a fair chunk
   EXPECT_LT(flow.one_way_delays().Quantile(0.95), 0.13);  // stays low-delay
 }

@@ -53,11 +53,25 @@ reproducible; this lint does:
       (fixed, stepped or a replayed trace, all through PathConfig) and Rng
       forks are chosen in one place; multi-hop paths come from topo::Network.
       Waived line-by-line with allow(path-construction).
+  R12 no test-only API: every class, free function and public member function
+      declared in a src/ header must be named somewhere in src/, bench/,
+      examples/ or perfbench/ apart from its own declaration and its own
+      out-of-line definitions (`Owner::name(`); for a class, its own body and
+      its members' definitions do not count either. A call inside the
+      declaring .cc counts, so a public helper its own module uses is fine; a
+      name only tests/ use does not count, since no run reaches it. Names are
+      matched as words, so a name another API shares counts as used.
+      Constructors, destructors and operators are not checked. Waived on
+      the line that names the declaration with allow(test-only) and a reason
+      after it, e.g. `// lint_sim: allow(test-only) -- observer`; a waiver
+      without a reason is itself a finding.
 
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
 src/topo/, and src/telemetry/; R8 only in src/netsim/, src/topo/ and
 src/evloop/; R9 and R11 in all of src/; R10 in src/ headers, searching the
-five trees above for setters whatever paths are linted).
+five trees above for setters whatever paths are linted; R12 in src/ headers,
+searching src/, bench/, examples/ and perfbench/ for uses whatever paths are
+linted).
 bench/ and examples/ are linted with R2/R3/R4, R9 and R11; tests/ with
 R2/R3/R4 only, since unit tests build sockets and paths by hand to reach
 states a flow cannot (benchmark harnesses legitimately read wall clocks;
@@ -201,8 +215,9 @@ def lint_line(line: str, rules: dict) -> list[tuple[str, str]]:
     return findings
 
 
-# R10 (unset-knob) works on whole declarations, not lines.
-TYPE_OPEN_RE = re.compile(r"\b(?:struct|class)\s+(\w+)[^;{}()]*\{$")
+# R10 (unset-knob) and R12 (test-only) work on whole declarations, not lines.
+# Both read them through one statement scanner (scope_statements) over text
+# whose comments and literals are blanked, and its preprocessor lines too.
 KNOB_STRUCT_RE = re.compile(r"\w*(?:Config|Params|Options|Spec)")
 KNOB_TREES = ("src", "bench", "examples", "tests", "perfbench")
 UNSET_KNOB_MESSAGE = (
@@ -210,60 +225,114 @@ UNSET_KNOB_MESSAGE = (
     "sets; make it a named constant next to the code that reads it "
     "(waive with lint_sim: allow(unset-knob))"
 )
-BLANK_RE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:[^"\\\n]|\\.)*"', re.S)
-DECL_SKIP_RE = re.compile(
-    r"\s*(static|using|typedef|friend|template|struct|class|enum|union)\b")
+# Comments, string literals and character literals (not a digit separator,
+# as in 1'000).
+BLANK_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:[^"\\\n]|\\.)*"|(?<![\w\'])\'(?:[^\'\\\n]|\\.)+\'', re.S)
+# A preprocessor line and its continuations.
+PREPROCESSOR_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.M)
+DECL_SKIP_RE = re.compile(r"\s*(static|using|typedef|friend|template|struct|class|enum|union"
+                          r"|namespace|extern|static_assert)\b")
+ACCESS_RE = re.compile(r"(?:\s*\b(public|private|protected)\s*:(?!:))*")
+TEMPLATE_RE = re.compile(r"\s*template\s*<")
+TYPE_HEAD_RE = re.compile(r"\s*(struct|class)\s+(\w+)[^;{}()]*$")
+NAMESPACE_HEAD_RE = re.compile(r"\s*(?:namespace\b|extern\s*$)")
+SCOPE_PUNCT_RE = re.compile(r"[{}();]")
+# A member's brace initializer in a constructor's initializer list: a `:`
+# after the parameter list, and a member name just before the brace.
+INIT_LIST_BRACE_RE = re.compile(r"\)[^;{}()]*(?<!:):(?!:).*[\w>]\s*$", re.S)
+
+
+def blank(pattern: re.Pattern, text: str) -> str:
+    """Replaces each match of `pattern` with spaces, keeping offsets."""
+    return pattern.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
 
 
 def blank_comments_and_strings(text: str) -> str:
-    """Replaces comments and string literals with spaces, keeping offsets."""
-    return BLANK_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+    return blank(BLANK_RE, text)
+
+
+def strip_template(code: str, at: int, end: int) -> int:
+    """The offset just past a template parameter list starting at `at`, or
+    `at` when there is none."""
+    m = TEMPLATE_RE.match(code, at, end)
+    if not m:
+        return at
+    depth = 0
+    for i in range(m.end() - 1, end):
+        if code[i] == "<":
+            depth += 1
+        elif code[i] == ">":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return end
+
+
+def scope_statements(code: str, start: int = 0, owners: tuple = (), access: str = "public"):
+    """The statement scanner. Yields (owners, access, decl, at, body) for each
+    statement of the scope whose text begins at `start`, and recurses into
+    namespaces and types: `owners` names the enclosing types (empty at
+    namespace scope), `access` is the statement's access, `decl` its text up
+    to its `;` or its body's `{` without leading access labels or template
+    parameter list, `at` the offset of `decl`, and `body` the offsets of the
+    braces around a function body, type or namespace (None for a statement
+    that ends in `;`). A brace initializer, a member's brace initializer in a
+    constructor's initializer list and a lambda inside parentheses stay inside
+    their statement."""
+    depth, parens, stmt, open_at, in_parens = 0, 0, start, start, False
+    for m in SCOPE_PUNCT_RE.finditer(code, start):
+        c, i = m.group(), m.start()
+        if c == "{":
+            depth += 1
+            if depth == 1:
+                open_at, in_parens = i, parens > 0
+            continue
+        if c == "}":
+            if depth == 0:
+                return  # the scope's own closing brace
+            depth -= 1
+            if depth or in_parens:
+                continue
+            end, body = open_at, (open_at, i)
+        elif depth:
+            continue
+        elif c in "()":
+            parens = max(parens + (1 if c == "(" else -1), 0)
+            continue
+        else:
+            end, body = i, None
+        labels = ACCESS_RE.match(code, stmt, end)
+        if labels.group(1):
+            access = labels.group(1)
+        at = strip_template(code, labels.end(), end)
+        decl = code[at:end]
+        if body and (INIT_LIST_BRACE_RE.search(decl) or (
+                "(" not in decl.split("=", 1)[0] and not DECL_SKIP_RE.match(decl))):
+            continue  # a brace initializer: the statement goes on
+        yield owners, access, decl, at, body
+        stmt, parens = i + 1, 0
+        if body and NAMESPACE_HEAD_RE.match(decl):
+            yield from scope_statements(code, body[0] + 1, owners, "public")
+        elif body and (head := TYPE_HEAD_RE.match(decl)):
+            default = "public" if head.group(1) == "struct" else "private"
+            yield from scope_statements(code, body[0] + 1, owners + (head.group(2),), default)
 
 
 def knob_fields(text: str):
     """Yields (struct, owner, field, offset) for each data member of a knob
     struct; `owner` is the outermost enclosing type's name (the struct's own
     name when it is not nested), which is how other files name it."""
-    code = blank_comments_and_strings(text)
-    stack, knobs, stmt = [], [], 0
-    for i, c in enumerate(code):
-        if c == "{":
-            opened = TYPE_OPEN_RE.search(code[stmt:i + 1])
-            name = opened.group(1) if opened else None
-            if name and KNOB_STRUCT_RE.fullmatch(name):
-                owner = next((n for n in stack if n), name)
-                knobs.append((name, owner, i + 1))
-            stack.append(name)
-        elif c == "}" and stack:
-            stack.pop()
-        if c in ";{}":
-            stmt = i + 1
-    for struct, owner, body in knobs:
-        depth, start, head = 1, body, ""
-        for i in range(body, len(code)):
-            c = code[i]
-            if c == "{":
-                depth += 1
-                if depth == 2:
-                    head = code[start:i]
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-                # A brace initializer keeps its declaration; a function body
-                # or a nested type ends its own statement.
-                if depth == 1 and ("(" in head.split("=", 1)[0] or DECL_SKIP_RE.match(head)):
-                    start = i + 1
-            elif c == ";" and depth == 1:
-                decl, decl_at, start = code[start:i], start, i + 1
-                access = re.match(r"\s*(?:(?:public|private|protected)\s*:)?", decl)
-                decl_at += access.end()
-                lhs = re.split(r"[={]", decl[access.end():], maxsplit=1)[0]
-                if not lhs.strip() or "(" in lhs or DECL_SKIP_RE.match(lhs):
-                    continue
-                name = re.search(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$", lhs)
-                if name:
-                    yield struct, owner, name.group(1), decl_at + name.start(1)
+    code = blank(PREPROCESSOR_RE, blank_comments_and_strings(text))
+    for owners, _, decl, at, body in scope_statements(code):
+        if body or not owners or not KNOB_STRUCT_RE.fullmatch(owners[-1]):
+            continue
+        lhs = re.split(r"[={]", decl, maxsplit=1)[0]
+        if not lhs.strip() or "(" in lhs or DECL_SKIP_RE.match(lhs):
+            continue
+        name = re.search(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$", lhs)
+        if name:
+            yield owners[-1], owners[0], name.group(1), at + name.start(1)
 
 
 class KnobIndex:
@@ -311,6 +380,122 @@ def lint_unset_knobs(path: Path, index: KnobIndex) -> list[tuple[int, str]]:
     return findings
 
 
+# R12 (test-only): a public name of a src/ header that no run reaches.
+USE_TREES = ("src", "bench", "examples", "perfbench")
+TEST_ONLY_MESSAGE = (
+    "public API that nothing in src/, bench/, examples/ or perfbench/ names "
+    "(tests/ do not count); delete it, or waive a read-only observer of what "
+    "runs compute with lint_sim: allow(test-only) -- <reason>"
+)
+TEST_ONLY_WAIVER_RE = re.compile(r"//\s*lint_sim:\s*allow\(test-only\)(.*)$")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
+ELABORATED_RE = re.compile(r"\b(?:class|struct)\s+(\w+)")
+# The declarator before a parameter list: `Owner::` qualifiers, then the name.
+DECLARATOR_RE = re.compile(r"((?:\w+\s*(?:<[^<>;{}]*>\s*)?::\s*)*)(~?)(\w+)\s*$")
+QUALIFIER_RE = re.compile(r"\w+(?=\s*(?:<[^<>;{}]*>\s*)?::)")
+NOT_A_FUNCTION_RE = re.compile(
+    r"\s*(using|typedef|friend|struct|class|enum|union|namespace|extern|static_assert)\b")
+
+
+def declarator(decl: str):
+    """(qualifiers, name, offset of name) of the function that a declaration
+    names, or None for a data member, type, operator or destructor.
+    `qualifiers` lists (name, offset) of its `Owner::` prefix, which only an
+    out-of-line definition has."""
+    if NOT_A_FUNCTION_RE.match(decl):
+        return None
+    depth = 0
+    for m in re.finditer(r"[<>(=]", decl):
+        c = m.group()
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth = max(depth - 1, 0)
+        elif depth == 0:
+            if c == "=":
+                return None  # an initializer before any parameter list
+            before = decl[:m.start()]
+            d = DECLARATOR_RE.search(before)
+            if not d or d.group(2) or re.search(r"\boperator\b", before):
+                return None
+            qualifiers = [(q.group(), d.start(1) + q.start())
+                          for q in QUALIFIER_RE.finditer(d.group(1))]
+            return qualifiers, d.group(3), d.start(3)
+    return None
+
+
+class UseIndex:
+    """Where each name appears in src/, bench/, examples/ and perfbench/,
+    less where it is declared or defined, and the public API (classes, free
+    functions and public member functions) that src/ headers declare."""
+
+    def __init__(self, root: Path):
+        self.uses = {}      # name -> [(file, offset)], a file being its resolved path
+        self.skip = set()   # (file, offset) of declarations and definitions
+        self.spans = {}     # class -> [(file, begin, end)] of its body and member definitions
+        self.api = {}       # src/ header path -> [(owner, name, offset, is_class)]
+        for tree in USE_TREES:
+            base = root / tree
+            if not base.is_dir():
+                continue
+            for p in sorted(base.rglob("*")):
+                if p.suffix in CPP_SUFFIXES:
+                    self._add(p, tree == "src" and p.suffix in {".h", ".hpp"})
+
+    def _add(self, path: Path, header: bool):
+        key = path.resolve()
+        code = blank_comments_and_strings(path.read_text())
+        api = self.api.setdefault(key, []) if header else None
+        for m in ELABORATED_RE.finditer(code):  # type heads and forward declarations
+            self.skip.add((key, m.start(1)))
+        # Macro bodies use names; only the scanner skips preprocessor lines.
+        for owners, access, decl, at, body in scope_statements(blank(PREPROCESSOR_RE, code)):
+            public = header and access == "public"
+            head = TYPE_HEAD_RE.match(decl) if body else None
+            if head:
+                self.spans.setdefault(head.group(2), []).append((key, at, body[1]))
+                if public:
+                    api.append(("::".join(owners), head.group(2), at + head.start(2), True))
+                continue
+            fn = declarator(decl)
+            if not fn:
+                continue
+            qualifiers, name, offset = fn
+            self.skip.add((key, at + offset))
+            if qualifiers:  # an out-of-line definition names none of its owners
+                end = body[1] if body else at + len(decl)
+                for owner, q_at in qualifiers:
+                    self.skip.add((key, at + q_at))
+                    self.spans.setdefault(owner, []).append((key, at, end))
+            elif public and (not owners or name != owners[-1]):
+                api.append(("::".join(owners), name, at + offset, False))
+        for m in WORD_RE.finditer(code):
+            self.uses.setdefault(m.group(), []).append((key, m.start()))
+
+    def used(self, name: str, is_class: bool) -> bool:
+        spans = self.spans.get(name, ()) if is_class else ()
+        return any((fi, at) not in self.skip and
+                   not any(f == fi and begin <= at < end for f, begin, end in spans)
+                   for fi, at in self.uses.get(name, ()))
+
+
+def lint_test_only(path: Path, index: UseIndex) -> list[tuple[int, str]]:
+    """R12: (line, message) for each public name only tests could reach."""
+    text = path.read_text()
+    lines = text.splitlines()
+    findings = []
+    for owner, name, offset, is_class in index.api.get(path, ()):
+        lineno = text.count("\n", 0, offset) + 1
+        qualified = f"{owner}::{name}" if owner else name
+        waiver = TEST_ONLY_WAIVER_RE.search(lines[lineno - 1])
+        if waiver:
+            if not re.search(r"\w", waiver.group(1)):
+                findings.append((lineno, f"{qualified}: allow(test-only) needs a reason"))
+        elif not index.used(name, is_class):
+            findings.append((lineno, f"{qualified}: {TEST_ONLY_MESSAGE}"))
+    return findings
+
+
 def rules_for(rel: str) -> dict:
     if rel.startswith("src/"):
         selected = dict(RULES)
@@ -333,7 +518,8 @@ def main() -> int:
     parser.add_argument("--root", default=None, help="repository root (default: auto)")
     parser.add_argument(
         "paths", nargs="*",
-        help="files or directories to lint (default: src tests bench examples)",
+        help="files or directories to lint (default: whichever of src tests bench "
+             "examples the root holds)",
     )
     args = parser.parse_args()
 
@@ -345,7 +531,7 @@ def main() -> int:
     if args.paths:
         targets = [Path(p).resolve() for p in args.paths]
     else:
-        targets = [root / d for d in ("src", "tests", "bench", "examples")]
+        targets = [root / d for d in ("src", "tests", "bench", "examples") if (root / d).is_dir()]
 
     files = []
     for target in targets:
@@ -359,6 +545,7 @@ def main() -> int:
 
     failures = 0
     knobs = None
+    uses = None
     for path in files:
         try:
             rel = path.relative_to(root).as_posix()
@@ -385,6 +572,11 @@ def main() -> int:
                 knobs = KnobIndex(root)
             for lineno, message in lint_unset_knobs(path, knobs):
                 print(f"{rel}:{lineno}: [unset-knob] {message}")
+                failures += 1
+            if uses is None:
+                uses = UseIndex(root)
+            for lineno, message in lint_test_only(path.resolve(), uses):
+                print(f"{rel}:{lineno}: [test-only] {message}")
                 failures += 1
 
     if failures:
