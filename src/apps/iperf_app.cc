@@ -56,6 +56,4 @@ void SinkApp::Drain() {
   }
 }
 
-uint64_t SinkApp::bytes_read() const { return socket_->app_bytes_read(); }
-
 }  // namespace element

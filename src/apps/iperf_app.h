@@ -39,7 +39,6 @@ class SinkApp {
   explicit SinkApp(ElementSocket* em);
 
   void Start();
-  uint64_t bytes_read() const;
 
  private:
   void Drain();

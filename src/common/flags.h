@@ -25,7 +25,6 @@ class Flags {
   bool GetBool(const std::string& name, bool def = false) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-  const std::string& error() const { return error_; }
 
   // Names seen during parsing but never read by a Get*: typo detection.
   std::vector<std::string> UnusedFlags() const;
@@ -34,7 +33,6 @@ class Flags {
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> read_;
   std::vector<std::string> positional_;
-  std::string error_;
 };
 
 // Worker-count default for parallel drivers: the ELEMENT_JOBS environment

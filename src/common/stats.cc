@@ -148,15 +148,6 @@ double SampleSet::Median() const {
   return *nth * (1.0 - frac) + next * frac;
 }
 
-double SampleSet::FractionBelow(double x) const {
-  EnsureSorted();
-  if (sorted_.empty()) {
-    return 0.0;
-  }
-  auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
 std::string SampleSet::CdfRows(const std::vector<double>& quantiles,
                                const std::string& label) const {
   std::ostringstream os;

@@ -26,7 +26,7 @@ class RunningStats {
   double Stdev() const;
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return sum_; }
+  double sum() const { return sum_; }  // lint_sim: allow(test-only) -- observer
 
  private:
   size_t count_ = 0;
@@ -76,8 +76,6 @@ class SampleSet {
   // Quantile(0.5), bit for bit, but it selects the two middle order
   // statistics in O(n) instead of sorting.
   double Median() const;
-  // Fraction of samples <= x.
-  double FractionBelow(double x) const;  // lint_sim: allow(test-only) -- pending deletion
 
   const std::vector<double>& samples() const { return samples_; }
 
@@ -117,7 +115,7 @@ class Histogram {
 
   uint64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
-  double sum() const { return sum_; }
+  double sum() const { return sum_; }  // lint_sim: allow(test-only) -- observer
   double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }

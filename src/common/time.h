@@ -10,7 +10,6 @@
 #include <compare>
 #include <cstdint>
 #include <limits>
-#include <string>
 
 namespace element {
 
@@ -33,7 +32,6 @@ class TimeDelta {
   constexpr int64_t nanos() const { return ns_; }
   constexpr int64_t ToMicros() const { return ns_ / 1000; }
   constexpr double ToSeconds() const { return static_cast<double>(ns_) * 1e-9; }
-  constexpr double ToMillisF() const { return static_cast<double>(ns_) * 1e-6; }
 
   constexpr bool IsZero() const { return ns_ == 0; }
   constexpr bool IsInfinite() const { return ns_ == std::numeric_limits<int64_t>::max(); }
@@ -59,8 +57,6 @@ class TimeDelta {
 
   constexpr auto operator<=>(const TimeDelta&) const = default;
 
-  std::string ToString() const;  // lint_sim: allow(test-only) -- pending deletion
-
  private:
   explicit constexpr TimeDelta(int64_t ns) : ns_(ns) {}
   int64_t ns_ = 0;
@@ -78,7 +74,6 @@ class SimTime {
 
   constexpr int64_t nanos() const { return ns_; }
   constexpr double ToSeconds() const { return static_cast<double>(ns_) * 1e-9; }
-  constexpr double ToMillisF() const { return static_cast<double>(ns_) * 1e-6; }
   constexpr bool IsInfinite() const { return ns_ == std::numeric_limits<int64_t>::max(); }
 
   constexpr SimTime operator+(TimeDelta d) const { return SimTime(ns_ + d.nanos()); }
@@ -92,8 +87,6 @@ class SimTime {
   }
 
   constexpr auto operator<=>(const SimTime&) const = default;
-
-  std::string ToString() const;  // lint_sim: allow(test-only) -- pending deletion
 
  private:
   explicit constexpr SimTime(int64_t ns) : ns_(ns) {}

@@ -63,17 +63,17 @@ class ElementSocket : private telemetry::RecordSink {
   bool MaySendNow() const;
 
   TcpSocket* socket() { return socket_; }
-  TcpInfoTracker& tracker() { return *tracker_; }
   SenderDelayEstimator& sender_estimator() { return sender_est_; }
   ReceiverDelayEstimator& receiver_estimator() { return receiver_est_; }
   PathDelayEstimator& path_estimator() { return path_est_; }
   // Algorithm 3, or null when minimization is disabled.
-  LatencyMinimizer* minimizer() { return minimizer_.get(); }
+  LatencyMinimizer* minimizer() {  // lint_sim: allow(test-only) -- observer
+    return minimizer_.get();
+  }
 
   // Convenience: latest delay decomposition visible to the application.
   double send_buffer_delay_s() const { return sender_est_.latest_delay().ToSeconds(); }
   double recv_buffer_delay_s() const { return receiver_est_.latest_delay().ToSeconds(); }
-  double rtt_s() const { return socket_->smoothed_rtt().ToSeconds(); }
 
  private:
   void OnRecord(const telemetry::TraceRecord& record) override {

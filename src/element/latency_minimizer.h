@@ -47,7 +47,6 @@ class LatencyMinimizer {
   TimeDelta average_delay() const {  // lint_sim: allow(test-only) -- observer
     return TimeDelta::FromSeconds(avg_delay_s_);
   }
-  const MinimizerParams& params() const { return params_; }
 
  private:
   void CheckAndAdjust();

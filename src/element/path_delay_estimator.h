@@ -21,7 +21,7 @@ class PathDelayEstimator {
   // Propagation floor: the smallest RTT ever reported by the kernel.
   TimeDelta base_rtt() const { return base_rtt_; }  // lint_sim: allow(test-only) -- observer
   // Standing queueing along the path (both directions).
-  TimeDelta queueing() const {
+  TimeDelta queueing() const {  // lint_sim: allow(test-only) -- observer
     return srtt_ > base_rtt_ ? srtt_ - base_rtt_ : TimeDelta::Zero();
   }
   // The paper's "average network delay" estimate: half the smoothed RTT.

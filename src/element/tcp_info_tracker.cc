@@ -5,19 +5,6 @@ namespace element {
 TcpInfoTracker::TcpInfoTracker(EventLoop* loop, TcpSocket* socket, TimeDelta period)
     : loop_(loop), socket_(socket), timer_(loop, period, [this] { PollNow(); }) {}
 
-DataRate TcpInfoTracker::throughput() const {
-  if (acked_history_.size() < 2) {
-    return DataRate::Zero();
-  }
-  const AckedPoint& oldest = acked_history_.front();
-  const AckedPoint& newest = acked_history_.back();
-  TimeDelta span = newest.t - oldest.t;
-  if (span <= TimeDelta::Zero()) {
-    return DataRate::Zero();
-  }
-  return RateOver(static_cast<int64_t>(newest.bytes_acked - oldest.bytes_acked), span);
-}
-
 void TcpInfoTracker::PollNow() {
   latest_ = socket_->SharedInfoPage();
   ++samples_;
@@ -27,6 +14,9 @@ void TcpInfoTracker::PollNow() {
   while (acked_history_.size() > 2 && now - acked_history_.front().t > kThroughputWindow) {
     acked_history_.pop_front();
   }
+  const AckedPoint& oldest = acked_history_.front();
+  throughput_ = RateOver(static_cast<int64_t>(latest_.tcpi_bytes_acked - oldest.bytes_acked),
+                         now - oldest.t);
 
   if (sender_est_ != nullptr) {
     sender_est_->OnTcpInfoSample(latest_, now);

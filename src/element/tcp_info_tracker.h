@@ -8,9 +8,8 @@
 #ifndef ELEMENT_SRC_ELEMENT_TCP_INFO_TRACKER_H_
 #define ELEMENT_SRC_ELEMENT_TCP_INFO_TRACKER_H_
 
-#include <deque>
-
 #include "src/common/data_rate.h"
+#include "src/common/ring_fifo.h"
 #include "src/evloop/event_loop.h"
 #include "src/element/delay_estimator.h"
 #include "src/element/path_delay_estimator.h"
@@ -36,8 +35,9 @@ class TcpInfoTracker {
   const TcpInfoData& latest_info() const { return latest_; }
   // Throughput at the TCP layer: ACKed bytes over a trailing window (ACK
   // arrivals are bursty at the poll granularity, so a window — rather than a
-  // per-poll EWMA — gives an unaliased rate).
-  DataRate throughput() const;
+  // per-poll EWMA — gives an unaliased rate). Computed once per poll, since
+  // it only changes there.
+  DataRate throughput() const { return throughput_; }
   uint64_t samples_taken() const { return samples_; }  // lint_sim: allow(test-only) -- observer
 
   // Forces an immediate poll (used by em_send/em_read wrappers so their
@@ -60,7 +60,8 @@ class TcpInfoTracker {
     uint64_t bytes_acked;
   };
   static constexpr TimeDelta kThroughputWindow = TimeDelta::FromMillis(1000);
-  std::deque<AckedPoint> acked_history_;
+  RingFifo<AckedPoint> acked_history_;
+  DataRate throughput_ = DataRate::Zero();
 };
 
 }  // namespace element

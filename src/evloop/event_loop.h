@@ -196,7 +196,7 @@ class Timer : private EventLoop::Node {
   // False from the moment the timer's callback starts until it re-arms.
   bool pending() const { return loop_->IsPending(this); }
   // Deadline of the pending fire; meaningful only while pending().
-  SimTime deadline() const { return at; }
+  SimTime deadline() const { return at; }  // lint_sim: allow(test-only) -- observer
 
  private:
   static void Fire(EventLoop::Node* node);

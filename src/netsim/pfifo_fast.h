@@ -22,8 +22,6 @@ class PfifoFast : public Qdisc {
   int64_t byte_count() const override { return total_bytes_; }
   std::string name() const override { return "pfifo_fast"; }
 
-  size_t limit_packets() const { return limit_; }
-
  private:
   static constexpr size_t kBands = 3;
 

@@ -41,7 +41,6 @@ class BbrCc : public CongestionControl {
   double CwndSegments() const override;
   uint32_t SsthreshSegments() const override { return 0x7FFFFFFF; }
   std::optional<DataRate> PacingRate() const override;
-  std::string name() const override { return "bbr"; }
 
   const char* mode_name() const;  // lint_sim: allow(test-only) -- observer
 

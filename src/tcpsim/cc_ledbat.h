@@ -27,7 +27,6 @@ class LedbatCc : public CongestionControl {
   uint32_t SsthreshSegments() const override {
     return static_cast<uint32_t>(ssthresh_ < 0x7FFFFFFF ? ssthresh_ : 0x7FFFFFFF);
   }
-  std::string name() const override { return "ledbat"; }
 
   TimeDelta base_delay() const;
 

@@ -19,7 +19,6 @@ class RenoCc : public CongestionControl {
 
   double CwndSegments() const override { return cwnd_; }
   uint32_t SsthreshSegments() const override { return ssthresh_; }
-  std::string name() const override { return "reno"; }
 
  private:
   uint32_t mss_ = 1448;

@@ -22,7 +22,6 @@ class VegasCc : public CongestionControl {
   uint32_t SsthreshSegments() const override {
     return static_cast<uint32_t>(ssthresh_ < 0x7FFFFFFF ? ssthresh_ : 0x7FFFFFFF);
   }
-  std::string name() const override { return "vegas"; }
 
  private:
   static constexpr double kAlpha = 2.0;  // lower bound on queued packets

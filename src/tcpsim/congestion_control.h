@@ -60,7 +60,6 @@ class CongestionControl {
   virtual uint32_t SsthreshSegments() const = 0;
   // Engaged pacing rate (BBR); nullopt = no pacing, window-limited only.
   virtual std::optional<DataRate> PacingRate() const { return std::nullopt; }
-  virtual std::string name() const = 0;
 };
 
 // Factory: "reno", "cubic", "vegas", "bbr".

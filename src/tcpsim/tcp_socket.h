@@ -67,7 +67,6 @@ class TcpSocket : public PacketSink {
   // ---- Connection lifecycle ----
   void Connect();  // active open (client)
   void Listen();   // passive open (server)
-  State state() const { return state_; }
   bool established() const { return state_ == State::kEstablished; }
   void SetEstablishedCallback(std::function<void()> cb) {  // lint_sim: allow(std-function)
     established_cb_ = std::move(cb);
@@ -112,13 +111,11 @@ class TcpSocket : public PacketSink {
   // Routes this socket's records to `spine` (registry, rings, spine sinks).
   void BindTelemetry(telemetry::TelemetrySpine* spine) { telemetry_.Bind(spine, flow_id_); }
 
-  CongestionControl& congestion_control() { return *cc_; }
   uint64_t flow_id() const { return flow_id_; }
   uint32_t mss() const { return config_.mss; }
 
   uint64_t total_retransmits() const { return total_retrans_; }
   TimeDelta smoothed_rtt() const { return srtt_; }
-  TimeDelta min_rtt() const { return min_rtt_; }
 
   // Test-only: breaks sequence-space ordering and runs the audit so death
   // tests can verify the invariant layer actually fires.

@@ -48,10 +48,10 @@ PathConfig LteProfile(bool upload) {
   return cfg;
 }
 
-Testbed::Testbed(uint64_t seed, const PathConfig& config) : config_(config), rng_(seed) {
-  ELEMENT_CHECK(config_.steps.empty() || config_.link == LinkType::kFixed)
+Testbed::Testbed(uint64_t seed, const PathConfig& config) : rng_(seed) {
+  ELEMENT_CHECK(config.steps.empty() || config.link == LinkType::kFixed)
       << "PathConfig::steps needs LinkType::kFixed";
-  ELEMENT_CHECK(config_.loss_probability == 0.0 || config_.link == LinkType::kFixed)
+  ELEMENT_CHECK(config.loss_probability == 0.0 || config.link == LinkType::kFixed)
       << "PathConfig::loss_probability needs LinkType::kFixed";
   // The reverse (ACK) pipe mirrors the forward delay behind a pfifo_fast deep
   // enough that ACKs are never dropped at the profiles' reverse rates.
@@ -60,14 +60,14 @@ Testbed::Testbed(uint64_t seed, const PathConfig& config) : config_(config), rng
   // The reverse link is lossless and never follows the steps; it is built
   // first, so it forks rng_ before the forward qdisc and link do.
   std::unique_ptr<LinkModel> rev_link =
-      MakeLink(config_.link, config_.reverse_rate, config_.one_way_delay, 0.0);
+      MakeLink(config.link, config.reverse_rate, config.one_way_delay, 0.0);
   std::unique_ptr<Qdisc> fwd_qdisc =
-      MakeBottleneckQdisc(config_.qdisc, config_.queue_limit_packets, config_.ecn, &rng_);
+      MakeBottleneckQdisc(config.qdisc, config.queue_limit_packets, config.ecn, &rng_);
   std::unique_ptr<LinkModel> fwd_link =
-      config_.steps.empty()
-          ? MakeLink(config_.link, config_.rate, config_.one_way_delay, config_.loss_probability)
-          : std::make_unique<ScheduledLinkModel>(config_.steps, config_.one_way_delay,
-                                                 config_.loss_probability);
+      config.steps.empty()
+          ? MakeLink(config.link, config.rate, config.one_way_delay, config.loss_probability)
+          : std::make_unique<ScheduledLinkModel>(config.steps, config.one_way_delay,
+                                                 config.loss_probability);
   path_ = std::make_unique<DuplexPath>(&loop_, &rng_, std::move(fwd_qdisc), std::move(fwd_link),
                                        std::move(rev_qdisc), std::move(rev_link));
   path_->BindTelemetry(&spine_);

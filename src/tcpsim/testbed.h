@@ -56,7 +56,6 @@ class Testbed {
   EventLoop& loop() { return loop_; }
   DuplexPath& path() { return *path_; }
   Rng& rng() { return rng_; }
-  const PathConfig& config() const { return config_; }
 
   struct Flow {
     TcpSocket* sender = nullptr;
@@ -81,7 +80,6 @@ class Testbed {
   std::unique_ptr<LinkModel> MakeLink(LinkType type, DataRate rate, TimeDelta delay,
                                       double loss_probability);
 
-  PathConfig config_;
   EventLoop loop_;
   Rng rng_;
   telemetry::TelemetrySpine spine_;

@@ -74,10 +74,6 @@ class TelemetrySpine {
     }
     return it->second.get();
   }
-  TraceRing* ring(uint64_t flow_id) {
-    auto it = rings_.find(flow_id);
-    return it == rings_.end() ? nullptr : it->second.get();
-  }
 
   // Routes a record to the flow's ring (if any) and all spine sinks. Callers
   // without a FlowTelemetry (qdiscs, routers — producers shared by many

@@ -53,7 +53,6 @@ class SynProbeTool : public PacketSink {
 
   // One RTT sample per answered probe, seconds.
   const SampleSet& rtt_samples() const { return rtt_; }
-  const std::string& name() const { return profile_.name; }
 
   void Deliver(Packet pkt) override;  // SYN-ACK reception
 

@@ -34,8 +34,6 @@ class Router : public PacketSink {
  public:
   explicit Router(std::string name) : name_(std::move(name)) {}
 
-  const std::string& name() const { return name_; }
-
   // Registers an egress port and returns its index. Ports are never removed;
   // topology shape is fixed for the lifetime of a run.
   int AddPort(PacketSink* next_hop) {

@@ -7,6 +7,10 @@
 // throughout) with a pfifo_fast ACK path, and no tracer or ELEMENT. After a
 // warm-up every queue, ring and slab has reached its working size, and the
 // next 2 simulated seconds must not allocate at all.
+//
+// The Rng tests check that a random stream costs nothing until its first
+// draw: only then does it allocate its engine, once. Engine allocations are
+// told apart by their size.
 
 #include <gtest/gtest.h>
 
@@ -14,23 +18,31 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "src/apps/iperf_app.h"
 #include "src/common/ring_fifo.h"
+#include "src/common/rng.h"
 #include "src/element/byte_sink.h"
 #include "src/netsim/fq_codel.h"
 #include "src/tcpsim/testbed.h"
+#include "src/topo/topology.h"
 
 namespace {
 
 bool g_counting = false;
 uint64_t g_allocations = 0;
+uint64_t g_engine_allocations = 0;  // of an Rng engine's size
+
+// The size of the engine behind an Rng (the type is named here only for it).
+constexpr std::size_t kEngineBytes = sizeof(std::mt19937_64);  // lint_sim: allow(rng-engine)
 
 void* CountedAlloc(std::size_t n, std::size_t align) {
   if (g_counting) {
     ++g_allocations;
+    g_engine_allocations += n == kEngineBytes ? 1 : 0;
   }
   if (n == 0) {
     n = 1;
@@ -74,6 +86,14 @@ uint64_t CountAllocations(Fn&& fn) {
   fn();
   g_counting = false;
   return g_allocations;
+}
+
+// Counts the allocations of an Rng engine's size made while `fn` runs.
+template <typename Fn>
+uint64_t CountEngineAllocations(Fn&& fn) {
+  g_engine_allocations = 0;
+  CountAllocations(std::forward<Fn>(fn));
+  return g_engine_allocations;
 }
 
 SimTime Sec(double s) { return SimTime::FromNanos(static_cast<int64_t>(s * 1e9)); }
@@ -168,6 +188,70 @@ TEST(AllocTest, TcpSocketConstructionIsConstant) {
   // allocates nothing, and the retransmit queue and the out-of-order buffer
   // allocate on first use.
   EXPECT_LE(first, 1u);
+}
+
+TEST(AllocTest, NeverDrawnStreamsAllocateNothing) {
+  Rng root(1);
+  root.Uniform();  // the parent's own engine, made before the count
+  uint64_t n = CountAllocations([&] {
+    Rng fresh(5);
+    Rng child = root.Fork();
+    Rng moved(std::move(child));
+    Rng assigned(6);
+    assigned = std::move(fresh);
+  });
+  EXPECT_EQ(n, 0u);
+
+  Rng lazy(7);
+  EXPECT_EQ(CountAllocations([&] { lazy.Uniform(); }), 1u);
+  EXPECT_EQ(CountAllocations([&] {
+              lazy.Exponential(1.0);
+              Rng child = lazy.Fork();
+              Rng moved(std::move(lazy));
+              moved.Normal(0.0, 1.0);
+            }),
+            0u);
+  Rng forked_first(8);
+  EXPECT_EQ(CountAllocations([&] { Rng child = forked_first.Fork(); }), 1u);
+}
+
+TEST(AllocTest, DumbbellAllocatesNoEngineBeforeTheRun) {
+  constexpr int kPairs = 32;
+  EventLoop loop;
+  Rng rng(11);
+  rng.Uniform();  // the run's root stream draws first
+  TopologySpec spec;
+  spec.host_pairs = kPairs;
+  spec.qdisc = QdiscType::kFqCoDel;
+  std::unique_ptr<Network> net;
+  std::vector<TcpSocketPair> pairs;
+  uint64_t built = CountEngineAllocations([&] {
+    net = std::make_unique<Network>(&loop, &rng, spec);
+    for (int p = 0; p < kPairs; ++p) {
+      uint64_t flow_id = net->AllocateFlowId();
+      net->RouteFlow(flow_id, p);
+      pairs.push_back(ConnectTcpPair(&loop, &rng, TcpSocket::Config{}, flow_id, net->sender(p),
+                                     net->receiver(p)));
+    }
+  });
+  EXPECT_EQ(built, 0u);
+
+  for (TcpSocketPair& pair : pairs) {
+    TcpSocket* sender = pair.sender.get();
+    TcpSocket* receiver = pair.receiver.get();
+    sender->SetEstablishedCallback([sender] { sender->Write(50'000); });
+    receiver->SetReadableCallback([receiver] {
+      while (receiver->Read(1 << 20) > 0) {
+      }
+    });
+  }
+  // Each receiver draws its readable-wakeup latency, so its engine is made at
+  // its first read. Senders and the lossless, jitter-free pipes never draw.
+  uint64_t run = CountEngineAllocations([&] { loop.RunUntil(Sec(2.0)); });
+  for (const TcpSocketPair& pair : pairs) {
+    EXPECT_EQ(pair.receiver->app_bytes_read(), 50'000u);
+  }
+  EXPECT_EQ(run, static_cast<uint64_t>(kPairs));
 }
 
 }  // namespace

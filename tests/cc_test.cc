@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <typeinfo>
+#include <utility>
 
 #include "src/tcpsim/cc_bbr.h"
 #include "src/tcpsim/cc_cubic.h"
@@ -33,12 +35,15 @@ AckSample MakeAck(SimTime now, uint64_t acked_bytes, TimeDelta rtt,
 SimTime At(int64_t ms) { return SimTime::FromNanos(ms * 1'000'000); }
 
 TEST(FactoryTest, CreatesAllAlgorithms) {
-  for (const char* name : {"reno", "cubic", "vegas", "bbr", "ledbat", "cubic-nohystart"}) {
+  const std::pair<const char*, const std::type_info*> expected[] = {
+      {"reno", &typeid(RenoCc)},   {"cubic", &typeid(CubicCc)},
+      {"vegas", &typeid(VegasCc)}, {"bbr", &typeid(BbrCc)},
+      {"ledbat", &typeid(LedbatCc)}, {"cubic-nohystart", &typeid(CubicCc)},
+  };
+  for (const auto& [name, type] : expected) {
     auto cc = MakeCongestionControl(name);
     ASSERT_NE(cc, nullptr);
-    if (std::string(name) != "cubic-nohystart") {
-      EXPECT_EQ(cc->name(), name);
-    }
+    EXPECT_EQ(typeid(*cc), *type) << name;
   }
   EXPECT_THROW(MakeCongestionControl("nope"), std::invalid_argument);
 }

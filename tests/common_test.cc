@@ -8,6 +8,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -27,7 +28,7 @@ TEST(TimeDeltaTest, ConstructionAndConversion) {
   EXPECT_EQ(TimeDelta::FromMicros(5).nanos(), 5'000);
   EXPECT_EQ(TimeDelta::FromSecondsInt(2), TimeDelta::FromMillis(2000));
   EXPECT_DOUBLE_EQ(TimeDelta::FromMillis(1500).ToSeconds(), 1.5);
-  EXPECT_DOUBLE_EQ(TimeDelta::FromMicros(2500).ToMillisF(), 2.5);
+  EXPECT_EQ(TimeDelta::FromMicros(2500).ToMicros(), 2500);
 }
 
 TEST(TimeDeltaTest, Arithmetic) {
@@ -56,12 +57,6 @@ TEST(SimTimeTest, PointArithmetic) {
   EXPECT_LT(t0, t1);
   t0 += TimeDelta::FromMillis(200);
   EXPECT_GT(t0, t1);
-}
-
-TEST(TimeToStringTest, Readable) {
-  EXPECT_EQ(TimeDelta::FromMillis(5).ToString(), "5.000ms");
-  EXPECT_EQ(TimeDelta::Infinite().ToString(), "+inf");
-  EXPECT_EQ(SimTime::FromNanos(1'500'000'000).ToString(), "1.500000s");
 }
 
 TEST(DataRateTest, ConversionsAndTransmitTime) {
@@ -123,6 +118,76 @@ TEST(RngTest, BernoulliExtremes) {
   }
 }
 
+// The reference every stream must match: an engine seeded eagerly with the
+// stream's seed, drawn through the same std distributions.
+using Engine = std::mt19937_64;  // lint_sim: allow(rng-engine)
+
+double ReferenceUniform(Engine& e) { return std::uniform_real_distribution<double>(0.0, 1.0)(e); }
+
+TEST(RngTest, LazyStreamMatchesEagerlySeededEngine) {
+  constexpr int kDraws = 10'000;
+  constexpr uint64_t kSeed = 424242;
+  auto check = [](const char* what, auto draw, auto reference) {
+    Rng rng(kSeed);
+    Engine engine(kSeed);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(draw(rng), reference(engine)) << what << " draw " << i;
+    }
+  };
+  check("Uniform", [](Rng& r) { return r.Uniform(); }, ReferenceUniform);
+  check("Uniform(lo, hi)", [](Rng& r) { return r.Uniform(-3.0, 5.0); },
+        [](Engine& e) { return -3.0 + 8.0 * ReferenceUniform(e); });
+  check("UniformInt", [](Rng& r) { return r.UniformInt(-7, 1000); },
+        [](Engine& e) { return std::uniform_int_distribution<int64_t>(-7, 1000)(e); });
+  check("Bernoulli", [](Rng& r) { return r.Bernoulli(0.3); },
+        [](Engine& e) { return ReferenceUniform(e) < 0.3; });
+  check("Exponential", [](Rng& r) { return r.Exponential(0.02); },
+        [](Engine& e) { return std::exponential_distribution<double>(50.0)(e); });
+  check("Normal", [](Rng& r) { return r.Normal(1.0, 2.0); },
+        [](Engine& e) { return std::normal_distribution<double>(1.0, 2.0)(e); });
+  check("Pareto", [](Rng& r) { return r.Pareto(2.0, 1.5); },
+        [](Engine& e) {
+          return 2.0 / std::pow(std::max(1.0 - ReferenceUniform(e), 1e-12), 1.0 / 1.5);
+        });
+  check("Fork", [](Rng& r) { return r.Fork().Uniform(); },
+        [](Engine& e) {
+          Engine child(e());
+          return ReferenceUniform(child);
+        });
+}
+
+// A child's seed is the parent's next draw, whether or not the parent (or
+// the child, for a grandchild) has drawn before.
+TEST(RngTest, ForksMatchEagerParentDrawnOrNot) {
+  Rng parent(99);
+  Engine parent_ref(99);
+  for (int draws_before = 0; draws_before < 3; ++draws_before) {
+    for (int i = 0; i < draws_before; ++i) {
+      ASSERT_EQ(parent.Uniform(), ReferenceUniform(parent_ref));
+    }
+    Rng child = parent.Fork();
+    Engine child_ref(parent_ref());
+    Rng grandchild = child.Fork();
+    Engine grandchild_ref(child_ref());
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_EQ(child.Uniform(), ReferenceUniform(child_ref)) << draws_before;
+      ASSERT_EQ(grandchild.Uniform(), ReferenceUniform(grandchild_ref)) << draws_before;
+    }
+  }
+}
+
+TEST(RngTest, MovedStreamContinues) {
+  Rng never_drawn(5);
+  Rng moved(std::move(never_drawn));
+  Engine moved_ref(5);
+  EXPECT_EQ(moved.Uniform(), ReferenceUniform(moved_ref));
+  Rng assigned(6);
+  assigned = std::move(moved);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(assigned.Uniform(), ReferenceUniform(moved_ref));
+  }
+}
+
 TEST(RngTest, ExponentialMean) {
   Rng rng(7);
   double sum = 0.0;
@@ -180,16 +245,6 @@ TEST(SampleSetTest, QuantilesExact) {
   EXPECT_NEAR(s.Quantile(0.9), 90.1, 1e-9);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 100.0);
-}
-
-TEST(SampleSetTest, FractionBelow) {
-  SampleSet s;
-  for (int i = 1; i <= 10; ++i) {
-    s.Add(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(s.FractionBelow(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(s.FractionBelow(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.FractionBelow(100.0), 1.0);
 }
 
 TEST(SampleSetTest, AddAfterQuantileResorts) {

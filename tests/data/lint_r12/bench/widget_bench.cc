@@ -3,5 +3,7 @@
 int main() {
   fixture::Widget widget;
   widget.Run();
-  return 0;
+  int (fixture::Widget::*get)() const = &fixture::Widget::ByMemberPointer;
+  int ShadowedByLocal = (widget.*get)();
+  return ShadowedByLocal == 7 ? 0 : 1;
 }

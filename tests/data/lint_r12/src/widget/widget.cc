@@ -18,6 +18,10 @@ int Widget::OwnModuleCalls() const {
   return 5;
 }
 
+int Widget::ShadowedByLocal() const {
+  return 8;
+}
+
 int Widget::PrivateHelper() const {
   return 6;
 }

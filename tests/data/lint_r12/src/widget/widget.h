@@ -15,6 +15,8 @@ class Widget {
   int Waived() const { return 1; }  // lint_sim: allow(test-only) -- observer
   int OwnModuleCalls() const;
   int WaivedWithoutReason() const { return 2; }  // lint_sim: allow(test-only)
+  int ShadowedByLocal() const;
+  int ByMemberPointer() const { return 7; }
 
  private:
   int PrivateHelper() const;

@@ -236,6 +236,57 @@ TEST(TrackerTest, ThroughputTracksAckedBytes) {
   EXPECT_GT(tracker.latest_info().tcpi_bytes_acked, 10'000'000u);
 }
 
+// The tracker computes its throughput once per poll. After every poll it
+// must equal the trailing-window formula over every (poll time, bytes acked)
+// pair: drop the oldest point while more than two remain and it is more than
+// the 1 s window old, then divide the acked bytes between the oldest and
+// newest points by the time between them.
+TEST(TrackerTest, CachedThroughputMatchesTrailingWindow) {
+  PathConfig path;
+  path.rate = DataRate::Mbps(10);
+  path.loss_probability = 0.01;
+  Testbed bed(3, path);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  TcpInfoTracker tracker(&bed.loop(), flow.sender);
+  EXPECT_EQ(tracker.throughput().bps(), 0.0);
+  flow.sender->SetEstablishedCallback([&] { flow.sender->Write(1 << 24); });
+  flow.sender->SetWritableCallback([&] { flow.sender->Write(1 << 24); });
+  flow.receiver->SetReadableCallback([&] {
+    while (flow.receiver->Read(1 << 20) > 0) {
+    }
+  });
+  struct Point {
+    SimTime t;
+    uint64_t bytes_acked;
+  };
+  std::vector<Point> history;
+  size_t oldest = 0;
+  int nonzero = 0;
+  SimTime t;
+  for (int i = 0; i < 400; ++i) {
+    // Uneven steps, and two polls at one instant now and then.
+    t = t + TimeDelta::FromMillis(i % 7 == 0 ? 0 : 3 + i % 13);
+    bed.loop().RunUntil(t);
+    tracker.PollNow();
+    history.push_back({t, tracker.latest_info().tcpi_bytes_acked});
+    while (history.size() - oldest > 2 &&
+           t - history[oldest].t > TimeDelta::FromMillis(1000)) {
+      ++oldest;
+    }
+    const Point& first = history[oldest];
+    const Point& last = history.back();
+    TimeDelta span = last.t - first.t;
+    DataRate expected =
+        history.size() - oldest < 2 || span <= TimeDelta::Zero()
+            ? DataRate::Zero()
+            : RateOver(static_cast<int64_t>(last.bytes_acked - first.bytes_acked), span);
+    ASSERT_TRUE(SameBits(tracker.throughput().bps(), expected.bps())) << "poll " << i;
+    nonzero += expected.bps() > 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(oldest, 0u);  // the window slid
+  EXPECT_GT(nonzero, 300);
+}
+
 // Names the TcpInfoData fields in which `a` and `b` differ ("" if none).
 std::string DiffTcpInfo(const TcpInfoData& a, const TcpInfoData& b) {
   std::string diff;

@@ -286,7 +286,7 @@ TEST(PipeTest, BacklogDelayReflectsQueue) {
     pipe.Send(MakePacket(1250));
   }
   // One packet is in transmission; 10 are queued: 10 * 1 ms.
-  EXPECT_NEAR(pipe.CurrentBacklogDelay().ToMillisF(), 10.0, 0.01);
+  EXPECT_NEAR(pipe.CurrentBacklogDelay().ToSeconds() * 1e3, 10.0, 0.01);
 }
 
 TEST(DemuxTest, RoutesByFlowId) {

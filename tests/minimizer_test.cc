@@ -27,10 +27,10 @@ class MinimizerTest : public ::testing::Test {
 TEST_F(MinimizerTest, EwmaFollowsPaperWeights) {
   LatencyMinimizer min(&bed_.loop(), flow_.sender, MinimizerParams{}, false);
   min.OnDelayMeasurement(0.080);
-  EXPECT_NEAR(min.average_delay().ToMillisF(), 80.0, 1e-6);
+  EXPECT_NEAR(min.average_delay().ToSeconds() * 1e3, 80.0, 1e-6);
   min.OnDelayMeasurement(0.0);
   // 7/8 * 80 + 1/8 * 0 = 70.
-  EXPECT_NEAR(min.average_delay().ToMillisF(), 70.0, 1e-6);
+  EXPECT_NEAR(min.average_delay().ToSeconds() * 1e3, 70.0, 1e-6);
 }
 
 TEST_F(MinimizerTest, StargetShrinksWhenDelayAboveThreshold) {
@@ -65,11 +65,11 @@ TEST_F(MinimizerTest, SleepLadderFollowsCntPowLambda) {
   MinimizerParams params;
   LatencyMinimizer min(&bed_.loop(), flow_.sender, params, false);
   // cnt^1.5 ms: 1, 2.83, 5.20, 8, ...
-  EXPECT_NEAR(min.NextRetryDelay().ToMillisF(), 1.0, 1e-6);
-  EXPECT_NEAR(min.NextRetryDelay().ToMillisF(), std::pow(2.0, 1.5), 1e-6);
-  EXPECT_NEAR(min.NextRetryDelay().ToMillisF(), std::pow(3.0, 1.5), 1e-6);
+  EXPECT_NEAR(min.NextRetryDelay().ToSeconds() * 1e3, 1.0, 1e-6);
+  EXPECT_NEAR(min.NextRetryDelay().ToSeconds() * 1e3, std::pow(2.0, 1.5), 1e-6);
+  EXPECT_NEAR(min.NextRetryDelay().ToSeconds() * 1e3, std::pow(3.0, 1.5), 1e-6);
   min.OnSendAllowed();
-  EXPECT_NEAR(min.NextRetryDelay().ToMillisF(), 1.0, 1e-6);
+  EXPECT_NEAR(min.NextRetryDelay().ToSeconds() * 1e3, 1.0, 1e-6);
 }
 
 TEST_F(MinimizerTest, SleepBudgetExhaustionOpensGate) {
@@ -144,7 +144,7 @@ TEST_F(MinimizerTest, EquilibriumNearThresholdOnLiveFlow) {
   });
   bed_.loop().RunUntil(Sec(30.0));
   // Average delay within a few x of the 25 ms threshold (not hundreds of ms).
-  EXPECT_LT(min.average_delay().ToMillisF(), 100.0);
+  EXPECT_LT(min.average_delay().ToSeconds() * 1e3, 100.0);
   EXPECT_GT(est.delay_series().count(), 100u);
 }
 

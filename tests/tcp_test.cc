@@ -29,7 +29,7 @@ TEST(TcpHandshakeTest, EstablishesBothEnds) {
   EXPECT_TRUE(flow.sender->established());
   EXPECT_TRUE(flow.receiver->established());
   // Client learned an RTT from the handshake (~2 * 25 ms + serialization).
-  EXPECT_NEAR(flow.sender->smoothed_rtt().ToMillisF(), 50.0, 5.0);
+  EXPECT_NEAR(flow.sender->smoothed_rtt().ToSeconds() * 1e3, 50.0, 5.0);
 }
 
 TEST(TcpHandshakeTest, SurvivesSynLoss) {

@@ -541,7 +541,6 @@ class RecordingCc : public CongestionControl {
   }
   double CwndSegments() const override { return cwnd_; }
   uint32_t SsthreshSegments() const override { return 0; }
-  std::string name() const override { return "recording"; }
 
  private:
   double cwnd_;

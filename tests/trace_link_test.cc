@@ -127,8 +127,8 @@ TEST(PathDelayEstimatorTest, LiveFlowMatchesConfiguredPath) {
   reader.Start();
   bed.loop().RunUntil(Sec(20.0));
   // Base RTT ~= 2 * 25 ms + serialization; queueing positive under Cubic.
-  EXPECT_NEAR(em.path_estimator().base_rtt().ToMillisF(), 51.5, 3.0);
-  EXPECT_GT(em.path_estimator().queueing().ToMillisF(), 10.0);
+  EXPECT_NEAR(em.path_estimator().base_rtt().ToSeconds() * 1e3, 51.5, 3.0);
+  EXPECT_GT(em.path_estimator().queueing().ToSeconds() * 1e3, 10.0);
 }
 
 }  // namespace

@@ -59,9 +59,15 @@ reproducible; this lint does:
       out-of-line definitions (`Owner::name(`); for a class, its own body and
       its members' definitions do not count either. A call inside the
       declaring .cc counts, so a public helper its own module uses is fine; a
-      name only tests/ use does not count, since no run reaches it. Names are
-      matched as words, so a name another API shares counts as used.
-      Constructors, destructors and operators are not checked. Waived on
+      name only tests/ use does not count, since no run reaches it. A class
+      or free function is used where its name appears as a word. A member
+      function is used only where it is called or named as a member:
+      `.name(`, `->name(`, `Owner::name` or `&Owner::name`, or a bare
+      `name(` inside its class's body or member definitions; so a local,
+      field or free function of the same name does not hide it. A member
+      another class shares by name still counts as used.
+      Constructors, destructors, operators and overrides (reached through
+      the virtual they override, which is checked) are not checked. Waived on
       the line that names the declaration with allow(test-only) and a reason
       after it, e.g. `// lint_sim: allow(test-only) -- observer`; a waiver
       without a reason is itself a finding.
@@ -393,6 +399,13 @@ ELABORATED_RE = re.compile(r"\b(?:class|struct)\s+(\w+)")
 # The declarator before a parameter list: `Owner::` qualifiers, then the name.
 DECLARATOR_RE = re.compile(r"((?:\w+\s*(?:<[^<>;{}]*>\s*)?::\s*)*)(~?)(\w+)\s*$")
 QUALIFIER_RE = re.compile(r"\w+(?=\s*(?:<[^<>;{}]*>\s*)?::)")
+# What a member's name may follow: `.`, `->` or a `Class::` qualifier
+# (group 1), each ending just before the name.
+MEMBER_BEFORE_RE = re.compile(r"(?:\.|->|(\w+)\s*(?:<[^<>;{}]*>\s*)?::)\s*\Z")
+# A call after a member's name: template arguments, if any, then `(`.
+MEMBER_CALL_RE = re.compile(r"\s*(?:<[^<>;{}()]*>\s*)?\(")
+# `override` or `final` after a member's parameter list.
+OVERRIDE_RE = re.compile(r"\)[^()]*\b(?:override|final)\b")
 NOT_A_FUNCTION_RE = re.compile(
     r"\s*(using|typedef|friend|struct|class|enum|union|namespace|extern|static_assert)\b")
 
@@ -431,6 +444,7 @@ class UseIndex:
 
     def __init__(self, root: Path):
         self.uses = {}      # name -> [(file, offset)], a file being its resolved path
+        self.code = {}      # file -> its text, comments and literals blanked
         self.skip = set()   # (file, offset) of declarations and definitions
         self.spans = {}     # class -> [(file, begin, end)] of its body and member definitions
         self.api = {}       # src/ header path -> [(owner, name, offset, is_class)]
@@ -445,6 +459,7 @@ class UseIndex:
     def _add(self, path: Path, header: bool):
         key = path.resolve()
         code = blank_comments_and_strings(path.read_text())
+        self.code[key] = code
         api = self.api.setdefault(key, []) if header else None
         for m in ELABORATED_RE.finditer(code):  # type heads and forward declarations
             self.skip.add((key, m.start(1)))
@@ -467,16 +482,32 @@ class UseIndex:
                 for owner, q_at in qualifiers:
                     self.skip.add((key, at + q_at))
                     self.spans.setdefault(owner, []).append((key, at, end))
-            elif public and (not owners or name != owners[-1]):
+            elif public and (not owners or name != owners[-1]) and not OVERRIDE_RE.search(decl):
                 api.append(("::".join(owners), name, at + offset, False))
         for m in WORD_RE.finditer(code):
             self.uses.setdefault(m.group(), []).append((key, m.start()))
 
-    def used(self, name: str, is_class: bool) -> bool:
+    def used(self, owner: str, name: str, is_class: bool) -> bool:
         spans = self.spans.get(name, ()) if is_class else ()
+        member_of = owner.rsplit("::", 1)[-1] if owner and not is_class else None
         return any((fi, at) not in self.skip and
-                   not any(f == fi and begin <= at < end for f, begin, end in spans)
+                   not any(f == fi and begin <= at < end for f, begin, end in spans) and
+                   (member_of is None or self.member_use(member_of, name, fi, at))
                    for fi, at in self.uses.get(name, ()))
+
+    def member_use(self, owner: str, name: str, fi: Path, at: int) -> bool:
+        """Whether the word `name` at `at` in `fi` calls or names a member of
+        `owner`: `.name(`, `->name(`, `Owner::name`, or a bare `name(`
+        inside the owner's body or member definitions."""
+        code = self.code[fi]
+        before = MEMBER_BEFORE_RE.search(code, max(0, at - 256), at)
+        called = MEMBER_CALL_RE.match(code, at + len(name))
+        if before and before.group(1):
+            return before.group(1) == owner
+        if before:  # `.` or `->`
+            return called is not None
+        return called is not None and any(
+            f == fi and begin <= at < end for f, begin, end in self.spans.get(owner, ()))
 
 
 def lint_test_only(path: Path, index: UseIndex) -> list[tuple[int, str]]:
@@ -491,7 +522,7 @@ def lint_test_only(path: Path, index: UseIndex) -> list[tuple[int, str]]:
         if waiver:
             if not re.search(r"\w", waiver.group(1)):
                 findings.append((lineno, f"{qualified}: allow(test-only) needs a reason"))
-        elif not index.used(name, is_class):
+        elif not index.used(owner, name, is_class):
             findings.append((lineno, f"{qualified}: {TEST_ONLY_MESSAGE}"))
     return findings
 
