@@ -1,10 +1,11 @@
 #include "src/common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 
 namespace element {
@@ -84,9 +85,7 @@ class Parser {
  private:
   bool Fail(const std::string& why) {
     if (error_ != nullptr) {
-      std::ostringstream os;
-      os << "JSON parse error at offset " << pos_ << ": " << why;
-      *error_ = os.str();
+      *error_ = "JSON parse error at offset " + std::to_string(pos_) + ": " + why;
     }
     return false;
   }
@@ -189,9 +188,15 @@ class Parser {
       if (!Peek(&c) || c != '"') {
         return Fail("expected object key string");
       }
+      const size_t key_at = pos_;
       std::string key;
       if (!ParseString(&key)) {
         return false;
+      }
+      // Keeping the last of two values would hide a typo in a suite file.
+      if (out->Find(key) != nullptr) {
+        pos_ = key_at;
+        return Fail("duplicate key '" + key + "'");
       }
       SkipWs();
       if (!Peek(&c) || c != ':') {
@@ -475,22 +480,28 @@ std::string FormatNumber(double v) {
   if (std::isinf(v)) {
     return v > 0 ? "1e308" : "-1e308";
   }
+  char buf[32];
   double rounded = std::nearbyint(v);
   if (rounded == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v)).ptr);
   }
-  // Shortest representation that round-trips: try increasing precision.
-  char buf[40];
-  for (int prec = 9; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    char* end = nullptr;
-    if (std::strtod(buf, &end) == v) {
+  // The shortest "%.{p}g" with p >= 9 that reads back as v; to_chars with a
+  // precision prints what printf's "%.*g" prints. No p below the digit count
+  // of to_chars's shortest form can read back as v, so the search starts
+  // there.
+  char* end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    digits += *c >= '0' && *c <= '9';
+  }
+  for (int prec = std::max(9, digits); prec <= 17; ++prec) {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc() && back == v) {
       break;
     }
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 }  // namespace json

@@ -34,7 +34,8 @@ class Value {
   static constexpr int kMaxDepth = 256;
 
   // Parses `text`; on failure returns false and describes the problem
-  // (with offset) in *error. Nesting past kMaxDepth is such a problem.
+  // (with offset) in *error. Nesting past kMaxDepth is such a problem, and
+  // so is a key repeated within one object.
   static bool Parse(const std::string& text, Value* out, std::string* error);
 
   Type type() const { return type_; }
@@ -60,9 +61,8 @@ class Value {
   void Append(Value v);                       // array
   void Set(const std::string& key, Value v);  // object
 
-  // Serializes with stable formatting: sorted keys, numbers via shortest
-  // round-trip-ish "%.17g" trimmed through a fixed rule (see json.cc).
-  // `indent` < 0 emits compact one-line JSON.
+  // Serializes with stable formatting: sorted keys, numbers via
+  // FormatNumber. `indent` < 0 emits compact one-line JSON.
   std::string Dump(int indent = 2) const;
 
  private:
@@ -74,9 +74,11 @@ class Value {
   std::map<std::string, Value> object_;
 };
 
-// Formats a double deterministically (used by Dump and by result writers that
-// emit numbers outside a Value tree). Integral values print without a decimal
-// point; others use round-trip precision.
+// Formats a double deterministically (used by Dump and by sweep labels).
+// Integral values below 1e15 in magnitude print as integers ("42", "-0" as
+// "0"); other finite values print as printf's "%.{p}g" with the smallest
+// p >= 9 whose output reads back as exactly v. NaN prints as null and
+// +-inf as +-1e308, since JSON has neither.
 std::string FormatNumber(double v);
 
 }  // namespace json

@@ -1,26 +1,30 @@
 #include "src/runner/scenario.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <variant>
 
 namespace element {
 
 namespace {
 
-const char* const kApps[] = {"legacy", "accuracy"};
-const char* const kTopologies[] = {"none", "dumbbell", "parking_lot"};
-const char* const kProfiles[] = {"wired", "lan", "cable", "cable_up", "wifi", "lte", "lte_up"};
-const char* const kCcs[] = {"reno", "cubic", "cubic-nohystart", "vegas", "ledbat", "bbr"};
-const char* const kElementModes[] = {"off", "first", "wireless"};
-const char* const kSuiteKeys[] = {"suite", "defaults", "scenarios", "sweeps"};
+// Views, so a match compares lengths first and never runs strlen.
+constexpr std::string_view kApps[] = {"legacy", "accuracy"};
+constexpr std::string_view kTopologies[] = {"none", "dumbbell", "parking_lot"};
+constexpr std::string_view kProfiles[] = {"wired", "lan", "cable", "cable_up",
+                                          "wifi", "lte", "lte_up"};
+constexpr std::string_view kCcs[] = {"reno", "cubic", "cubic-nohystart", "vegas", "ledbat", "bbr"};
+constexpr std::string_view kElementModes[] = {"off", "first", "wireless"};
+constexpr std::string_view kSuiteKeys[] = {"suite", "defaults", "scenarios", "sweeps"};
 
 template <size_t N>
-bool OneOf(const std::string& v, const char* const (&set)[N]) {
-  for (const char* s : set) {
+bool OneOf(const std::string& v, const std::string_view (&set)[N]) {
+  for (std::string_view s : set) {
     if (v == s) {
       return true;
     }
@@ -28,10 +32,17 @@ bool OneOf(const std::string& v, const char* const (&set)[N]) {
   return false;
 }
 
+// What `std::ostream << v` prints with default flags: printf's "%g".
+std::string FormatG(double v) {
+  char buf[32];
+  char* end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6).ptr;
+  return std::string(buf, end);
+}
+
 template <size_t N>
-std::string Options(const char* const (&set)[N]) {
+std::string Options(const std::string_view (&set)[N]) {
   std::string out;
-  for (const char* s : set) {
+  for (std::string_view s : set) {
     if (!out.empty()) {
       out += "|";
     }
@@ -119,11 +130,7 @@ double AutoQueueSize(double rate_mbps, double rtt_ms) {
 
 }  // namespace
 
-std::string ScenarioSpec::Id() const {
-  std::ostringstream os;
-  os << name << "#s" << seed;
-  return os.str();
-}
+std::string ScenarioSpec::Id() const { return name + "#s" + std::to_string(seed); }
 
 PathConfig ScenarioSpec::BuildPath() const {
   PathConfig path;
@@ -184,83 +191,88 @@ TopologySpec ScenarioSpec::BuildTopology() const {
 }
 
 std::string ScenarioSpec::Validate() const {
-  std::ostringstream os;
+  // One chain of checks; only the branch that fails builds its message.
+  std::string problem;
   if (!OneOf(app, kApps)) {
-    os << "unknown app '" << app << "' (" << Options(kApps) << ")";
+    problem = "unknown app '" + app + "' (" + Options(kApps) + ")";
   } else if (!OneOf(profile, kProfiles)) {
-    os << "unknown profile '" << profile << "' (" << Options(kProfiles) << ")";
+    problem = "unknown profile '" + profile + "' (" + Options(kProfiles) + ")";
   } else if (QdiscType q; !ParseQdisc(qdisc, &q)) {
-    os << "unknown qdisc '" << qdisc << "' (pfifo_fast|codel|fq_codel|pie|red)";
+    problem = "unknown qdisc '" + qdisc + "' (pfifo_fast|codel|fq_codel|pie|red)";
   } else if (!OneOf(cc, kCcs)) {
-    os << "unknown cc '" << cc << "' (" << Options(kCcs) << ")";
+    problem = "unknown cc '" + cc + "' (" + Options(kCcs) + ")";
   } else if (!OneOf(element_mode, kElementModes)) {
-    os << "unknown element_mode '" << element_mode << "' (" << Options(kElementModes) << ")";
+    problem = "unknown element_mode '" + element_mode + "' (" + Options(kElementModes) + ")";
   } else if (const Field* f = OverflowingTimeField(*this)) {
-    os << f->key << " = " << this->*std::get<double ScenarioSpec::*>(f->member)
-       << " is out of range: its nanoseconds must fit in int64";
+    problem = std::string(f->key) + " = " +
+              FormatG(this->*std::get<double ScenarioSpec::*>(f->member)) +
+              " is out of range: its nanoseconds must fit in int64";
   } else if (duration_s <= 0.0) {
-    os << "duration_s must be positive, got " << duration_s;
+    problem = "duration_s must be positive, got " + FormatG(duration_s);
   } else if (warmup_s < 0.0 || warmup_s >= duration_s) {
-    os << "warmup_s must be in [0, duration_s), got " << warmup_s;
+    problem = "warmup_s must be in [0, duration_s), got " + FormatG(warmup_s);
   } else if (num_flows < 1) {
-    os << "num_flows must be >= 1, got " << num_flows;
+    problem = "num_flows must be >= 1, got " + std::to_string(num_flows);
   } else if (background_flows < 0) {
-    os << "background_flows must be >= 0, got " << background_flows;
+    problem = "background_flows must be >= 0, got " + std::to_string(background_flows);
   } else if (background_flows > 0 && app != "accuracy") {
-    os << "background_flows needs app=accuracy (got '" << app << "')";
+    problem = "background_flows needs app=accuracy (got '" + app + "')";
   } else if (!(tracker_period_ms * 1e6 >= 1.0)) {
     // The drivers truncate the period to whole nanoseconds; 0 ns would spin.
-    os << "tracker_period_ms must be at least 1e-6 (one nanosecond), got " << tracker_period_ms;
+    problem = "tracker_period_ms must be at least 1e-6 (one nanosecond), got " +
+              FormatG(tracker_period_ms);
   } else if (rate_mbps <= 0.0) {
-    os << "rate_mbps must be positive, got " << rate_mbps;
+    problem = "rate_mbps must be positive, got " + FormatG(rate_mbps);
   } else if (queue_packets < 0) {
-    os << "queue_packets must be >= 0 (0 sizes the queue automatically), got " << queue_packets;
+    problem = "queue_packets must be >= 0 (0 sizes the queue automatically), got " +
+              std::to_string(queue_packets);
   } else if (rtt_ms <= 0.0) {
-    os << "rtt_ms must be positive, got " << rtt_ms;
+    problem = "rtt_ms must be positive, got " + FormatG(rtt_ms);
   } else if (profile == "wired" && queue_packets == 0 &&
              !(AutoQueueSize(rate_mbps, rtt_ms) < 18446744073709551616.0)) {  // 2^64
-    os << "rate_mbps = " << rate_mbps << " is out of range: at rtt_ms = " << rtt_ms
-       << " its auto-sized queue (2x BDP) does not fit in size_t; set queue_packets";
+    problem = "rate_mbps = " + FormatG(rate_mbps) + " is out of range: at rtt_ms = " +
+              FormatG(rtt_ms) +
+              " its auto-sized queue (2x BDP) does not fit in size_t; set queue_packets";
   } else if (loss < 0.0 || loss >= 1.0) {
-    os << "loss must be in [0, 1), got " << loss;
+    problem = "loss must be in [0, 1), got " + FormatG(loss);
   } else if (loss > 0.0 && profile != "wired" && profile != "lan") {
     // Only a fixed link draws wire losses; cable, WiFi and LTE would ignore it.
-    os << "loss needs a fixed link (profile wired or lan), got profile '" << profile << "'";
+    problem = "loss needs a fixed link (profile wired or lan), got profile '" + profile + "'";
   } else if (!OneOf(topology, kTopologies)) {
-    os << "unknown topology '" << topology << "' (" << Options(kTopologies) << ")";
+    problem = "unknown topology '" + topology + "' (" + Options(kTopologies) + ")";
   } else if (hops < 1 || hops > 16) {
-    os << "hops must be in [1, 16], got " << hops;
+    problem = "hops must be in [1, 16], got " + std::to_string(hops);
   } else if (host_pairs < 0) {
-    os << "host_pairs must be >= 0, got " << host_pairs;
+    problem = "host_pairs must be >= 0, got " + std::to_string(host_pairs);
   } else if (cross_iperf < 0 || cross_onoff < 0) {
-    os << "cross_iperf/cross_onoff must be >= 0";
+    problem = "cross_iperf/cross_onoff must be >= 0";
   } else if (topology != "none") {
     if (topology == "dumbbell" && hops != 1) {
-      os << "dumbbell topology is single-hop; set hops via topology=parking_lot";
+      problem = "dumbbell topology is single-hop; set hops via topology=parking_lot";
     } else if (app != "legacy") {
-      os << "topology runs use app=legacy (got '" << app << "')";
+      problem = "topology runs use app=legacy (got '" + app + "')";
     } else if (profile != "wired") {
-      os << "topology runs use profile=wired (got '" << profile << "')";
+      problem = "topology runs use profile=wired (got '" + profile + "')";
     } else if (element_mode == "wireless") {
-      os << "element_mode=wireless is single-path only";
+      problem = "element_mode=wireless is single-path only";
     } else if (loss > 0.0) {
-      os << "loss is single-path only";
+      problem = "loss is single-path only";
     }
   } else if (cross_iperf > 0 || cross_onoff > 0) {
-    os << "cross traffic needs a topology";
+    problem = "cross traffic needs a topology";
   } else if (app == "accuracy") {
     // The accuracy app always measures one default Cubic flow, client to
     // server.
     if (num_flows != 1) {
-      os << "app=accuracy runs one flow; num_flows must be 1, got " << num_flows;
+      problem = "app=accuracy runs one flow; num_flows must be 1, got " + std::to_string(num_flows);
     } else if (element_mode != "off") {
-      os << "app=accuracy always measures flow 0; element_mode must be off (got '"
-         << element_mode << "')";
+      problem = "app=accuracy always measures flow 0; element_mode must be off (got '" +
+                element_mode + "')";
     } else if (cc != "cubic") {
-      os << "app=accuracy runs Cubic; cc must be cubic (got '" << cc << "')";
+      problem = "app=accuracy runs Cubic; cc must be cubic (got '" + cc + "')";
     }
   }
-  return os.str();
+  return problem;
 }
 
 json::Value ScenarioSpec::ToJson() const {

@@ -1,7 +1,6 @@
 #include "src/topo/topology.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "src/netsim/pfifo_fast.h"
@@ -17,21 +16,21 @@ constexpr size_t kAccessQueuePackets = 1000;
 }  // namespace
 
 std::string TopologySpec::Validate() const {
-  std::ostringstream os;
+  std::string problem;
   if (host_pairs < 1) {
-    os << "host_pairs must be >= 1, got " << host_pairs;
+    problem = "host_pairs must be >= 1, got " + std::to_string(host_pairs);
   } else if (hops < 1) {
-    os << "hops must be >= 1, got " << hops;
+    problem = "hops must be >= 1, got " + std::to_string(hops);
   } else if (shape == TopologyShape::kDumbbell && hops != 1) {
-    os << "dumbbell topologies have exactly one hop, got " << hops;
+    problem = "dumbbell topologies have exactly one hop, got " + std::to_string(hops);
   } else if (hops > 16) {
-    os << "hops must be <= 16, got " << hops;
+    problem = "hops must be <= 16, got " + std::to_string(hops);
   } else if (bottleneck_rate.IsZero()) {
-    os << "bottleneck_rate must be positive";
+    problem = "bottleneck_rate must be positive";
   } else if (queue_limit_packets == 0) {
-    os << "queue_limit_packets must be >= 1";
+    problem = "queue_limit_packets must be >= 1";
   }
-  return os.str();
+  return problem;
 }
 
 Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)

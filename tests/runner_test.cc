@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -218,6 +221,92 @@ TEST(JsonTest, DumpParsesBackIdentically) {
   ASSERT_TRUE(json::Value::Parse(text, &back, &err)) << err;
   EXPECT_EQ(back.Dump(), text);
   EXPECT_DOUBLE_EQ(back.Find("n")->AsDouble(), 0.123456789012345);
+}
+
+// A key given twice used to keep the last value without a word.
+TEST(JsonTest, RejectsDuplicateKeys) {
+  json::Value v;
+  std::string err;
+  EXPECT_FALSE(json::Value::Parse(R"({"a": 1, "b": {"c": 2, "c": 2}})", &v, &err));
+  EXPECT_EQ(err, "JSON parse error at offset 23: duplicate key 'c'");
+  // Keys are compared after unescaping.
+  EXPECT_FALSE(json::Value::Parse(R"({"k": 1, "\u006b": 2})", &v, &err));
+  EXPECT_EQ(err, "JSON parse error at offset 9: duplicate key 'k'");
+  // The same key in sibling objects is no duplicate.
+  EXPECT_TRUE(json::Value::Parse(R"([{"k": 1}, {"k": 2}, {"k": {"k": 3}}])", &v, &err)) << err;
+}
+
+// FormatNumber as it was written with snprintf and strtod: the byte-for-byte
+// reference for the to_chars/from_chars version.
+std::string PrintfFormatNumber(double v) {
+  if (std::isnan(v)) {
+    return "null";
+  }
+  if (std::isinf(v)) {
+    return v > 0 ? "1e308" : "-1e308";
+  }
+  double rounded = std::nearbyint(v);
+  if (rounded == v && std::fabs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    return buf;
+  }
+  char buf[40];
+  for (int prec = 9; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    char* end = nullptr;
+    if (std::strtod(buf, &end) == v) {
+      break;
+    }
+  }
+  return buf;
+}
+
+TEST(JsonTest, FormatNumberMatchesPrintfReference) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> corpus = {
+      0.0, -0.0, 0.1, -0.1, 1e-5, 1.0 / 3.0, 2.0 / 3.0, 0.1 + 0.2, 1e15, -1e15, 1e16, 1e21,
+      1e22, 1e23, 123456789.125, 0.123456789012345, 5e-324, -5e-324, Limits::denorm_min(),
+      Limits::min(), Limits::min() / 3.0, Limits::max(), -Limits::max(), Limits::epsilon(),
+      std::nextafter(1.0, 2.0), std::nextafter(1.0, 0.0), 9007199254740993.0,
+      Limits::quiet_NaN(), -Limits::quiet_NaN(), Limits::infinity(), -Limits::infinity()};
+  // Integers and near-integers around the 1e15 switch to "%g".
+  for (double base : {1e15, -1e15, 9007199254740992.0}) {
+    double x = base;
+    for (int i = 0; i < 8; ++i) {
+      x = std::nextafter(x, 0.0);
+    }
+    for (int i = 0; i < 16; ++i, x = std::nextafter(x, 2.0 * base)) {
+      corpus.push_back(x);
+      corpus.push_back(x + 0.5);
+    }
+  }
+  // Quarters up to 1e15 either side.
+  constexpr int64_t kQuarters = 4'000'000'000'000'000;
+  Rng rng(20190325);
+  for (int i = 0; i < 20'000; ++i) {
+    // Any bit pattern: subnormals, NaN payloads and infinities included.
+    const uint64_t hi = static_cast<uint64_t>(rng.UniformInt(0, 0xFFFFFFFF));
+    const uint64_t bits = hi << 32 | static_cast<uint64_t>(rng.UniformInt(0, 0xFFFFFFFF));
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    corpus.push_back(d);
+    corpus.push_back(rng.Uniform());
+    corpus.push_back(rng.Uniform(-1e6, 1e6));
+    corpus.push_back(rng.Uniform(1.0, 10.0) * std::pow(10.0, rng.UniformInt(-320, 300)));
+    corpus.push_back(static_cast<double>(rng.UniformInt(-kQuarters, kQuarters)) / 4.0);
+    corpus.push_back(std::round(rng.Uniform(0.0, 1e6)) / 1000.0);
+    corpus.push_back(Limits::min() * rng.Uniform());
+  }
+  size_t mismatches = 0;
+  for (double v : corpus) {
+    const std::string want = PrintfFormatNumber(v);
+    const std::string got = json::FormatNumber(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "printf prints " << want << ", FormatNumber " << got;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << corpus.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -478,6 +567,173 @@ TEST(ScenarioTest, RejectsLossOffAFixedLink) {
     ASSERT_EQ(suite.scenarios.size(), 1u);
     EXPECT_EQ(suite.scenarios[0].BuildPath().loss_probability, 0.2);
   }
+}
+
+struct SpecCase {
+  void (*set)(ScenarioSpec* spec);
+  const char* message;
+};
+
+// One invalid spec per check of ScenarioSpec::Validate, in the order the
+// checks run, each with its whole message; then specs that pass.
+TEST(ScenarioTest, ValidateNamesEachProblem) {
+  const SpecCase kCases[] = {
+      {[](ScenarioSpec* s) { s->app = "web"; }, "unknown app 'web' (legacy|accuracy)"},
+      {[](ScenarioSpec* s) { s->profile = "dsl"; },
+       "unknown profile 'dsl' (wired|lan|cable|cable_up|wifi|lte|lte_up)"},
+      {[](ScenarioSpec* s) { s->qdisc = "taildrop"; },
+       "unknown qdisc 'taildrop' (pfifo_fast|codel|fq_codel|pie|red)"},
+      {[](ScenarioSpec* s) { s->cc = "quic"; },
+       "unknown cc 'quic' (reno|cubic|cubic-nohystart|vegas|ledbat|bbr)"},
+      {[](ScenarioSpec* s) { s->element_mode = "all"; },
+       "unknown element_mode 'all' (off|first|wireless)"},
+      {[](ScenarioSpec* s) { s->rtt_ms = 1e300; },
+       "rtt_ms = 1e+300 is out of range: its nanoseconds must fit in int64"},
+      {[](ScenarioSpec* s) { s->duration_s = std::numeric_limits<double>::quiet_NaN(); },
+       "duration_s = nan is out of range: its nanoseconds must fit in int64"},
+      {[](ScenarioSpec* s) { s->warmup_s = -std::numeric_limits<double>::infinity(); },
+       "warmup_s = -inf is out of range: its nanoseconds must fit in int64"},
+      {[](ScenarioSpec* s) { s->tracker_period_ms = 1.23456789e13; },
+       "tracker_period_ms = 1.23457e+13 is out of range: its nanoseconds must fit in int64"},
+      {[](ScenarioSpec* s) { s->duration_s = 0.0; }, "duration_s must be positive, got 0"},
+      {[](ScenarioSpec* s) { s->warmup_s = -0.5; },
+       "warmup_s must be in [0, duration_s), got -0.5"},
+      {[](ScenarioSpec* s) { s->warmup_s = 30.0; },
+       "warmup_s must be in [0, duration_s), got 30"},
+      {[](ScenarioSpec* s) { s->num_flows = 0; }, "num_flows must be >= 1, got 0"},
+      {[](ScenarioSpec* s) { s->background_flows = -2; },
+       "background_flows must be >= 0, got -2"},
+      {[](ScenarioSpec* s) { s->background_flows = 1; },
+       "background_flows needs app=accuracy (got 'legacy')"},
+      {[](ScenarioSpec* s) { s->tracker_period_ms = 1e-7; },
+       "tracker_period_ms must be at least 1e-6 (one nanosecond), got 1e-07"},
+      {[](ScenarioSpec* s) { s->rate_mbps = -2.5; }, "rate_mbps must be positive, got -2.5"},
+      {[](ScenarioSpec* s) { s->queue_packets = -5; },
+       "queue_packets must be >= 0 (0 sizes the queue automatically), got -5"},
+      {[](ScenarioSpec* s) { s->rtt_ms = -0.25; }, "rtt_ms must be positive, got -0.25"},
+      {[](ScenarioSpec* s) {
+         s->rate_mbps = 1e300;
+         s->rtt_ms = 12.5;
+       },
+       "rate_mbps = 1e+300 is out of range: at rtt_ms = 12.5 its auto-sized queue (2x BDP) does "
+       "not fit in size_t; set queue_packets"},
+      {[](ScenarioSpec* s) { s->loss = 1.0; }, "loss must be in [0, 1), got 1"},
+      {[](ScenarioSpec* s) { s->loss = -0.125; }, "loss must be in [0, 1), got -0.125"},
+      {[](ScenarioSpec* s) {
+         s->loss = 0.2;
+         s->profile = "cable";
+       },
+       "loss needs a fixed link (profile wired or lan), got profile 'cable'"},
+      {[](ScenarioSpec* s) { s->topology = "ring"; },
+       "unknown topology 'ring' (none|dumbbell|parking_lot)"},
+      {[](ScenarioSpec* s) { s->hops = 17; }, "hops must be in [1, 16], got 17"},
+      {[](ScenarioSpec* s) { s->hops = 0; }, "hops must be in [1, 16], got 0"},
+      {[](ScenarioSpec* s) { s->host_pairs = -1; }, "host_pairs must be >= 0, got -1"},
+      {[](ScenarioSpec* s) { s->cross_onoff = -1; }, "cross_iperf/cross_onoff must be >= 0"},
+      {[](ScenarioSpec* s) {
+         s->topology = "dumbbell";
+         s->hops = 2;
+       },
+       "dumbbell topology is single-hop; set hops via topology=parking_lot"},
+      {[](ScenarioSpec* s) {
+         s->topology = "parking_lot";
+         s->app = "accuracy";
+       },
+       "topology runs use app=legacy (got 'accuracy')"},
+      {[](ScenarioSpec* s) {
+         s->topology = "dumbbell";
+         s->profile = "lan";
+       },
+       "topology runs use profile=wired (got 'lan')"},
+      {[](ScenarioSpec* s) {
+         s->topology = "dumbbell";
+         s->element_mode = "wireless";
+       },
+       "element_mode=wireless is single-path only"},
+      {[](ScenarioSpec* s) {
+         s->topology = "dumbbell";
+         s->loss = 0.01;
+       },
+       "loss is single-path only"},
+      {[](ScenarioSpec* s) { s->cross_iperf = 1; }, "cross traffic needs a topology"},
+      {[](ScenarioSpec* s) {
+         s->app = "accuracy";
+         s->num_flows = 2;
+       },
+       "app=accuracy runs one flow; num_flows must be 1, got 2"},
+      {[](ScenarioSpec* s) {
+         s->app = "accuracy";
+         s->element_mode = "first";
+       },
+       "app=accuracy always measures flow 0; element_mode must be off (got 'first')"},
+      {[](ScenarioSpec* s) {
+         s->app = "accuracy";
+         s->cc = "bbr";
+       },
+       "app=accuracy runs Cubic; cc must be cubic (got 'bbr')"},
+      // Valid specs.
+      {[](ScenarioSpec*) {}, ""},
+      {[](ScenarioSpec* s) { s->app = "accuracy"; }, ""},
+      {[](ScenarioSpec* s) {
+         s->topology = "parking_lot";
+         s->hops = 3;
+         s->cross_iperf = 1;
+         s->num_flows = 4;
+       },
+       ""},
+      {[](ScenarioSpec* s) {
+         s->profile = "lte";
+         s->rate_mbps = 1e300;
+       },
+       ""},
+  };
+  for (size_t i = 0; i < std::size(kCases); ++i) {
+    ScenarioSpec spec;
+    kCases[i].set(&spec);
+    EXPECT_EQ(spec.Validate(), kCases[i].message) << "case " << i;
+  }
+}
+
+struct TopologyCase {
+  void (*set)(TopologySpec* spec);
+  const char* message;
+};
+
+// The same for TopologySpec::Validate.
+TEST(ScenarioTest, TopologyValidateNamesEachProblem) {
+  const TopologyCase kCases[] = {
+      {[](TopologySpec* s) { s->host_pairs = 0; }, "host_pairs must be >= 1, got 0"},
+      {[](TopologySpec* s) { s->hops = 0; }, "hops must be >= 1, got 0"},
+      {[](TopologySpec* s) { s->hops = 3; }, "dumbbell topologies have exactly one hop, got 3"},
+      {[](TopologySpec* s) {
+         s->shape = TopologyShape::kParkingLot;
+         s->hops = 17;
+       },
+       "hops must be <= 16, got 17"},
+      {[](TopologySpec* s) { s->bottleneck_rate = DataRate(); },
+       "bottleneck_rate must be positive"},
+      {[](TopologySpec* s) { s->queue_limit_packets = 0; }, "queue_limit_packets must be >= 1"},
+      {[](TopologySpec*) {}, ""},
+      {[](TopologySpec* s) {
+         s->shape = TopologyShape::kParkingLot;
+         s->hops = 16;
+       },
+       ""},
+  };
+  for (size_t i = 0; i < std::size(kCases); ++i) {
+    TopologySpec spec;
+    kCases[i].set(&spec);
+    EXPECT_EQ(spec.Validate(), kCases[i].message) << "case " << i;
+  }
+}
+
+// A suite that names a field twice in one entry used to run the last value.
+TEST(ScenarioTest, RejectsDuplicateField) {
+  ScenarioSuite suite;
+  std::string err;
+  EXPECT_FALSE(
+      ScenarioSuite::ParseJson(R"({"scenarios":[{"qdisc":"codel","qdisc":"pie"}]})", &suite, &err));
+  EXPECT_EQ(err, "JSON parse error at offset 31: duplicate key 'qdisc'");
 }
 
 TEST(ScenarioTest, BuildPathWiredAutoQueueMatchesPaperFormula) {
