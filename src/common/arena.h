@@ -49,11 +49,20 @@ class FreeListArena {
       return ::operator new(bytes);
     }
     ++pool_allocs_;
-    if (free_head_ == nullptr) {
-      Grow();
+    // Freed blocks are reused first; only then is a fresh one carved.
+    FreeNode* node;
+    if (free_head_ != nullptr) {
+      node = free_head_;
+      free_head_ = node->next;
+    } else {
+      if (carve_ == carve_end_) {
+        Grow();
+      }
+      node = reinterpret_cast<FreeNode*>(carve_);
+      carve_ += kBlockBytes;
     }
-    FreeNode* node = free_head_;
-    free_head_ = node->next;
+    // Cleared on a carved block too: its chunk is uninitialized and may hold
+    // an old tag, and a caller need not overwrite the tag word.
     node->free_tag = 0;
     return node;
   }
@@ -70,7 +79,8 @@ class FreeListArena {
     free_head_ = node;
   }
 
-  // Blocks ever carved from chunks (bounded-growth assertions in tests).
+  // Blocks in the chunks allocated so far, carved or not (bounded-growth
+  // assertions in tests).
   size_t capacity_blocks() const {  // lint_sim: allow(test-only) -- counter
     return chunks_.size() * kBlocksPerChunk;
   }
@@ -91,19 +101,19 @@ class FreeListArena {
   static_assert(sizeof(FreeNode) <= kBlockBytes);
   static_assert(kBlockBytes % alignof(std::max_align_t) == 0);
 
+  // A new chunk, left uninitialized: its blocks are carved one at a time, in
+  // address order, as the free list runs dry.
   void Grow() {
-    auto chunk = std::make_unique<unsigned char[]>(kBlockBytes * kBlocksPerChunk);
-    for (size_t i = kBlocksPerChunk; i > 0; --i) {
-      FreeNode* node = reinterpret_cast<FreeNode*>(chunk.get() + (i - 1) * kBlockBytes);
-      node->next = free_head_;
-      node->free_tag = kFreeTag;
-      free_head_ = node;
-    }
+    auto chunk = std::make_unique_for_overwrite<unsigned char[]>(kBlockBytes * kBlocksPerChunk);
+    carve_ = chunk.get();
+    carve_end_ = carve_ + kBlockBytes * kBlocksPerChunk;
     chunks_.push_back(std::move(chunk));
   }
 
   std::vector<std::unique_ptr<unsigned char[]>> chunks_;
   FreeNode* free_head_ = nullptr;
+  unsigned char* carve_ = nullptr;      // the newest chunk's next uncarved block
+  unsigned char* carve_end_ = nullptr;  // one past the newest chunk's last block
   uint64_t pool_allocs_ = 0;
   uint64_t oversize_allocs_ = 0;
 };

@@ -10,9 +10,8 @@ constexpr int64_t kQuantumBytes = 1514;
 
 }  // namespace
 
-FqCoDel::FqCoDel(const FqCoDelParams& params) : params_(params) {
-  buckets_.resize(params_.num_buckets);
-}
+FqCoDel::FqCoDel(const FqCoDelParams& params)
+    : params_(params), queue_of_bucket_(params_.num_buckets, kNoQueue) {}
 
 size_t FqCoDel::BucketFor(const Packet& pkt) const {
   // Flow ids are already per-connection; a multiplicative hash spreads them.
@@ -20,36 +19,48 @@ size_t FqCoDel::BucketFor(const Packet& pkt) const {
   return static_cast<size_t>(h % params_.num_buckets);
 }
 
-void FqCoDel::PushBack(FlowList* list, uint32_t idx) {
-  buckets_[idx].next = kNoBucket;
-  if (list->empty()) {
-    list->head = idx;
-  } else {
-    buckets_[list->tail].next = idx;
+uint32_t FqCoDel::QueueFor(size_t bucket) {
+  uint32_t& q = queue_of_bucket_[bucket];
+  if (q == kNoQueue) {
+    q = static_cast<uint32_t>(queues_.size());
+    queues_.emplace_back(static_cast<uint32_t>(bucket));
   }
-  list->tail = idx;
+  return q;
+}
+
+void FqCoDel::PushBack(FlowList* list, uint32_t q) {
+  queues_[q].next = kNoQueue;
+  if (list->empty()) {
+    list->head = q;
+  } else {
+    queues_[list->tail].next = q;
+  }
+  list->tail = q;
 }
 
 void FqCoDel::PopFront(FlowList* list) {
-  list->head = buckets_[list->head].next;
-  if (list->head == kNoBucket) {
-    list->tail = kNoBucket;
+  list->head = queues_[list->head].next;
+  if (list->head == kNoQueue) {
+    list->tail = kNoQueue;
   }
 }
 
 void FqCoDel::DropFromLongestFlow(SimTime now) {
+  // The fattest bucket, the lowest index on a tie; a bucket with no queue
+  // holds 0 bytes.
   size_t victim = 0;
-  int64_t worst = -1;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i].bytes > worst) {
-      worst = buckets_[i].bytes;
-      victim = i;
+  int64_t worst = queue_of_bucket_[0] == kNoQueue ? 0 : queues_[queue_of_bucket_[0]].bytes;
+  for (const FlowQueue& fq : queues_) {
+    if (fq.bytes > worst || (fq.bytes == worst && fq.bucket < victim)) {
+      worst = fq.bytes;
+      victim = fq.bucket;
     }
   }
-  FlowQueue& fq = buckets_[victim];
-  if (fq.packets.empty()) {
+  uint32_t q = queue_of_bucket_[victim];
+  if (q == kNoQueue || queues_[q].packets.empty()) {
     return;
   }
+  FlowQueue& fq = queues_[q];
   // RFC 8290 drops from the head of the fattest flow.
   Packet& head = fq.packets.front();
   fq.bytes -= head.size_bytes;
@@ -68,11 +79,8 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
       return false;
     }
   }
-  uint32_t idx = static_cast<uint32_t>(BucketFor(pkt));
-  FlowQueue& fq = buckets_[idx];
-  if (!fq.codel) {
-    fq.codel = std::make_unique<CoDelState>();
-  }
+  uint32_t q = QueueFor(BucketFor(pkt));
+  FlowQueue& fq = queues_[q];
   pkt.enqueued = now;
   fq.bytes += pkt.size_bytes;
   total_bytes_ += pkt.size_bytes;
@@ -82,7 +90,7 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
   if (!fq.active) {
     fq.active = true;
     fq.deficit = kQuantumBytes;
-    PushBack(&new_flows_, idx);
+    PushBack(&new_flows_, q);
   }
   return true;
 }
@@ -95,7 +103,7 @@ std::optional<Packet> FqCoDel::DequeueFromFlow(FlowQueue* fq, SimTime now) {
     total_bytes_ -= pkt.size_bytes;
     --total_packets_;
     TimeDelta sojourn = now - pkt.enqueued;
-    if (fq->codel->ShouldDrop(sojourn, now, static_cast<size_t>(fq->bytes))) {
+    if (fq->codel.ShouldDrop(sojourn, now, static_cast<size_t>(fq->bytes))) {
       if (MarkInsteadOfDrop(pkt, now)) {
         CountDequeue(pkt, now);
         return pkt;
@@ -116,13 +124,13 @@ std::optional<Packet> FqCoDel::Dequeue(SimTime now) {
     if (list->empty()) {
       return std::nullopt;
     }
-    uint32_t idx = list->head;
-    FlowQueue& fq = buckets_[idx];
+    uint32_t q = list->head;
+    FlowQueue& fq = queues_[q];
     if (fq.deficit <= 0) {
       fq.deficit += kQuantumBytes;
       // Move to the back of old_flows_.
       PopFront(list);
-      PushBack(&old_flows_, idx);
+      PushBack(&old_flows_, q);
       continue;
     }
     std::optional<Packet> pkt = DequeueFromFlow(&fq, now);
@@ -131,7 +139,7 @@ std::optional<Packet> FqCoDel::Dequeue(SimTime now) {
       // list; a flow from old_flows_ becomes inactive.
       PopFront(list);
       if (list == &new_flows_) {
-        PushBack(&old_flows_, idx);
+        PushBack(&old_flows_, q);
       } else {
         fq.active = false;
       }

@@ -5,7 +5,6 @@
 #define ELEMENT_SRC_NETSIM_FQ_CODEL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/ring_fifo.h"
@@ -32,34 +31,41 @@ class FqCoDel : public Qdisc {
   std::string name() const override { return "fq_codel"; }
 
  private:
-  static constexpr uint32_t kNoBucket = 0xffffffffu;
+  static constexpr uint32_t kNoQueue = 0xffffffffu;
 
+  // A bucket's queue, made at the bucket's first packet and kept until the
+  // qdisc dies: a run pays only for the buckets its flows hash to.
   struct FlowQueue {
+    explicit FlowQueue(uint32_t b) : bucket(b) {}
     RingFifo<Packet> packets;
     int64_t bytes = 0;
     int64_t deficit = 0;
-    std::unique_ptr<CoDelState> codel;
+    CoDelState codel;
+    uint32_t bucket;           // the bucket this queue serves
     bool active = false;       // on new_flows_ or old_flows_
-    uint32_t next = kNoBucket;  // next bucket on that list
+    uint32_t next = kNoQueue;  // next queue on that list
   };
-  // A FIFO of buckets linked through FlowQueue::next: a bucket is on at
-  // most one list, so the links live in the buckets and moving a flow
-  // between lists allocates nothing.
+  // A FIFO of queues linked through FlowQueue::next: a queue is on at most
+  // one list, so the links live in the queues and moving a flow between
+  // lists allocates nothing.
   struct FlowList {
-    uint32_t head = kNoBucket;
-    uint32_t tail = kNoBucket;
-    bool empty() const { return head == kNoBucket; }
+    uint32_t head = kNoQueue;
+    uint32_t tail = kNoQueue;
+    bool empty() const { return head == kNoQueue; }
   };
 
   size_t BucketFor(const Packet& pkt) const;
+  // The queue of `bucket`, made on first use.
+  uint32_t QueueFor(size_t bucket);
   // Runs CoDel on the head of `fq`; returns a surviving packet if any.
   std::optional<Packet> DequeueFromFlow(FlowQueue* fq, SimTime now);
   void DropFromLongestFlow(SimTime now);
-  void PushBack(FlowList* list, uint32_t idx);
+  void PushBack(FlowList* list, uint32_t q);
   void PopFront(FlowList* list);
 
   FqCoDelParams params_;
-  std::vector<FlowQueue> buckets_;
+  std::vector<uint32_t> queue_of_bucket_;  // bucket -> index in queues_, or kNoQueue
+  std::vector<FlowQueue> queues_;          // in order of each bucket's first packet
   FlowList new_flows_;
   FlowList old_flows_;
   size_t total_packets_ = 0;

@@ -5,6 +5,7 @@
 #ifndef ELEMENT_SRC_NETSIM_PIPE_H_
 #define ELEMENT_SRC_NETSIM_PIPE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -92,7 +93,12 @@ class Demux : public PacketSink {
  public:
   void Register(uint64_t flow_id, PacketSink* sink) {
     if (flow_id >= sinks_.size()) {
-      sinks_.resize(flow_id + 1, nullptr);
+      // At least the floor, at least double: a run's tables grow once or
+      // twice, and a table's length stays within the larger of the floor and
+      // twice the largest id registered.
+      size_t grown =
+          std::max({kMinTableSlots, 2 * sinks_.size(), static_cast<size_t>(flow_id) + 1});
+      sinks_.resize(grown, nullptr);
     }
     PacketSink*& slot = sinks_[flow_id];
     // Re-registering a live flow id would silently misdeliver one endpoint's
@@ -110,12 +116,21 @@ class Demux : public PacketSink {
   PacketSink* Find(uint64_t flow_id) const {
     return flow_id < sinks_.size() ? sinks_[flow_id] : nullptr;
   }
-  // One past the largest id ever registered: the table's length.
+  // The table's length: 0 before the first Register, then past the largest
+  // id ever registered and at most max(kMinTableSlots, 2 * that id).
   size_t table_size() const { return sinks_.size(); }
   void Deliver(Packet pkt) override;
   uint64_t unroutable_packets() const { return unroutable_; }
 
  private:
+  // The table's length after its first growth: room for ids 1..128 (ids
+  // count from 1, so slot 0 stays empty). A host sees one id in every few (a
+  // dumbbell hands a pair ids p+1, p+33, ...), so growing to just fit each
+  // new id would reallocate at every stride. The floor is kept near 1 KiB: a
+  // 256-slot (2 KiB) one made single-path set-up slower, where a host's
+  // table holds one id.
+  static constexpr size_t kMinTableSlots = 128 + 1;
+
   std::vector<PacketSink*> sinks_;  // flow id -> sink, nullptr = none
   uint64_t unroutable_ = 0;
 };

@@ -27,6 +27,7 @@
 #include "src/common/rng.h"
 #include "src/element/byte_sink.h"
 #include "src/netsim/fq_codel.h"
+#include "src/netsim/pipe.h"
 #include "src/tcpsim/testbed.h"
 #include "src/topo/topology.h"
 
@@ -164,7 +165,25 @@ TEST(AllocTest, FqCoDelConstructionIsConstantInBuckets) {
   uint64_t n_small = CountAllocations([&] { FqCoDel q(small); });
   uint64_t n_full = CountAllocations([&] { FqCoDel q(full); });
   EXPECT_EQ(n_full, n_small);
-  EXPECT_LE(n_full, 1u);  // the bucket array; a bucket's queue allocates on first use
+  EXPECT_LE(n_full, 1u);  // the slot index; a bucket's queue is made at its first packet
+}
+
+TEST(AllocTest, StridedDemuxTableGrowsOnce) {
+  // A dumbbell of 128 flows over 32 pairs hands pair p the ids p+1, p+33,
+  // p+65 and p+97, so each host's table sees ids a stride apart.
+  constexpr uint64_t kPairs = 32;
+  struct Capture : PacketSink {
+    void Deliver(Packet) override {}
+  } capture;
+  for (uint64_t p = 0; p < kPairs; ++p) {
+    Demux demux;
+    uint64_t n = CountAllocations([&] {
+      for (uint64_t flow_id = p + 1; flow_id <= 128; flow_id += kPairs) {
+        demux.Register(flow_id, &capture);
+      }
+    });
+    EXPECT_LE(n, 1u) << "pair " << p;
+  }
 }
 
 TEST(AllocTest, TcpSocketConstructionIsConstant) {

@@ -26,6 +26,51 @@ TEST(FreeListArenaTest, RecyclesBlocks) {
   EXPECT_EQ(arena.oversize_allocs(), 0u);
 }
 
+TEST(FreeListArenaTest, FirstAllocateMakesOneChunk) {
+  FreeListArena arena;
+  EXPECT_EQ(arena.capacity_blocks(), 0u);
+  void* a = arena.Allocate(64);
+  EXPECT_EQ(arena.capacity_blocks(), 64u);
+  arena.Free(a, 64);
+}
+
+TEST(FreeListArenaTest, FreshChunkCarvesBlocksInAddressOrder) {
+  FreeListArena arena;
+  std::vector<unsigned char*> blocks;
+  for (size_t i = 0; i < FreeListArena::kBlocksPerChunk; ++i) {
+    blocks.push_back(static_cast<unsigned char*>(arena.Allocate(64)));
+  }
+  EXPECT_EQ(arena.capacity_blocks(), FreeListArena::kBlocksPerChunk);
+  for (size_t i = 1; i < blocks.size(); ++i) {
+    EXPECT_EQ(blocks[i], blocks[i - 1] + FreeListArena::kBlockBytes) << "block " << i;
+  }
+  // The chunk is used up; the next block comes from a second one.
+  void* next = arena.Allocate(64);
+  EXPECT_EQ(arena.capacity_blocks(), 2 * FreeListArena::kBlocksPerChunk);
+  arena.Free(next, 64);
+  for (unsigned char* b : blocks) {
+    arena.Free(b, 64);
+  }
+}
+
+TEST(FreeListArenaTest, FreedBlockIsReusedBeforeCarving) {
+  FreeListArena arena;
+  unsigned char* a = static_cast<unsigned char*>(arena.Allocate(64));
+  unsigned char* b = static_cast<unsigned char*>(arena.Allocate(64));
+  ASSERT_EQ(b, a + FreeListArena::kBlockBytes);
+  arena.Free(a, 64);
+  // The chunk still has uncarved blocks, yet the freed one comes back first.
+  void* c = arena.Allocate(64);
+  EXPECT_EQ(c, a);
+  // With the free list empty again, carving resumes after b.
+  void* d = arena.Allocate(64);
+  EXPECT_EQ(d, b + FreeListArena::kBlockBytes);
+  EXPECT_EQ(arena.capacity_blocks(), FreeListArena::kBlocksPerChunk);
+  arena.Free(b, 64);
+  arena.Free(c, 64);
+  arena.Free(d, 64);
+}
+
 TEST(FreeListArenaTest, SteadyStateChurnDoesNotGrow) {
   FreeListArena arena;
   std::vector<void*> live;

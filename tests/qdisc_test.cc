@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "src/common/rng.h"
@@ -200,6 +201,39 @@ TEST(FqCoDelTest, OverLimitDropsFromFattestFlow) {
     }
   }
   EXPECT_EQ(flow2, 4u);
+}
+
+// At the limit, equal-byte queues tie, and the drop comes from the lowest
+// bucket index, whichever queue got its first packet earlier.
+TEST(FqCoDelTest, OverLimitTieDropsFromLowestBucket) {
+  // FqCoDel's bucket hash, to pick two flows whose buckets are known.
+  auto bucket = [](uint64_t flow) { return flow * 0x9E3779B97F4A7C15ull % 1024; };
+  constexpr uint64_t kLow = 49;   // bucket 5
+  constexpr uint64_t kHigh = 1;   // bucket 21
+  constexpr uint64_t kOther = 2;  // bucket 42
+  ASSERT_LT(bucket(kLow), bucket(kHigh));
+  ASSERT_LT(bucket(kHigh), bucket(kOther));
+  for (bool low_first : {false, true}) {
+    SCOPED_TRACE(low_first ? "low bucket first" : "high bucket first");
+    FqCoDelParams params;
+    params.limit_packets = 4;
+    FqCoDel q(params);
+    uint64_t first = low_first ? kLow : kHigh;
+    uint64_t second = low_first ? kHigh : kLow;
+    for (uint64_t flow : {first, first, second, second}) {
+      ASSERT_TRUE(q.Enqueue(MakePacket(flow, 1000), At(0)));
+    }
+    // A smaller packet from a third flow: its own queue stays the thinnest.
+    ASSERT_TRUE(q.Enqueue(MakePacket(kOther, 500), At(0)));
+    EXPECT_EQ(q.stats().dropped_packets, 1u);
+    std::map<uint64_t, int> dequeued;
+    while (auto p = q.Dequeue(At(1))) {
+      ++dequeued[p->flow_id];
+    }
+    EXPECT_EQ(dequeued[kLow], 1);
+    EXPECT_EQ(dequeued[kHigh], 2);
+    EXPECT_EQ(dequeued[kOther], 1);
+  }
 }
 
 TEST(PieTest, NoDropsOnLightLoad) {
