@@ -70,7 +70,6 @@ AccuracyResult StreamingScorer::Result() const {
   if (result.compared_samples == 0) {
     return result;
   }
-  result.mean_abs_error_s = result.errors.mean();
   result.median_abs_error_s = result.errors.Median();
   result.mean_ground_truth_s = truth_sum / static_cast<double>(result.compared_samples);
   // Relative accuracy with an absolute floor: ELEMENT samples every ~10 ms,

@@ -14,7 +14,6 @@ namespace element {
 
 struct AccuracyResult {
   SampleSet errors;               // |estimate - ground truth| per sample, seconds
-  double mean_abs_error_s = 0.0;
   double median_abs_error_s = 0.0;
   double mean_ground_truth_s = 0.0;
   // 1 - median|err| / max(mean ground truth, 25 ms), clamped to [0, 1] — the

@@ -57,40 +57,19 @@ bool CoDelState::ShouldDrop(TimeDelta sojourn, SimTime now, size_t queued_bytes)
   return false;
 }
 
-CoDel::CoDel(const CoDelParams& params) : params_(params) {}
-
 bool CoDel::Enqueue(Packet pkt, SimTime now) {
   ScopedConservationAudit audit(this);
-  if (queue_.size() >= params_.limit_packets) {
+  if (queue_.size() >= limit_packets_) {
     CountDropPreQueue(pkt, now);
     return false;
   }
-  pkt.enqueued = now;
-  bytes_ += pkt.size_bytes;
-  CountEnqueue(pkt, now);
-  queue_.push_back(std::move(pkt));
+  Admit(&queue_, std::move(pkt), now);
   return true;
 }
 
 std::optional<Packet> CoDel::Dequeue(SimTime now) {
   ScopedConservationAudit audit(this);
-  while (!queue_.empty()) {
-    Packet pkt = std::move(queue_.front());
-    queue_.pop_front();
-    bytes_ -= pkt.size_bytes;
-    TimeDelta sojourn = now - pkt.enqueued;
-    if (state_.ShouldDrop(sojourn, now, static_cast<size_t>(bytes_))) {
-      if (MarkInsteadOfDrop(pkt, now)) {
-        CountDequeue(pkt, now);
-        return pkt;
-      }
-      CountDropFromQueue(pkt, now);
-      continue;
-    }
-    CountDequeue(pkt, now);
-    return pkt;
-  }
-  return std::nullopt;
+  return DequeueCoDel(&queue_, &state_, now, [](const Packet&) {});
 }
 
 }  // namespace element

@@ -5,17 +5,12 @@
 #ifndef ELEMENT_SRC_NETSIM_CODEL_H_
 #define ELEMENT_SRC_NETSIM_CODEL_H_
 
-#include "src/common/ring_fifo.h"
 #include "src/netsim/qdisc.h"
 
 namespace element {
 
-// RFC 8289's defaults: a 5 ms target sojourn and a 100 ms interval.
-struct CoDelParams {
-  size_t limit_packets = 1000;
-};
-
-// CoDel control state, reusable by FqCoDel for its per-flow queues.
+// CoDel control state at RFC 8289's defaults (a 5 ms target sojourn and a
+// 100 ms interval), reusable by FqCoDel for its per-flow queues.
 class CoDelState {
  public:
   // Decides the fate of a packet whose sojourn time is known, at dequeue.
@@ -32,24 +27,39 @@ class CoDelState {
   uint32_t count_ = 0;
   uint32_t last_count_ = 0;
   bool dropping_ = false;
-  bool was_above_ = false;
 };
+
+template <typename OnPop>
+std::optional<Packet> Qdisc::DequeueCoDel(PacketQueue* q, CoDelState* state, SimTime now,
+                                          OnPop on_pop) {
+  while (!q->empty()) {
+    Packet pkt = PopHead(q);
+    on_pop(pkt);
+    if (state->ShouldDrop(now - pkt.enqueued, now, static_cast<size_t>(q->bytes)) &&
+        !MarkInsteadOfDrop(pkt, now)) {
+      CountDropFromQueue(pkt, now);
+      continue;
+    }
+    CountDequeue(pkt, now);
+    return pkt;
+  }
+  return std::nullopt;
+}
 
 class CoDel : public Qdisc {
  public:
-  explicit CoDel(const CoDelParams& params = CoDelParams());
+  explicit CoDel(size_t limit_packets = 1000) : limit_packets_(limit_packets) {}
 
   bool Enqueue(Packet pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override { return queue_.size(); }
-  int64_t byte_count() const override { return bytes_; }
+  int64_t byte_count() const override { return queue_.bytes; }
   std::string name() const override { return "codel"; }
 
  private:
-  CoDelParams params_;
+  size_t limit_packets_;
   CoDelState state_;
-  RingFifo<Packet> queue_;
-  int64_t bytes_ = 0;
+  PacketQueue queue_;
 };
 
 }  // namespace element

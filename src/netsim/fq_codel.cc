@@ -49,25 +49,23 @@ void FqCoDel::DropFromLongestFlow(SimTime now) {
   // The fattest bucket, the lowest index on a tie; a bucket with no queue
   // holds 0 bytes.
   size_t victim = 0;
-  int64_t worst = queue_of_bucket_[0] == kNoQueue ? 0 : queues_[queue_of_bucket_[0]].bytes;
+  int64_t worst =
+      queue_of_bucket_[0] == kNoQueue ? 0 : queues_[queue_of_bucket_[0]].queue.bytes;
   for (const FlowQueue& fq : queues_) {
-    if (fq.bytes > worst || (fq.bytes == worst && fq.bucket < victim)) {
-      worst = fq.bytes;
+    if (fq.queue.bytes > worst || (fq.queue.bytes == worst && fq.bucket < victim)) {
+      worst = fq.queue.bytes;
       victim = fq.bucket;
     }
   }
   uint32_t q = queue_of_bucket_[victim];
-  if (q == kNoQueue || queues_[q].packets.empty()) {
+  if (q == kNoQueue || queues_[q].queue.empty()) {
     return;
   }
-  FlowQueue& fq = queues_[q];
   // RFC 8290 drops from the head of the fattest flow.
-  Packet& head = fq.packets.front();
-  fq.bytes -= head.size_bytes;
+  Packet head = PopHead(&queues_[q].queue);
   total_bytes_ -= head.size_bytes;
   --total_packets_;
   CountDropFromQueue(head, now);
-  fq.packets.pop_front();
 }
 
 bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
@@ -81,40 +79,15 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
   }
   uint32_t q = QueueFor(BucketFor(pkt));
   FlowQueue& fq = queues_[q];
-  pkt.enqueued = now;
-  fq.bytes += pkt.size_bytes;
   total_bytes_ += pkt.size_bytes;
   ++total_packets_;
-  CountEnqueue(pkt, now);
-  fq.packets.push_back(std::move(pkt));
+  Admit(&fq.queue, std::move(pkt), now);
   if (!fq.active) {
     fq.active = true;
     fq.deficit = kQuantumBytes;
     PushBack(&new_flows_, q);
   }
   return true;
-}
-
-std::optional<Packet> FqCoDel::DequeueFromFlow(FlowQueue* fq, SimTime now) {
-  while (!fq->packets.empty()) {
-    Packet pkt = std::move(fq->packets.front());
-    fq->packets.pop_front();
-    fq->bytes -= pkt.size_bytes;
-    total_bytes_ -= pkt.size_bytes;
-    --total_packets_;
-    TimeDelta sojourn = now - pkt.enqueued;
-    if (fq->codel.ShouldDrop(sojourn, now, static_cast<size_t>(fq->bytes))) {
-      if (MarkInsteadOfDrop(pkt, now)) {
-        CountDequeue(pkt, now);
-        return pkt;
-      }
-      CountDropFromQueue(pkt, now);
-      continue;
-    }
-    CountDequeue(pkt, now);
-    return pkt;
-  }
-  return std::nullopt;
 }
 
 std::optional<Packet> FqCoDel::Dequeue(SimTime now) {
@@ -133,7 +106,11 @@ std::optional<Packet> FqCoDel::Dequeue(SimTime now) {
       PushBack(&old_flows_, q);
       continue;
     }
-    std::optional<Packet> pkt = DequeueFromFlow(&fq, now);
+    std::optional<Packet> pkt =
+        DequeueCoDel(&fq.queue, &fq.codel, now, [this](const Packet& popped) {
+          total_bytes_ -= popped.size_bytes;
+          --total_packets_;
+        });
     if (!pkt.has_value()) {
       // Flow went empty. A flow from new_flows_ gets one more shot on the old
       // list; a flow from old_flows_ becomes inactive.

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/ring_fifo.h"
 #include "src/netsim/codel.h"
 #include "src/netsim/qdisc.h"
 
@@ -37,8 +36,7 @@ class FqCoDel : public Qdisc {
   // qdisc dies: a run pays only for the buckets its flows hash to.
   struct FlowQueue {
     explicit FlowQueue(uint32_t b) : bucket(b) {}
-    RingFifo<Packet> packets;
-    int64_t bytes = 0;
+    PacketQueue queue;
     int64_t deficit = 0;
     CoDelState codel;
     uint32_t bucket;           // the bucket this queue serves
@@ -57,8 +55,6 @@ class FqCoDel : public Qdisc {
   size_t BucketFor(const Packet& pkt) const;
   // The queue of `bucket`, made on first use.
   uint32_t QueueFor(size_t bucket);
-  // Runs CoDel on the head of `fq`; returns a surviving packet if any.
-  std::optional<Packet> DequeueFromFlow(FlowQueue* fq, SimTime now);
   void DropFromLongestFlow(SimTime now);
   void PushBack(FlowList* list, uint32_t q);
   void PopFront(FlowList* list);

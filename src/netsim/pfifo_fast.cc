@@ -8,27 +8,20 @@ PfifoFast::PfifoFast(size_t limit_packets) : limit_(limit_packets) {}
 
 bool PfifoFast::Enqueue(Packet pkt, SimTime now) {
   ScopedConservationAudit audit(this);
-  if (total_packets_ >= limit_) {
+  if (packet_count() >= limit_) {
     CountDropPreQueue(pkt, now);
     return false;
   }
-  pkt.enqueued = now;
   size_t band = pkt.priority_band < kBands ? pkt.priority_band : kBands - 1;
-  total_bytes_ += pkt.size_bytes;
-  ++total_packets_;
-  CountEnqueue(pkt, now);
-  bands_[band].push_back(std::move(pkt));
+  Admit(&bands_[band], std::move(pkt), now);
   return true;
 }
 
 std::optional<Packet> PfifoFast::Dequeue(SimTime now) {
   ScopedConservationAudit audit(this);
-  for (auto& band : bands_) {
+  for (PacketQueue& band : bands_) {
     if (!band.empty()) {
-      Packet pkt = std::move(band.front());
-      band.pop_front();
-      --total_packets_;
-      total_bytes_ -= pkt.size_bytes;
+      Packet pkt = PopHead(&band);
       CountDequeue(pkt, now);
       return pkt;
     }

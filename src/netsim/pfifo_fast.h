@@ -7,28 +7,30 @@
 
 #include <array>
 
-#include "src/common/ring_fifo.h"
 #include "src/netsim/qdisc.h"
 
 namespace element {
 
-class PfifoFast : public Qdisc {
+// Final, so Enqueue's limit check calls packet_count() directly.
+class PfifoFast final : public Qdisc {
  public:
   explicit PfifoFast(size_t limit_packets = 1000);
 
   bool Enqueue(Packet pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
-  size_t packet_count() const override { return total_packets_; }
-  int64_t byte_count() const override { return total_bytes_; }
+  size_t packet_count() const override {
+    return bands_[0].size() + bands_[1].size() + bands_[2].size();
+  }
+  int64_t byte_count() const override {
+    return bands_[0].bytes + bands_[1].bytes + bands_[2].bytes;
+  }
   std::string name() const override { return "pfifo_fast"; }
 
  private:
   static constexpr size_t kBands = 3;
 
   size_t limit_;
-  size_t total_packets_ = 0;
-  int64_t total_bytes_ = 0;
-  std::array<RingFifo<Packet>, kBands> bands_;
+  std::array<PacketQueue, kBands> bands_;
 };
 
 }  // namespace element

@@ -14,14 +14,14 @@ constexpr double kBeta = 1.25;
 
 }  // namespace
 
-Pie::Pie(const PieParams& params, Rng rng)
-    : params_(params), rng_(std::move(rng)), burst_left_(kBurstAllowance) {}
+Pie::Pie(Rng rng, size_t limit_packets)
+    : limit_packets_(limit_packets), rng_(std::move(rng)), burst_left_(kBurstAllowance) {}
 
 TimeDelta Pie::EstimateQueueDelay() const {
   if (avg_drain_rate_bytes_per_sec_ <= 1.0) {
     return TimeDelta::Zero();
   }
-  return TimeDelta::FromSeconds(static_cast<double>(bytes_) / avg_drain_rate_bytes_per_sec_);
+  return TimeDelta::FromSeconds(static_cast<double>(queue_.bytes) / avg_drain_rate_bytes_per_sec_);
 }
 
 void Pie::MaybeUpdateProbability(SimTime now) {
@@ -70,7 +70,7 @@ void Pie::MaybeUpdateProbability(SimTime now) {
 bool Pie::Enqueue(Packet pkt, SimTime now) {
   ScopedConservationAudit audit(this);
   MaybeUpdateProbability(now);
-  if (queue_.size() >= params_.limit_packets) {
+  if (queue_.size() >= limit_packets_) {
     CountDropPreQueue(pkt, now);
     return false;
   }
@@ -89,10 +89,7 @@ bool Pie::Enqueue(Packet pkt, SimTime now) {
       return false;
     }
   }
-  pkt.enqueued = now;
-  bytes_ += pkt.size_bytes;
-  CountEnqueue(pkt, now);
-  queue_.push_back(std::move(pkt));
+  Admit(&queue_, std::move(pkt), now);
   return true;
 }
 
@@ -102,9 +99,7 @@ std::optional<Packet> Pie::Dequeue(SimTime now) {
     have_last_dequeue_ = false;
     return std::nullopt;
   }
-  Packet pkt = std::move(queue_.front());
-  queue_.pop_front();
-  bytes_ -= pkt.size_bytes;
+  Packet pkt = PopHead(&queue_);
 
   // Drain-rate estimation.
   if (have_last_dequeue_) {

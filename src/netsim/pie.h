@@ -5,7 +5,6 @@
 #ifndef ELEMENT_SRC_NETSIM_PIE_H_
 #define ELEMENT_SRC_NETSIM_PIE_H_
 
-#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/netsim/qdisc.h"
 
@@ -13,19 +12,14 @@ namespace element {
 
 // RFC 8033's controller: a 15 ms target delay, updated every 15 ms, with a
 // 150 ms burst allowance.
-struct PieParams {
-  size_t limit_packets = 1000;
-};
-
 class Pie : public Qdisc {
  public:
-  Pie(const PieParams& params, Rng rng);
-  explicit Pie(Rng rng) : Pie(PieParams(), std::move(rng)) {}
+  explicit Pie(Rng rng, size_t limit_packets = 1000);
 
   bool Enqueue(Packet pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override { return queue_.size(); }
-  int64_t byte_count() const override { return bytes_; }
+  int64_t byte_count() const override { return queue_.bytes; }
   std::string name() const override { return "pie"; }
 
   double drop_probability() const { return drop_prob_; }  // lint_sim: allow(test-only) -- observer
@@ -34,10 +28,9 @@ class Pie : public Qdisc {
   void MaybeUpdateProbability(SimTime now);
   TimeDelta EstimateQueueDelay() const;
 
-  PieParams params_;
+  size_t limit_packets_;
   Rng rng_;
-  RingFifo<Packet> queue_;
-  int64_t bytes_ = 0;
+  PacketQueue queue_;
 
   double drop_prob_ = 0.0;
   TimeDelta qdelay_old_ = TimeDelta::Zero();

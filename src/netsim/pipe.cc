@@ -68,17 +68,13 @@ void Pipe::OnTransmitComplete() {
   busy_ = false;
   Packet pkt = std::move(*txing_);
   txing_.reset();
-  if (link_->DropOnWire(rng_, loop_->now())) {
-    ++stats_.wire_dropped_packets;
-  } else {
+  if (!link_->DropOnWire(rng_, loop_->now())) {
     SimTime deliver_at = loop_->now() + link_->PropagationDelay() + link_->JitterFor(rng_);
     // Links do not reorder: clamp to the latest scheduled delivery.
     if (deliver_at < last_delivery_) {
       deliver_at = last_delivery_;
     }
     last_delivery_ = deliver_at;
-    ++stats_.delivered_packets;
-    stats_.delivered_bytes += pkt.size_bytes;
     wire_.push_back(std::move(pkt));
     delivery_timer_.Push(deliver_at);
   }

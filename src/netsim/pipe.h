@@ -20,12 +20,6 @@
 
 namespace element {
 
-struct PipeStats {
-  uint64_t delivered_packets = 0;
-  uint64_t delivered_bytes = 0;
-  uint64_t wire_dropped_packets = 0;
-};
-
 class Pipe : public PacketSink {
  public:
   Pipe(EventLoop* loop, Rng rng, std::unique_ptr<Qdisc> qdisc,
@@ -36,19 +30,10 @@ class Pipe : public PacketSink {
   void Send(Packet pkt);
 
   Qdisc& qdisc() { return *qdisc_; }
-  const PipeStats& stats() const { return stats_; }
 
   // Binds this pipe's qdisc to the run's spine under hop id `source_id`.
   void BindTelemetry(telemetry::TelemetrySpine* spine, uint16_t source_id) {
     qdisc_->BindTelemetry(spine, source_id);
-  }
-  // Mirrors pipe + qdisc counters into `registry` under `prefix`
-  // (end-of-run publication; never touched on the packet path).
-  void PublishMetrics(telemetry::MetricRegistry* registry, const std::string& prefix) const {
-    *registry->Counter(prefix + "delivered_packets") += stats_.delivered_packets;
-    *registry->Counter(prefix + "delivered_bytes") += stats_.delivered_bytes;
-    *registry->Counter(prefix + "wire_dropped_packets") += stats_.wire_dropped_packets;
-    qdisc_->PublishMetrics(registry, prefix + "qdisc.");
   }
 
   // Queueing + serialization delay a new arrival would currently see.
@@ -68,7 +53,6 @@ class Pipe : public PacketSink {
   PacketSink* out_;
   bool busy_ = false;
   SimTime last_delivery_ = SimTime::Zero();  // enforces in-order delivery
-  PipeStats stats_;
 
   // Head-of-line packet being serialized (or parked during an outage). The
   // serializer timer re-arms in place instead of scheduling fresh events.

@@ -8,14 +8,17 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/common/check.h"
+#include "src/common/ring_fifo.h"
 #include "src/common/time.h"
 #include "src/netsim/packet.h"
-#include "src/telemetry/metric_registry.h"
 #include "src/telemetry/spine.h"
 
 namespace element {
+
+class CoDelState;
 
 struct QdiscStats {
   uint64_t enqueued_packets = 0;
@@ -32,6 +35,18 @@ struct QdiscStats {
   uint64_t dropped_pre_queue_packets = 0;
   uint64_t dropped_from_queue_packets = 0;
   uint64_t dropped_from_queue_bytes = 0;
+};
+
+// A FIFO of admitted packets and the bytes they hold: the queue under CoDel,
+// PIE and RED, each pfifo_fast band and each FQ-CoDel flow. Packets go in
+// through Qdisc::Admit and come out through Qdisc::PopHead, so `bytes` is
+// kept in one place.
+struct PacketQueue {
+  RingFifo<Packet> packets;
+  int64_t bytes = 0;
+
+  bool empty() const { return packets.empty(); }
+  size_t size() const { return packets.size(); }
 };
 
 class Qdisc {
@@ -57,17 +72,6 @@ class Qdisc {
   void BindTelemetry(telemetry::TelemetrySpine* spine, uint16_t source_id) {
     spine_ = spine;
     source_id_ = source_id;
-  }
-
-  // Mirrors the counters into `registry` under `prefix` (e.g. "qdisc.0."),
-  // the end-of-run publication path the runner aggregates.
-  void PublishMetrics(telemetry::MetricRegistry* registry, const std::string& prefix) const {
-    *registry->Counter(prefix + "enqueued_packets") += stats_.enqueued_packets;
-    *registry->Counter(prefix + "dequeued_packets") += stats_.dequeued_packets;
-    *registry->Counter(prefix + "dropped_packets") += stats_.dropped_packets;
-    *registry->Counter(prefix + "ecn_marked_packets") += stats_.ecn_marked_packets;
-    *registry->Counter(prefix + "enqueued_bytes") += stats_.enqueued_bytes;
-    *registry->Counter(prefix + "dequeued_bytes") += stats_.dequeued_bytes;
   }
 
   // When enabled, AQM "drop" decisions on ECN-capable packets become CE marks.
@@ -123,11 +127,30 @@ class Qdisc {
   };
 
  protected:
-  void CountEnqueue(const Packet& pkt, SimTime now) {
-    ++stats_.enqueued_packets;
-    stats_.enqueued_bytes += pkt.size_bytes;
-    EmitRecord(telemetry::RecordKind::kQdiscEnqueue, pkt, now, 0);
+  // Stamps `pkt` with its admission time, counts it and queues it on `q`.
+  void Admit(PacketQueue* q, Packet pkt, SimTime now) {
+    pkt.enqueued = now;
+    q->bytes += pkt.size_bytes;
+    CountEnqueue(pkt, now);
+    q->packets.push_back(std::move(pkt));
   }
+  // Takes the head off a non-empty `q`. The caller counts it (dequeue or
+  // drop), after any AQM decision that needs `q` without it.
+  static Packet PopHead(PacketQueue* q) {
+    Packet pkt = std::move(q->packets.front());
+    q->packets.pop_front();
+    q->bytes -= pkt.size_bytes;
+    return pkt;
+  }
+  // CoDel's head-drop loop, for CoDel and for each FQ-CoDel flow; defined in
+  // codel.h. Pops the head of `q` and hands it to `on_pop`, then asks `state`
+  // about its sojourn with the bytes left in `q`. A condemned packet is
+  // marked instead where ECN allows; otherwise it is dropped and the next
+  // head tried. Returns the first packet let through.
+  template <typename OnPop>
+  std::optional<Packet> DequeueCoDel(PacketQueue* q, CoDelState* state, SimTime now,
+                                     OnPop on_pop);
+
   // `pkt.enqueued` must still hold the admission time: the record carries the
   // packet's sojourn (the §7 below-TCP queueing probe).
   void CountDequeue(const Packet& pkt, SimTime now) {
@@ -170,6 +193,11 @@ class Qdisc {
   bool ecn_enabled_ = false;
 
  private:
+  void CountEnqueue(const Packet& pkt, SimTime now) {
+    ++stats_.enqueued_packets;
+    stats_.enqueued_bytes += pkt.size_bytes;
+    EmitRecord(telemetry::RecordKind::kQdiscEnqueue, pkt, now, 0);
+  }
   void EmitRecord(telemetry::RecordKind kind, const Packet& pkt, SimTime now, uint8_t flags,
                   uint64_t aux = 0) {
     if (spine_ == nullptr || !spine_->recording()) {

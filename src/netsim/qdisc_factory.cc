@@ -14,24 +14,18 @@ std::unique_ptr<Qdisc> MakeBottleneckQdisc(QdiscType type, size_t limit, bool ec
     case QdiscType::kPfifoFast:
       q = std::make_unique<PfifoFast>(limit);
       break;
-    case QdiscType::kCoDel: {
-      CoDelParams params;
-      params.limit_packets = limit;
-      q = std::make_unique<CoDel>(params);
+    case QdiscType::kCoDel:
+      q = std::make_unique<CoDel>(limit);
       break;
-    }
     case QdiscType::kFqCoDel: {
       FqCoDelParams params;
       params.limit_packets = limit * 10;  // FQ-CoDel's limit is per-qdisc, roomy
       q = std::make_unique<FqCoDel>(params);
       break;
     }
-    case QdiscType::kPie: {
-      PieParams params;
-      params.limit_packets = limit;
-      q = std::make_unique<Pie>(params, rng->Fork());
+    case QdiscType::kPie:
+      q = std::make_unique<Pie>(rng->Fork(), limit);
       break;
-    }
     case QdiscType::kRed: {
       RedParams params;
       params.limit_packets = limit;

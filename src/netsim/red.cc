@@ -57,10 +57,7 @@ bool Red::Enqueue(Packet pkt, SimTime now) {
     ++count_since_drop_;
   }
 
-  pkt.enqueued = now;
-  bytes_ += pkt.size_bytes;
-  CountEnqueue(pkt, now);
-  queue_.push_back(std::move(pkt));
+  Admit(&queue_, std::move(pkt), now);
   return true;
 }
 
@@ -73,9 +70,7 @@ std::optional<Packet> Red::Dequeue(SimTime now) {
     }
     return std::nullopt;
   }
-  Packet pkt = std::move(queue_.front());
-  queue_.pop_front();
-  bytes_ -= pkt.size_bytes;
+  Packet pkt = PopHead(&queue_);
   if (queue_.empty()) {
     idle_ = true;
     idle_since_ = now;

@@ -6,7 +6,6 @@
 #ifndef ELEMENT_SRC_NETSIM_RED_H_
 #define ELEMENT_SRC_NETSIM_RED_H_
 
-#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/netsim/qdisc.h"
 
@@ -28,7 +27,7 @@ class Red : public Qdisc {
   bool Enqueue(Packet pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override { return queue_.size(); }
-  int64_t byte_count() const override { return bytes_; }
+  int64_t byte_count() const override { return queue_.bytes; }
   std::string name() const override { return "red"; }
 
   double average_queue() const { return avg_queue_; }  // lint_sim: allow(test-only) -- observer
@@ -38,8 +37,7 @@ class Red : public Qdisc {
 
   RedParams params_;
   Rng rng_;
-  RingFifo<Packet> queue_;
-  int64_t bytes_ = 0;
+  PacketQueue queue_;
 
   double avg_queue_ = 0.0;
   int count_since_drop_ = -1;  // packets since the last early drop

@@ -88,9 +88,6 @@ void RunSpec(const ScenarioSpec& spec, ScenarioResult* result) {
     result->accuracy = {run.sender_accuracy, run.receiver_accuracy, run.flow0_composition,
                         run.flows.front().goodput_mbps};
   }
-  // The contention run's own registry snapshot (topo.* counters) rides along
-  // in the same mergeable store.
-  result->metrics.Merge(run.metrics);
   result->has_topology = true;
   result->jain_fairness = run.jain_fairness;
   result->forwarded_packets = run.forwarded_packets;

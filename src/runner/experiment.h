@@ -45,8 +45,7 @@ struct ScenarioResult {
   // keys): hists "sender_delay_s", "network_delay_s", "receiver_delay_s",
   // "e2e_delay_s" (one sample per flow, mean delays, in seconds) and
   // "sender_err_s"/"receiver_err_s" (one sample per estimate, absolute
-  // error), stats "goodput_mbps", counter "retransmits". Topology runs also
-  // fold in the contention run's "topo.*" counters.
+  // error), stats "goodput_mbps", counter "retransmits".
   telemetry::MetricRegistry metrics;
 
   // Topology runs only (spec.topology != "none"); surfaced in per-scenario

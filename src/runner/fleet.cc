@@ -104,8 +104,6 @@ void FleetAggregate::Add(const ScenarioResult& result) {
   metrics.Merge(result.metrics);
 }
 
-void FleetAggregate::Merge(const FleetAggregate& other) { metrics.Merge(other.metrics); }
-
 FleetAggregate AggregateResults(const std::vector<ScenarioResult>& results) {
   FleetAggregate agg;
   for (const ScenarioResult& r : results) {

@@ -51,12 +51,13 @@ struct FleetSummary {
 FleetSummary RunFleet(const std::vector<ScenarioSpec>& specs, const FleetOptions& options);
 
 // Fleet-wide mergeable statistics, folded from ScenarioResults in scenario
-// order. Merge() combines two aggregates (associative, commutative up to
-// floating-point sum ordering — the fleet always folds in scenario order).
-// Everything lives in one MetricRegistry: scenario results' registries are
-// folded in wholesale, plus the fleet-level counters "scenarios" and
-// "flows". ToJson() emits the golden-pinned aggregate key set explicitly —
-// extra registry entries (e.g. topo.* counters) never change its bytes.
+// order. Everything lives in one MetricRegistry: scenario results' registries
+// are folded in wholesale, plus the fleet-level counters "scenarios" and
+// "flows". Two partial aggregates combine through `metrics.Merge`
+// (associative, commutative up to floating-point sum ordering — the fleet
+// always folds in scenario order). ToJson() emits the golden-pinned
+// aggregate key set explicitly, so extra registry entries never change its
+// bytes.
 struct FleetAggregate {
   telemetry::MetricRegistry metrics;
 
@@ -65,7 +66,6 @@ struct FleetAggregate {
   uint64_t retransmits() const { return metrics.CounterValue("retransmits"); }
 
   void Add(const ScenarioResult& result);  // completed results only
-  void Merge(const FleetAggregate& other);
   json::Value ToJson() const;  // deterministic
 };
 

@@ -1,7 +1,5 @@
 #include "src/telemetry/metric_registry.h"
 
-#include <utility>
-
 namespace element {
 namespace telemetry {
 
@@ -71,32 +69,6 @@ json::Value StatsJson(const RunningStats& s) {
   obj.Set("min", json::Value::Number(s.min()));
   obj.Set("max", json::Value::Number(s.max()));
   return obj;
-}
-
-json::Value MetricRegistry::ToJson() const {
-  json::Value doc = json::Value::Object();
-  if (!counters_.empty()) {
-    json::Value obj = json::Value::Object();
-    for (const auto& [name, v] : counters_) {
-      obj.Set(name, json::Value::Int(static_cast<int64_t>(v)));
-    }
-    doc.Set("counters", std::move(obj));
-  }
-  if (!hists_.empty()) {
-    json::Value obj = json::Value::Object();
-    for (const auto& [name, h] : hists_) {
-      obj.Set(name, HistogramJson(h));
-    }
-    doc.Set("hists", std::move(obj));
-  }
-  if (!stats_.empty()) {
-    json::Value obj = json::Value::Object();
-    for (const auto& [name, s] : stats_) {
-      obj.Set(name, StatsJson(s));
-    }
-    doc.Set("stats", std::move(obj));
-  }
-  return doc;
 }
 
 }  // namespace telemetry

@@ -1,8 +1,8 @@
 // Named, typed metrics with the fleet's merge contract.
 //
-// Every layer that used to keep its own ad-hoc accounting (per-experiment
-// sample vectors in the runner, per-qdisc stat structs, estimator SampleSets)
-// publishes into one MetricRegistry instead. The registry is a plain value
+// Each scenario's summaries (its delay decompositions, estimator errors,
+// goodputs and retransmits) go into one MetricRegistry, and the fleet
+// aggregate is the registries folded together. The registry is a plain value
 // type: copyable, and Merge() folds another registry in with the same
 // associativity rules the fleet's per-slot aggregation relies on
 // (counters add, distributions merge).
@@ -14,9 +14,8 @@
 //
 // Handles returned by the accessors are stable for the registry's lifetime
 // (std::map nodes never move), so producers resolve a name once at bind time
-// and bump a raw pointer on the hot path. Names sort lexicographically in
-// ToJson(), which keeps exports deterministic. Dots namespace the producer,
-// e.g. "qdisc.0.drops", "flow.e2e_delay_s".
+// and bump a raw pointer on the hot path. Exporters read metrics by name
+// (the fleet aggregate emits its pinned key set explicitly).
 
 #ifndef ELEMENT_SRC_TELEMETRY_METRIC_REGISTRY_H_
 #define ELEMENT_SRC_TELEMETRY_METRIC_REGISTRY_H_
@@ -58,12 +57,6 @@ class MetricRegistry {
   // match per Histogram's contract). Associative and commutative.
   void Merge(const MetricRegistry& other);
 
-  // Deterministic snapshot, one object per kind that has entries:
-  // {"counters": {...}, "hists": {name: {count, mean, ...}},
-  //  "stats": {...}}. Distribution sub-objects carry the same key set as the
-  //  fleet's aggregate emitters.
-  json::Value ToJson() const;
-
  private:
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, Histogram> hists_;
@@ -71,7 +64,7 @@ class MetricRegistry {
 };
 
 // Shared distribution serializers: the pinned key sets every exporter uses
-// (fleet aggregate, registry snapshots, trace summaries). Emitting through
+// (fleet aggregate, result rows, trace summaries). Emitting through
 // one function is what keeps goldens byte-identical across refactors.
 json::Value HistogramJson(const Histogram& h);
 json::Value StatsJson(const RunningStats& s);

@@ -101,7 +101,6 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   result.cross_bytes_delivered = cross.TotalBytesDelivered();
   result.bottleneck = net.bottleneck_qdisc(0).stats();
   result.processed_events = loop.processed_events();
-  net.PublishMetrics(&result.metrics, "topo.");
   return result;
 }
 

@@ -16,7 +16,6 @@
 #include "src/common/time.h"
 #include "src/element/estimation_error.h"
 #include "src/netsim/qdisc.h"
-#include "src/telemetry/metric_registry.h"
 #include "src/topo/cross_traffic.h"
 #include "src/topo/topology.h"
 #include "src/trace/ground_truth.h"
@@ -67,10 +66,6 @@ struct ContentionResult {
   uint64_t cross_bytes_delivered = 0;
   QdiscStats bottleneck;             // hop 0, forward direction
   uint64_t processed_events = 0;     // EventLoop total (perf accounting)
-
-  // End-of-run registry snapshot: router/hop counters published by the
-  // Network. Mergeable across runs via MetricRegistry::Merge.
-  telemetry::MetricRegistry metrics;
 };
 
 // Runs one seeded contention scenario to completion on the calling thread.

@@ -20,7 +20,6 @@
 
 #include "src/common/check.h"
 #include "src/netsim/pipe.h"
-#include "src/telemetry/metric_registry.h"
 
 namespace element {
 
@@ -61,14 +60,6 @@ class Router : public PacketSink {
   }
 
   const RouterStats& stats() const { return stats_; }
-
-  // Mirrors the forwarding counters into `registry` under `prefix`
-  // (end-of-run publication — the per-packet path stays one load + one call).
-  void PublishMetrics(telemetry::MetricRegistry* registry, const std::string& prefix) const {
-    *registry->Counter(prefix + "forwarded_packets") += stats_.forwarded_packets;
-    *registry->Counter(prefix + "forwarded_bytes") += stats_.forwarded_bytes;
-    *registry->Counter(prefix + "unroutable_packets") += stats_.unroutable_packets;
-  }
 
   // PacketSink: table lookup + hand-off to the egress port.
   void Deliver(Packet pkt) override;

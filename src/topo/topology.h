@@ -119,21 +119,6 @@ class Network {
     }
   }
 
-  // Mirrors router forwarding counters and per-hop bottleneck pipe/qdisc
-  // counters into `registry` (end-of-run publication, never the hot path).
-  void PublishMetrics(telemetry::MetricRegistry* registry, const std::string& prefix) const {
-    for (size_t level = 0; level < fwd_routers_.size(); ++level) {
-      const std::string lv = std::to_string(level);
-      fwd_routers_[level]->PublishMetrics(registry, prefix + "router.fwd." + lv + ".");
-      rev_routers_[level]->PublishMetrics(registry, prefix + "router.rev." + lv + ".");
-    }
-    for (size_t h = 0; h < fwd_bottlenecks_.size(); ++h) {
-      const std::string hop = std::to_string(h);
-      fwd_bottlenecks_[h]->PublishMetrics(registry, prefix + "hop." + hop + ".fwd.");
-      rev_bottlenecks_[h]->PublishMetrics(registry, prefix + "hop." + hop + ".rev.");
-    }
-  }
-
  private:
   struct HostPair {
     int sender_level = 0;

@@ -113,9 +113,9 @@ void GroundTruthTracer::OnTcpTransmit(uint64_t begin, uint64_t end, SimTime t,
   // tcp_transmit_skb; network delay pairs an arrival with its transmission).
   Upsert(&last_tx_, begin, end, t);
 
-  // Sender delay uses the *first* transmission of each byte. After a
-  // go-back-N rewind the socket may resend old bytes flagged fresh; the
-  // `end > first_tx_end_` guard filters them.
+  // Sender delay uses the *first* transmission of each byte. The tracer
+  // ignores the retransmit flag: this guard is what filters retransmissions,
+  // flagged or not, since none of them reaches past the highest first one.
   if (end <= first_tx_end_) {
     return;
   }

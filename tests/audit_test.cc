@@ -46,7 +46,7 @@ std::unique_ptr<Qdisc> MakeQdisc(const std::string& name) {
     return std::make_unique<FqCoDel>();
   }
   if (name == "pie") {
-    return std::make_unique<Pie>(PieParams(), Rng(7));
+    return std::make_unique<Pie>(Rng(7));
   }
   return std::make_unique<Red>(Rng(7));
 }

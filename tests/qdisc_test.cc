@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/netsim/codel.h"
@@ -13,6 +14,7 @@
 #include "src/netsim/pfifo_fast.h"
 #include "src/netsim/pie.h"
 #include "src/netsim/red.h"
+#include "src/telemetry/spine.h"
 
 namespace element {
 namespace {
@@ -236,6 +238,105 @@ TEST(FqCoDelTest, OverLimitTieDropsFromLowestBucket) {
   }
 }
 
+// Keeps every record a qdisc dispatches.
+struct RecordLog : telemetry::RecordSink {
+  std::vector<telemetry::TraceRecord> records;
+  void OnRecord(const telemetry::TraceRecord& r) override { records.push_back(r); }
+};
+
+// An FQ-CoDel that carries one flow and never reaches its limit is CoDel: the
+// same packets come out, are dropped and are marked at the same times. Fed a
+// standing queue (drops and marks), a drain to empty, a second overload, a
+// drain with no arrivals, and then a one-packet standing queue: each packet
+// waits exactly the 5 ms target and leaves one packet behind, so only the
+// bytes counted after the pop keep CoDel from dropping there.
+TEST(FqCoDelTest, OneFlowMatchesCoDel) {
+  constexpr size_t kRoomy = 100000;
+  for (bool ecn : {false, true}) {
+    SCOPED_TRACE(ecn ? "ecn on" : "ecn off");
+    CoDel codel(kRoomy);
+    FqCoDelParams params;
+    params.limit_packets = kRoomy;
+    FqCoDel fq(params);
+    telemetry::TelemetrySpine codel_spine;
+    telemetry::TelemetrySpine fq_spine;
+    RecordLog codel_log;
+    RecordLog fq_log;
+    codel_spine.AttachSink(&codel_log);
+    fq_spine.AttachSink(&fq_log);
+    codel.BindTelemetry(&codel_spine, 0);
+    fq.BindTelemetry(&fq_spine, 0);
+    codel.set_ecn_enabled(ecn);
+    fq.set_ecn_enabled(ecn);
+
+    uint64_t seq = 0;
+    size_t dequeued = 0;
+    struct Phase {
+      int64_t end_us;
+      int64_t arrival_gap_us;  // 0 = no arrivals
+      int64_t service_gap_us;  // 0 = no service
+    };
+    const Phase phases[] = {{600'000, 500, 1000},   {1'500'000, 4000, 1000},
+                            {2'000'000, 400, 1000},  {3'000'000, 0, 1000},
+                            {3'005'000, 5000, 0},    {4'000'000, 5000, 5000}};
+    const Phase* phase = phases;
+    for (int64_t us = 0; us < 4'000'000; us += 100) {
+      SimTime now = SimTime::FromNanos(us * 1000);
+      if (us >= phase->end_us) {
+        ++phase;
+      }
+      if (phase->arrival_gap_us != 0 && us % phase->arrival_gap_us == 0) {
+        Packet p = MakePacket(7, seq % 5 == 4 ? 64 : 1500);
+        p.created = SimTime::FromNanos(static_cast<int64_t>(seq));
+        p.ecn_capable = seq % 4 != 3;
+        ++seq;
+        ASSERT_TRUE(codel.Enqueue(p, now));
+        ASSERT_TRUE(fq.Enqueue(p, now));
+      }
+      if (phase->service_gap_us != 0 && us % phase->service_gap_us == 0) {
+        std::optional<Packet> a = codel.Dequeue(now);
+        std::optional<Packet> b = fq.Dequeue(now);
+        ASSERT_EQ(a.has_value(), b.has_value()) << "at " << us << " us";
+        if (a.has_value()) {
+          ++dequeued;
+          EXPECT_EQ(a->created, b->created);
+          EXPECT_EQ(a->size_bytes, b->size_bytes);
+          EXPECT_EQ(a->ecn_marked, b->ecn_marked);
+        }
+      }
+    }
+
+    const QdiscStats& cs = codel.stats();
+    const QdiscStats& fs = fq.stats();
+    EXPECT_GT(dequeued, 2000u);
+    EXPECT_GT(cs.dropped_from_queue_packets, 10u);
+    EXPECT_EQ(cs.ecn_marked_packets > 10, ecn);
+    EXPECT_EQ(cs.enqueued_packets, fs.enqueued_packets);
+    EXPECT_EQ(cs.dequeued_packets, fs.dequeued_packets);
+    EXPECT_EQ(cs.dropped_packets, fs.dropped_packets);
+    EXPECT_EQ(cs.ecn_marked_packets, fs.ecn_marked_packets);
+    EXPECT_EQ(cs.enqueued_bytes, fs.enqueued_bytes);
+    EXPECT_EQ(cs.dequeued_bytes, fs.dequeued_bytes);
+    EXPECT_EQ(cs.dropped_pre_queue_packets, fs.dropped_pre_queue_packets);
+    EXPECT_EQ(cs.dropped_from_queue_packets, fs.dropped_from_queue_packets);
+    EXPECT_EQ(cs.dropped_from_queue_bytes, fs.dropped_from_queue_bytes);
+    EXPECT_EQ(codel.packet_count(), fq.packet_count());
+    EXPECT_EQ(codel.byte_count(), fq.byte_count());
+
+    // Enqueues, dequeues with their sojourns, drops and marks, in order.
+    ASSERT_EQ(codel_log.records.size(), fq_log.records.size());
+    for (size_t i = 0; i < codel_log.records.size(); ++i) {
+      const telemetry::TraceRecord& x = codel_log.records[i];
+      const telemetry::TraceRecord& y = fq_log.records[i];
+      ASSERT_EQ(x.t, y.t) << "record " << i;
+      ASSERT_EQ(x.kind, y.kind) << "record " << i;
+      ASSERT_EQ(x.flags, y.flags) << "record " << i;
+      ASSERT_EQ(x.size, y.size) << "record " << i;
+      ASSERT_EQ(x.u.range.aux, y.u.range.aux) << "record " << i;
+    }
+  }
+}
+
 TEST(PieTest, NoDropsOnLightLoad) {
   Pie q(Rng(1));
   int64_t t = 0;
@@ -249,9 +350,7 @@ TEST(PieTest, NoDropsOnLightLoad) {
 }
 
 TEST(PieTest, DropProbabilityRisesUnderStandingQueue) {
-  PieParams params;
-  params.limit_packets = 100000;
-  Pie q(params, Rng(2));
+  Pie q(Rng(2), /*limit_packets=*/100000);
   // Arrivals at 2x the departure rate build a standing queue.
   int64_t t_us = 0;
   int64_t next_deq_us = 0;
@@ -370,9 +469,7 @@ class QdiscConservationTest : public ::testing::TestWithParam<const char*> {
       return std::make_unique<PfifoFast>(50);
     }
     if (name == "codel") {
-      CoDelParams p;
-      p.limit_packets = 50;
-      return std::make_unique<CoDel>(p);
+      return std::make_unique<CoDel>(50);
     }
     if (name == "fq_codel") {
       FqCoDelParams p;
@@ -380,9 +477,7 @@ class QdiscConservationTest : public ::testing::TestWithParam<const char*> {
       return std::make_unique<FqCoDel>(p);
     }
     if (name == "pie") {
-      PieParams p;
-      p.limit_packets = 50;
-      return std::make_unique<Pie>(p, Rng(77));
+      return std::make_unique<Pie>(Rng(77), 50);
     }
     RedParams p;
     p.limit_packets = 50;

@@ -853,7 +853,7 @@ TEST(FleetTest, AggregateMergeMatchesWholeFold) {
   for (size_t i = 0; i < summary.results.size(); ++i) {
     (i < 2 ? first : second).Add(summary.results[i]);
   }
-  first.Merge(second);
+  first.metrics.Merge(second.metrics);
   EXPECT_EQ(first.scenarios(), whole.scenarios());
   EXPECT_EQ(first.flows(), whole.flows());
   EXPECT_EQ(first.retransmits(), whole.retransmits());

@@ -60,18 +60,6 @@ TEST(MetricRegistryTest, HandlesAreStableAndMergeFolds) {
   EXPECT_TRUE(a.HistOrEmpty("never_written").empty());
 }
 
-TEST(MetricRegistryTest, ToJsonIsDeterministicAndSorted) {
-  MetricRegistry r;
-  *r.Counter("b") += 2;
-  *r.Counter("a") += 1;
-  r.Hist("h")->Add(1.0);
-  std::string dump = r.ToJson().Dump(/*indent=*/-1);
-  // Lexicographic key order regardless of insertion order.
-  EXPECT_LT(dump.find("\"a\""), dump.find("\"b\""));
-  r.Merge(MetricRegistry());  // merging empty changes nothing
-  EXPECT_EQ(dump, r.ToJson().Dump(/*indent=*/-1));
-}
-
 // Collects records for spine/flow dispatch assertions.
 struct CollectSink : RecordSink {
   std::vector<TraceRecord> records;

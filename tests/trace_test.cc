@@ -637,8 +637,43 @@ TEST(GroundTruthTracerTest, EndToEndConsistencyOnLiveFlow) {
   EXPECT_NEAR(c.total_s, tracer.end_to_end_delay().mean(), c.total_s * 0.25);
 }
 
-// A real flow on a lossy path: spurious retransmissions, duplicates and
-// arrivals below the read point, as TCP makes them.
+// Counts two things the tracer's contract allows and TcpSocket does not
+// emit: an arrival that starts below the read point (the receiver reports
+// arrivals from rcv_nxt up, and reads never pass it), and a transmission
+// below the highest one so far that carries no retransmit flag.
+struct TcpPremiseCounter : telemetry::RecordSink {
+  uint64_t read_end = 0;
+  uint64_t tx_end = 0;
+  uint64_t arrivals = 0;
+  uint64_t arrivals_below_read = 0;
+  uint64_t unflagged_resends = 0;
+
+  void OnRecord(const telemetry::TraceRecord& r) override {
+    switch (r.kind) {
+      case telemetry::RecordKind::kTcpTransmit:
+        if ((r.flags & telemetry::kFlagRetransmit) == 0 && r.u.range.begin < tx_end) {
+          ++unflagged_resends;
+        }
+        tx_end = std::max(tx_end, r.u.range.end);
+        break;
+      case telemetry::RecordKind::kTcpRxSegment:
+        ++arrivals;
+        if (r.u.range.begin < read_end) {
+          ++arrivals_below_read;
+        }
+        break;
+      case telemetry::RecordKind::kAppRead:
+        read_end = std::max(read_end, r.u.range.end);
+        break;
+      default:
+        break;
+    }
+  }
+};
+
+// A real flow on a lossy path: retransmissions, duplicates and out-of-order
+// arrivals, as TCP makes them. TCP makes no arrival below the read point and
+// no unflagged resend, which the counter checks.
 TEST(GroundTruthTracerTest, LossyFlowMatchesWholeTables) {
   PathConfig path;
   path.loss_probability = 0.02;
@@ -648,8 +683,10 @@ TEST(GroundTruthTracerTest, LossyFlowMatchesWholeTables) {
   config.record_from = Sec(1.0);
   GroundTruthTracer tracer(config);
   BinarySearchTracer reference(config.record_from);
+  TcpPremiseCounter premise;
   for (telemetry::RecordSink* sink : {static_cast<telemetry::RecordSink*>(&tracer),
-                                      static_cast<telemetry::RecordSink*>(&reference)}) {
+                                      static_cast<telemetry::RecordSink*>(&reference),
+                                      static_cast<telemetry::RecordSink*>(&premise)}) {
     flow.sender->telemetry().AttachSink(sink);
     flow.receiver->telemetry().AttachSink(sink);
   }
@@ -663,6 +700,9 @@ TEST(GroundTruthTracerTest, LossyFlowMatchesWholeTables) {
   ASSERT_GT(reference.receiver.count(), 1000u);
   ExpectSameAsReference(reference, tracer);
   EXPECT_GE(reference.network.min(), 0.025);
+  EXPECT_GT(premise.arrivals, 1000u);
+  EXPECT_EQ(premise.arrivals_below_read, 0u);
+  EXPECT_EQ(premise.unflagged_resends, 0u);
 }
 
 TEST(FlowMeterTest, MeasuresGoodput) {
