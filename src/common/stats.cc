@@ -166,8 +166,7 @@ Histogram::Histogram(double floor, double ceiling, int bins_per_decade)
       << "bad histogram geometry: [" << floor << ", " << ceiling << ") x " << bins_per_decade;
   log_floor_ = std::log10(floor_);
   double decades = std::log10(ceiling_) - log_floor_;
-  size_t nbins = static_cast<size_t>(std::ceil(decades * bins_per_decade_ - 1e-9));
-  bins_.assign(nbins, 0);
+  nbins_ = static_cast<size_t>(std::ceil(decades * bins_per_decade_ - 1e-9));
 }
 
 void Histogram::Add(double x) {
@@ -190,10 +189,37 @@ void Histogram::Add(double x) {
   }
   double pos = (std::log10(x) - log_floor_) * static_cast<double>(bins_per_decade_);
   size_t idx = pos <= 0.0 ? 0 : static_cast<size_t>(pos);
-  if (idx >= bins_.size()) {  // log10 rounding at the top edge
-    idx = bins_.size() - 1;
+  if (idx >= nbins_) {  // log10 rounding at the top edge
+    idx = nbins_ - 1;
   }
-  ++bins_[idx];
+  Widen(idx, idx + 1);
+  ++window_[idx - first_];
+}
+
+void Histogram::Widen(size_t lo, size_t hi) {
+  if (window_.empty()) {
+    first_ = lo;
+    window_.assign(hi - lo, 0);
+    return;
+  }
+  size_t end = first_ + window_.size();
+  if (lo >= first_ && hi <= end) {
+    return;
+  }
+  lo = std::min(lo, first_);
+  hi = std::max(hi, end);
+  std::vector<uint64_t> wider(hi - lo, 0);
+  std::copy(window_.begin(), window_.end(),
+            wider.begin() + static_cast<std::ptrdiff_t>(first_ - lo));
+  window_.swap(wider);
+  first_ = lo;
+}
+
+std::vector<uint64_t> Histogram::bins() const {
+  std::vector<uint64_t> dense(nbins_, 0);
+  std::copy(window_.begin(), window_.end(),
+            dense.begin() + static_cast<std::ptrdiff_t>(first_));
+  return dense;
 }
 
 bool Histogram::SameGeometry(const Histogram& other) const {
@@ -216,8 +242,11 @@ void Histogram::Merge(const Histogram& other) {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
-  for (size_t i = 0; i < bins_.size(); ++i) {
-    bins_[i] += other.bins_[i];
+  if (!other.window_.empty()) {
+    Widen(other.first_, other.first_ + other.window_.size());
+    for (size_t i = 0; i < other.window_.size(); ++i) {
+      window_[other.first_ - first_ + i] += other.window_[i];
+    }
   }
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
@@ -251,19 +280,19 @@ double Histogram::Quantile(double q) const {
   } else {
     uint64_t cum = underflow_;
     size_t i = 0;
-    for (; i < bins_.size(); ++i) {
-      if (cum + bins_[i] >= rank) {
+    for (; i < window_.size(); ++i) {
+      if (cum + window_[i] >= rank) {
         break;
       }
-      cum += bins_[i];
+      cum += window_[i];
     }
-    if (i == bins_.size()) {
+    if (i == window_.size()) {
       value = max_;  // rank lands in the overflow region
     } else {
       // Geometric interpolation across the bin by rank fraction.
       double frac =
-          static_cast<double>(rank - cum) / static_cast<double>(bins_[i]);
-      double lo = std::log10(BinLowerEdge(i));
+          static_cast<double>(rank - cum) / static_cast<double>(window_[i]);
+      double lo = std::log10(BinLowerEdge(first_ + i));
       double hi = lo + 1.0 / static_cast<double>(bins_per_decade_);
       value = std::pow(10.0, lo + (hi - lo) * frac);
     }

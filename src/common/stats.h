@@ -101,6 +101,13 @@ class SampleSet {
 // resolves quantiles to ~7.5% relative error across every delay and error
 // magnitude the simulator produces (sub-millisecond LAN delays through
 // multi-second bufferbloat).
+//
+// Storage is a window: only the bins from the lowest to the highest one
+// filled so far, plus the index of the first. A default-constructed
+// histogram allocates nothing, a one-sample histogram holds one bin, and a
+// window never grows past the geometry's bin count. Every bin outside the
+// window is zero, so counts, quantiles and merges are those of the dense
+// form, bit for bit.
 class Histogram {
  public:
   Histogram() : Histogram(1e-6, 1e3, 32) {}
@@ -125,26 +132,30 @@ class Histogram {
   // SampleSet::Quantile (DCHECK + 0.0).
   double Quantile(double q) const;
 
-  const std::vector<uint64_t>& bins() const {  // lint_sim: allow(test-only) -- observer
-    return bins_;
-  }
+  // Every bin of the geometry, zeros outside the window included.
+  std::vector<uint64_t> bins() const;  // lint_sim: allow(test-only) -- observer
   uint64_t underflow() const {  // lint_sim: allow(test-only) -- observer
     return underflow_;
   }
   uint64_t overflow() const {  // lint_sim: allow(test-only) -- observer
     return overflow_;
   }
-  // Lower edge of bin i (i == bins().size() yields the ceiling).
+  // Lower edge of bin i (i == the geometry's bin count yields the ceiling).
   double BinLowerEdge(size_t i) const;
 
  private:
+  // Widens the window to cover bins [lo, hi), zero-filling the new ones.
+  void Widen(size_t lo, size_t hi);
+
   double floor_;
   double ceiling_;
   int bins_per_decade_;
   double log_floor_;
-  std::vector<uint64_t> bins_;
-  uint64_t underflow_ = 0;  // x < floor (including x <= 0)
-  uint64_t overflow_ = 0;   // x >= ceiling
+  size_t nbins_;                  // bins in the geometry
+  size_t first_ = 0;              // index of window_[0]
+  std::vector<uint64_t> window_;  // bins first_ .. first_ + size - 1
+  uint64_t underflow_ = 0;        // x < floor (including x <= 0)
+  uint64_t overflow_ = 0;         // x >= ceiling
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -14,7 +14,6 @@ void Router::Deliver(Packet pkt) {
     return;
   }
   ++stats_.forwarded_packets;
-  stats_.forwarded_bytes += pkt.size_bytes;
   out->Deliver(std::move(pkt));
 }
 

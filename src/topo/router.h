@@ -25,7 +25,6 @@ namespace element {
 
 struct RouterStats {
   uint64_t forwarded_packets = 0;
-  uint64_t forwarded_bytes = 0;
   uint64_t unroutable_packets = 0;  // no exact route and no default port
 };
 

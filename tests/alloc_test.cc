@@ -10,7 +10,8 @@
 //
 // The Rng tests check that a random stream costs nothing until its first
 // draw: only then does it allocate its engine, once. Engine allocations are
-// told apart by their size.
+// told apart by their size. The histogram test checks the same of a
+// Histogram: nothing until its first in-range sample, then only its window.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "src/apps/iperf_app.h"
 #include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/element/byte_sink.h"
 #include "src/netsim/fq_codel.h"
 #include "src/netsim/pipe.h"
@@ -110,6 +112,25 @@ TEST(AllocTest, EmptyRingFifoAllocatesNothing) {
     RingFifo<Packet> moved(std::move(ring));
   });
   EXPECT_EQ(n, 0u);
+}
+
+// A histogram stores only the window of bins it has filled: nothing until its
+// first in-range sample, then one bin that more samples in it never regrow.
+TEST(AllocTest, HistogramAllocatesOnlyItsFilledWindow) {
+  EXPECT_EQ(CountAllocations([] { Histogram empty; }), 0u);
+  Histogram h;
+  EXPECT_EQ(CountAllocations([&] { h.Add(0.010); }), 1u);
+  EXPECT_EQ(CountAllocations([&] {
+              for (int i = 0; i < 1000; ++i) {
+                h.Add(0.010);
+              }
+              h.Add(0.0);   // underflow
+              h.Add(-1.0);  // underflow
+              h.Add(1e-9);  // below the floor
+              h.Add(5e3);   // overflow
+            }),
+            0u);
+  EXPECT_EQ(h.count(), 1005u);
 }
 
 TEST(AllocTest, SteadyStatePacketPathAllocatesNothing) {

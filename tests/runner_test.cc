@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -122,6 +123,211 @@ TEST(HistogramTest, MergeEmptyIsIdentity) {
   h2.Merge(h);
   EXPECT_EQ(h2.count(), 1u);
   EXPECT_DOUBLE_EQ(h2.min(), 0.5);
+}
+
+// A dense histogram with every bin stored, binned and queried with the same
+// arithmetic as Histogram: the reference its window storage must match.
+struct DenseHistogram {
+  DenseHistogram(double lo, double hi, int per_decade)
+      : floor(lo), ceiling(hi), bins_per_decade(per_decade) {
+    log_floor = std::log10(floor);
+    double decades = std::log10(ceiling) - log_floor;
+    bins.assign(static_cast<size_t>(std::ceil(decades * bins_per_decade - 1e-9)), 0);
+  }
+
+  void Add(double x) {
+    min = count == 0 ? x : std::min(min, x);
+    max = count == 0 ? x : std::max(max, x);
+    ++count;
+    sum += x;
+    if (!(x >= floor)) {
+      ++underflow;
+      return;
+    }
+    if (x >= ceiling) {
+      ++overflow;
+      return;
+    }
+    double pos = (std::log10(x) - log_floor) * static_cast<double>(bins_per_decade);
+    size_t idx = pos <= 0.0 ? 0 : static_cast<size_t>(pos);
+    if (idx >= bins.size()) {
+      idx = bins.size() - 1;
+    }
+    ++bins[idx];
+  }
+
+  double Quantile(double q) const {
+    if (q <= 0.0) {
+      return min;
+    }
+    if (q >= 1.0) {
+      return max;
+    }
+    uint64_t rank = std::min(static_cast<uint64_t>(q * static_cast<double>(count)) + 1, count);
+    double value;
+    if (rank <= underflow) {
+      value = min;
+    } else {
+      uint64_t cum = underflow;
+      size_t i = 0;
+      for (; i < bins.size() && cum + bins[i] < rank; ++i) {
+        cum += bins[i];
+      }
+      if (i == bins.size()) {
+        value = max;
+      } else {
+        double frac = static_cast<double>(rank - cum) / static_cast<double>(bins[i]);
+        double lo = std::log10(
+            std::pow(10.0, log_floor + static_cast<double>(i) / bins_per_decade));
+        double hi = lo + 1.0 / static_cast<double>(bins_per_decade);
+        value = std::pow(10.0, lo + (hi - lo) * frac);
+      }
+    }
+    return std::min(std::max(value, min), max);
+  }
+
+  double floor;
+  double ceiling;
+  int bins_per_decade;
+  double log_floor;
+  std::vector<uint64_t> bins;
+  uint64_t underflow = 0;
+  uint64_t overflow = 0;
+  uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+// Same bits, NaN included.
+bool SameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+constexpr double kReferenceQuantiles[] = {0.0, 0.001, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0};
+
+// About 10k samples spread log-uniformly over [floor / 100, ceiling * 10),
+// with every edge case interleaved: 0, negatives, NaN (never first, so min
+// and max stay numbers), the floor itself, values just below the ceiling
+// (where log10 can round up to the bin count), the ceiling and above it.
+std::vector<double> EdgeCaseStream(double floor, double ceiling, uint64_t seed) {
+  const double specials[] = {0.0,
+                             -1.0,
+                             -0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             floor / 2,
+                             std::nextafter(floor, 0.0),
+                             floor,
+                             std::nextafter(floor, ceiling),
+                             std::nextafter(ceiling, 0.0),
+                             ceiling * (1 - 1e-15),
+                             ceiling,
+                             ceiling * 5};
+  Rng rng(seed);
+  std::vector<double> out;
+  double lo = std::log10(floor) - 2;
+  double hi = std::log10(ceiling) + 1;
+  for (int i = 0; i < 10'000; ++i) {
+    out.push_back(i % 97 == 5 ? specials[(i / 97) % std::size(specials)]
+                              : std::pow(10.0, rng.Uniform(lo, hi)));
+  }
+  return out;
+}
+
+void ExpectMatchesDense(const Histogram& h, const DenseHistogram& ref) {
+  EXPECT_EQ(h.bins(), ref.bins);
+  EXPECT_EQ(h.underflow(), ref.underflow);
+  EXPECT_EQ(h.overflow(), ref.overflow);
+  EXPECT_EQ(h.count(), ref.count);
+  EXPECT_TRUE(SameDouble(h.sum(), ref.sum)) << h.sum() << " vs " << ref.sum;
+  EXPECT_TRUE(SameDouble(h.min(), ref.min)) << h.min() << " vs " << ref.min;
+  EXPECT_TRUE(SameDouble(h.max(), ref.max)) << h.max() << " vs " << ref.max;
+  if (ref.count == 0) {
+    return;  // querying an empty histogram is a caller bug
+  }
+  for (double q : kReferenceQuantiles) {
+    EXPECT_TRUE(SameDouble(h.Quantile(q), ref.Quantile(q))) << "q=" << q;
+  }
+}
+
+TEST(HistogramTest, MatchesDenseReferenceOnEdgeCases) {
+  struct Geometry {
+    double floor;
+    double ceiling;
+    int bins_per_decade;
+  };
+  for (const Geometry& g : {Geometry{1e-6, 1e3, 32}, Geometry{1e-3, 1.0, 8},
+                            Geometry{0.3, 7.0, 5}}) {
+    SCOPED_TRACE(g.bins_per_decade);
+    Histogram h(g.floor, g.ceiling, g.bins_per_decade);
+    DenseHistogram ref(g.floor, g.ceiling, g.bins_per_decade);
+    std::vector<double> stream = EdgeCaseStream(g.floor, g.ceiling, 2024);
+    for (size_t i = 0; i < stream.size(); ++i) {
+      h.Add(stream[i]);
+      ref.Add(stream[i]);
+      if (i < 16 || i % 1000 == 0) {  // the first bins of the window, then spot checks
+        ExpectMatchesDense(h, ref);
+      }
+    }
+    ExpectMatchesDense(h, ref);
+    EXPECT_GT(ref.bins.front(), 0u);  // the stream reached both end bins
+    EXPECT_GT(ref.bins.back(), 0u);
+  }
+}
+
+TEST(HistogramTest, MergeOfAnyWindowsEqualsOneHistogramFedEverySample) {
+  Rng rng(77);
+  auto uniform_in = [&](double lo, double hi, int n) {
+    std::vector<double> v;
+    for (int i = 0; i < n; ++i) {
+      v.push_back(std::pow(10.0, rng.Uniform(std::log10(lo), std::log10(hi))));
+    }
+    return v;
+  };
+  std::vector<std::vector<double>> parts = {
+      uniform_in(1e-5, 1e-4, 300),            // low window
+      uniform_in(1.0, 10.0, 300),             // disjoint from the first
+      uniform_in(5e-5, 2.0, 300),             // overlaps both
+      {},                                     // empty
+      {0.0, -3.0, 1e-9, 5e-7},                // all underflow: no window
+      {2e3, 1e3, 3e-4, 1e4, -1.0, 999.999},   // both tails and one bin
+  };
+  for (size_t a = 0; a < parts.size(); ++a) {
+    for (size_t b = 0; b < parts.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << "parts " << a << " + " << b);
+      Histogram ha;
+      Histogram hb;
+      Histogram whole;
+      DenseHistogram ref(1e-6, 1e3, 32);
+      for (double v : parts[a]) {
+        ha.Add(v);
+        whole.Add(v);
+        ref.Add(v);
+      }
+      for (double v : parts[b]) {
+        hb.Add(v);
+        whole.Add(v);
+        ref.Add(v);
+      }
+      ha.Merge(hb);
+      ExpectMatchesDense(whole, ref);
+      EXPECT_EQ(ha.bins(), whole.bins());
+      EXPECT_EQ(ha.underflow(), whole.underflow());
+      EXPECT_EQ(ha.overflow(), whole.overflow());
+      EXPECT_EQ(ha.count(), whole.count());
+      EXPECT_EQ(ha.empty(), whole.empty());
+      if (whole.empty()) {
+        continue;
+      }
+      EXPECT_EQ(ha.min(), whole.min());
+      EXPECT_EQ(ha.max(), whole.max());
+      // The running sum is the one order-sensitive accumulator.
+      EXPECT_NEAR(ha.sum(), whole.sum(), std::abs(whole.sum()) * 1e-12);
+      for (double q : kReferenceQuantiles) {
+        EXPECT_EQ(ha.Quantile(q), whole.Quantile(q)) << "q=" << q;
+      }
+    }
+  }
 }
 
 #if ELEMENT_AUDITS_ENABLED
