@@ -117,10 +117,10 @@ void AblateAutotune() {
   for (bool autotune : {true, false}) {
     PathConfig path;
     Testbed bed(3500, path);
-    TcpSocket::Config cfg;
-    cfg.sndbuf_autotune = autotune;
-    cfg.sndbuf_bytes = autotune ? cfg.sndbuf_bytes : 120000;  // ~2x BDP fixed
-    Testbed::Flow flow = bed.CreateFlow(cfg);
+    Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+    if (!autotune) {
+      flow.sender->SetSndBuf(120000);  // ~2x BDP fixed
+    }
     MeasuredFlow::Options options;
     options.tracer.record_from = SimTime::FromNanos(3'000'000'000LL);
     MeasuredFlow measured(&bed.loop(), flow.sender, flow.receiver, options);

@@ -33,14 +33,13 @@ Result RunOne(uint64_t seed, const char* variant) {
   PathConfig path = LteProfile(/*upload=*/false);
   Testbed bed(seed, path);
   TcpSocket::Config cfg;
-  if (std::string(variant) == "small-sndbuf") {
-    cfg.sndbuf_autotune = false;
-    cfg.sndbuf_bytes = 120000;  // ~RTT worth at the mean rate
-  }
   if (std::string(variant) == "drwa") {
     cfg.drwa_rcv_window_moderation = true;
   }
   Testbed::Flow flow = bed.CreateFlow(cfg);
+  if (std::string(variant) == "small-sndbuf") {
+    flow.sender->SetSndBuf(120000);  // ~RTT worth at the mean rate
+  }
   MeasuredFlow::Options options;
   if (std::string(variant) == "element") {
     options.element = MeasuredFlow::Element::kInterposed;

@@ -38,7 +38,7 @@ VrResult RunOne(uint64_t seed, bool with_element, QdiscType qdisc) {
     ElementSocket::Options opt;
     em = std::make_unique<ElementSocket>(&bed.loop(), flow.sender, opt);
   }
-  VrServer server(&bed.loop(), flow.sender, em.get(), VrConfig{});
+  VrServer server(&bed.loop(), flow.sender, em.get());
   VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();

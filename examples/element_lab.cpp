@@ -187,7 +187,7 @@ int CmdVr(const Flags& flags) {
   if (with_element) {
     em = std::make_unique<ElementSocket>(&bed.loop(), flow.sender, ElementSocket::Options{});
   }
-  VrServer server(&bed.loop(), flow.sender, em.get(), VrConfig{});
+  VrServer server(&bed.loop(), flow.sender, em.get());
   VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();

@@ -28,7 +28,7 @@ void RunAndReport(const char* label, uint64_t seed, double mbps, bool with_eleme
     ElementSocket::Options opt;
     em = std::make_unique<ElementSocket>(&bed.loop(), flow.sender, opt);
   }
-  VrServer server(&bed.loop(), flow.sender, em.get(), VrConfig{});
+  VrServer server(&bed.loop(), flow.sender, em.get());
   VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();

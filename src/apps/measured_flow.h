@@ -16,7 +16,7 @@
 // timed work), abl_estimator_formulas (two estimators on one tracker),
 // RunMinimized in abl_design_choices (MinimizerParams), latency_probe and
 // element_lab's probe command (sender-only ElementSocket), quickstart (teaches
-// the raw sink swap), the VR/SVC apps, micro_evloop and perfbench's replicas.
+// the raw sink swap), the VR app, micro_evloop and perfbench's replicas.
 
 #ifndef ELEMENT_SRC_APPS_MEASURED_FLOW_H_
 #define ELEMENT_SRC_APPS_MEASURED_FLOW_H_

@@ -7,6 +7,7 @@ namespace {
 
 constexpr double kFps = 60.0;
 constexpr TimeDelta kFrameDeadline = TimeDelta::FromMillis(200);
+constexpr int kBlindLevel = 3;  // a non-adaptive server streams the top level
 // Encoder output buffer: even a non-adaptive server cannot queue frames
 // without bound; the oldest pending frames are capped at this many.
 constexpr size_t kEncoderBufferFrames = 3;
@@ -23,15 +24,14 @@ constexpr uint32_t kControlBytes = 32;
 
 }  // namespace
 
-VrServer::VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em,
-                   const VrConfig& config)
+VrServer::VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em)
     : loop_(loop),
       socket_(socket),
       em_(em),
       frame_timer_(loop, TimeDelta::FromSeconds(1.0 / kFps), [this] { OnFrameTick(); }),
       // An adaptive (ELEMENT-driven) server starts conservatively and climbs;
-      // a blind server streams the configured level from the first frame.
-      level_(em != nullptr ? std::min(config.initial_level, 1) : config.initial_level) {}
+      // a blind server streams the top level from the first frame.
+      level_(em != nullptr ? 1 : kBlindLevel) {}
 
 void VrServer::Start() {
   running_ = true;

@@ -21,10 +21,6 @@
 
 namespace element {
 
-struct VrConfig {
-  int initial_level = 3;  // non-adaptive servers stream the top level
-};
-
 struct VrFrameRecord {
   uint64_t id = 0;
   SimTime generated;
@@ -45,9 +41,9 @@ class VrServer {
   // is ~58 Mbps — deliberately above typical link capacity.
   static constexpr std::array<size_t, 4> kResolutionLadder = {30000, 60000, 90000, 120000};
 
-  // `em` may be null: then the server streams blindly at `initial_level`
+  // `em` may be null: then the server streams blindly at the top level
   // through the raw socket (the "TCP Cubic alone" configuration).
-  VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em, const VrConfig& config);
+  VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em);
 
   void Start();
   void Stop();

@@ -10,13 +10,13 @@ constexpr int64_t kQuantumBytes = 1514;
 
 }  // namespace
 
-FqCoDel::FqCoDel(const FqCoDelParams& params)
-    : params_(params), queue_of_bucket_(params_.num_buckets, kNoQueue) {}
+FqCoDel::FqCoDel(size_t limit_packets)
+    : limit_packets_(limit_packets), queue_of_bucket_(kNumBuckets, kNoQueue) {}
 
 size_t FqCoDel::BucketFor(const Packet& pkt) const {
   // Flow ids are already per-connection; a multiplicative hash spreads them.
   uint64_t h = pkt.flow_id * 0x9E3779B97F4A7C15ull;
-  return static_cast<size_t>(h % params_.num_buckets);
+  return static_cast<size_t>(h % kNumBuckets);
 }
 
 uint32_t FqCoDel::QueueFor(size_t bucket) {
@@ -70,9 +70,9 @@ void FqCoDel::DropFromLongestFlow(SimTime now) {
 
 bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
   ScopedConservationAudit audit(this);
-  if (total_packets_ >= params_.limit_packets) {
+  if (total_packets_ >= limit_packets_) {
     DropFromLongestFlow(now);
-    if (total_packets_ >= params_.limit_packets) {
+    if (total_packets_ >= limit_packets_) {
       CountDropPreQueue(pkt, now);
       return false;
     }
@@ -92,7 +92,7 @@ bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
 
 std::optional<Packet> FqCoDel::Dequeue(SimTime now) {
   ScopedConservationAudit audit(this);
-  for (int guard = 0; guard < 4 * static_cast<int>(params_.num_buckets) + 8; ++guard) {
+  for (int guard = 0; guard < 4 * static_cast<int>(kNumBuckets) + 8; ++guard) {
     FlowList* list = !new_flows_.empty() ? &new_flows_ : &old_flows_;
     if (list->empty()) {
       return std::nullopt;

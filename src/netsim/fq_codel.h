@@ -12,16 +12,11 @@
 
 namespace element {
 
-// Each flow's DRR quantum is one 1514-byte frame; its CoDel runs at
-// CoDel's target and interval.
-struct FqCoDelParams {
-  size_t num_buckets = 1024;
-  size_t limit_packets = 10240;
-};
-
+// Flows hash into 1024 buckets, Linux's default; each flow's DRR quantum is
+// one 1514-byte frame, and its CoDel runs at CoDel's target and interval.
 class FqCoDel : public Qdisc {
  public:
-  explicit FqCoDel(const FqCoDelParams& params = FqCoDelParams());
+  explicit FqCoDel(size_t limit_packets = 10240);
 
   bool Enqueue(Packet pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
@@ -30,6 +25,7 @@ class FqCoDel : public Qdisc {
   std::string name() const override { return "fq_codel"; }
 
  private:
+  static constexpr size_t kNumBuckets = 1024;
   static constexpr uint32_t kNoQueue = 0xffffffffu;
 
   // A bucket's queue, made at the bucket's first packet and kept until the
@@ -59,7 +55,7 @@ class FqCoDel : public Qdisc {
   void PushBack(FlowList* list, uint32_t q);
   void PopFront(FlowList* list);
 
-  FqCoDelParams params_;
+  size_t limit_packets_;
   std::vector<uint32_t> queue_of_bucket_;  // bucket -> index in queues_, or kNoQueue
   std::vector<FlowQueue> queues_;          // in order of each bucket's first packet
   FlowList new_flows_;

@@ -17,23 +17,15 @@ std::unique_ptr<Qdisc> MakeBottleneckQdisc(QdiscType type, size_t limit, bool ec
     case QdiscType::kCoDel:
       q = std::make_unique<CoDel>(limit);
       break;
-    case QdiscType::kFqCoDel: {
-      FqCoDelParams params;
-      params.limit_packets = limit * 10;  // FQ-CoDel's limit is per-qdisc, roomy
-      q = std::make_unique<FqCoDel>(params);
+    case QdiscType::kFqCoDel:
+      q = std::make_unique<FqCoDel>(limit * 10);  // FQ-CoDel's limit is per-qdisc, roomy
       break;
-    }
     case QdiscType::kPie:
       q = std::make_unique<Pie>(rng->Fork(), limit);
       break;
-    case QdiscType::kRed: {
-      RedParams params;
-      params.limit_packets = limit;
-      params.min_threshold_packets = static_cast<double>(limit) * 0.2;
-      params.max_threshold_packets = static_cast<double>(limit) * 0.6;
-      q = std::make_unique<Red>(params, rng->Fork());
+    case QdiscType::kRed:
+      q = std::make_unique<Red>(limit, rng->Fork());
       break;
-    }
   }
   q->set_ecn_enabled(ecn);
   return q;

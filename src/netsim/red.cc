@@ -6,18 +6,24 @@
 
 namespace element {
 
-Red::Red(const RedParams& params, Rng rng) : params_(params), rng_(std::move(rng)) {}
+Red::Red(size_t limit_packets, Rng rng)
+    : limit_packets_(limit_packets),
+      min_threshold_packets_(static_cast<double>(limit_packets) * 0.2),
+      max_threshold_packets_(static_cast<double>(limit_packets) * 0.6),
+      rng_(std::move(rng)) {
+  ELEMENT_CHECK(limit_packets > 0) << "RED needs a queue limit above 0";
+}
 
 double Red::CurrentDropProbability() const {
   constexpr double kMaxDropProbability = 0.1;  // max_p at max_threshold
-  if (avg_queue_ < params_.min_threshold_packets) {
+  if (avg_queue_ < min_threshold_packets_) {
     return 0.0;
   }
-  if (avg_queue_ >= params_.max_threshold_packets) {
+  if (avg_queue_ >= max_threshold_packets_) {
     return 1.0;
   }
-  double base = kMaxDropProbability * (avg_queue_ - params_.min_threshold_packets) /
-                (params_.max_threshold_packets - params_.min_threshold_packets);
+  double base = kMaxDropProbability * (avg_queue_ - min_threshold_packets_) /
+                (max_threshold_packets_ - min_threshold_packets_);
   // Gentle uniformization: spread drops out over the inter-drop interval.
   double denom = 1.0 - static_cast<double>(std::max(count_since_drop_, 0)) * base;
   if (denom <= base) {
@@ -40,7 +46,7 @@ bool Red::Enqueue(Packet pkt, SimTime now) {
   avg_queue_ = (1.0 - kQueueWeight) * avg_queue_ +
                kQueueWeight * static_cast<double>(queue_.size());
 
-  if (queue_.size() >= params_.limit_packets) {
+  if (queue_.size() >= limit_packets_) {
     CountDropPreQueue(pkt, now);
     count_since_drop_ = 0;
     return false;

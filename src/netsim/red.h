@@ -11,18 +11,12 @@
 
 namespace element {
 
-// The drop probability climbs to 0.1 at max_threshold; the average queue is
-// an EWMA with weight 0.002.
-struct RedParams {
-  double min_threshold_packets = 20;
-  double max_threshold_packets = 60;
-  size_t limit_packets = 1000;
-};
-
+// Early drops start when the average queue reaches 0.2x the limit, and the
+// drop probability climbs to 0.1 at 0.6x the limit; the average queue is an
+// EWMA with weight 0.002.
 class Red : public Qdisc {
  public:
-  Red(const RedParams& params, Rng rng);
-  explicit Red(Rng rng) : Red(RedParams(), std::move(rng)) {}
+  Red(size_t limit_packets, Rng rng);
 
   bool Enqueue(Packet pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
@@ -35,7 +29,9 @@ class Red : public Qdisc {
  private:
   double CurrentDropProbability() const;
 
-  RedParams params_;
+  size_t limit_packets_;
+  double min_threshold_packets_;
+  double max_threshold_packets_;
   Rng rng_;
   PacketQueue queue_;
 

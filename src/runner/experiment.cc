@@ -75,7 +75,6 @@ void RunSpec(const ScenarioSpec& spec, ScenarioResult* result) {
   cfg.cross.iperf_flows = spec.cross_iperf;
   cfg.cross.onoff_flows = spec.cross_onoff;
   cfg.cross.congestion_control = spec.cc;
-  cfg.cross.ecn = spec.ecn;
   cfg.element_on_first = spec.element_mode == "first";
   cfg.tracker_period = tracker_period;
   cfg.duration_s = spec.duration_s;

@@ -36,8 +36,7 @@ TcpSocket::TcpSocket(EventLoop* loop, Rng rng, Config config, uint64_t flow_id, 
       tx_(tx),
       rx_demux_(rx_demux),
       syn_retry_timer_(loop, [this] { OnSynRetry(); }),
-      sndbuf_(config.sndbuf_bytes),
-      sndbuf_autotune_(config.sndbuf_autotune),
+      sndbuf_(kInitialSndBufBytes),
       rto_(kInitialRto),
       rto_timer_(loop, [this] { OnRtoFire(); }),
       pacing_timer_(loop, [this] { TrySendData(); }),
@@ -648,7 +647,7 @@ void TcpSocket::NotifyWritableIfNeeded() {
 
 uint64_t TcpSocket::AdvertisedWindow() const {
   uint64_t occupancy = (rcv_nxt_ - read_seq_) + ooo_bytes_;
-  uint64_t window = occupancy >= config_.rcvbuf_bytes ? 0 : config_.rcvbuf_bytes - occupancy;
+  uint64_t window = occupancy >= kRcvBufBytes ? 0 : kRcvBufBytes - occupancy;
   if (config_.drwa_rcv_window_moderation && rcv_rate_bytes_per_s_ > 0.0) {
     uint64_t cap = static_cast<uint64_t>(rcv_rate_bytes_per_s_ *
                                          kDrwaTargetDelay.ToSeconds());

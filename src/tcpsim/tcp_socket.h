@@ -5,7 +5,7 @@
 // covers what the paper's observations depend on:
 //   - byte-accurate send buffer whose occupancy *is* the sender system delay,
 //   - Linux-style ratcheting send-buffer auto-tuning (sndbuf ~ 2x cwnd),
-//   - pluggable congestion control (Reno/Cubic/Vegas/BBR) with pacing,
+//   - pluggable congestion control (Reno/Cubic/Vegas/BBR/LEDBAT) with pacing,
 //   - loss detection by 3 duplicate ACKs (NewReno-ish) and RTO (RFC 6298),
 //   - receiver out-of-order queue (where loss-induced receiver delay forms),
 //   - delayed ACKs, flow control, optional ECN,
@@ -39,13 +39,8 @@ class TcpSocket : public PacketSink {
     std::string congestion_control = "cubic";
     bool ecn = false;
 
-    // Send buffer, Linux tcp_wmem semantics: starts small, auto-tuning
-    // ratchets it up toward ~2x the congestion window, capped at max.
-    size_t sndbuf_bytes = 64 * 1024;
-    bool sndbuf_autotune = true;
+    // Auto-tuning ratchets the send buffer up to at most this (tcp_wmem max).
     size_t sndbuf_max_bytes = 4 * 1024 * 1024;
-
-    size_t rcvbuf_bytes = 8 * 1024 * 1024;
 
     // DRWA-style receiver-side window moderation (the paper's related-work
     // baseline [37]): the advertised window is capped near
@@ -53,6 +48,13 @@ class TcpSocket : public PacketSink {
     // 2x-cwnd sndbuf ratchet, its buffer) from the receiver.
     bool drwa_rcv_window_moderation = false;
   };
+
+  // Send buffer, Linux tcp_wmem semantics: it starts at this size, and
+  // auto-tuning ratchets it up toward ~2x the congestion window until
+  // SetSndBuf pins it.
+  static constexpr size_t kInitialSndBufBytes = 64 * 1024;
+  // The receive buffer the advertised window is carved from.
+  static constexpr uint64_t kRcvBufBytes = 8 * 1024 * 1024;
 
   // A connection lives until the run ends: there is no teardown.
   enum class State { kClosed, kListen, kSynSent, kEstablished };
@@ -234,7 +236,7 @@ class TcpSocket : public PacketSink {
   uint64_t snd_nxt_ = 0;   // next byte to transmit
   uint64_t write_seq_ = 0;  // end of the send buffer (bytes accepted from app)
   size_t sndbuf_;
-  bool sndbuf_autotune_;
+  bool sndbuf_autotune_ = true;
   uint64_t peer_rwnd_ = 1 << 30;
   // The retransmit queue: sent, not cumulatively acked segments in sequence
   // order, without gaps or overlap. New data is appended at snd_nxt_ and

@@ -74,10 +74,9 @@ ContentionResult RunContentionExperiment(const ContentionConfig& config) {
   cross.Start();
   flows.Run();
 
-  // Propagation floor of the data direction, for the "relative delay" metric.
-  double base_s = (config.topo.access_delay * 2.0 +
-                   config.topo.bottleneck_delay * static_cast<double>(config.topo.hops))
-                      .ToSeconds();
+  // Propagation floor of the data direction, for the "relative delay" metric;
+  // every end-to-end pair spans levels 0..hops.
+  double base_s = (net.BaseRtt(0) / 2).ToSeconds();
   ContentionResult result;
   result.flows = flows.Results(base_s);
   std::vector<double> goodputs;

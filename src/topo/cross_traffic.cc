@@ -77,7 +77,7 @@ void CrossTraffic::AddFlow(EventLoop* loop, Rng* rng, Network* net, int hop, boo
 
   TcpSocket::Config socket_config;
   socket_config.congestion_control = config_.congestion_control;
-  socket_config.ecn = config_.ecn;
+  socket_config.ecn = net->spec().ecn;
   TcpSocketPair pair = ConnectTcpPair(loop, rng, socket_config, flow.flow_id,
                                       net->sender(flow.pair), net->receiver(flow.pair));
   flow.sender = std::move(pair.sender);

@@ -37,7 +37,6 @@ struct CrossTrafficConfig {
   int onoff_flows = 0;
 
   std::string congestion_control = "cubic";
-  bool ecn = false;
 };
 
 // Drives one sender socket with Pareto on / exponential off periods: bursts
@@ -63,7 +62,8 @@ class OnOffSender {
 class CrossTraffic {
  public:
   // Attaches (iperf_flows + onoff_flows) host pairs per hop and wires a
-  // connected TCP flow through each; Start() begins all generators.
+  // connected TCP flow through each, ECN-capable when `net->spec().ecn`;
+  // Start() begins all generators.
   CrossTraffic(EventLoop* loop, Rng* rng, Network* net, const CrossTrafficConfig& config);
 
   void Start();

@@ -101,7 +101,7 @@ class Network {
   Qdisc& bottleneck_qdisc(int hop);
 
   // Propagation-only round trip between the endpoints of `pair`.
-  TimeDelta BaseRtt(int pair) const;  // lint_sim: allow(test-only) -- observer
+  TimeDelta BaseRtt(int pair) const;
 
   // Sum of packets forwarded by every router (the topo micro-bench metric).
   uint64_t TotalForwardedPackets() const;

@@ -48,7 +48,7 @@ std::unique_ptr<Qdisc> MakeQdisc(const std::string& name) {
   if (name == "pie") {
     return std::make_unique<Pie>(Rng(7));
   }
-  return std::make_unique<Red>(Rng(7));
+  return std::make_unique<Red>(1000, Rng(7));
 }
 
 // ---------------------------------------------------------------------------

@@ -32,10 +32,9 @@ class ScriptedPeerTest : public ::testing::Test {
   }
 
   ScriptedPeerTest() {
-    TcpSocket::Config cfg;
-    cfg.sndbuf_autotune = false;
-    cfg.sndbuf_bytes = 1 << 20;
-    socket_ = std::make_unique<TcpSocket>(&loop_, Rng(1), cfg, 1, &capture_, &demux_);
+    socket_ = std::make_unique<TcpSocket>(&loop_, Rng(1), TcpSocket::Config{}, 1, &capture_,
+                                          &demux_);
+    socket_->SetSndBuf(1 << 20);
     socket_->Connect();
     TcpSegmentPayload synack;
     synack.syn = true;

@@ -117,8 +117,7 @@ TEST(VrServerTest, LevelsStayWithinLadder) {
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
   ElementSocket::Options opt;
   ElementSocket em(&bed.loop(), flow.sender, opt);
-  VrConfig cfg;
-  VrServer server(&bed.loop(), flow.sender, &em, cfg);
+  VrServer server(&bed.loop(), flow.sender, &em);
   VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();
@@ -134,12 +133,10 @@ TEST(VrServerTest, LevelsStayWithinLadder) {
 
 TEST(VrServerTest, FrameRecordsMonotoneStreamPositions) {
   PathConfig path;
-  path.rate = DataRate::Mbps(50);
+  path.rate = DataRate::Mbps(200);  // room for the top level's 57.6 Mbps
   Testbed bed(14, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  VrConfig cfg;
-  cfg.initial_level = 1;
-  VrServer server(&bed.loop(), flow.sender, nullptr, cfg);
+  VrServer server(&bed.loop(), flow.sender, nullptr);
   VrClient client(&bed.loop(), flow.receiver, &server);
   server.Start();
   client.Start();

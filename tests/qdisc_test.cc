@@ -1,4 +1,4 @@
-// Tests for the queueing disciplines: pfifo_fast, CoDel, FQ-CoDel, PIE —
+// Tests for the queueing disciplines: pfifo_fast, CoDel, FQ-CoDel, PIE, RED —
 // including the conservation invariant (enqueued = dequeued + dropped +
 // queued) checked property-style across all disciplines.
 
@@ -148,8 +148,7 @@ TEST(CoDelTest, ControlLawAcceleratesDrops) {
 }
 
 TEST(FqCoDelTest, IsolatesFlowsRoundRobin) {
-  FqCoDelParams params;
-  FqCoDel q(params);
+  FqCoDel q;
   // Flow 1 floods; flow 2 sends a little. DRR must interleave them.
   for (int i = 0; i < 50; ++i) {
     q.Enqueue(MakePacket(1, 1500), At(0));
@@ -185,9 +184,7 @@ TEST(FqCoDelTest, DrainsCompletely) {
 }
 
 TEST(FqCoDelTest, OverLimitDropsFromFattestFlow) {
-  FqCoDelParams params;
-  params.limit_packets = 20;
-  FqCoDel q(params);
+  FqCoDel q(20);
   for (int i = 0; i < 18; ++i) {
     q.Enqueue(MakePacket(1, 1500), At(0));
   }
@@ -217,9 +214,7 @@ TEST(FqCoDelTest, OverLimitTieDropsFromLowestBucket) {
   ASSERT_LT(bucket(kHigh), bucket(kOther));
   for (bool low_first : {false, true}) {
     SCOPED_TRACE(low_first ? "low bucket first" : "high bucket first");
-    FqCoDelParams params;
-    params.limit_packets = 4;
-    FqCoDel q(params);
+    FqCoDel q(4);
     uint64_t first = low_first ? kLow : kHigh;
     uint64_t second = low_first ? kHigh : kLow;
     for (uint64_t flow : {first, first, second, second}) {
@@ -255,9 +250,7 @@ TEST(FqCoDelTest, OneFlowMatchesCoDel) {
   for (bool ecn : {false, true}) {
     SCOPED_TRACE(ecn ? "ecn on" : "ecn off");
     CoDel codel(kRoomy);
-    FqCoDelParams params;
-    params.limit_packets = kRoomy;
-    FqCoDel fq(params);
+    FqCoDel fq(kRoomy);
     telemetry::TelemetrySpine codel_spine;
     telemetry::TelemetrySpine fq_spine;
     RecordLog codel_log;
@@ -376,9 +369,7 @@ TEST(PieTest, BurstAllowancePermitsInitialBurst) {
 }
 
 TEST(RedTest, NoEarlyDropsBelowMinThreshold) {
-  RedParams params;
-  params.min_threshold_packets = 10;
-  Red q(params, Rng(5));
+  Red q(50, Rng(5));  // min_th 10
   // Keep the standing queue at ~5 packets: below min_th, never drops.
   int64_t t = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -394,11 +385,7 @@ TEST(RedTest, NoEarlyDropsBelowMinThreshold) {
 }
 
 TEST(RedTest, EarlyDropProbabilityGrowsWithAverageQueue) {
-  RedParams params;
-  params.min_threshold_packets = 10;
-  params.max_threshold_packets = 40;
-  params.limit_packets = 100000;
-  Red q(params, Rng(6));
+  Red q(75, Rng(6));  // min_th 15, max_th 45
   // Hold a standing queue of ~30 packets (between min and max thresholds):
   // top the queue back up every iteration so early drops do not drain it.
   int64_t t = 0;
@@ -415,12 +402,11 @@ TEST(RedTest, EarlyDropProbabilityGrowsWithAverageQueue) {
   double drop_rate = static_cast<double>(q.stats().dropped_packets) / offered;
   EXPECT_GT(drop_rate, 0.01);
   EXPECT_LT(drop_rate, 0.35);
-  EXPECT_GT(q.average_queue(), 10.0);
+  EXPECT_GT(q.average_queue(), 15.0);
 }
 
 TEST(RedTest, IdleDecayShrinksAverage) {
-  RedParams params;
-  Red q(params, Rng(7));
+  Red q(1000, Rng(7));
   int64_t t = 0;
   for (int i = 0; i < 50; ++i) {
     q.Enqueue(MakePacket(1), At(t));
@@ -434,11 +420,7 @@ TEST(RedTest, IdleDecayShrinksAverage) {
 }
 
 TEST(RedTest, EcnMarksInsteadOfDrops) {
-  RedParams params;
-  params.min_threshold_packets = 5;
-  params.max_threshold_packets = 20;
-  params.limit_packets = 100000;
-  Red q(params, Rng(8));
+  Red q(50, Rng(8));  // min_th 10, max_th 30
   q.set_ecn_enabled(true);
   int64_t t = 0;
   for (int i = 0; i < 15; ++i) {
@@ -457,6 +439,53 @@ TEST(RedTest, EcnMarksInsteadOfDrops) {
   EXPECT_EQ(q.stats().dropped_packets, 0u);
 }
 
+// RED's thresholds are 0.2x and 0.6x its limit: a standing queue just under
+// the first never sees an early drop, and once the average reaches the second
+// every arrival is dropped, though the queue is below the limit.
+TEST(RedTest, ThresholdsFollowLimit) {
+  for (size_t limit : {100, 250}) {
+    SCOPED_TRACE(limit);
+    const double min_th = 0.2 * static_cast<double>(limit);
+    const double max_th = 0.6 * static_cast<double>(limit);
+    Red q(limit, Rng(9));
+    // Hold the queue one packet under min_th: the average stays below it.
+    const size_t under_min = static_cast<size_t>(min_th) - 1;
+    for (int i = 0; i < 20000; ++i) {
+      while (q.packet_count() < under_min) {
+        ASSERT_TRUE(q.Enqueue(MakePacket(1), At(0)));
+      }
+      ASSERT_TRUE(q.Enqueue(MakePacket(1), At(0)));
+      q.Dequeue(At(0));
+    }
+    EXPECT_EQ(q.stats().dropped_packets, 0u);
+    EXPECT_GT(q.average_queue(), min_th - 1.5);
+    EXPECT_LT(q.average_queue(), min_th);
+
+    // Hold it between max_th and the limit until the average passes max_th.
+    const size_t above_max = (static_cast<size_t>(max_th) + limit) / 2;
+    while (q.packet_count() < above_max) {
+      q.Enqueue(MakePacket(1), At(0));
+    }
+    int arrivals_above_max = 0;
+    for (int i = 0; i < 5000; ++i) {
+      bool accepted = q.Enqueue(MakePacket(1), At(0));
+      if (q.average_queue() >= max_th) {
+        ++arrivals_above_max;
+        EXPECT_FALSE(accepted);
+      }
+      if (accepted) {
+        q.Dequeue(At(0));
+      }
+      ASSERT_EQ(q.packet_count(), above_max);
+    }
+    EXPECT_GT(arrivals_above_max, 1000);
+  }
+}
+
+TEST(RedDeathTest, ZeroLimitAborts) {
+  EXPECT_DEATH(Red(0, Rng(1)), "RED needs a queue limit above 0");
+}
+
 // ---------------------------------------------------------------------------
 // Conservation property across all disciplines
 // ---------------------------------------------------------------------------
@@ -472,16 +501,12 @@ class QdiscConservationTest : public ::testing::TestWithParam<const char*> {
       return std::make_unique<CoDel>(50);
     }
     if (name == "fq_codel") {
-      FqCoDelParams p;
-      p.limit_packets = 50;
-      return std::make_unique<FqCoDel>(p);
+      return std::make_unique<FqCoDel>(50);
     }
     if (name == "pie") {
       return std::make_unique<Pie>(Rng(77), 50);
     }
-    RedParams p;
-    p.limit_packets = 50;
-    return std::make_unique<Red>(p, Rng(78));
+    return std::make_unique<Red>(50, Rng(78));
   }
 };
 

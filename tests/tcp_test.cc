@@ -73,10 +73,8 @@ TEST(TcpTransferTest, DeliversExactByteCount) {
 TEST(TcpTransferTest, WriteBoundedBySendBuffer) {
   PathConfig path;
   Testbed bed(2, path);
-  TcpSocket::Config cfg;
-  cfg.sndbuf_bytes = 10000;
-  cfg.sndbuf_autotune = false;
-  Testbed::Flow flow = bed.CreateFlow(cfg);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  flow.sender->SetSndBuf(10000);
   bed.loop().RunUntil(Sec(1.0));
   size_t accepted = flow.sender->Write(50000);
   EXPECT_EQ(accepted, 10000u);
@@ -86,10 +84,8 @@ TEST(TcpTransferTest, WriteBoundedBySendBuffer) {
 TEST(TcpTransferTest, WritableCallbackFiresWhenSpaceFrees) {
   PathConfig path;
   Testbed bed(2, path);
-  TcpSocket::Config cfg;
-  cfg.sndbuf_bytes = 20000;
-  cfg.sndbuf_autotune = false;
-  Testbed::Flow flow = bed.CreateFlow(cfg);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
+  flow.sender->SetSndBuf(20000);
   SinkApp reader(flow.receiver);
   reader.Start();
   int writable_calls = 0;
@@ -209,15 +205,15 @@ TEST(TcpFlowControlTest, TinyReceiveBufferThrottlesSender) {
   path.rate = DataRate::Mbps(100);
   path.one_way_delay = TimeDelta::FromMillis(10);
   Testbed bed(7, path);
-  TcpSocket::Config cfg;
-  cfg.rcvbuf_bytes = 20000;  // ~14 segments
-  Testbed::Flow flow = bed.CreateFlow(cfg);
+  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
   RawTcpSink sink(flow.sender);
   IperfApp app(&bed.loop(), &sink);
   app.Start();
-  // Receiver app never reads: the advertised window must stop the sender.
+  // Receiver app never reads: once the 8 MiB receive buffer fills, the
+  // advertised window must stop the sender.
   bed.loop().RunUntil(Sec(5.0));
-  EXPECT_LE(flow.receiver->ReadableBytes(), 20000u);
+  EXPECT_GT(flow.receiver->ReadableBytes(), TcpSocket::kRcvBufBytes - 25000);
+  EXPECT_LE(flow.receiver->ReadableBytes(), TcpSocket::kRcvBufBytes);
   uint64_t stalled_at = flow.sender->GetTcpInfo().tcpi_bytes_acked;
   bed.loop().RunUntil(Sec(10.0));
   EXPECT_LE(flow.sender->GetTcpInfo().tcpi_bytes_acked, stalled_at + 25000);

@@ -55,15 +55,13 @@ class RxSegmentCounter : public telemetry::RecordSink {
 // One socket + scripted peer.
 class TcpUnitTest : public ::testing::Test {
  protected:
-  TcpUnitTest()
-      : socket_(std::make_unique<TcpSocket>(&loop_, Rng(1), Config(), /*flow=*/1, &capture_,
-                                            &demux_)) {}
+  TcpUnitTest() { NewSocket(1); }
 
-  static TcpSocket::Config Config() {
-    TcpSocket::Config cfg;
-    cfg.sndbuf_autotune = false;
-    cfg.sndbuf_bytes = 1 << 20;
-    return cfg;
+  // A fresh socket on flow 1, its send buffer pinned at 1 MiB.
+  void NewSocket(uint64_t seed, const TcpSocket::Config& cfg = {}) {
+    socket_.reset();  // release flow id 1 before re-registering it
+    socket_ = std::make_unique<TcpSocket>(&loop_, Rng(seed), cfg, /*flow=*/1, &capture_, &demux_);
+    socket_->SetSndBuf(1 << 20);
   }
 
   void Establish() {
@@ -331,7 +329,7 @@ TEST_F(TcpUnitTest, OverlappingOooSegmentsCountEachBufferedByteOnce) {
   // window shrinks by exactly that.
   Establish();
   const uint32_t half = kDefaultMss / 2;
-  const uint64_t rcvbuf = Config().rcvbuf_bytes;
+  const uint64_t rcvbuf = TcpSocket::kRcvBufBytes;
   InjectData(2 * kDefaultMss, kDefaultMss);
   EXPECT_EQ(Tcp(capture_.sent.back()).receive_window, rcvbuf - kDefaultMss);
   InjectData(2 * kDefaultMss + half, kDefaultMss);
@@ -371,8 +369,7 @@ TEST_F(TcpUnitTest, DescendingOooSegmentsGiveSameSackBlocksAsAscending) {
     InjectData(k * kDefaultMss, kDefaultMss);
   }
   TcpSegmentPayload descending = Tcp(capture_.sent.back());
-  socket_.reset();  // release flow id 1 before re-registering it
-  socket_ = std::make_unique<TcpSocket>(&loop_, Rng(1), Config(), 1, &capture_, &demux_);
+  NewSocket(1);
   capture_.sent.clear();
   Establish();
   for (uint64_t k : {0, 3, 4, 5, 7}) {
@@ -450,10 +447,9 @@ TEST_F(TcpUnitTest, SackedSegmentsAreNotRetransmittedHoleIs) {
 }
 
 TEST_F(TcpUnitTest, EcnEchoUntilCwr) {
-  TcpSocket::Config cfg = Config();
+  TcpSocket::Config cfg;
   cfg.ecn = true;
-  socket_.reset();  // release flow id 1 before re-registering it
-  socket_ = std::make_unique<TcpSocket>(&loop_, Rng(3), cfg, 1, &capture_, &demux_);
+  NewSocket(3, cfg);
   Establish();
   InjectData(0, kDefaultMss, /*ce_mark=*/true);
   InjectData(kDefaultMss, kDefaultMss);
@@ -744,8 +740,7 @@ class TcpScoreboardTest : public TcpUnitTest {
     calls_.clear();
     next_call_ = 0;
     next_packet_ = 0;
-    socket_.reset();  // release flow id 1 before re-registering it
-    socket_ = std::make_unique<TcpSocket>(&loop_, Rng(seed), Config(), 1, &capture_, &demux_);
+    NewSocket(seed);
     socket_->TestOnlySetCongestionControl(std::make_unique<RecordingCc>(40.0, &calls_));
     Establish();
     ReferenceScoreboard ref(kDefaultMss);

@@ -22,7 +22,7 @@ struct VrRun {
   Testbed::Flow flow;
 };
 
-VrRun MakeVrRun(uint64_t seed, bool with_element, DataRate rate, const VrConfig& cfg) {
+VrRun MakeVrRun(uint64_t seed, bool with_element, DataRate rate) {
   VrRun run;
   PathConfig path;
   path.rate = rate;
@@ -35,7 +35,7 @@ VrRun MakeVrRun(uint64_t seed, bool with_element, DataRate rate, const VrConfig&
     ElementSocket::Options opt;
     run.em = std::make_unique<ElementSocket>(&run.bed->loop(), run.flow.sender, opt);
   }
-  run.server = std::make_unique<VrServer>(&run.bed->loop(), run.flow.sender, run.em.get(), cfg);
+  run.server = std::make_unique<VrServer>(&run.bed->loop(), run.flow.sender, run.em.get());
   run.client =
       std::make_unique<VrClient>(&run.bed->loop(), run.flow.receiver, run.server.get());
   run.server->Start();
@@ -44,9 +44,9 @@ VrRun MakeVrRun(uint64_t seed, bool with_element, DataRate rate, const VrConfig&
 }
 
 TEST(VrAppTest, DeliversFramesInOrder) {
-  VrConfig cfg;
-  cfg.initial_level = 0;  // light load: everything should arrive quickly
-  VrRun run = MakeVrRun(1, false, DataRate::Mbps(50), cfg);
+  // Light load: the top level's 57.6 Mbps on a 200 Mbps link, so everything
+  // should arrive quickly.
+  VrRun run = MakeVrRun(1, false, DataRate::Mbps(200));
   run.bed->loop().RunUntil(Sec(10.0));
   EXPECT_GT(run.client->frames_received(), 500u);
   // Completion times are monotone in frame id.
@@ -60,24 +60,21 @@ TEST(VrAppTest, DeliversFramesInOrder) {
 }
 
 TEST(VrAppTest, HeadControlMessagesFlowBack) {
-  VrConfig cfg;
-  cfg.initial_level = 0;
-  VrRun run = MakeVrRun(2, false, DataRate::Mbps(50), cfg);
+  VrRun run = MakeVrRun(2, false, DataRate::Mbps(200));
   run.bed->loop().RunUntil(Sec(10.0));
   // 50 ms cadence for 10 s ~ 200 messages.
   EXPECT_GT(run.server->control_messages_received(), 100u);
 }
 
 TEST(VrAppTest, OverloadedPlainTcpMissesDeadlines) {
-  VrConfig cfg;  // top level 120 KB * 60 fps = 57.6 Mbps > 50 Mbps link
-  VrRun run = MakeVrRun(3, false, DataRate::Mbps(50), cfg);
+  // Top level 120 KB * 60 fps = 57.6 Mbps > 50 Mbps link.
+  VrRun run = MakeVrRun(3, false, DataRate::Mbps(50));
   run.bed->loop().RunUntil(Sec(20.0));
   EXPECT_GT(run.client->DeadlineMissFraction(), 0.3);
 }
 
 TEST(VrAppTest, ElementAdaptationMeetsDeadlines) {
-  VrConfig cfg;
-  VrRun run = MakeVrRun(4, true, DataRate::Mbps(50), cfg);
+  VrRun run = MakeVrRun(4, true, DataRate::Mbps(50));
   run.bed->loop().RunUntil(Sec(20.0));
   EXPECT_LT(run.client->DeadlineMissFraction(), 0.05);
   // It still streams a meaningful number of frames.
@@ -85,8 +82,7 @@ TEST(VrAppTest, ElementAdaptationMeetsDeadlines) {
 }
 
 TEST(VrAppTest, AdaptationDownshiftsUnderCongestion) {
-  VrConfig cfg;
-  VrRun run = MakeVrRun(5, true, DataRate::Mbps(30), cfg);  // tighter link
+  VrRun run = MakeVrRun(5, true, DataRate::Mbps(30));  // tighter link
   run.bed->loop().RunUntil(Sec(20.0));
   // From the top of the ladder (58 Mbps) it must have come down.
   EXPECT_LT(run.server->current_level(), 3);
@@ -98,10 +94,9 @@ TEST(VrAppTest, AdaptationDownshiftsUnderCongestion) {
 }
 
 TEST(VrAppTest, FrameDelayDistributionTighterWithElement) {
-  VrConfig cfg;
-  VrRun plain = MakeVrRun(6, false, DataRate::Mbps(50), cfg);
+  VrRun plain = MakeVrRun(6, false, DataRate::Mbps(50));
   plain.bed->loop().RunUntil(Sec(20.0));
-  VrRun em = MakeVrRun(6, true, DataRate::Mbps(50), cfg);
+  VrRun em = MakeVrRun(6, true, DataRate::Mbps(50));
   em.bed->loop().RunUntil(Sec(20.0));
   EXPECT_LT(em.client->frame_delays().Quantile(0.9),
             plain.client->frame_delays().Quantile(0.9) * 0.5);

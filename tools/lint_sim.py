@@ -43,10 +43,11 @@ reproducible; this lint does:
       line-by-line with allow(socket-construction), as for R7 and R8.
   R10 no unset knob: every field of a `struct ...Config|Params|Options|Spec`
       declared in a src/ header must be set somewhere in src/, bench/,
-      examples/, tests/ or perfbench/, or it is a configuration nobody runs
-      and belongs in a named constant next to the code that reads it. A
-      field counts as set where `.f =`, `->f =`, a nested `.f.x =` or a
-      `&Struct::f` member pointer appears in those trees. Waived per field
+      examples/ or perfbench/, or it is a configuration nobody runs and
+      belongs in a named constant next to the code that reads it. A field
+      counts as set where `.f =`, `->f =`, a nested `.f.x =` or a
+      `&Struct::f` member pointer appears in those trees; a setter in tests/
+      does not count, since no run reaches it (as for R12). Waived per field
       line with allow(unset-knob).
   R11 no DuplexPath construction in src/, bench/ or examples/ outside
       Testbed (src/tcpsim/testbed.cc) — a single path's qdiscs, link models
@@ -74,10 +75,9 @@ reproducible; this lint does:
 
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
 src/topo/, and src/telemetry/; R8 only in src/netsim/, src/topo/ and
-src/evloop/; R9 and R11 in all of src/; R10 in src/ headers, searching the
-five trees above for setters whatever paths are linted; R12 in src/ headers,
-searching src/, bench/, examples/ and perfbench/ for uses whatever paths are
-linted).
+src/evloop/; R9 and R11 in all of src/; R10 and R12 in src/ headers,
+searching src/, bench/, examples/ and perfbench/ for setters and uses
+whatever paths are linted).
 bench/ and examples/ are linted with R2/R3/R4, R9 and R11; tests/ with
 R2/R3/R4 only, since unit tests build sockets and paths by hand to reach
 states a flow cannot (benchmark harnesses legitimately read wall clocks;
@@ -224,12 +224,13 @@ def lint_line(line: str, rules: dict) -> list[tuple[str, str]]:
 # R10 (unset-knob) and R12 (test-only) work on whole declarations, not lines.
 # Both read them through one statement scanner (scope_statements) over text
 # whose comments and literals are blanked, and its preprocessor lines too.
+# Both count only what a run reaches: these trees, not tests/.
+RUN_TREES = ("src", "bench", "examples", "perfbench")
 KNOB_STRUCT_RE = re.compile(r"\w*(?:Config|Params|Options|Spec)")
-KNOB_TREES = ("src", "bench", "examples", "tests", "perfbench")
 UNSET_KNOB_MESSAGE = (
-    "config field that nothing in src/, bench/, examples/, tests/ or perfbench/ "
-    "sets; make it a named constant next to the code that reads it "
-    "(waive with lint_sim: allow(unset-knob))"
+    "config field that nothing in src/, bench/, examples/ or perfbench/ sets "
+    "(tests/ do not count); make it a named constant next to the code that "
+    "reads it (waive with lint_sim: allow(unset-knob))"
 )
 # Comments, string literals and character literals (not a digit separator,
 # as in 1'000).
@@ -346,7 +347,7 @@ class KnobIndex:
 
     def __init__(self, root: Path):
         self.files = []
-        for tree in KNOB_TREES:
+        for tree in RUN_TREES:
             base = root / tree
             if base.is_dir():
                 self.files.extend(blank_comments_and_strings(p.read_text())
@@ -387,7 +388,6 @@ def lint_unset_knobs(path: Path, index: KnobIndex) -> list[tuple[int, str]]:
 
 
 # R12 (test-only): a public name of a src/ header that no run reaches.
-USE_TREES = ("src", "bench", "examples", "perfbench")
 TEST_ONLY_MESSAGE = (
     "public API that nothing in src/, bench/, examples/ or perfbench/ names "
     "(tests/ do not count); delete it, or waive a read-only observer of what "
@@ -448,7 +448,7 @@ class UseIndex:
         self.skip = set()   # (file, offset) of declarations and definitions
         self.spans = {}     # class -> [(file, begin, end)] of its body and member definitions
         self.api = {}       # src/ header path -> [(owner, name, offset, is_class)]
-        for tree in USE_TREES:
+        for tree in RUN_TREES:
             base = root / tree
             if not base.is_dir():
                 continue
