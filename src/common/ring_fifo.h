@@ -1,5 +1,5 @@
 // Growable ring-buffer FIFO for the simulator's per-packet queues (qdisc
-// bands, a pipe's wire, the TCP retransmit queue).
+// bands, a delay line's packets in flight, the TCP retransmit queue).
 //
 // Unlike std::deque it allocates nothing until the first push, grows by
 // doubling a single power-of-two block when full and never shrinks, so a

@@ -10,21 +10,21 @@ namespace element {
 // 4-ary min-heap over (at, seq), with back-pointers for O(log n) removal
 // ---------------------------------------------------------------------------
 
-void EventLoop::SiftUp(uint32_t index, const HeapEntry entry) {
+void EventLoop::SiftUp(uint32_t index, SimTime at, uint64_t seq, Node* node) {
   while (index > 0) {
     uint32_t parent = (index - 1) >> 2;
-    if (!Earlier(entry, heap_[parent])) {
+    if (!Earlier(at, seq, heap_[parent].at, heap_[parent].seq)) {
       break;
     }
     heap_[index] = heap_[parent];
     heap_[index].node->heap_index = index;
     index = parent;
   }
-  heap_[index] = entry;
-  entry.node->heap_index = index;
+  heap_[index] = HeapEntry{at, seq, node};
+  node->heap_index = index;
 }
 
-void EventLoop::SiftDown(uint32_t index, const HeapEntry entry) {
+void EventLoop::SiftDown(uint32_t index, SimTime at, uint64_t seq, Node* node) {
   const uint32_t size = static_cast<uint32_t>(heap_.size());
   while (true) {
     uint32_t first_child = (index << 2) + 1;
@@ -38,21 +38,21 @@ void EventLoop::SiftDown(uint32_t index, const HeapEntry entry) {
         best = c;
       }
     }
-    if (!Earlier(heap_[best], entry)) {
+    const HeapEntry& child = heap_[best];
+    if (!Earlier(child.at, child.seq, at, seq)) {
       break;
     }
-    heap_[index] = heap_[best];
+    heap_[index] = child;
     heap_[index].node->heap_index = index;
     index = best;
   }
-  heap_[index] = entry;
-  entry.node->heap_index = index;
+  heap_[index] = HeapEntry{at, seq, node};
+  node->heap_index = index;
 }
 
 void EventLoop::HeapPush(Node* node) {
-  const HeapEntry entry{node->at, node->seq, node};
-  heap_.push_back(entry);
-  SiftUp(static_cast<uint32_t>(heap_.size()) - 1, entry);
+  heap_.push_back(HeapEntry{node->at, node->seq, node});
+  SiftUp(static_cast<uint32_t>(heap_.size()) - 1, node->at, node->seq, node);
 }
 
 void EventLoop::HeapRemove(Node* node) {
@@ -66,8 +66,8 @@ void EventLoop::HeapRemove(Node* node) {
     return;
   }
   // The replacement may need to move either way relative to its new parent.
-  SiftUp(index, last);
-  SiftDown(last.node->heap_index, last);
+  SiftUp(index, last.at, last.seq, last.node);
+  SiftDown(last.node->heap_index, last.at, last.seq, last.node);
 }
 
 void EventLoop::HeapPopTop() {
@@ -75,7 +75,7 @@ void EventLoop::HeapPopTop() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
-    SiftDown(0, last);
+    SiftDown(0, last.at, last.seq, last.node);
   }
 }
 
@@ -139,16 +139,15 @@ void EventLoop::ArmKeyed(Node* node, SimTime at, uint64_t seq) {
       // returns. The fired timer is idle from here; a re-arm pushes it.
       firing_->heap_index = kNotInHeap;
       firing_ = nullptr;
-      SiftDown(0, HeapEntry{at, seq, node});
+      SiftDown(0, at, seq, node);
     } else {
       HeapPush(node);
     }
   } else {
     // In-place re-arm: sift the re-keyed entry from the node's current
     // position (for a firing timer, the root: one sift down).
-    const HeapEntry entry{at, seq, node};
-    SiftUp(node->heap_index, entry);
-    SiftDown(node->heap_index, entry);
+    SiftUp(node->heap_index, at, seq, node);
+    SiftDown(node->heap_index, at, seq, node);
   }
 }
 

@@ -111,22 +111,26 @@ class EventLoop {
   };
 
   // (time, seq) lexicographic order.
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
-    if (a.at != b.at) {
-      return a.at < b.at;
+  static bool Earlier(SimTime a_at, uint64_t a_seq, SimTime b_at, uint64_t b_seq) {
+    if (a_at != b_at) {
+      return a_at < b_at;
     }
-    return a.seq < b.seq;
+    return a_seq < b_seq;
+  }
+  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
+    return Earlier(a.at, a.seq, b.at, b.seq);
   }
 
   // Copies the node's key into a new heap entry.
   void HeapPush(Node* node);
   void HeapRemove(Node* node);  // arbitrary position, O(log n)
   void HeapPopTop();
-  // Move `entry` from the hole at `index` towards the root (up) or the
-  // leaves (down), then store it where it stops. The caller passes the entry
-  // rather than storing it first, so the sift never reloads it.
-  void SiftUp(uint32_t index, HeapEntry entry);
-  void SiftDown(uint32_t index, HeapEntry entry);
+  // Move the entry {at, seq, node} from the hole at `index` towards the root
+  // (up) or the leaves (down), then store it where it stops. The caller
+  // passes the key in registers rather than storing the entry first, so the
+  // sift never reloads it.
+  void SiftUp(uint32_t index, SimTime at, uint64_t seq, Node* node);
+  void SiftDown(uint32_t index, SimTime at, uint64_t seq, Node* node);
 
   // Timer plumbing: arming inserts a node into the heap (or re-keys it where
   // it is, or puts it in the firing node's root slot), and a fire that

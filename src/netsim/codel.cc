@@ -57,7 +57,7 @@ bool CoDelState::ShouldDrop(TimeDelta sojourn, SimTime now, size_t queued_bytes)
   return false;
 }
 
-bool CoDel::Enqueue(Packet pkt, SimTime now) {
+bool CoDel::Enqueue(Packet&& pkt, SimTime now) {
   ScopedConservationAudit audit(this);
   if (queue_.size() >= limit_packets_) {
     CountDropPreQueue(pkt, now);

@@ -50,7 +50,7 @@ class CoDel : public Qdisc {
  public:
   explicit CoDel(size_t limit_packets = 1000) : limit_packets_(limit_packets) {}
 
-  bool Enqueue(Packet pkt, SimTime now) override;
+  bool Enqueue(Packet&& pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override { return queue_.size(); }
   int64_t byte_count() const override { return queue_.bytes; }

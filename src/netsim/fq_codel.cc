@@ -68,7 +68,7 @@ void FqCoDel::DropFromLongestFlow(SimTime now) {
   CountDropFromQueue(head, now);
 }
 
-bool FqCoDel::Enqueue(Packet pkt, SimTime now) {
+bool FqCoDel::Enqueue(Packet&& pkt, SimTime now) {
   ScopedConservationAudit audit(this);
   if (total_packets_ >= limit_packets_) {
     DropFromLongestFlow(now);

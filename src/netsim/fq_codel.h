@@ -18,7 +18,7 @@ class FqCoDel : public Qdisc {
  public:
   explicit FqCoDel(size_t limit_packets = 10240);
 
-  bool Enqueue(Packet pkt, SimTime now) override;
+  bool Enqueue(Packet&& pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override { return total_packets_; }
   int64_t byte_count() const override { return total_bytes_; }

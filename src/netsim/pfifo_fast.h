@@ -16,7 +16,9 @@ class PfifoFast final : public Qdisc {
  public:
   explicit PfifoFast(size_t limit_packets = 1000);
 
-  bool Enqueue(Packet pkt, SimTime now) override;
+  bool Enqueue(Packet&& pkt, SimTime now) override;
+  // Bypasses when all three bands are empty and the limit admits a packet.
+  bool Bypass(Packet& pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override {
     return bands_[0].size() + bands_[1].size() + bands_[2].size();

@@ -67,7 +67,7 @@ void Pie::MaybeUpdateProbability(SimTime now) {
   first_update_done_ = true;
 }
 
-bool Pie::Enqueue(Packet pkt, SimTime now) {
+bool Pie::Enqueue(Packet&& pkt, SimTime now) {
   ScopedConservationAudit audit(this);
   MaybeUpdateProbability(now);
   if (queue_.size() >= limit_packets_) {

@@ -16,7 +16,7 @@ class Pie : public Qdisc {
  public:
   explicit Pie(Rng rng, size_t limit_packets = 1000);
 
-  bool Enqueue(Packet pkt, SimTime now) override;
+  bool Enqueue(Packet&& pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override { return queue_.size(); }
   int64_t byte_count() const override { return queue_.bytes; }

@@ -4,17 +4,31 @@
 
 namespace element {
 
+void DelayLine::DeliverFront() {
+  // Move the packet out before popping: the sink may push onto this line.
+  InFlight& front = in_flight_.front();
+  PacketSink* out = front.out;
+  Packet pkt = std::move(front.pkt);
+  in_flight_.pop_front();
+  out->Deliver(std::move(pkt));
+}
+
 Pipe::Pipe(EventLoop* loop, Rng rng, std::unique_ptr<Qdisc> qdisc,
-           std::unique_ptr<LinkModel> link, PacketSink* out)
+           std::unique_ptr<LinkModel> link, DelayLine* line, PacketSink* out)
     : loop_(loop),
       rng_(std::move(rng)),
       qdisc_(std::move(qdisc)),
       link_(std::move(link)),
+      line_(line),
       out_(out),
-      tx_timer_(loop, [this] { OnTxTimer(); }),
-      delivery_timer_(loop, [this] { DeliverFront(); }) {}
+      tx_timer_(loop, [this] { OnTxTimer(); }) {}
 
-void Pipe::Send(Packet pkt) {
+void Pipe::Send(Packet&& pkt) {
+  if (!txing_.has_value() && qdisc_->Bypass(pkt, loop_->now())) {
+    txing_.emplace(std::move(pkt));
+    TransmitOrPark();
+    return;
+  }
   // Kick the transmitter even when the queue drops this packet: the line may
   // be idle with a backlog (e.g. just after an outage).
   qdisc_->Enqueue(std::move(pkt), loop_->now());
@@ -30,16 +44,13 @@ TimeDelta Pipe::CurrentBacklogDelay() {
 }
 
 void Pipe::MaybeStartTransmission() {
-  if (busy_) {
+  if (txing_.has_value()) {
     return;
   }
-  std::optional<Packet> pkt = qdisc_->Dequeue(loop_->now());
-  if (!pkt.has_value()) {
-    return;
+  txing_ = qdisc_->Dequeue(loop_->now());
+  if (txing_.has_value()) {
+    TransmitOrPark();
   }
-  busy_ = true;
-  txing_ = std::move(*pkt);
-  TransmitOrPark();
 }
 
 void Pipe::TransmitOrPark() {
@@ -65,9 +76,6 @@ void Pipe::OnTxTimer() {
 }
 
 void Pipe::OnTransmitComplete() {
-  busy_ = false;
-  Packet pkt = std::move(*txing_);
-  txing_.reset();
   if (!link_->DropOnWire(rng_, loop_->now())) {
     SimTime deliver_at = loop_->now() + link_->PropagationDelay() + link_->JitterFor(rng_);
     // Links do not reorder: clamp to the latest scheduled delivery.
@@ -75,16 +83,10 @@ void Pipe::OnTransmitComplete() {
       deliver_at = last_delivery_;
     }
     last_delivery_ = deliver_at;
-    wire_.push_back(std::move(pkt));
-    delivery_timer_.Push(deliver_at);
+    line_->Push(deliver_at, out_, std::move(*txing_));
   }
+  txing_.reset();
   MaybeStartTransmission();
-}
-
-void Pipe::DeliverFront() {
-  Packet pkt = std::move(wire_.front());
-  wire_.pop_front();
-  out_->Deliver(std::move(pkt));
 }
 
 void Demux::Deliver(Packet pkt) {
@@ -98,11 +100,12 @@ void Demux::Deliver(Packet pkt) {
 
 DuplexPath::DuplexPath(EventLoop* loop, Rng* rng, std::unique_ptr<Qdisc> fwd_qdisc,
                        std::unique_ptr<LinkModel> fwd_link, std::unique_ptr<Qdisc> rev_qdisc,
-                       std::unique_ptr<LinkModel> rev_link) {
+                       std::unique_ptr<LinkModel> rev_link)
+    : forward_line_(loop), reverse_line_(loop) {
   forward_ = std::make_unique<Pipe>(loop, rng->Fork(), std::move(fwd_qdisc),
-                                    std::move(fwd_link), &server_demux_);
+                                    std::move(fwd_link), &forward_line_, &server_demux_);
   reverse_ = std::make_unique<Pipe>(loop, rng->Fork(), std::move(rev_qdisc),
-                                    std::move(rev_link), &client_demux_);
+                                    std::move(rev_link), &reverse_line_, &client_demux_);
 }
 
 }  // namespace element

@@ -1,5 +1,6 @@
 // Pipe = qdisc + rate serializer + propagation/jitter/loss, one direction of
-// a path. DuplexPath pairs two pipes and demultiplexes deliveries to
+// a path. A transmitted packet flies on a DelayLine, which one or more pipes
+// share. DuplexPath pairs two pipes and demultiplexes deliveries to
 // registered protocol endpoints by flow id.
 
 #ifndef ELEMENT_SRC_NETSIM_PIPE_H_
@@ -20,14 +21,53 @@
 
 namespace element {
 
+// Packets in flight, each handed to its pipe's `out` sink at its delivery
+// time: one FifoTimer and one ring of {out, packet}, however many pipes push
+// onto it.
+//
+// Push times must never decrease (FifoTimer::Push checks this). A pipe's own
+// pushes satisfy it, since its deliveries are clamped in order. Several pipes
+// may share a line when every one of them adds the same fixed delay and no
+// jitter: each push happens at a transmit completion, at time now + d with a
+// sequence number drawn then, so keys pushed from all the pipes still never
+// decrease, and every packet fires at exactly the (time, seq) key a per-pipe
+// line would have given it.
+class DelayLine {
+ public:
+  explicit DelayLine(EventLoop* loop) : timer_(loop, [this] { DeliverFront(); }) {}
+
+  // Delivers `pkt` to `out` at `at` (clamped to now).
+  void Push(SimTime at, PacketSink* out, Packet&& pkt) {
+    in_flight_.push_back(InFlight{out, std::move(pkt)});
+    timer_.Push(at);
+  }
+
+ private:
+  struct InFlight {
+    PacketSink* out;
+    Packet pkt;
+  };
+
+  void DeliverFront();
+
+  // In step with timer_'s entries: one push onto each per packet, one pop
+  // from each per delivery.
+  RingFifo<InFlight> in_flight_;
+  FifoTimer timer_;
+};
+
 class Pipe : public PacketSink {
  public:
+  // Transmitted packets fly on `line` (not owned; it must outlive the pipe)
+  // and are then delivered to `out`.
   Pipe(EventLoop* loop, Rng rng, std::unique_ptr<Qdisc> qdisc,
-       std::unique_ptr<LinkModel> link, PacketSink* out);
+       std::unique_ptr<LinkModel> link, DelayLine* line, PacketSink* out);
 
   // PacketSink: feeding a pipe enqueues into its qdisc.
   void Deliver(Packet pkt) override { Send(std::move(pkt)); }
-  void Send(Packet pkt);
+  // An idle line whose qdisc lets the packet bypass (Qdisc::Bypass) starts
+  // transmitting it at once; otherwise it is enqueued.
+  void Send(Packet&& pkt);
 
   Qdisc& qdisc() { return *qdisc_; }
 
@@ -44,28 +84,21 @@ class Pipe : public PacketSink {
   void TransmitOrPark();
   void OnTxTimer();
   void OnTransmitComplete();
-  void DeliverFront();
 
   EventLoop* loop_;
   Rng rng_;
   std::unique_ptr<Qdisc> qdisc_;
   std::unique_ptr<LinkModel> link_;
+  DelayLine* line_;
   PacketSink* out_;
-  bool busy_ = false;
   SimTime last_delivery_ = SimTime::Zero();  // enforces in-order delivery
 
-  // Head-of-line packet being serialized (or parked during an outage). The
-  // serializer timer re-arms in place instead of scheduling fresh events.
+  // Head-of-line packet being serialized (or parked during an outage); the
+  // line is busy while it holds one. The serializer timer re-arms in place
+  // instead of scheduling fresh events.
   std::optional<Packet> txing_;
   bool parked_ = false;
   Timer tx_timer_;
-  // Transmitted packets awaiting propagation delivery, in step with
-  // delivery_timer_'s entries: one push onto each per packet, one pop from
-  // each per delivery. Delivery times are clamped monotonic, so the link's
-  // whole flight is one heap entry and every delivery keeps the key a
-  // per-packet Timer armed at the transmit would have had.
-  RingFifo<Packet> wire_;
-  FifoTimer delivery_timer_;
 };
 
 // Routes delivered packets to per-flow endpoints: a table indexed by flow id.
@@ -164,6 +197,10 @@ class DuplexPath {
  private:
   Demux server_demux_;
   Demux client_demux_;
+  // One line per direction: a path's links may jitter, so its pipes share
+  // no line.
+  DelayLine forward_line_;
+  DelayLine reverse_line_;
   std::unique_ptr<Pipe> forward_;
   std::unique_ptr<Pipe> reverse_;
   FlowIdAllocator flow_ids_;

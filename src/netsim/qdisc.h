@@ -54,7 +54,17 @@ class Qdisc {
   virtual ~Qdisc() = default;
 
   // Takes ownership of the packet. Returns false if the packet was dropped.
-  virtual bool Enqueue(Packet pkt, SimTime now) = 0;
+  virtual bool Enqueue(Packet&& pkt, SimTime now) = 0;
+  // Asked by a pipe whose line is idle, before Enqueue. Returning true means
+  // `pkt` was counted in and straight out, exactly as Enqueue then Dequeue
+  // would have (stamp, stats, records): the pipe transmits it at once, with
+  // no queue round trip. Linux's TCQ_F_CAN_BYPASS. Only a discipline whose
+  // Enqueue and Dequeue keep no state beyond its queue may say yes.
+  virtual bool Bypass(Packet& pkt, SimTime now) {
+    (void)pkt;
+    (void)now;
+    return false;
+  }
   // Next packet to transmit, or nullopt if empty. AQMs may drop internally
   // while searching for a survivor.
   virtual std::optional<Packet> Dequeue(SimTime now) = 0;
@@ -128,7 +138,7 @@ class Qdisc {
 
  protected:
   // Stamps `pkt` with its admission time, counts it and queues it on `q`.
-  void Admit(PacketQueue* q, Packet pkt, SimTime now) {
+  void Admit(PacketQueue* q, Packet&& pkt, SimTime now) {
     pkt.enqueued = now;
     q->bytes += pkt.size_bytes;
     CountEnqueue(pkt, now);
@@ -189,15 +199,18 @@ class Qdisc {
     return false;
   }
 
-  QdiscStats stats_;
-  bool ecn_enabled_ = false;
-
- private:
+  // Admission of `pkt`; Admit calls it, and a bypass calls it before
+  // CountDequeue.
   void CountEnqueue(const Packet& pkt, SimTime now) {
     ++stats_.enqueued_packets;
     stats_.enqueued_bytes += pkt.size_bytes;
     EmitRecord(telemetry::RecordKind::kQdiscEnqueue, pkt, now, 0);
   }
+
+  QdiscStats stats_;
+  bool ecn_enabled_ = false;
+
+ private:
   void EmitRecord(telemetry::RecordKind kind, const Packet& pkt, SimTime now, uint8_t flags,
                   uint64_t aux = 0) {
     if (spine_ == nullptr || !spine_->recording()) {

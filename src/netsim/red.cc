@@ -32,7 +32,7 @@ double Red::CurrentDropProbability() const {
   return base / denom;
 }
 
-bool Red::Enqueue(Packet pkt, SimTime now) {
+bool Red::Enqueue(Packet&& pkt, SimTime now) {
   ScopedConservationAudit audit(this);
   // EWMA of the instantaneous queue; an idle period decays it toward zero
   // (approximation of the m-packet idle correction).

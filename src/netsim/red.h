@@ -18,7 +18,7 @@ class Red : public Qdisc {
  public:
   Red(size_t limit_packets, Rng rng);
 
-  bool Enqueue(Packet pkt, SimTime now) override;
+  bool Enqueue(Packet&& pkt, SimTime now) override;
   std::optional<Packet> Dequeue(SimTime now) override;
   size_t packet_count() const override { return queue_.size(); }
   int64_t byte_count() const override { return queue_.bytes; }

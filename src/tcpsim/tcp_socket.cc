@@ -70,10 +70,10 @@ void TcpSocket::Connect() {
   ELEMENT_DCHECK(state_ == State::kClosed) << "Connect() on a non-closed socket";
   state_ = State::kSynSent;
   established_time_ = loop_->now();  // records SYN time until established
-  TcpSegmentPayload syn;
-  syn.syn = true;
-  syn.receive_window = AdvertisedWindow();
-  EmitSegment(syn, 0);
+  std::shared_ptr<TcpSegmentPayload> syn = NewSegment();
+  syn->syn = true;
+  syn->receive_window = AdvertisedWindow();
+  EmitSegment(std::move(syn), 0);
   syn_retry_timer_.RestartAfter(kSynRetry);
 }
 
@@ -279,20 +279,20 @@ void TcpSocket::SendDataSegment(uint64_t seq, uint32_t len, bool retransmit) {
   }
   cc_->OnPacketSent(loop_->now(), EffectiveInFlight());
 
-  TcpSegmentPayload seg;
-  seg.seq = seq;
-  seg.payload_bytes = len;
-  seg.ack = true;
-  seg.ack_seq = rcv_nxt_;
-  seg.receive_window = AdvertisedWindow();
-  seg.retransmit = retransmit;
+  std::shared_ptr<TcpSegmentPayload> seg = NewSegment();
+  seg->seq = seq;
+  seg->payload_bytes = len;
+  seg->ack = true;
+  seg->ack_seq = rcv_nxt_;
+  seg->receive_window = AdvertisedWindow();
+  seg->retransmit = retransmit;
   if (cwr_pending_) {
-    seg.cwr = true;
+    seg->cwr = true;
     cwr_pending_ = false;
   }
   last_send_activity_ = loop_->now();
   have_send_activity_ = true;
-  EmitSegment(seg, len);
+  EmitSegment(std::move(seg), len);
   // Arm on first transmission; restart on retransmissions so the timer
   // tracks the newest repair attempt (tcp_rearm_rto behaviour) instead of
   // racing with an in-progress SACK recovery.
@@ -741,11 +741,11 @@ void TcpSocket::OnDataSegment(const Packet& pkt, const TcpSegmentPayload& seg) {
 void TcpSocket::SendAck() {
   segs_since_ack_ = 0;
   delayed_ack_timer_.Cancel();
-  TcpSegmentPayload ack;
-  ack.ack = true;
-  ack.ack_seq = rcv_nxt_;
-  ack.receive_window = AdvertisedWindow();
-  ack.ece = echo_ece_;
+  std::shared_ptr<TcpSegmentPayload> ack = NewSegment();
+  ack->ack = true;
+  ack->ack_seq = rcv_nxt_;
+  ack->receive_window = AdvertisedWindow();
+  ack->ece = echo_ece_;
 
   if (!out_of_order_.empty()) {
     // Report the block holding the most recent arrival first (RFC 2018),
@@ -763,10 +763,10 @@ void TcpSocket::SendAck() {
     size_t count = std::min(n, TcpSegmentPayload::kMaxSackBlocks);
     for (size_t i = 0; i < count; ++i) {
       const SeqRange& b = out_of_order_[(start + i) % n];
-      ack.sacks.push_back(SackBlock{b.begin, b.end});
+      ack->sacks.push_back(SackBlock{b.begin, b.end});
     }
   }
-  EmitSegment(ack, 0);
+  EmitSegment(std::move(ack), 0);
 }
 
 void TcpSocket::ScheduleDelayedAck() {
@@ -789,20 +789,24 @@ void TcpSocket::ScheduleReadableWakeup() {
 // Shared plumbing
 // ---------------------------------------------------------------------------
 
-void TcpSocket::EmitSegment(TcpSegmentPayload seg, uint32_t payload_bytes,
+std::shared_ptr<TcpSegmentPayload> TcpSocket::NewSegment() {
+  return MakePooledPayload<TcpSegmentPayload>(loop_->payload_arena());
+}
+
+void TcpSocket::EmitSegment(std::shared_ptr<TcpSegmentPayload> seg, uint32_t payload_bytes,
                             uint32_t priority_band) {
   Packet pkt;
   pkt.flow_id = flow_id_;
   pkt.priority_band = priority_band;
   pkt.created = loop_->now();
-  if (seg.syn) {
+  if (seg->syn) {
     pkt.size_bytes = kSynWireBytes;
   } else {
     pkt.size_bytes = kIpTcpHeaderBytes + payload_bytes +
-                     static_cast<uint32_t>(seg.sacks.empty() ? 0 : 4 + 8 * seg.sacks.size());
+                     static_cast<uint32_t>(seg->sacks.empty() ? 0 : 4 + 8 * seg->sacks.size());
   }
   pkt.ecn_capable = config_.ecn && payload_bytes > 0;
-  pkt.payload = MakePooledPayload<TcpSegmentPayload>(loop_->payload_arena(), std::move(seg));
+  pkt.payload = std::move(seg);
   ++segs_out_;
   ++info_version_;
   tx_->Deliver(std::move(pkt));
@@ -820,12 +824,12 @@ void TcpSocket::Deliver(Packet pkt) {
       if (seg.syn && !seg.ack) {
         peer_rwnd_ = seg.receive_window;
         BecomeEstablished();
-        TcpSegmentPayload synack;
-        synack.syn = true;
-        synack.ack = true;
-        synack.ack_seq = 0;
-        synack.receive_window = AdvertisedWindow();
-        EmitSegment(synack, 0);
+        std::shared_ptr<TcpSegmentPayload> synack = NewSegment();
+        synack->syn = true;
+        synack->ack = true;
+        synack->ack_seq = 0;
+        synack->receive_window = AdvertisedWindow();
+        EmitSegment(std::move(synack), 0);
       }
       return;
     case State::kSynSent:
@@ -842,11 +846,11 @@ void TcpSocket::Deliver(Packet pkt) {
 
   if (seg.syn) {
     // Duplicate SYN (our SYN-ACK was lost): repeat it.
-    TcpSegmentPayload synack;
-    synack.syn = true;
-    synack.ack = true;
-    synack.receive_window = AdvertisedWindow();
-    EmitSegment(synack, 0);
+    std::shared_ptr<TcpSegmentPayload> synack = NewSegment();
+    synack->syn = true;
+    synack->ack = true;
+    synack->receive_window = AdvertisedWindow();
+    EmitSegment(std::move(synack), 0);
     return;
   }
   if (seg.payload_bytes > 0) {

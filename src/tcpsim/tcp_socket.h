@@ -209,7 +209,11 @@ class TcpSocket : public PacketSink {
       telemetry_.Emit(r);
     }
   }
-  void EmitSegment(TcpSegmentPayload seg, uint32_t payload_bytes, uint32_t priority_band = 1);
+  // A blank segment in the loop's payload arena, for the caller to fill and
+  // hand to EmitSegment.
+  std::shared_ptr<TcpSegmentPayload> NewSegment();
+  void EmitSegment(std::shared_ptr<TcpSegmentPayload> seg, uint32_t payload_bytes,
+                   uint32_t priority_band = 1);
   void BecomeEstablished();
   // Sequence-space conservation audit (compiled out in Release): sequence
   // ordering, SACK-scoreboard bookkeeping vs. the retransmit queue, send- and

@@ -34,7 +34,7 @@ std::string TopologySpec::Validate() const {
 }
 
 Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
-    : loop_(loop), rng_(rng), spec_(spec) {
+    : loop_(loop), rng_(rng), spec_(spec), access_line_(loop), bottleneck_line_(loop) {
   ELEMENT_CHECK(spec_.Validate().empty()) << "bad TopologySpec: " << spec_.Validate();
 
   int levels = spec_.hops + 1;
@@ -55,7 +55,7 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
     auto fwd_link = std::make_unique<ScheduledLinkModel>(spec_.bottleneck_rate,
                                                          spec_.bottleneck_delay);
     pipes_.push_back(std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(qdisc),
-                                            std::move(fwd_link),
+                                            std::move(fwd_link), &bottleneck_line_,
                                             fwd_routers_[static_cast<size_t>(h + 1)].get()));
     fwd_bottlenecks_.push_back(pipes_.back().get());
     int fwd_port = fwd_routers_[static_cast<size_t>(h)]->AddPort(pipes_.back().get());
@@ -66,7 +66,7 @@ Network::Network(EventLoop* loop, Rng* rng, const TopologySpec& spec)
     auto rev_link =
         std::make_unique<ScheduledLinkModel>(spec_.bottleneck_rate, spec_.bottleneck_delay);
     pipes_.push_back(std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(rev_qdisc),
-                                            std::move(rev_link),
+                                            std::move(rev_link), &bottleneck_line_,
                                             rev_routers_[static_cast<size_t>(h)].get()));
     rev_bottlenecks_.push_back(pipes_.back().get());
     int rev_port = rev_routers_[static_cast<size_t>(h + 1)]->AddPort(pipes_.back().get());
@@ -84,7 +84,8 @@ Pipe* Network::MakeAccessPipe(PacketSink* out) {
   auto link = std::make_unique<ScheduledLinkModel>(spec_.bottleneck_rate * kAccessRateFactor,
                                                    spec_.access_delay);
   pipes_.push_back(
-      std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(qdisc), std::move(link), out));
+      std::make_unique<Pipe>(loop_, rng_->Fork(), std::move(qdisc), std::move(link),
+                             &access_line_, out));
   return pipes_.back().get();
 }
 

@@ -139,6 +139,16 @@ class Network {
   Rng* rng_;
   TopologySpec spec_;
 
+  // Two delay lines carry every packet in flight: one for all access pipes
+  // and one for every bottleneck hop in both directions. A line may be
+  // shared only by pipes with one fixed propagation delay and no jitter
+  // (see DelayLine): every link here is a constant-rate ScheduledLinkModel
+  // with its class's delay, so the keys pushed onto a line never decrease.
+  // A hop that jitters, or a hop with a delay of its own, needs a line of
+  // its own. Declared before the pipes, which point at them.
+  DelayLine access_line_;
+  DelayLine bottleneck_line_;
+
   std::vector<std::unique_ptr<Router>> fwd_routers_;  // levels 0..hops
   std::vector<std::unique_ptr<Router>> rev_routers_;
   std::vector<Pipe*> fwd_bottlenecks_;  // hop h: fwd_router[h] -> fwd_router[h+1]

@@ -2,11 +2,12 @@
 // global operator new/delete with counting versions, so it is kept apart
 // from every other test.
 //
-// The steady-state test runs 4 greedy Cubic flows through an FQ-CoDel
-// bottleneck (random wire loss plus AQM drops, so SACK recovery runs
-// throughout) with a pfifo_fast ACK path, and no tracer or ELEMENT. After a
-// warm-up every queue, ring and slab has reached its working size, and the
-// next 2 simulated seconds must not allocate at all.
+// The steady-state tests run greedy Cubic flows through an FQ-CoDel
+// bottleneck with a pfifo_fast ACK path, and no tracer or ELEMENT: 4 flows
+// on a Testbed (random wire loss plus AQM drops, so SACK recovery runs
+// throughout) and 8 on a Network dumbbell. After a warm-up every queue, ring
+// and slab has reached its working size, and the next 2 simulated seconds
+// must not allocate at all.
 //
 // The Rng tests check that a random stream costs nothing until its first
 // draw: only then does it allocate its engine, once. Engine allocations are
@@ -175,6 +176,57 @@ TEST(AllocTest, SteadyStatePacketPathAllocatesNothing) {
   EXPECT_GT(retransmits - retransmits_before, 10u);
   EXPECT_GT(bed.path().forward().qdisc().stats().dropped_packets, 0u);
   EXPECT_EQ(bed.loop().payload_arena().oversize_allocs(), 0u);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// The same on a Network dumbbell: 8 greedy Cubic flows, one host pair each,
+// through the default pfifo_fast bottleneck (tail drops, so SACK recovery
+// runs throughout). Every packet flies on one of the two shared delay lines,
+// and each idle pfifo_fast line passes it by the bypass; once warm,
+// 2 simulated seconds must not allocate. The warm-up is long because a
+// socket's send ring and SACK list still grow (by doubling) each time its
+// window reaches a new peak, which on this path goes on for several seconds.
+TEST(AllocTest, DumbbellSteadyStateAllocatesNothing) {
+  constexpr int kPairs = 8;
+  EventLoop loop;
+  Rng rng(29);
+  TopologySpec spec;
+  spec.host_pairs = kPairs;
+  Network net(&loop, &rng, spec);
+  std::vector<TcpSocketPair> pairs;
+  std::vector<std::unique_ptr<RawTcpSink>> sinks;
+  std::vector<std::unique_ptr<IperfApp>> apps;
+  std::vector<std::unique_ptr<SinkApp>> readers;
+  for (int p = 0; p < kPairs; ++p) {
+    uint64_t flow_id = net.AllocateFlowId();
+    net.RouteFlow(flow_id, p);
+    TcpSocket::Config config;
+    config.congestion_control = "cubic";
+    pairs.push_back(
+        ConnectTcpPair(&loop, &rng, config, flow_id, net.sender(p), net.receiver(p)));
+    sinks.push_back(std::make_unique<RawTcpSink>(pairs.back().sender.get()));
+    apps.push_back(std::make_unique<IperfApp>(&loop, sinks.back().get()));
+    readers.push_back(std::make_unique<SinkApp>(pairs.back().receiver.get()));
+    apps.back()->Start();
+    readers.back()->Start();
+  }
+  loop.RunUntil(Sec(8.0));
+  uint64_t events_before = loop.processed_events();
+  uint64_t drops_before = net.bottleneck_qdisc(0).stats().dropped_packets;
+  std::vector<uint64_t> read_before;
+  for (const TcpSocketPair& pair : pairs) {
+    read_before.push_back(pair.receiver->app_bytes_read());
+  }
+
+  uint64_t allocations = CountAllocations([&] { loop.RunUntil(Sec(10.0)); });
+
+  // Every flow moved data in the window (a fair share is about 300 kB).
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_GT(pairs[i].receiver->app_bytes_read() - read_before[i], 100'000u) << "pair " << i;
+  }
+  EXPECT_GT(loop.processed_events() - events_before, 10'000u);
+  EXPECT_GT(net.bottleneck_qdisc(0).stats().dropped_packets, drops_before);
+  EXPECT_EQ(loop.payload_arena().oversize_allocs(), 0u);
   EXPECT_EQ(allocations, 0u);
 }
 

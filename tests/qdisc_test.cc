@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -283,8 +284,8 @@ TEST(FqCoDelTest, OneFlowMatchesCoDel) {
         p.created = SimTime::FromNanos(static_cast<int64_t>(seq));
         p.ecn_capable = seq % 4 != 3;
         ++seq;
-        ASSERT_TRUE(codel.Enqueue(p, now));
-        ASSERT_TRUE(fq.Enqueue(p, now));
+        ASSERT_TRUE(codel.Enqueue(Packet(p), now));
+        ASSERT_TRUE(fq.Enqueue(std::move(p), now));
       }
       if (phase->service_gap_us != 0 && us % phase->service_gap_us == 0) {
         std::optional<Packet> a = codel.Dequeue(now);
