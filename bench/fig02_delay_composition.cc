@@ -26,15 +26,11 @@ int main() {
 
   TablePrinter table({"component", "delay (ms)", "share"});
   // The paper plots one representative flow; we average across the three.
-  double snd = 0;
-  double net = 0;
-  double rcv = 0;
-  for (const FlowResult& f : flows) {
-    snd += f.sender_delay_s / flows.size();
-    net += f.network_delay_s / flows.size();
-    rcv += f.receiver_delay_s / flows.size();
-  }
-  double total = snd + net + rcv;
+  const MeanDelays delays = AverageDelays(flows);
+  const double snd = delays.sender_s;
+  const double net = delays.network_s;
+  const double rcv = delays.receiver_s;
+  const double total = delays.total_s();
   table.AddRow({"Sender's system delay", TablePrinter::Fmt(snd * 1000, 1),
                 TablePrinter::Fmt(100 * snd / total, 1) + "%"});
   table.AddRow({"Network delay", TablePrinter::Fmt(net * 1000, 1),

@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
     spec.name = cell.name;
     spec.app = "accuracy";
     spec.duration_s = 30.0;
-    spec.tracker_period_ms = 10.0;
     spec.seed = seed++;
     specs.push_back(spec);
   }

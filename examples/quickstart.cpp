@@ -49,7 +49,7 @@ RunResult RunFlow(bool with_element) {
   } else {
     sink = std::make_unique<RawTcpSink>(flow.sender);
   }
-  IperfApp iperf(&bed.loop(), sink.get(), 128 * 1024);
+  IperfApp iperf(&bed.loop(), sink.get());
   SinkApp reader(flow.receiver);
   iperf.Start();
   reader.Start();

@@ -2,8 +2,7 @@
 
 namespace element {
 
-IperfApp::IperfApp(EventLoop* loop, ByteSink* sink, size_t chunk_bytes)
-    : loop_(loop), sink_(sink), chunk_(chunk_bytes) {}
+IperfApp::IperfApp(EventLoop* loop, ByteSink* sink) : loop_(loop), sink_(sink) {}
 
 void IperfApp::Start() {
   if (started_) {
@@ -25,8 +24,9 @@ void IperfApp::Pump() {
   }
   // Keep writing until the sink pushes back (full buffer or pacing gate);
   // the writable callback resumes the pump.
+  constexpr size_t kWriteChunk = 128 * 1024;
   while (true) {
-    if (sink_->Write(chunk_) < chunk_) {
+    if (sink_->Write(kWriteChunk) < kWriteChunk) {
       break;
     }
   }

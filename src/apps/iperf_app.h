@@ -14,11 +14,12 @@
 
 namespace element {
 
-// Writes as fast as the sink accepts — "continuously sends data to measure
-// TCP performance, which is common in legacy TCP applications".
+// Writes 128 KiB chunks as fast as the sink accepts — "continuously sends
+// data to measure TCP performance, which is common in legacy TCP
+// applications".
 class IperfApp {
  public:
-  IperfApp(EventLoop* loop, ByteSink* sink, size_t chunk_bytes = 128 * 1024);
+  IperfApp(EventLoop* loop, ByteSink* sink);
 
   void Start();
 
@@ -27,7 +28,6 @@ class IperfApp {
 
   EventLoop* loop_;
   ByteSink* sink_;
-  size_t chunk_;
   bool started_ = false;
 };
 

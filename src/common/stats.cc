@@ -160,14 +160,17 @@ std::string SampleSet::CdfRows(const std::vector<double>& quantiles,
   return os.str();
 }
 
-Histogram::Histogram(double floor, double ceiling, int bins_per_decade)
-    : floor_(floor), ceiling_(ceiling), bins_per_decade_(bins_per_decade) {
-  ELEMENT_CHECK(floor > 0.0 && ceiling > floor && bins_per_decade > 0)
-      << "bad histogram geometry: [" << floor << ", " << ceiling << ") x " << bins_per_decade;
-  log_floor_ = std::log10(floor_);
-  double decades = std::log10(ceiling_) - log_floor_;
-  nbins_ = static_cast<size_t>(std::ceil(decades * bins_per_decade_ - 1e-9));
-}
+namespace {
+
+// Histogram's geometry (stats.h).
+constexpr double kFloor = 1e-6;
+constexpr double kCeiling = 1e3;
+constexpr int kBinsPerDecade = 32;
+const double kLogFloor = std::log10(kFloor);
+const size_t kBins = static_cast<size_t>(
+    std::ceil((std::log10(kCeiling) - kLogFloor) * kBinsPerDecade - 1e-9));
+
+}  // namespace
 
 void Histogram::Add(double x) {
   if (count_ == 0) {
@@ -179,18 +182,18 @@ void Histogram::Add(double x) {
   }
   ++count_;
   sum_ += x;
-  if (!(x >= floor_)) {  // also catches x <= 0 and NaN
+  if (!(x >= kFloor)) {  // also catches x <= 0 and NaN
     ++underflow_;
     return;
   }
-  if (x >= ceiling_) {
+  if (x >= kCeiling) {
     ++overflow_;
     return;
   }
-  double pos = (std::log10(x) - log_floor_) * static_cast<double>(bins_per_decade_);
+  double pos = (std::log10(x) - kLogFloor) * static_cast<double>(kBinsPerDecade);
   size_t idx = pos <= 0.0 ? 0 : static_cast<size_t>(pos);
-  if (idx >= nbins_) {  // log10 rounding at the top edge
-    idx = nbins_ - 1;
+  if (idx >= kBins) {  // log10 rounding at the top edge
+    idx = kBins - 1;
   }
   Widen(idx, idx + 1);
   ++window_[idx - first_];
@@ -216,22 +219,13 @@ void Histogram::Widen(size_t lo, size_t hi) {
 }
 
 std::vector<uint64_t> Histogram::bins() const {
-  std::vector<uint64_t> dense(nbins_, 0);
+  std::vector<uint64_t> dense(kBins, 0);
   std::copy(window_.begin(), window_.end(),
             dense.begin() + static_cast<std::ptrdiff_t>(first_));
   return dense;
 }
 
-bool Histogram::SameGeometry(const Histogram& other) const {
-  return floor_ == other.floor_ && ceiling_ == other.ceiling_ &&
-         bins_per_decade_ == other.bins_per_decade_;
-}
-
 void Histogram::Merge(const Histogram& other) {
-  ELEMENT_CHECK(SameGeometry(other))
-      << "Histogram::Merge with mismatched geometry: [" << floor_ << ", " << ceiling_ << ") x "
-      << bins_per_decade_ << " vs [" << other.floor_ << ", " << other.ceiling_ << ") x "
-      << other.bins_per_decade_;
   if (other.count_ == 0) {
     return;
   }
@@ -255,7 +249,7 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 double Histogram::BinLowerEdge(size_t i) const {
-  return std::pow(10.0, log_floor_ + static_cast<double>(i) / bins_per_decade_);
+  return std::pow(10.0, kLogFloor + static_cast<double>(i) / kBinsPerDecade);
 }
 
 double Histogram::Quantile(double q) const {
@@ -293,7 +287,7 @@ double Histogram::Quantile(double q) const {
       double frac =
           static_cast<double>(rank - cum) / static_cast<double>(window_[i]);
       double lo = std::log10(BinLowerEdge(first_ + i));
-      double hi = lo + 1.0 / static_cast<double>(bins_per_decade_);
+      double hi = lo + 1.0 / static_cast<double>(kBinsPerDecade);
       value = std::pow(10.0, lo + (hi - lo) * frac);
     }
   }

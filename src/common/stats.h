@@ -90,17 +90,16 @@ class SampleSet {
   mutable bool sorted_valid_ = false;
 };
 
-// Fixed-geometry log-scale histogram: `bins_per_decade` logarithmic bins per
-// decade spanning [floor, ceiling), plus underflow/overflow counters and
-// exactly-tracked count/sum/min/max. Two histograms with the same geometry
-// Merge() by adding bin counts, which is associative and commutative — the
-// property the fleet runner relies on to aggregate per-worker delay
-// decompositions into fleet-wide p50/p95/p99 without storing raw samples.
+// Log-scale histogram with one geometry: 32 logarithmic bins per decade
+// spanning [1 us, 1000 s), plus underflow/overflow counters and
+// exactly-tracked count/sum/min/max. Two histograms Merge() by adding bin
+// counts, which is associative and commutative — the property the fleet
+// runner relies on to aggregate per-worker delay decompositions into
+// fleet-wide p50/p95/p99 without storing raw samples.
 //
-// The default geometry covers [1 us, 1000 s) at 32 bins per decade, which
-// resolves quantiles to ~7.5% relative error across every delay and error
-// magnitude the simulator produces (sub-millisecond LAN delays through
-// multi-second bufferbloat).
+// The geometry resolves quantiles to ~7.5% relative error across every delay
+// and error magnitude the simulator produces (sub-millisecond LAN delays
+// through multi-second bufferbloat).
 //
 // Storage is a window: only the bins from the lowest to the highest one
 // filled so far, plus the index of the first. A default-constructed
@@ -110,15 +109,9 @@ class SampleSet {
 // form, bit for bit.
 class Histogram {
  public:
-  Histogram() : Histogram(1e-6, 1e3, 32) {}
-  // `floor` and `ceiling` must be positive with floor < ceiling.
-  Histogram(double floor, double ceiling, int bins_per_decade);
-
   void Add(double x);
-  // Adds `other`'s contents; geometries must match (ELEMENT_CHECK).
+  // Adds `other`'s contents.
   void Merge(const Histogram& other);
-
-  bool SameGeometry(const Histogram& other) const;
 
   uint64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -147,15 +140,10 @@ class Histogram {
   // Widens the window to cover bins [lo, hi), zero-filling the new ones.
   void Widen(size_t lo, size_t hi);
 
-  double floor_;
-  double ceiling_;
-  int bins_per_decade_;
-  double log_floor_;
-  size_t nbins_;                  // bins in the geometry
   size_t first_ = 0;              // index of window_[0]
   std::vector<uint64_t> window_;  // bins first_ .. first_ + size - 1
-  uint64_t underflow_ = 0;        // x < floor (including x <= 0)
-  uint64_t overflow_ = 0;         // x >= ceiling
+  uint64_t underflow_ = 0;        // x < 1 us (including x <= 0)
+  uint64_t overflow_ = 0;         // x >= 1000 s
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

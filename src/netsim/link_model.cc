@@ -34,7 +34,7 @@ DataRate ScheduledLinkModel::RateAt(SimTime now) {
   return steps_[static_cast<size_t>(it - ends_ns_.begin())].rate;
 }
 
-bool ScheduledLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
+bool ScheduledLinkModel::DropOnWire(Rng& rng) {
   return loss_prob_ > 0.0 && rng.Bernoulli(loss_prob_);
 }
 
@@ -48,7 +48,7 @@ TimeDelta CableLinkModel::JitterFor(Rng& rng) {
   return TimeDelta::FromSeconds(rng.Exponential(0.0004));
 }
 
-bool CableLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) { return rng.Bernoulli(0.00005); }
+bool CableLinkModel::DropOnWire(Rng& rng) { return rng.Bernoulli(0.00005); }
 
 WifiLinkModel::WifiLinkModel(Rng rng, DataRate mean_rate, TimeDelta prop_delay)
     : rng_(std::move(rng)), mean_rate_(mean_rate), prop_delay_(prop_delay) {}
@@ -78,7 +78,7 @@ TimeDelta WifiLinkModel::JitterFor(Rng& rng) {
   return TimeDelta::FromSeconds(std::min(rng.Exponential(0.0012), 0.02));
 }
 
-bool WifiLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
+bool WifiLinkModel::DropOnWire(Rng& rng) {
   return rng.Bernoulli(loss_burst_ ? 0.02 : 0.0005);
 }
 
@@ -108,7 +108,7 @@ TimeDelta LteLinkModel::JitterFor(Rng& rng) {
   return TimeDelta::FromSeconds(base);
 }
 
-bool LteLinkModel::DropOnWire(Rng& rng, SimTime /*now*/) {
+bool LteLinkModel::DropOnWire(Rng& rng) {
   // HARQ hides nearly all radio loss from IP.
   return rng.Bernoulli(0.00002);
 }

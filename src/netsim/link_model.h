@@ -28,9 +28,8 @@ class LinkModel {
     return TimeDelta::Zero();
   }
   // Random loss on the wire (after the queue), e.g. radio loss.
-  virtual bool DropOnWire(Rng& rng, SimTime now) {
+  virtual bool DropOnWire(Rng& rng) {
     (void)rng;
-    (void)now;
     return false;
   }
 };
@@ -56,7 +55,7 @@ class ScheduledLinkModel : public LinkModel {
 
   DataRate RateAt(SimTime now) override;
   TimeDelta PropagationDelay() const override { return prop_delay_; }
-  bool DropOnWire(Rng& rng, SimTime now) override;
+  bool DropOnWire(Rng& rng) override;
 
  private:
   // The rate when the schedule spans no time: the last step's, or the one
@@ -78,7 +77,7 @@ class CableLinkModel : public LinkModel {
   DataRate RateAt(SimTime now) override;
   TimeDelta PropagationDelay() const override { return prop_delay_; }
   TimeDelta JitterFor(Rng& rng) override;
-  bool DropOnWire(Rng& rng, SimTime now) override;
+  bool DropOnWire(Rng& rng) override;
 
  private:
   DataRate rate_;
@@ -96,7 +95,7 @@ class WifiLinkModel : public LinkModel {
   DataRate RateAt(SimTime now) override;
   TimeDelta PropagationDelay() const override { return prop_delay_; }
   TimeDelta JitterFor(Rng& rng) override;
-  bool DropOnWire(Rng& rng, SimTime now) override;
+  bool DropOnWire(Rng& rng) override;
 
  private:
   void MaybeTransition(SimTime now);
@@ -118,7 +117,7 @@ class LteLinkModel : public LinkModel {
   DataRate RateAt(SimTime now) override;
   TimeDelta PropagationDelay() const override { return prop_delay_; }
   TimeDelta JitterFor(Rng& rng) override;
-  bool DropOnWire(Rng& rng, SimTime now) override;
+  bool DropOnWire(Rng& rng) override;
 
  private:
   void MaybeTransition(SimTime now);

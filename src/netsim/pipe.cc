@@ -76,7 +76,7 @@ void Pipe::OnTxTimer() {
 }
 
 void Pipe::OnTransmitComplete() {
-  if (!link_->DropOnWire(rng_, loop_->now())) {
+  if (!link_->DropOnWire(rng_)) {
     SimTime deliver_at = loop_->now() + link_->PropagationDelay() + link_->JitterFor(rng_);
     // Links do not reorder: clamp to the latest scheduled delivery.
     if (deliver_at < last_delivery_) {

@@ -55,11 +55,8 @@ std::vector<FlowResult> RunLegacyApp(const ScenarioSpec& spec) {
 // Runs the spec's app on its path, keeping the rows, flow 0's accuracy and
 // the path's own counters.
 void RunSpec(const ScenarioSpec& spec, ScenarioResult* result) {
-  TimeDelta tracker_period =
-      TimeDelta::FromNanos(static_cast<int64_t>(spec.tracker_period_ms * 1e6));
   if (spec.app == "accuracy") {
-    result->accuracy = RunAccuracyExperiment(spec.seed, spec.BuildPath(), spec.duration_s,
-                                             tracker_period, spec.background_flows);
+    result->accuracy = RunAccuracyExperiment(spec.seed, spec.BuildPath(), spec.duration_s);
     result->has_accuracy = true;
     return;
   }
@@ -76,7 +73,6 @@ void RunSpec(const ScenarioSpec& spec, ScenarioResult* result) {
   cfg.cross.onoff_flows = spec.cross_onoff;
   cfg.cross.congestion_control = spec.cc;
   cfg.element_on_first = spec.element_mode == "first";
-  cfg.tracker_period = tracker_period;
   cfg.duration_s = spec.duration_s;
   cfg.warmup_s = spec.warmup_s;
   cfg.seed = spec.seed;

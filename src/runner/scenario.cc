@@ -73,20 +73,16 @@ constexpr Field kFields[] = {
     {"rtt_ms", &ScenarioSpec::rtt_ms, 1e6},
     {"queue_packets", &ScenarioSpec::queue_packets},
     {"ecn", &ScenarioSpec::ecn},
-    {"loss", &ScenarioSpec::loss},
     {"qdisc", &ScenarioSpec::qdisc},
     {"cc", &ScenarioSpec::cc},
     {"topology", &ScenarioSpec::topology},
     {"hops", &ScenarioSpec::hops},
-    {"host_pairs", &ScenarioSpec::host_pairs},
     {"cross_iperf", &ScenarioSpec::cross_iperf},
     {"cross_onoff", &ScenarioSpec::cross_onoff},
     {"num_flows", &ScenarioSpec::num_flows},
     {"element_mode", &ScenarioSpec::element_mode},
     {"duration_s", &ScenarioSpec::duration_s, 1e9},
     {"warmup_s", &ScenarioSpec::warmup_s, 1e9},
-    {"tracker_period_ms", &ScenarioSpec::tracker_period_ms, 1e6},
-    {"background_flows", &ScenarioSpec::background_flows},
     {"seed", &ScenarioSpec::seed},
 };
 
@@ -161,9 +157,6 @@ PathConfig ScenarioSpec::BuildPath() const {
     path.qdisc = q;
   }
   path.ecn = ecn;
-  if (loss > 0.0) {
-    path.loss_probability = loss;
-  }
   return path;
 }
 
@@ -171,7 +164,7 @@ TopologySpec ScenarioSpec::BuildTopology() const {
   TopologySpec topo;
   topo.shape = topology == "parking_lot" ? TopologyShape::kParkingLot : TopologyShape::kDumbbell;
   topo.hops = topology == "parking_lot" ? hops : 1;
-  topo.host_pairs = host_pairs > 0 ? host_pairs : num_flows;
+  topo.host_pairs = num_flows;
   QdiscType q = QdiscType::kPfifoFast;
   if (ParseQdisc(qdisc, &q)) {
     topo.qdisc = q;
@@ -213,14 +206,6 @@ std::string ScenarioSpec::Validate() const {
     problem = "warmup_s must be in [0, duration_s), got " + FormatG(warmup_s);
   } else if (num_flows < 1) {
     problem = "num_flows must be >= 1, got " + std::to_string(num_flows);
-  } else if (background_flows < 0) {
-    problem = "background_flows must be >= 0, got " + std::to_string(background_flows);
-  } else if (background_flows > 0 && app != "accuracy") {
-    problem = "background_flows needs app=accuracy (got '" + app + "')";
-  } else if (!(tracker_period_ms * 1e6 >= 1.0)) {
-    // The drivers truncate the period to whole nanoseconds; 0 ns would spin.
-    problem = "tracker_period_ms must be at least 1e-6 (one nanosecond), got " +
-              FormatG(tracker_period_ms);
   } else if (rate_mbps <= 0.0) {
     problem = "rate_mbps must be positive, got " + FormatG(rate_mbps);
   } else if (queue_packets < 0) {
@@ -233,17 +218,10 @@ std::string ScenarioSpec::Validate() const {
     problem = "rate_mbps = " + FormatG(rate_mbps) + " is out of range: at rtt_ms = " +
               FormatG(rtt_ms) +
               " its auto-sized queue (2x BDP) does not fit in size_t; set queue_packets";
-  } else if (loss < 0.0 || loss >= 1.0) {
-    problem = "loss must be in [0, 1), got " + FormatG(loss);
-  } else if (loss > 0.0 && profile != "wired" && profile != "lan") {
-    // Only a fixed link draws wire losses; cable, WiFi and LTE would ignore it.
-    problem = "loss needs a fixed link (profile wired or lan), got profile '" + profile + "'";
   } else if (!OneOf(topology, kTopologies)) {
     problem = "unknown topology '" + topology + "' (" + Options(kTopologies) + ")";
   } else if (hops < 1 || hops > 16) {
     problem = "hops must be in [1, 16], got " + std::to_string(hops);
-  } else if (host_pairs < 0) {
-    problem = "host_pairs must be >= 0, got " + std::to_string(host_pairs);
   } else if (cross_iperf < 0 || cross_onoff < 0) {
     problem = "cross_iperf/cross_onoff must be >= 0";
   } else if (topology != "none") {
@@ -255,8 +233,6 @@ std::string ScenarioSpec::Validate() const {
       problem = "topology runs use profile=wired (got '" + profile + "')";
     } else if (element_mode == "wireless") {
       problem = "element_mode=wireless is single-path only";
-    } else if (loss > 0.0) {
-      problem = "loss is single-path only";
     }
   } else if (cross_iperf > 0 || cross_onoff > 0) {
     problem = "cross traffic needs a topology";

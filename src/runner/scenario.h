@@ -35,26 +35,24 @@ struct ScenarioSpec {
   // Path: "wired" uses the rate/rtt/queue knobs below; "lan", "cable",
   // "cable_up", "wifi", "lte", "lte_up" use the named production profiles
   // (rate_mbps and rtt_ms are ignored for profiles; a positive queue_packets,
-  // qdisc, ecn and loss still apply).
+  // qdisc and ecn still apply).
   std::string profile = "wired";
   double rate_mbps = 10.0;
   double rtt_ms = 50.0;
   // 0 => auto-size to max(60, 2 * BDP) packets, the Fig. 7 wired formula.
   int queue_packets = 0;
   bool ecn = false;
-  double loss = 0.0;  // > 0 overrides the link's loss probability
 
   std::string qdisc = "pfifo_fast";  // pfifo_fast | codel | fq_codel | pie | red
   std::string cc = "cubic";          // MakeCongestionControl() name
 
   // Multi-flow topology: "none" keeps the single-path Testbed; "dumbbell" and
-  // "parking_lot" route the flows through a src/topo Network instead. With a
-  // topology, rate/rtt/queue describe the bottleneck hop(s) and `profile`
-  // must stay "wired" (production profiles are single-path).
+  // "parking_lot" route the flows through a src/topo Network instead, with
+  // one end-to-end host pair per foreground flow. With a topology,
+  // rate/rtt/queue describe the bottleneck hop(s) and `profile` must stay
+  // "wired" (production profiles are single-path).
   std::string topology = "none";  // none | dumbbell | parking_lot
   int hops = 1;                   // parking_lot: bottleneck hop count
-  // 0 => one end-to-end host pair per foreground flow.
-  int host_pairs = 0;
   int cross_iperf = 0;  // per hop: long-lived competing flows
   int cross_onoff = 0;  // per hop: on-off Pareto web-like flows
 
@@ -71,10 +69,6 @@ struct ScenarioSpec {
   // Legacy app and topology runs: excluded from the delay decomposition (and
   // from a topology flow 0's scoring). The accuracy app ignores it.
   double warmup_s = 3.0;
-  // tcp_info poll period of a measured flow: the accuracy app, and flow 0 of
-  // a topology run with element_mode=first.
-  double tracker_period_ms = 10.0;
-  int background_flows = 0;  // accuracy app only: flows joining every 20 s
 
   uint64_t seed = 1;
 

@@ -95,7 +95,7 @@ void TcpSocket::BecomeEstablished() {
   TimeDelta handshake_rtt = loop_->now() - established_time_;
   established_time_ = loop_->now();
   delivered_time_ = loop_->now();
-  cc_->OnConnectionStart(loop_->now(), config_.mss);
+  cc_->OnConnectionStart(loop_->now(), kDefaultMss);
   if (handshake_rtt > TimeDelta::Zero()) {
     UpdateRtt(handshake_rtt);
   }
@@ -161,7 +161,7 @@ void TcpSocket::SetSndBuf(size_t bytes) {
 
 uint64_t TcpSocket::CwndBytes() const {
   double segments = std::max(cc_->CwndSegments(), 2.0);
-  return static_cast<uint64_t>(segments * config_.mss);
+  return static_cast<uint64_t>(segments * kDefaultMss);
 }
 
 uint64_t TcpSocket::EffectiveInFlight() const {
@@ -217,7 +217,7 @@ void TcpSocket::TrySendData() {
   std::optional<DataRate> pacing = cc_->PacingRate();
   while (true) {
     uint64_t window = std::min<uint64_t>(CwndBytes(), peer_rwnd_);
-    if (EffectiveInFlight() + config_.mss > window) {
+    if (EffectiveInFlight() + kDefaultMss > window) {
       app_limited_now_ = false;
       break;
     }
@@ -230,20 +230,20 @@ void TcpSocket::TrySendData() {
 
     uint32_t sent_len = 0;
     if (RetransmitOneLost()) {
-      sent_len = config_.mss;  // pacing accounting only
+      sent_len = kDefaultMss;  // pacing accounting only
     } else {
       uint64_t avail = write_seq_ - snd_nxt_;
       if (avail == 0) {
         app_limited_now_ = true;
         break;
       }
-      if (avail < config_.mss && snd_nxt_ > snd_una_) {
+      if (avail < kDefaultMss && snd_nxt_ > snd_una_) {
         // Nagle: park the sub-MSS tail until outstanding data is ACKed (or
         // the application writes enough to fill a segment).
         app_limited_now_ = true;
         break;
       }
-      uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(config_.mss, avail));
+      uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(kDefaultMss, avail));
       SendDataSegment(snd_nxt_, len, /*retransmit=*/false);
       snd_nxt_ += len;
       sent_len = len;
@@ -325,7 +325,7 @@ void TcpSocket::ReactToEcnEcho() {
   }
   last_ecn_reaction_ = loop_->now();
   cwr_pending_ = true;
-  cc_->OnLoss(loop_->now(), EffectiveInFlight(), config_.mss);
+  cc_->OnLoss(loop_->now(), EffectiveInFlight(), kDefaultMss);
 }
 
 void TcpSocket::ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample) {
@@ -419,7 +419,7 @@ void TcpSocket::MarkLosses() {
   }
   bool newly_lost = false;
   uint64_t loss_edge =
-      highest_sacked_ > 3ull * config_.mss ? highest_sacked_ - 3ull * config_.mss : 0;
+      highest_sacked_ > 3ull * kDefaultMss ? highest_sacked_ - 3ull * kDefaultMss : 0;
   // First pass over the segments the loss edge has newly passed: those
   // neither SACKed, lost nor retransmitted are lost. Retransmissions are
   // re-checked below.
@@ -474,7 +474,7 @@ void TcpSocket::MarkLosses() {
     in_recovery_ = true;
     recovery_end_ = snd_nxt_;
     EmitCcEpisode(telemetry::CcEpisode::kRecovery);
-    cc_->OnLoss(loop_->now(), EffectiveInFlight(), config_.mss);
+    cc_->OnLoss(loop_->now(), EffectiveInFlight(), kDefaultMss);
     MaybeAutotuneSndbuf();
   }
 }
@@ -567,7 +567,7 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
     sample.delivery_rate = rate_sample;
     sample.app_limited = sample_app_limited;
     sample.in_recovery = in_recovery_;
-    sample.mss = config_.mss;
+    sample.mss = kDefaultMss;
     cc_->OnAck(sample);
 
     MaybeAutotuneSndbuf();
@@ -589,7 +589,7 @@ void TcpSocket::MaybeAutotuneSndbuf() {
   // Linux tcp_new_space keeps sk_sndbuf around twice the congestion window
   // and never shrinks it — the ratchet that, combined with loss-based CC,
   // produces the paper's sender-side bufferbloat.
-  uint64_t target = 2 * CwndBytes() + 16 * config_.mss;
+  uint64_t target = 2 * CwndBytes() + 16 * kDefaultMss;
   if (target > sndbuf_) {
     sndbuf_ = std::min<uint64_t>(target, config_.sndbuf_max_bytes);
     NotifyWritableIfNeeded();
@@ -632,7 +632,7 @@ void TcpSocket::OnRtoFire() {
 }
 
 void TcpSocket::NotifyWritableIfNeeded() {
-  if (!writable_blocked_ || SndBufFree() < config_.mss) {
+  if (!writable_blocked_ || SndBufFree() < kDefaultMss) {
     return;
   }
   writable_blocked_ = false;
@@ -651,7 +651,7 @@ uint64_t TcpSocket::AdvertisedWindow() const {
   if (config_.drwa_rcv_window_moderation && rcv_rate_bytes_per_s_ > 0.0) {
     uint64_t cap = static_cast<uint64_t>(rcv_rate_bytes_per_s_ *
                                          kDrwaTargetDelay.ToSeconds());
-    cap = std::max<uint64_t>(cap, 4ull * config_.mss);  // never choke to zero
+    cap = std::max<uint64_t>(cap, 4ull * kDefaultMss);  // never choke to zero
     window = std::min(window, cap);
   }
   return window;
@@ -946,7 +946,7 @@ void TcpSocket::AuditSequenceInvariants() const {
     if (outstanding_.empty() || e.seq < outstanding_.front().seq) {
       return;
     }
-    size_t guess = static_cast<size_t>((e.seq - outstanding_.front().seq) / config_.mss);
+    size_t guess = static_cast<size_t>((e.seq - outstanding_.front().seq) / kDefaultMss);
     const SegMeta* meta = nullptr;
     if (guess < outstanding_.size() && outstanding_[guess].seq == e.seq) {
       meta = &outstanding_[guess];
@@ -1016,15 +1016,15 @@ TcpInfoData TcpSocket::GetTcpInfo() const {
   TcpInfoData info;
   info.tcpi_bytes_acked = snd_una_;
   uint64_t pipe = snd_nxt_ - snd_una_;
-  info.tcpi_unacked = static_cast<uint32_t>((pipe + config_.mss - 1) / config_.mss);
-  info.tcpi_snd_mss = config_.mss;
+  info.tcpi_unacked = static_cast<uint32_t>((pipe + kDefaultMss - 1) / kDefaultMss);
+  info.tcpi_snd_mss = kDefaultMss;
   info.tcpi_snd_cwnd = static_cast<uint32_t>(std::max(cc_->CwndSegments(), 2.0));
   info.tcpi_snd_ssthresh = cc_->SsthreshSegments();
   info.tcpi_segs_out = segs_out_;
   info.tcpi_total_retrans = static_cast<uint32_t>(total_retrans_);
   info.tcpi_notsent_bytes = static_cast<uint32_t>(write_seq_ - snd_nxt_);
   info.tcpi_segs_in = segs_in_;
-  info.tcpi_rcv_mss = config_.mss;
+  info.tcpi_rcv_mss = kDefaultMss;
   info.tcpi_bytes_received = rcv_nxt_;
   info.tcpi_rtt_us = static_cast<uint32_t>(srtt_.ToMicros());
   info.tcpi_rttvar_us = static_cast<uint32_t>(rttvar_.ToMicros());

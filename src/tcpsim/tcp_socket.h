@@ -35,7 +35,6 @@ namespace element {
 class TcpSocket : public PacketSink {
  public:
   struct Config {
-    uint32_t mss = kDefaultMss;
     std::string congestion_control = "cubic";
     bool ecn = false;
 
@@ -114,7 +113,7 @@ class TcpSocket : public PacketSink {
   void BindTelemetry(telemetry::TelemetrySpine* spine) { telemetry_.Bind(spine, flow_id_); }
 
   uint64_t flow_id() const { return flow_id_; }
-  uint32_t mss() const { return config_.mss; }
+  uint32_t mss() const { return kDefaultMss; }
 
   uint64_t total_retransmits() const { return total_retrans_; }
   TimeDelta smoothed_rtt() const { return srtt_; }

@@ -6,6 +6,17 @@
 
 namespace element {
 
+namespace {
+
+constexpr uint32_t kSynAckBytes = 60;
+
+// echoping's exchange: a request, its document, and the pause after it.
+constexpr uint32_t kRequestBytes = 100;
+constexpr size_t kDocumentBytes = 256 * 1024;
+constexpr TimeDelta kPause = TimeDelta::FromMillis(200);
+
+}  // namespace
+
 void SynResponder::Deliver(Packet pkt) {
   const auto& seg = *static_cast<const TcpSegmentPayload*>(pkt.payload.get());
   if (!seg.syn || seg.ack) {
@@ -16,7 +27,7 @@ void SynResponder::Deliver(Packet pkt) {
   synack.ack = true;
   Packet reply;
   reply.flow_id = pkt.flow_id;
-  reply.size_bytes = reply_size_;
+  reply.size_bytes = kSynAckBytes;
   reply.created = pkt.created;
   reply.payload = MakePooledPayload<TcpSegmentPayload>(loop_->payload_arena(), synack);
   reply_pipe_->Deliver(std::move(reply));
@@ -66,14 +77,10 @@ void SynProbeTool::Deliver(Packet /*pkt*/) {
   rtt_.Add((loop_->now() - probe_sent_).ToSeconds());
 }
 
-EchoPing::EchoPing(EventLoop* loop, TcpSocket* client, TcpSocket* server,
-                   size_t document_bytes, uint32_t request_bytes, TimeDelta pause_between)
+EchoPing::EchoPing(EventLoop* loop, TcpSocket* client, TcpSocket* server)
     : loop_(loop),
       client_(client),
       server_(server),
-      document_bytes_(document_bytes),
-      request_bytes_(request_bytes),
-      pause_(pause_between),
       expected_read_(0),
       pause_timer_(loop, [this] { SendRequest(); }) {}
 
@@ -94,15 +101,15 @@ void EchoPing::SendRequest() {
   }
   in_flight_ = true;
   request_time_ = loop_->now();
-  expected_read_ = client_->app_bytes_read() + document_bytes_;
-  client_->Write(request_bytes_);
+  expected_read_ = client_->app_bytes_read() + kDocumentBytes;
+  client_->Write(kRequestBytes);
 }
 
 void EchoPing::OnServerReadable() {
   size_t n = server_->Read(1 << 20);
   if (n > 0) {
     // HTTP-ish: any request triggers one document response.
-    response_left_ += (n / request_bytes_) * document_bytes_;
+    response_left_ += (n / kRequestBytes) * kDocumentBytes;
     PumpServerResponse();
   }
 }
@@ -123,7 +130,7 @@ void EchoPing::OnClientReadable() {
   if (in_flight_ && client_->app_bytes_read() >= expected_read_) {
     in_flight_ = false;
     times_.Add((loop_->now() - request_time_).ToSeconds());
-    pause_timer_.RestartAfter(pause_);
+    pause_timer_.RestartAfter(kPause);
   }
 }
 

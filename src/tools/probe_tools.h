@@ -17,19 +17,18 @@
 
 namespace element {
 
-// Echoes SYN-ACKs for probe flows; registered at the server-side demux (the
-// moral equivalent of the peer's listening TCP port).
+// Echoes 60-byte SYN-ACKs for probe flows; registered at the server-side
+// demux (the moral equivalent of the peer's listening TCP port).
 class SynResponder : public PacketSink {
  public:
-  SynResponder(EventLoop* loop, PacketSink* reply_pipe, uint32_t reply_size_bytes = 60)
-      : loop_(loop), reply_pipe_(reply_pipe), reply_size_(reply_size_bytes) {}
+  SynResponder(EventLoop* loop, PacketSink* reply_pipe)
+      : loop_(loop), reply_pipe_(reply_pipe) {}
 
   void Deliver(Packet pkt) override;
 
  private:
   EventLoop* loop_;
   PacketSink* reply_pipe_;
-  uint32_t reply_size_;
 };
 
 // Generic SYN-probe RTT tool; tcpping/paping/hping3 differ only in probe
@@ -76,9 +75,9 @@ class SynProbeTool : public PacketSink {
 // endhost buffering — but only as one undecomposed number.
 class EchoPing {
  public:
-  EchoPing(EventLoop* loop, TcpSocket* client, TcpSocket* server,
-           size_t document_bytes = 256 * 1024, uint32_t request_bytes = 100,
-           TimeDelta pause_between = TimeDelta::FromMillis(200));
+  // Each 100-byte request fetches a 256 KiB document; the next request
+  // leaves 200 ms after the document is complete.
+  EchoPing(EventLoop* loop, TcpSocket* client, TcpSocket* server);
 
   void Start();
   // Total request->document-complete time per exchange, seconds.
@@ -93,9 +92,6 @@ class EchoPing {
   EventLoop* loop_;
   TcpSocket* client_;
   TcpSocket* server_;
-  size_t document_bytes_;
-  uint32_t request_bytes_;
-  TimeDelta pause_;
 
   SimTime request_time_;
   uint64_t expected_read_;

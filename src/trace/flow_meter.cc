@@ -19,8 +19,8 @@ void FlowMeter::Sample() {
   last_sample_ = loop_->now();
 }
 
-DataRate FlowMeter::MeanGoodput(SimTime from) const {
-  TimeDelta span = loop_->now() - from;
+DataRate FlowMeter::MeanGoodput() const {
+  TimeDelta span = loop_->now() - SimTime::Zero();
   if (span <= TimeDelta::Zero()) {
     return DataRate::Zero();
   }

@@ -1,5 +1,5 @@
-// Periodic goodput meter for a flow, used by the benches to report the
-// throughput columns/series of Figures 9, 13, 14, 16, 18.
+// Periodic goodput meter for a flow: Figure 18's per-period throughput
+// series and the quickstart example's mean goodput.
 
 #ifndef ELEMENT_SRC_TRACE_FLOW_METER_H_
 #define ELEMENT_SRC_TRACE_FLOW_METER_H_
@@ -23,8 +23,8 @@ class FlowMeter {
 
   // Per-period goodput samples, Mbps.
   const TimeSeries& throughput_mbps() const { return series_; }
-  // Average goodput between `from` and now (app bytes consumed).
-  DataRate MeanGoodput(SimTime from = SimTime::Zero()) const;
+  // Average goodput since the run began (app bytes consumed).
+  DataRate MeanGoodput() const;
 
  private:
   void Sample();

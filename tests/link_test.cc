@@ -156,7 +156,7 @@ TEST_P(ScheduledLinkModelTest, MatchesTheOldLinks) {
   Rng reference(7);
   int drops = 0;
   for (int i = 0; i < 10000; ++i) {
-    const bool drop = link->DropOnWire(rng, SimTime::Zero());
+    const bool drop = link->DropOnWire(rng);
     EXPECT_EQ(drop, c.loss > 0.0 && reference.Bernoulli(c.loss));
     drops += drop;
   }
@@ -173,7 +173,7 @@ TEST(FixedLinkModelTest, RateAndDelay) {
   EXPECT_DOUBLE_EQ(link.RateAt(SimTime::Zero()).ToMbps(), 8.0);
   EXPECT_EQ(link.PropagationDelay(), TimeDelta::FromMillis(10));
   Rng rng(1);
-  EXPECT_FALSE(link.DropOnWire(rng, SimTime::Zero()));
+  EXPECT_FALSE(link.DropOnWire(rng));
 }
 
 TEST(FixedLinkModelTest, LossProbability) {
@@ -181,7 +181,7 @@ TEST(FixedLinkModelTest, LossProbability) {
   Rng rng(42);
   int drops = 0;
   for (int i = 0; i < 10000; ++i) {
-    drops += link.DropOnWire(rng, SimTime::Zero());
+    drops += link.DropOnWire(rng);
   }
   EXPECT_NEAR(drops / 10000.0, 0.5, 0.03);
 }

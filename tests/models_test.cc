@@ -34,7 +34,7 @@ TEST(CableModelTest, WireLossIsRare) {
   Rng rng(3);
   int drops = 0;
   for (int i = 0; i < 200000; ++i) {
-    drops += model.DropOnWire(rng, SimTime::Zero());
+    drops += model.DropOnWire(rng);
   }
   EXPECT_NEAR(drops / 200000.0, 0.00005, 0.00005);
 }
@@ -49,7 +49,7 @@ TEST(WifiModelTest, LossIsBurstyNotUniform) {
     model.RateAt(t);  // advances the Markov state
     int drops = 0;
     for (int i = 0; i < 100; ++i) {
-      drops += model.DropOnWire(rng, t);
+      drops += model.DropOnWire(rng);
     }
     window_drops.push_back(drops);
   }
@@ -82,7 +82,7 @@ TEST(IperfAppTest, CountsOfferedBytes) {
   Testbed bed(11, path);
   Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
   RawTcpSink sink(flow.sender);
-  IperfApp app(&bed.loop(), &sink, /*chunk=*/32 * 1024);
+  IperfApp app(&bed.loop(), &sink);
   SinkApp reader(flow.receiver);
   app.Start();
   reader.Start();

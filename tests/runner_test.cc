@@ -15,6 +15,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/rng.h"
+#include "src/runner/experiment.h"
 #include "src/runner/fleet.h"
 #include "src/common/json.h"
 #include "src/runner/scenario.h"
@@ -40,18 +41,18 @@ TEST(HistogramTest, BasicStats) {
 }
 
 TEST(HistogramTest, UnderflowAndOverflowAreCounted) {
-  Histogram h(1e-3, 1.0, 8);
+  Histogram h;  // bins [1 us, 1000 s)
   h.Add(0.0);     // below floor (and non-positive)
-  h.Add(1e-5);    // below floor
+  h.Add(1e-8);    // below floor
   h.Add(0.5);     // in range
-  h.Add(2.0);     // above ceiling
+  h.Add(2e3);     // above ceiling
   EXPECT_EQ(h.count(), 4u);
   EXPECT_EQ(h.underflow(), 2u);
   EXPECT_EQ(h.overflow(), 1u);
   // Extremes are tracked exactly even outside the binned range.
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(h.max(), 2e3);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2e3);
   EXPECT_DOUBLE_EQ(h.Quantile(0.0), 0.0);
 }
 
@@ -125,11 +126,14 @@ TEST(HistogramTest, MergeEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(h2.min(), 0.5);
 }
 
+// Histogram's geometry: [1 us, 1000 s) at 32 bins per decade.
+constexpr double kHistFloor = 1e-6;
+constexpr double kHistCeiling = 1e3;
+
 // A dense histogram with every bin stored, binned and queried with the same
 // arithmetic as Histogram: the reference its window storage must match.
 struct DenseHistogram {
-  DenseHistogram(double lo, double hi, int per_decade)
-      : floor(lo), ceiling(hi), bins_per_decade(per_decade) {
+  DenseHistogram() {
     log_floor = std::log10(floor);
     double decades = std::log10(ceiling) - log_floor;
     bins.assign(static_cast<size_t>(std::ceil(decades * bins_per_decade - 1e-9)), 0);
@@ -186,9 +190,9 @@ struct DenseHistogram {
     return std::min(std::max(value, min), max);
   }
 
-  double floor;
-  double ceiling;
-  int bins_per_decade;
+  double floor = kHistFloor;
+  double ceiling = kHistCeiling;
+  int bins_per_decade = 32;
   double log_floor;
   std::vector<uint64_t> bins;
   uint64_t underflow = 0;
@@ -251,28 +255,19 @@ void ExpectMatchesDense(const Histogram& h, const DenseHistogram& ref) {
 }
 
 TEST(HistogramTest, MatchesDenseReferenceOnEdgeCases) {
-  struct Geometry {
-    double floor;
-    double ceiling;
-    int bins_per_decade;
-  };
-  for (const Geometry& g : {Geometry{1e-6, 1e3, 32}, Geometry{1e-3, 1.0, 8},
-                            Geometry{0.3, 7.0, 5}}) {
-    SCOPED_TRACE(g.bins_per_decade);
-    Histogram h(g.floor, g.ceiling, g.bins_per_decade);
-    DenseHistogram ref(g.floor, g.ceiling, g.bins_per_decade);
-    std::vector<double> stream = EdgeCaseStream(g.floor, g.ceiling, 2024);
-    for (size_t i = 0; i < stream.size(); ++i) {
-      h.Add(stream[i]);
-      ref.Add(stream[i]);
-      if (i < 16 || i % 1000 == 0) {  // the first bins of the window, then spot checks
-        ExpectMatchesDense(h, ref);
-      }
+  Histogram h;
+  DenseHistogram ref;
+  std::vector<double> stream = EdgeCaseStream(kHistFloor, kHistCeiling, 2024);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    h.Add(stream[i]);
+    ref.Add(stream[i]);
+    if (i < 16 || i % 1000 == 0) {  // the first bins of the window, then spot checks
+      ExpectMatchesDense(h, ref);
     }
-    ExpectMatchesDense(h, ref);
-    EXPECT_GT(ref.bins.front(), 0u);  // the stream reached both end bins
-    EXPECT_GT(ref.bins.back(), 0u);
   }
+  ExpectMatchesDense(h, ref);
+  EXPECT_GT(ref.bins.front(), 0u);  // the stream reached both end bins
+  EXPECT_GT(ref.bins.back(), 0u);
 }
 
 TEST(HistogramTest, MergeOfAnyWindowsEqualsOneHistogramFedEverySample) {
@@ -298,7 +293,7 @@ TEST(HistogramTest, MergeOfAnyWindowsEqualsOneHistogramFedEverySample) {
       Histogram ha;
       Histogram hb;
       Histogram whole;
-      DenseHistogram ref(1e-6, 1e3, 32);
+      DenseHistogram ref;
       for (double v : parts[a]) {
         ha.Add(v);
         whole.Add(v);
@@ -331,14 +326,6 @@ TEST(HistogramTest, MergeOfAnyWindowsEqualsOneHistogramFedEverySample) {
 }
 
 #if ELEMENT_AUDITS_ENABLED
-TEST(HistogramDeathTest, MismatchedGeometryMergeAborts) {
-  Histogram a(1e-6, 1e3, 32);
-  Histogram b(1e-6, 1e3, 16);
-  a.Add(1.0);
-  b.Add(1.0);
-  EXPECT_DEATH(a.Merge(b), "mismatched geometry");
-}
-
 TEST(HistogramDeathTest, EmptyQuantileIsACallerBug) {
   Histogram h;
   EXPECT_DEATH(h.Quantile(0.5), "empty histogram");
@@ -611,14 +598,13 @@ TEST(ScenarioTest, SweepExpandsEveryAxisInOrder) {
   for (unsigned char c : suite.ToJson()) {
     fnv = (fnv ^ c) * 1099511628211ull;
   }
-  EXPECT_EQ(fnv, 7907275019558700056ull);
+  EXPECT_EQ(fnv, 4254530216427805016ull);
   EXPECT_EQ(suite.scenarios.back().ToJson().Dump(-1),
-            R"({"app":"legacy","background_flows":0,"cc":"bbr","cross_iperf":1,"cross_onoff":2,)"
+            R"({"app":"legacy","cc":"bbr","cross_iperf":1,"cross_onoff":2,)"
             R"("duration_s":2,"ecn":false,"element_mode":"off","hops":1,)"
-            R"("host_pairs":0,"loss":0,"name":"sweep/parking_lot/bbr/3f/ci1/co2","num_flows":3,)"
+            R"("name":"sweep/parking_lot/bbr/3f/ci1/co2","num_flows":3,)"
             R"("profile":"wired","qdisc":"pfifo_fast","queue_packets":0,"rate_mbps":10,)"
-            R"("rtt_ms":50,"seed":1,"topology":"parking_lot","tracker_period_ms":10,)"
-            R"("warmup_s":1})");
+            R"("rtt_ms":50,"seed":1,"topology":"parking_lot","warmup_s":1})");
 }
 
 TEST(ScenarioTest, JsonRoundTripIsIdentity) {
@@ -650,10 +636,12 @@ TEST(ScenarioTest, RejectsUnknownFieldsAndValues) {
   ExpectRejected(R"({"scenarios": [{"qdisc": "taildrop"}]})", "unknown qdisc");
   ExpectRejected(R"({"scenarios": [{"cc": "quic"}]})", "unknown cc");
   ExpectRejected(R"({"scenarios": [{"duration_s": -1}]})", "duration_s must be positive");
-  // A period that truncates to 0 ns would make the tracker re-fire forever.
-  ExpectRejected(R"({"scenarios": [{"app": "accuracy", "duration_s": 2, "warmup_s": 0,
-                                    "tracker_period_ms": 1e-7}]})",
-                 "tracker_period_ms");
+  // Knobs every run left at one value are constants, not fields; a suite
+  // that names one fails instead of running without it.
+  for (const char* key : {"loss", "background_flows", "host_pairs", "tracker_period_ms"}) {
+    ExpectRejected(std::string(R"({"scenarios": [{")") + key + R"(": 1}]})",
+                   std::string("unknown scenario field '") + key + "'");
+  }
   ExpectRejected(R"({"scenarios": [{"queue_packets": -5}]})", "queue_packets");
   // The auto-sized queue used to wrap to 0 packets and abort a topology run.
   ExpectRejected(R"({"scenarios": [{"rate_mbps": 1e300}]})", "rate_mbps = 1e+300 is out of range");
@@ -693,13 +681,7 @@ TEST(ScenarioTest, RejectsSweepPastScenarioLimit) {
 }
 
 // Each time field becomes int64 nanoseconds in the drivers; a value past
-// that range used to wrap (a negative tracker period aborted the run) or
-// run an empty scenario that reported "ok".
-TEST(ScenarioTest, RejectsTrackerPeriodPastInt64Nanoseconds) {
-  ExpectRejected(R"({"scenarios": [{"name": "a", "app": "accuracy", "tracker_period_ms": 1e300}]})",
-                 "tracker_period_ms = 1e+300 is out of range: its nanoseconds must fit in int64");
-}
-
+// that range used to wrap or run an empty scenario that reported "ok".
 TEST(ScenarioTest, RejectsDurationPastInt64Nanoseconds) {
   ExpectRejected(R"({"scenarios": [{"duration_s": 1e12}]})",
                  "duration_s = 1e+12 is out of range");
@@ -744,35 +726,12 @@ TEST(ScenarioTest, RejectsStringSeedCount) {
 
 // Knobs an app never reads are rejected instead of silently ignored.
 TEST(ScenarioTest, RejectsKnobsTheAppIgnores) {
-  ExpectRejected(R"({"scenarios": [{"background_flows": 1}]})",
-                 "background_flows needs app=accuracy (got 'legacy')");
   ExpectRejected(R"({"scenarios": [{"app": "accuracy", "num_flows": 2}]})",
                  "app=accuracy runs one flow; num_flows must be 1, got 2");
   ExpectRejected(R"({"scenarios": [{"app": "accuracy", "element_mode": "first"}]})",
                  "element_mode must be off (got 'first')");
   ExpectRejected(R"({"scenarios": [{"app": "accuracy", "cc": "bbr"}]})",
                  "app=accuracy runs Cubic; cc must be cubic (got 'bbr')");
-}
-
-// Only a fixed link draws wire losses, so loss with a cable, WiFi or LTE
-// profile would be ignored; lan is a fixed link and keeps it.
-TEST(ScenarioTest, RejectsLossOffAFixedLink) {
-  for (const char* profile : {"cable", "cable_up", "wifi", "lte", "lte_up"}) {
-    ExpectRejected(std::string(R"({"scenarios": [{"loss": 0.2, "profile": ")") + profile +
-                       R"("}]})",
-                   std::string("loss needs a fixed link (profile wired or lan), got profile '") +
-                       profile + "'");
-  }
-  for (const char* profile : {"wired", "lan"}) {
-    ScenarioSuite suite;
-    std::string err;
-    EXPECT_TRUE(ScenarioSuite::ParseJson(
-        std::string(R"({"scenarios": [{"loss": 0.2, "profile": ")") + profile + R"("}]})",
-        &suite, &err))
-        << err;
-    ASSERT_EQ(suite.scenarios.size(), 1u);
-    EXPECT_EQ(suite.scenarios[0].BuildPath().loss_probability, 0.2);
-  }
 }
 
 struct SpecCase {
@@ -799,20 +758,12 @@ TEST(ScenarioTest, ValidateNamesEachProblem) {
        "duration_s = nan is out of range: its nanoseconds must fit in int64"},
       {[](ScenarioSpec* s) { s->warmup_s = -std::numeric_limits<double>::infinity(); },
        "warmup_s = -inf is out of range: its nanoseconds must fit in int64"},
-      {[](ScenarioSpec* s) { s->tracker_period_ms = 1.23456789e13; },
-       "tracker_period_ms = 1.23457e+13 is out of range: its nanoseconds must fit in int64"},
       {[](ScenarioSpec* s) { s->duration_s = 0.0; }, "duration_s must be positive, got 0"},
       {[](ScenarioSpec* s) { s->warmup_s = -0.5; },
        "warmup_s must be in [0, duration_s), got -0.5"},
       {[](ScenarioSpec* s) { s->warmup_s = 30.0; },
        "warmup_s must be in [0, duration_s), got 30"},
       {[](ScenarioSpec* s) { s->num_flows = 0; }, "num_flows must be >= 1, got 0"},
-      {[](ScenarioSpec* s) { s->background_flows = -2; },
-       "background_flows must be >= 0, got -2"},
-      {[](ScenarioSpec* s) { s->background_flows = 1; },
-       "background_flows needs app=accuracy (got 'legacy')"},
-      {[](ScenarioSpec* s) { s->tracker_period_ms = 1e-7; },
-       "tracker_period_ms must be at least 1e-6 (one nanosecond), got 1e-07"},
       {[](ScenarioSpec* s) { s->rate_mbps = -2.5; }, "rate_mbps must be positive, got -2.5"},
       {[](ScenarioSpec* s) { s->queue_packets = -5; },
        "queue_packets must be >= 0 (0 sizes the queue automatically), got -5"},
@@ -823,18 +774,10 @@ TEST(ScenarioTest, ValidateNamesEachProblem) {
        },
        "rate_mbps = 1e+300 is out of range: at rtt_ms = 12.5 its auto-sized queue (2x BDP) does "
        "not fit in size_t; set queue_packets"},
-      {[](ScenarioSpec* s) { s->loss = 1.0; }, "loss must be in [0, 1), got 1"},
-      {[](ScenarioSpec* s) { s->loss = -0.125; }, "loss must be in [0, 1), got -0.125"},
-      {[](ScenarioSpec* s) {
-         s->loss = 0.2;
-         s->profile = "cable";
-       },
-       "loss needs a fixed link (profile wired or lan), got profile 'cable'"},
       {[](ScenarioSpec* s) { s->topology = "ring"; },
        "unknown topology 'ring' (none|dumbbell|parking_lot)"},
       {[](ScenarioSpec* s) { s->hops = 17; }, "hops must be in [1, 16], got 17"},
       {[](ScenarioSpec* s) { s->hops = 0; }, "hops must be in [1, 16], got 0"},
-      {[](ScenarioSpec* s) { s->host_pairs = -1; }, "host_pairs must be >= 0, got -1"},
       {[](ScenarioSpec* s) { s->cross_onoff = -1; }, "cross_iperf/cross_onoff must be >= 0"},
       {[](ScenarioSpec* s) {
          s->topology = "dumbbell";
@@ -856,11 +799,6 @@ TEST(ScenarioTest, ValidateNamesEachProblem) {
          s->element_mode = "wireless";
        },
        "element_mode=wireless is single-path only"},
-      {[](ScenarioSpec* s) {
-         s->topology = "dumbbell";
-         s->loss = 0.01;
-       },
-       "loss is single-path only"},
       {[](ScenarioSpec* s) { s->cross_iperf = 1; }, "cross traffic needs a topology"},
       {[](ScenarioSpec* s) {
          s->app = "accuracy";
@@ -1127,25 +1065,16 @@ TEST(FleetTest, ProgressCallbackSeesEveryRun) {
 // run. The run repeats exactly, and the measured flow's goodput drops below
 // the same run without it.
 TEST(ExperimentTest, StaggeredFlowJoinsAtTwentySeconds) {
-  ScenarioSpec spec;
-  spec.name = "staggered";
-  spec.app = "accuracy";
-  spec.duration_s = 25.0;
-  spec.background_flows = 1;
-  spec.seed = 11;
-  ScenarioResult first = ExecuteScenario(spec);
-  ScenarioResult second = ExecuteScenario(spec);
-  ASSERT_TRUE(first.ok) << first.error;
-  ASSERT_TRUE(second.ok) << second.error;
-  ASSERT_FALSE(first.accuracy.sender.errors.samples().empty());
-  EXPECT_EQ(first.accuracy.sender.errors.samples(), second.accuracy.sender.errors.samples());
-  EXPECT_EQ(first.accuracy.receiver.errors.samples(),
-            second.accuracy.receiver.errors.samples());
+  const PathConfig path = ScenarioSpec{}.BuildPath();
+  const TimeDelta period = TimeDelta::FromMillis(10);
+  AccuracyRun first = RunAccuracyExperiment(11, path, 25.0, period, /*background_flows=*/1);
+  AccuracyRun second = RunAccuracyExperiment(11, path, 25.0, period, /*background_flows=*/1);
+  ASSERT_FALSE(first.sender.errors.samples().empty());
+  EXPECT_EQ(first.sender.errors.samples(), second.sender.errors.samples());
+  EXPECT_EQ(first.receiver.errors.samples(), second.receiver.errors.samples());
 
-  spec.background_flows = 0;
-  ScenarioResult alone = ExecuteScenario(spec);
-  ASSERT_TRUE(alone.ok) << alone.error;
-  EXPECT_LT(first.accuracy.goodput_mbps, alone.accuracy.goodput_mbps);
+  AccuracyRun alone = RunAccuracyExperiment(11, path, 25.0);
+  EXPECT_LT(first.goodput_mbps, alone.goodput_mbps);
 }
 
 TEST(FleetTest, EmptySuiteReturnsEmptySummary) {

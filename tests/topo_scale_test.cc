@@ -15,8 +15,7 @@ TEST(TopoScaleTest, ThousandFlowDumbbellIsDeterministic) {
   ScenarioSpec spec;
   spec.name = "dumbbell_1k";
   spec.topology = "dumbbell";
-  spec.num_flows = 1024;
-  spec.host_pairs = 32;  // 32 flows share each host pair's access links
+  spec.num_flows = 1024;  // one host pair each
   spec.rate_mbps = 200.0;
   spec.rtt_ms = 20.0;
   spec.qdisc = "fq_codel";

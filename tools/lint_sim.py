@@ -45,10 +45,14 @@ reproducible; this lint does:
       declared in a src/ header must be set somewhere in src/, bench/,
       examples/ or perfbench/, or it is a configuration nobody runs and
       belongs in a named constant next to the code that reads it. A field
-      counts as set where `.f =`, `->f =`, a nested `.f.x =` or a
-      `&Struct::f` member pointer appears in those trees; a setter in tests/
-      does not count, since no run reaches it (as for R12). Waived per field
-      line with allow(unset-knob).
+      counts as set where `.f =`, `->f =` or a nested `.f.x =` appears in
+      those trees; a setter in tests/ does not count, since no run reaches it
+      (as for R12). A `&Struct::f` member pointer names a field without
+      setting it, so it does not count either. The suite parser fills
+      ScenarioSpec from JSON through such a table of member pointers, so a
+      `"f":` key in a suite file (scenarios/*.json, perfbench/*.json) counts
+      as a setter of ScenarioSpec::f. Waived per field line with
+      allow(unset-knob).
   R11 no DuplexPath construction in src/, bench/ or examples/ outside
       Testbed (src/tcpsim/testbed.cc) — a single path's qdiscs, link models
       (fixed, stepped or a replayed trace, all through PathConfig) and Rng
@@ -76,8 +80,8 @@ reproducible; this lint does:
 Scope: src/ is linted with every rule (R7 only in src/tcpsim/, src/netsim/,
 src/topo/, and src/telemetry/; R8 only in src/netsim/, src/topo/ and
 src/evloop/; R9 and R11 in all of src/; R10 and R12 in src/ headers,
-searching src/, bench/, examples/ and perfbench/ for setters and uses
-whatever paths are linted).
+searching src/, bench/, examples/ and perfbench/ (and, for R10, the suite
+files) for setters and uses whatever paths are linted).
 bench/ and examples/ are linted with R2/R3/R4, R9 and R11; tests/ with
 R2/R3/R4 only, since unit tests build sockets and paths by hand to reach
 states a flow cannot (benchmark harnesses legitimately read wall clocks;
@@ -227,10 +231,14 @@ def lint_line(line: str, rules: dict) -> list[tuple[str, str]]:
 # Both count only what a run reaches: these trees, not tests/.
 RUN_TREES = ("src", "bench", "examples", "perfbench")
 KNOB_STRUCT_RE = re.compile(r"\w*(?:Config|Params|Options|Spec)")
+# The struct ScenarioSuite::ParseJson fills from the suite files' keys.
+SUITE_STRUCT = "ScenarioSpec"
+SUITE_GLOBS = ("scenarios/*.json", "perfbench/*.json")
+SUITE_KEY_RE = re.compile(r'"(\w+)"\s*:')
 UNSET_KNOB_MESSAGE = (
-    "config field that nothing in src/, bench/, examples/ or perfbench/ sets "
-    "(tests/ do not count); make it a named constant next to the code that "
-    "reads it (waive with lint_sim: allow(unset-knob))"
+    "config field that nothing in src/, bench/, examples/, perfbench/ or a "
+    "suite file sets (tests/ do not count); make it a named constant next to "
+    "the code that reads it (waive with lint_sim: allow(unset-knob))"
 )
 # Comments, string literals and character literals (not a digit separator,
 # as in 1'000).
@@ -353,6 +361,8 @@ class KnobIndex:
                 self.files.extend(blank_comments_and_strings(p.read_text())
                                   for p in sorted(base.rglob("*"))
                                   if p.suffix in CPP_SUFFIXES)
+        self.suite_keys = {key for pattern in SUITE_GLOBS for p in sorted(root.glob(pattern))
+                           for key in SUITE_KEY_RE.findall(p.read_text())}
         self.declared = {}  # field name -> number of knob structs declaring it
         for p in sorted((root / "src").rglob("*")):
             if p.suffix in {".h", ".hpp"}:
@@ -360,15 +370,15 @@ class KnobIndex:
                     self.declared[field] = self.declared.get(field, 0) + 1
 
     def is_set(self, struct: str, owner: str, field: str) -> bool:
+        if struct == SUITE_STRUCT and field in self.suite_keys:
+            return True
         f = re.escape(field)
-        member_ptr = re.compile(rf"&\s*(?:\w+::)*{re.escape(struct)}::{f}\b")
         assign = re.compile(rf"(?:\.|->){f}\s*(?:\.\w+\s*)*=(?!=)")
         # A field name several knob structs share is set for this struct only
         # by a file that names the struct (or the type it is nested in).
         named = re.compile(rf"\b{re.escape(owner)}\b")
         shared = self.declared.get(field, 0) > 1
-        return any(member_ptr.search(text) or
-                   (assign.search(text) and (not shared or named.search(text)))
+        return any(assign.search(text) and (not shared or named.search(text))
                    for text in self.files)
 
 
