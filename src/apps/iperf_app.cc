@@ -2,7 +2,7 @@
 
 namespace element {
 
-IperfApp::IperfApp(EventLoop* loop, ByteSink* sink) : loop_(loop), sink_(sink) {}
+IperfApp::IperfApp(EventLoop*, ByteSink* sink) : sink_(sink) {}
 
 void IperfApp::Start() {
   if (started_) {

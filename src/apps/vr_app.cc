@@ -34,7 +34,6 @@ VrServer::VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em)
       level_(em != nullptr ? 1 : kBlindLevel) {}
 
 void VrServer::Start() {
-  running_ = true;
   auto pump = [this] { PumpWrites(); };
   if (em_ != nullptr) {
     em_->SetReadyToSendCallback(pump);
@@ -45,11 +44,6 @@ void VrServer::Start() {
   frame_timer_.Start();
 }
 
-void VrServer::Stop() {
-  running_ = false;
-  frame_timer_.Stop();
-}
-
 void VrServer::DrainControl() {
   size_t n;
   while ((n = socket_->Read(4096)) > 0) {
@@ -58,7 +52,7 @@ void VrServer::DrainControl() {
 }
 
 void VrServer::OnFrameTick() {
-  if (!running_ || !socket_->established()) {
+  if (!socket_->established()) {
     return;
   }
   VrFrameRecord rec;
@@ -162,8 +156,6 @@ void VrClient::Start() {
   socket_->SetReadableCallback([this] { OnReadable(); });
   control_timer_.Start();
 }
-
-void VrClient::Stop() { control_timer_.Stop(); }
 
 void VrClient::SendHeadControl() {
   if (socket_->established()) {

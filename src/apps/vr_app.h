@@ -46,7 +46,6 @@ class VrServer {
   VrServer(EventLoop* loop, TcpSocket* socket, ElementSocket* em);
 
   void Start();
-  void Stop();
 
   const std::vector<VrFrameRecord>& frames() const { return frames_; }
   std::vector<VrFrameRecord>& mutable_frames() { return frames_; }
@@ -75,7 +74,6 @@ class VrServer {
   SimTime failed_level_retry_after_;
   uint64_t frames_since_upshift_ = 1 << 20;
   uint64_t control_messages_ = 0;
-  bool running_ = false;
 };
 
 class VrClient {
@@ -83,7 +81,6 @@ class VrClient {
   VrClient(EventLoop* loop, TcpSocket* socket, VrServer* server);
 
   void Start();
-  void Stop();
 
   // Delay from frame generation to full reception (seconds), delivered frames.
   const SampleSet& frame_delays() const { return frame_delays_; }

@@ -94,8 +94,6 @@ class RingFifo {
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
-  // Slots allocated; 0 until the first push.
-  size_t capacity() const { return capacity_; }
 
   T& operator[](size_t i) { return data_[(head_ + i) & (capacity_ - 1)]; }
   const T& operator[](size_t i) const { return data_[(head_ + i) & (capacity_ - 1)]; }

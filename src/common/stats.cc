@@ -89,16 +89,6 @@ double SampleSet::Stdev() const {
   return std::sqrt(s / static_cast<double>(samples_.size() - 1));
 }
 
-double SampleSet::min() const {
-  EnsureSorted();
-  return sorted_.empty() ? 0.0 : sorted_.front();
-}
-
-double SampleSet::max() const {
-  EnsureSorted();
-  return sorted_.empty() ? 0.0 : sorted_.back();
-}
-
 void SampleSet::EnsureSorted() const {
   if (!sorted_valid_) {
     sorted_ = samples_;

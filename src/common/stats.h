@@ -65,11 +65,8 @@ class SampleSet {
   void Reserve(size_t n) { samples_.reserve(n); }
 
   size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
   double mean() const;
   double Stdev() const;
-  double min() const;
-  double max() const;
   // q in [0, 1]; linear interpolation between order statistics. Querying an
   // empty set is a caller bug (DCHECK) but returns a defined 0.0 in release.
   double Quantile(double q) const;
@@ -114,7 +111,6 @@ class Histogram {
   void Merge(const Histogram& other);
 
   uint64_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
   double sum() const { return sum_; }  // lint_sim: allow(test-only) -- observer
   double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
   double min() const { return count_ == 0 ? 0.0 : min_; }
@@ -158,7 +154,6 @@ class TimeSeries {
   void Add(SimTime t, double v);
 
   size_t count() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
 
   struct Point {
     SimTime t;

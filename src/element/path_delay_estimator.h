@@ -17,7 +17,6 @@ class PathDelayEstimator {
 
   void OnTcpInfoSample(const TcpInfoData& info);
 
-  TimeDelta smoothed_rtt() const { return srtt_; }
   // Propagation floor: the smallest RTT ever reported by the kernel.
   TimeDelta base_rtt() const { return base_rtt_; }  // lint_sim: allow(test-only) -- observer
   // Standing queueing along the path (both directions).

@@ -28,7 +28,6 @@ class TcpInfoTracker {
   void set_path_estimator(PathDelayEstimator* est) { path_est_ = est; }
 
   void Start() { timer_.Start(); }
-  void Stop() { timer_.Stop(); }
 
   // Latest polled snapshot (also reachable via socket->GetTcpInfo(), but this
   // is what user code would have, sampled at the tracker cadence).

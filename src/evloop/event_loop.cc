@@ -163,9 +163,8 @@ EventLoop::Node* EventLoop::NextRunnable(SimTime deadline) const {
 }
 
 void EventLoop::RunLoop(SimTime deadline) {
-  stopped_ = false;
   Node* node;
-  while (!stopped_ && (node = NextRunnable(deadline)) != nullptr) {
+  while ((node = NextRunnable(deadline)) != nullptr) {
     ELEMENT_AUDIT(node->at >= now_) << "event loop time went backwards: now=" << now_.nanos()
                                     << "ns event=" << node->at.nanos() << "ns seq=" << node->seq;
     now_ = node->at;
@@ -196,7 +195,7 @@ void EventLoop::Run() { RunLoop(SimTime::Infinite()); }
 
 void EventLoop::RunUntil(SimTime deadline) {
   RunLoop(deadline);
-  if (!stopped_ && deadline > now_ && !deadline.IsInfinite()) {
+  if (deadline > now_ && !deadline.IsInfinite()) {
     now_ = deadline;
   }
 }

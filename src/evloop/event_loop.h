@@ -56,11 +56,10 @@ class EventLoop {
 
   SimTime now() const { return now_; }
 
-  // Runs until no timer is armed or Stop() is called.
+  // Runs until no timer is armed.
   void Run();
   // Runs events with time <= deadline, then sets now to the deadline.
   void RunUntil(SimTime deadline);
-  void Stop() { stopped_ = true; }
 
   // Events waiting to fire. A timer whose callback is running is not
   // pending (though it sits at the heap root until the callback returns),
@@ -155,7 +154,6 @@ class EventLoop {
   SimTime now_ = SimTime::Zero();
   uint64_t next_seq_ = 1;
   uint64_t processed_ = 0;
-  bool stopped_ = false;
 
   std::vector<HeapEntry> heap_;  // 4-ary min-heap over (at, seq)
   // The node whose callback is running, at heap_[0]; cleared when the
@@ -231,9 +229,6 @@ class FifoTimer : private EventLoop::Node {
   FifoTimer& operator=(const FifoTimer&) = delete;
 
   void Push(SimTime when);
-
-  // Pushed fires that have not yet run.
-  size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <variant>
 
+#include "src/common/json.h"
+
 namespace element {
 
 namespace {
@@ -51,9 +53,9 @@ std::string Options(const std::string_view (&set)[N]) {
   return out;
 }
 
-// Every ScenarioSpec field under its JSON key: the one list that parsing and
-// serialization walk. json::Value objects are sorted maps, so the order here
-// changes neither the parse order nor the serialized bytes.
+// Every ScenarioSpec field under its JSON key: the one list that parsing
+// walks. json::Value objects are sorted maps, so the order here does not
+// change the parse order.
 using FieldPtr = std::variant<std::string ScenarioSpec::*, double ScenarioSpec::*,
                               int ScenarioSpec::*, bool ScenarioSpec::*, uint64_t ScenarioSpec::*>;
 
@@ -110,12 +112,6 @@ const Field* FindField(const std::string& key) {
   }
   return nullptr;
 }
-
-json::Value ToValue(const std::string& v) { return json::Value::Str(v); }
-json::Value ToValue(double v) { return json::Value::Number(v); }
-json::Value ToValue(int v) { return json::Value::Int(v); }
-json::Value ToValue(bool v) { return json::Value::Bool(v); }
-json::Value ToValue(uint64_t v) { return json::Value::Int(static_cast<int64_t>(v)); }
 
 // The paper's wired sizing (Fig. 7): 2x BDP, floor of 60 packets. Validate
 // checks that it fits in size_t before any caller casts it.
@@ -249,14 +245,6 @@ std::string ScenarioSpec::Validate() const {
     }
   }
   return problem;
-}
-
-json::Value ScenarioSpec::ToJson() const {
-  json::Value obj = json::Value::Object();
-  for (const Field& field : kFields) {
-    std::visit([&](auto member) { obj.Set(field.key, ToValue(this->*member)); }, field.member);
-  }
-  return obj;
 }
 
 namespace {
@@ -553,17 +541,6 @@ bool ScenarioSuite::LoadFile(const std::string& path, ScenarioSuite* out, std::s
     return false;
   }
   return true;
-}
-
-std::string ScenarioSuite::ToJson() const {
-  json::Value doc = json::Value::Object();
-  doc.Set("suite", json::Value::Str(name));
-  json::Value list = json::Value::Array();
-  for (const ScenarioSpec& spec : scenarios) {
-    list.Append(spec.ToJson());
-  }
-  doc.Set("scenarios", std::move(list));
-  return doc.Dump();
 }
 
 void ScenarioSuite::OffsetSeeds(uint64_t offset) {

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/json.h"
 #include "src/tcpsim/testbed.h"
 #include "src/topo/topology.h"
 
@@ -86,8 +85,6 @@ struct ScenarioSpec {
   // Empty string when the spec is well-formed, else a description of the
   // first problem (unknown qdisc/cc/app/profile, non-positive duration, ...).
   std::string Validate() const;
-
-  json::Value ToJson() const;
 };
 
 struct ScenarioSuite {
@@ -112,10 +109,6 @@ struct ScenarioSuite {
   // the base value, and an axis with several values adds a name segment.
   static bool ParseJson(const std::string& text, ScenarioSuite* out, std::string* error);
   static bool LoadFile(const std::string& path, ScenarioSuite* out, std::string* error);
-
-  // Serializes as the fully-expanded explicit form; ParseJson(ToJson()) is an
-  // identity on (name, scenarios).
-  std::string ToJson() const;
 
   // Adds `offset` to every scenario seed (the --seed flag).
   void OffsetSeeds(uint64_t offset);

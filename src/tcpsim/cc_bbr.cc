@@ -87,7 +87,6 @@ void BbrCc::MaybeEnterOrExitProbeRtt(const AckSample& sample, bool min_rtt_expir
   if (mode_ != Mode::kProbeRtt && min_rtt_expired) {
     mode_ = Mode::kProbeRtt;
     pacing_gain_ = 1.0;
-    cwnd_before_probe_rtt_ = BdpBytes(kCwndGain) / mss_;
     probe_rtt_done_ = sample.now + TimeDelta::FromMillis(200);
     min_rtt_stamp_ = sample.now;  // restart the window
   } else if (mode_ == Mode::kProbeRtt && sample.now >= probe_rtt_done_) {

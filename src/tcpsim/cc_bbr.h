@@ -66,7 +66,6 @@ class BbrCc : public CongestionControl {
   TimeDelta min_rtt_ = TimeDelta::Infinite();
   SimTime min_rtt_stamp_;
   SimTime probe_rtt_done_;
-  bool probe_rtt_round_done_ = false;
 
   uint64_t round_count_ = 0;
   uint64_t next_round_delivered_ = 0;
@@ -80,9 +79,6 @@ class BbrCc : public CongestionControl {
   double cwnd_gain_ = kHighGain;
   int cycle_index_ = 0;
   SimTime cycle_stamp_;
-
-  uint64_t delivered_at_mode_entry_ = 0;
-  double cwnd_before_probe_rtt_ = 0.0;
 };
 
 }  // namespace element

@@ -4,8 +4,6 @@
 
 namespace element {
 
-void VegasCc::OnConnectionStart(SimTime /*now*/, uint32_t mss) { mss_ = mss; }
-
 void VegasCc::OnAck(const AckSample& sample) {
   if (sample.in_recovery) {
     return;

@@ -13,7 +13,6 @@ class VegasCc : public CongestionControl {
  public:
   VegasCc() = default;
 
-  void OnConnectionStart(SimTime now, uint32_t mss) override;
   void OnAck(const AckSample& sample) override;
   void OnLoss(SimTime now, uint64_t bytes_in_flight, uint32_t mss) override;
   void OnRetransmissionTimeout(SimTime now) override;
@@ -28,7 +27,6 @@ class VegasCc : public CongestionControl {
   static constexpr double kBeta = 4.0;   // upper bound on queued packets
   static constexpr double kGamma = 1.0;  // slow-start exit threshold
 
-  uint32_t mss_ = 1448;
   double cwnd_ = 10.0;
   double ssthresh_ = 1e9;
 

@@ -49,10 +49,6 @@ class MetricRegistry {
   const Histogram& HistOrEmpty(const std::string& name) const;
   const RunningStats& StatsOrEmpty(const std::string& name) const;
 
-  bool empty() const {
-    return counters_.empty() && hists_.empty() && stats_.empty();
-  }
-
   // Folds `other` in: counters add, hist/stats Merge() (hist geometry must
   // match per Histogram's contract). Associative and commutative.
   void Merge(const MetricRegistry& other);

@@ -36,7 +36,6 @@ class TraceRing {
   size_t size() const {
     return total_ < records_.size() ? static_cast<size_t>(total_) : records_.size();
   }
-  size_t capacity() const { return records_.size(); }
   uint64_t total_pushed() const { return total_; }
   uint64_t overwritten() const {  // lint_sim: allow(test-only) -- recorder read
     return total_ - size();

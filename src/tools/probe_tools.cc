@@ -54,8 +54,6 @@ void SynProbeTool::Start() {
   timer_.Start();
 }
 
-void SynProbeTool::Stop() { timer_.Stop(); }
-
 void SynProbeTool::SendProbe() {
   TcpSegmentPayload syn;
   syn.syn = true;

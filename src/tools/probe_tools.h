@@ -48,7 +48,6 @@ class SynProbeTool : public PacketSink {
   ~SynProbeTool() override;
 
   void Start();
-  void Stop();
 
   // One RTT sample per answered probe, seconds.
   const SampleSet& rtt_samples() const { return rtt_; }

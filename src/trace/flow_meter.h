@@ -19,7 +19,6 @@ class FlowMeter {
             TimeDelta period = TimeDelta::FromMillis(100));
 
   void Start() { timer_.Start(); }
-  void Stop() { timer_.Stop(); }
 
   // Per-period goodput samples, Mbps.
   const TimeSeries& throughput_mbps() const { return series_; }

@@ -51,11 +51,6 @@ void SproutLikeFlow::Start() {
   recv_timer_.Start();
 }
 
-void SproutLikeFlow::Stop() {
-  send_timer_.Stop();
-  recv_timer_.Stop();
-}
-
 void SproutLikeFlow::SenderTick() {
   // Spend this tick's share of the forecast allowance.
   double per_tick = allowance_bytes_ * (kSproutTick.ToSeconds() /
@@ -136,8 +131,6 @@ void VerusLikeFlow::Start() {
   epoch_timer_.Start();
   TrySend();
 }
-
-void VerusLikeFlow::Stop() { epoch_timer_.Stop(); }
 
 void VerusLikeFlow::TrySend() {
   uint64_t last_sent = next_seq_;

@@ -30,7 +30,6 @@ class SproutLikeFlow {
   SproutLikeFlow(EventLoop* loop, DuplexPath* path);
 
   void Start();
-  void Stop();
 
   const SampleSet& one_way_delays() const { return delays_; }
   uint64_t delivered_bytes() const { return delivered_bytes_; }
@@ -67,7 +66,6 @@ class VerusLikeFlow {
   VerusLikeFlow(EventLoop* loop, DuplexPath* path);
 
   void Start();
-  void Stop();
 
   const SampleSet& one_way_delays() const { return delays_; }
   uint64_t delivered_bytes() const { return delivered_bytes_; }
@@ -87,7 +85,6 @@ class VerusLikeFlow {
   double window_bytes_ = 14000.0;
   uint64_t next_seq_ = 0;
   uint64_t highest_acked_ = 0;
-  uint64_t bytes_unacked_ = 0;
   TimeDelta min_owd_ = TimeDelta::Infinite();
   TimeDelta latest_owd_ = TimeDelta::Zero();
 

@@ -5,5 +5,9 @@ int main() {
   widget.Run();
   int (fixture::Widget::*get)() const = &fixture::Widget::ByMemberPointer;
   int ShadowedByLocal = (widget.*get)();
-  return ShadowedByLocal == 7 ? 0 : 1;
+  auto* any = &widget;
+  any->Pause();
+  fixture::TheWidget().Resume();
+  const fixture::Widget& view = widget;
+  return ShadowedByLocal == 7 && view.Level() == 0 ? 0 : 1;
 }

@@ -26,4 +26,25 @@ int Widget::PrivateHelper() const {
   return 6;
 }
 
+void Widget::Halt() {
+  gizmo_.Halt();
+}
+
+void Widget::Pause() {
+  gizmo_.Pause();
+}
+
+void Widget::Resume() {
+  gizmo_.Resume();
+}
+
+int Widget::Level() const {
+  return gizmo_.Level();
+}
+
+Widget& TheWidget() {
+  static Widget widget;
+  return widget;
+}
+
 }  // namespace fixture

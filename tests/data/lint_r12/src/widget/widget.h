@@ -7,6 +7,14 @@
 
 namespace fixture {
 
+class Gizmo {
+ public:
+  void Halt();
+  void Pause();
+  void Resume();
+  int Level() const;
+};
+
 class Widget {
  public:
   void Run();
@@ -17,11 +25,21 @@ class Widget {
   int WaivedWithoutReason() const { return 2; }  // lint_sim: allow(test-only)
   int ShadowedByLocal() const;
   int ByMemberPointer() const { return 7; }
+  // Each calls the Gizmo member of its name through gizmo_. Nothing else
+  // calls Halt; bench/ calls Pause through `auto`, Resume through a call
+  // result and Level through a Widget&.
+  void Halt();
+  void Pause();
+  void Resume();
+  int Level() const;
 
  private:
   int PrivateHelper() const;
   int calls_ = 0;
+  Gizmo gizmo_;
 };
+
+Widget& TheWidget();
 
 }  // namespace fixture
 

@@ -128,7 +128,7 @@ TEST(EstimatorEdgeTest, SampleWithNoRecordsIsSafe) {
   info.tcpi_bytes_acked = 123456;
   info.tcpi_snd_mss = 1448;
   est.OnTcpInfoSample(info, Ms(10));  // no OnAppSend ever happened
-  EXPECT_TRUE(est.delay_series().empty());
+  EXPECT_EQ(est.delay_series().count(), 0u);
   EXPECT_EQ(est.pending_records(), 0u);
 }
 

@@ -120,20 +120,6 @@ TEST(EventLoopTest, EventScheduledInPastRunsNow) {
   EXPECT_EQ(loop.processed_events(), 2u);
 }
 
-TEST(EventLoopTest, StopHaltsProcessing) {
-  EventLoop loop;
-  int count = 0;
-  Timer first(&loop, [&] {
-    ++count;
-    loop.Stop();
-  });
-  Timer second(&loop, [&] { ++count; });
-  first.Restart(SimTime::FromNanos(1));
-  second.Restart(SimTime::FromNanos(2));
-  loop.Run();
-  EXPECT_EQ(count, 1);
-}
-
 TEST(EventLoopTest, EventsCanScheduleMoreEvents) {
   // Each callback makes and arms the next timer, so the loop gains a node
   // from inside a firing callback 299 times.
@@ -533,7 +519,7 @@ TEST(TimerTest, FiredTimerReArmedOrDestroyedAfterAnotherTookItsRoot) {
 }
 
 TEST(TimerTest, StopFromHandOffCallbackKeepsTakerPending) {
-  // Stop() ends the run after the callback; the taker keeps the root it
+  // A run that ends at the callback's time leaves the taker on the root it
   // took, and the next Run() fires it.
   EventLoop loop;
   std::vector<int64_t> taker_fires;
@@ -543,10 +529,9 @@ TEST(TimerTest, StopFromHandOffCallbackKeepsTakerPending) {
     EXPECT_TRUE(taker.pending());
     EXPECT_EQ(loop.pending_events(), 1u);
     loop.AuditHeapInvariant();
-    loop.Stop();
   });
   first.Restart(SimTime::FromNanos(5));
-  loop.Run();
+  loop.RunUntil(SimTime::FromNanos(5));
   EXPECT_EQ(loop.now().nanos(), 5);
   EXPECT_TRUE(taker_fires.empty());
   EXPECT_TRUE(taker.pending());
@@ -573,11 +558,10 @@ TEST(FifoTimerTest, FiresEachEntryInOrderFromOneHeapEntry) {
   for (int64_t t : {10, 10, 20, 35, 35, 90}) {
     fifo.Push(SimTime::FromNanos(t));
   }
-  EXPECT_EQ(fifo.size(), 6u);
   EXPECT_EQ(loop.pending_events(), 1u);
   loop.Run();
   EXPECT_EQ(fired, (std::vector<int64_t>{10, 10, 20, 35, 35, 90}));
-  EXPECT_EQ(fifo.size(), 0u);
+  EXPECT_EQ(loop.pending_events(), 0u);
   EXPECT_EQ(loop.processed_events(), 6u);
 }
 
@@ -629,7 +613,7 @@ TEST(FifoTimerTest, DestroyingCancelsEveryPendingEntry) {
     }
     loop.RunUntil(SimTime::FromNanos(25));
     EXPECT_EQ(fires, 2);
-    EXPECT_EQ(fifo.size(), 3u);
+    EXPECT_EQ(loop.pending_events(), 1u);  // three entries left, one heap entry
   }
   EXPECT_EQ(loop.pending_events(), 0u);
   loop.Run();

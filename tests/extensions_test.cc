@@ -100,7 +100,7 @@ TEST(SojournSinkTest, RecordsSojournTimes) {
   EXPECT_NEAR(sink.series().points()[0].v, 0.005, 1e-9);
   EXPECT_NEAR(sink.series().points()[1].v, 0.012, 1e-9);
   EXPECT_EQ(sink.series().points()[1].t, Ms(12));
-  EXPECT_TRUE(other_hop.series().empty());
+  EXPECT_EQ(other_hop.series().count(), 0u);
   EXPECT_EQ(q.stats().dequeued_packets, 2u);
 }
 

@@ -310,8 +310,7 @@ TEST(HistogramTest, MergeOfAnyWindowsEqualsOneHistogramFedEverySample) {
       EXPECT_EQ(ha.underflow(), whole.underflow());
       EXPECT_EQ(ha.overflow(), whole.overflow());
       EXPECT_EQ(ha.count(), whole.count());
-      EXPECT_EQ(ha.empty(), whole.empty());
-      if (whole.empty()) {
+      if (whole.count() == 0) {
         continue;
       }
       EXPECT_EQ(ha.min(), whole.min());
@@ -543,6 +542,32 @@ TEST(ScenarioTest, ParsesDefaultsScenariosAndSweeps) {
 // cannot both vary in a valid spec), plus a single-value axis (topology) and
 // an empty one (cc). Pins the expansion order, the label segments, the
 // innermost seeds and the serialized specs.
+// Every ScenarioSpec field under its suite-file key, so one string pins all
+// of an expanded spec.
+json::Value SpecJson(const ScenarioSpec& spec) {
+  json::Value obj = json::Value::Object();
+  for (const auto& [key, value] : {std::pair{"name", spec.name}, {"app", spec.app},
+                                   {"profile", spec.profile}, {"qdisc", spec.qdisc},
+                                   {"cc", spec.cc}, {"topology", spec.topology},
+                                   {"element_mode", spec.element_mode}}) {
+    obj.Set(key, json::Value::Str(value));
+  }
+  for (const auto& [key, value] :
+       {std::pair{"rate_mbps", spec.rate_mbps}, {"rtt_ms", spec.rtt_ms},
+        {"duration_s", spec.duration_s}, {"warmup_s", spec.warmup_s}}) {
+    obj.Set(key, json::Value::Number(value));
+  }
+  for (const auto& [key, value] :
+       {std::pair{"queue_packets", spec.queue_packets}, {"hops", spec.hops},
+        {"cross_iperf", spec.cross_iperf}, {"cross_onoff", spec.cross_onoff},
+        {"num_flows", spec.num_flows}}) {
+    obj.Set(key, json::Value::Int(value));
+  }
+  obj.Set("ecn", json::Value::Bool(spec.ecn));
+  obj.Set("seed", json::Value::Int(static_cast<int64_t>(spec.seed)));
+  return obj;
+}
+
 TEST(ScenarioTest, SweepExpandsEveryAxisInOrder) {
   constexpr char kText[] = R"({
     "defaults": {"duration_s": 2, "warmup_s": 1, "cc": "vegas"},
@@ -594,29 +619,24 @@ TEST(ScenarioTest, SweepExpandsEveryAxisInOrder) {
             "sweep/parking_lot/bbr/3f/ci0/co0#s1 sweep/parking_lot/bbr/3f/ci0/co2#s1 "
             "sweep/parking_lot/bbr/3f/ci1/co0#s1 sweep/parking_lot/bbr/3f/ci1/co2#s1 ");
   // FNV-1a of the fully serialized suite.
+  json::Value doc = json::Value::Object();
+  doc.Set("suite", json::Value::Str(suite.name));
+  json::Value list = json::Value::Array();
+  for (const ScenarioSpec& spec : suite.scenarios) {
+    list.Append(SpecJson(spec));
+  }
+  doc.Set("scenarios", std::move(list));
   uint64_t fnv = 14695981039346656037ull;
-  for (unsigned char c : suite.ToJson()) {
+  for (unsigned char c : doc.Dump()) {
     fnv = (fnv ^ c) * 1099511628211ull;
   }
   EXPECT_EQ(fnv, 4254530216427805016ull);
-  EXPECT_EQ(suite.scenarios.back().ToJson().Dump(-1),
+  EXPECT_EQ(SpecJson(suite.scenarios.back()).Dump(-1),
             R"({"app":"legacy","cc":"bbr","cross_iperf":1,"cross_onoff":2,)"
             R"("duration_s":2,"ecn":false,"element_mode":"off","hops":1,)"
             R"("name":"sweep/parking_lot/bbr/3f/ci1/co2","num_flows":3,)"
             R"("profile":"wired","qdisc":"pfifo_fast","queue_packets":0,"rate_mbps":10,)"
             R"("rtt_ms":50,"seed":1,"topology":"parking_lot","warmup_s":1})");
-}
-
-TEST(ScenarioTest, JsonRoundTripIsIdentity) {
-  ScenarioSuite suite;
-  std::string err;
-  ASSERT_TRUE(ScenarioSuite::ParseJson(kSuiteText, &suite, &err)) << err;
-  std::string serialized = suite.ToJson();
-  ScenarioSuite back;
-  ASSERT_TRUE(ScenarioSuite::ParseJson(serialized, &back, &err)) << err;
-  EXPECT_EQ(back.name, suite.name);
-  ASSERT_EQ(back.scenarios.size(), suite.scenarios.size());
-  EXPECT_EQ(back.ToJson(), serialized);
 }
 
 // Malformed suites fail the parse with a message naming the offending key or

@@ -61,18 +61,6 @@ TEST(SynProbeTest, BlindToSenderSystemDelay) {
   EXPECT_LT(probe_rtt, 0.25);
 }
 
-TEST(SynProbeTest, StopCeasesProbing) {
-  PathConfig path;
-  Testbed bed(4, path);
-  SynProbeTool tool(&bed.loop(), &bed.path(), SynProbeTool::TcpPing());
-  tool.Start();
-  bed.loop().RunUntil(Sec(5.0));
-  tool.Stop();
-  size_t frozen = tool.rtt_samples().count();
-  bed.loop().RunUntil(Sec(10.0));
-  EXPECT_LE(tool.rtt_samples().count(), frozen + 1);
-}
-
 TEST(EchoPingTest, MeasuresFullTransferTime) {
   PathConfig path;  // 10 Mbps: a 256 KB document takes >= ~210 ms wire time
   Testbed bed(5, path);

@@ -205,13 +205,13 @@ TEST(TopologyTest, SojournSinkKeepsItsOwnHop) {
 
   ASSERT_EQ(hop0.series().count(), kBurst);
   ASSERT_EQ(hop1.series().count(), kBurst);
-  EXPECT_TRUE(hop0_reverse.series().empty());
+  EXPECT_EQ(hop0_reverse.series().count(), 0u);
   // 10 Mbps bottleneck: each 1500-byte packet waits ~1.2 ms more than the last.
   const std::vector<TimeSeries::Point>& p0 = hop0.series().points();
   for (size_t i = 1; i < kBurst; ++i) {
     EXPECT_GT(p0[i].v, p0[i - 1].v + 0.001) << i;
   }
-  EXPECT_LT(hop1.series().Values().max(), 0.001);
+  EXPECT_LT(hop1.series().Values().Quantile(1.0), 0.001);
 }
 
 // S1, end to end: with ECN on a multi-hop path, CoDel marks instead of

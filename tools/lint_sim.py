@@ -46,7 +46,11 @@ reproducible; this lint does:
       examples/ or perfbench/, or it is a configuration nobody runs and
       belongs in a named constant next to the code that reads it. A field
       counts as set where `.f =`, `->f =` or a nested `.f.x =` appears in
-      those trees; a setter in tests/ does not count, since no run reaches it
+      those trees, unless the assignee's declared type (see the receiver
+      lookup under R12) names another struct: `a.f =` looks `a` up, and
+      `a.b.f =` follows `a`'s knob struct to its field `b`'s type. An
+      assignee it cannot resolve (a call result, a longer chain) still
+      counts. A setter in tests/ does not count, since no run reaches it
       (as for R12). A `&Struct::f` member pointer names a field without
       setting it, so it does not count either. The suite parser fills
       ScenarioSpec from JSON through such a table of member pointers, so a
@@ -69,8 +73,15 @@ reproducible; this lint does:
       function is used only where it is called or named as a member:
       `.name(`, `->name(`, `Owner::name` or `&Owner::name`, or a bare
       `name(` inside its class's body or member definitions; so a local,
-      field or free function of the same name does not hide it. A member
-      another class shares by name still counts as used.
+      field or free function of the same name does not hide it. The receiver
+      lookup: `recv.name(` or `recv->name(` counts only when `recv` is
+      declared with a type that names the owner or a class derived from it,
+      as a local or parameter of the function holding the call, a field of
+      the class whose code holds it, or a variable at file scope earlier in
+      the file. It still counts when no declaration is found or the type may
+      alias any other (`auto`, a template parameter, a `using` name), and
+      when the receiver is a call result or a chain, so the rule never calls
+      a member unused where the compiler sees a call.
       Constructors, destructors, operators and overrides (reached through
       the virtual they override, which is checked) are not checked. Waived on
       the line that names the declaration with allow(test-only) and a reason
@@ -351,35 +362,31 @@ def knob_fields(text: str):
 
 
 class KnobIndex:
-    """Every knob field declared in src/ headers, and the setter corpus."""
+    """Every knob field declared in src/ headers, and the setters that the
+    run trees and suite files hold."""
 
-    def __init__(self, root: Path):
-        self.files = []
-        for tree in RUN_TREES:
-            base = root / tree
-            if base.is_dir():
-                self.files.extend(blank_comments_and_strings(p.read_text())
-                                  for p in sorted(base.rglob("*"))
-                                  if p.suffix in CPP_SUFFIXES)
+    def __init__(self, root: Path, uses: "UseIndex"):
+        self.uses = uses
         self.suite_keys = {key for pattern in SUITE_GLOBS for p in sorted(root.glob(pattern))
                            for key in SUITE_KEY_RE.findall(p.read_text())}
-        self.declared = {}  # field name -> number of knob structs declaring it
-        for p in sorted((root / "src").rglob("*")):
-            if p.suffix in {".h", ".hpp"}:
-                for _, _, field, _ in knob_fields(p.read_text()):
-                    self.declared[field] = self.declared.get(field, 0) + 1
 
     def is_set(self, struct: str, owner: str, field: str) -> bool:
         if struct == SUITE_STRUCT and field in self.suite_keys:
             return True
-        f = re.escape(field)
-        assign = re.compile(rf"(?:\.|->){f}\s*(?:\.\w+\s*)*=(?!=)")
-        # A field name several knob structs share is set for this struct only
-        # by a file that names the struct (or the type it is nested in).
-        named = re.compile(rf"\b{re.escape(owner)}\b")
-        shared = self.declared.get(field, 0) > 1
-        return any(assign.search(text) and (not shared or named.search(text))
-                   for text in self.files)
+        assign = re.compile(rf"(?:\.|->)\s*{re.escape(field)}\s*(?:\.\w+\s*)*=(?!=)")
+        for fi, code in self.uses.code.items():
+            for m in assign.finditer(code):
+                # The assignee's type: a variable's, or one `.field` step on
+                # from a variable whose type is a knob struct.
+                chain = receiver_chain(code, m.start())
+                kind = None
+                if chain and len(chain[1]) <= 2:
+                    kind = self.uses.declared_type(fi, m.start(), chain[1][0], chain[0])
+                    if kind is not None and len(chain[1]) == 2:
+                        kind = self.uses.field_type(kind, chain[1][1], knobs_only=True)
+                if kind is None or self.uses.names(kind, struct, owner) is not False:
+                    return True
+        return False
 
 
 def lint_unset_knobs(path: Path, index: KnobIndex) -> list[tuple[int, str]]:
@@ -422,7 +429,8 @@ NOT_A_FUNCTION_RE = re.compile(
 
 def declarator(decl: str):
     """(qualifiers, name, offset of name) of the function that a declaration
-    names, or None for a data member, type, operator or destructor.
+    names (a destructor's name without its `~`), or None for a data member,
+    type or operator.
     `qualifiers` lists (name, offset) of its `Owner::` prefix, which only an
     out-of-line definition has."""
     if NOT_A_FUNCTION_RE.match(decl):
@@ -439,7 +447,7 @@ def declarator(decl: str):
                 return None  # an initializer before any parameter list
             before = decl[:m.start()]
             d = DECLARATOR_RE.search(before)
-            if not d or d.group(2) or re.search(r"\boperator\b", before):
+            if not d or re.search(r"\boperator\b", before):
                 return None
             qualifiers = [(q.group(), d.start(1) + q.start())
                           for q in QUALIFIER_RE.finditer(d.group(1))]
@@ -447,10 +455,67 @@ def declarator(decl: str):
     return None
 
 
+# The receiver lookup that R10 and R12 share: the declared type of the
+# variable before a `.` or `->`. A declaration is a type, then the name, then
+# one of `; = ( { [ , ) :`; a statement such as `return x;` is not one.
+TYPE_TEXT_RE = re.compile(
+    r"\s*(?:(?:const|static|constexpr|mutable|inline|volatile)\s+)*"
+    r"[A-Za-z_][\w:]*\s*(?:<.*>)?\s*(?:const\b)?[\s*&]*(?:const\b)?\s*\Z", re.S)
+NOT_A_TYPE_RE = re.compile(
+    r"\s*(?:return|else|case|delete|throw|new|goto|sizeof|using|co_return|co_await|co_yield)\b")
+# A chain of names before a `.` or `->`: `a`, `a.b`, `this->a`.
+RECEIVER_RE = re.compile(r"((?:\w+\s*(?:\.|->)\s*)*\w+)\s*\Z")
+# Words of a type that name no class: keywords, built-in and `_t` types.
+TYPE_WORDS = frozenset(
+    "const volatile static constexpr mutable inline unsigned signed int long short char "
+    "bool double float void typename struct class".split())
+
+
+def receiver_chain(code: str, end: int):
+    """(member_only, names) of the receiver whose `.` or `->` starts at
+    `end`: `a.b.f` gives (False, ["a", "b"]), and `this->a.f` (True, ["a"]),
+    a member of the enclosing class. None when the receiver is not a chain of
+    names (a call result, a subscript, a qualified name)."""
+    m = RECEIVER_RE.search(code, max(0, end - 256), end)
+    if not m or m.group(1)[0].isdigit():
+        return None
+    i = m.start()
+    while i > 0 and code[i - 1].isspace():
+        i -= 1
+    if i > 0 and code[i - 1] in ".>:)]":
+        return None
+    names = re.split(r"\s*(?:\.|->)\s*", m.group(1))
+    if names[0] == "this":
+        return (True, names[1:]) if len(names) > 1 else None
+    return False, names
+
+
+def declaration_type(code: str, at: int, lo: int):
+    """The type before the name at `at` when that name is declared there
+    (a variable, parameter or field), else None; the type starts after `lo`."""
+    depth, i = 0, at
+    while i > lo:
+        c = code[i - 1]
+        if c in ";{}" or (depth == 0 and c in "(),=<"):
+            break
+        if c == ">" and code[i - 2:i] != "->":
+            depth += 1
+        elif c == "<":
+            depth -= 1
+        i -= 1
+    text = code[i:at]
+    if (not TYPE_TEXT_RE.fullmatch(text) or NOT_A_TYPE_RE.match(text)
+            or not (text[-1:].isspace() or text[-1:] in "*&")):
+        return None
+    return text.strip()
+
+
 class UseIndex:
     """Where each name appears in src/, bench/, examples/ and perfbench/,
     less where it is declared or defined, and the public API (classes, free
-    functions and public member functions) that src/ headers declare."""
+    functions and public member functions) that src/ headers declare. It also
+    holds what the receiver lookup needs: each class's fields and bases, and
+    where each function and class body lies."""
 
     def __init__(self, root: Path):
         self.uses = {}      # name -> [(file, offset)], a file being its resolved path
@@ -458,6 +523,9 @@ class UseIndex:
         self.skip = set()   # (file, offset) of declarations and definitions
         self.spans = {}     # class -> [(file, begin, end)] of its body and member definitions
         self.api = {}       # src/ header path -> [(owner, name, offset, is_class)]
+        self.functions = {}  # file -> [(begin, end)] of function definitions
+        self.fields = {}    # "Outer::Class" -> {field: declared type}
+        self.bases = {}     # class -> [base class]
         for tree in RUN_TREES:
             base = root / tree
             if not base.is_dir():
@@ -471,6 +539,7 @@ class UseIndex:
         code = blank_comments_and_strings(path.read_text())
         self.code[key] = code
         api = self.api.setdefault(key, []) if header else None
+        functions = self.functions.setdefault(key, [])
         for m in ELABORATED_RE.finditer(code):  # type heads and forward declarations
             self.skip.add((key, m.start(1)))
         # Macro bodies use names; only the scanner skips preprocessor lines.
@@ -479,14 +548,26 @@ class UseIndex:
             head = TYPE_HEAD_RE.match(decl) if body else None
             if head:
                 self.spans.setdefault(head.group(2), []).append((key, at, body[1]))
+                bases = re.split(r"(?<!:):(?!:)", decl[head.end(2):], maxsplit=1)[1:]
+                self.bases.setdefault(head.group(2), []).extend(
+                    re.findall(r"(\w+)\s*(?:<[^<>]*>)?\s*(?:,|$)", bases[0]) if bases else ())
                 if public:
                     api.append(("::".join(owners), head.group(2), at + head.start(2), True))
                 continue
             fn = declarator(decl)
+            lhs = re.split(r"[={]", decl, maxsplit=1)[0]
+            if owners and not body and "(" not in lhs and not DECL_SKIP_RE.match(lhs):
+                field = re.search(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$", lhs)
+                kind = field and declaration_type(lhs, field.start(1), 0)
+                if kind:
+                    self.fields.setdefault("::".join(owners), {})[field.group(1)] = kind
+                continue
             if not fn:
                 continue
             qualifiers, name, offset = fn
             self.skip.add((key, at + offset))
+            if body:
+                functions.append((at, body[1]))
             if qualifiers:  # an out-of-line definition names none of its owners
                 end = body[1] if body else at + len(decl)
                 for owner, q_at in qualifiers:
@@ -507,17 +588,106 @@ class UseIndex:
 
     def member_use(self, owner: str, name: str, fi: Path, at: int) -> bool:
         """Whether the word `name` at `at` in `fi` calls or names a member of
-        `owner`: `.name(`, `->name(`, `Owner::name`, or a bare `name(`
-        inside the owner's body or member definitions."""
+        `owner`: `recv.name(` or `recv->name(` unless `recv` is declared
+        with a type that names neither `owner` nor a class derived from it,
+        `Owner::name`, or a bare `name(` inside the owner's body or member
+        definitions."""
         code = self.code[fi]
         before = MEMBER_BEFORE_RE.search(code, max(0, at - 256), at)
         called = MEMBER_CALL_RE.match(code, at + len(name))
         if before and before.group(1):
             return before.group(1) == owner
         if before:  # `.` or `->`
-            return called is not None
+            chain = receiver_chain(code, before.start())
+            if called is None:
+                return False
+            if not chain or len(chain[1]) != 1:
+                return True
+            kind = self.declared_type(fi, before.start(), chain[1][0], chain[0])
+            return kind is None or self.names(kind, owner) is not False
         return called is not None and any(
             f == fi and begin <= at < end for f, begin, end in self.spans.get(owner, ()))
+
+    def declared_type(self, fi: Path, at: int, name: str, member_only: bool = False):
+        """The declared type of the variable `name` used at `at` in `fi`: a
+        local or parameter of the function holding `at`, else a field of a
+        class whose body or member definition holds it, else a declaration at
+        file scope earlier in the file. None when none is found."""
+        code = self.code[fi]
+        functions = self.functions.get(fi, ())
+        func = max((f for f in functions if f[0] <= at < f[1]), default=None)
+        declared = re.compile(rf"\b{re.escape(name)}\b(?=\s*(?:[;=({{\[,)]|:(?!:)))")
+
+        def last_declaration(lo, hi, local):
+            for m in reversed(list(declared.finditer(code, lo, hi))):
+                if local or not any(b <= m.start() < e for b, e in functions):
+                    kind = declaration_type(code, m.start(), lo)
+                    if kind:
+                        return kind
+            return None
+
+        if not member_only and func:
+            kind = last_declaration(func[0], at, True)
+            if kind:
+                return kind
+        for cls in (c for c, spans in self.spans.items()
+                    for f, begin, end in spans if f == fi and begin <= at < end):
+            kind = self.field_type(cls, name)
+            if kind:
+                return kind
+        return None if member_only else last_declaration(0, func[0] if func else at, False)
+
+    def field_type(self, kind: str, field: str, knobs_only: bool = False):
+        """The declared type of `field` in the class that the type text
+        `kind` names (`const Outer::Options&` names Outer::Options) or in its
+        bases; None when no single class of that name declares it."""
+        names = [n for n in re.findall(r"(?:\w+\s*::\s*)*\w+", kind) if n not in TYPE_WORDS]
+        if not names:
+            return None
+        parts = re.split(r"\s*::\s*", names[-1])
+        if knobs_only and not KNOB_STRUCT_RE.fullmatch(parts[-1]):
+            return None
+        # Classes whose qualified name and `parts` end alike: `Options` is
+        # ambiguous where two classes nest an Options, `Outer::Options` is not.
+        keys = [k for k in self.fields
+                if (n := min(k.count("::") + 1, len(parts))) and k.split("::")[-n:] == parts[-n:]]
+        if len(keys) == 1 and field in self.fields[keys[0]]:
+            return self.fields[keys[0]][field]
+        return next((found for base in self.bases.get(parts[-1], ())
+                     if (found := self.field_type(base, field))), None)
+
+    def derived(self, cls: str) -> set:
+        """`cls` and every class derived from it."""
+        found, todo = {cls}, [cls]
+        while todo:
+            base = todo.pop()
+            for c, bases in self.bases.items():
+                if base in bases and c not in found:
+                    found.add(c)
+                    todo.append(c)
+        return found
+
+    def names(self, kind: str, cls: str, outer: str = None):
+        """Whether the type text `kind` names the class `cls` (nested in
+        `outer`, when given and not `cls`) or a class derived from it: True or
+        False, or None when it holds a name that may alias any type (`auto`, a
+        template parameter, a `using` alias)."""
+        words = WORD_RE.findall(kind)
+        if "auto" in words or "decltype" in words:
+            return None
+        if outer and outer != cls and cls in words:
+            quals = re.findall(rf"(\w+)\s*::\s*{cls}\b", kind)
+            return None if not quals else outer in quals
+        if set(words) & self.derived(cls):
+            return True
+        for m in WORD_RE.finditer(kind):
+            w = m.group()
+            if (w in TYPE_WORDS or w.endswith("_t") or w in self.spans or
+                    re.match(r"\s*::", kind[m.end():]) or
+                    re.search(r"\bstd\s*::\s*\Z", kind[:m.start()])):
+                continue
+            return None
+        return False
 
 
 def lint_test_only(path: Path, index: UseIndex) -> list[tuple[int, str]]:
@@ -609,13 +779,12 @@ def main() -> int:
                 print(f"{rel}:{lineno}: [{rule}] {message}")
                 failures += 1
         if rel.startswith("src/") and path.suffix in {".h", ".hpp"}:
-            if knobs is None:
-                knobs = KnobIndex(root)
+            if uses is None:
+                uses = UseIndex(root)
+                knobs = KnobIndex(root, uses)
             for lineno, message in lint_unset_knobs(path, knobs):
                 print(f"{rel}:{lineno}: [unset-knob] {message}")
                 failures += 1
-            if uses is None:
-                uses = UseIndex(root)
             for lineno, message in lint_test_only(path.resolve(), uses):
                 print(f"{rel}:{lineno}: [test-only] {message}")
                 failures += 1
