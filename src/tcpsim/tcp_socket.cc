@@ -94,7 +94,7 @@ void TcpSocket::BecomeEstablished() {
   state_ = State::kEstablished;
   TimeDelta handshake_rtt = loop_->now() - established_time_;
   established_time_ = loop_->now();
-  delivered_time_ = loop_->now();
+  board_.StartDeliveryClock(loop_->now());
   cc_->OnConnectionStart(loop_->now(), kDefaultMss);
   if (handshake_rtt > TimeDelta::Zero()) {
     UpdateRtt(handshake_rtt);
@@ -164,43 +164,6 @@ uint64_t TcpSocket::CwndBytes() const {
   return static_cast<uint64_t>(segments * kDefaultMss);
 }
 
-uint64_t TcpSocket::EffectiveInFlight() const {
-  // SACK scoreboard pipe: bytes believed to be in the network.
-  uint64_t total = snd_nxt_ - snd_una_;
-  uint64_t gone = sacked_bytes_ + lost_bytes_;
-  return gone >= total ? 0 : total - gone;
-}
-
-RingFifo<TcpSocket::SegMeta>::iterator TcpSocket::SegmentAtOrAfter(uint64_t seq) {
-  return std::lower_bound(outstanding_.begin(), outstanding_.end(), seq,
-                          [](const SegMeta& m, uint64_t s) { return m.seq < s; });
-}
-
-bool TcpSocket::RetransmitOneLost() {
-  if (lost_bytes_ == 0) {
-    return false;
-  }
-  auto it = SegmentAtOrAfter(lost_hint_);
-  for (; it != outstanding_.end() && it->seq < highest_sacked_; ++it) {
-    SegMeta& meta = *it;
-    if (meta.lost) {
-      meta.retransmitted = true;
-      meta.last_tx = loop_->now();
-      meta.lost = false;  // back in the pipe
-      lost_bytes_ -= meta.len;
-      lost_hint_ = meta.seq + meta.len;
-      retx_fifo_.push_back(RetxEntry{meta.seq, meta.last_tx});
-      ++total_retrans_;
-      SendDataSegment(meta.seq, meta.len, /*retransmit=*/true);
-      return true;
-    }
-  }
-  if (it != outstanding_.end()) {
-    lost_hint_ = it->seq;  // nothing lost below the walk's stop
-  }
-  return false;
-}
-
 void TcpSocket::TrySendData() {
   if (!established()) {
     return;
@@ -217,7 +180,7 @@ void TcpSocket::TrySendData() {
   std::optional<DataRate> pacing = cc_->PacingRate();
   while (true) {
     uint64_t window = std::min<uint64_t>(CwndBytes(), peer_rwnd_);
-    if (EffectiveInFlight() + kDefaultMss > window) {
+    if (board_.BytesInFlight() + kDefaultMss > window) {
       app_limited_now_ = false;
       break;
     }
@@ -229,7 +192,10 @@ void TcpSocket::TrySendData() {
     }
 
     uint32_t sent_len = 0;
-    if (RetransmitOneLost()) {
+    if (std::optional<SeqRange> lost = board_.TakeLost(loop_->now())) {
+      ++total_retrans_;
+      SendDataSegment(lost->begin, static_cast<uint32_t>(lost->end - lost->begin),
+                      /*retransmit=*/true);
       sent_len = kDefaultMss;  // pacing accounting only
     } else {
       uint64_t avail = write_seq_ - snd_nxt_;
@@ -256,28 +222,17 @@ void TcpSocket::TrySendData() {
 }
 
 void TcpSocket::SendDataSegment(uint64_t seq, uint32_t len, bool retransmit) {
-  // A retransmission's scoreboard entry was already updated by
-  // RetransmitOneLost; new data always starts at snd_nxt_, past every
-  // outstanding segment.
-  if (!retransmit) {
-    ELEMENT_DCHECK(outstanding_.empty() ||
-                   outstanding_.back().seq + outstanding_.back().len <= seq)
-        << "new segment at " << seq << " below the retransmit queue tail, flow=" << flow_id_;
-    SegMeta meta;
-    meta.seq = seq;
-    meta.len = len;
-    meta.last_tx = loop_->now();
-    meta.delivered_at_send = delivered_bytes_;
-    meta.delivered_time_at_send = delivered_time_;
-    meta.app_limited = app_limited_now_;
-    outstanding_.push_back(meta);
-  }
   if (telemetry_.recording()) {
     telemetry_.Emit(telemetry::TraceRecord::Range(
         telemetry::RecordKind::kTcpTransmit, flow_id_, loop_->now(), seq, seq + len,
         retransmit ? telemetry::kFlagRetransmit : 0));
   }
-  cc_->OnPacketSent(loop_->now(), EffectiveInFlight());
+  // The CC sees a retransmission back in flight (TakeLost moved it), and new
+  // data before it counts: snd_nxt_ moves past it after this call.
+  cc_->OnPacketSent(loop_->now(), board_.BytesInFlight());
+  if (!retransmit) {
+    board_.Append(seq, len, loop_->now(), app_limited_now_);
+  }
 
   std::shared_ptr<TcpSegmentPayload> seg = NewSegment();
   seg->seq = seq;
@@ -325,158 +280,7 @@ void TcpSocket::ReactToEcnEcho() {
   }
   last_ecn_reaction_ = loop_->now();
   cwr_pending_ = true;
-  cc_->OnLoss(loop_->now(), EffectiveInFlight(), kDefaultMss);
-}
-
-void TcpSocket::ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample) {
-  // A block SACKs the segments lying wholly inside it. Those already SACKed
-  // form runs, so only the gaps between runs are visited, in sequence order.
-  for (const SackBlock& block : blocks) {
-    uint64_t cursor = block.begin;
-    size_t run = static_cast<size_t>(
-        std::upper_bound(sacked_runs_.begin(), sacked_runs_.end(), cursor,
-                         [](uint64_t seq, const SeqRange& r) { return seq < r.end; }) -
-        sacked_runs_.begin());
-    while (cursor < block.end) {
-      if (run < sacked_runs_.size() && sacked_runs_[run].begin <= cursor) {
-        cursor = sacked_runs_[run++].end;
-        continue;
-      }
-      uint64_t gap_end = block.end;
-      if (run < sacked_runs_.size()) {
-        gap_end = std::min(gap_end, sacked_runs_[run].begin);
-      }
-      run = SackGap(cursor, gap_end, run, rtt_sample);
-      cursor = gap_end;
-    }
-    highest_sacked_ = std::max(highest_sacked_, block.end);
-  }
-}
-
-size_t TcpSocket::SackGap(uint64_t begin, uint64_t end, size_t run, TimeDelta* rtt_sample) {
-  auto it = SegmentAtOrAfter(begin);
-  if (it == outstanding_.end() || it->seq + it->len > end) {
-    return run;
-  }
-  uint64_t first = it->seq;
-  uint64_t last = first;
-  for (; it != outstanding_.end() && it->seq + it->len <= end; ++it) {
-    SegMeta& meta = *it;
-    ELEMENT_DCHECK(!meta.sacked) << "SACKed segment at " << meta.seq
-                                 << " outside every SACKed run, flow=" << flow_id_;
-    meta.sacked = true;
-    sacked_bytes_ += meta.len;
-    if (meta.lost) {
-      meta.lost = false;
-      lost_bytes_ -= meta.len;
-    }
-    delivered_bytes_ += meta.len;
-    delivered_time_ = loop_->now();
-    if (!meta.retransmitted) {
-      *rtt_sample = loop_->now() - meta.last_tx;
-    }
-    last = meta.seq + meta.len;
-  }
-  // Record [first, last) as a run, merged with the neighbours it touches.
-  bool joins_left = run > 0 && sacked_runs_[run - 1].end == first;
-  bool joins_right = run < sacked_runs_.size() && sacked_runs_[run].begin == last;
-  if (joins_left && joins_right) {
-    sacked_runs_[run - 1].end = sacked_runs_[run].end;
-    sacked_runs_.erase(sacked_runs_.begin() + static_cast<std::ptrdiff_t>(run));
-    return run - 1;
-  }
-  if (joins_left) {
-    sacked_runs_[run - 1].end = last;
-    return run - 1;
-  }
-  if (joins_right) {
-    sacked_runs_[run].begin = first;
-    return run;
-  }
-  sacked_runs_.insert(sacked_runs_.begin() + static_cast<std::ptrdiff_t>(run),
-                      SeqRange{first, last});
-  return run;
-}
-
-void TcpSocket::MarkLost(SegMeta& meta) {
-  meta.lost = true;
-  lost_bytes_ += meta.len;
-  lost_hint_ = std::min(lost_hint_, meta.seq);
-}
-
-TcpSocket::SegMeta* TcpSocket::LiveRetransmission(const RetxEntry& entry) {
-  auto it = SegmentAtOrAfter(entry.seq);
-  if (it == outstanding_.end() || it->seq != entry.seq || it->sacked || it->lost ||
-      it->last_tx != entry.tx) {
-    return nullptr;
-  }
-  return &*it;
-}
-
-void TcpSocket::MarkLosses() {
-  if (highest_sacked_ <= snd_una_) {
-    return;
-  }
-  bool newly_lost = false;
-  uint64_t loss_edge =
-      highest_sacked_ > 3ull * kDefaultMss ? highest_sacked_ - 3ull * kDefaultMss : 0;
-  // First pass over the segments the loss edge has newly passed: those
-  // neither SACKed, lost nor retransmitted are lost. Retransmissions are
-  // re-checked below.
-  for (auto it = SegmentAtOrAfter(loss_scanned_);
-       it != outstanding_.end() && it->seq + it->len <= loss_edge; ++it) {
-    loss_scanned_ = it->seq + it->len;
-    if (!it->sacked && !it->lost && !it->retransmitted) {
-      MarkLost(*it);
-      newly_lost = true;
-    }
-  }
-  // A retransmission is only re-declared lost once it has had a full RTT
-  // (plus variance headroom) to land and be acknowledged; a tighter guard
-  // produces spurious duplicate retransmissions. Every entry shares this
-  // grace and the FIFO is in send order, so the walk stops at the first live
-  // entry still in grace.
-  TimeDelta retx_grace = srtt_ + std::max(rttvar_ * 4.0, srtt_ * 0.5);
-  while (!retx_fifo_.empty()) {
-    RetxEntry entry = retx_fifo_.front();
-    SegMeta* meta = LiveRetransmission(entry);
-    if (meta != nullptr && loop_->now() - entry.tx < retx_grace) {
-      break;
-    }
-    retx_fifo_.pop_front();
-    if (meta == nullptr) {
-      continue;
-    }
-    if (meta->seq + meta->len <= loss_edge) {
-      MarkLost(*meta);
-      newly_lost = true;
-    } else {
-      retx_side_.push_back(entry);
-    }
-  }
-  // The grace is re-checked here too: it grows with srtt and rttvar, so an
-  // entry that expired while above the loss edge may be in grace again.
-  for (size_t i = 0; i < retx_side_.size();) {
-    SegMeta* meta = LiveRetransmission(retx_side_[i]);
-    if (meta != nullptr && (meta->seq + meta->len > loss_edge ||
-                            loop_->now() - retx_side_[i].tx < retx_grace)) {
-      ++i;
-      continue;
-    }
-    if (meta != nullptr) {
-      MarkLost(*meta);
-      newly_lost = true;
-    }
-    retx_side_[i] = retx_side_.back();
-    retx_side_.pop_back();
-  }
-  if (newly_lost && !in_recovery_) {
-    in_recovery_ = true;
-    recovery_end_ = snd_nxt_;
-    EmitCcEpisode(telemetry::CcEpisode::kRecovery);
-    cc_->OnLoss(loop_->now(), EffectiveInFlight(), kDefaultMss);
-    MaybeAutotuneSndbuf();
-  }
+  cc_->OnLoss(loop_->now(), board_.BytesInFlight(), kDefaultMss);
 }
 
 void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
@@ -485,12 +289,10 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
     ReactToEcnEcho();
   }
 
-  TimeDelta rtt_sample = TimeDelta::Zero();
-  DataRate rate_sample = DataRate::Zero();
-  bool sample_app_limited = false;
-  uint64_t sacked_before = sacked_bytes_;
-  ProcessSackBlocks(seg.sacks, &rtt_sample);
-  if (sacked_bytes_ != sacked_before && snd_una_ < snd_nxt_) {
+  // SACK blocks, the RTO re-arm on SACK progress, the cumulative pop, then
+  // the loss scan: every timer draws its sequence number in this order.
+  SendScoreboard::DeliverySample delivery;
+  if (board_.ApplySack(seg.sacks, loop_->now(), &delivery) && snd_una_ < snd_nxt_) {
     ArmRto();  // forward progress via SACK also defers the timeout
   }
 
@@ -504,52 +306,28 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
       r.u.range.aux = ack;  // snd_una after this ACK
       telemetry_.Emit(r);
     }
-    while (!outstanding_.empty() &&
-           outstanding_.front().seq + outstanding_.front().len <= ack) {
-      const SegMeta& meta = outstanding_.front();
-      if (meta.sacked) {
-        sacked_bytes_ -= meta.len;
-      } else {
-        if (meta.lost) {
-          lost_bytes_ -= meta.len;  // arrived after all (spurious loss mark)
-        }
-        delivered_bytes_ += meta.len;
-        delivered_time_ = loop_->now();
-        if (!meta.retransmitted) {
-          rtt_sample = loop_->now() - meta.last_tx;
-          TimeDelta interval = loop_->now() - meta.delivered_time_at_send;
-          if (interval > TimeDelta::Zero()) {
-            uint64_t delivered_in_interval = delivered_bytes_ - meta.delivered_at_send;
-            rate_sample = RateOver(static_cast<int64_t>(delivered_in_interval), interval);
-            sample_app_limited = meta.app_limited;
-          }
-        }
-      }
-      outstanding_.pop_front();
-    }
+    board_.PopTo(ack, loop_->now(), &delivery);
     snd_una_ = ack;
-    // Trim the SACKed runs to the segments still outstanding.
-    uint64_t front = outstanding_.empty() ? snd_una_ : outstanding_.front().seq;
-    auto trimmed =
-        std::find_if(sacked_runs_.begin(), sacked_runs_.end(),
-                     [front](const SeqRange& r) { return r.end > front; });
-    sacked_runs_.erase(sacked_runs_.begin(), trimmed);
-    if (!sacked_runs_.empty() && sacked_runs_.front().begin < front) {
-      sacked_runs_.front().begin = front;
-    }
-    if (highest_sacked_ < snd_una_) {
-      highest_sacked_ = snd_una_;
-    }
   }
 
-  MarkLosses();
+  // A retransmission is only re-declared lost once it has had a full RTT
+  // (plus variance headroom) to land and be acknowledged; a tighter guard
+  // produces spurious duplicate retransmissions.
+  TimeDelta retx_grace = srtt_ + std::max(rttvar_ * 4.0, srtt_ * 0.5);
+  if (board_.DetectLosses(loop_->now(), retx_grace) && !in_recovery_) {
+    in_recovery_ = true;
+    recovery_end_ = snd_nxt_;
+    EmitCcEpisode(telemetry::CcEpisode::kRecovery);
+    cc_->OnLoss(loop_->now(), board_.BytesInFlight(), kDefaultMss);
+    MaybeAutotuneSndbuf();
+  }
 
   if (acked > 0) {
-    if (rtt_sample > TimeDelta::Zero()) {
-      UpdateRtt(rtt_sample);
+    if (delivery.rtt > TimeDelta::Zero()) {
+      UpdateRtt(delivery.rtt);
     }
-    if (!rate_sample.IsZero()) {
-      latest_rate_sample_ = rate_sample;
+    if (!delivery.rate.IsZero()) {
+      latest_rate_sample_ = delivery.rate;
     }
     if (in_recovery_ && snd_una_ >= recovery_end_) {
       in_recovery_ = false;
@@ -559,13 +337,13 @@ void TcpSocket::OnAckSegment(const TcpSegmentPayload& seg) {
     AckSample sample;
     sample.now = loop_->now();
     sample.acked_bytes = acked;
-    sample.bytes_in_flight = EffectiveInFlight();
-    sample.rtt = rtt_sample;
+    sample.bytes_in_flight = board_.BytesInFlight();
+    sample.rtt = delivery.rtt;
     sample.srtt = srtt_;
     sample.min_rtt = min_rtt_;
-    sample.delivered_bytes = delivered_bytes_;
-    sample.delivery_rate = rate_sample;
-    sample.app_limited = sample_app_limited;
+    sample.delivered_bytes = board_.delivered_bytes();
+    sample.delivery_rate = delivery.rate;
+    sample.app_limited = delivery.app_limited;
     sample.in_recovery = in_recovery_;
     sample.mss = kDefaultMss;
     cc_->OnAck(sample);
@@ -619,13 +397,7 @@ void TcpSocket::OnRtoFire() {
   // retransmission path resends them under the collapsed window. snd_nxt_ is
   // never rewound, so late cumulative ACKs keep their meaning, and resends
   // are tagged as retransmissions (Karn's rule holds for RTT samples).
-  for (SegMeta& meta : outstanding_) {
-    if (!meta.sacked && !meta.lost) {
-      MarkLost(meta);
-    }
-  }
-  // Allow the lowest lost segment through even if highest_sacked_ is behind.
-  highest_sacked_ = std::max(highest_sacked_, snd_nxt_);
+  board_.MarkAllLost();
   ArmRto();
   TrySendData();
   AuditSequenceInvariants();
@@ -872,108 +644,9 @@ void TcpSocket::AuditSequenceInvariants() const {
   ELEMENT_AUDIT(snd_nxt_ <= write_seq_)
       << "snd_nxt=" << snd_nxt_ << " beyond app writes=" << write_seq_ << " flow=" << flow_id_;
 
-  // -- SACK scoreboard vs. the retransmit queue --
-  for (size_t i = 1; i < retx_fifo_.size(); ++i) {
-    ELEMENT_AUDIT(retx_fifo_[i - 1].tx <= retx_fifo_[i].tx)
-        << "retransmission FIFO out of send order at entry " << i << " flow=" << flow_id_;
-  }
-  // The SACKed runs are rebuilt from the queue as it is walked and compared
-  // run by run.
-  size_t runs_seen = 0;
-  SeqRange open_run;
-  auto close_run = [&] {
-    if (open_run.end == open_run.begin) {
-      return;
-    }
-    ELEMENT_AUDIT(runs_seen < sacked_runs_.size() &&
-                  sacked_runs_[runs_seen].begin == open_run.begin &&
-                  sacked_runs_[runs_seen].end == open_run.end)
-        << "SACKed run " << runs_seen << " is not the union of SACKed segments: expected ["
-        << open_run.begin << "," << open_run.end << ") flow=" << flow_id_;
-    ++runs_seen;
-    open_run = SeqRange{};
-  };
-  uint64_t sacked = 0;
-  uint64_t lost = 0;
-  uint64_t prev_end = 0;
-  size_t retransmissions_in_flight = 0;
-  for (const SegMeta& meta : outstanding_) {
-    uint64_t seq = meta.seq;
-    ELEMENT_AUDIT(seq >= prev_end)
-        << "retransmit queue out of order or overlapping at " << seq << " (previous end "
-        << prev_end << ") flow=" << flow_id_;
-    prev_end = seq + meta.len;
-    ELEMENT_AUDIT(seq + meta.len <= snd_nxt_)
-        << "outstanding segment [" << seq << "," << seq + meta.len << ") past snd_nxt="
-        << snd_nxt_ << " flow=" << flow_id_;
-    ELEMENT_AUDIT(seq + meta.len > snd_una_)
-        << "fully-acked segment [" << seq << "," << seq + meta.len
-        << ") still outstanding, snd_una=" << snd_una_ << " flow=" << flow_id_;
-    ELEMENT_AUDIT(!(meta.sacked && meta.lost))
-        << "segment at " << seq << " both sacked and lost, flow=" << flow_id_;
-    if (meta.sacked) {
-      sacked += meta.len;
-      if (open_run.end != seq) {
-        close_run();
-        open_run.begin = seq;
-      }
-      open_run.end = seq + meta.len;
-    } else {
-      close_run();
-    }
-    if (meta.lost) {
-      lost += meta.len;
-      ELEMENT_AUDIT(seq >= lost_hint_)
-          << "lost segment at " << seq << " below lost_hint=" << lost_hint_
-          << " flow=" << flow_id_;
-    }
-    ELEMENT_AUDIT(seq + meta.len > loss_scanned_ || meta.sacked || meta.lost ||
-                  meta.retransmitted)
-        << "segment at " << seq << " below loss_scanned=" << loss_scanned_
-        << " neither SACKed, lost nor retransmitted, flow=" << flow_id_;
-    if (meta.retransmitted && !meta.sacked && !meta.lost) {
-      ++retransmissions_in_flight;
-    }
-  }
-  close_run();
-  // Each retransmission still in flight has exactly one live entry, in the
-  // FIFO or the side list: an entry naming its segment and transmit time.
-  // The queue is contiguous and nearly all segments are one MSS long, so the
-  // lookup tries the index that implies before a binary search; the FIFO can
-  // hold thousands of entries.
-  size_t live_entries = 0;
-  auto count_live = [&](const RetxEntry& e) {
-    if (outstanding_.empty() || e.seq < outstanding_.front().seq) {
-      return;
-    }
-    size_t guess = static_cast<size_t>((e.seq - outstanding_.front().seq) / kDefaultMss);
-    const SegMeta* meta = nullptr;
-    if (guess < outstanding_.size() && outstanding_[guess].seq == e.seq) {
-      meta = &outstanding_[guess];
-    } else {
-      auto it = std::lower_bound(outstanding_.begin(), outstanding_.end(), e.seq,
-                                 [](const SegMeta& m, uint64_t s) { return m.seq < s; });
-      meta = it != outstanding_.end() && it->seq == e.seq ? &*it : nullptr;
-    }
-    if (meta != nullptr && meta->retransmitted && !meta->sacked && !meta->lost &&
-        meta->last_tx == e.tx) {
-      ++live_entries;
-    }
-  };
-  std::for_each(retx_fifo_.begin(), retx_fifo_.end(), count_live);
-  std::for_each(retx_side_.begin(), retx_side_.end(), count_live);
-  ELEMENT_AUDIT(live_entries == retransmissions_in_flight)
-      << retransmissions_in_flight << " retransmissions in flight, but " << live_entries
-      << " live retransmission entries, flow=" << flow_id_;
-  ELEMENT_AUDIT(runs_seen == sacked_runs_.size())
-      << sacked_runs_.size() << " SACKed runs, but the SACKed segments form " << runs_seen
-      << " flow=" << flow_id_;
-  ELEMENT_AUDIT(sacked == sacked_bytes_)
-      << "sacked_bytes out of sync: counter=" << sacked_bytes_ << " scoreboard=" << sacked
-      << " flow=" << flow_id_;
-  ELEMENT_AUDIT(lost == lost_bytes_)
-      << "lost_bytes out of sync: counter=" << lost_bytes_ << " scoreboard=" << lost
-      << " flow=" << flow_id_;
+  ELEMENT_AUDIT(board_.una() == snd_una_ && board_.nxt() == snd_nxt_)
+      << "scoreboard covers [" << board_.una() << "," << board_.nxt() << "), not snd_una="
+      << snd_una_ << " to snd_nxt=" << snd_nxt_ << " flow=" << flow_id_;
 
   // -- receiver sequence space --
   ELEMENT_AUDIT(read_seq_ <= rcv_nxt_)
@@ -996,11 +669,6 @@ void TcpSocket::AuditSequenceInvariants() const {
 
 void TcpSocket::TestOnlyCorruptSequenceStateForAudit() {
   snd_una_ = snd_nxt_ + 1;
-  AuditSequenceInvariants();
-}
-
-void TcpSocket::TestOnlyCorruptSackedRunsForAudit() {
-  sacked_runs_.push_back(SeqRange{snd_nxt_, snd_nxt_ + 1});  // no segment backs it
   AuditSequenceInvariants();
 }
 

@@ -6,7 +6,10 @@
 //   - byte-accurate send buffer whose occupancy *is* the sender system delay,
 //   - Linux-style ratcheting send-buffer auto-tuning (sndbuf ~ 2x cwnd),
 //   - pluggable congestion control (Reno/Cubic/Vegas/BBR/LEDBAT) with pacing,
-//   - loss detection by 3 duplicate ACKs (NewReno-ish) and RTO (RFC 6298),
+//   - SACK loss detection (send_scoreboard.h): a segment is lost once it lies
+//     3 MSS below the highest SACKed byte, a retransmission again after
+//     srtt + max(4 rttvar, srtt / 2), and everything un-SACKed on an RTO
+//     (RFC 6298),
 //   - receiver out-of-order queue (where loss-induced receiver delay forms),
 //   - delayed ACKs, flow control, optional ECN,
 //   - getsockopt(TCP_INFO) mirror for the ELEMENT estimators.
@@ -20,12 +23,12 @@
 #include <string>
 #include <vector>
 
-#include "src/common/ring_fifo.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/evloop/event_loop.h"
 #include "src/netsim/pipe.h"
 #include "src/tcpsim/congestion_control.h"
+#include "src/tcpsim/send_scoreboard.h"
 #include "src/tcpsim/tcp_info.h"
 #include "src/telemetry/spine.h"
 #include "src/tcpsim/tcp_segment.h"
@@ -121,8 +124,6 @@ class TcpSocket : public PacketSink {
   // Test-only: breaks sequence-space ordering and runs the audit so death
   // tests can verify the invariant layer actually fires.
   void TestOnlyCorruptSequenceStateForAudit();  // lint_sim: allow(test-only) -- test hook
-  // Test-only: records a SACKed run no segment backs and runs the audit.
-  void TestOnlyCorruptSackedRunsForAudit();  // lint_sim: allow(test-only) -- test hook
   // Test-only: replaces the congestion controller (before the handshake
   // completes), so a test can fix the window or the pacing rate and observe
   // what the socket does with them.
@@ -135,31 +136,6 @@ class TcpSocket : public PacketSink {
   void Deliver(Packet pkt) override;
 
  private:
-  // One transmitted, not yet cumulatively acknowledged segment.
-  struct SegMeta {
-    uint64_t seq = 0;  // first byte
-    uint32_t len = 0;
-    bool retransmitted = false;
-    bool sacked = false;
-    bool lost = false;
-    SimTime last_tx;
-    // Delivery-rate sampling state captured at (first) transmit.
-    uint64_t delivered_at_send = 0;
-    SimTime delivered_time_at_send;
-    bool app_limited = false;
-  };
-  // A half-open byte range [begin, end): a buffered out-of-order block on
-  // the receiver, a run of SACKed segments on the sender.
-  struct SeqRange {
-    uint64_t begin = 0;
-    uint64_t end = 0;
-  };
-  // One retransmission, in send order: the segment and its transmit time.
-  struct RetxEntry {
-    uint64_t seq = 0;
-    SimTime tx;
-  };
-
   // -- connection lifecycle --
   void OnSynRetry();
 
@@ -167,23 +143,7 @@ class TcpSocket : public PacketSink {
   void TrySendData();
   void SendDataSegment(uint64_t seq, uint32_t len, bool retransmit);
   void OnAckSegment(const TcpSegmentPayload& seg);
-  // SACK scoreboard: marks sacked ranges, detects losses (3*MSS FACK rule),
-  // and enters recovery once per window. Returns the freshest RTT sample.
-  void ProcessSackBlocks(const SackList& blocks, TimeDelta* rtt_sample);
-  // SACKs the segments lying wholly inside the gap [begin, end), none of
-  // which is SACKed yet, and records them as a run; `run` indexes the first
-  // run past `begin`. Returns the index of the run now holding them.
-  size_t SackGap(uint64_t begin, uint64_t end, size_t run, TimeDelta* rtt_sample);
-  void MarkLosses();
-  void MarkLost(SegMeta& meta);
-  // The segment a retransmission entry names, if that retransmission is
-  // still in flight: not acked, SACKed, lost or sent again since.
-  SegMeta* LiveRetransmission(const RetxEntry& entry);
-  bool RetransmitOneLost();  // lowest-sequence lost segment, if window allows
-  // First outstanding segment starting at or after `seq`.
-  RingFifo<SegMeta>::iterator SegmentAtOrAfter(uint64_t seq);
   uint64_t CwndBytes() const;
-  uint64_t EffectiveInFlight() const;
   void MaybeAutotuneSndbuf();
   void UpdateRtt(TimeDelta sample);
   void ArmRto();
@@ -214,9 +174,9 @@ class TcpSocket : public PacketSink {
   void EmitSegment(std::shared_ptr<TcpSegmentPayload> seg, uint32_t payload_bytes,
                    uint32_t priority_band = 1);
   void BecomeEstablished();
-  // Sequence-space conservation audit (compiled out in Release): sequence
-  // ordering, SACK-scoreboard bookkeeping vs. the retransmit queue, send- and
-  // receive-buffer occupancy. Runs after every socket entry point.
+  // Sequence-space audit (compiled out in Release): sequence ordering, the
+  // scoreboard's window against snd_una/snd_nxt, receive-buffer occupancy.
+  // Runs after every socket entry point; the scoreboard audits itself.
   void AuditSequenceInvariants() const;
 
   EventLoop* loop_;
@@ -241,41 +201,11 @@ class TcpSocket : public PacketSink {
   size_t sndbuf_;
   bool sndbuf_autotune_ = true;
   uint64_t peer_rwnd_ = 1 << 30;
-  // The retransmit queue: sent, not cumulatively acked segments in sequence
-  // order, without gaps or overlap. New data is appended at snd_nxt_ and
-  // cumulative ACKs pop the front, so lookups are binary searches over the
-  // ring's iterators and the loss/RTO walks run over at most two contiguous
-  // spans. The ring grows to the largest window seen and is then reused:
-  // no allocation per segment, none at construction.
-  RingFifo<SegMeta> outstanding_;
-  // The union of SACKed outstanding segments as sorted runs that are
-  // disjoint and do not touch. A SACK block visits only the segments in the
-  // gaps between runs, and cumulative ACKs trim the front. The vector grows
-  // to the most runs seen and is then reused.
-  std::vector<SeqRange> sacked_runs_;
-  // MarkLosses' scan cursor: every segment ending at or below it has been
-  // examined once and is SACKed, lost or retransmitted, so an ACK scans only
-  // the segments the loss edge has newly passed.
-  uint64_t loss_scanned_ = 0;
-  // One entry per retransmission, in send order and so in non-decreasing
-  // transmit time. Every entry shares one grace period, so MarkLosses pops
-  // stale and expired entries and stops at the first one still in grace.
-  // The ring grows to the most retransmissions in flight and is reused.
-  RingFifo<RetxEntry> retx_fifo_;
-  // The rare retransmission whose grace expired while its segment was still
-  // above the loss edge: re-checked by every MarkLosses until it is both
-  // below the edge and out of grace.
-  std::vector<RetxEntry> retx_side_;
-  // No segment starting below it is lost. Every loss mark lowers it and a
-  // retransmission moves it past its segment, so RetransmitOneLost starts
-  // here instead of at the front of outstanding_.
-  uint64_t lost_hint_ = 0;
+  // Every sent, not cumulatively acked segment: SACKed, lost, in flight.
+  SendScoreboard board_;
 
   bool in_recovery_ = false;
   uint64_t recovery_end_ = 0;
-  uint64_t sacked_bytes_ = 0;
-  uint64_t lost_bytes_ = 0;
-  uint64_t highest_sacked_ = 0;
 
   TimeDelta srtt_ = TimeDelta::Zero();
   TimeDelta rttvar_ = TimeDelta::Zero();
@@ -295,9 +225,6 @@ class TcpSocket : public PacketSink {
   SimTime next_send_time_;
   Timer pacing_timer_;
 
-  // Delivery-rate sampling (tcp rate_sample analogue).
-  uint64_t delivered_bytes_ = 0;
-  SimTime delivered_time_;
   DataRate latest_rate_sample_;
   bool app_limited_now_ = false;
 

@@ -20,7 +20,9 @@
 #include "src/netsim/pie.h"
 #include "src/netsim/pipe.h"
 #include "src/netsim/red.h"
+#include "src/tcpsim/send_scoreboard.h"
 #include "src/tcpsim/testbed.h"
+#include "tests/reference_scoreboard.h"
 #include "src/topo/router.h"
 
 namespace element {
@@ -153,14 +155,45 @@ TEST(TcpAuditDeathTest, SequenceSpaceViolationAborts) {
   EXPECT_DEATH(flow.sender->TestOnlyCorruptSequenceStateForAudit(), "snd_una");
 }
 
-TEST(TcpAuditDeathTest, CorruptSackedRunAborts) {
-  PathConfig path;
-  Testbed bed(11, path);
-  Testbed::Flow flow = bed.CreateFlow(TcpSocket::Config{});
-  flow.sender->SetEstablishedCallback([&] { flow.sender->Write(50000); });
-  bed.loop().RunUntil(Sec(2.0));
-  ASSERT_TRUE(flow.sender->established());
-  EXPECT_DEATH(flow.sender->TestOnlyCorruptSackedRunsForAudit(), "SACKed run");
+// A scoreboard holding `segments` full-sized segments sent at time 0, the
+// second half of them SACKed.
+void FillScoreboard(SendScoreboard* board, int segments) {
+  for (int i = 0; i < segments; ++i) {
+    board->Append(board->nxt(), kDefaultMss, SimTime::Zero(), /*app_limited=*/false);
+  }
+  SackList sacks;
+  sacks.push_back(SackBlock{board->nxt() / 2, board->nxt()});
+  SendScoreboard::DeliverySample sample;
+  board->ApplySack(sacks, SimTime::FromNanos(1000), &sample);
+}
+
+TEST(ScoreboardAuditDeathTest, CorruptSackedRunAborts) {
+  SendScoreboard board;
+  FillScoreboard(&board, 8);
+  SendScoreboardTestPeer::AddUnbackedSackedRun(&board);
+  EXPECT_DEATH(board.Append(board.nxt(), kDefaultMss, SimTime::FromNanos(2000), false),
+               "SACKed run");
+}
+
+// A lost flag flipped deep in the window, in a segment no later call
+// touches, passes every per-call check and aborts at the next full walk:
+// the 1024th call, or an RTO.
+TEST(ScoreboardAuditDeathTest, FlippedLostFlagAbortsAtTheNextFullWalk) {
+  SimTime now = SimTime::FromNanos(2000);
+  SendScoreboard board;
+  FillScoreboard(&board, 64);
+  SendScoreboardTestPeer::FlipLostFlag(&board, 10);
+  while (SendScoreboardTestPeer::calls(board) % 1024 != 1023) {
+    board.Append(board.nxt(), kDefaultMss, now, false);
+  }
+  EXPECT_DEATH(board.Append(board.nxt(), kDefaultMss, now, false), "lost_bytes out of sync");
+
+  SendScoreboard rto_board;
+  FillScoreboard(&rto_board, 64);
+  SendScoreboardTestPeer::FlipLostFlag(&rto_board, 10);
+  rto_board.Append(rto_board.nxt(), kDefaultMss, now, false);
+  ASSERT_LT(SendScoreboardTestPeer::calls(rto_board) % 1024, 1000u);
+  EXPECT_DEATH(rto_board.MarkAllLost(), "lost_bytes out of sync");
 }
 
 TEST(ArenaAuditDeathTest, DoubleFreeAborts) {

@@ -8,6 +8,11 @@ int main() {
   auto* any = &widget;
   any->Pause();
   fixture::TheWidget().Resume();
+  fixture::Rig rig;
+  rig.gizmo.Tune();
+  fixture::Rig* rig_ptr = &rig;
+  rig_ptr->widget = &widget;
+  rig_ptr->widget->Calibrate();
   const fixture::Widget& view = widget;
   return ShadowedByLocal == 7 && view.Level() == 0 ? 0 : 1;
 }

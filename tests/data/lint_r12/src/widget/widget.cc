@@ -42,6 +42,14 @@ int Widget::Level() const {
   return gizmo_.Level();
 }
 
+void Widget::Tune() {
+  gizmo_.Tune();
+}
+
+void Widget::Calibrate() {
+  ++calls_;
+}
+
 Widget& TheWidget() {
   static Widget widget;
   return widget;

@@ -13,6 +13,7 @@ class Gizmo {
   void Pause();
   void Resume();
   int Level() const;
+  void Tune();
 };
 
 class Widget {
@@ -32,11 +33,21 @@ class Widget {
   void Pause();
   void Resume();
   int Level() const;
+  // bench/ calls Gizmo's Tune through a Rig's gizmo, one field step away,
+  // and Calibrate through a Rig pointer's widget.
+  void Tune();
+  void Calibrate();
 
  private:
   int PrivateHelper() const;
   int calls_ = 0;
   Gizmo gizmo_;
+};
+
+// The parts bench/ reaches one field step from a variable.
+struct Rig {
+  Gizmo gizmo;
+  Widget* widget = nullptr;
 };
 
 Widget& TheWidget();

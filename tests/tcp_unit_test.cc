@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "src/netsim/pipe.h"
 #include "src/tcpsim/tcp_segment.h"
 #include "src/tcpsim/tcp_socket.h"
+#include "tests/reference_scoreboard.h"
 
 namespace element {
 namespace {
@@ -543,113 +543,32 @@ class RecordingCc : public CongestionControl {
   std::vector<Entry>* log_;
 };
 
-// The sender's SACK scoreboard as whole-window walks on every ACK: SACK
-// marking, loss marking and the lowest-lost retransmission pick as they
-// were before the socket kept runs, a scan cursor and a retransmission
-// FIFO. The differential test replays the socket's sends and ACKs through
-// it.
-class ReferenceScoreboard {
+// The socket's side of the whole-window reference: the RTT estimate, the
+// retransmission grace and the recovery marks around ReferenceScoreboard,
+// called in the socket's order on every ACK.
+class ReferenceSender {
  public:
-  struct Seg {
-    uint64_t seq = 0;
-    uint32_t len = 0;
-    bool retransmitted = false;
-    bool sacked = false;
-    bool lost = false;
-    SimTime last_tx;
-  };
   struct AckOutcome {
     bool entered_recovery = false;
     bool acked = false;
   };
 
-  explicit ReferenceScoreboard(uint32_t mss) : mss_(mss) {}
-
-  void OnNewData(uint64_t seq, uint32_t len, SimTime now) {
-    Seg seg;
-    seg.seq = seq;
-    seg.len = len;
-    seg.last_tx = now;
-    segs_.push_back(seg);
-    snd_nxt_ = seq + len;
-  }
-
-  // The lowest lost segment below the highest SACKed byte, if any.
-  Seg* LowestLost() {
-    if (lost_bytes_ == 0) {
-      return nullptr;
-    }
-    for (Seg& seg : segs_) {
-      if (seg.seq >= highest_sacked_) {
-        break;
-      }
-      if (seg.lost) {
-        return &seg;
-      }
-    }
-    return nullptr;
-  }
-
-  // Picks and re-sends the lowest lost segment; returns its seq.
-  std::optional<uint64_t> Retransmit(SimTime now) {
-    Seg* seg = LowestLost();
-    if (seg == nullptr) {
-      return std::nullopt;
-    }
-    seg->retransmitted = true;
-    seg->last_tx = now;
-    seg->lost = false;
-    lost_bytes_ -= seg->len;
-    ++retransmits_;
-    return seg->seq;
-  }
-
   AckOutcome OnAck(uint64_t ack_seq, const std::vector<SackBlock>& sacks, SimTime now) {
     AckOutcome out;
     TimeDelta rtt_sample = TimeDelta::Zero();
-    for (const SackBlock& block : sacks) {
-      for (Seg& seg : segs_) {
-        if (seg.seq < block.begin || seg.seq + seg.len > block.end || seg.sacked) {
-          continue;
-        }
-        seg.sacked = true;
-        sacked_bytes_ += seg.len;
-        if (seg.lost) {
-          seg.lost = false;
-          lost_bytes_ -= seg.len;
-        }
-        if (!seg.retransmitted) {
-          rtt_sample = now - seg.last_tx;
-        }
-      }
-      highest_sacked_ = std::max(highest_sacked_, block.end);
+    board.ApplySack(sacks, now, &rtt_sample);
+    out.acked = board.PopTo(ack_seq, now, &rtt_sample);
+    TimeDelta grace = srtt_ + std::max(rttvar_ * 4.0, srtt_ * 0.5);
+    if (board.MarkLosses(now, grace) && !in_recovery_) {
+      in_recovery_ = true;
+      recovery_end_ = board.snd_nxt();
+      out.entered_recovery = true;
     }
-    uint64_t ack = std::min(ack_seq, snd_nxt_);
-    if (ack > snd_una_) {
-      out.acked = true;
-      while (!segs_.empty() && segs_.front().seq + segs_.front().len <= ack) {
-        const Seg& seg = segs_.front();
-        if (seg.sacked) {
-          sacked_bytes_ -= seg.len;
-        } else {
-          if (seg.lost) {
-            lost_bytes_ -= seg.len;
-          }
-          if (!seg.retransmitted) {
-            rtt_sample = now - seg.last_tx;
-          }
-        }
-        segs_.pop_front();
-      }
-      snd_una_ = ack;
-      highest_sacked_ = std::max(highest_sacked_, snd_una_);
-    }
-    out.entered_recovery = MarkLosses(now);
     if (out.acked) {
       if (rtt_sample > TimeDelta::Zero()) {
         UpdateRtt(rtt_sample);
       }
-      if (in_recovery_ && snd_una_ >= recovery_end_) {
+      if (in_recovery_ && board.snd_una() >= recovery_end_) {
         in_recovery_ = false;
       }
     }
@@ -658,54 +577,12 @@ class ReferenceScoreboard {
 
   void OnRto() {
     in_recovery_ = false;
-    for (Seg& seg : segs_) {
-      if (!seg.sacked && !seg.lost) {
-        seg.lost = true;
-        lost_bytes_ += seg.len;
-      }
-    }
-    highest_sacked_ = std::max(highest_sacked_, snd_nxt_);
+    board.OnRto();
   }
 
-  uint64_t InFlight() const {
-    uint64_t total = snd_nxt_ - snd_una_;
-    uint64_t gone = sacked_bytes_ + lost_bytes_;
-    return gone >= total ? 0 : total - gone;
-  }
-  const std::deque<Seg>& segs() const { return segs_; }
-  uint64_t snd_una() const { return snd_una_; }
-  uint64_t retransmits() const { return retransmits_; }
+  ReferenceScoreboard board{kDefaultMss};
 
  private:
-  bool MarkLosses(SimTime now) {
-    if (highest_sacked_ <= snd_una_) {
-      return false;
-    }
-    bool newly_lost = false;
-    uint64_t loss_edge = highest_sacked_ > 3ull * mss_ ? highest_sacked_ - 3ull * mss_ : 0;
-    TimeDelta retx_grace = srtt_ + std::max(rttvar_ * 4.0, srtt_ * 0.5);
-    for (Seg& seg : segs_) {
-      if (seg.seq + seg.len > loss_edge) {
-        break;
-      }
-      if (seg.sacked || seg.lost) {
-        continue;
-      }
-      if (seg.retransmitted && now - seg.last_tx < retx_grace) {
-        continue;
-      }
-      seg.lost = true;
-      lost_bytes_ += seg.len;
-      newly_lost = true;
-    }
-    if (newly_lost && !in_recovery_) {
-      in_recovery_ = true;
-      recovery_end_ = snd_nxt_;
-      return true;
-    }
-    return false;
-  }
-
   void UpdateRtt(TimeDelta sample) {
     if (srtt_.IsZero()) {
       srtt_ = sample;
@@ -717,18 +594,10 @@ class ReferenceScoreboard {
     }
   }
 
-  uint32_t mss_;
-  std::deque<Seg> segs_;
-  uint64_t snd_una_ = 0;
-  uint64_t snd_nxt_ = 0;
-  uint64_t sacked_bytes_ = 0;
-  uint64_t lost_bytes_ = 0;
-  uint64_t highest_sacked_ = 0;
   bool in_recovery_ = false;
   uint64_t recovery_end_ = 0;
   TimeDelta srtt_ = TimeDelta::Zero();
   TimeDelta rttvar_ = TimeDelta::Zero();
-  uint64_t retransmits_ = 0;
 };
 
 class TcpScoreboardTest : public TcpUnitTest {
@@ -743,7 +612,7 @@ class TcpScoreboardTest : public TcpUnitTest {
     NewSocket(seed);
     socket_->TestOnlySetCongestionControl(std::make_unique<RecordingCc>(40.0, &calls_));
     Establish();
-    ReferenceScoreboard ref(kDefaultMss);
+    ReferenceSender ref;
     Rng rng(seed);
     std::vector<SackBlock> previous;
     socket_->Write(1 << 20);
@@ -752,11 +621,11 @@ class TcpScoreboardTest : public TcpUnitTest {
       std::string where = "seed " + std::to_string(seed) + " step " + std::to_string(step);
       int64_t action = rng.UniformInt(0, 99);
       if (action < 60) {
-        uint64_t ack_seq = RandomCumulativeAck(ref, rng);
-        std::vector<SackBlock> sacks = RandomSackBlocks(ref, previous, rng);
+        uint64_t ack_seq = RandomCumulativeAck(ref.board, rng);
+        std::vector<SackBlock> sacks = RandomSackBlocks(ref.board, previous, rng, kDefaultMss);
         previous = sacks;
         InjectAck(ack_seq, sacks);
-        ReferenceScoreboard::AckOutcome outcome = ref.OnAck(ack_seq, sacks, loop_.now());
+        ReferenceSender::AckOutcome outcome = ref.OnAck(ack_seq, sacks, loop_.now());
         ExpectAckCalls(ref, outcome, where);
       } else if (action < 85) {
         Advance(TimeDelta::FromMillis(rng.UniformInt(1, 20)));  // mostly within the grace
@@ -768,79 +637,31 @@ class TcpScoreboardTest : public TcpUnitTest {
         socket_->Write(1 << 20);
       }
       Replay(ref, where);
-      ASSERT_EQ(socket_->total_retransmits(), ref.retransmits()) << where;
+      ASSERT_EQ(socket_->total_retransmits(), ref.board.retransmits()) << where;
     }
-    EXPECT_GT(ref.retransmits(), 100u) << "seed " << seed;
+    EXPECT_GT(ref.board.retransmits(), 100u) << "seed " << seed;
   }
 
  private:
-  static uint64_t SegEnd(const ReferenceScoreboard::Seg& s) { return s.seq + s.len; }
-
-  // Mostly a duplicate ACK; sometimes a jump over the first few segments.
-  static uint64_t RandomCumulativeAck(const ReferenceScoreboard& ref, Rng& rng) {
-    const auto& segs = ref.segs();
-    if (segs.empty() || rng.UniformInt(0, 9) < 8) {
-      return ref.snd_una();
-    }
-    int64_t limit = std::min<int64_t>(static_cast<int64_t>(segs.size()), 12);
-    return SegEnd(segs[static_cast<size_t>(rng.UniformInt(0, limit - 1))]);
-  }
-
-  // Up to four blocks: aligned on segment boundaries, misaligned, below
-  // snd_una, or repeated from the previous ACK.
-  static std::vector<SackBlock> RandomSackBlocks(const ReferenceScoreboard& ref,
-                                                 const std::vector<SackBlock>& previous,
-                                                 Rng& rng) {
-    const auto& segs = ref.segs();
-    std::vector<SackBlock> out;
-    int64_t count = rng.UniformInt(0, 4);
-    for (int64_t b = 0; b < count && !segs.empty(); ++b) {
-      int64_t kind = rng.UniformInt(0, 9);
-      if (kind < 2 && !previous.empty()) {
-        out.push_back(previous[static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(previous.size()) - 1))]);
-        continue;
-      }
-      if (kind == 2) {
-        uint64_t end = ref.snd_una() - std::min<uint64_t>(ref.snd_una(), kDefaultMss);
-        out.push_back({end - std::min<uint64_t>(end, 3 * kDefaultMss), end});
-        continue;
-      }
-      int64_t n = static_cast<int64_t>(segs.size());
-      // Skip the first segment most of the time, so holes stay open.
-      int64_t first = rng.UniformInt(std::min<int64_t>(1, n - 1), n - 1);
-      int64_t last = std::min(n - 1, first + rng.UniformInt(0, 5));
-      SackBlock block{segs[static_cast<size_t>(first)].seq,
-                      SegEnd(segs[static_cast<size_t>(last)])};
-      if (kind >= 8) {
-        block.begin += static_cast<uint64_t>(rng.UniformInt(0, kDefaultMss - 1));
-        block.end -= static_cast<uint64_t>(rng.UniformInt(0, kDefaultMss - 1));
-        block.end = std::max(block.end, block.begin + 1);
-      }
-      out.push_back(block);
-    }
-    return out;
-  }
-
   // The ACK's CC calls: OnLoss on entering recovery, OnAck when it acked data.
-  void ExpectAckCalls(const ReferenceScoreboard& ref,
-                      const ReferenceScoreboard::AckOutcome& outcome, const std::string& where) {
+  void ExpectAckCalls(const ReferenceSender& ref, const ReferenceSender::AckOutcome& outcome,
+                      const std::string& where) {
     if (outcome.entered_recovery) {
       ASSERT_LT(next_call_, calls_.size()) << where;
       ASSERT_EQ(calls_[next_call_].call, RecordingCc::Call::kLoss) << where;
-      EXPECT_EQ(calls_[next_call_++].in_flight, ref.InFlight()) << where;
+      EXPECT_EQ(calls_[next_call_++].in_flight, ref.board.InFlight()) << where;
     }
     if (outcome.acked) {
       ASSERT_LT(next_call_, calls_.size()) << where;
       ASSERT_EQ(calls_[next_call_].call, RecordingCc::Call::kAck) << where;
-      EXPECT_EQ(calls_[next_call_++].in_flight, ref.InFlight()) << where;
+      EXPECT_EQ(calls_[next_call_++].in_flight, ref.board.InFlight()) << where;
     }
   }
 
   // Applies the RTOs and sends logged since the last replay. Each send is a
   // retransmission the reference must pick, or new data sent while the
   // reference has nothing to retransmit.
-  void Replay(ReferenceScoreboard& ref, const std::string& where) {
+  void Replay(ReferenceSender& ref, const std::string& where) {
     auto data = capture_.DataPackets();
     for (; next_call_ < calls_.size(); ++next_call_) {
       const RecordingCc::Entry& call = calls_[next_call_];
@@ -854,16 +675,16 @@ class TcpScoreboardTest : public TcpUnitTest {
       // The CC sees a retransmission back in flight, and new data before
       // snd_nxt moves past it.
       if (seg.retransmit) {
-        std::optional<uint64_t> pick = ref.Retransmit(call.at);
+        std::optional<uint64_t> pick = ref.board.Retransmit(call.at);
         ASSERT_TRUE(pick.has_value()) << where << ": socket resent " << seg.seq;
         ASSERT_EQ(seg.seq, *pick) << where;
-        ASSERT_EQ(call.in_flight, ref.InFlight()) << where;
+        ASSERT_EQ(call.in_flight, ref.board.InFlight()) << where;
       } else {
-        ASSERT_EQ(ref.LowestLost(), nullptr)
+        ASSERT_EQ(ref.board.LowestLost(), nullptr)
             << where << ": new data at " << seg.seq << " while the reference would resend "
-            << ref.LowestLost()->seq;
-        ASSERT_EQ(call.in_flight, ref.InFlight()) << where;
-        ref.OnNewData(seg.seq, seg.payload_bytes, call.at);
+            << ref.board.LowestLost()->seq;
+        ASSERT_EQ(call.in_flight, ref.board.InFlight()) << where;
+        ref.board.OnNewData(seg.seq, seg.payload_bytes, call.at);
       }
     }
     ASSERT_EQ(next_packet_, data.size()) << where;

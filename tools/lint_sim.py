@@ -78,9 +78,11 @@ reproducible; this lint does:
       declared with a type that names the owner or a class derived from it,
       as a local or parameter of the function holding the call, a field of
       the class whose code holds it, or a variable at file scope earlier in
-      the file. It still counts when no declaration is found or the type may
-      alias any other (`auto`, a template parameter, a `using` name), and
-      when the receiver is a call result or a chain, so the rule never calls
+      the file. `recv.field.name(` and `recv->field.name(` take one step on,
+      to the declared type of `field` in the class `recv`'s type names. It
+      still counts when no declaration is found or the type may alias any
+      other (`auto`, a template parameter, a `using` name), and when the
+      receiver is a call result or a longer chain, so the rule never calls
       a member unused where the compiler sees a call.
       Constructors, destructors, operators and overrides (reached through
       the virtual they override, which is checked) are not checked. Waived on
@@ -589,7 +591,8 @@ class UseIndex:
     def member_use(self, owner: str, name: str, fi: Path, at: int) -> bool:
         """Whether the word `name` at `at` in `fi` calls or names a member of
         `owner`: `recv.name(` or `recv->name(` unless `recv` is declared
-        with a type that names neither `owner` nor a class derived from it,
+        with a type that names neither `owner` nor a class derived from it
+        (`recv.field.name(` takes the declared type of `field` there),
         `Owner::name`, or a bare `name(` inside the owner's body or member
         definitions."""
         code = self.code[fi]
@@ -601,9 +604,11 @@ class UseIndex:
             chain = receiver_chain(code, before.start())
             if called is None:
                 return False
-            if not chain or len(chain[1]) != 1:
+            if not chain or len(chain[1]) > 2:
                 return True
             kind = self.declared_type(fi, before.start(), chain[1][0], chain[0])
+            if kind is not None and len(chain[1]) == 2:
+                kind = self.field_type(kind, chain[1][1])
             return kind is None or self.names(kind, owner) is not False
         return called is not None and any(
             f == fi and begin <= at < end for f, begin, end in self.spans.get(owner, ()))
